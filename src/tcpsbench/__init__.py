@@ -25,12 +25,13 @@ from .core import (
     write_curve_csv,
 )
 from .loopsim import (
-    ControllerState,
     LoopConfig,
+    Operator,
+    Plant,
+    Robot,
     StepExperimentRecord,
     difference_trace,
     oracle_trace,
-    pi_update,
     plant_haptic,
     plant_nonhaptic,
     robot_lag,

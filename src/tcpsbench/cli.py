@@ -16,14 +16,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
 from .core import TcpsbenchError, extract_metrics, write_curve_csv
 from .experiments import ConfigError, Experiment, load_experiment
 from .loopsim import run_step_experiment, serve_plant, run_socket_experiment
-from .netsim import Topology, pair_flows, channel_from_topology
+from .netsim import pair_flows, channel_from_topology
 from .qoc import (
     NoGoodDelta,
     find_delta_opt,
@@ -110,24 +110,20 @@ def cmd_step(args: argparse.Namespace) -> int:
             endpoint.close()
         rows = ["t_ms,x,y"] + [f"{t!r},{x!r},{y!r}" for t, x, y in record.operator_trace]
         _write(out / "operator_trace.csv", "\n".join(rows) + "\n")
-        stats = {d: asdict(s) for d, s in record.channel_stats.items()}
-        _write(out / "channel_stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
-        _manifest(out, "step", exp.raw, ["operator_trace.csv", "channel_stats.json"])
-        print(out / "operator_trace.csv")
-        return EXIT_OK
-    record = run_step_experiment(exp.loop, exp.channel.factory(exp.loop.seed))
-    write_curve_csv(record.curve, str(out / "curve.csv"))
-    artifacts = ["curve.csv", "metrics.txt"]
-    try:
-        metrics = extract_metrics(record.curve, exp.limits)
-        _write(out / "metrics.txt", _metrics_summary(metrics))
-    except TcpsbenchError as exc:
-        _write(out / "metrics.txt", f"error: {type(exc).__name__}: {exc}\n")
+        artifacts = ["operator_trace.csv"]
+    else:
+        record = run_step_experiment(exp.loop, exp.channel.factory(exp.loop.seed))
+        write_curve_csv(record.curve, str(out / "curve.csv"))
+        artifacts = ["curve.csv", "metrics.txt"]
+        try:
+            metrics = extract_metrics(record.curve, exp.limits)
+            _write(out / "metrics.txt", _metrics_summary(metrics))
+        except TcpsbenchError as exc:
+            _write(out / "metrics.txt", f"error: {type(exc).__name__}: {exc}\n")
     stats = {d: asdict(s) for d, s in record.channel_stats.items()}
     _write(out / "channel_stats.json", json.dumps(stats, indent=2, sort_keys=True) + "\n")
-    artifacts.append("channel_stats.json")
-    _manifest(out, "step", exp.raw, artifacts)
-    print(out / "curve.csv")
+    _manifest(out, "step", exp.raw, artifacts + ["channel_stats.json"])
+    print(out / artifacts[0])
     return EXIT_OK
 
 
@@ -193,13 +189,13 @@ def cmd_netsim(args: argparse.Namespace) -> int:
     from .qoc import StepRunner
 
     for a, b in placements:
-        placed = Topology(switches=topo.switches, links=topo.links, hosts=topo.hosts,
-                          te_master=a, te_slave=b)
+        placed = replace(topo, te_master=a, te_slave=b)
         for rate in rates:
             flows = pair_flows(args.pairs, rate, args.flow_pkt_bytes) if rate > 0 else ()
             runner = StepRunner(
                 cfg=exp.loop,
-                channel_factory=lambda seed, t=placed, f=flows: channel_from_topology(t, f, seed),
+                channel_factory=lambda seed, t=placed, f=flows: channel_from_topology(
+                    t, f, seed, exp.channel.queue_cap),
                 limits=exp.limits,
             )
             try:
@@ -415,10 +411,7 @@ def run_command(argv: list[str]) -> int:
         return EXIT_CONFIG
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as exc:
+    except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TcpsbenchError as exc:

@@ -10,7 +10,7 @@ good/bad verdict against configurable limits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -213,41 +213,32 @@ def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_L
     overshoot_pct = max(0.0, peak - p_ref) / span * 100.0
     undershoot_pct = max(0.0, (p_ref / curve.config.k_2) - trough) / span * 100.0
 
-    if t2 is None:
-        return CurveMetrics(
-            t0=t0, t1=t1, t2=None, t_r=None,
-            overshoot_pct=overshoot_pct,
-            steady_state_error_pct=None,
-            delta_y=None, is_good=False,
-            undershoot_pct=undershoot_pct,
-        )
+    t_r = sse_pct = delta_y = settling_ms = None
+    if t2 is not None:
+        t_r = t2 - t0
+        t_end = float(t[-1])
+        win_start = t2 + 0.9 * max(0.0, t_end - t2)
+        window = sig[t >= win_start]
+        sse_pct = abs(float(np.mean(window)) - p_ref) / span * 100.0
 
-    t_r = t2 - t0
-    t_end = float(t[-1])
-    win_start = t2 + 0.9 * max(0.0, t_end - t2)
-    window = sig[t >= win_start]
-    sse_pct = abs(float(np.mean(window)) - p_ref) / span * 100.0
+        y = curve.commands()
+        delta_y = abs(float(np.interp(t2, t, y)) - float(np.interp(t0, t, y)))
 
-    y = curve.commands()
-    delta_y = abs(float(np.interp(t2, t, y)) - float(np.interp(t0, t, y)))
+        # the curve settles at the sample after the last one outside the 2% band
+        outside = np.flatnonzero(np.abs(sig - p_ref) > 0.02 * span)
+        settle_idx = max(step_idx, int(outside[-1]) + 1 if len(outside) else 0)
+        if settle_idx < n:
+            settling_ms = float(t[settle_idx]) - t0
 
-    settling_ms = None
-    tol = 0.02 * span
-    inside = np.abs(sig - p_ref) <= tol
-    for i in range(step_idx, n):
-        if np.all(inside[i:]):
-            settling_ms = float(t[i]) - t0
-            break
-
-    good = overshoot_pct <= limits.overshoot_max_pct and sse_pct <= limits.sse_max_pct
-    return CurveMetrics(
+    metrics = CurveMetrics(
         t0=t0, t1=t1, t2=t2, t_r=t_r,
         overshoot_pct=overshoot_pct,
         steady_state_error_pct=sse_pct,
-        delta_y=delta_y, is_good=good,
+        delta_y=delta_y, is_good=False,
         undershoot_pct=undershoot_pct,
         settling_ms=settling_ms,
     )
+    return replace(metrics, is_good=classify_good(metrics, limits))
 
 
 def classify_good(metrics: CurveMetrics, limits: GoodnessLimits = DEFAULT_LIMITS) -> bool:

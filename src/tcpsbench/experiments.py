@@ -10,7 +10,7 @@ searches need.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, Callable
 
@@ -179,6 +179,7 @@ class ChannelSpec:
     description: dict
     topology: Topology | None = None
     flows: tuple[TrafficFlow, ...] = ()
+    queue_cap: int | None = None
 
 
 def build_channel_spec(d: dict) -> ChannelSpec:
@@ -203,13 +204,12 @@ def build_channel_spec(d: dict) -> ChannelSpec:
         topo = build_topology(topo_dict)
         te = d.get("te")
         if te:
-            topo = Topology(switches=topo.switches, links=topo.links, hosts=topo.hosts,
-                            te_master=str(te[0]), te_slave=str(te[1]))
+            topo = replace(topo, te_master=str(te[0]), te_slave=str(te[1]))
         flows = build_flows(d.get("flows"))
-        queue_cap = d.get("queue_cap")
+        queue_cap = None if d.get("queue_cap") is None else _take(d, "queue_cap", int)
         factory = lambda seed: channel_from_topology(topo, flows, seed, queue_cap)
         return ChannelSpec(kind=kind, factory=factory, description=dict(d),
-                           topology=topo, flows=flows)
+                           topology=topo, flows=flows, queue_cap=queue_cap)
     if kind == "socket":
         local = _take(d, "local", str, "127.0.0.1:0")
         remote = _take(d, "remote", str, required=True)

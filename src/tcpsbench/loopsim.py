@@ -27,6 +27,7 @@ from .transport import (
     KIND_HAPTIC,
     KIND_KINEMATIC,
     DatagramEndpoint,
+    DirectionStats,
     Packet,
     SocketTimeout,
 )
@@ -80,31 +81,51 @@ class LoopConfig:
     def step_index(self) -> int:
         return self.sweep_len // 2 if self.step_at is None else self.step_at
 
-
-@dataclass(frozen=True)
-class ControllerState:
-    """Operator-side state: sweep position, commanded coordinate, and the
-    last feedback value (held when nothing new arrived)."""
-
-    x: float
-    y: float
-    last_p: float
-    cmd_seq: int = 0
-    fb_seq_seen: int = -1
+    @property
+    def last_x(self) -> int:
+        """Sweep coordinate (haptic) or epoch of the sweep's final command."""
+        return self.sweep_len - 1 if self.setting == SETTING_HAPTIC else self.sweep_len
 
 
-def initial_state(cfg: LoopConfig) -> ControllerState:
-    if cfg.setting == SETTING_HAPTIC:
+class Operator:
+    """PI operator as a sans-I/O state machine: it never reads a clock or
+    touches a channel. The caller sends command() once at the start, then
+    calls tick() every loop wait time with the freshest feedback packet it
+    holds (or None) and sends what tick() returns."""
+
+    def __init__(self, cfg: LoopConfig) -> None:
+        self.cfg = cfg
+        self.haptic = cfg.setting == SETTING_HAPTIC
         # pressure builds from zero; the controller assumes on-target until told otherwise
-        return ControllerState(x=0.0, y=0.0, last_p=cfg.p_ref)
-    return ControllerState(x=1.0, y=cfg.p_ref, last_p=cfg.p_ref)
+        self.x = 0.0 if self.haptic else 1.0
+        self.y = 0.0 if self.haptic else cfg.p_ref
+        self.last_p = cfg.p_ref
+        self.cmd_seq = 0
+        self.fb_seq_seen = -1
 
+    def command(self) -> Packet:
+        """The command for the current sweep position (epoch)."""
+        if self.haptic:
+            pkt = Packet(kind=KIND_KINEMATIC, seq=self.cmd_seq, epoch=0, x=self.x, value=self.y)
+        else:
+            pkt = Packet(kind=KIND_KINEMATIC, seq=self.cmd_seq, epoch=int(self.x), x=0.0,
+                         value=self.y)
+        self.cmd_seq += 1
+        return pkt
 
-def pi_update(state: ControllerState, p: float, cfg: LoopConfig) -> ControllerState:
-    """One controller iteration: integrate the feedback error and advance
-    the sweep coordinate (epoch) by one."""
-    error = cfg.p_ref - p
-    return replace(state, x=state.x + 1.0, y=state.y + cfg.k_p * error, last_p=p)
+    def tick(self, feedback: Packet | None) -> Packet | None:
+        """One controller iteration: take the feedback value if it is newer
+        than any seen (else hold the last one), integrate the error, advance
+        the sweep coordinate (epoch) by one and return the next command, or
+        None once the sweep is done."""
+        if feedback is not None and feedback.seq > self.fb_seq_seen:
+            self.fb_seq_seen = feedback.seq
+            self.last_p = feedback.value
+        self.x += 1.0
+        self.y += self.cfg.k_p * (self.cfg.p_ref - self.last_p)
+        if self.x > self.cfg.last_x:
+            return None
+        return self.command()
 
 
 def plant_haptic(x: float, y: float, cfg: LoopConfig) -> float:
@@ -162,12 +183,55 @@ def oracle_trace(cfg: LoopConfig, n_steps: int | None = None) -> list[tuple[int,
                             cfg.step_index - 1, n, y0=cfg.p_ref)
 
 
-@dataclass
-class ChannelStatsView:
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    stale: int = 0
+class Robot:
+    """Teleoperator actuator, sans-I/O: drops stale commands (sequence not
+    newer than the newest seen) and follows fresh ones through robot_lag."""
+
+    def __init__(self, tau_ms: float, y0: float = 0.0) -> None:
+        self.tau_ms = tau_ms
+        self.y = y0
+        self.newest_seq = -1
+        self.stale = 0
+        self.last_t = 0.0
+
+    def move(self, pkt: Packet, now: float) -> bool:
+        """Apply a command arriving at `now` (ms); False if it was stale."""
+        if pkt.seq <= self.newest_seq:
+            self.stale += 1
+            return False
+        self.newest_seq = pkt.seq
+        if self.tau_ms > 0.0:
+            self.y = robot_lag(pkt.value, self.y, now - self.last_t, self.tau_ms)
+        else:
+            self.y = pkt.value
+        self.last_t = now
+        return True
+
+
+class Plant(Robot):
+    """Reactive teleoperator: for each fresh command the robot moves, the
+    step-injecting plant computes the controlled signal, the sample is
+    logged at the arrival time and the feedback packet is returned."""
+
+    def __init__(self, cfg: LoopConfig) -> None:
+        super().__init__(cfg.robot_tau_ms)
+        self.cfg = cfg
+        self.samples: list[Sample] = []
+
+    def on_command(self, pkt: Packet, now: float) -> Packet | None:
+        if not self.move(pkt, now):
+            return None
+        if self.cfg.setting == SETTING_HAPTIC:
+            x = pkt.x
+            sig = plant_haptic(pkt.x, self.y, self.cfg)
+        else:
+            x = float(pkt.epoch)
+            sig = plant_nonhaptic(pkt.epoch, self.y, self.cfg)
+        self.samples.append(Sample(t=now, x=x, y=pkt.value, signal=sig))
+        return Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch, x=pkt.x, value=sig)
+
+    def curve(self) -> StepResponseCurve:
+        return StepResponseCurve(samples=self.samples, config=self.cfg, setting=self.cfg.setting)
 
 
 @dataclass
@@ -177,45 +241,7 @@ class StepExperimentRecord:
 
     curve: StepResponseCurve
     operator_trace: list[tuple[float, float, float]]
-    channel_stats: dict[str, ChannelStatsView] = field(default_factory=dict)
-
-
-class _PlantSide:
-    """Reactive teleoperator: computes the signal for each fresh command,
-    logs it at arrival time and echoes it back."""
-
-    def __init__(self, cfg: LoopConfig, channel, sched: EventScheduler,
-                 deliver_feedback) -> None:
-        self.cfg = cfg
-        self.channel = channel
-        self.sched = sched
-        self.deliver_feedback = deliver_feedback
-        self.samples: list[Sample] = []
-        self.robot_y = 0.0
-        self.last_t = 0.0
-        self.newest_seq = -1
-        self.stale = 0
-
-    def on_command(self, pkt: Packet) -> None:
-        if pkt.seq <= self.newest_seq:
-            self.stale += 1
-            return
-        self.newest_seq = pkt.seq
-        now = self.sched.now
-        if self.cfg.robot_tau_ms > 0.0:
-            self.robot_y = robot_lag(pkt.value, self.robot_y, now - self.last_t,
-                                     self.cfg.robot_tau_ms)
-        else:
-            self.robot_y = pkt.value
-        self.last_t = now
-        if self.cfg.setting == SETTING_HAPTIC:
-            sig = plant_haptic(pkt.x, self.robot_y, self.cfg)
-        else:
-            sig = plant_nonhaptic(pkt.epoch, self.robot_y, self.cfg)
-        self.samples.append(Sample(t=now, x=pkt.x if self.cfg.setting == SETTING_HAPTIC
-                                   else float(pkt.epoch), y=pkt.value, signal=sig))
-        fb = Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch, x=pkt.x, value=sig)
-        self.channel.send(BACKWARD, fb, self.cfg.packet_size_b, self.deliver_feedback)
+    channel_stats: dict[str, DirectionStats] = field(default_factory=dict)
 
 
 def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
@@ -228,72 +254,50 @@ def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     """
     sched = EventScheduler()
     channel.bind(sched)
-
-    state_box = [initial_state(cfg)]
+    operator = Operator(cfg)
+    plant = Plant(cfg)
     trace: list[tuple[float, float, float]] = []
-    inbox: dict[str, Packet | None] = {"pkt": None}
+    inbox: list[Packet | None] = [None]  # freshest feedback since the last check
     op_stale = 0
     done = False
 
     def deliver_feedback(pkt: Packet) -> None:
         nonlocal op_stale
-        held = inbox["pkt"]
-        newest = held.seq if held is not None else state_box[0].fb_seq_seen
-        if pkt.seq <= newest:
+        held = inbox[0]
+        if pkt.seq <= (held.seq if held is not None else operator.fb_seq_seen):
             op_stale += 1
             return
-        inbox["pkt"] = pkt
+        inbox[0] = pkt
 
-    plant = _PlantSide(cfg, channel, sched, deliver_feedback)
+    def deliver_command(pkt: Packet) -> None:
+        fb = plant.on_command(pkt, sched.now)
+        if fb is not None:
+            channel.send(BACKWARD, fb, cfg.packet_size_b, deliver_feedback)
 
-    def send_command() -> None:
-        st = state_box[0]
-        if cfg.setting == SETTING_HAPTIC:
-            pkt = Packet(kind=KIND_KINEMATIC, seq=st.cmd_seq, epoch=0, x=st.x, value=st.y)
-        else:
-            pkt = Packet(kind=KIND_KINEMATIC, seq=st.cmd_seq, epoch=int(st.x), x=0.0, value=st.y)
-        trace.append((sched.now, st.x, st.y))
-        channel.send(FORWARD, pkt, cfg.packet_size_b, plant.on_command)
-        state_box[0] = replace(st, cmd_seq=st.cmd_seq + 1)
-
-    def finished(st: ControllerState) -> bool:
-        if cfg.setting == SETTING_HAPTIC:
-            return st.x >= cfg.sweep_len
-        return st.x > cfg.sweep_len
+    def send(pkt: Packet) -> None:
+        trace.append((sched.now, operator.x, operator.y))
+        channel.send(FORWARD, pkt, cfg.packet_size_b, deliver_command)
 
     def check() -> None:
         nonlocal done
-        st = state_box[0]
-        pkt = inbox["pkt"]
-        if pkt is not None and pkt.seq > st.fb_seq_seen:
-            p = pkt.value
-            fb_seen = pkt.seq
-            inbox["pkt"] = None
-        else:
-            p = st.last_p
-            fb_seen = st.fb_seq_seen
-        st = replace(pi_update(st, p, cfg), fb_seq_seen=fb_seen)
-        state_box[0] = st
-        if finished(st):
+        pkt = operator.tick(inbox[0])
+        inbox[0] = None
+        if pkt is None:
             done = True
             return
-        send_command()
+        send(pkt)
         sched.schedule(sched.now + cfg.delta_ms, check, PRIO_CONTROL)
 
-    send_command()
+    send(operator.command())
     sched.schedule(cfg.delta_ms, check, PRIO_CONTROL)
     sched.run(stop=lambda: done)
     # let in-flight packets land so the plant log covers the whole sweep
     channel.begin_drain()
     sched.run()
 
-    curve = StepResponseCurve(samples=plant.samples, config=cfg, setting=cfg.setting)
-    stats = {}
-    for direction, extra_stale in ((FORWARD, plant.stale), (BACKWARD, op_stale)):
-        s = channel.stats[direction]
-        stats[direction] = ChannelStatsView(sent=s.sent, delivered=s.delivered,
-                                            dropped=s.dropped, stale=extra_stale)
-    return StepExperimentRecord(curve=curve, operator_trace=trace, channel_stats=stats)
+    stats = {FORWARD: replace(channel.stats[FORWARD], stale=plant.stale),
+             BACKWARD: replace(channel.stats[BACKWARD], stale=op_stale)}
+    return StepExperimentRecord(curve=plant.curve(), operator_trace=trace, channel_stats=stats)
 
 
 # --- real-socket mode -------------------------------------------------------
@@ -303,43 +307,27 @@ def serve_plant(endpoint: DatagramEndpoint, cfg: LoopConfig,
     """Teleoperator responder over datagrams: runs until the full sweep has
     been received (or the deadline passes with no traffic) and returns its
     log. Time stamps are wall-clock milliseconds from the first receive."""
-    samples: list[Sample] = []
-    newest = -1
-    robot_y = 0.0
+    plant = Plant(cfg)
     t0 = None
-    last_t = 0.0
-    want_last = cfg.sweep_len - 1 if cfg.setting == SETTING_HAPTIC else cfg.sweep_len
     while True:
         try:
             pkt, addr = endpoint.recv_packet(deadline_ms)
         except SocketTimeout:
-            if samples:
+            if plant.samples:
                 break
             raise ExperimentTimeout("no command packet before deadline") from None
-        if pkt.kind != KIND_KINEMATIC or pkt.seq <= newest:
+        if pkt.kind != KIND_KINEMATIC:
             continue
-        newest = pkt.seq
         now = time.perf_counter() * 1000.0
         if t0 is None:
             t0 = now
-        t_rel = now - t0
-        if cfg.robot_tau_ms > 0.0:
-            robot_y = robot_lag(pkt.value, robot_y, t_rel - last_t, cfg.robot_tau_ms)
-        else:
-            robot_y = pkt.value
-        last_t = t_rel
-        if cfg.setting == SETTING_HAPTIC:
-            sweep_pos = pkt.x
-            sig = plant_haptic(pkt.x, robot_y, cfg)
-        else:
-            sweep_pos = float(pkt.epoch)
-            sig = plant_nonhaptic(pkt.epoch, robot_y, cfg)
-        samples.append(Sample(t=t_rel, x=sweep_pos, y=pkt.value, signal=sig))
-        endpoint.send_packet(Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch,
-                                    x=pkt.x, value=sig), to=addr)
-        if sweep_pos >= want_last:
+        fb = plant.on_command(pkt, now - t0)
+        if fb is None:
+            continue
+        endpoint.send_packet(fb, to=addr)
+        if plant.samples[-1].x >= cfg.last_x:
             break
-    return StepResponseCurve(samples=samples, config=cfg, setting=cfg.setting)
+    return plant.curve()
 
 
 def run_socket_experiment(cfg: LoopConfig, endpoint: DatagramEndpoint,
@@ -348,53 +336,35 @@ def run_socket_experiment(cfg: LoopConfig, endpoint: DatagramEndpoint,
     receive with last-value hold. The plant-side curve lives with the remote
     responder; the returned record carries the operator trace and local
     packet accounting."""
-    state = initial_state(cfg)
+    operator = Operator(cfg)
     trace: list[tuple[float, float, float]] = []
-    sent = 0
     received = 0
     start = time.perf_counter()
     last_rx = start
 
-    def now_ms() -> float:
-        return (time.perf_counter() - start) * 1000.0
-
-    def send(st: ControllerState) -> ControllerState:
-        nonlocal sent
-        if cfg.setting == SETTING_HAPTIC:
-            pkt = Packet(kind=KIND_KINEMATIC, seq=st.cmd_seq, epoch=0, x=st.x, value=st.y)
-        else:
-            pkt = Packet(kind=KIND_KINEMATIC, seq=st.cmd_seq, epoch=int(st.x), x=0.0, value=st.y)
-        trace.append((now_ms(), st.x, st.y))
+    def send(pkt: Packet) -> None:
+        trace.append(((time.perf_counter() - start) * 1000.0, operator.x, operator.y))
         endpoint.send_packet(pkt)
-        sent += 1
-        return replace(st, cmd_seq=st.cmd_seq + 1)
 
-    state = send(state)
-    next_tick = time.perf_counter() + cfg.delta_ms / 1000.0
+    send(operator.command())
+    next_tick = time.perf_counter()
     while True:
+        next_tick += cfg.delta_ms / 1000.0
         lag = next_tick - time.perf_counter()
         if lag > 0:
             time.sleep(lag)
-        next_tick += cfg.delta_ms / 1000.0
-        pkt = endpoint.poll_packet()
-        if pkt is not None and pkt.seq > state.fb_seq_seen:
+        fb = endpoint.poll_packet()
+        if fb is not None and fb.seq > operator.fb_seq_seen:
             received += 1
             last_rx = time.perf_counter()
-            state = replace(pi_update(state, pkt.value, cfg), fb_seq_seen=pkt.seq)
-        else:
-            if (time.perf_counter() - last_rx) * 1000.0 > deadline_ms:
-                raise ExperimentTimeout(f"no feedback for {deadline_ms} ms")
-            state = pi_update(state, state.last_p, cfg)
-        if cfg.setting == SETTING_HAPTIC:
-            if state.x >= cfg.sweep_len:
-                break
-        elif state.x > cfg.sweep_len:
+        elif (time.perf_counter() - last_rx) * 1000.0 > deadline_ms:
+            raise ExperimentTimeout(f"no feedback for {deadline_ms} ms")
+        pkt = operator.tick(fb)
+        if pkt is None:
             break
-        state = send(state)
+        send(pkt)
 
-    stats = {
-        FORWARD: ChannelStatsView(sent=sent),
-        BACKWARD: ChannelStatsView(delivered=received),
-    }
+    stats = {FORWARD: DirectionStats(sent=operator.cmd_seq),
+             BACKWARD: DirectionStats(delivered=received)}
     empty_curve = StepResponseCurve(samples=[], config=cfg, setting=cfg.setting)
     return StepExperimentRecord(curve=empty_curve, operator_trace=trace, channel_stats=stats)

@@ -41,6 +41,10 @@ class NonPositiveRiseTime(TcpsbenchError):
     pass
 
 
+class NonMonotoneCurve(TcpsbenchError):
+    """A later goodness target earned a higher QoC than an earlier one."""
+
+
 class Runner(Protocol):
     limits: GoodnessLimits
 
@@ -59,9 +63,6 @@ class StepRunner:
     def run(self, delta_ms: float, seed: int) -> StepExperimentRecord:
         cfg = replace(self.cfg, delta_ms=delta_ms, seed=seed)
         return run_step_experiment(cfg, self.channel_factory(seed))
-
-    def metrics(self, delta_ms: float, seed: int) -> CurveMetrics:
-        return extract_metrics(self.run(delta_ms, seed).curve, self.limits)
 
 
 @dataclass(frozen=True)
@@ -286,26 +287,22 @@ def _result_from_estimate(g_spec: float, est: GoodnessEstimate) -> QoCResult:
     )
 
 
-def find_delta_opt_bar(runner: Runner, g_spec: float, search: SearchConfig,
-                       _cache: _DeltaStatsCache | None = None) -> QoCResult:
+def find_delta_opt_bar(runner: Runner, g_spec: float, search: SearchConfig) -> QoCResult:
     """Least grid loop time whose goodness estimate reaches g_spec, with the
     QoC computed over that grid point's good curves."""
     if not 0.0 < g_spec <= 1.0:
         raise ValueError("g_spec must lie in (0, 1]")
-    cache = _cache or _DeltaStatsCache(runner, search)
-    for delta in search.grid():
-        if cache.rejectable(delta, g_spec):
-            continue
-        est = cache.estimate(delta)
-        if est.g >= g_spec and est.good_rise_times:
-            return _result_from_estimate(g_spec, est)
-    raise NoGoodDelta(f"no grid loop time reaches goodness {g_spec}")
+    pc = perf_curve(runner, [g_spec], search)
+    if pc.missing:
+        raise NoGoodDelta(f"no grid loop time reaches goodness {g_spec}")
+    return pc.points[0]
 
 
 @dataclass
 class PerfCurve:
-    """QoC as a function of the goodness target; non-increasing by
-    construction (the scan can only move right as the target grows)."""
+    """QoC as a function of the goodness target. The tuned loop time cannot
+    decrease as the target grows, but a later grid point can still have a
+    shorter mean rise time, so a non-increasing QoC is checked, not implied."""
 
     points: list[QoCResult]
     missing: list[float] = field(default_factory=list)
@@ -316,11 +313,7 @@ class PerfCurve:
             raise ValueError("g_spec values must be strictly increasing")
         qocs = [p.qoc for p in self.points]
         if any(b > a + 1e-9 for a, b in zip(qocs, qocs[1:])):
-            raise AssertionError("performance curve must be non-increasing")
-
-    def as_rows(self) -> list[tuple[float, float, float, float, float]]:
-        return [(p.g_spec, p.delta_opt_bar_ms, p.t_r_mean_ms, p.qoc, p.v_max_mps)
-                for p in self.points]
+            raise NonMonotoneCurve(f"performance curve must be non-increasing, got QoC {qocs}")
 
 
 def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -> PerfCurve:
@@ -336,21 +329,16 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
     missing: list[float] = []
     start_idx = 0
     for g_spec in specs:
-        found = None
-        idx = start_idx
-        while idx < len(grid):
-            delta = grid[idx]
-            if not cache.rejectable(delta, g_spec):
-                est = cache.estimate(delta)
-                if est.g >= g_spec and est.good_rise_times:
-                    found = est
-                    break
-            idx += 1
-        if found is None:
-            missing.append(g_spec)
+        for idx in range(start_idx, len(grid)):
+            if cache.rejectable(grid[idx], g_spec):
+                continue
+            est = cache.estimate(grid[idx])
+            if est.g >= g_spec and est.good_rise_times:
+                start_idx = idx  # a later target can never accept an earlier grid point
+                points.append(_result_from_estimate(g_spec, est))
+                break
         else:
-            start_idx = idx  # a later target can never accept an earlier grid point
-            points.append(_result_from_estimate(g_spec, found))
+            missing.append(g_spec)
     return PerfCurve(points=points, missing=missing)
 
 

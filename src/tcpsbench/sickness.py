@@ -19,7 +19,7 @@ import numpy as np
 
 from .clock import EventScheduler, PRIO_CONTROL
 from .core import TcpsbenchError
-from .loopsim import robot_lag
+from .loopsim import Robot
 from .qoc import QoCResult
 from .transport import BACKWARD, FORWARD, KIND_HAPTIC, KIND_KINEMATIC, Packet
 
@@ -122,9 +122,7 @@ def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
     sched = EventScheduler()
     channel.bind(sched)
 
-    robot_pos = float(traj.positions[0])
-    robot_last_t = 0.0
-    robot_newest = -1
+    robot = Robot(robot_tau_ms, float(traj.positions[0]))
     errors: list[float] = []
     fb_newest = -1
 
@@ -137,18 +135,9 @@ def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
         errors.append(pkt.value - hand_now)
 
     def on_command(pkt: Packet) -> None:
-        nonlocal robot_pos, robot_last_t, robot_newest
-        if pkt.seq <= robot_newest:
-            return
-        robot_newest = pkt.seq
-        now = sched.now
-        if robot_tau_ms > 0.0:
-            robot_pos = robot_lag(pkt.value, robot_pos, now - robot_last_t, robot_tau_ms)
-        else:
-            robot_pos = pkt.value
-        robot_last_t = now
-        channel.send(BACKWARD, Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch,
-                                      x=0.0, value=robot_pos), packet_size_b, on_feedback)
+        if robot.move(pkt, sched.now):
+            channel.send(BACKWARD, Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch,
+                                          x=0.0, value=robot.y), packet_size_b, on_feedback)
 
     n = len(traj.positions)
     sent = [0]

@@ -170,9 +170,14 @@ def ideal_model(latency_each_way_ms: float = 0.5) -> ChannelModel:
 
 @dataclass
 class DirectionStats:
+    """Packet accounting of one direction. Channels count sent, delivered
+    and dropped; stale counts deliveries the receiving loop side discarded
+    as older than the newest it had seen, filled in by the experiment runner."""
+
     sent: int = 0
     delivered: int = 0
     dropped: int = 0
+    stale: int = 0
 
 
 class _LinkState:

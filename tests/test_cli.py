@@ -3,9 +3,11 @@
 import json
 import socket
 import threading
+import time
 
 import pytest
 
+from tcpsbench import cli
 from tcpsbench.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, run_command
 from tcpsbench.core import extract_metrics, read_curve_csv
 from tcpsbench.loopsim import LoopConfig
@@ -21,6 +23,26 @@ def free_port() -> int:
     port = s.getsockname()[1]
     s.close()
     return port
+
+
+def wait_until_bound(port: int, timeout_s: float = 5.0) -> None:
+    """Poll a loopback UDP port with one-byte datagrams until the kernel stops
+    refusing them. The responders skip undecodable datagrams, so the polls
+    cost them nothing."""
+    deadline = time.monotonic() + timeout_s
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as s:
+        s.connect(("127.0.0.1", port))
+        s.settimeout(0.05)
+        while time.monotonic() < deadline:
+            s.send(b"?")
+            try:
+                s.recv(1)
+            except ConnectionRefusedError:
+                time.sleep(0.01)
+                continue
+            except socket.timeout:
+                return
+    raise AssertionError(f"nothing bound 127.0.0.1:{port} within {timeout_s} s")
 
 
 class TestStep:
@@ -75,6 +97,13 @@ class TestConfigErrors:
         bad.write_text(json.dumps({"loop": {}}))
         assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
 
+    def test_non_integer_queue_cap_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channel": {"type": "topology", "topology": "usnet-nw",
+                                               "queue_cap": "2"}}))
+        assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "queue_cap" in capsys.readouterr().err
+
     def test_invalid_loop_constants_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"channel": {"type": "ideal"},
@@ -92,6 +121,13 @@ class TestExperimentErrors:
         }))
         assert run(["qoc", "--config", cfg, "--gspec", 0.9,
                     "--out", tmp_path / "o"]) == EXIT_EXPERIMENT
+
+    def test_non_monotone_curve_exits_3(self, tmp_path, capsys):
+        # with search seed 0 the 0.9 target earns a higher QoC than the 0.7 one
+        assert run(["curve", "--config", "testbed-overhead-like",
+                    "--gspec-list", "0.5,0.7,0.9,0.95", "--seed", 0,
+                    "--out", tmp_path / "o"]) == EXIT_EXPERIMENT
+        assert "NonMonotoneCurve" in capsys.readouterr().err
 
 
 class TestSearchCommands:
@@ -160,6 +196,26 @@ class TestNetsim:
         assert rows[0].startswith("te_master,te_slave,rate_bps")
         assert len(rows) == 3
 
+    def test_queue_cap_reaches_the_channel(self, tmp_path, monkeypatch):
+        caps = []
+        build = cli.channel_from_topology
+
+        def recording(topology, flows, seed, queue_cap=None):
+            caps.append(queue_cap)
+            return build(topology, flows, seed, queue_cap)
+
+        monkeypatch.setattr(cli, "channel_from_topology", recording)
+        cfg = tmp_path / "capped.json"
+        cfg.write_text(json.dumps({
+            "channel": {"type": "topology", "topology": "usnet-nw", "te": ["S0", "S8"],
+                        "queue_cap": 2},
+            "loop": {"delta_ms": 4.5},
+            "search": {"deltas": [4.5], "m_batch": 10, "m_max": 10},
+        }))
+        assert run(["netsim", "--config", cfg, "--rates", "0,500000", "--pairs", 1,
+                    "--out", tmp_path / "n"]) == EXIT_OK
+        assert caps and set(caps) == {2}
+
 
 class TestProbe:
     def test_echo_roundtrip_on_loopback(self, tmp_path):
@@ -170,6 +226,7 @@ class TestProbe:
                                "--out", tmp_path / "srv"],),
             daemon=True)
         serve.start()
+        wait_until_bound(port)
         code = run(["probe", "measure", "--local", "127.0.0.1:0",
                     "--remote", f"127.0.0.1:{port}", "--count", 5,
                     "--interval-ms", 1, "--deadline-ms", 2000,
@@ -202,6 +259,7 @@ class TestProbe:
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
+        wait_until_bound(port)
         code = run(["step", "--config", sock_cfg, "--deadline-ms", 3000,
                     "--out", tmp_path / "op"])
         thread.join(timeout=15.0)

@@ -1,5 +1,7 @@
 """Step-response metric extraction and the shared lookup utilities."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,6 +103,34 @@ class TestExtractMetrics:
         assert m1.t0 == pytest.approx(m0.t0 + 7.25, abs=1e-12)
         assert m1.overshoot_pct == m0.overshoot_pct
         assert m1.steady_state_error_pct == pytest.approx(m0.steady_state_error_pct, abs=1e-12)
+
+    def test_settling_matches_brute_force_definition(self):
+        # settling time: from t0 to the first sample at or after the step
+        # from which every later sample stays within 2% of the span
+        rng = Random(11)
+        settled = unsettled = 0
+        for _ in range(400):
+            n = rng.randint(8, 60)
+            step = rng.randint(1, n // 2)
+            noise = rng.choice((0.0, 0.2, 0.5, 1.0)) * rng.random()
+            root = rng.uniform(-0.9, 0.9)
+            sig = [100.0] * step + [100.0 - 20.0 * root ** j + rng.uniform(-noise, noise)
+                                    for j in range(n - step)]
+            m = extract_metrics(curve_from_signals(sig))
+            if m.t2 is None:
+                continue
+            step_idx = round(m.t0 - 0.5)
+            expected = None
+            for i in range(step_idx, n):
+                if all(abs(s - 100.0) <= 0.02 * 20.0 for s in sig[i:]):
+                    expected = float(i) - step_idx
+                    break
+            assert m.settling_ms == expected
+            if expected is None:
+                unsettled += 1
+            else:
+                settled += 1
+        assert settled > 50 and unsettled > 50
 
     @given(shift=st.floats(min_value=0.0, max_value=1e4, allow_nan=False))
     @settings(max_examples=25, deadline=None)

@@ -7,14 +7,12 @@ import pytest
 
 from tcpsbench.core import extract_metrics
 from tcpsbench.loopsim import (
-    ControllerState,
     ExperimentTimeout,
     LoopConfig,
     NegativeTau,
+    Operator,
     difference_trace,
-    initial_state,
     oracle_trace,
-    pi_update,
     plant_haptic,
     plant_nonhaptic,
     robot_lag,
@@ -23,10 +21,12 @@ from tcpsbench.loopsim import (
     serve_plant,
 )
 from tcpsbench.transport import (
+    KIND_HAPTIC,
     ChannelModel,
     DatagramEndpoint,
     Jitter,
     LinkParams,
+    Packet,
     ideal_model,
 )
 
@@ -35,16 +35,27 @@ def record_bytes(record):
     return repr([(s.t, s.x, s.y, s.signal) for s in record.curve.samples]).encode()
 
 
+def operator_at(cfg, x, y, last_p):
+    op = Operator(cfg)
+    op.x, op.y, op.last_p = x, y, last_p
+    return op
+
+
+def feedback(p, seq=0):
+    return Packet(kind=KIND_HAPTIC, seq=seq, epoch=0, x=0.0, value=p)
+
+
 class TestPiUpdate:
     def test_direct_substitution(self):
-        st = ControllerState(x=10.0, y=100.0, last_p=100.0)
-        out = pi_update(st, 80.0, LoopConfig())
-        assert out.y == 120.0 and out.x == 11.0
+        op = operator_at(LoopConfig(), x=10.0, y=100.0, last_p=100.0)
+        op.tick(feedback(80.0))
+        assert op.y == 120.0 and op.x == 11.0
 
     def test_difference_equation_root(self):
         # root r = 1 - kp k1 / k2 = 0.2: y 120 with P 96 -> 124
-        st = ControllerState(x=0.0, y=120.0, last_p=96.0)
-        assert pi_update(st, 96.0, LoopConfig()).y == pytest.approx(124.0)
+        op = operator_at(LoopConfig(), x=0.0, y=120.0, last_p=96.0)
+        op.tick(feedback(96.0))
+        assert op.y == pytest.approx(124.0)
 
     def test_fixed_point(self):
         # y* = p_ref * k2 / k1 = 125 and P* = 100 for kp k1 = 1, k2 = 1.25
@@ -52,8 +63,26 @@ class TestPiUpdate:
         y_star = cfg.p_ref * cfg.k_2 / cfg.k_1
         p_star = plant_haptic(60.0, y_star, cfg)
         assert p_star == pytest.approx(100.0)
-        assert pi_update(ControllerState(x=60.0, y=y_star, last_p=p_star),
-                         p_star, cfg).y == pytest.approx(y_star)
+        op = operator_at(cfg, x=60.0, y=y_star, last_p=p_star)
+        op.tick(feedback(p_star))
+        assert op.y == pytest.approx(y_star)
+
+    def test_missing_or_stale_feedback_holds_last_value(self):
+        op = operator_at(LoopConfig(), x=10.0, y=100.0, last_p=90.0)
+        op.tick(feedback(80.0, seq=5))
+        op.tick(None)
+        op.tick(feedback(50.0, seq=4))
+        assert op.y == 100.0 + 3 * 20.0 and op.fb_seq_seen == 5
+
+    def test_sweep_ends_after_last_command(self):
+        for setting in ("haptic", "non-haptic"):
+            cfg = LoopConfig(setting=setting, sweep_len=10, step_at=5)
+            op = Operator(cfg)
+            sent = [op.command()]
+            while (pkt := op.tick(None)) is not None:
+                sent.append(pkt)
+            assert len(sent) == 10
+            assert [p.seq for p in sent] == list(range(10))
 
 
 class TestPlants:
@@ -228,9 +257,9 @@ class TestRunStepExperiment:
             LoopConfig(step_at=100)
 
     def test_initial_states(self):
-        h = initial_state(LoopConfig())
+        h = Operator(LoopConfig())
         assert (h.x, h.y) == (0.0, 0.0)
-        nh = initial_state(LoopConfig(setting="non-haptic"))
+        nh = Operator(LoopConfig(setting="non-haptic"))
         assert (nh.x, nh.y) == (1.0, 100.0)
 
     def test_robot_lag_in_experiment_slows_rise(self):

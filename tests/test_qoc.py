@@ -8,6 +8,7 @@ from tcpsbench.core import extract_metrics
 from tcpsbench.loopsim import LoopConfig, run_step_experiment
 from tcpsbench.qoc import (
     NoGoodDelta,
+    NonMonotoneCurve,
     NonPositiveRiseTime,
     PerfCurve,
     SearchConfig,
@@ -196,7 +197,7 @@ class TestPerfCurve:
         res_slow = find_delta_opt_bar(runner, 1.0, SearchConfig(deltas=(2.0,), seed=1))
         from dataclasses import replace
         bad = [replace(res_slow, g_spec=0.5), replace(res_fast, g_spec=0.9)]
-        with pytest.raises(AssertionError):
+        with pytest.raises(NonMonotoneCurve):
             PerfCurve(points=bad)
 
     def test_csv_rows(self):
