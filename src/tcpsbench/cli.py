@@ -186,18 +186,13 @@ def cmd_netsim(args: argparse.Namespace) -> int:
         a, b = spec.split(":")
         placements.append((a, b))
     rows = ["te_master,te_slave,rate_bps,delta_opt_ms,t_r_ms,qoc,v_max"]
-    from .qoc import StepRunner
-
     for a, b in placements:
         placed = replace(topo, te_master=a, te_slave=b)
         for rate in rates:
             flows = pair_flows(args.pairs, rate, args.flow_pkt_bytes) if rate > 0 else ()
-            runner = StepRunner(
-                cfg=exp.loop,
-                channel_factory=lambda seed, t=placed, f=flows: channel_from_topology(
-                    t, f, seed, exp.channel.queue_cap),
-                limits=exp.limits,
-            )
+            factory = lambda seed, t=placed, f=flows: channel_from_topology(
+                t, f, seed, exp.channel.queue_cap)
+            runner = replace(exp.runner(), channel_factory=factory)
             try:
                 res = find_delta_opt_bar(runner, args.gspec, exp.search)
                 rows.append(f"{a},{b},{rate!r},{res.delta_opt_bar_ms!r},"
@@ -247,8 +242,7 @@ def cmd_sickness(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    host, port = args.bind.split(":") if args.mode == "serve" else args.local.split(":")
-    local = (host, int(port))
+    local = _parse_addr(args.bind if args.mode == "serve" else args.local)
     if args.mode == "serve":
         endpoint = DatagramEndpoint(local, packet_size_b=args.packet_size)
         try:
@@ -275,8 +269,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     # measure
     import time as _time
 
-    rhost, rport = args.remote.split(":")
-    endpoint = DatagramEndpoint(local, (rhost, int(rport)), packet_size_b=args.packet_size)
+    endpoint = DatagramEndpoint(local, _parse_addr(args.remote), packet_size_b=args.packet_size)
     rtts = []
     lost = 0
     try:

@@ -147,9 +147,7 @@ def build_topology(d: dict) -> Topology:
             te_master=str(d["te_master"]),
             te_slave=str(d["te_slave"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid topology: {exc}") from None
-    except TcpsbenchError as exc:
+    except (KeyError, TypeError, ValueError, TcpsbenchError) as exc:
         raise ConfigError(f"invalid topology: {exc}") from None
 
 
@@ -178,7 +176,6 @@ class ChannelSpec:
     factory: Callable[[int], object]
     description: dict
     topology: Topology | None = None
-    flows: tuple[TrafficFlow, ...] = ()
     queue_cap: int | None = None
 
 
@@ -209,7 +206,7 @@ def build_channel_spec(d: dict) -> ChannelSpec:
         queue_cap = None if d.get("queue_cap") is None else _take(d, "queue_cap", int)
         factory = lambda seed: channel_from_topology(topo, flows, seed, queue_cap)
         return ChannelSpec(kind=kind, factory=factory, description=dict(d),
-                           topology=topo, flows=flows, queue_cap=queue_cap)
+                           topology=topo, queue_cap=queue_cap)
     if kind == "socket":
         local = _take(d, "local", str, "127.0.0.1:0")
         remote = _take(d, "remote", str, required=True)

@@ -17,7 +17,7 @@ from typing import Callable
 
 from .clock import EventScheduler, PRIO_DELIVERY
 from .core import TcpsbenchError
-from .transport import BACKWARD, FORWARD, ChannelClosed, DirectionStats
+from .transport import BACKWARD, FORWARD, DirectionStats, LinkQueue, SimChannel
 
 
 class Unreachable(TcpsbenchError):
@@ -151,34 +151,7 @@ def route(topology: Topology, a: str, b: str) -> list[tuple[str, str]]:
     raise Unreachable(f"no route from {src} to {dst}")
 
 
-class _DirectedLinkQueue:
-    """FIFO output queue of one directed link: tracks when the transmitter
-    frees up, plus in-flight departure times when a capacity cap applies."""
-
-    __slots__ = ("link", "free_at", "cap", "departures")
-
-    def __init__(self, link: Link, cap: int | None) -> None:
-        self.link = link
-        self.free_at = 0.0
-        self.cap = cap
-        self.departures: list[float] = []
-
-    def admit(self, now: float, size_bytes: int) -> float | None:
-        """Returns the arrival time at the far end, or None on tail drop."""
-        if self.cap is not None:
-            self.departures = [d for d in self.departures if d > now]
-            if len(self.departures) >= self.cap:
-                return None
-        start = self.free_at if self.free_at > now else now
-        ser = size_bytes * 8.0 / self.link.bandwidth_bps * 1000.0
-        finish = start + ser
-        self.free_at = finish
-        if self.cap is not None:
-            self.departures.append(finish)
-        return finish + self.link.delay_ms
-
-
-class NetsimChannel:
+class NetsimChannel(SimChannel):
     """Topology-backed bidirectional channel for the tactile endpoints.
 
     Cross-traffic flows emit packets on deterministic CBR schedules (one
@@ -189,11 +162,9 @@ class NetsimChannel:
 
     def __init__(self, topology: Topology, flows: tuple[TrafficFlow, ...],
                  seed: int, queue_cap: int | None = None) -> None:
-        self.topology = topology
+        super().__init__()
         self.flows = flows
         self.seed = seed
-        self.queue_cap = queue_cap
-        self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
         self._routes = {
             FORWARD: route(topology, topology.te_master, topology.te_slave),
             BACKWARD: route(topology, topology.te_slave, topology.te_master),
@@ -203,20 +174,17 @@ class NetsimChannel:
             key = (fl.src, fl.dst)
             if key not in self._flow_routes:
                 self._flow_routes[key] = route(topology, fl.src, fl.dst)
-        self._queues: dict[tuple[str, str], _DirectedLinkQueue] = {}
-        self._sched: EventScheduler | None = None
+        # one output queue per directed link; the first of parallel links wins,
+        # as in Topology.link_between
+        self._queues: dict[tuple[str, str], LinkQueue] = {}
+        for ln in topology.links:
+            for hop in ((ln.a, ln.b), (ln.b, ln.a)):
+                if hop not in self._queues:
+                    self._queues[hop] = LinkQueue(ln.bandwidth_bps, ln.delay_ms, queue_cap)
         self._draining = False
-        self._closed = False
-
-    def _queue(self, u: str, v: str) -> _DirectedLinkQueue:
-        q = self._queues.get((u, v))
-        if q is None:
-            q = _DirectedLinkQueue(self.topology.link_between(u, v), self.queue_cap)
-            self._queues[(u, v)] = q
-        return q
 
     def bind(self, scheduler: EventScheduler) -> None:
-        self._sched = scheduler
+        super().bind(scheduler)
         self._draining = False
         for idx, fl in enumerate(self.flows):
             if fl.rate_bps <= 0.0:
@@ -240,49 +208,33 @@ class NetsimChannel:
 
     def _forward_packet(self, hops: list[tuple[str, str]], hop_idx: int,
                         size_bytes: int, deliver: Callable[[], None] | None,
-                        on_drop: Callable[[], None] | None = None) -> None:
+                        stats: DirectionStats | None = None) -> None:
         """Advance one packet across its next link; schedules the following
-        hop (or final delivery) at the computed arrival time."""
+        hop (or final delivery) at the computed arrival time. A tail drop
+        counts in `stats` when the packet is a tactile one."""
         assert self._sched is not None
         if hop_idx >= len(hops):
             if deliver is not None:
                 deliver()
             return
-        u, v = hops[hop_idx]
-        arrival = self._queue(u, v).admit(self._sched.now, size_bytes)
+        arrival = self._queues[hops[hop_idx]].admit(self._sched.now, size_bytes)
         if arrival is None:
-            if on_drop is not None:
-                on_drop()
+            if stats is not None:
+                stats.dropped += 1
             return
         self._sched.schedule(
             arrival,
-            lambda: self._forward_packet(hops, hop_idx + 1, size_bytes, deliver, on_drop),
+            lambda: self._forward_packet(hops, hop_idx + 1, size_bytes, deliver, stats),
             PRIO_DELIVERY,
         )
 
-    def send(self, direction: str, payload: object, size_b: int,
-             deliver: Callable[[object], None]) -> None:
-        if self._closed:
-            raise ChannelClosed("channel is closed")
-        if self._sched is None:
-            raise ChannelClosed("channel not bound to a scheduler")
+    def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         stats = self.stats[direction]
         stats.sent += 1
-
-        def final() -> None:
-            stats.delivered += 1
-            deliver(payload)
-
-        def tail_dropped() -> None:
-            stats.dropped += 1
-
-        self._forward_packet(self._routes[direction], 0, size_b, final, tail_dropped)
+        self._forward_packet(self._routes[direction], 0, size_b, deliver, stats)
 
     def begin_drain(self) -> None:
         self._draining = True
-
-    def close(self) -> None:
-        self._closed = True
 
 
 def channel_from_topology(topology: Topology, flows: tuple[TrafficFlow, ...] | list[TrafficFlow],

@@ -243,32 +243,6 @@ def v_max(qoc: float) -> float:
     return min(1.0, 10.0 ** qoc)
 
 
-class _DeltaStatsCache:
-    """Per-search memo of goodness estimates so performance curves reuse one
-    batch of trials per loop time across all targets."""
-
-    def __init__(self, runner: Runner, search: SearchConfig) -> None:
-        self.runner = runner
-        self.search = search
-        self._estimates: dict[float, GoodnessEstimate] = {}
-        self._rejected: dict[tuple[float, float], bool] = {}
-
-    def estimate(self, delta_ms: float) -> GoodnessEstimate:
-        est = self._estimates.get(delta_ms)
-        if est is None:
-            est = estimate_goodness(self.runner, delta_ms, self.search)
-            self._estimates[delta_ms] = est
-        return est
-
-    def rejectable(self, delta_ms: float, g_spec: float) -> bool:
-        if delta_ms in self._estimates:
-            return False
-        key = (delta_ms, g_spec)
-        if key not in self._rejected:
-            self._rejected[key] = _rejectable(self.runner, delta_ms, self.search, g_spec)
-        return self._rejected[key]
-
-
 def _result_from_estimate(g_spec: float, est: GoodnessEstimate) -> QoCResult:
     t_r_mean = est.t_r_mean_ms
     if t_r_mean is None:
@@ -323,16 +297,19 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
     specs = list(g_specs)
     if any(b <= a for a, b in zip(specs, specs[1:])):
         raise ValueError("g_spec list must be strictly increasing")
-    cache = _DeltaStatsCache(runner, search)
     grid = search.grid()
+    estimates: dict[float, GoodnessEstimate] = {}  # one trial batch per grid point
     points: list[QoCResult] = []
     missing: list[float] = []
     start_idx = 0
     for g_spec in specs:
         for idx in range(start_idx, len(grid)):
-            if cache.rejectable(grid[idx], g_spec):
-                continue
-            est = cache.estimate(grid[idx])
+            est = estimates.get(grid[idx])
+            if est is None:
+                # the probe only skips points that have no estimate yet
+                if _rejectable(runner, grid[idx], search, g_spec):
+                    continue
+                est = estimates[grid[idx]] = estimate_goodness(runner, grid[idx], search)
             if est.g >= g_spec and est.good_rise_times:
                 start_idx = idx  # a later target can never accept an earlier grid point
                 points.append(_result_from_estimate(g_spec, est))

@@ -60,9 +60,20 @@ class HandTrajectory:
         return (len(self.positions) - 1) / self.fs_hz
 
     def position_at(self, t_ms: float) -> float:
-        """Linear interpolation of the hand position at an arbitrary time."""
+        """Linear interpolation of the hand position at an arbitrary time,
+        clamped to the first and last samples; the same arithmetic as
+        np.interp over the sample indices, at O(1) per call."""
         idx = t_ms / 1000.0 * self.fs_hz
-        return float(np.interp(idx, np.arange(len(self.positions)), self.positions))
+        pos = self.positions
+        if idx <= 0.0:
+            return float(pos[0])
+        j = int(idx)
+        if j >= len(pos) - 1:
+            return float(pos[-1])
+        lo = float(pos[j])
+        if idx == j:
+            return lo
+        return (float(pos[j + 1]) - lo) * (idx - j) + lo
 
 
 def predict_E(traj: HandTrajectory, v_max_mps: float) -> float:

@@ -3,9 +3,12 @@
 Simulated channels deliver payload objects through the virtual clock with
 configurable latency, jitter, drop probability and serialization rate; they
 carry full-precision floats and use the configured packet size only for
-serialization delay. The byte codec (fixed little-endian header, random
-padding to a configured size, trailing CRC-32) is the wire format of the
-real-datagram adapter and of anything else that needs bit-exact framing.
+serialization delay. Serialization queues FIFO: a packet waits in its
+link's `LinkQueue` until the transmitter has sent the packets before it,
+on impaired links and topology links alike. The byte codec (fixed
+little-endian header, random padding to a configured size, trailing CRC-32)
+is the wire format of the real-datagram adapter and of anything else that
+needs bit-exact framing.
 """
 
 from __future__ import annotations
@@ -132,9 +135,13 @@ class Jitter:
 class LinkParams:
     """One direction of an impaired point-to-point link.
 
-    bandwidth_bps = 0 means infinite (no serialization delay). drop_seq
-    deterministically drops the packets with those send indices, on top of
-    the random drop probability; useful for fault-injection experiments.
+    bandwidth_bps = 0 means infinite (no transmitter, no serialization
+    delay). A finite rate serializes packets FIFO through a `LinkQueue`, so
+    a packet sent while an earlier one is still on the wire waits for it;
+    latency and jitter are added after serialization. Dropped packets never
+    occupy the transmitter. drop_seq deterministically drops the packets
+    with those send indices, on top of the random drop probability; useful
+    for fault-injection experiments.
     """
 
     latency_ms: float = 0.5
@@ -180,34 +187,42 @@ class DirectionStats:
     stale: int = 0
 
 
-class _LinkState:
-    __slots__ = ("params", "send_count", "last_delivery")
+class LinkQueue:
+    """FIFO output queue of one directed link: tracks when the transmitter
+    frees up, plus in-flight departure times when a capacity cap applies."""
 
-    def __init__(self, params: LinkParams) -> None:
-        self.params = params
-        self.send_count = 0
-        self.last_delivery = -1.0
+    __slots__ = ("bandwidth_bps", "delay_ms", "cap", "free_at", "departures")
+
+    def __init__(self, bandwidth_bps: float, delay_ms: float = 0.0,
+                 cap: int | None = None) -> None:
+        self.bandwidth_bps = bandwidth_bps
+        self.delay_ms = delay_ms
+        self.cap = cap
+        self.free_at = 0.0
+        self.departures: list[float] = []
+
+    def admit(self, now: float, size_b: int) -> float | None:
+        """Returns the arrival time at the far end, or None on tail drop."""
+        if self.cap is not None:
+            self.departures = [d for d in self.departures if d > now]
+            if len(self.departures) >= self.cap:
+                return None
+        start = self.free_at if self.free_at > now else now
+        ser = size_b * 8.0 / self.bandwidth_bps * 1000.0
+        finish = start + ser
+        self.free_at = finish
+        if self.cap is not None:
+            self.departures.append(finish)
+        return finish + self.delay_ms
 
 
-class ImpairedChannel:
-    """Parametric lossy/jittery link pair driven by the virtual clock.
+class SimChannel:
+    """Shell of a bidirectional channel driven by the virtual clock:
+    per-direction stats, scheduler binding, close, and the checks and
+    delivery counting around each send. A subclass implements `_carry`,
+    which moves one packet and schedules `deliver` at its arrival."""
 
-    Deterministic per seed: each direction owns independent RNG streams for
-    drops and jitter so that raising drop_prob with a fixed seed only adds
-    drops (the drop decisions nest).
-    """
-
-    def __init__(self, model: ChannelModel, seed: int) -> None:
-        self.model = model
-        self._links = {
-            FORWARD: _LinkState(model.forward),
-            BACKWARD: _LinkState(model.backward),
-        }
-        # integer seed derivation only: string/tuple seeding would go through
-        # the per-process randomized hash and break reproducibility
-        base = int(seed) * 4
-        self._drop_rng = {FORWARD: Random(base), BACKWARD: Random(base + 2)}
-        self._jitter_rng = {FORWARD: Random(base + 1), BACKWARD: Random(base + 3)}
+    def __init__(self) -> None:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
         self._sched: EventScheduler | None = None
         self._closed = False
@@ -219,7 +234,57 @@ class ImpairedChannel:
         self._closed = True
 
     def begin_drain(self) -> None:
-        """No periodic sources to stop; present for interface symmetry."""
+        """Stop periodic sources before the final drain; none by default."""
+
+    def send(self, direction: str, payload: object, size_b: int,
+             deliver: Callable[[object], None]) -> None:
+        if self._closed:
+            raise ChannelClosed("channel is closed")
+        if self._sched is None:
+            raise ChannelClosed("channel not bound to a scheduler")
+        stats = self.stats[direction]
+
+        def _deliver() -> None:
+            stats.delivered += 1
+            deliver(payload)
+
+        self._carry(direction, size_b, _deliver)
+
+    def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
+        raise NotImplementedError
+
+
+class _LinkState:
+    __slots__ = ("params", "send_count", "last_delivery", "queue")
+
+    def __init__(self, params: LinkParams) -> None:
+        self.params = params
+        self.send_count = 0
+        self.last_delivery = -1.0
+        # bandwidth 0 has no transmitter to queue behind
+        self.queue = LinkQueue(params.bandwidth_bps) if params.bandwidth_bps > 0.0 else None
+
+
+class ImpairedChannel(SimChannel):
+    """Parametric lossy/jittery link pair driven by the virtual clock.
+
+    Deterministic per seed: each direction owns independent RNG streams for
+    drops and jitter so that raising drop_prob with a fixed seed only adds
+    drops (the drop decisions nest).
+    """
+
+    def __init__(self, model: ChannelModel, seed: int) -> None:
+        super().__init__()
+        self.model = model
+        self._links = {
+            FORWARD: _LinkState(model.forward),
+            BACKWARD: _LinkState(model.backward),
+        }
+        # integer seed derivation only: string/tuple seeding would go through
+        # the per-process randomized hash and break reproducibility
+        base = int(seed) * 4
+        self._drop_rng = {FORWARD: Random(base), BACKWARD: Random(base + 2)}
+        self._jitter_rng = {FORWARD: Random(base + 1), BACKWARD: Random(base + 3)}
 
     def transit_time(self, direction: str, size_b: int, t_now: float) -> float | None:
         """Decide drop/delivery for one packet; returns the delivery time or
@@ -238,30 +303,17 @@ class ImpairedChannel:
             self.stats[direction].dropped += 1
             return None
         delay = p.latency_ms + p.jitter.draw(self._jitter_rng[direction])
-        if p.bandwidth_bps > 0.0:
-            delay += size_b * 8.0 / p.bandwidth_bps * 1000.0
-        t_deliver = t_now + delay
+        t_sent = t_now if link.queue is None else link.queue.admit(t_now, size_b)
+        t_deliver = t_sent + delay
         if p.fifo and t_deliver < link.last_delivery:
             t_deliver = link.last_delivery
         link.last_delivery = t_deliver
         return t_deliver
 
-    def send(self, direction: str, payload: object, size_b: int,
-             deliver: Callable[[object], None]) -> None:
-        if self._closed:
-            raise ChannelClosed("channel is closed")
-        if self._sched is None:
-            raise ChannelClosed("channel not bound to a scheduler")
+    def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         t = self.transit_time(direction, size_b, self._sched.now)
-        if t is None:
-            return
-        stats = self.stats[direction]
-
-        def _deliver() -> None:
-            stats.delivered += 1
-            deliver(payload)
-
-        self._sched.schedule(t, _deliver, PRIO_DELIVERY)
+        if t is not None:
+            self._sched.schedule(t, deliver, PRIO_DELIVERY)
 
 
 # --- real-datagram adapter -------------------------------------------------
@@ -322,9 +374,7 @@ class DatagramEndpoint:
         while True:
             try:
                 data, _addr = self._sock.recvfrom(65535)
-            except BlockingIOError:
-                break
-            except OSError:
+            except OSError:  # BlockingIOError: nothing pending
                 break
             try:
                 pkt = decode(data)

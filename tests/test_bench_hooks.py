@@ -1,0 +1,52 @@
+"""The benchmark's tracer must find every name it wraps.
+
+perfbench/tracing.py swaps functions and methods of each tcpsbench layer for
+timing wrappers. A refactor that renames or removes one of them breaks the
+traced benchmark run; this test finds that in well under a second, instead
+of in the minute-long quick mode of perfbench/test_smoke.py. It also checks
+that the channel hooks still see the traffic they count.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from tcpsbench import transport
+from tcpsbench.clock import EventScheduler
+from tcpsbench.netsim import Link, Topology, channel_from_topology
+from tcpsbench.transport import FORWARD, ChannelModel, LinkParams
+
+_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_instrument_wraps_and_uninstall_restores():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    send = transport.ImpairedChannel.send
+    tracing.instrument(tracer)
+    try:
+        assert transport.ImpairedChannel.send is not send
+        sched = EventScheduler()
+        lossy = ChannelModel(forward=LinkParams(drop_prob=1.0)).build(0)
+        lossy.bind(sched)
+        lossy.send(FORWARD, "x", 32, lambda p: None)
+        topo = Topology(switches=("s0", "s1"), links=(Link("s0", "s1"),), hosts={},
+                        te_master="s0", te_slave="s1")
+        chan = channel_from_topology(topo, (), 0)
+        chan.bind(sched)
+        chan.send(FORWARD, "y", 32, lambda p: None)
+        sched.run()
+        counts = tracing.op_counters(tracer.snapshot())
+    finally:
+        tracer.uninstall()
+    assert transport.ImpairedChannel.send is send
+    assert counts["transport.sends"] == 1
+    assert counts["transport.drops"] == 1
+    assert counts["netsim.sends"] == 1
+    assert counts["clock.events"] == 1

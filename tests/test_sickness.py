@@ -69,6 +69,31 @@ class TestSynth:
         assert np.min(above) >= 1.6 * 0.02 - 1e-12
 
 
+class TestPositionAt:
+    def test_matches_np_interp_bit_for_bit(self):
+        traj = compliant_trajectory(30.0, 500, v_max_mps=0.02, fraction=0.8, seed=5)
+        n = len(traj.positions)
+        end_ms = (n - 1) / traj.fs_hz * 1000.0
+        rng = np.random.default_rng(0)
+        times = np.concatenate([
+            rng.uniform(-200.0, end_ms + 200.0, 20_000),  # before 0 and past the end
+            np.arange(-3, n + 3) / traj.fs_hz * 1000.0,   # on and around the samples
+            [0.0, -0.0, end_ms],
+        ])
+        xp = np.arange(n)
+        for t in times:
+            want = float(np.interp(t / 1000.0 * traj.fs_hz, xp, traj.positions))
+            assert traj.position_at(float(t)) == want, t
+
+    def test_clamps_outside_the_trajectory(self):
+        traj = HandTrajectory(fs_hz=1000.0, positions=np.array([2.0, 4.0, 8.0]))
+        assert traj.position_at(-5.0) == 2.0
+        assert traj.position_at(0.5) == 3.0
+        assert traj.position_at(1.25) == 5.0
+        assert traj.position_at(2.0) == 8.0
+        assert traj.position_at(9.0) == 8.0
+
+
 class TestMeasure:
     def test_static_hand_ideal_channel_full_exposure(self):
         traj = HandTrajectory(fs_hz=30.0, positions=np.zeros(120))

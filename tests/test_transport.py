@@ -1,10 +1,11 @@
-"""Wire codec and impaired-channel behavior."""
+"""Wire codec, link queue and simulated-channel behavior."""
 
 from random import Random
 
 import pytest
 
 from tcpsbench.clock import EventScheduler
+from tcpsbench.netsim import Link, Topology, channel_from_topology
 from tcpsbench.transport import (
     BACKWARD,
     FORWARD,
@@ -105,6 +106,47 @@ class TestImpairedChannel:
         t = self.transit_times(LinkParams(latency_ms=0.5, bandwidth_bps=1e7), 1)[0]
         assert t == pytest.approx(0.5 + 0.0256)
 
+    def test_serialization_queues_fifo(self):
+        # 1 byte at 8 kb/s takes 1 ms on the wire; packets sent together
+        # leave the transmitter one after the other
+        sched = EventScheduler()
+        chan = ChannelModel(forward=LinkParams(latency_ms=0.0, bandwidth_bps=8000.0)).build(1)
+        chan.bind(sched)
+        arrivals = []
+        for k in range(3):
+            chan.send(FORWARD, k, 1, lambda p: arrivals.append(sched.now))
+        sched.run()
+        assert arrivals == [1.0, 2.0, 3.0]
+
+    def test_spaced_sends_match_unqueued_formula(self):
+        # When each packet leaves the transmitter before the next is sent,
+        # queueing adds no wait: delivery equals
+        # now + latency + jitter + size*8/bw, up to float rounding, and
+        # exactly so on links without a transmitter (bandwidth 0).
+        rng = Random(2024)
+        for case in range(200):
+            jitter = rng.choice([Jitter.none(), Jitter.uniform(rng.uniform(0.0, 3.0)),
+                                 Jitter.truncnorm(rng.uniform(0.0, 1.0), rng.uniform(0.1, 1.0))])
+            bandwidth = 0.0 if case % 4 == 0 else rng.uniform(1e4, 1e7)
+            params = LinkParams(latency_ms=rng.uniform(0.0, 2.0), jitter=jitter,
+                                drop_prob=rng.uniform(0.0, 0.5), bandwidth_bps=bandwidth,
+                                fifo=rng.random() < 0.5,
+                                drop_seq=frozenset(rng.sample(range(40), 3)))
+            sizes = [rng.randint(MIN_PACKET_BYTES, 1500) for _ in range(40)]
+            ser_max = 1500 * 8.0 / bandwidth * 1000.0 if bandwidth else 0.0
+            sends, now = [], 0.0
+            for size in sizes:
+                sends.append((now, size))
+                now += ser_max + rng.uniform(0.01, 2.0)
+            seed = rng.randrange(1000)
+            chan = ChannelModel(forward=params).build(seed)
+            got = [chan.transit_time(FORWARD, size, t) for t, size in sends]
+            want = _unqueued_transit_times(params, sends, seed)
+            assert [t is None for t in got] == [t is None for t in want]
+            for g, w in zip(got, want):
+                if g is not None:
+                    assert g == w if bandwidth == 0.0 else abs(g - w) <= 1e-9, (case, g, w)
+
     def test_drop_all(self):
         assert self.transit_times(LinkParams(drop_prob=1.0), 50) == [None] * 50
 
@@ -163,13 +205,6 @@ class TestImpairedChannel:
         assert got == ["payload"]
         assert chan.stats[FORWARD].delivered == 1
 
-    def test_closed_channel_rejects_send(self):
-        chan = ideal_model().build(1)
-        chan.bind(EventScheduler())
-        chan.close()
-        with pytest.raises(ChannelClosed):
-            chan.send(FORWARD, "x", 32, lambda p: None)
-
     def test_truncnorm_jitter_nonnegative(self):
         p = LinkParams(jitter=Jitter.truncnorm(0.1, 0.5), fifo=False)
         times = self.transit_times(p, 2000, seed=8, gap=0.0)
@@ -181,3 +216,49 @@ class TestImpairedChannel:
             LinkParams(latency_ms=-1.0)
         with pytest.raises(ValueError):
             LinkParams(drop_prob=1.5)
+
+
+def _unqueued_transit_times(params: LinkParams, sends, seed: int):
+    """The impaired channel's delivery times before serialization queued:
+    now + latency + jitter + size*8/bw per packet, then the FIFO clamp,
+    drawing from the channel's forward drop and jitter streams."""
+    drop_rng, jitter_rng = Random(seed * 4), Random(seed * 4 + 1)
+    last, out = -1.0, []
+    for seq, (t_now, size) in enumerate(sends):
+        dropped = seq in params.drop_seq
+        if drop_rng.random() < params.drop_prob:
+            dropped = True
+        if dropped:
+            out.append(None)
+            continue
+        delay = params.latency_ms + params.jitter.draw(jitter_rng)
+        if params.bandwidth_bps > 0.0:
+            delay += size * 8.0 / params.bandwidth_bps * 1000.0
+        t = t_now + delay
+        if params.fifo and t < last:
+            t = last
+        last = t
+        out.append(t)
+    return out
+
+
+def _netsim_channel(seed: int):
+    topo = Topology(switches=("s0", "s1"), links=(Link("s0", "s1"),), hosts={},
+                    te_master="s0", te_slave="s1")
+    return channel_from_topology(topo, (), seed)
+
+
+@pytest.mark.parametrize("build", [ideal_model().build, _netsim_channel],
+                         ids=["impaired", "netsim"])
+class TestSimChannel:
+    def test_closed_channel_rejects_send(self, build):
+        chan = build(1)
+        chan.bind(EventScheduler())
+        chan.close()
+        with pytest.raises(ChannelClosed):
+            chan.send(FORWARD, "x", 32, lambda p: None)
+
+    def test_unbound_channel_rejects_send(self, build):
+        chan = build(1)
+        with pytest.raises(ChannelClosed):
+            chan.send(FORWARD, "x", 32, lambda p: None)
