@@ -3,9 +3,10 @@
 Subcommands wire experiment configs to the library: single step runs, loop
 time searches, QoC estimation, performance-curve sweeps, topology
 placement/traffic studies, cybersickness experiments, and a real-datagram
-RTT probe. Every run writes its artifacts plus a manifest of the fully
-resolved configuration into the output directory; identical config and seed
-give byte-identical artifacts for simulated channels.
+RTT probe. Every run writes its artifacts plus a manifest into the output
+directory; the manifest holds the config as read, with --seed and --delta-ms
+merged in. Identical config and seed give byte-identical artifacts for
+simulated channels.
 
 Exit codes: 0 success, 2 configuration error, 3 experiment error.
 """

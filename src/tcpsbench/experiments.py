@@ -2,17 +2,20 @@
 
 One config file describes one experiment: the loop constants, exactly one
 channel variant (ideal | impaired | topology | socket), the search grid and
-an output directory. Builders turn the parsed tree into LoopConfig /
-SearchConfig values and a per-trial channel factory, which is everything the
-searches need.
+the goodness limits. The dataclasses are the schema: `_build` takes each
+object's keys, defaults and JSON types from the dataclass it becomes, so
+every object rejects keys it does not read. The result is the LoopConfig,
+SearchConfig, GoodnessLimits and per-trial channel factory the searches need.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .core import GoodnessLimits, TcpsbenchError
 from .loopsim import LoopConfig
@@ -21,6 +24,7 @@ from .qoc import SearchConfig, StepRunner
 from .transport import ChannelModel, Jitter, LinkParams, ideal_model
 
 PRESET_NAMES = ("ideal", "testbed-overhead-like", "usnet-nw", "vrep-like")
+_type_hints = functools.cache(typing.get_type_hints)  # evaluating annotations is slow
 
 
 class ConfigError(TcpsbenchError):
@@ -48,123 +52,74 @@ def load_config(source: str) -> dict:
     return cfg
 
 
-def _take(d: dict, field: str, expected: type, default: Any = None, required: bool = False) -> Any:
-    if field not in d:
-        if required:
-            raise ConfigError(f"missing required field {field!r}")
-        return default
-    v = d[field]
-    if expected is float and isinstance(v, int):
-        v = float(v)
-    if not isinstance(v, expected):
-        raise ConfigError(f"field {field!r} must be {expected.__name__}, got {type(v).__name__}")
-    return v
+def _check(name: str, v: Any, hint: Any) -> Any:
+    """One JSON value checked against a field annotation: a float field also
+    takes an int, and an `X | None` field takes null."""
+    allowed = typing.get_args(hint) or (hint,)
+    if float in allowed and type(v) is int:
+        return float(v)
+    if isinstance(v, allowed) and (bool in allowed or not isinstance(v, bool)):
+        return v
+    names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+    raise ConfigError(f"field {name!r} must be {names}, got {type(v).__name__}")
 
 
-_LOOP_FIELDS = {"setting", "k_p", "k_1", "k_2", "p_ref", "delta_ms", "sweep_len",
-                "step_at", "packet_size_b", "robot_tau_ms", "seed"}
-
-
-def build_loop_config(d: dict) -> LoopConfig:
-    unknown = set(d) - _LOOP_FIELDS
+def _object(d: Any, what: str, keys: Iterable[str]) -> dict:
+    """The JSON object d (null reads as {}), checked to hold only keys."""
+    if d is None:
+        return {}
+    if not isinstance(d, dict):
+        raise ConfigError(f"{what} must be an object, got {type(d).__name__}")
+    unknown = set(d) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown loop fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} fields: {sorted(unknown)}")
+    return d
+
+
+def _build(cls: type, d: Any, what: str, **convert: Callable[[Any], Any]) -> Any:
+    """Builds dataclass cls from the JSON object d. The keys, defaults and
+    JSON types are those of the dataclass fields; convert maps a field to a
+    function for the values JSON cannot spell directly."""
+    d = _object(d, what, [f.name for f in fields(cls)])
+    for f in fields(cls):
+        if f.name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{what}: missing required field {f.name!r}")
+    hints = _type_hints(cls)
     try:
-        return LoopConfig(
-            k_p=_take(d, "k_p", float, 1.0),
-            k_1=_take(d, "k_1", float, 1.0),
-            k_2=_take(d, "k_2", float, 1.25),
-            p_ref=_take(d, "p_ref", float, 100.0),
-            delta_ms=_take(d, "delta_ms", float, 1.0),
-            sweep_len=_take(d, "sweep_len", int, 100),
-            step_at=_take(d, "step_at", int),
-            packet_size_b=_take(d, "packet_size_b", int, 32),
-            setting=_take(d, "setting", str, "haptic"),
-            robot_tau_ms=_take(d, "robot_tau_ms", float, 0.0),
-            seed=_take(d, "seed", int, 0),
-        )
-    except (ValueError, TcpsbenchError) as exc:
-        raise ConfigError(f"invalid loop config: {exc}") from None
+        return cls(**{k: convert[k](v) if k in convert else _check(k, v, hints[k])
+                      for k, v in d.items()})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, TcpsbenchError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from None
 
 
-def build_search_config(d: dict | None) -> SearchConfig:
-    if d is None:
-        return SearchConfig()
-    deltas = d.get("deltas")
-    try:
-        return SearchConfig(
-            delta_min_ms=_take(d, "delta_min_ms", float, 0.1),
-            delta_max_ms=_take(d, "delta_max_ms", float, 5.0),
-            delta_step_ms=_take(d, "delta_step_ms", float, 0.1),
-            deltas=tuple(float(x) for x in deltas) if deltas is not None else None,
-            ci_halfwidth=_take(d, "ci_halfwidth", float, 0.05),
-            m_max=_take(d, "m_max", int, 2000),
-            m_batch=_take(d, "m_batch", int, 20),
-            seed=_take(d, "seed", int, 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid search config: {exc}") from None
+_JITTER_PARAMS = {"none": (), "uniform": ("a",), "truncnorm": ("mu", "sigma")}
 
 
-def _build_jitter(d: dict | None) -> Jitter:
-    if d is None:
-        return Jitter.none()
-    kind = _take(d, "kind", str, "none")
-    if kind == "none":
-        return Jitter.none()
-    if kind == "uniform":
-        return Jitter.uniform(_take(d, "a", float, required=True))
-    if kind == "truncnorm":
-        return Jitter.truncnorm(_take(d, "mu", float, required=True),
-                                _take(d, "sigma", float, required=True))
-    raise ConfigError(f"unknown jitter kind {kind!r}")
+def _build_jitter(d: Any) -> Jitter:
+    """A jitter block holds its kind and exactly the parameters it draws with."""
+    jitter = _build(Jitter, d, "jitter")
+    params = _JITTER_PARAMS.get(jitter.kind)
+    if params is None:
+        raise ConfigError(f"unknown jitter kind {jitter.kind!r}")
+    _object(d, f"{jitter.kind} jitter", ("kind", *params))
+    if not set(params) <= set(d or ()):
+        raise ConfigError(f"{jitter.kind} jitter needs {' and '.join(params)}")
+    return jitter
 
 
-def _build_link_params(d: dict | None) -> LinkParams:
-    if d is None:
-        return LinkParams()
-    try:
-        return LinkParams(
-            latency_ms=_take(d, "latency_ms", float, 0.5),
-            jitter=_build_jitter(d.get("jitter")),
-            drop_prob=_take(d, "drop_prob", float, 0.0),
-            bandwidth_bps=_take(d, "bandwidth_bps", float, 0.0),
-            fifo=_take(d, "fifo", bool, True),
-            drop_seq=frozenset(d.get("drop_seq", ())),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid link parameters: {exc}") from None
+def _build_link(d: Any, what: str) -> LinkParams:
+    return _build(LinkParams, d, what, jitter=_build_jitter, drop_seq=frozenset)
 
 
-def build_topology(d: dict) -> Topology:
-    try:
-        links = tuple(Link(a=str(a), b=str(b), delay_ms=float(delay), bandwidth_bps=float(bw))
-                      for a, b, delay, bw in d["links"])
-        return Topology(
-            switches=tuple(str(s) for s in d["switches"]),
-            links=links,
-            hosts={str(h): str(s) for h, s in d["hosts"].items()},
-            te_master=str(d["te_master"]),
-            te_slave=str(d["te_slave"]),
-        )
-    except (KeyError, TypeError, ValueError, TcpsbenchError) as exc:
-        raise ConfigError(f"invalid topology: {exc}") from None
-
-
-def build_flows(entries: list | None) -> tuple[TrafficFlow, ...]:
-    if not entries:
-        return ()
-    flows = []
-    for e in entries:
-        try:
-            flows.append(TrafficFlow(
-                src=str(e["src"]), dst=str(e["dst"]),
-                rate_bps=float(e["rate_bps"]),
-                pkt_bytes=int(e.get("pkt_bytes", 1250)),
-            ))
-        except (KeyError, TypeError, ValueError, TcpsbenchError) as exc:
-            raise ConfigError(f"invalid flow entry {e!r}: {exc}") from None
-    return tuple(flows)
+def build_topology(d: Any) -> Topology:
+    return _build(Topology, d, "topology",
+                  switches=lambda v: tuple(str(s) for s in v),
+                  links=lambda v: tuple(Link(a=str(a), b=str(b), delay_ms=float(delay),
+                                             bandwidth_bps=float(bw))
+                                        for a, b, delay, bw in v),
+                  hosts=lambda v: {str(h): str(s) for h, s in dict(v).items()})
 
 
 @dataclass
@@ -179,45 +134,60 @@ class ChannelSpec:
     queue_cap: int | None = None
 
 
-def build_channel_spec(d: dict) -> ChannelSpec:
-    kind = _take(d, "type", str, required=True)
+_CHANNEL_KEYS = {
+    "ideal": ("latency_each_way_ms",),
+    "impaired": ("forward", "backward"),
+    "topology": ("topology", "te", "flows", "queue_cap"),
+    "socket": ("local", "remote"),
+}
+
+
+def build_channel_spec(d: Any) -> ChannelSpec:
+    if not isinstance(d, dict):
+        raise ConfigError(f"channel must be an object, got {type(d).__name__}")
+    if "type" not in d:
+        raise ConfigError("missing required field 'type'")
+    kind = _check("type", d["type"], str)
+    if kind not in _CHANNEL_KEYS:
+        raise ConfigError(f"unknown channel type {kind!r}")
+    _object(d, f"{kind} channel", ("type", *_CHANNEL_KEYS[kind]))
     if kind == "ideal":
-        latency = _take(d, "latency_each_way_ms", float, 0.5)
-        model = ideal_model(latency)
+        model = ideal_model(**{k: _check(k, v, float) for k, v in d.items() if k != "type"})
         return ChannelSpec(kind=kind, factory=model.build, description=dict(d))
     if kind == "impaired":
-        model = ChannelModel(forward=_build_link_params(d.get("forward")),
-                             backward=_build_link_params(d.get("backward")))
+        model = ChannelModel(forward=_build_link(d.get("forward"), "forward link"),
+                             backward=_build_link(d.get("backward"), "backward link"))
         return ChannelSpec(kind=kind, factory=model.build, description=dict(d))
     if kind == "topology":
-        topo_field = d.get("topology")
-        if isinstance(topo_field, str):
-            topo_cfg = load_config(topo_field)
-            topo_dict = topo_cfg["channel"]["topology"] if "channel" in topo_cfg else topo_cfg
-        elif isinstance(topo_field, dict):
-            topo_dict = topo_field
-        else:
-            raise ConfigError("topology channel needs a 'topology' object or preset name")
-        topo = build_topology(topo_dict)
-        te = d.get("te")
+        topo_dict = d.get("topology")
+        if isinstance(topo_dict, str):
+            topo_cfg = load_config(topo_dict)
+            topo_dict = topo_cfg["channel"].get("topology") if "channel" in topo_cfg else topo_cfg
+        if not isinstance(topo_dict, dict):
+            raise ConfigError("topology channel needs a 'topology' object or a topology preset")
+        te = _check("te", d.get("te", []), list)
+        if len(te) not in (0, 2):
+            raise ConfigError(f"field 'te' must name two switches, got {te!r}")
         if te:
-            topo = replace(topo, te_master=str(te[0]), te_slave=str(te[1]))
-        flows = build_flows(d.get("flows"))
-        queue_cap = None if d.get("queue_cap") is None else _take(d, "queue_cap", int)
+            topo_dict = {**topo_dict, "te_master": te[0], "te_slave": te[1]}
+        topo = build_topology(topo_dict)
+        flows = tuple(_build(TrafficFlow, e, "flow entry")
+                      for e in _check("flows", d.get("flows", []), list))
+        queue_cap = _check("queue_cap", d.get("queue_cap"), int | None)
         factory = lambda seed: channel_from_topology(topo, flows, seed, queue_cap)
         return ChannelSpec(kind=kind, factory=factory, description=dict(d),
                            topology=topo, queue_cap=queue_cap)
-    if kind == "socket":
-        local = _take(d, "local", str, "127.0.0.1:0")
-        remote = _take(d, "remote", str, required=True)
+    if "remote" not in d:
+        raise ConfigError("socket channel: missing required field 'remote'")
+    local = _check("local", d.get("local", "127.0.0.1:0"), str)
+    remote = _check("remote", d["remote"], str)
 
-        def no_sim(seed: int) -> object:
-            raise ConfigError("socket channels run in real time; simulated searches "
-                              "need an ideal/impaired/topology channel")
+    def no_sim(seed: int) -> object:
+        raise ConfigError("socket channels run in real time; simulated searches "
+                          "need an ideal/impaired/topology channel")
 
-        return ChannelSpec(kind=kind, factory=no_sim,
-                           description={"type": "socket", "local": local, "remote": remote})
-    raise ConfigError(f"unknown channel type {kind!r}")
+    return ChannelSpec(kind=kind, factory=no_sim,
+                       description={"type": "socket", "local": local, "remote": remote})
 
 
 @dataclass
@@ -235,28 +205,19 @@ class Experiment:
                           limits=self.limits)
 
 
-_TOP_FIELDS = {"loop", "channel", "search", "limits", "outputs"}
+_TOP_FIELDS = ("loop", "channel", "search", "limits")
 
 
 def build_experiment(cfg: dict) -> Experiment:
-    unknown = set(cfg) - _TOP_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown top-level fields: {sorted(unknown)}")
+    _object(cfg, "top-level", _TOP_FIELDS)
     if "channel" not in cfg:
         raise ConfigError("missing required field 'channel'")
-    limits_d = cfg.get("limits") or {}
-    try:
-        limits = GoodnessLimits(
-            overshoot_max_pct=_take(limits_d, "overshoot_max_pct", float, 20.0),
-            sse_max_pct=_take(limits_d, "sse_max_pct", float, 10.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid limits: {exc}") from None
     return Experiment(
-        loop=build_loop_config(cfg.get("loop") or {}),
+        loop=_build(LoopConfig, cfg.get("loop"), "loop"),
         channel=build_channel_spec(cfg["channel"]),
-        search=build_search_config(cfg.get("search")),
-        limits=limits,
+        search=_build(SearchConfig, cfg.get("search"), "search",
+                      deltas=lambda v: None if v is None else tuple(float(x) for x in v)),
+        limits=_build(GoodnessLimits, cfg.get("limits"), "limits"),
         raw=cfg,
     )
 

@@ -18,6 +18,7 @@ from .clock import EventScheduler, PRIO_CONTROL
 from .core import (
     Sample,
     SETTING_HAPTIC,
+    SETTING_NONHAPTIC,
     StepResponseCurve,
     TcpsbenchError,
 )
@@ -64,6 +65,9 @@ class LoopConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.setting not in (SETTING_HAPTIC, SETTING_NONHAPTIC):
+            raise ValueError(f"setting must be {SETTING_HAPTIC!r} or {SETTING_NONHAPTIC!r}, "
+                             f"got {self.setting!r}")
         if self.delta_ms <= 0.0:
             raise ValueError("delta_ms must be positive")
         if self.k_2 <= 1.0:

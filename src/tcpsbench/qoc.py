@@ -22,6 +22,7 @@ from .core import (
     CurveMetrics,
     DEFAULT_LIMITS,
     GoodnessLimits,
+    MalformedCurve,
     NoStepDetected,
     StepResponseCurve,
     TcpsbenchError,
@@ -117,7 +118,8 @@ def ci_halfwidth(g: float, m: int) -> float:
 
 @dataclass
 class GoodnessEstimate:
-    """Outcome of repeated runs at one loop time."""
+    """Outcome of repeated runs at one loop time. malformed counts the trials
+    whose curve was malformed (scored not good, like a curve without a step)."""
 
     delta_ms: float
     g: float
@@ -125,6 +127,7 @@ class GoodnessEstimate:
     ci: float
     m_cap_exceeded: bool
     good_rise_times: list[float] = field(default_factory=list)
+    malformed: int = 0
 
     @property
     def t_r_mean_ms(self) -> float | None:
@@ -133,12 +136,16 @@ class GoodnessEstimate:
         return float(np.mean(self.good_rise_times))
 
 
-def _run_trial(runner: Runner, delta_ms: float, seed: int) -> CurveMetrics | None:
+def _run_trial(runner: Runner, delta_ms: float,
+               seed: int) -> CurveMetrics | NoStepDetected | MalformedCurve:
+    """Metrics of one trial. A curve without a step or a malformed curve is
+    a "not good" trial: its error is returned in place of the metrics. Any
+    other extraction error propagates."""
     record = runner.run(delta_ms, seed)
     try:
         return extract_metrics(record.curve, runner.limits)
-    except (NoStepDetected, TcpsbenchError):
-        return None
+    except (NoStepDetected, MalformedCurve) as exc:
+        return exc
 
 
 def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig) -> GoodnessEstimate:
@@ -152,6 +159,7 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig) -> 
     if delta_ms <= 0.0:
         raise ValueError("delta_ms must be positive")
     good = 0
+    malformed = 0
     m = 0
     rise_times: list[float] = []
     capped = False
@@ -159,7 +167,8 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig) -> 
         batch = min(search.m_batch, search.m_max - m)
         for i in range(batch):
             metrics = _run_trial(runner, delta_ms, search.trial_seed(m + i))
-            if metrics is not None and metrics.is_good and metrics.t_r is not None:
+            malformed += isinstance(metrics, MalformedCurve)
+            if isinstance(metrics, CurveMetrics) and metrics.is_good:  # good implies t_r
                 good += 1
                 rise_times.append(metrics.t_r)
         m += batch
@@ -170,8 +179,8 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig) -> 
         if m >= search.m_max:
             capped = True
             break
-    return GoodnessEstimate(delta_ms=delta_ms, g=g, m=m, ci=ci,
-                            m_cap_exceeded=capped, good_rise_times=rise_times)
+    return GoodnessEstimate(delta_ms=delta_ms, g=g, m=m, ci=ci, m_cap_exceeded=capped,
+                            good_rise_times=rise_times, malformed=malformed)
 
 
 def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: float,
@@ -182,7 +191,7 @@ def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: f
     good = 0
     for i in range(probe_trials):
         metrics = _run_trial(runner, delta_ms, search.trial_seed(i))
-        if metrics is not None and metrics.is_good:
+        if isinstance(metrics, CurveMetrics) and metrics.is_good:
             good += 1
         remaining = probe_trials - (i + 1)
         best_g = (good + remaining) / probe_trials
@@ -197,7 +206,7 @@ def find_delta_opt(runner: Runner, search: SearchConfig) -> float:
     channels); scans ascending."""
     for delta in search.grid():
         metrics = _run_trial(runner, delta, search.trial_seed(0))
-        if metrics is not None and metrics.is_good:
+        if isinstance(metrics, CurveMetrics) and metrics.is_good:
             return delta
     raise NoGoodDelta("no grid loop time produced a good curve")
 

@@ -1,0 +1,92 @@
+"""Experiment configs: the dataclasses are the schema."""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from tcpsbench.cli import EXIT_CONFIG, run_command
+from tcpsbench.core import GoodnessLimits
+from tcpsbench.experiments import ConfigError, _build, _build_link, build_experiment
+from tcpsbench.loopsim import LoopConfig
+from tcpsbench.qoc import SearchConfig
+from tcpsbench.transport import LinkParams
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+IDEAL = {"type": "ideal"}
+TOPOLOGY = {"type": "topology", "topology": "usnet-nw"}
+
+
+def _impaired(forward=None, backward=None):
+    return {"type": "impaired", "forward": forward or {}, "backward": backward or {}}
+
+
+# (object, config, misspelt key): one unknown key in each config object
+UNKNOWN_KEYS = [
+    ("top level", {"channel": IDEAL, "outputs": "out"}, "outputs"),
+    ("loop", {"channel": IDEAL, "loop": {"k_pp": 1.0}}, "k_pp"),
+    ("search", {"channel": IDEAL, "search": {"m_mx": 10}}, "m_mx"),
+    ("limits", {"channel": IDEAL, "limits": {"sse_max": 5.0}}, "sse_max"),
+    ("forward link", {"channel": _impaired(forward={"drop_prb": 0.5})}, "drop_prb"),
+    ("backward link", {"channel": _impaired(backward={"latncy_ms": 1.0})}, "latncy_ms"),
+    ("jitter", {"channel": _impaired(forward={"jitter": {"kind": "truncnorm", "mu": 0.1,
+                                                         "sgma": 0.3}})}, "sgma"),
+    ("ideal channel", {"channel": {**IDEAL, "latency_ms": 2.0}}, "latency_ms"),
+    ("impaired channel", {"channel": {**_impaired(), "fwd": {}}}, "fwd"),
+    ("topology channel", {"channel": {**TOPOLOGY, "queue": 4}}, "queue"),
+    ("socket channel", {"channel": {"type": "socket", "remote": "127.0.0.1:9",
+                                    "bind": "127.0.0.1:0"}}, "bind"),
+    ("flow entry", {"channel": {**TOPOLOGY, "flows": [{"src": "m0", "dst": "n0",
+                                                       "rate_bps": 1e5, "pkt_byte": 64}]}},
+     "pkt_byte"),
+]
+
+
+@pytest.mark.parametrize("cfg, key", [case[1:] for case in UNKNOWN_KEYS],
+                         ids=[case[0] for case in UNKNOWN_KEYS])
+def test_unknown_key_in_any_object_exits_2(tmp_path, capsys, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_command(["step", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
+def test_jitter_rejects_parameters_its_kind_does_not_draw_with():
+    with pytest.raises(ConfigError, match="'mu'"):
+        _build_link({"jitter": {"kind": "uniform", "a": 1.0, "mu": 0.5}}, "forward link")
+    with pytest.raises(ConfigError, match="needs mu and sigma"):
+        _build_link({"jitter": {"kind": "truncnorm", "mu": 0.5}}, "forward link")
+
+
+def test_readme_schema_builds_with_the_dataclass_defaults():
+    block = re.search(r"## Config schema.*?```jsonc\n(.*?)```", README.read_text("utf-8"), re.S)
+    cfg = json.loads(re.sub(r"//[^\n]*", "", block.group(1)))
+    assert cfg["loop"]["step_at"] is None
+    exp = build_experiment(cfg)
+    assert exp.loop == LoopConfig()
+    assert exp.search == SearchConfig()
+    assert exp.limits == GoodnessLimits()
+
+
+def test_empty_objects_build_the_dataclass_defaults():
+    assert _build(LoopConfig, {}, "loop") == LoopConfig()
+    assert _build(SearchConfig, {}, "search") == SearchConfig()
+    assert _build_link({}, "forward link") == LinkParams()
+    assert _build(GoodnessLimits, {}, "limits") == GoodnessLimits()
+
+
+def test_float_field_takes_an_int_and_int_field_rejects_a_bool():
+    assert type(_build(LinkParams, {"bandwidth_bps": 0}, "link").bandwidth_bps) is float
+    with pytest.raises(ConfigError, match="'seed' must be int"):
+        _build(LoopConfig, {"seed": True}, "loop")
+
+
+def test_setting_other_than_haptic_or_non_haptic_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"channel": IDEAL, "loop": {"setting": "Haptic"}}))
+    assert run_command(["step", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "setting" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        LoopConfig(setting="Haptic")

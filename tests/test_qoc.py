@@ -1,10 +1,12 @@
 """Loop-time searches, goodness statistics, QoC arithmetic, IAE and J."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from tcpsbench.core import extract_metrics
+from tcpsbench import qoc
+from tcpsbench.core import DEFAULT_LIMITS, UnknownModality, extract_metrics
 from tcpsbench.loopsim import LoopConfig, run_step_experiment
 from tcpsbench.qoc import (
     NoGoodDelta,
@@ -86,7 +88,32 @@ class TestFindDeltaOpt:
             find_delta_opt(runner, search)
 
 
+class _RepeatedTimeRunner:
+    """Ideal-channel trials whose second sample repeats the first one's time."""
+
+    limits = DEFAULT_LIMITS
+
+    def run(self, delta_ms, seed):
+        record = runner_for(ideal_model(0.5)).run(delta_ms, seed)
+        samples = record.curve.samples
+        samples[1] = replace(samples[1], t=samples[0].t)
+        return record
+
+
 class TestEstimateGoodness:
+    def test_malformed_curves_are_not_good_and_counted(self):
+        est = estimate_goodness(_RepeatedTimeRunner(), 1.0, SearchConfig(seed=1, m_batch=20))
+        assert est.g == 0.0 and est.m == 20
+        assert est.malformed == est.m
+
+    def test_other_extraction_errors_propagate(self, monkeypatch):
+        def broken(curve, limits):
+            raise UnknownModality("not a curve error")
+
+        monkeypatch.setattr(qoc, "extract_metrics", broken)
+        with pytest.raises(UnknownModality):
+            estimate_goodness(runner_for(ideal_model(0.5)), 1.0, SearchConfig(seed=1))
+
     def test_deterministic_good_stops_at_first_batch(self):
         runner = runner_for(ideal_model(0.5))
         est = estimate_goodness(runner, 1.0, SearchConfig(seed=1, m_batch=20))
