@@ -24,7 +24,7 @@ from . import __version__
 from .core import TcpsbenchError, extract_metrics, write_curve_csv
 from .experiments import ConfigError, Experiment, load_experiment
 from .loopsim import run_step_experiment, serve_plant, run_socket_experiment
-from .netsim import pair_flows, channel_from_topology
+from .netsim import TopologyError, channel_from_topology, pair_flows
 from .qoc import (
     NoGoodDelta,
     find_delta_opt,
@@ -186,11 +186,15 @@ def cmd_netsim(args: argparse.Namespace) -> int:
     for spec in (args.placements or f"{topo.te_master}:{topo.te_slave}").split(","):
         a, b = spec.split(":")
         placements.append((a, b))
+    try:
+        flow_sets = {rate: pair_flows(args.pairs, rate, args.flow_pkt_bytes) for rate in rates}
+    except TopologyError as exc:
+        raise ConfigError(f"bad --rates or --flow-pkt-bytes: {exc}") from None
     rows = ["te_master,te_slave,rate_bps,delta_opt_ms,t_r_ms,qoc,v_max"]
     for a, b in placements:
         placed = replace(topo, te_master=a, te_slave=b)
         for rate in rates:
-            flows = pair_flows(args.pairs, rate, args.flow_pkt_bytes) if rate > 0 else ()
+            flows = flow_sets[rate] if rate > 0 else ()
             factory = lambda seed, t=placed, f=flows: channel_from_topology(
                 t, f, seed, exp.channel.queue_cap)
             runner = replace(exp.runner(), channel_factory=factory)

@@ -1,9 +1,10 @@
 """Deterministic virtual-clock event scheduler.
 
-All simulated experiments (control loops, channel deliveries, cross-traffic
-sources) share one scheduler so that every event executes in global time
-order. Time is in milliseconds and advances only when events run, which makes
-runs reproducible bit-for-bit and much faster than wall time.
+All simulated experiments (control loops, channel deliveries) share one
+scheduler so that every event executes in global time order; topology
+channels run their cross traffic off it, up to each tactile hop. Time is in
+milliseconds and advances only when events run, which makes runs
+reproducible bit-for-bit and much faster than wall time.
 """
 
 from __future__ import annotations

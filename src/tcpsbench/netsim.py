@@ -1,19 +1,26 @@
-"""Discrete-event store-and-forward network with CBR cross traffic.
+"""Store-and-forward network with CBR cross traffic.
 
 A topology is a set of switches joined by propagation-delay/bandwidth links;
 hosts hang off switches over ideal access links. Every packet (tactile or
 cross-traffic) queues FIFO per directed link behind earlier departures, pays
-the serialization time for its size, then the propagation delay. Exposed as
-a bidirectional channel between the two tactile endpoints so control-loop
+the serialization time for its size, then the propagation delay. Tactile
+packets hop as virtual-clock events; cross traffic stays off the clock and
+is run lazily through each link's FIFO recurrence. Exposed as a
+bidirectional channel between the two tactile endpoints so control-loop
 experiments can run across any placement under any traffic load.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import math
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from itertools import repeat
 from random import Random
 from typing import Callable
+
+import numpy as np
 
 from .clock import EventScheduler, PRIO_DELIVERY
 from .core import TcpsbenchError
@@ -54,6 +61,8 @@ class TrafficFlow:
             raise TopologyError("flow endpoints must differ")
         if self.rate_bps < 0.0:
             raise TopologyError("flow rate must be >= 0")
+        if self.pkt_bytes < 1:
+            raise TopologyError("flow packets must be at least 1 byte")
 
     @property
     def period_ms(self) -> float:
@@ -154,79 +163,137 @@ def route(topology: Topology, a: str, b: str) -> list[tuple[str, str]]:
 class NetsimChannel(SimChannel):
     """Topology-backed bidirectional channel for the tactile endpoints.
 
+    Tactile packets cross the topology hop by hop as virtual-clock events.
     Cross-traffic flows emit packets on deterministic CBR schedules (one
-    seeded phase offset per flow, stable under flow-set changes) into the
-    same virtual clock as the control loop, so queueing interactions are
-    exact. Randomness across trials comes solely from the phase offsets.
+    seeded phase offset per flow, stable under flow-set changes) off the
+    clock: before a tactile packet enters a link at time t, the channel runs
+    the cross traffic up to t, arrivals at exactly t first, through the same
+    `LinkQueue`s, so queueing interactions stay exact. Only flows that can
+    delay a tactile packet are simulated. Randomness across trials comes
+    solely from the phase offsets.
     """
 
     def __init__(self, topology: Topology, flows: tuple[TrafficFlow, ...],
                  seed: int, queue_cap: int | None = None) -> None:
         super().__init__()
-        self.flows = flows
-        self.seed = seed
         self._routes = {
             FORWARD: route(topology, topology.te_master, topology.te_slave),
             BACKWARD: route(topology, topology.te_slave, topology.te_master),
         }
-        self._flow_routes = {}
-        for fl in flows:
-            key = (fl.src, fl.dst)
-            if key not in self._flow_routes:
-                self._flow_routes[key] = route(topology, fl.src, fl.dst)
-        # one output queue per directed link; the first of parallel links wins,
-        # as in Topology.link_between
+        flow_routes = {(fl.src, fl.dst): route(topology, fl.src, fl.dst) for fl in flows}
+        # a link can delay a tactile packet if a tactile route crosses it, or
+        # if a flow crosses it before reaching such a link; grow that set to a
+        # fixed point, then simulate each flow up to its last link in the set
+        kept = set(self._routes[FORWARD]) | set(self._routes[BACKWARD])
+
+        def reach(hops: list[tuple[str, str]]) -> list[tuple[str, str]]:
+            return hops[:max((i + 1 for i, hop in enumerate(hops) if hop in kept), default=0)]
+
+        while not all(kept.issuperset(reach(hops)) for hops in flow_routes.values()):
+            for hops in flow_routes.values():
+                kept.update(reach(hops))
+        # one output queue per kept directed link; the first of parallel links
+        # wins, as in Topology.link_between
         self._queues: dict[tuple[str, str], LinkQueue] = {}
         for ln in topology.links:
             for hop in ((ln.a, ln.b), (ln.b, ln.a)):
-                if hop not in self._queues:
+                if hop in kept and hop not in self._queues:
                     self._queues[hop] = LinkQueue(ln.bandwidth_bps, ln.delay_ms, queue_cap)
-        self._draining = False
-
-    def bind(self, scheduler: EventScheduler) -> None:
-        super().bind(scheduler)
-        self._draining = False
-        for idx, fl in enumerate(self.flows):
-            if fl.rate_bps <= 0.0:
+        # unprocessed cross arrivals (time, size_b, tag) wait at a link in
+        # time-sorted streams, one per upstream link and one (None) for the
+        # flows that start there. A packet at hop j of its flow carries tag
+        # slot + j; _next_stream maps it to the stream it joins next, if any.
+        # Each emitter holds a flow's next emission not yet in a stream, its
+        # period, size, tag and stream; the phase comes from (seed, flow
+        # index), so adding a flow never perturbs the others
+        streams: dict[tuple[tuple[str, str], tuple[str, str] | None], list] = {}
+        self._next_stream: list[list | None] = []
+        self._emitters: list[list] = []
+        self._width = self._span = math.inf
+        for idx, fl in enumerate(flows):
+            hops = reach(flow_routes[(fl.src, fl.dst)])
+            if fl.rate_bps <= 0.0 or not hops:
                 continue
-            # phase derived from (seed, flow index) so adding a flow never
-            # perturbs the schedules of existing ones
-            phase = Random(self.seed * 1_000_003 + idx).uniform(0.0, fl.period_ms)
-            self._schedule_emission(fl, phase)
+            phase = Random(seed * 1_000_003 + idx).uniform(0.0, fl.period_ms)
+            self._emitters.append([phase, fl.period_ms, fl.pkt_bytes, len(self._next_stream),
+                                   streams.setdefault((hops[0], None), [])])
+            self._next_stream += [streams.setdefault(k, []) for k in zip(hops[1:], hops)] + [None]
+            # refills add at least 64 emissions of the fastest flow
+            self._span = min(self._span, 64 * fl.period_ms)
+            for hop in hops:
+                q = self._queues[hop]
+                self._width = min(self._width, fl.pkt_bytes * 8.0 / q.bandwidth_bps * 1000.0
+                                  + q.delay_ms)
+        # a cross packet entering a link at a reaches the next one no sooner
+        # than a + width; the 1% margin outweighs the rounding of the time
+        # sums while simulated times stay below 1e13 widths
+        self._width *= 0.99
+        self._streams = list(streams.values())
+        self._links: dict[tuple[str, str], tuple[LinkQueue, list]] = {}
+        for (hop, _upstream), stream in streams.items():
+            self._links.setdefault(hop, (self._queues[hop], []))[1].append(stream)
+        self._drain_at = math.inf
+        self._emit_at = self._idle_until = min([em[0] for em in self._emitters] + [math.inf])
 
-    def _schedule_emission(self, fl: TrafficFlow, t: float) -> None:
-        assert self._sched is not None
+    def _emit(self, t: float) -> None:
+        """Append every emission up to t + _span, and none after the drain,
+        to the stream of its first link."""
+        until = min(t + self._span, self._drain_at)
+        for em in self._emitters:
+            nxt, period, size_b, tag, stream = em
+            if nxt <= until:
+                # two periods past until, so times[k] exists; a sequential
+                # left fold, bit-identical to repeated nxt + period
+                times = np.full(int((until - nxt) / period) + 3, period)
+                times[0] = nxt
+                np.add.accumulate(times, out=times)
+                k = int(np.searchsorted(times, until, side="right"))
+                stream.extend(zip(times[:k].tolist(), repeat(size_b), repeat(tag)))
+                em[0] = float(times[k])
+        for stream in {id(em[4]): em[4] for em in self._emitters}.values():
+            stream.sort()
+        self._emit_at = min(em[0] for em in self._emitters)
 
-        def emit() -> None:
-            if self._draining:
+    def _advance(self, t: float) -> None:
+        """Run cross traffic until every arrival at or before t has entered
+        its link. Each pass admits one window, narrower than _width, on every
+        link; departures land past its end, so links are independent within
+        a pass, in any topology."""
+        while True:
+            if self._emit_at <= min(t, self._drain_at):
+                self._emit(self._emit_at + self._width)
+            start = min((s[0][0] for s in self._streams if s), default=math.inf)
+            if start > t:
+                self._idle_until = min(start, self._emit_at)
                 return
-            hops = self._flow_routes[(fl.src, fl.dst)]
-            self._forward_packet(hops, 0, fl.pkt_bytes, None)
-            self._schedule_emission(fl, t + fl.period_ms)
+            end = start + self._width
+            cut = (end,) if end <= t else (t, math.inf)
+            for queue, streams in self._links.values():
+                batch = []
+                for s in streams:
+                    if s and s[0] < cut:
+                        k = bisect_left(s, cut)
+                        batch += s[:k]
+                        del s[:k]
+                batch.sort()
+                queue.run(batch, self._next_stream)
 
-        self._sched.schedule(t, emit, PRIO_DELIVERY)
-
-    def _forward_packet(self, hops: list[tuple[str, str]], hop_idx: int,
-                        size_bytes: int, deliver: Callable[[], None] | None,
-                        stats: DirectionStats | None = None) -> None:
-        """Advance one packet across its next link; schedules the following
-        hop (or final delivery) at the computed arrival time. A tail drop
-        counts in `stats` when the packet is a tactile one."""
-        assert self._sched is not None
+    def _forward_packet(self, hops: list[tuple[str, str]], hop_idx: int, size_bytes: int,
+                        deliver: Callable[[], None], stats: DirectionStats) -> None:
+        """Advance one tactile packet across its next link; schedules the
+        following hop (or final delivery) at the computed arrival time."""
         if hop_idx >= len(hops):
-            if deliver is not None:
-                deliver()
+            deliver()
             return
-        arrival = self._queues[hops[hop_idx]].admit(self._sched.now, size_bytes)
+        now = self._sched.now
+        if now >= self._idle_until:
+            self._advance(now)
+        arrival = self._queues[hops[hop_idx]].admit(now, size_bytes)
         if arrival is None:
-            if stats is not None:
-                stats.dropped += 1
+            stats.dropped += 1
             return
-        self._sched.schedule(
-            arrival,
-            lambda: self._forward_packet(hops, hop_idx + 1, size_bytes, deliver, stats),
-            PRIO_DELIVERY,
-        )
+        self._sched.schedule(arrival, lambda: self._forward_packet(
+            hops, hop_idx + 1, size_bytes, deliver, stats), PRIO_DELIVERY)
 
     def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         stats = self.stats[direction]
@@ -234,7 +301,10 @@ class NetsimChannel(SimChannel):
         self._forward_packet(self._routes[direction], 0, size_b, deliver, stats)
 
     def begin_drain(self) -> None:
-        self._draining = True
+        """Stop the flows: later emissions never happen; emitted packets keep queueing."""
+        self._drain_at = now = self._sched.now
+        for *_, stream in self._emitters:
+            del stream[bisect_left(stream, (now, math.inf)):]
 
 
 def channel_from_topology(topology: Topology, flows: tuple[TrafficFlow, ...] | list[TrafficFlow],
@@ -261,19 +331,16 @@ def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...] | list[
                       queue_cap: int | None = None) -> float:
     """One-shot delivery time of a single packet injected at t_send, with
     cross traffic replayed from time zero. Fresh state per call."""
-    chan = NetsimChannel(topology, tuple(flows), seed, queue_cap)
+    placed = replace(topology,
+                     te_master=topology.host_switch(src) if src else topology.te_master,
+                     te_slave=topology.host_switch(dst) if dst else topology.te_slave)
+    chan = NetsimChannel(placed, tuple(flows), seed, queue_cap)
     sched = EventScheduler()
     chan.bind(sched)
-    src_sw = topology.host_switch(src) if src else topology.te_master
-    dst_sw = topology.host_switch(dst) if dst else topology.te_slave
-    hops = route(topology, src_sw, dst_sw)
     result: list[float] = []
-
-    def inject() -> None:
-        chan._forward_packet(hops, 0, pkt_bytes, lambda: result.append(sched.now))
-
-    sched.schedule(t_send, inject, PRIO_DELIVERY)
-    sched.run(stop=lambda: bool(result))
+    sched.schedule(t_send, lambda: chan.send(FORWARD, None, pkt_bytes,
+                                             lambda _: result.append(sched.now)))
+    sched.run()
     if not result:
         raise Unreachable("packet was never delivered (tail-dropped or unroutable)")
     return result[0]

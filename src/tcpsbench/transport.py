@@ -105,6 +105,10 @@ class Jitter:
     mu: float = 0.0
     sigma: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.a < 0.0 or self.sigma < 0.0:
+            raise ValueError("jitter a and sigma must be >= 0")
+
     @staticmethod
     def none() -> "Jitter":
         return Jitter("none")
@@ -156,6 +160,8 @@ class LinkParams:
             raise ValueError("latency must be >= 0")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
+        if self.bandwidth_bps < 0.0:
+            raise ValueError("bandwidth_bps must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -189,7 +195,8 @@ class DirectionStats:
 
 class LinkQueue:
     """FIFO output queue of one directed link: tracks when the transmitter
-    frees up, plus in-flight departure times when a capacity cap applies."""
+    frees up, plus in-flight departure times when a capacity cap applies.
+    admit() takes one packet at a time; run() takes a batch."""
 
     __slots__ = ("bandwidth_bps", "delay_ms", "cap", "free_at", "departures")
 
@@ -214,6 +221,27 @@ class LinkQueue:
         if self.cap is not None:
             self.departures.append(finish)
         return finish + self.delay_ms
+
+    def run(self, arrivals: list[tuple[float, int, int]], forward: list[list | None]) -> None:
+        """Admits a time-sorted batch of (arrival, size_b, tag) packets as
+        admit() would, by Lindley's recurrence d_k = max(a_k, d_{k-1}) + s_k.
+        Each packet not dropped joins forward[tag], unless that is None, as
+        (d_k + delay_ms, size_b, tag + 1)."""
+        free, cap, deps = self.free_at, self.cap, self.departures
+        bandwidth_bps, delay_ms = self.bandwidth_bps, self.delay_ms
+        for now, size_b, tag in arrivals:
+            if cap is not None:
+                deps = [d for d in deps if d > now]
+                if len(deps) >= cap:
+                    continue
+            start = free if free > now else now
+            free = start + size_b * 8.0 / bandwidth_bps * 1000.0
+            if cap is not None:
+                deps.append(free)
+            nxt = forward[tag]
+            if nxt is not None:
+                nxt.append((free + delay_ms, size_b, tag + 1))
+        self.free_at, self.departures = free, deps
 
 
 class SimChannel:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from tcpsbench import transport
 from tcpsbench.clock import EventScheduler
-from tcpsbench.netsim import Link, Topology, channel_from_topology
+from tcpsbench.netsim import Link, Topology, TrafficFlow, channel_from_topology
 from tcpsbench.transport import FORWARD, ChannelModel, LinkParams
 
 _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -50,3 +50,28 @@ def test_instrument_wraps_and_uninstall_restores():
     assert counts["transport.drops"] == 1
     assert counts["netsim.sends"] == 1
     assert counts["clock.events"] == 1
+
+
+def test_cross_traffic_is_neither_a_send_nor_an_event():
+    """With cross traffic on the route, the tracer still counts one netsim
+    send per tactile packet and one clock event per tactile hop."""
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        topo = Topology(switches=("s0", "s1", "s2"),
+                        links=(Link("s0", "s1", 0.5, 1e6), Link("s1", "s2", 0.5, 1e6)),
+                        hosts={"a": "s0", "b": "s2"}, te_master="s0", te_slave="s2")
+        chan = channel_from_topology(topo, (TrafficFlow("a", "b", 5e5, 64),), 0)
+        sched = EventScheduler()
+        chan.bind(sched)
+        delivered = []
+        sched.schedule(20.0, lambda: chan.send(FORWARD, "y", 32, delivered.append))
+        sched.run(stop=lambda: bool(delivered))
+        counts = tracing.op_counters(tracer.snapshot())
+    finally:
+        tracer.uninstall()
+    assert delivered == ["y"]
+    assert counts["netsim.sends"] == 1
+    assert counts["netsim.tail_drops"] == 0
+    assert counts["clock.events"] == 3  # the scheduled send and two hops

@@ -216,6 +216,14 @@ class TestNetsim:
                     "--out", tmp_path / "n"]) == EXIT_OK
         assert caps and set(caps) == {2}
 
+    def test_zero_byte_flow_packets_exit_2_before_any_trial(self, tmp_path, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(cli, "find_delta_opt_bar", no_search)
+        assert run(["netsim", "--config", "usnet-nw", "--rates", "0,500000",
+                    "--flow-pkt-bytes", 0, "--out", tmp_path / "n"]) == EXIT_CONFIG
+
 
 class TestProbe:
     def test_echo_roundtrip_on_loopback(self, tmp_path):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from tcpsbench import cli
 from tcpsbench.cli import EXIT_CONFIG, run_command
 from tcpsbench.core import GoodnessLimits
 from tcpsbench.experiments import ConfigError, _build, _build_link, build_experiment
@@ -51,6 +52,36 @@ def test_unknown_key_in_any_object_exits_2(tmp_path, capsys, cfg, key):
     path.write_text(json.dumps(cfg))
     assert run_command(["step", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
+
+
+# (case, config, text the error names): values a config object rejects when
+# it is built, before any experiment runs
+BAD_VALUES = [
+    ("negative jitter a", {"channel": _impaired(forward={"jitter": {"kind": "uniform",
+                                                                    "a": -5.0}})}, "jitter"),
+    ("negative jitter sigma", {"channel": _impaired(backward={"jitter": {
+        "kind": "truncnorm", "mu": 1.0, "sigma": -0.5}})}, "jitter"),
+    ("negative bandwidth", {"channel": _impaired(forward={"bandwidth_bps": -8000})},
+     "bandwidth_bps"),
+    ("zero-byte flow", {"channel": {**TOPOLOGY, "flows": [{"src": "m0", "dst": "n0",
+                                                           "rate_bps": 1e6, "pkt_bytes": 0}]}},
+     "1 byte"),
+]
+
+
+@pytest.mark.parametrize("cfg, text", [case[1:] for case in BAD_VALUES],
+                         ids=[case[0] for case in BAD_VALUES])
+def test_bad_value_exits_2(tmp_path, capsys, monkeypatch, cfg, text):
+    def no_experiment(*args, **kwargs):
+        raise AssertionError("an experiment ran")
+
+    # a zero-byte flow never ends, so the config must fail before any run
+    monkeypatch.setattr(cli, "run_step_experiment", no_experiment)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run_command(["step", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and text in err
 
 
 def test_jitter_rejects_parameters_its_kind_does_not_draw_with():

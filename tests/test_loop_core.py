@@ -6,7 +6,9 @@ step runs on every bundled preset and on a reordering, lossy channel with
 robot lag; one loaded topology trial; cybersickness replays; and the number
 of events scheduled on the virtual clock. The digest was recorded before the
 controller and plant copies were merged into Operator, Plant and Robot, so a
-refactor of the loop core must leave it unchanged bit for bit.
+refactor of the loop core must leave it unchanged bit for bit. The event
+count is checked on its own against SCHEDULED, because cross traffic has
+since left the clock; the digest hashes the count it was recorded with.
 """
 
 import hashlib
@@ -20,6 +22,12 @@ from tcpsbench.sickness import compliant_trajectory, measure_E
 from tcpsbench.transport import ChannelModel, Jitter, LinkParams
 
 GOLDEN_DIGEST = "1aad100b2925575e6d9886e6dae8dd79f121036627c64adba287754d5694afd2"
+# Events the digest was recorded with, when every cross-traffic packet hop was
+# a clock event; it stays hashed so that GOLDEN_DIGEST keeps covering the rest.
+RECORDED_SCHEDULED = 60_279
+# Events now that cross traffic runs off the clock: tactile hops, deliveries
+# and controller checks only.
+SCHEDULED = 18_058
 
 _REORDER = ChannelModel(
     forward=LinkParams(latency_ms=0.2, jitter=Jitter.uniform(3.0), drop_prob=0.05,
@@ -74,6 +82,6 @@ def test_loop_core_golden_digest(monkeypatch):
     h = hashlib.sha256()
     for line in _golden_lines():
         h.update(line.encode() + b"\n")
-    h.update(f"scheduled {calls[0]}".encode())
-    assert calls[0] > 0
+    h.update(f"scheduled {RECORDED_SCHEDULED}".encode())
     assert h.hexdigest() == GOLDEN_DIGEST
+    assert calls[0] == SCHEDULED

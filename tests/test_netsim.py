@@ -190,3 +190,8 @@ class TestChannelComposition:
             TrafficFlow("a", "a", rate_bps=1.0)
         with pytest.raises(TopologyError):
             TrafficFlow("a", "b", rate_bps=-5.0)
+
+    def test_zero_byte_packets_rejected(self):
+        # a zero-byte packet has no CBR period, and its flow would never end
+        with pytest.raises(TopologyError):
+            TrafficFlow("a", "b", rate_bps=1e6, pkt_bytes=0)

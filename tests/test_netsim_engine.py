@@ -1,0 +1,180 @@
+"""Differential test of the netsim engine against the event-per-packet oracle.
+
+`tcpsbench.netsim.NetsimChannel` runs cross traffic off the virtual clock,
+link by link, and simulates only the flows that can delay a tactile packet.
+`tests/netsim_oracle.py` holds the channel it replaced, in which every cross
+packet hop is a clock event. On random topologies (rings included, zero
+delays included), flow sets and queue caps, both must give the same step
+runs and the same one-shot delivery times, bit for bit.
+"""
+
+import math
+from random import Random
+
+import pytest
+
+import netsim_oracle
+from tcpsbench.clock import EventScheduler
+from tcpsbench.loopsim import LoopConfig, run_step_experiment
+from tcpsbench.netsim import (
+    Link,
+    NetsimChannel,
+    Topology,
+    TrafficFlow,
+    Unreachable,
+    simulate_delivery,
+)
+from tcpsbench.transport import FORWARD
+
+CASES = 200
+
+
+def _topology(rng):
+    n = rng.randint(4, 10)
+    switches = tuple(f"S{i}" for i in range(n))
+    kind = rng.choice(("ring", "tree", "mesh"))
+    if kind == "ring":
+        pairs = [(i, (i + 1) % n) for i in range(n)]
+    else:
+        pairs = [(rng.randrange(i), i) for i in range(1, n)]
+        if kind == "mesh":
+            pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, n))]
+
+    def delay():
+        return rng.choice((0.0, 0.0, 0.1, 0.5, 1.0, rng.uniform(0.0, 2.0)))
+
+    def bandwidth():
+        return rng.choice((1e6, 2e6, 1e7, rng.uniform(5e5, 2e7)))
+
+    links = tuple(Link(switches[a], switches[b], delay(), bandwidth()) for a, b in pairs)
+    hosts = {f"h{i}{j}": s for i, s in enumerate(switches) for j in range(2)}
+    te_master, te_slave = rng.sample(switches, 2)
+    return Topology(switches=switches, links=links, hosts=hosts,
+                    te_master=te_master, te_slave=te_slave)
+
+
+def _flows(rng, topo):
+    flows = []
+    for _ in range(rng.randint(0, 12)):
+        src, dst = rng.sample(sorted(topo.hosts), 2)
+        pkt_bytes = rng.choice((1, 64, 200, 1250, rng.randint(1, 1500)))
+        # a gap between a flow's packets of 0.1-4 ms keeps the
+        # oracle's event count small while loading links up to saturation
+        period_ms = rng.uniform(0.1, 4.0)
+        rate = 0.0 if rng.random() < 0.05 else pkt_bytes * 8.0 / period_ms * 1000.0
+        flows.append(TrafficFlow(src, dst, rate, pkt_bytes))
+    return tuple(flows)
+
+
+def _case(i):
+    rng = Random(1000 + i)
+    topo = _topology(rng)
+    flows = _flows(rng, topo)
+    cap = rng.choice((None, None, rng.randint(1, 6)))
+    cfg = LoopConfig(setting=rng.choice(("haptic", "non-haptic")),
+                     delta_ms=rng.uniform(0.5, 4.0), sweep_len=rng.randint(8, 40),
+                     packet_size_b=rng.choice((32, 64, 256)),
+                     robot_tau_ms=rng.choice((0.0, rng.uniform(0.1, 3.0))),
+                     seed=rng.randrange(1000))
+    return rng, topo, flows, cap, cfg
+
+
+def _record(rec):
+    return ([(s.t, s.x, s.y, s.signal) for s in rec.curve.samples], rec.operator_trace,
+            {d: (s.sent, s.delivered, s.dropped, s.stale) for d, s in rec.channel_stats.items()})
+
+
+def _delivery(simulate, topo, flows, pkt_bytes, t_send, seed, src, dst, cap):
+    try:
+        return simulate(topo, flows, pkt_bytes, t_send, seed, src, dst, cap)
+    except Unreachable:
+        return None
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_engine_matches_event_per_packet_oracle(block):
+    for i in range(block * CASES // 10, (block + 1) * CASES // 10):
+        rng, topo, flows, cap, cfg = _case(i)
+        seed = cfg.seed
+        got = run_step_experiment(cfg, NetsimChannel(topo, flows, seed, cap))
+        want = run_step_experiment(cfg, netsim_oracle.NetsimChannel(topo, flows, seed, cap))
+        assert _record(got) == _record(want), f"case {i}"
+        for _ in range(2):
+            src, dst = rng.sample(sorted(topo.hosts), 2)
+            args = (topo, flows, rng.choice((1, 64, 1500)), rng.uniform(0.0, 40.0), seed,
+                    src, dst, cap)
+            assert (_delivery(simulate_delivery, *args)
+                    == _delivery(netsim_oracle.simulate_delivery, *args)), f"case {i}"
+
+
+def test_cases_exercise_queueing_drops_and_drain():
+    """The random cases are not vacuous: tactile packets are tail-dropped,
+    tactile routes carry cross traffic, and rings occur."""
+    dropped = loaded = rings = 0
+    for i in range(CASES):
+        _rng, topo, flows, cap, cfg = _case(i)
+        chan = NetsimChannel(topo, flows, cfg.seed, cap)
+        rec = run_step_experiment(cfg, chan)
+        dropped += sum(s.dropped for s in rec.channel_stats.values())
+        loaded += bool(chan._emitters)
+        rings += len(topo.links) == len(topo.switches)
+    assert dropped > 0 and loaded > CASES // 2 and rings > CASES // 5
+
+
+def test_unreached_links_are_pruned():
+    """A flow that shares no link with a tactile route, and cannot delay
+    one that does, is not simulated at all."""
+    links = tuple(Link(f"S{i}", f"S{i + 1}") for i in range(3))
+    topo = Topology(switches=("S0", "S1", "S2", "S3"), links=links,
+                    hosts={"a": "S2", "b": "S3", "c": "S0"}, te_master="S0", te_slave="S1")
+    away = TrafficFlow("a", "b", 1e6, 100)          # S2 -> S3 only
+    feeder = TrafficFlow("b", "c", 1e6, 100)        # S3 -> S2 -> S1 -> S0
+    assert NetsimChannel(topo, (away,), 0)._emitters == []
+    chan = NetsimChannel(topo, (away, feeder), 0)
+    assert len(chan._emitters) == 1
+    assert set(chan._queues) == {("S0", "S1"), ("S1", "S0"), ("S2", "S1"), ("S3", "S2")}
+
+
+def test_cross_traffic_schedules_no_events():
+    """Only tactile hops and deliveries reach the clock."""
+    links = (Link("S0", "S1", 0.5, 1e6), Link("S1", "S2", 0.0, 1e6))
+    topo = Topology(switches=("S0", "S1", "S2"), links=links, hosts={"a": "S0", "b": "S2"},
+                    te_master="S0", te_slave="S2")
+    chan = NetsimChannel(topo, (TrafficFlow("a", "b", 5e5, 64),), 0)
+    sched = EventScheduler()
+    chan.bind(sched)
+    delivered = []
+    sched.schedule(30.0, lambda: chan.send(FORWARD, None, 32, delivered.append))
+    sched.run(stop=lambda: bool(delivered))
+    assert delivered == [None]
+    assert sched._seq == 3  # the send plus one event per hop
+    assert chan._idle_until > 30.0 and math.isfinite(chan._idle_until)
+
+
+def test_cross_emission_at_the_same_instant_enters_first():
+    """A cross packet emitted at the instant a tactile packet enters the same
+    link queues ahead of it, as the oracle's delivery-before-control event
+    order has it."""
+    topo = Topology(switches=("S0", "S1"), links=(Link("S0", "S1", 0.0, 1e6),),
+                    hosts={"a": "S0", "b": "S1"}, te_master="S0", te_slave="S1")
+    flows = (TrafficFlow("a", "b", 1e5, 1250),)  # every 100 ms, 10 ms on the wire
+    phase = Random(0).uniform(0.0, flows[0].period_ms)  # the phase of flow 0 at seed 0
+    t = simulate_delivery(topo, flows, 32, phase, 0)
+    assert t == netsim_oracle.simulate_delivery(topo, flows, 32, phase, 0)
+    assert t == phase + 10.0 + 0.256
+    # the operator's check at delta_ms = phase sends as the flow emits
+    cfg = LoopConfig(delta_ms=phase, sweep_len=8)
+    got = run_step_experiment(cfg, NetsimChannel(topo, flows, 0))
+    assert got.operator_trace[1][0] == phase
+    assert _record(got) == _record(run_step_experiment(cfg, netsim_oracle.NetsimChannel(
+        topo, flows, 0)))
+
+
+def test_tail_dropped_packet_is_unreachable():
+    """With no cross-traffic events left on the clock, a one-shot packet that
+    is tail-dropped ends the run instead of waiting forever."""
+    topo = Topology(switches=("S0", "S1"), links=(Link("S0", "S1", 0.0, 1e6),),
+                    hosts={"a": "S0", "b": "S1"}, te_master="S0", te_slave="S1")
+    flows = (TrafficFlow("a", "b", 5e6, 1250),)  # five times the link rate
+    with pytest.raises(Unreachable):
+        simulate_delivery(topo, flows, 32, 50.0, 0, queue_cap=1)

@@ -217,6 +217,14 @@ class TestImpairedChannel:
         with pytest.raises(ValueError):
             LinkParams(drop_prob=1.5)
 
+    def test_negative_jitter_and_bandwidth_rejected(self):
+        with pytest.raises(ValueError):
+            Jitter.uniform(-5.0)
+        with pytest.raises(ValueError):
+            Jitter.truncnorm(1.0, -0.5)
+        with pytest.raises(ValueError):
+            LinkParams(bandwidth_bps=-8000.0)
+
 
 def _unqueued_transit_times(params: LinkParams, sends, seed: int):
     """The impaired channel's delivery times before serialization queued:
