@@ -21,11 +21,11 @@ channel = ideal_model(latency_each_way_ms=0.5).build(seed=1)
 
 record = run_step_experiment(cfg, channel)
 curve = record.curve
-print(f"plant logged {len(curve.samples)} samples over "
-      f"{curve.samples[-1].t - curve.samples[0].t:.1f} ms")
+print(f"plant logged {len(curve.t)} samples over "
+      f"{curve.t[-1] - curve.t[0]:.1f} ms")
 
 # the correction around the step: 80 -> 96 -> 99.2 -> 99.84 -> ...
-sig = curve.signals()
+sig = curve.signal
 print("signal around the step:", np.round(sig[48:56], 4))
 
 # the event-driven run reproduces the closed-form difference equation exactly

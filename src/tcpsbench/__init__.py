@@ -13,7 +13,6 @@ from .core import (
     MalformedCurve,
     NoStepDetected,
     RttBudget,
-    Sample,
     StepResponseCurve,
     TcpsbenchError,
     classify_good,

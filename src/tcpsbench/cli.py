@@ -8,7 +8,7 @@ directory; the manifest holds the config as read, with --seed and --delta-ms
 merged in. Identical config and seed give byte-identical artifacts for
 simulated channels.
 
-Exit codes: 0 success, 2 configuration error, 3 experiment error.
+Exit codes: 0 success, 2 configuration or argument error, 3 experiment error.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .core import TcpsbenchError, extract_metrics, write_curve_csv
-from .experiments import ConfigError, Experiment, load_experiment
+from .core import TcpsbenchError, extract_metrics, rtt_budget, write_curve_csv
+from .experiments import ConfigError, Experiment, load_experiment, parse_addr
 from .loopsim import run_step_experiment, serve_plant, run_socket_experiment
 from .netsim import TopologyError, channel_from_topology, pair_flows
 from .qoc import (
@@ -93,9 +94,29 @@ def _metrics_summary(m) -> str:
     return "\n".join(f"{k}: {v}" for k, v in pairs) + "\n"
 
 
-def _parse_addr(spec: str) -> tuple[str, int]:
-    host, port = spec.rsplit(":", 1)
-    return host, int(port)
+# argparse types: a bad argument is a usage error (exit 2) before any work starts
+
+def _floats(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x]
+
+
+def _gspecs(text: str) -> list[float]:
+    g = _floats(text)
+    if not (g and g == sorted(set(g)) and 0.0 < g[0] and g[-1] <= 1.0):
+        raise argparse.ArgumentTypeError(f"expected ascending targets in (0, 1], got {text!r}")
+    return g
+
+
+def _gspec(text: str) -> float:
+    (g,) = _gspecs(text)
+    return g
+
+
+def _placements(text: str) -> list[tuple[str, ...]]:
+    pairs = [tuple(spec.split(":")) for spec in text.split(",")]
+    if any(len(p) != 2 for p in pairs):
+        raise argparse.ArgumentTypeError(f"expected master:slave switch pairs, got {text!r}")
+    return pairs
 
 
 def cmd_step(args: argparse.Namespace) -> int:
@@ -103,7 +124,7 @@ def cmd_step(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if exp.channel.kind == "socket":
         desc = exp.channel.description
-        endpoint = DatagramEndpoint(_parse_addr(desc["local"]), _parse_addr(desc["remote"]),
+        endpoint = DatagramEndpoint(desc["local"], desc["remote"],
                                     packet_size_b=exp.loop.packet_size_b, seed=exp.loop.seed)
         try:
             record = run_socket_experiment(exp.loop, endpoint, deadline_ms=args.deadline_ms)
@@ -152,8 +173,7 @@ def cmd_qoc(args: argparse.Namespace) -> int:
 def cmd_curve(args: argparse.Namespace) -> int:
     exp = _load(args)
     out = _out_dir(args)
-    specs = [float(x) for x in args.gspec_list.split(",") if x]
-    pc = perf_curve(exp.runner(), specs, exp.search)
+    pc = perf_curve(exp.runner(), args.gspec_list, exp.search)
     _write(out / "perf_curve.csv", result_rows_csv(pc.points))
     lines = [f"missing: {pc.missing}"] if pc.missing else []
     lines += [p.summary() + "\n" for p in pc.points]
@@ -181,21 +201,18 @@ def cmd_netsim(args: argparse.Namespace) -> int:
         raise ConfigError("netsim needs a topology channel")
     out = _out_dir(args)
     topo = exp.channel.topology
-    rates = [float(x) for x in args.rates.split(",") if x]
-    placements = []
-    for spec in (args.placements or f"{topo.te_master}:{topo.te_slave}").split(","):
-        a, b = spec.split(":")
-        placements.append((a, b))
-    try:
-        flow_sets = {rate: pair_flows(args.pairs, rate, args.flow_pkt_bytes) for rate in rates}
+    placements = args.placements or [(topo.te_master, topo.te_slave)]
+    try:  # every placement and flow set is checked before the first search
+        placed = [replace(topo, te_master=a, te_slave=b) for a, b in placements]
+        flow_sets = {rate: pair_flows(args.pairs, rate, args.flow_pkt_bytes)
+                     for rate in args.rates}
     except TopologyError as exc:
-        raise ConfigError(f"bad --rates or --flow-pkt-bytes: {exc}") from None
+        raise ConfigError(f"bad --placements, --rates or --flow-pkt-bytes: {exc}") from None
     rows = ["te_master,te_slave,rate_bps,delta_opt_ms,t_r_ms,qoc,v_max"]
-    for a, b in placements:
-        placed = replace(topo, te_master=a, te_slave=b)
-        for rate in rates:
+    for (a, b), topo_ab in zip(placements, placed):
+        for rate in args.rates:
             flows = flow_sets[rate] if rate > 0 else ()
-            factory = lambda seed, t=placed, f=flows: channel_from_topology(
+            factory = lambda seed, t=topo_ab, f=flows: channel_from_topology(
                 t, f, seed, exp.channel.queue_cap)
             runner = replace(exp.runner(), channel_factory=factory)
             try:
@@ -206,7 +223,7 @@ def cmd_netsim(args: argparse.Namespace) -> int:
                 rows.append(f"{a},{b},{rate!r},,,,")
     _write(out / "netsim.csv", "\n".join(rows) + "\n")
     _manifest(out, "netsim", exp.raw, ["netsim.csv"],
-              {"rates": rates, "placements": [list(p) for p in placements]})
+              {"rates": args.rates, "placements": [list(p) for p in placements]})
     print((out / "netsim.csv").read_text(encoding="utf-8").strip())
     return EXIT_OK
 
@@ -214,7 +231,11 @@ def cmd_netsim(args: argparse.Namespace) -> int:
 def cmd_sickness(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if args.mode == "synth":
-        traj = compliant_trajectory(args.fs, args.steps, args.vmax, args.fraction, args.seed or 0)
+        try:
+            traj = compliant_trajectory(args.fs, args.steps, args.vmax, args.fraction,
+                                        args.seed or 0)
+        except ValueError as exc:
+            raise ConfigError(f"bad synth arguments: {exc}") from None
         write_trajectory_csv(traj, str(out / "trajectory.csv"))
         _manifest(out, "sickness synth",
                   {"fs": args.fs, "steps": args.steps, "vmax": args.vmax,
@@ -223,7 +244,12 @@ def cmd_sickness(args: argparse.Namespace) -> int:
         print(out / "trajectory.csv")
         return EXIT_OK
 
-    traj = read_trajectory_csv(args.traj, args.fs if args.fs > 0 else None)
+    if args.traj is None:
+        raise ConfigError(f"sickness {args.mode} needs --traj")
+    try:
+        traj = read_trajectory_csv(args.traj, args.fs if args.fs > 0 else None)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read trajectory {args.traj!r}: {exc}") from None
     if args.mode == "predict":
         e = predict_E(traj, args.vmax)
         _write(out / "sickness.txt", f"predicted_E_pct: {e!r}\nv_max_mps: {args.vmax!r}\n")
@@ -247,7 +273,7 @@ def cmd_sickness(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
-    local = _parse_addr(args.bind if args.mode == "serve" else args.local)
+    local = parse_addr(args.bind if args.mode == "serve" else args.local)
     if args.mode == "serve":
         endpoint = DatagramEndpoint(local, packet_size_b=args.packet_size)
         try:
@@ -272,25 +298,23 @@ def cmd_probe(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # measure
-    import time as _time
-
-    endpoint = DatagramEndpoint(local, _parse_addr(args.remote), packet_size_b=args.packet_size)
+    endpoint = DatagramEndpoint(local, parse_addr(args.remote), packet_size_b=args.packet_size)
     rtts = []
     lost = 0
     try:
         for i in range(args.count or 20):
-            t0 = _time.perf_counter()
+            t0 = time.perf_counter()
             endpoint.send_packet(Packet(kind=KIND_KINEMATIC, seq=i, epoch=i, x=0.0, value=0.0))
             try:
                 while True:
-                    pkt, _addr = endpoint.recv_packet(args.deadline_ms)
+                    pkt, _ = endpoint.recv_packet(args.deadline_ms)
                     if pkt.seq == i:
                         break
-                rtts.append((_time.perf_counter() - t0) * 1000.0)
+                rtts.append((time.perf_counter() - t0) * 1000.0)
             except SocketTimeout:
                 lost += 1
             if args.interval_ms > 0:
-                _time.sleep(args.interval_ms / 1000.0)
+                time.sleep(args.interval_ms / 1000.0)
     finally:
         endpoint.close()
     out = _out_dir(args)
@@ -301,7 +325,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
         p95 = rtts_sorted[min(len(rtts) - 1, int(0.95 * len(rtts)))]
         lines += [f"rtt_min_ms: {rtts_sorted[0]:.3f}", f"rtt_mean_ms: {mean:.3f}",
                   f"rtt_p95_ms: {p95:.3f}", f"rtt_max_ms: {rtts_sorted[-1]:.3f}"]
-        from .core import rtt_budget
         for modality in ("video", "audio", "haptic"):
             budget = rtt_budget(modality)
             verdict = "within" if p95 <= budget.max_rtt_ms else "exceeds"
@@ -344,12 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qoc", help="tuned QoC for one goodness target")
     common(p)
-    p.add_argument("--gspec", type=float, required=True)
+    p.add_argument("--gspec", type=_gspec, required=True)
     p.set_defaults(fn=cmd_qoc)
 
     p = sub.add_parser("curve", help="QoC performance curve over goodness targets")
     common(p)
-    p.add_argument("--gspec-list", required=True, help="comma-separated ascending targets")
+    p.add_argument("--gspec-list", type=_gspecs, required=True,
+                   help="comma-separated ascending targets")
     p.set_defaults(fn=cmd_curve)
 
     p = sub.add_parser("vmax", help="hand-speed ceiling from a QoC or rise time")
@@ -360,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("netsim", help="placement/traffic QoC sweep over a topology")
     common(p)
-    p.add_argument("--gspec", type=float, default=0.9)
-    p.add_argument("--rates", default="0", help="comma-separated H-H rates in bps")
-    p.add_argument("--placements", default=None,
+    p.add_argument("--gspec", type=_gspec, default=0.9)
+    p.add_argument("--rates", type=_floats, default="0", help="comma-separated H-H rates in bps")
+    p.add_argument("--placements", type=_placements, default=None,
                    help="comma-separated master:slave switch pairs")
     p.add_argument("--pairs", type=int, default=16, help="host pairs generating traffic")
     p.add_argument("--flow-pkt-bytes", type=int, default=64)
@@ -409,7 +433,7 @@ def run_command(argv: list[str]) -> int:
         return EXIT_CONFIG
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except TcpsbenchError as exc:

@@ -47,22 +47,6 @@ class NonPositiveInput(TcpsbenchError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One teleoperator-side log entry.
-
-    t: arrival time, ms. x: operator sweep coordinate in cm (haptic) or epoch
-    index (non-haptic). y: commanded coordinate carried by the packet that
-    produced this entry (diagnostic). signal: controlled quantity in plant
-    units.
-    """
-
-    t: float
-    x: float
-    y: float
-    signal: float
-
-
-@dataclass(frozen=True)
 class GoodnessLimits:
     overshoot_max_pct: float = 20.0
     sse_max_pct: float = 10.0
@@ -78,20 +62,26 @@ DEFAULT_LIMITS = GoodnessLimits()
 
 @dataclass
 class StepResponseCurve:
-    """Ordered plant log for one experiment run."""
+    """Ordered plant log for one experiment run, one float64 column per
+    quantity. t: arrival time, ms. x: operator sweep coordinate in cm
+    (haptic) or epoch index (non-haptic). y: commanded coordinate carried by
+    the packet that produced the entry (diagnostic). signal: controlled
+    quantity in plant units."""
 
-    samples: list[Sample]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    signal: np.ndarray
     config: "object"  # LoopConfig; kept loose to avoid an import cycle
-    setting: str = SETTING_HAPTIC
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples], dtype=float)
+    def __post_init__(self) -> None:
+        for name in ("t", "x", "y", "signal"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
-    def signals(self) -> np.ndarray:
-        return np.array([s.signal for s in self.samples], dtype=float)
-
-    def commands(self) -> np.ndarray:
-        return np.array([s.y for s in self.samples], dtype=float)
+    @classmethod
+    def from_rows(cls, rows: list, config: "object") -> "StepResponseCurve":
+        """Columns from (t, x, y, signal) rows."""
+        return cls(*np.array(rows, dtype=float).reshape(-1, 4).T.copy(), config=config)
 
 
 @dataclass(frozen=True)
@@ -155,23 +145,15 @@ def critical_loops(hand_speed_class: str, stiffness_class: str) -> frozenset[str
     return _CRITICAL_LOOPS.get((hand_speed_class, stiffness_class), frozenset({LOOP_KVL}))
 
 
-def _bands(curve: StepResponseCurve) -> tuple[float, float, float, float]:
-    cfg = curve.config
-    p_ref = float(cfg.p_ref)
-    k2 = float(cfg.k_2)
-    base = p_ref / k2
-    span = p_ref - base
-    return p_ref, span, base + 0.1 * span, base + 0.9 * span
-
-
 def _cross_up(t: np.ndarray, sig: np.ndarray, start: int, level: float) -> float | None:
     """Interpolated time of the first upward crossing of `level` at index
     > start. Returns None if the signal never reaches the level."""
-    for j in range(start + 1, len(sig)):
-        if sig[j] >= level and sig[j - 1] < level:
-            frac = (level - sig[j - 1]) / (sig[j] - sig[j - 1])
-            return float(t[j - 1] + frac * (t[j] - t[j - 1]))
-    return None
+    hits = np.flatnonzero((sig[start + 1:] >= level) & (sig[start:-1] < level))
+    if not len(hits):
+        return None
+    j = start + 1 + int(hits[0])
+    frac = (level - sig[j - 1]) / (sig[j] - sig[j - 1])
+    return float(t[j - 1] + frac * (t[j] - t[j - 1]))
 
 
 def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_LIMITS) -> CurveMetrics:
@@ -183,25 +165,24 @@ def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_L
     insensitive to sampling phase. The steady-state window is the final 10%
     of the post-t2 duration.
     """
-    n = len(curve.samples)
+    t, sig = curve.t, curve.signal
+    n = len(t)
     if n < 2:
         raise MalformedCurve(f"curve needs at least 2 samples, got {n}")
-    t = curve.times()
     if not np.all(np.diff(t) > 0.0):
         raise MalformedCurve("sample times must be strictly increasing")
-    sig = curve.signals()
     if not np.all(np.isfinite(sig)):
         raise MalformedCurve("signal contains non-finite values")
 
-    p_ref, span, l10, l90 = _bands(curve)
+    p_ref = float(curve.config.p_ref)
+    base = p_ref / float(curve.config.k_2)  # the signal right after the step
+    span = p_ref - base
+    l10, l90 = base + 0.1 * span, base + 0.9 * span
 
-    step_idx = None
-    for i in range(1, n):
-        if sig[i] <= l10 < sig[i - 1]:
-            step_idx = i
-            break
-    if step_idx is None:
+    down = np.flatnonzero((sig[1:] <= l10) & (sig[:-1] > l10))
+    if not len(down):
         raise NoStepDetected("signal never crosses the lower band downward")
+    step_idx = int(down[0]) + 1
     t0 = float(t[step_idx])
 
     t1 = _cross_up(t, sig, step_idx, l10)
@@ -211,7 +192,7 @@ def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_L
     peak = float(np.max(post))
     trough = float(np.min(post))
     overshoot_pct = max(0.0, peak - p_ref) / span * 100.0
-    undershoot_pct = max(0.0, (p_ref / curve.config.k_2) - trough) / span * 100.0
+    undershoot_pct = max(0.0, base - trough) / span * 100.0
 
     t_r = sse_pct = delta_y = settling_ms = None
     if t2 is not None:
@@ -221,8 +202,7 @@ def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_L
         window = sig[t >= win_start]
         sse_pct = abs(float(np.mean(window)) - p_ref) / span * 100.0
 
-        y = curve.commands()
-        delta_y = abs(float(np.interp(t2, t, y)) - float(np.interp(t0, t, y)))
+        delta_y = abs(float(np.interp(t2, t, curve.y)) - float(np.interp(t0, t, curve.y)))
 
         # the curve settles at the sample after the last one outside the 2% band
         outside = np.flatnonzero(np.abs(sig - p_ref) > 0.02 * span)
@@ -259,20 +239,15 @@ def write_curve_csv(curve: StepResponseCurve, path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(CURVE_CSV_HEADER)
-        for s in curve.samples:
-            w.writerow([repr(s.t), repr(s.x), repr(s.y), repr(s.signal)])
+        for row in zip(curve.t.tolist(), curve.x.tolist(), curve.y.tolist(), curve.signal.tolist()):
+            w.writerow([repr(v) for v in row])
 
 
-def read_curve_csv(path: str, config: "object", setting: str = SETTING_HAPTIC) -> StepResponseCurve:
-    samples = []
+def read_curve_csv(path: str, config: "object") -> StepResponseCurve:
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
         header = next(r)
         if [h.strip() for h in header] != CURVE_CSV_HEADER:
             raise MalformedCurve(f"unexpected curve header: {header}")
-        for row in r:
-            if not row:
-                continue
-            t, x, y, sig = (float(v) for v in row)
-            samples.append(Sample(t=t, x=x, y=y, signal=sig))
-    return StepResponseCurve(samples=samples, config=config, setting=setting)
+        rows = [[float(v) for v in row] for row in r if row]
+    return StepResponseCurve.from_rows(rows, config)

@@ -122,6 +122,14 @@ def build_topology(d: Any) -> Topology:
                   hosts=lambda v: {str(h): str(s) for h, s in dict(v).items()})
 
 
+def parse_addr(spec: str) -> tuple[str, int]:
+    """A "host:port" datagram address."""
+    host, sep, port = spec.rpartition(":")
+    if not sep or not port.isdigit() or int(port) > 65535:
+        raise ConfigError(f"bad address {spec!r}: expected host:port")
+    return host, int(port)
+
+
 @dataclass
 class ChannelSpec:
     """Resolved channel variant plus a factory building a fresh, seeded
@@ -187,7 +195,8 @@ def build_channel_spec(d: Any) -> ChannelSpec:
                           "need an ideal/impaired/topology channel")
 
     return ChannelSpec(kind=kind, factory=no_sim,
-                       description={"type": "socket", "local": local, "remote": remote})
+                       description={"type": "socket", "local": parse_addr(local),
+                                    "remote": parse_addr(remote)})
 
 
 @dataclass

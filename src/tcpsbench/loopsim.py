@@ -15,13 +15,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from .clock import EventScheduler, PRIO_CONTROL
-from .core import (
-    Sample,
-    SETTING_HAPTIC,
-    SETTING_NONHAPTIC,
-    StepResponseCurve,
-    TcpsbenchError,
-)
+from .core import SETTING_HAPTIC, SETTING_NONHAPTIC, StepResponseCurve, TcpsbenchError
 from .transport import (
     BACKWARD,
     FORWARD,
@@ -214,13 +208,14 @@ class Robot:
 
 class Plant(Robot):
     """Reactive teleoperator: for each fresh command the robot moves, the
-    step-injecting plant computes the controlled signal, the sample is
-    logged at the arrival time and the feedback packet is returned."""
+    step-injecting plant computes the controlled signal, the (t, x, y,
+    signal) row is logged at the arrival time and the feedback packet is
+    returned."""
 
     def __init__(self, cfg: LoopConfig) -> None:
         super().__init__(cfg.robot_tau_ms)
         self.cfg = cfg
-        self.samples: list[Sample] = []
+        self.log: list[tuple[float, float, float, float]] = []
 
     def on_command(self, pkt: Packet, now: float) -> Packet | None:
         if not self.move(pkt, now):
@@ -231,11 +226,11 @@ class Plant(Robot):
         else:
             x = float(pkt.epoch)
             sig = plant_nonhaptic(pkt.epoch, self.y, self.cfg)
-        self.samples.append(Sample(t=now, x=x, y=pkt.value, signal=sig))
+        self.log.append((now, x, pkt.value, sig))
         return Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch, x=pkt.x, value=sig)
 
     def curve(self) -> StepResponseCurve:
-        return StepResponseCurve(samples=self.samples, config=self.cfg, setting=self.cfg.setting)
+        return StepResponseCurve.from_rows(self.log, self.cfg)
 
 
 @dataclass
@@ -317,7 +312,7 @@ def serve_plant(endpoint: DatagramEndpoint, cfg: LoopConfig,
         try:
             pkt, addr = endpoint.recv_packet(deadline_ms)
         except SocketTimeout:
-            if plant.samples:
+            if plant.log:
                 break
             raise ExperimentTimeout("no command packet before deadline") from None
         if pkt.kind != KIND_KINEMATIC:
@@ -329,7 +324,7 @@ def serve_plant(endpoint: DatagramEndpoint, cfg: LoopConfig,
         if fb is None:
             continue
         endpoint.send_packet(fb, to=addr)
-        if plant.samples[-1].x >= cfg.last_x:
+        if plant.log[-1][1] >= cfg.last_x:
             break
     return plant.curve()
 
@@ -370,5 +365,5 @@ def run_socket_experiment(cfg: LoopConfig, endpoint: DatagramEndpoint,
 
     stats = {FORWARD: DirectionStats(sent=operator.cmd_seq),
              BACKWARD: DirectionStats(delivered=received)}
-    empty_curve = StepResponseCurve(samples=[], config=cfg, setting=cfg.setting)
-    return StepExperimentRecord(curve=empty_curve, operator_trace=trace, channel_stats=stats)
+    return StepExperimentRecord(curve=StepResponseCurve.from_rows([], cfg),
+                                operator_trace=trace, channel_stats=stats)

@@ -291,9 +291,6 @@ class PerfCurve:
     missing: list[float] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        specs = [p.g_spec for p in self.points]
-        if any(b <= a for a, b in zip(specs, specs[1:])):
-            raise ValueError("g_spec values must be strictly increasing")
         qocs = [p.qoc for p in self.points]
         if any(b > a + 1e-9 for a, b in zip(qocs, qocs[1:])):
             raise NonMonotoneCurve(f"performance curve must be non-increasing, got QoC {qocs}")
@@ -328,19 +325,23 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
     return PerfCurve(points=points, missing=missing)
 
 
+def _post_onset_integral(curve: StepResponseCurve, t0: float, f: Callable) -> float:
+    """Trapezoid of f(tracking error) from the last sample before the onset
+    t0 to the end of the record; 0 when fewer than two samples remain."""
+    start = max(0, int(np.searchsorted(curve.t, t0)) - 1)
+    if start >= len(curve.t) - 1:
+        return 0.0
+    err = curve.config.p_ref - curve.signal[start:]
+    return float(np.trapezoid(f(err), curve.t[start:]))
+
+
 def iae(curve: StepResponseCurve, t0: float) -> float:
     """Integral of absolute tracking error from the step onset to the end of
     the record (units * ms). The trapezoid includes the last sample before
     the onset, reconstructing the error ramp across the discontinuity."""
-    t = curve.times()
-    if len(t) < 2:
+    if len(curve.t) < 2:
         raise NoStepDetected("curve too short to integrate")
-    err = np.abs(curve.config.p_ref - curve.signals())
-    start = int(np.searchsorted(t, t0))
-    start = max(0, start - 1)
-    if start >= len(t) - 1:
-        return 0.0
-    return float(np.trapezoid(err[start:], t[start:]))
+    return _post_onset_integral(curve, t0, np.abs)
 
 
 def quad_cost(curve: StepResponseCurve, operator_trace: Sequence[tuple[float, float, float]],
@@ -350,20 +351,13 @@ def quad_cost(curve: StepResponseCurve, operator_trace: Sequence[tuple[float, fl
     step onset onward (detected from the curve bands when t0 is omitted)."""
     if t0 is None:
         t0 = extract_metrics(curve).t0
-    t = curve.times()
-    err = curve.config.p_ref - curve.signals()
-    start = max(0, int(np.searchsorted(t, t0)) - 1)
-    s_term = float(np.trapezoid(err[start:] ** 2, t[start:])) if start < len(t) - 1 else 0.0
+    s_term = _post_onset_integral(curve, t0, np.square)
 
     ts = np.array([p[0] for p in operator_trace], dtype=float)
     ys = np.array([p[2] for p in operator_trace], dtype=float)
-    u_term = 0.0
-    if len(ts) >= 2:
-        u = np.diff(ys)
-        tu = ts[1:]
-        mask = tu >= t0
-        if int(np.count_nonzero(mask)) >= 2:
-            u_term = float(np.trapezoid(u[mask] ** 2, tu[mask]))
+    mask = ts[1:] >= t0
+    u = np.diff(ys)[mask]
+    u_term = float(np.trapezoid(u ** 2, ts[1:][mask])) if len(u) >= 2 else 0.0
     return 0.5 * (r_weight * u_term + q_weight * s_term)
 
 

@@ -234,6 +234,8 @@ def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction:
     inside fast_band * v_max. The below-ceiling step count is exactly
     round(fraction * n_steps).
     """
+    if fs_hz <= 0.0:
+        raise ValueError("sampling frequency must be positive")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     rng = Random(seed)

@@ -76,7 +76,7 @@ def encode(packet: Packet, size_b: int, rng: Random) -> bytes:
         round(packet.value * _SCALE),
     )
     pad_len = size_b - _FIELD_BYTES - 4
-    body += bytes(rng.getrandbits(8) for _ in range(pad_len))
+    body += rng.randbytes(pad_len)
     crc = zlib.crc32(body) & 0xFFFFFFFF
     return body + struct.pack("<I", crc)
 

@@ -52,7 +52,7 @@ def test_criterion_01_ideal_system_calibration():
     metrics = extract_metrics(record.curve)
     assert 1.3 <= metrics.t_r <= 1.7
 
-    sim = [s.signal for s in record.curve.samples]
+    sim = record.curve.signal.tolist()
     oracle = [sig for (_, _, sig) in oracle_trace(cfg)]
     worst = max(abs(a - b) for a, b in zip(sim, oracle))
     assert worst <= 1e-9
@@ -94,7 +94,7 @@ def test_criterion_03_oracle_equivalence_sweep():
         latency = rng.uniform(0.05, 0.49) * delta  # RTT < delta
         cfg = LoopConfig(k_p=gain, k_1=1.0, k_2=k2, delta_ms=delta, seed=checked)
         record = run_step_experiment(cfg, ideal_model(latency).build(checked))
-        sim = [s.signal for s in record.curve.samples]
+        sim = record.curve.signal.tolist()
         oracle = [sig for (_, _, sig) in oracle_trace(cfg)]
         assert len(sim) == len(oracle)
         err = max(abs(a - b) for a, b in zip(sim, oracle))
@@ -108,11 +108,11 @@ def test_criterion_03_oracle_equivalence_sweep():
 
 def test_criterion_04_start_overshoot_property():
     rec_hot = run_step_experiment(LoopConfig(k_p=1.25), ideal_model(0.4).build(1))
-    pre_hot = [s.signal for s in rec_hot.curve.samples if s.x < 50]
+    pre_hot = rec_hot.curve.signal[rec_hot.curve.x < 50].tolist()
     assert any(v > 100.0 for v in pre_hot)
 
     rec_unit = run_step_experiment(LoopConfig(k_p=1.0), ideal_model(0.4).build(1))
-    pre_unit = [s.signal for s in rec_unit.curve.samples if s.x < 50]
+    pre_unit = rec_unit.curve.signal[rec_unit.curve.x < 50].tolist()
     assert not any(v > 100.0 for v in pre_unit)
     report(4, f"gain 1.25 peaks at {max(pre_hot):.1f} before the step; gain 1.0 never "
               f"exceeds {max(pre_unit):.1f}")

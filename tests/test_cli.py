@@ -104,6 +104,28 @@ class TestConfigErrors:
         assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert "queue_cap" in capsys.readouterr().err
 
+    def test_bad_socket_address_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channel": {"type": "socket", "remote": "localhost"}}))
+        assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "localhost" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["qoc", "--gspec", "1.5"],
+        ["curve", "--gspec-list", "0.9,0.5"],
+        ["netsim", "--config", "usnet-nw", "--rates", "x"],
+        ["netsim", "--config", "usnet-nw", "--placements", "S0"],
+        ["probe", "measure", "--remote", "localhost"],
+        ["probe", "serve", "--bind", "127.0.0.1:http"],
+    ], ids=["gspec", "gspec-list", "rates", "placements", "remote", "bind"])
+    def test_bad_argument_exits_2_before_any_work(self, argv, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("load_experiment", "perf_curve", "find_delta_opt_bar", "DatagramEndpoint"):
+            monkeypatch.setattr(cli, name, no_work)
+        assert run(argv + ["--out", tmp_path / "o"]) == EXIT_CONFIG
+
     def test_invalid_loop_constants_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"channel": {"type": "ideal"},
@@ -128,6 +150,15 @@ class TestExperimentErrors:
                     "--gspec-list", "0.5,0.7,0.9,0.95", "--seed", 0,
                     "--out", tmp_path / "o"]) == EXIT_EXPERIMENT
         assert "NonMonotoneCurve" in capsys.readouterr().err
+
+
+    def test_experiment_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(cfg, channel):
+            raise ValueError("a defect, not a config error")
+
+        monkeypatch.setattr(cli, "run_step_experiment", broken)
+        with pytest.raises(ValueError, match="a defect"):
+            run(["step", "--config", "ideal", "--out", tmp_path / "o"])
 
 
 class TestSearchCommands:
@@ -185,6 +216,18 @@ class TestSickness:
         assert "measured_E_pct" in summary
 
 
+    def test_missing_or_unreadable_trajectory_exits_2(self, tmp_path, capsys):
+        for mode in ("predict", "measure"):
+            assert run(["sickness", mode, "--vmax", 0.02, "--out", tmp_path / "o"]) == EXIT_CONFIG
+            assert run(["sickness", mode, "--traj", tmp_path / "absent.csv", "--vmax", 0.02,
+                        "--out", tmp_path / "o"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "needs --traj" in err and "absent.csv" in err
+
+    def test_synth_without_sampling_rate_exits_2(self, tmp_path):
+        assert run(["sickness", "synth", "--out", tmp_path / "o"]) == EXIT_CONFIG
+
+
 class TestNetsim:
     def test_placement_sweep_no_traffic(self, tmp_path):
         out = tmp_path / "n"
@@ -223,6 +266,17 @@ class TestNetsim:
         monkeypatch.setattr(cli, "find_delta_opt_bar", no_search)
         assert run(["netsim", "--config", "usnet-nw", "--rates", "0,500000",
                     "--flow-pkt-bytes", 0, "--out", tmp_path / "n"]) == EXIT_CONFIG
+
+
+    def test_unknown_placement_switch_exits_2_before_any_search(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(cli, "find_delta_opt_bar", no_search)
+        assert run(["netsim", "--config", "usnet-nw", "--placements", "S0:S8,S0:S99",
+                    "--out", tmp_path / "n"]) == EXIT_CONFIG
+        assert "S99" in capsys.readouterr().err
 
 
 class TestProbe:
@@ -278,4 +332,4 @@ class TestProbe:
         assert len(trace) == 31
         curve = read_curve_csv(str(tmp_path / "srv" / "curve.csv"),
                                LoopConfig(delta_ms=5.0, sweep_len=30, step_at=15))
-        assert len(curve.samples) >= 28
+        assert len(curve.t) >= 28

@@ -1,5 +1,6 @@
 """Step-response metric extraction and the shared lookup utilities."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -11,7 +12,6 @@ from tcpsbench.core import (
     MalformedCurve,
     NoStepDetected,
     NonPositiveInput,
-    Sample,
     StepResponseCurve,
     UnknownModality,
     classify_good,
@@ -28,9 +28,8 @@ from tcpsbench.loopsim import LoopConfig, oracle_trace
 def curve_from_signals(signals, t0=0.5, dt=1.0, cfg=None, ys=None):
     cfg = cfg or LoopConfig()
     ys = ys if ys is not None else [0.0] * len(signals)
-    samples = [Sample(t=t0 + i * dt, x=float(i), y=float(ys[i]), signal=float(s))
-               for i, s in enumerate(signals)]
-    return StepResponseCurve(samples=samples, config=cfg, setting=cfg.setting)
+    return StepResponseCurve.from_rows(
+        [(t0 + i * dt, float(i), float(ys[i]), float(s)) for i, s in enumerate(signals)], cfg)
 
 
 def ideal_curve(cfg=None):
@@ -73,10 +72,10 @@ class TestExtractMetrics:
 
     def test_malformed_non_monotone_time(self):
         cfg = LoopConfig()
-        samples = [Sample(t=1.0, x=0, y=0, signal=100.0),
-                   Sample(t=0.5, x=1, y=0, signal=100.0)]
+        curve = StepResponseCurve(t=[1.0, 0.5], x=[0, 1], y=[0, 0], signal=[100.0, 100.0],
+                                  config=cfg)
         with pytest.raises(MalformedCurve):
-            extract_metrics(StepResponseCurve(samples=samples, config=cfg))
+            extract_metrics(curve)
 
     def test_nonhaptic_band_reuse(self):
         cfg = LoopConfig(setting="non-haptic")
@@ -94,10 +93,7 @@ class TestExtractMetrics:
     def test_time_shift_invariance(self):
         base = ideal_curve()
         m0 = extract_metrics(base)
-        shifted = StepResponseCurve(
-            samples=[Sample(t=s.t + 7.25, x=s.x, y=s.y, signal=s.signal)
-                     for s in base.samples],
-            config=base.config, setting=base.setting)
+        shifted = replace(base, t=base.t + 7.25)
         m1 = extract_metrics(shifted)
         assert m1.t_r == pytest.approx(m0.t_r, abs=1e-12)
         assert m1.t0 == pytest.approx(m0.t0 + 7.25, abs=1e-12)
@@ -136,10 +132,7 @@ class TestExtractMetrics:
     @settings(max_examples=25, deadline=None)
     def test_time_shift_invariance_property(self, shift):
         base = ideal_curve()
-        shifted = StepResponseCurve(
-            samples=[Sample(t=s.t + shift, x=s.x, y=s.y, signal=s.signal)
-                     for s in base.samples],
-            config=base.config, setting=base.setting)
+        shifted = replace(base, t=base.t + shift)
         m0, m1 = extract_metrics(base), extract_metrics(shifted)
         assert m1.t_r == pytest.approx(m0.t_r, abs=1e-6)
         assert m1.is_good == m0.is_good
@@ -221,9 +214,8 @@ class TestCurveCsv:
         path = tmp_path / "curve.csv"
         write_curve_csv(curve, str(path))
         back = read_curve_csv(str(path), curve.config)
-        assert len(back.samples) == len(curve.samples)
-        for a, b in zip(curve.samples, back.samples):
-            assert (a.t, a.x, a.y, a.signal) == (b.t, b.x, b.y, b.signal)
+        for name in ("t", "x", "y", "signal"):
+            assert getattr(back, name).tolist() == getattr(curve, name).tolist()
         assert path.read_text().splitlines()[0] == "t_ms,x,y,signal"
 
     def test_bad_header_rejected(self, tmp_path):

@@ -1,0 +1,19 @@
+"""The demos run to completion against this checkout."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["demo_step_response.py", "demo_sickness.py"])
+def test_demo_exits_0(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -37,7 +37,7 @@ _REORDER = ChannelModel(
 
 
 def _record_lines(tag, rec):
-    yield f"{tag} samples {[(s.t, s.x, s.y, s.signal) for s in rec.curve.samples]!r}"
+    yield f"{tag} samples {list(zip(*(getattr(rec.curve, k).tolist() for k in ('t', 'x', 'y', 'signal'))))!r}"
     yield f"{tag} trace {rec.operator_trace!r}"
     for direction in sorted(rec.channel_stats):
         s = rec.channel_stats[direction]

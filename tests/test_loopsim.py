@@ -32,7 +32,8 @@ from tcpsbench.transport import (
 
 
 def record_bytes(record):
-    return repr([(s.t, s.x, s.y, s.signal) for s in record.curve.samples]).encode()
+    c = record.curve
+    return repr(list(zip(c.t.tolist(), c.x.tolist(), c.y.tolist(), c.signal.tolist()))).encode()
 
 
 def operator_at(cfg, x, y, last_p):
@@ -153,7 +154,7 @@ class TestRunStepExperiment:
     def test_matches_oracle_on_ideal_channel(self):
         cfg = LoopConfig()
         rec = run_step_experiment(cfg, ideal_model(0.4).build(1))  # RTT < delta
-        sim = [s.signal for s in rec.curve.samples]
+        sim = rec.curve.signal.tolist()
         ora = [sig for (_, _, sig) in oracle_trace(cfg)]
         assert len(sim) == len(ora)
         assert max(abs(a - b) for a, b in zip(sim, ora)) <= 1e-9
@@ -162,14 +163,14 @@ class TestRunStepExperiment:
         # arrivals landing exactly on a check instant are visible to it
         cfg = LoopConfig(delta_ms=1.0)
         rec = run_step_experiment(cfg, ideal_model(0.5).build(1))
-        sim = [s.signal for s in rec.curve.samples]
+        sim = rec.curve.signal.tolist()
         ora = [sig for (_, _, sig) in oracle_trace(cfg)]
         assert max(abs(a - b) for a, b in zip(sim, ora)) <= 1e-9
 
     def test_nonhaptic_matches_oracle(self):
         cfg = LoopConfig(setting="non-haptic")
         rec = run_step_experiment(cfg, ideal_model(0.4).build(2))
-        sim = [s.signal for s in rec.curve.samples]
+        sim = rec.curve.signal.tolist()
         ora = [sig for (_, _, sig) in oracle_trace(cfg)]
         assert max(abs(a - b) for a, b in zip(sim, ora)) <= 1e-9
 
@@ -203,7 +204,7 @@ class TestRunStepExperiment:
 
     def test_start_overshoot_with_gain_matching_k2(self):
         rec = run_step_experiment(LoopConfig(k_p=1.25), ideal_model(0.4).build(1))
-        pre = [s.signal for s in rec.curve.samples if s.x < 50]
+        pre = rec.curve.signal[rec.curve.x < 50].tolist()
         assert any(v > 100.0 for v in pre)
         # alternating transient: at least one sample below p_ref after the peak
         peak_idx = max(range(len(pre)), key=lambda i: pre[i])
@@ -211,7 +212,7 @@ class TestRunStepExperiment:
 
     def test_no_start_overshoot_with_unit_gain(self):
         rec = run_step_experiment(LoopConfig(k_p=1.0), ideal_model(0.4).build(1))
-        pre = [s.signal for s in rec.curve.samples if s.x < 50]
+        pre = rec.curve.signal[rec.curve.x < 50].tolist()
         assert all(v <= 100.0 + 1e-12 for v in pre)
 
     def test_freshest_wins_under_reordering(self):
@@ -221,7 +222,7 @@ class TestRunStepExperiment:
             forward=LinkParams(latency_ms=0.2, jitter=Jitter.uniform(5.0), fifo=False),
             backward=LinkParams(latency_ms=0.2, jitter=Jitter.uniform(5.0), fifo=False))
         rec = run_step_experiment(LoopConfig(seed=3), model.build(3))
-        xs = [s.x for s in rec.curve.samples]
+        xs = rec.curve.x.tolist()
         assert all(b > a for a, b in zip(xs, xs[1:]))
         stale = rec.channel_stats["forward"].stale + rec.channel_stats["backward"].stale
         assert stale > 0  # reordering actually happened
@@ -240,7 +241,7 @@ class TestRunStepExperiment:
         # 1 - 2.4 is outside the unit circle: the sweep oscillates and grows
         cfg = LoopConfig(k_p=2.4, k_2=2.5, sweep_len=40)
         rec = run_step_experiment(cfg, ideal_model(0.4).build(1))
-        sim = [s.signal for s in rec.curve.samples]
+        sim = rec.curve.signal.tolist()
         ora = [sig for (_, _, sig) in oracle_trace(cfg, 40)]
         assert max(abs(a - b) for a, b in zip(sim, ora)) <= 1e-6 * max(map(abs, ora))
         mags = [abs(s - 100.0) for s in sim[:20]]
@@ -292,7 +293,7 @@ class TestSocketMode:
         plant_ep.close()
         assert not thread.is_alive()
         assert len(record.operator_trace) == cfg.sweep_len
-        assert curves and len(curves[0].samples) >= cfg.sweep_len - 2
+        assert curves and len(curves[0].t) >= cfg.sweep_len - 2
         metrics = extract_metrics(curves[0])
         assert metrics.t0 > 0.0  # the injected step is in the log
 

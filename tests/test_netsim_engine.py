@@ -80,7 +80,9 @@ def _case(i):
 
 
 def _record(rec):
-    return ([(s.t, s.x, s.y, s.signal) for s in rec.curve.samples], rec.operator_trace,
+    c = rec.curve
+    return (list(zip(c.t.tolist(), c.x.tolist(), c.y.tolist(), c.signal.tolist())),
+            rec.operator_trace,
             {d: (s.sent, s.delivered, s.dropped, s.stale) for d, s in rec.channel_stats.items()})
 
 

@@ -1,12 +1,11 @@
 """Loop-time searches, goodness statistics, QoC arithmetic, IAE and J."""
 
 import math
-from dataclasses import replace
 
 import pytest
 
 from tcpsbench import qoc
-from tcpsbench.core import DEFAULT_LIMITS, UnknownModality, extract_metrics
+from tcpsbench.core import DEFAULT_LIMITS, StepResponseCurve, UnknownModality, extract_metrics
 from tcpsbench.loopsim import LoopConfig, run_step_experiment
 from tcpsbench.qoc import (
     NoGoodDelta,
@@ -31,6 +30,12 @@ from tcpsbench.transport import ChannelModel, Jitter, LinkParams, ideal_model
 
 def runner_for(model: ChannelModel, cfg: LoopConfig | None = None) -> StepRunner:
     return StepRunner(cfg=cfg or LoopConfig(), channel_factory=model.build)
+
+
+def _settled_span(curve: StepResponseCurve) -> StepResponseCurve:
+    keep = (5 <= curve.x) & (curve.x < 45)
+    return StepResponseCurve(t=curve.t[keep], x=curve.x[keep], y=curve.y[keep],
+                             signal=curve.signal[keep], config=curve.config)
 
 
 def drop_model(p: float) -> ChannelModel:
@@ -95,8 +100,7 @@ class _RepeatedTimeRunner:
 
     def run(self, delta_ms, seed):
         record = runner_for(ideal_model(0.5)).run(delta_ms, seed)
-        samples = record.curve.samples
-        samples[1] = replace(samples[1], t=samples[0].t)
+        record.curve.t[1] = record.curve.t[0]
         return record
 
 
@@ -261,18 +265,14 @@ class TestComparisonIntegrals:
 
     def test_iae_zero_error_curve(self):
         cfg, rec = self._ideal_record()
-        flat = [s for s in rec.curve.samples if 5 <= s.x < 45]  # settled span
-        from tcpsbench.core import StepResponseCurve
-        curve = StepResponseCurve(samples=flat, config=cfg, setting=cfg.setting)
-        assert iae(curve, flat[0].t) == pytest.approx(0.0, abs=1e-9)
+        curve = _settled_span(rec.curve)
+        assert iae(curve, curve.t[0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_quad_cost_zero_when_error_free(self):
         cfg, rec = self._ideal_record()
-        flat = [s for s in rec.curve.samples if 5 <= s.x < 45]
-        from tcpsbench.core import StepResponseCurve
-        curve = StepResponseCurve(samples=flat, config=cfg, setting=cfg.setting)
+        curve = _settled_span(rec.curve)
         trace = [(t, x, 100.0) for (t, x, _) in rec.operator_trace if 5 <= x < 45]
-        assert quad_cost(curve, trace, 1.0, 1.0, t0=flat[0].t) == pytest.approx(0.0, abs=1e-9)
+        assert quad_cost(curve, trace, 1.0, 1.0, t0=curve.t[0]) == pytest.approx(0.0, abs=1e-9)
 
     def test_quad_cost_q_term_linearity(self):
         cfg, rec = self._ideal_record()

@@ -68,6 +68,11 @@ class TestCodec:
         data = encode(Packet(0, 0, 0, x=0.0, value=0.0), 256, rng)
         assert len(data) - 28 - 4 == 224
 
+    def test_padding_is_one_randbytes_draw(self):
+        for seed, size in ((8, 33), (9, 256), (10, 1024)):
+            data = encode(Packet(0, 0, 0, x=0.0, value=0.0), size, Random(seed))
+            assert data[28:-4] == Random(seed).randbytes(size - 32)
+
     def test_too_small_rejected(self):
         with pytest.raises(PacketTooSmall):
             encode(Packet(0, 0, 0, 0.0, 0.0), 31, Random(6))
