@@ -28,7 +28,7 @@ print(f"plant logged {len(curve.t)} samples over "
 sig = curve.signal
 print("signal around the step:", np.round(sig[48:56], 4))
 
-# the event-driven run reproduces the closed-form difference equation exactly
+# the simulated run reproduces the closed-form difference equation exactly
 reference = np.array([s for (_, _, s) in oracle_trace(cfg)])
 print("max |simulated - closed form| =", np.max(np.abs(sig - reference)))
 

@@ -1,9 +1,10 @@
 """Deterministic virtual-clock event scheduler.
 
-All simulated experiments (control loops, channel deliveries) share one
-scheduler so that every event executes in global time order; topology
-channels run their cross traffic off it, up to each tactile hop. Time is in
-milliseconds and advances only when events run, which makes runs
+A simulated experiment on the clock (control loop, channel deliveries)
+shares one scheduler so that every event executes in global time order;
+topology channels run their cross traffic off it, up to each tactile hop,
+and step runs on impaired channels skip it, matching it bit for bit. Time
+is in milliseconds and advances only when events run, which makes runs
 reproducible bit-for-bit and much faster than wall time.
 """
 

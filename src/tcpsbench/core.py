@@ -10,7 +10,7 @@ good/bad verdict against configurable limits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -210,26 +210,29 @@ def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_L
         if settle_idx < n:
             settling_ms = float(t[settle_idx]) - t0
 
-    metrics = CurveMetrics(
+    return CurveMetrics(
         t0=t0, t1=t1, t2=t2, t_r=t_r,
         overshoot_pct=overshoot_pct,
         steady_state_error_pct=sse_pct,
-        delta_y=delta_y, is_good=False,
+        delta_y=delta_y,
+        is_good=_is_good(t2, sse_pct, overshoot_pct, limits),
         undershoot_pct=undershoot_pct,
         settling_ms=settling_ms,
     )
-    return replace(metrics, is_good=classify_good(metrics, limits))
+
+
+def _is_good(t2: float | None, sse_pct: float | None, overshoot_pct: float,
+             limits: GoodnessLimits) -> bool:
+    """A curve is good when it rose back (t2 defined) and both overshoot and
+    steady-state error sit within the limits."""
+    if t2 is None or sse_pct is None:
+        return False
+    return overshoot_pct <= limits.overshoot_max_pct and sse_pct <= limits.sse_max_pct
 
 
 def classify_good(metrics: CurveMetrics, limits: GoodnessLimits = DEFAULT_LIMITS) -> bool:
-    """A curve is good when it rose back (t2 defined) and both overshoot and
-    steady-state error sit within the limits."""
-    if metrics.t2 is None or metrics.steady_state_error_pct is None:
-        return False
-    return (
-        metrics.overshoot_pct <= limits.overshoot_max_pct
-        and metrics.steady_state_error_pct <= limits.sse_max_pct
-    )
+    """The good/bad verdict of extracted metrics (see _is_good)."""
+    return _is_good(metrics.t2, metrics.steady_state_error_pct, metrics.overshoot_pct, limits)
 
 
 CURVE_CSV_HEADER = ["t_ms", "x", "y", "signal"]

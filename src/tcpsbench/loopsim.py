@@ -4,8 +4,10 @@ The operator side is a PI controller paced by a loop wait time; the
 teleoperator side is a reactive plant that injects a step change halfway
 through the sweep (a pressure drop in the haptic setting, a coordinate jump
 in the non-haptic one) and logs every received command with its arrival
-time. Experiments run against any simulated channel on a virtual clock, or
-against a real datagram endpoint pair in wall-clock time.
+time. Experiments run against a simulated channel, or against a real
+datagram endpoint pair in wall-clock time. On an impaired (or ideal)
+channel a simulated run is a timing skeleton plus a value recurrence;
+topology channels run on the virtual clock, which stays the reference.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .clock import EventScheduler, PRIO_CONTROL
 from .core import SETTING_HAPTIC, SETTING_NONHAPTIC, StepResponseCurve, TcpsbenchError
@@ -23,6 +27,7 @@ from .transport import (
     KIND_KINEMATIC,
     DatagramEndpoint,
     DirectionStats,
+    ImpairedChannel,
     Packet,
     SocketTimeout,
 )
@@ -246,7 +251,18 @@ class StepExperimentRecord:
 def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     """Execute one full sweep over a simulated channel and return the record.
 
-    Deterministic given (cfg, channel seed): the virtual clock orders all
+    Deterministic given (cfg, channel seed). An impaired channel's delivery
+    times depend on send times only, so its run is computed as a timing
+    skeleton plus a value recurrence (_run_skeleton); any other channel runs
+    on the virtual clock (run_step_on_clock). Both give the same record.
+    """
+    if isinstance(channel, ImpairedChannel):
+        return _run_skeleton(cfg, channel)
+    return run_step_on_clock(cfg, channel)
+
+
+def run_step_on_clock(cfg: LoopConfig, channel) -> StepExperimentRecord:
+    """One sweep as events on the virtual clock: the clock orders all
     deliveries ahead of controller checks at equal instants, the operator
     polls non-blocking with last-value hold, and stale packets (older
     sequence than the newest seen) are discarded on both sides.
@@ -297,6 +313,87 @@ def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     stats = {FORWARD: replace(channel.stats[FORWARD], stale=plant.stale),
              BACKWARD: replace(channel.stats[BACKWARD], stale=op_stale)}
     return StepExperimentRecord(curve=plant.curve(), operator_trace=trace, channel_stats=stats)
+
+
+def _delivery_order(arrivals: np.ndarray) -> np.ndarray:
+    """Indices of the delivered packets (arrival not NaN) in the clock's
+    delivery order: by arrival time, ties in send order."""
+    kept = np.flatnonzero(arrivals == arrivals)  # NaN is unequal to itself
+    return kept[np.argsort(arrivals[kept], kind="stable")]
+
+
+def _newest_first_seen(order: np.ndarray) -> np.ndarray:
+    """Mask of the deliveries newer than every one before them (the rest
+    are stale); send index stands for sequence number."""
+    return order == np.maximum.accumulate(order)
+
+
+def _run_skeleton(cfg: LoopConfig, channel: ImpairedChannel) -> StepExperimentRecord:
+    """run_step_on_clock's record, computed in two parts.
+
+    (a) A value-free timing skeleton. Command k leaves at tick k (the
+    first at 0; tick j runs at T_j, the j-fold sum of delta_ms, as the
+    clock adds it) and the channel carries the whole batch. The plant takes
+    the fresh commands in delivery order and answers each at its arrival;
+    feedback on command i is visible at tick j when i < j and it arrived at
+    or before T_j (a delivery at the instant of a check runs first, but the
+    answer to the command sent by that check comes after it).
+    (b) The value recurrence, in command order: the operator's PI update
+    from the freshest visible feedback; for a fresh command the robot lag
+    (robot_lag's arithmetic, its factor from math.exp) and the step plant
+    (plant_haptic / plant_nonhaptic). Feedback only ever reports on an
+    earlier command, so its value is known when a tick needs it.
+    """
+    n = cfg.sweep_len
+    ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
+    sends = np.concatenate(([0.0], ticks[:-1]))
+    fwd = channel.carry(FORWARD, sends, cfg.packet_size_b, reserve=n)
+    order = _delivery_order(fwd)
+    fresh = order[_newest_first_seen(order)]  # ascending, as the robot takes them
+    t_fresh = fwd[fresh]
+    bwd = channel.carry(BACKWARD, t_fresh, cfg.packet_size_b, reserve=n)
+    # feedback m answers command fresh[m], so its send index orders sequence too
+    fb_order = _delivery_order(bwd)
+    op_stale = len(fb_order) - int(np.count_nonzero(_newest_first_seen(fb_order)))
+
+    answered = fresh[fb_order]
+    first_tick = np.maximum(answered + 1, np.searchsorted(ticks, bwd[fb_order]) + 1)
+    held = np.full(n + 2, -1)
+    np.maximum.at(held, np.minimum(first_tick, n + 1), answered)
+    held = np.maximum.accumulate(held).tolist()  # freshest feedback at each tick, -1: none
+
+    haptic = cfg.setting == SETTING_HAPTIC
+    gain = cfg.k_1 if haptic else 1.0  # the non-haptic plant passes y through; 1.0 * y is y
+    step = cfg.step_index if haptic else cfg.step_index - 1  # epochs count from 1
+    k_p, p_ref, k_2 = cfg.k_p, cfg.p_ref, cfg.k_2
+    lags = None
+    if cfg.robot_tau_ms > 0.0:
+        dt = np.diff(t_fresh, prepend=0.0)  # the robot's clock starts at 0
+        lags = iter([1.0 - math.exp(v) for v in (-dt / cfg.robot_tau_ms).tolist()])
+    is_fresh = np.zeros(n, dtype=bool)
+    is_fresh[fresh] = True
+    ys = [0.0] * n
+    sig = [p_ref] * (n + 1)  # sig[-1]: the value the operator holds before any feedback
+    y = 0.0 if haptic else p_ref
+    robot_y = 0.0
+    for k, take in enumerate(is_fresh.tolist()):
+        ys[k] = y
+        if take:
+            robot_y = y if lags is None else robot_y + (y - robot_y) * next(lags)
+            s = gain * robot_y
+            sig[k] = s if k < step else s / k_2
+        y += k_p * (p_ref - sig[held[k + 1]])
+
+    x = np.arange(n, dtype=float) if haptic else np.arange(1, n + 1, dtype=float)
+    curve = StepResponseCurve(t=t_fresh, x=x[fresh], y=np.array(ys)[fresh],
+                              signal=np.array(sig)[fresh], config=cfg)
+    trace = list(zip(sends.tolist(), x.tolist(), ys))
+    fs, bs = channel.stats[FORWARD], channel.stats[BACKWARD]
+    fs.delivered += len(order)  # every packet not dropped lands by the end of the run
+    bs.delivered += len(fb_order)
+    stats = {FORWARD: DirectionStats(fs.sent, fs.delivered, fs.dropped, len(order) - len(fresh)),
+             BACKWARD: DirectionStats(bs.sent, bs.delivered, bs.dropped, op_stale)}
+    return StepExperimentRecord(curve=curve, operator_trace=trace, channel_stats=stats)
 
 
 # --- real-socket mode -------------------------------------------------------

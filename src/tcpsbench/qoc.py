@@ -19,7 +19,6 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from .core import (
-    CurveMetrics,
     DEFAULT_LIMITS,
     GoodnessLimits,
     MalformedCurve,
@@ -29,6 +28,7 @@ from .core import (
     extract_metrics,
 )
 from .loopsim import LoopConfig, StepExperimentRecord, run_step_experiment
+from .transport import shared_draws
 
 T_R_IDEAL_MS = 1.5  # rise time of the ideal system's tuned curve; fixed, never re-measured
 _Z95 = 1.96
@@ -136,29 +136,43 @@ class GoodnessEstimate:
         return float(np.mean(self.good_rise_times))
 
 
-def _run_trial(runner: Runner, delta_ms: float,
-               seed: int) -> CurveMetrics | NoStepDetected | MalformedCurve:
-    """Metrics of one trial. A curve without a step or a malformed curve is
-    a "not good" trial: its error is returned in place of the metrics. Any
-    other extraction error propagates."""
+# (delta, seed) -> (rise time if good, else None; malformed) of one search
+TrialMemo = dict[tuple[float, int], tuple[float | None, bool]]
+
+
+def _run_trial(runner: Runner, delta_ms: float, seed: int,
+               memo: TrialMemo | None = None) -> tuple[float | None, bool]:
+    """(rise time of a good curve, else None; whether the curve was
+    malformed) of one trial. A curve without a step or a malformed curve is
+    a "not good" trial; any other extraction error propagates. With a memo,
+    each (delta, seed) runs once."""
+    if memo is not None and (delta_ms, seed) in memo:
+        return memo[delta_ms, seed]
     record = runner.run(delta_ms, seed)
     try:
-        return extract_metrics(record.curve, runner.limits)
-    except (NoStepDetected, MalformedCurve) as exc:
-        return exc
+        metrics = extract_metrics(record.curve, runner.limits)
+        outcome = (metrics.t_r if metrics.is_good else None, False)  # good implies t_r
+    except NoStepDetected:
+        outcome = (None, False)
+    except MalformedCurve:
+        outcome = (None, True)
+    if memo is not None:
+        memo[delta_ms, seed] = outcome
+    return outcome
 
 
-def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig) -> GoodnessEstimate:
+def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig,
+                      memo: TrialMemo | None = None) -> GoodnessEstimate:
     """Estimate the fraction of good curves at one loop time.
 
     Runs seed-indexed trials in batches until the 95% CI half-width of the
     fraction is within search.ci_halfwidth, or m_max is reached (reported
     via m_cap_exceeded, not fatal). Trial seeds depend only on the trial
-    index, so estimates at different loop times share seeds.
+    index, so estimates at different loop times share seeds. A memo given
+    by the caller supplies the trials it already holds.
     """
     if delta_ms <= 0.0:
         raise ValueError("delta_ms must be positive")
-    good = 0
     malformed = 0
     m = 0
     rise_times: list[float] = []
@@ -166,13 +180,12 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig) -> 
     while True:
         batch = min(search.m_batch, search.m_max - m)
         for i in range(batch):
-            metrics = _run_trial(runner, delta_ms, search.trial_seed(m + i))
-            malformed += isinstance(metrics, MalformedCurve)
-            if isinstance(metrics, CurveMetrics) and metrics.is_good:  # good implies t_r
-                good += 1
-                rise_times.append(metrics.t_r)
+            t_r, bad_curve = _run_trial(runner, delta_ms, search.trial_seed(m + i), memo)
+            malformed += bad_curve
+            if t_r is not None:
+                rise_times.append(t_r)
         m += batch
-        g = good / m
+        g = len(rise_times) / m
         ci = ci_halfwidth(g, m)
         if ci <= search.ci_halfwidth:
             break
@@ -184,15 +197,13 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig) -> 
 
 
 def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: float,
-                probe_trials: int = 8) -> bool:
+                probe_trials: int = 8, memo: TrialMemo | None = None) -> bool:
     """Cheap scan filter: after a few shared-seed trials, is the upper 95%
     confidence bound on goodness already below g_spec? Used only to skip
     hopeless grid points; accepted points always get the full estimate."""
     good = 0
     for i in range(probe_trials):
-        metrics = _run_trial(runner, delta_ms, search.trial_seed(i))
-        if isinstance(metrics, CurveMetrics) and metrics.is_good:
-            good += 1
+        good += _run_trial(runner, delta_ms, search.trial_seed(i), memo)[0] is not None
         remaining = probe_trials - (i + 1)
         best_g = (good + remaining) / probe_trials
         if best_g + ci_halfwidth(best_g, probe_trials) < g_spec:
@@ -205,8 +216,7 @@ def find_delta_opt(runner: Runner, search: SearchConfig) -> float:
     """Least grid loop time whose single-run curve is good (deterministic
     channels); scans ascending."""
     for delta in search.grid():
-        metrics = _run_trial(runner, delta, search.trial_seed(0))
-        if isinstance(metrics, CurveMetrics) and metrics.is_good:
+        if _run_trial(runner, delta, search.trial_seed(0))[0] is not None:
             return delta
     raise NoGoodDelta("no grid loop time produced a good curve")
 
@@ -249,7 +259,7 @@ def qoc_value(t_r_ms: float) -> float:
 
 def v_max(qoc: float) -> float:
     """Hand-speed ceiling in m/s: min(1, 10^qoc)."""
-    return min(1.0, 10.0 ** qoc)
+    return min(1.0, 10.0 ** min(qoc, 0.0))  # clamped first: 10^400 overflows
 
 
 def _result_from_estimate(g_spec: float, est: GoodnessEstimate) -> QoCResult:
@@ -296,15 +306,20 @@ class PerfCurve:
             raise NonMonotoneCurve(f"performance curve must be non-increasing, got QoC {qocs}")
 
 
+@shared_draws()
 def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -> PerfCurve:
     """One tuned QoC per target, ascending; grid points and their trial
-    batches are shared across targets. Targets the grid cannot satisfy are
-    recorded as missing rather than failing the whole curve."""
+    batches are shared across targets, and each (delta, seed) trial runs
+    once, so a full estimate reuses its point's probe trials. Impaired
+    channels share their random draws by seed for the whole search. Targets
+    the grid cannot satisfy are recorded as missing rather than failing
+    the whole curve."""
     specs = list(g_specs)
     if any(b <= a for a, b in zip(specs, specs[1:])):
         raise ValueError("g_spec list must be strictly increasing")
     grid = search.grid()
     estimates: dict[float, GoodnessEstimate] = {}  # one trial batch per grid point
+    memo: TrialMemo = {}
     points: list[QoCResult] = []
     missing: list[float] = []
     start_idx = 0
@@ -313,9 +328,10 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
             est = estimates.get(grid[idx])
             if est is None:
                 # the probe only skips points that have no estimate yet
-                if _rejectable(runner, grid[idx], search, g_spec):
+                if _rejectable(runner, grid[idx], search, g_spec, memo=memo):
                     continue
-                est = estimates[grid[idx]] = estimate_goodness(runner, grid[idx], search)
+                est = estimates[grid[idx]] = estimate_goodness(runner, grid[idx], search,
+                                                               memo=memo)
             if est.g >= g_spec and est.good_rise_times:
                 start_idx = idx  # a later target can never accept an earlier grid point
                 points.append(_result_from_estimate(g_spec, est))

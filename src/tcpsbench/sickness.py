@@ -236,6 +236,8 @@ def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction:
     """
     if fs_hz <= 0.0:
         raise ValueError("sampling frequency must be positive")
+    if n_steps < 1:
+        raise ValueError("a trajectory needs at least one step")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     rng = Random(seed)

@@ -3,7 +3,8 @@
 Simulated channels deliver payload objects through the virtual clock with
 configurable latency, jitter, drop probability and serialization rate; they
 carry full-precision floats and use the configured packet size only for
-serialization delay. Serialization queues FIFO: a packet waits in its
+serialization delay. An impaired channel also decides a whole batch of
+sends at once (carry), for step runs that need no clock. Serialization queues FIFO: a packet waits in its
 link's `LinkQueue` until the transmitter has sent the packets before it,
 on impaired links and topology links alike. The byte codec (fixed
 little-endian header, random padding to a configured size, trailing CRC-32)
@@ -16,9 +17,13 @@ from __future__ import annotations
 import socket
 import struct
 import zlib
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from random import Random
-from typing import Callable
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .clock import EventScheduler, PRIO_DELIVERY
 from .core import TcpsbenchError
@@ -122,16 +127,27 @@ class Jitter:
         return Jitter("truncnorm", mu=mu, sigma=sigma)
 
     def draw(self, rng: Random) -> float:
+        return self.draws(rng, 1)[0]
+
+    def draws(self, rng: Random, n: int) -> list[float]:
+        """n successive draws; a truncated normal redraws negative values,
+        up to 64 times, then gives 0."""
         if self.kind == "none":
-            return 0.0
+            return [0.0] * n
         if self.kind == "uniform":
-            return rng.uniform(0.0, self.a)
+            return [rng.uniform(0.0, self.a) for _ in range(n)]
         if self.kind == "truncnorm":
-            for _ in range(64):
-                v = rng.gauss(self.mu, self.sigma)
-                if v >= 0.0:
-                    return v
-            return 0.0
+            gauss, mu, sigma = rng.gauss, self.mu, self.sigma
+            out = []
+            for _ in range(n):
+                for _ in range(64):
+                    v = gauss(mu, sigma)
+                    if v >= 0.0:
+                        break
+                else:
+                    v = 0.0
+                out.append(v)
+            return out
         raise ValueError(f"unknown jitter kind {self.kind!r}")
 
 
@@ -282,37 +298,104 @@ class SimChannel:
         raise NotImplementedError
 
 
-class _LinkState:
-    __slots__ = ("params", "send_count", "last_delivery", "queue")
+# draws kept for reuse by seed while a shared_draws() block is open
+_SHARED_DRAWS: ContextVar[dict | None] = ContextVar("shared_draws", default=None)
 
-    def __init__(self, params: LinkParams) -> None:
+
+@contextmanager
+def shared_draws() -> Iterator[None]:
+    """Within the block, impaired channels with the same seed share their
+    random draws: each stream is drawn once and kept as an array, without
+    its generator. A search opens one block, so trials at different loop
+    times reuse the draws of their common seeds."""
+    token = _SHARED_DRAWS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_DRAWS.reset(token)
+
+
+class _Draws:
+    """One seeded stdlib stream of per-packet draws (drop uniforms when
+    jitter is None, else jitter values), read in order. The generator is
+    seeded at first use and draws at least `reserve` values at a time; in a
+    shared_draws() block a stream starts from the values already drawn for
+    its (seed, jitter), which are the same values."""
+
+    __slots__ = ("key", "values", "pos", "rng")
+
+    def __init__(self, seed: int, jitter: Jitter | None) -> None:
+        self.key = (seed, jitter)
+        self.values = np.empty(0)
+        self.pos = 0
+        self.rng: Random | None = None
+
+    def take(self, n: int, reserve: int = 0) -> np.ndarray:
+        """The next n values."""
+        end = self.pos + n
+        if end > len(self.values):
+            self._draw(max(end, reserve, 2 * len(self.values), 16))
+        out = self.values[self.pos:end]
+        self.pos = end
+        return out
+
+    def next(self) -> float:
+        """The next value, without take's slice."""
+        if self.pos == len(self.values):
+            self._draw(max(2 * self.pos, 16))
+        self.pos += 1
+        return float(self.values[self.pos - 1])
+
+    def _draw(self, size: int) -> None:
+        shared = _SHARED_DRAWS.get()
+        if shared is not None:
+            cached = shared.get(self.key)
+            if cached is not None and len(cached) >= size:
+                self.values, self.rng = cached, None
+                return
+        seed, jitter = self.key
+        if self.rng is None:  # redraw from the start: the values so far repeat exactly
+            self.rng, self.values = Random(seed), np.empty(0)
+        k = size - len(self.values)
+        more = [self.rng.random() for _ in range(k)] if jitter is None else jitter.draws(self.rng, k)
+        self.values = np.concatenate((self.values, more))
+        if shared is not None:
+            shared[self.key] = self.values
+
+
+class _LinkState:
+    __slots__ = ("params", "send_count", "last_delivery", "queue", "drops", "jitter")
+
+    def __init__(self, params: LinkParams, seed: int) -> None:
         self.params = params
         self.send_count = 0
         self.last_delivery = -1.0
         # bandwidth 0 has no transmitter to queue behind
         self.queue = LinkQueue(params.bandwidth_bps) if params.bandwidth_bps > 0.0 else None
+        # a uniform never falls below drop_prob 0, and jitter 'none' draws nothing
+        self.drops = _Draws(seed, None) if params.drop_prob > 0.0 else None
+        self.jitter = _Draws(seed + 1, params.jitter) if params.jitter.kind != "none" else None
 
 
 class ImpairedChannel(SimChannel):
-    """Parametric lossy/jittery link pair driven by the virtual clock.
+    """Parametric lossy/jittery link pair driven by the virtual clock, or
+    carrying a whole batch of sends at once (carry).
 
     Deterministic per seed: each direction owns independent RNG streams for
     drops and jitter so that raising drop_prob with a fixed seed only adds
-    drops (the drop decisions nest).
+    drops (the drop decisions nest). The streams are seeded at first use.
     """
 
     def __init__(self, model: ChannelModel, seed: int) -> None:
         super().__init__()
         self.model = model
-        self._links = {
-            FORWARD: _LinkState(model.forward),
-            BACKWARD: _LinkState(model.backward),
-        }
         # integer seed derivation only: string/tuple seeding would go through
         # the per-process randomized hash and break reproducibility
         base = int(seed) * 4
-        self._drop_rng = {FORWARD: Random(base), BACKWARD: Random(base + 2)}
-        self._jitter_rng = {FORWARD: Random(base + 1), BACKWARD: Random(base + 3)}
+        self._links = {
+            FORWARD: _LinkState(model.forward, base),
+            BACKWARD: _LinkState(model.backward, base + 2),
+        }
 
     def transit_time(self, direction: str, size_b: int, t_now: float) -> float | None:
         """Decide drop/delivery for one packet; returns the delivery time or
@@ -323,20 +406,63 @@ class ImpairedChannel(SimChannel):
         link.send_count += 1
         self.stats[direction].sent += 1
         dropped = seq in p.drop_seq
-        # one uniform per packet regardless of drop_prob, so drop decisions
-        # nest across drop_prob settings under a shared seed
-        if self._drop_rng[direction].random() < p.drop_prob:
+        # one uniform per packet, listed in drop_seq or not, so drop
+        # decisions nest across drop_prob settings under a shared seed
+        if link.drops is not None and link.drops.next() < p.drop_prob:
             dropped = True
         if dropped:
             self.stats[direction].dropped += 1
             return None
-        delay = p.latency_ms + p.jitter.draw(self._jitter_rng[direction])
+        delay = p.latency_ms + (0.0 if link.jitter is None else link.jitter.next())
         t_sent = t_now if link.queue is None else link.queue.admit(t_now, size_b)
         t_deliver = t_sent + delay
         if p.fifo and t_deliver < link.last_delivery:
             t_deliver = link.last_delivery
         link.last_delivery = t_deliver
         return t_deliver
+
+    def carry(self, direction: str, send_times: np.ndarray, size_b: int,
+              reserve: int = 0) -> np.ndarray:
+        """transit_time over a time-sorted batch of sends, in one call with
+        the same arithmetic, draws and state changes: the delivery times,
+        NaN where a packet is dropped. reserve: draw at least that many
+        values of a random stream at its first use."""
+        if self._closed:
+            raise ChannelClosed("channel is closed")
+        link = self._links[direction]
+        p = link.params
+        n = len(send_times)
+        first = link.send_count
+        link.send_count += n
+        listed = [s - first for s in p.drop_seq if first <= s < first + n]
+        t, kept = send_times, None  # None: no packet dropped
+        if listed or link.drops is not None:
+            dropped = np.zeros(n, dtype=bool)
+            dropped[listed] = True
+            if link.drops is not None:
+                dropped |= link.drops.take(n, reserve) < p.drop_prob
+            kept = np.flatnonzero(~dropped)
+            t = send_times[kept]
+        if link.queue is not None:
+            departed: list = []
+            link.queue.run([(s, size_b, 0) for s in t.tolist()], [departed])
+            t = np.array([d for d, _, _ in departed], dtype=float)
+        delay = p.latency_ms
+        if link.jitter is not None:
+            delay = delay + link.jitter.take(len(t), reserve)
+        t = t + delay
+        if len(t):
+            if p.fifo:
+                t = np.maximum(np.maximum.accumulate(t), link.last_delivery)
+            link.last_delivery = float(t[-1])
+        stats = self.stats[direction]
+        stats.sent += n
+        stats.dropped += n - len(t)
+        if kept is None:
+            return t
+        out = np.full(n, np.nan)
+        out[kept] = t
+        return out
 
     def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         t = self.transit_time(direction, size_b, self._sched.now)

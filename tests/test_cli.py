@@ -194,6 +194,11 @@ class TestSearchCommands:
     def test_vmax_needs_input(self, tmp_path):
         assert run(["vmax", "--out", tmp_path / "o"]) == EXIT_CONFIG
 
+    def test_vmax_of_a_huge_qoc_is_clamped(self, tmp_path, capsys):
+        # 10 ** 400 overflows a float: the exponent is clamped first
+        assert run(["vmax", "--qoc", 400, "--out", tmp_path / "o"]) == EXIT_OK
+        assert "v_max_mps: 1.0" in capsys.readouterr().out
+
 
 class TestSickness:
     def test_synth_predict_roundtrip(self, tmp_path):
@@ -226,6 +231,10 @@ class TestSickness:
 
     def test_synth_without_sampling_rate_exits_2(self, tmp_path):
         assert run(["sickness", "synth", "--out", tmp_path / "o"]) == EXIT_CONFIG
+
+    def test_synth_without_steps_exits_2(self, tmp_path):
+        assert run(["sickness", "synth", "--fs", 30, "--steps", 0,
+                    "--out", tmp_path / "o"]) == EXIT_CONFIG
 
 
 class TestNetsim:

@@ -1,6 +1,7 @@
 """Loop-time searches, goodness statistics, QoC arithmetic, IAE and J."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -238,6 +239,32 @@ class TestPerfCurve:
         header, row = text.strip().splitlines()
         assert header == "g_spec,delta_opt_ms,t_r_ms,qoc,v_max"
         assert row.startswith("1.0,1.0,1.625,")
+
+
+class _CountingRunner:
+    """Counts the trials each (delta, seed) pair runs."""
+
+    limits = DEFAULT_LIMITS
+
+    def __init__(self, runner):
+        self.runner = runner
+        self.runs = Counter()
+
+    def run(self, delta_ms, seed):
+        self.runs[delta_ms, seed] += 1
+        return self.runner.run(delta_ms, seed)
+
+
+def test_perf_curve_runs_each_trial_once():
+    # the probe's 8 trials at an accepted point are also the estimate's first 8
+    runner = _CountingRunner(runner_for(drop_model(0.05)))
+    search = SearchConfig(delta_min_ms=1.0, delta_max_ms=2.0, delta_step_ms=0.5,
+                          seed=5, m_max=300, m_batch=60)
+    pc = perf_curve(runner, [0.5, 0.99], search)
+    assert pc.missing == [0.99]
+    assert max(runner.runs.values()) == 1
+    probed = {search.trial_seed(i) for i in range(8)}
+    assert all(probed <= {seed for d, seed in runner.runs if d == delta} for delta in search.grid())
 
 
 class TestLatencyMonotonicity:
