@@ -1,9 +1,11 @@
 """Deterministic virtual-clock event scheduler.
 
 A simulated experiment on the clock (control loop, channel deliveries)
-shares one scheduler so that every event executes in global time order;
-topology channels run their cross traffic off it, up to each tactile hop,
-and step runs on impaired channels skip it, matching it bit for bit. Time
+shares one scheduler so that every event executes in global time order. A
+topology under cross traffic runs the cross traffic off it, up to each
+tactile hop; step runs and cybersickness replays on a channel that carries
+a batch of sends (impaired, ideal, a topology without cross traffic) skip
+it, matching it bit for bit. Time
 is in milliseconds and advances only when events run, which makes runs
 reproducible bit-for-bit and much faster than wall time.
 """

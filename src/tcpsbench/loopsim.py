@@ -5,9 +5,11 @@ teleoperator side is a reactive plant that injects a step change halfway
 through the sweep (a pressure drop in the haptic setting, a coordinate jump
 in the non-haptic one) and logs every received command with its arrival
 time. Experiments run against a simulated channel, or against a real
-datagram endpoint pair in wall-clock time. On an impaired (or ideal)
-channel a simulated run is a timing skeleton plus a value recurrence;
-topology channels run on the virtual clock, which stays the reference.
+datagram endpoint pair in wall-clock time. On a channel that carries a
+batch of sends at once (impaired, ideal, or a topology without cross
+traffic) a simulated run is a timing skeleton plus a value recurrence; a
+topology under cross traffic runs on the virtual clock, which stays the
+reference.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .transport import (
     KIND_KINEMATIC,
     DatagramEndpoint,
     DirectionStats,
-    ImpairedChannel,
     Packet,
     SocketTimeout,
 )
@@ -251,12 +252,14 @@ class StepExperimentRecord:
 def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     """Execute one full sweep over a simulated channel and return the record.
 
-    Deterministic given (cfg, channel seed). An impaired channel's delivery
-    times depend on send times only, so its run is computed as a timing
-    skeleton plus a value recurrence (_run_skeleton); any other channel runs
-    on the virtual clock (run_step_on_clock). Both give the same record.
+    Deterministic given (cfg, channel seed). When a channel's delivery
+    times depend on send times only (it carries_batches: impaired and ideal
+    channels, topologies without cross traffic), the run is computed as a
+    timing skeleton plus a value recurrence (_run_skeleton); any other
+    channel runs on the virtual clock (run_step_on_clock). Both give the
+    same record.
     """
-    if isinstance(channel, ImpairedChannel):
+    if getattr(channel, "carries_batches", False):
         return _run_skeleton(cfg, channel)
     return run_step_on_clock(cfg, channel)
 
@@ -328,7 +331,15 @@ def _newest_first_seen(order: np.ndarray) -> np.ndarray:
     return order == np.maximum.accumulate(order)
 
 
-def _run_skeleton(cfg: LoopConfig, channel: ImpairedChannel) -> StepExperimentRecord:
+def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
+    """robot_lag's factor 1 - exp(-dt / tau) for each fresh command, dt
+    since the one before (the robot's clock starts at 0), in robot_lag's
+    operation order and from math.exp (np.exp can differ in the last bit)."""
+    dt = np.diff(t_fresh, prepend=0.0)
+    return [1.0 - math.exp(v) for v in (-dt / tau_ms).tolist()]
+
+
+def _run_skeleton(cfg: LoopConfig, channel) -> StepExperimentRecord:
     """run_step_on_clock's record, computed in two parts.
 
     (a) A value-free timing skeleton. Command k leaves at tick k (the
@@ -366,10 +377,7 @@ def _run_skeleton(cfg: LoopConfig, channel: ImpairedChannel) -> StepExperimentRe
     gain = cfg.k_1 if haptic else 1.0  # the non-haptic plant passes y through; 1.0 * y is y
     step = cfg.step_index if haptic else cfg.step_index - 1  # epochs count from 1
     k_p, p_ref, k_2 = cfg.k_p, cfg.p_ref, cfg.k_2
-    lags = None
-    if cfg.robot_tau_ms > 0.0:
-        dt = np.diff(t_fresh, prepend=0.0)  # the robot's clock starts at 0
-        lags = iter([1.0 - math.exp(v) for v in (-dt / cfg.robot_tau_ms).tolist()])
+    lags = iter(_lag_factors(t_fresh, cfg.robot_tau_ms)) if cfg.robot_tau_ms > 0.0 else None
     is_fresh = np.zeros(n, dtype=bool)
     is_fresh[fresh] = True
     ys = [0.0] * n

@@ -3,11 +3,13 @@
 A topology is a set of switches joined by propagation-delay/bandwidth links;
 hosts hang off switches over ideal access links. Every packet (tactile or
 cross-traffic) queues FIFO per directed link behind earlier departures, pays
-the serialization time for its size, then the propagation delay. Tactile
-packets hop as virtual-clock events; cross traffic stays off the clock and
-is run lazily through each link's FIFO recurrence. Exposed as a
-bidirectional channel between the two tactile endpoints so control-loop
-experiments can run across any placement under any traffic load.
+the serialization time for its size, then the propagation delay. Under cross
+traffic, tactile packets hop as virtual-clock events, and the cross traffic
+stays off the clock and is run lazily through each link's FIFO recurrence;
+without it, a whole batch of tactile sends crosses each hop at once, off the
+clock. Exposed as a bidirectional channel between the two tactile endpoints
+so control-loop experiments can run across any placement under any traffic
+load.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .clock import EventScheduler, PRIO_DELIVERY
 from .core import TcpsbenchError
-from .transport import BACKWARD, FORWARD, DirectionStats, LinkQueue, SimChannel
+from .transport import BACKWARD, FORWARD, ChannelClosed, DirectionStats, LinkQueue, SimChannel
 
 
 class Unreachable(TcpsbenchError):
@@ -163,14 +165,16 @@ def route(topology: Topology, a: str, b: str) -> list[tuple[str, str]]:
 class NetsimChannel(SimChannel):
     """Topology-backed bidirectional channel for the tactile endpoints.
 
-    Tactile packets cross the topology hop by hop as virtual-clock events.
-    Cross-traffic flows emit packets on deterministic CBR schedules (one
-    seeded phase offset per flow, stable under flow-set changes) off the
-    clock: before a tactile packet enters a link at time t, the channel runs
-    the cross traffic up to t, arrivals at exactly t first, through the same
-    `LinkQueue`s, so queueing interactions stay exact. Only flows that can
-    delay a tactile packet are simulated. Randomness across trials comes
-    solely from the phase offsets.
+    Tactile packets cross the topology hop by hop as virtual-clock events,
+    or, on a channel with no flow to simulate, as one batch of sends per
+    hop (carry): there each direction's route is a chain of FIFO link
+    queues that only its own packets use. Cross-traffic flows emit packets
+    on deterministic CBR schedules (one seeded phase offset per flow, stable
+    under flow-set changes) off the clock: before a tactile packet enters a
+    link at time t, the channel runs the cross traffic up to t, arrivals at
+    exactly t first, through the same `LinkQueue`s, so queueing
+    interactions stay exact. Only flows that can delay a tactile packet are
+    simulated. Randomness across trials comes solely from the phase offsets.
     """
 
     def __init__(self, topology: Topology, flows: tuple[TrafficFlow, ...],
@@ -234,6 +238,7 @@ class NetsimChannel(SimChannel):
             self._links.setdefault(hop, (self._queues[hop], []))[1].append(stream)
         self._drain_at = math.inf
         self._emit_at = self._idle_until = min([em[0] for em in self._emitters] + [math.inf])
+        self.carries_batches = not self._emitters
 
     def _emit(self, t: float) -> None:
         """Append every emission up to t + _span, and none after the drain,
@@ -299,6 +304,35 @@ class NetsimChannel(SimChannel):
         stats = self.stats[direction]
         stats.sent += 1
         self._forward_packet(self._routes[direction], 0, size_b, deliver, stats)
+
+    def carry(self, direction: str, send_times: np.ndarray, size_b: int,
+              reserve: int = 0) -> np.ndarray:
+        """The delivery times of a time-sorted batch of sends, NaN where a
+        packet is tail-dropped, as the clock gives them; one batch per hop.
+        Only for a channel without flows: then no other packet shares a
+        link, since a min-hop route visits nodes at growing distance from
+        its source and the reverse route at shrinking distance, so the two
+        directions never cross the same directed link. reserve is unused:
+        the channel draws nothing."""
+        if self._closed:
+            raise ChannelClosed("channel is closed")
+        if not self.carries_batches:
+            raise TopologyError("cross traffic runs on the clock only")
+        n = len(send_times)
+        kept, t = np.arange(n), np.array(send_times, dtype=float)
+        for hop in self._routes[direction]:
+            t = self._queues[hop].carry(t, size_b)
+            landed = t == t  # NaN is unequal to itself
+            if not landed.all():
+                kept, t = kept[landed], t[landed]
+        stats = self.stats[direction]
+        stats.sent += n
+        stats.dropped += n - len(t)
+        if len(t) == n:
+            return t
+        out = np.full(n, np.nan)
+        out[kept] = t
+        return out
 
     def begin_drain(self) -> None:
         """Stop the flows: later emissions never happen; emitted packets keep queueing."""

@@ -4,7 +4,11 @@ Exposure E is the percentage of operation time the error between the
 operator's hand and the fed-back robot position stays within 1 mm. Given a
 hand-speed ceiling, E can be predicted straight from the trajectory's
 velocity histogram; replaying the same trajectory through a channel (with
-an optional robot actuation lag) measures it.
+an optional robot actuation lag) measures it. Like a step run, the replay
+is a timing skeleton plus a value recurrence: the channel decides the
+arrival times of all commands and answers off the clock (under cross
+traffic, a value-free replay on the clock gives them), and the robot lag
+and the errors follow from those times.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import numpy as np
 
 from .clock import EventScheduler, PRIO_CONTROL
 from .core import TcpsbenchError
-from .loopsim import Robot
+from .loopsim import _delivery_order, _lag_factors, _newest_first_seen
 from .qoc import QoCResult
-from .transport import BACKWARD, FORWARD, KIND_HAPTIC, KIND_KINEMATIC, Packet
+from .transport import BACKWARD, FORWARD
 
 ERROR_LIMIT_MM = 1.0
 HIST_BIN_MM = 0.1
@@ -106,16 +110,65 @@ class SicknessReport:
 
 def _histogram(errors: np.ndarray) -> list[tuple[float, float]]:
     """0.1 mm bins covering the observed error range; masses in percent
-    summing to 100."""
+    summing to 100. The edges are rounded float multiples of the bin width,
+    so an extreme error can fall just outside them: it counts in the
+    outermost bin."""
     if len(errors) == 0:
         return []
     lo = math.floor(float(np.min(errors)) / HIST_BIN_MM) * HIST_BIN_MM
     hi = math.ceil(float(np.max(errors)) / HIST_BIN_MM) * HIST_BIN_MM
     n_bins = max(1, round((hi - lo) / HIST_BIN_MM))
     edges = lo + np.arange(n_bins + 1) * HIST_BIN_MM
-    counts, _ = np.histogram(errors, bins=edges)
+    counts, _ = np.histogram(np.clip(errors, edges[0], edges[-1]), bins=edges)
     pct = counts / len(errors) * 100.0
     return [(float(edges[i]), float(pct[i])) for i in range(n_bins)]
+
+
+def _fresh(arrivals: np.ndarray) -> np.ndarray:
+    """Send indices of the packets taken in delivery order, each newer than
+    every one delivered before it; ascending."""
+    order = _delivery_order(arrivals)
+    return order[_newest_first_seen(order)]
+
+
+def _replay_on_clock(channel, sends: np.ndarray, size_b: int) -> tuple[np.ndarray, np.ndarray]:
+    """measure_E's arrival times from a value-free replay on the virtual
+    clock, for a channel that cannot carry a batch (under cross traffic the
+    two directions share the flows): the commands' (NaN: lost), and those
+    of the answers to the fresh commands."""
+    sched = EventScheduler()
+    channel.bind(sched)
+    n = len(sends)
+    times = sends.tolist()
+    fwd = np.full(n, np.nan)
+    bwd: list[float] = []
+    newest = -1
+    sent = 0
+
+    def on_feedback(m: int) -> None:
+        bwd[m] = sched.now
+
+    def on_command(k: int) -> None:
+        nonlocal newest
+        fwd[k] = sched.now
+        if k > newest:
+            newest = k
+            bwd.append(math.nan)
+            channel.send(BACKWARD, len(bwd) - 1, size_b, on_feedback)
+
+    def send_next() -> None:
+        nonlocal sent
+        channel.send(FORWARD, sent, size_b, on_command)
+        sent += 1
+        if sent < n:
+            sched.schedule(times[sent], send_next, PRIO_CONTROL)
+
+    sched.schedule(0.0, send_next, PRIO_CONTROL)
+    sched.run(stop=lambda: sent >= n)
+    # stop the cross-traffic sources, then let in-flight packets land
+    channel.begin_drain()
+    sched.run()
+    return fwd, np.array(bwd)
 
 
 def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
@@ -124,52 +177,46 @@ def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
     """Replay the trajectory as position commands through a channel and
     measure E from the errors observed at every feedback arrival.
 
-    The robot echoes its (optionally lagged) position for each fresh
-    command; on arrival the error is the fed-back position minus the hand's
-    interpolated position at that instant.
+    Command k leaves after k sampling periods (summed as the clock adds
+    them) and carries hand sample k. The robot takes the fresh commands in
+    delivery order, moves through its optional first-order lag (robot_lag's
+    arithmetic, its factor from math.exp) and echoes its position at once;
+    a feedback counts when it is newer than every one delivered before it,
+    and its error is the fed-back position minus the hand's interpolated
+    position at its arrival. The arrival times come from the channel's
+    batch carry, or from a replay on the clock for a channel that cannot
+    carry a batch; the values follow from them.
     """
     fs = traj.fs_hz if fs_hz is None else fs_hz
-    period_ms = 1000.0 / fs
-    sched = EventScheduler()
-    channel.bind(sched)
+    pos = traj.positions
+    n = len(pos)
+    sends = np.full(n, 1000.0 / fs)
+    sends[0] = 0.0
+    np.add.accumulate(sends, out=sends)
+    if getattr(channel, "carries_batches", False):
+        fwd = channel.carry(FORWARD, sends, packet_size_b, reserve=n)
+        fresh = _fresh(fwd)
+        bwd = channel.carry(BACKWARD, fwd[fresh], packet_size_b, reserve=n)
+    else:
+        fwd, bwd = _replay_on_clock(channel, sends, packet_size_b)
+        fresh = _fresh(fwd)
 
-    robot = Robot(robot_tau_ms, float(traj.positions[0]))
-    errors: list[float] = []
-    fb_newest = -1
+    robot_y = pos[fresh]
+    if robot_tau_ms > 0.0:
+        y = float(pos[0])
+        lagged = np.empty(len(fresh))
+        for k, (cmd, lag) in enumerate(zip(robot_y.tolist(),
+                                           _lag_factors(fwd[fresh], robot_tau_ms))):
+            y = y + (cmd - y) * lag
+            lagged[k] = y
+        robot_y = lagged
+    # feedback m answers command fresh[m], so its send index orders sequence too
+    newest = _fresh(bwd)
+    hand = np.interp(bwd[newest] / 1000.0 * traj.fs_hz, np.arange(n), pos)
+    err = robot_y[newest] - hand
 
-    def on_feedback(pkt: Packet) -> None:
-        nonlocal fb_newest
-        if pkt.seq <= fb_newest:
-            return
-        fb_newest = pkt.seq
-        hand_now = traj.position_at(sched.now)
-        errors.append(pkt.value - hand_now)
-
-    def on_command(pkt: Packet) -> None:
-        if robot.move(pkt, sched.now):
-            channel.send(BACKWARD, Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch,
-                                          x=0.0, value=robot.y), packet_size_b, on_feedback)
-
-    n = len(traj.positions)
-    sent = [0]
-
-    def send_next() -> None:
-        k = sent[0]
-        pkt = Packet(kind=KIND_KINEMATIC, seq=k, epoch=k, x=0.0, value=float(traj.positions[k]))
-        channel.send(FORWARD, pkt, packet_size_b, on_command)
-        sent[0] += 1
-        if sent[0] < n:
-            sched.schedule(sched.now + period_ms, send_next, PRIO_CONTROL)
-
-    sched.schedule(0.0, send_next, PRIO_CONTROL)
-    sched.run(stop=lambda: sent[0] >= n)
-    # stop any cross-traffic sources, then let in-flight packets land
-    channel.begin_drain()
-    sched.run()
-
-    if not errors:
+    if not len(err):
         raise TooShort("no feedback arrived; cannot measure exposure")
-    err = np.array(errors)
     measured = (100.0 * int(np.count_nonzero(np.abs(err) <= ERROR_LIMIT_MM))) / len(err)
     predicted = predict_E(traj, v_max_mps) if v_max_mps > 0.0 else None
     return SicknessReport(

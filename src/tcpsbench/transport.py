@@ -3,8 +3,9 @@
 Simulated channels deliver payload objects through the virtual clock with
 configurable latency, jitter, drop probability and serialization rate; they
 carry full-precision floats and use the configured packet size only for
-serialization delay. An impaired channel also decides a whole batch of
-sends at once (carry), for step runs that need no clock. Serialization queues FIFO: a packet waits in its
+serialization delay. An impaired channel, like a topology channel without
+cross traffic, also decides a whole batch of sends at once (carry), for
+runs that need no clock. Serialization queues FIFO: a packet waits in its
 link's `LinkQueue` until the transmitter has sent the packets before it,
 on impaired links and topology links alike. The byte codec (fixed
 little-endian header, random padding to a configured size, trailing CRC-32)
@@ -20,6 +21,7 @@ import zlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import repeat
 from random import Random
 from typing import Callable, Iterator
 
@@ -212,7 +214,8 @@ class DirectionStats:
 class LinkQueue:
     """FIFO output queue of one directed link: tracks when the transmitter
     frees up, plus in-flight departure times when a capacity cap applies.
-    admit() takes one packet at a time; run() takes a batch."""
+    admit() takes one packet at a time; run() takes a batch of tagged
+    packets, carry() a batch of arrival times."""
 
     __slots__ = ("bandwidth_bps", "delay_ms", "cap", "free_at", "departures")
 
@@ -259,12 +262,41 @@ class LinkQueue:
                 nxt.append((free + delay_ms, size_b, tag + 1))
         self.free_at, self.departures = free, deps
 
+    def carry(self, arrivals: np.ndarray, size_b: int) -> np.ndarray:
+        """admit() over a time-sorted batch of same-size packets: the
+        far-end arrival times, NaN where a packet is tail-dropped. When no
+        packet waits for the transmitter, Lindley's recurrence is d = a + s
+        and nothing is in flight at an arrival, so the batch takes one
+        vector sum; otherwise it goes through run()."""
+        n = len(arrivals)
+        ser = size_b * 8.0 / self.bandwidth_bps * 1000.0
+        done = arrivals + ser
+        if n and (self.cap is None or self.cap > 0) and arrivals[0] >= self.free_at \
+                and bool(np.all(arrivals[1:] >= done[:-1])):
+            self.free_at = float(done[-1])
+            if self.cap is not None:
+                self.departures = [self.free_at]
+            return done + self.delay_ms
+        out = np.full(n, np.nan)
+        landed: list = []
+        # tag k + 1 comes back on packet k
+        self.run(list(zip(arrivals.tolist(), repeat(size_b), range(n))), [landed] * n)
+        for t, _, k in landed:
+            out[k - 1] = t
+        return out
+
 
 class SimChannel:
     """Shell of a bidirectional channel driven by the virtual clock:
     per-direction stats, scheduler binding, close, and the checks and
     delivery counting around each send. A subclass implements `_carry`,
-    which moves one packet and schedules `deliver` at its arrival."""
+    which moves one packet and schedules `deliver` at its arrival. A
+    subclass whose delivery times depend on send times only also sets
+    carries_batches and implements carry(direction, send_times, size_b,
+    reserve), which decides a time-sorted batch of sends without the clock
+    and returns the delivery times, NaN for a lost packet."""
+
+    carries_batches = False
 
     def __init__(self) -> None:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
@@ -386,6 +418,8 @@ class ImpairedChannel(SimChannel):
     drops (the drop decisions nest). The streams are seeded at first use.
     """
 
+    carries_batches = True
+
     def __init__(self, model: ChannelModel, seed: int) -> None:
         super().__init__()
         self.model = model
@@ -444,9 +478,7 @@ class ImpairedChannel(SimChannel):
             kept = np.flatnonzero(~dropped)
             t = send_times[kept]
         if link.queue is not None:
-            departed: list = []
-            link.queue.run([(s, size_b, 0) for s in t.tolist()], [departed])
-            t = np.array([d for d, _, _ in departed], dtype=float)
+            t = link.queue.carry(t, size_b)
         delay = p.latency_ms
         if link.jitter is not None:
             delay = delay + link.jitter.take(len(t), reserve)

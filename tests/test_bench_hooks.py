@@ -7,12 +7,15 @@ of in the minute-long quick mode of perfbench/test_smoke.py. It also checks
 that the channel hooks still see the traffic they count.
 """
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
-from tcpsbench import transport
+from tcpsbench import cli, transport
 from tcpsbench.clock import EventScheduler
 from tcpsbench.netsim import Link, Topology, TrafficFlow, channel_from_topology
+from tcpsbench.sickness import compliant_trajectory, write_trajectory_csv
 from tcpsbench.transport import FORWARD, ChannelModel, LinkParams
 
 _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -75,3 +78,27 @@ def test_cross_traffic_is_neither_a_send_nor_an_event():
     assert counts["netsim.sends"] == 1
     assert counts["netsim.tail_drops"] == 0
     assert counts["clock.events"] == 3  # the scheduled send and two hops
+
+
+def test_sickness_replay_is_counted_without_the_clock(tmp_path):
+    """A traced `sickness measure` on the tactile-only vrep-like topology
+    counts its feedback samples through the cli.measure_E hook and runs no
+    clock event."""
+    traj = tmp_path / "traj.csv"
+    write_trajectory_csv(compliant_trajectory(30.0, 300, 0.02, 0.8, seed=1), str(traj))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.run_command(["sickness", "measure", "--config", "vrep-like",
+                                  "--traj", str(traj), "--vmax", "0.02",
+                                  "--out", str(tmp_path / "out")])
+        counts = tracing.op_counters(tracer.snapshot())
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    fields = dict(line.split(": ", 1) for line in
+                  (tmp_path / "out" / "sickness.txt").read_text().splitlines())
+    assert counts["sickness.feedback_samples"] == int(fields["n_samples"]) > 0
+    assert counts["clock.events"] == 0

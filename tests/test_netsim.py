@@ -1,7 +1,11 @@
 """Topology routing and store-and-forward queueing."""
 
+from random import Random
+
+import numpy as np
 import pytest
 
+from random_topologies import random_topology
 from tcpsbench.clock import EventScheduler
 from tcpsbench.experiments import load_experiment
 from tcpsbench.netsim import (
@@ -55,6 +59,20 @@ class TestRoute:
     def test_route_is_pure(self):
         topo = diamond_topology()
         assert route(topo, "S0", "S3") == route(topo, "S0", "S3")
+
+    def test_route_and_its_reverse_share_no_directed_link(self):
+        """A min-hop route visits nodes at growing distance from its source
+        and the reverse route at shrinking distance, so no directed link is
+        on both; the batch carry of a topology without cross traffic relies
+        on it. Equal endpoints give two empty routes."""
+        rng = Random(5)
+        for case in range(150):
+            topo = random_topology(rng)
+            for a in topo.switches:
+                for b in topo.switches:
+                    there, back = route(topo, a, b), route(topo, b, a)
+                    assert not set(there) & set(back), (case, a, b)
+                    assert (a == b) == (there == back == [])
 
     def test_disconnected_topology_rejected(self):
         with pytest.raises(TopologyError):
@@ -177,6 +195,14 @@ class TestChannelComposition:
         topo = exp.channel.topology
         assert route(topo, "S0", "S8") == [("S0", "S5"), ("S5", "S8")]
         assert topo.hosts["m0"] == "S0" and topo.hosts["n0"] == "S8"
+
+    def test_cross_traffic_keeps_the_channel_on_the_clock(self):
+        topo = line_topology(3)
+        assert channel_from_topology(topo, (), seed=1).carries_batches
+        loaded = channel_from_topology(topo, (TrafficFlow("h0", "h2", 1e6, 64),), seed=1)
+        assert not loaded.carries_batches
+        with pytest.raises(TopologyError):
+            loaded.carry(FORWARD, np.array([0.0, 1.0]), 32)
 
     def test_pair_flows_template(self):
         flows = pair_flows(3, 250000.0, 64)

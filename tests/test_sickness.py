@@ -8,6 +8,7 @@ from tcpsbench.sickness import (
     HandTrajectory,
     SpeedDist,
     TooShort,
+    _histogram,
     compliant_trajectory,
     error_trace_vs_speed,
     histogram_csv,
@@ -129,6 +130,13 @@ class TestMeasure:
         assert total == pytest.approx(100.0, abs=1e-9)
         csv_text = histogram_csv(report)
         assert csv_text.splitlines()[0] == "bin_left_mm,share_pct"
+
+    def test_histogram_keeps_errors_beyond_the_float_edges(self):
+        # the last edge, lo + k * 0.1 in floats, falls just below 0.1 and 2.1
+        for errors in ([-5.9, 0.1], [-6.0, 2.1]):
+            hist = _histogram(np.array(errors))
+            assert sum(pct for _, pct in hist) == 100.0
+            assert hist[0][1] == hist[-1][1] == 50.0
 
     def test_robot_lag_reduces_exposure_for_fast_motion(self):
         traj = synth_trajectory(30.0, 5.0, SpeedDist.constant(0.08), seed=5)

@@ -1,11 +1,12 @@
 """Differential test of the skeleton runner against the virtual clock.
 
-On an impaired (or ideal) channel, `run_step_experiment` computes a step run
-as a timing skeleton plus a value recurrence, without the clock.
-`run_step_on_clock` is the event-driven runner that topology channels still
-use. On random channels, both settings and robot lag, both runners must give
-the same curve columns, operator trace and per-direction stats, bit for bit
-(compared through repr, so -0.0 differs from 0.0).
+On an impaired (or ideal) channel and on a topology without cross traffic,
+`run_step_experiment` computes a step run as a timing skeleton plus a value
+recurrence, without the clock. `run_step_on_clock` is the event-driven
+runner that topologies under cross traffic still use. On random channels,
+both settings and robot lag, both runners must give the same curve columns,
+operator trace and per-direction stats, bit for bit (compared through repr,
+so -0.0 differs from 0.0).
 """
 
 from collections import Counter
@@ -14,8 +15,10 @@ from random import Random
 import numpy as np
 import pytest
 
+from random_topologies import count_waiting_batches, random_topology
 from tcpsbench import transport
 from tcpsbench.loopsim import LoopConfig, run_step_experiment, run_step_on_clock
+from tcpsbench.netsim import channel_from_topology
 from tcpsbench.transport import (
     BACKWARD,
     FORWARD,
@@ -28,6 +31,7 @@ from tcpsbench.transport import (
 )
 
 CASES = 240
+TOPOLOGY_CASES = 240
 
 
 def _link(rng, delta_ms, size_b):
@@ -106,6 +110,49 @@ def test_cases_cover_the_channel_features():
     for feature in ("random drops", "drop_seq", "stale command", "stale feedback", "fifo off",
                     "queue longer than delta", "arrival at a check", "robot lag", "non-haptic",
                     "none", "uniform", "truncnorm"):
+        assert seen[feature] >= 10, (feature, seen)
+
+
+def _topology_case(i):
+    """A random step run across a topology without cross traffic, with
+    serialization from a twentieth of the loop time up to three loop times
+    per slow link."""
+    rng = Random(8000 + i)
+    cfg = LoopConfig(setting=rng.choice(("haptic", "non-haptic")),
+                     delta_ms=rng.choice((0.5, 1.0, rng.uniform(0.1, 4.0))),
+                     sweep_len=rng.randint(8, 60), packet_size_b=rng.choice((32, 64, 256)),
+                     robot_tau_ms=rng.choice((0.0, rng.uniform(0.1, 3.0))),
+                     seed=rng.randrange(1000))
+    topo = random_topology(rng, cfg.packet_size_b, (0.05 * cfg.delta_ms, 3.0 * cfg.delta_ms))
+    cap = rng.choice((None, None, rng.randint(1, 6)))
+    return cfg, lambda: channel_from_topology(topo, (), cfg.seed, cap)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_tactile_only_topologies_match_the_clock(block):
+    for i in range(block * TOPOLOGY_CASES // 4, (block + 1) * TOPOLOGY_CASES // 4):
+        cfg, factory = _topology_case(i)
+        chan = factory()
+        assert chan.carries_batches
+        got = run_step_experiment(cfg, chan)
+        assert _record(got) == _record(run_step_on_clock(cfg, factory())), f"case {i}"
+
+
+def test_topology_cases_queue_and_tail_drop(monkeypatch):
+    """In the topology cases, packets wait for a transmitter (the batch
+    falls back to Lindley's recurrence), queues tail-drop, and some routes
+    have no hop at all."""
+    slow_batches = count_waiting_batches(monkeypatch)
+    seen = Counter()
+    for i in range(TOPOLOGY_CASES):
+        cfg, factory = _topology_case(i)
+        chan = factory()
+        before = slow_batches[0]
+        rec = run_step_experiment(cfg, chan)
+        seen["queued"] += slow_batches[0] > before
+        seen["tail drop"] += any(s.dropped for s in rec.channel_stats.values())
+        seen["zero hop"] += not chan._routes[FORWARD]
+    for feature in ("queued", "tail drop", "zero hop"):
         assert seen[feature] >= 10, (feature, seen)
 
 

@@ -2,6 +2,7 @@
 
 from random import Random
 
+import numpy as np
 import pytest
 
 from tcpsbench.clock import EventScheduler
@@ -16,6 +17,7 @@ from tcpsbench.transport import (
     KIND_HAPTIC,
     KIND_KINEMATIC,
     LinkParams,
+    LinkQueue,
     MIN_PACKET_BYTES,
     Packet,
     PacketTooSmall,
@@ -231,6 +233,38 @@ class TestImpairedChannel:
             LinkParams(bandwidth_bps=-8000.0)
 
 
+class TestLinkQueue:
+    def test_batch_matches_admit(self):
+        """carry() gives admit()'s arrivals (NaN for a tail drop) and leaves
+        the same state, whether or not a packet waits; a queue holding
+        packets from earlier admits included."""
+        rng = Random(3)
+        paths = set()
+        for case in range(400):
+            args = (rng.choice((1e5, 1e6, 1e7)), rng.choice((0.0, 0.5)),
+                    rng.choice((None, 0, 1, 2, 4)))
+            one, batch = LinkQueue(*args), LinkQueue(*args)
+            size_b = rng.choice((32, 256))
+            t = 0.0
+            for _ in range(rng.randint(0, 2)):
+                t += rng.uniform(0.0, 1.0)
+                assert one.admit(t, size_b) == batch.admit(t, size_b)
+            gap = rng.choice((0.01, 0.5, 5.0))
+            sends = t + np.add.accumulate([rng.uniform(0.0, 2 * gap) for _ in range(30)])
+            done = sends + size_b * 8.0 / args[0] * 1000.0
+            paths.add(sends[0] < one.free_at or bool(np.any(sends[1:] < done[:-1])))
+            want = [one.admit(s, size_b) for s in sends.tolist()]
+            got = batch.carry(sends, size_b).tolist()
+            assert repr(got) == repr([np.nan if w is None else w for w in want]), case
+            assert (batch.free_at, batch.departures) == (one.free_at, one.departures), case
+        assert paths == {False, True}
+
+    def test_empty_batch(self):
+        q = LinkQueue(1e6, 0.5, 2)
+        assert len(q.carry(np.empty(0), 32)) == 0
+        assert (q.free_at, q.departures) == (0.0, [])
+
+
 def _unqueued_transit_times(params: LinkParams, sends, seed: int):
     """The impaired channel's delivery times before serialization queued:
     now + latency + jitter + size*8/bw per packet, then the FIFO clamp,
@@ -270,6 +304,12 @@ class TestSimChannel:
         chan.close()
         with pytest.raises(ChannelClosed):
             chan.send(FORWARD, "x", 32, lambda p: None)
+
+    def test_closed_channel_rejects_a_batch(self, build):
+        chan = build(1)
+        chan.close()
+        with pytest.raises(ChannelClosed):
+            chan.carry(FORWARD, np.array([0.0, 1.0]), 32)
 
     def test_unbound_channel_rejects_send(self, build):
         chan = build(1)
