@@ -1,13 +1,13 @@
 """Deterministic virtual-clock event scheduler.
 
-A simulated experiment on the clock (control loop, channel deliveries)
-shares one scheduler so that every event executes in global time order. A
-topology under cross traffic runs the cross traffic off it, up to each
-tactile hop; step runs and cybersickness replays on a channel that carries
-a batch of sends (impaired, ideal, a topology without cross traffic) skip
-it, matching it bit for bit. Time
-is in milliseconds and advances only when events run, which makes runs
-reproducible bit-for-bit and much faster than wall time.
+The value-free replay that gives a step run or a cybersickness replay its
+arrival times on a topology under cross traffic shares one scheduler with
+the channel, so that every send and tactile hop executes in global time
+order; the cross traffic runs off it, up to each tactile hop. Channels that
+carry a batch of sends (impaired, ideal, a topology without cross traffic)
+skip it, matching it bit for bit. Time is in milliseconds and advances only
+when events run, which makes runs reproducible bit-for-bit and much faster
+than wall time.
 """
 
 from __future__ import annotations

@@ -182,6 +182,8 @@ def build_channel_spec(d: Any) -> ChannelSpec:
         flows = tuple(_build(TrafficFlow, e, "flow entry")
                       for e in _check("flows", d.get("flows", []), list))
         queue_cap = _check("queue_cap", d.get("queue_cap"), int | None)
+        if queue_cap is not None and queue_cap < 1:
+            raise ConfigError(f"field 'queue_cap' must be at least 1, got {queue_cap}")
         factory = lambda seed: channel_from_topology(topo, flows, seed, queue_cap)
         return ChannelSpec(kind=kind, factory=factory, description=dict(d),
                            topology=topo, queue_cap=queue_cap)

@@ -5,18 +5,18 @@ teleoperator side is a reactive plant that injects a step change halfway
 through the sweep (a pressure drop in the haptic setting, a coordinate jump
 in the non-haptic one) and logs every received command with its arrival
 time. Experiments run against a simulated channel, or against a real
-datagram endpoint pair in wall-clock time. On a channel that carries a
-batch of sends at once (impaired, ideal, or a topology without cross
-traffic) a simulated run is a timing skeleton plus a value recurrence; a
-topology under cross traffic runs on the virtual clock, which stays the
-reference.
+datagram endpoint pair in wall-clock time. A simulated run is a timing
+skeleton plus a value recurrence: the arrival times never depend on the
+values, so the channel decides them first (one batch per direction, or a
+value-free replay on the virtual clock for a topology under cross traffic),
+and the controller and plant values follow in command order.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,6 +70,8 @@ class LoopConfig:
                              f"got {self.setting!r}")
         if self.delta_ms <= 0.0:
             raise ValueError("delta_ms must be positive")
+        if self.packet_size_b < 1:
+            raise ValueError(f"packet_size_b must be at least 1, got {self.packet_size_b}")
         if self.k_2 <= 1.0:
             raise ValueError("k_2 must exceed 1")
         gain = self.k_p * self.k_1
@@ -249,75 +251,6 @@ class StepExperimentRecord:
     channel_stats: dict[str, DirectionStats] = field(default_factory=dict)
 
 
-def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
-    """Execute one full sweep over a simulated channel and return the record.
-
-    Deterministic given (cfg, channel seed). When a channel's delivery
-    times depend on send times only (it carries_batches: impaired and ideal
-    channels, topologies without cross traffic), the run is computed as a
-    timing skeleton plus a value recurrence (_run_skeleton); any other
-    channel runs on the virtual clock (run_step_on_clock). Both give the
-    same record.
-    """
-    if getattr(channel, "carries_batches", False):
-        return _run_skeleton(cfg, channel)
-    return run_step_on_clock(cfg, channel)
-
-
-def run_step_on_clock(cfg: LoopConfig, channel) -> StepExperimentRecord:
-    """One sweep as events on the virtual clock: the clock orders all
-    deliveries ahead of controller checks at equal instants, the operator
-    polls non-blocking with last-value hold, and stale packets (older
-    sequence than the newest seen) are discarded on both sides.
-    """
-    sched = EventScheduler()
-    channel.bind(sched)
-    operator = Operator(cfg)
-    plant = Plant(cfg)
-    trace: list[tuple[float, float, float]] = []
-    inbox: list[Packet | None] = [None]  # freshest feedback since the last check
-    op_stale = 0
-    done = False
-
-    def deliver_feedback(pkt: Packet) -> None:
-        nonlocal op_stale
-        held = inbox[0]
-        if pkt.seq <= (held.seq if held is not None else operator.fb_seq_seen):
-            op_stale += 1
-            return
-        inbox[0] = pkt
-
-    def deliver_command(pkt: Packet) -> None:
-        fb = plant.on_command(pkt, sched.now)
-        if fb is not None:
-            channel.send(BACKWARD, fb, cfg.packet_size_b, deliver_feedback)
-
-    def send(pkt: Packet) -> None:
-        trace.append((sched.now, operator.x, operator.y))
-        channel.send(FORWARD, pkt, cfg.packet_size_b, deliver_command)
-
-    def check() -> None:
-        nonlocal done
-        pkt = operator.tick(inbox[0])
-        inbox[0] = None
-        if pkt is None:
-            done = True
-            return
-        send(pkt)
-        sched.schedule(sched.now + cfg.delta_ms, check, PRIO_CONTROL)
-
-    send(operator.command())
-    sched.schedule(cfg.delta_ms, check, PRIO_CONTROL)
-    sched.run(stop=lambda: done)
-    # let in-flight packets land so the plant log covers the whole sweep
-    channel.begin_drain()
-    sched.run()
-
-    stats = {FORWARD: replace(channel.stats[FORWARD], stale=plant.stale),
-             BACKWARD: replace(channel.stats[BACKWARD], stale=op_stale)}
-    return StepExperimentRecord(curve=plant.curve(), operator_trace=trace, channel_stats=stats)
-
-
 def _delivery_order(arrivals: np.ndarray) -> np.ndarray:
     """Indices of the delivered packets (arrival not NaN) in the clock's
     delivery order: by arrival time, ties in send order."""
@@ -331,6 +264,13 @@ def _newest_first_seen(order: np.ndarray) -> np.ndarray:
     return order == np.maximum.accumulate(order)
 
 
+def _fresh(arrivals: np.ndarray) -> np.ndarray:
+    """Send indices of the packets taken in delivery order, each newer than
+    every one delivered before it; ascending."""
+    order = _delivery_order(arrivals)
+    return order[_newest_first_seen(order)]
+
+
 def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
     """robot_lag's factor 1 - exp(-dt / tau) for each fresh command, dt
     since the one before (the robot's clock starts at 0), in robot_lag's
@@ -339,16 +279,76 @@ def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
     return [1.0 - math.exp(v) for v in (-dt / tau_ms).tolist()]
 
 
-def _run_skeleton(cfg: LoopConfig, channel) -> StepExperimentRecord:
-    """run_step_on_clock's record, computed in two parts.
+def _round_trip(channel, sends: np.ndarray, size_b: int,
+                drain_at: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arrival times of a value-free round trip: command k leaves at
+    sends[k] (sorted), and the teleoperator answers each fresh command when
+    it lands. Returns the commands' arrivals (NaN: lost), the ascending send
+    indices of the fresh commands, and the arrivals of their answers (answer
+    m is to command fresh[m]).
 
-    (a) A value-free timing skeleton. Command k leaves at tick k (the
-    first at 0; tick j runs at T_j, the j-fold sum of delta_ms, as the
-    clock adds it) and the channel carries the whole batch. The plant takes
-    the fresh commands in delivery order and answers each at its arrival;
-    feedback on command i is visible at tick j when i < j and it arrived at
-    or before T_j (a delivery at the instant of a check runs first, but the
-    answer to the command sent by that check comes after it).
+    A channel that carries_batches decides each direction as one batch.
+    Any other (a topology under cross traffic) replays the sends on the
+    virtual clock: command 0 at once, the others as control events, then at
+    drain_at the channel stops its periodic sources and the in-flight
+    packets land.
+    """
+    n = len(sends)
+    if channel.carries_batches:
+        fwd = channel.carry(FORWARD, sends, size_b, reserve=n)
+        fresh = _fresh(fwd)
+        return fwd, fresh, channel.carry(BACKWARD, fwd[fresh], size_b, reserve=n)
+
+    sched = EventScheduler()
+    channel.bind(sched)
+    times = sends.tolist()
+    fwd = np.full(n, np.nan)
+    bwd: list[float] = []
+    newest = -1
+    sent = 0
+
+    def on_feedback(m: int) -> None:
+        bwd[m] = sched.now
+
+    def on_command(k: int) -> None:
+        nonlocal newest
+        fwd[k] = sched.now
+        if k > newest:
+            newest = k
+            bwd.append(math.nan)
+            channel.send(BACKWARD, len(bwd) - 1, size_b, on_feedback)
+
+    def send_next() -> None:
+        nonlocal sent
+        channel.send(FORWARD, sent, size_b, on_command)
+        sent += 1
+        if sent < n:
+            sched.schedule(times[sent], send_next, PRIO_CONTROL)
+        else:
+            sched.schedule(drain_at, channel.begin_drain, PRIO_CONTROL)
+
+    send_next()
+    sched.run()
+    return fwd, _fresh(fwd), np.array(bwd)
+
+
+def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
+    """Execute one full sweep over a simulated channel and return the record.
+
+    Deterministic given (cfg, channel seed). The record is that of the loop
+    on the virtual clock, where deliveries run ahead of a controller check
+    at the same instant, the operator polls non-blocking with last-value
+    hold, and stale packets (older sequence than the newest seen) are
+    discarded on both sides. It is computed in two parts.
+
+    (a) A value-free timing skeleton (_round_trip). Command k leaves at
+    tick k (the first at 0; tick j runs at T_j, the j-fold sum of delta_ms,
+    as the clock adds it), and the operator's final check at T_n ends the
+    sweep. The plant takes the fresh commands in delivery order and answers
+    each at its arrival; feedback on command i is visible at tick j when
+    i < j and it arrived at or before T_j (a delivery at the instant of a
+    check runs first, but the answer to the command sent by that check
+    comes after it).
     (b) The value recurrence, in command order: the operator's PI update
     from the freshest visible feedback; for a fresh command the robot lag
     (robot_lag's arithmetic, its factor from math.exp) and the step plant
@@ -358,11 +358,8 @@ def _run_skeleton(cfg: LoopConfig, channel) -> StepExperimentRecord:
     n = cfg.sweep_len
     ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
     sends = np.concatenate(([0.0], ticks[:-1]))
-    fwd = channel.carry(FORWARD, sends, cfg.packet_size_b, reserve=n)
-    order = _delivery_order(fwd)
-    fresh = order[_newest_first_seen(order)]  # ascending, as the robot takes them
+    fwd, fresh, bwd = _round_trip(channel, sends, cfg.packet_size_b, float(ticks[-1]))
     t_fresh = fwd[fresh]
-    bwd = channel.carry(BACKWARD, t_fresh, cfg.packet_size_b, reserve=n)
     # feedback m answers command fresh[m], so its send index orders sequence too
     fb_order = _delivery_order(bwd)
     op_stale = len(fb_order) - int(np.count_nonzero(_newest_first_seen(fb_order)))
@@ -397,9 +394,8 @@ def _run_skeleton(cfg: LoopConfig, channel) -> StepExperimentRecord:
                               signal=np.array(sig)[fresh], config=cfg)
     trace = list(zip(sends.tolist(), x.tolist(), ys))
     fs, bs = channel.stats[FORWARD], channel.stats[BACKWARD]
-    fs.delivered += len(order)  # every packet not dropped lands by the end of the run
-    bs.delivered += len(fb_order)
-    stats = {FORWARD: DirectionStats(fs.sent, fs.delivered, fs.dropped, len(order) - len(fresh)),
+    cmd_stale = int(np.count_nonzero(fwd == fwd)) - len(fresh)
+    stats = {FORWARD: DirectionStats(fs.sent, fs.delivered, fs.dropped, cmd_stale),
              BACKWARD: DirectionStats(bs.sent, bs.delivered, bs.dropped, op_stale)}
     return StepExperimentRecord(curve=curve, operator_trace=trace, channel_stats=stats)
 

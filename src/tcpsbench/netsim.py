@@ -328,6 +328,7 @@ class NetsimChannel(SimChannel):
         stats = self.stats[direction]
         stats.sent += n
         stats.dropped += n - len(t)
+        stats.delivered += len(t)  # send counts them as they land
         if len(t) == n:
             return t
         out = np.full(n, np.nan)

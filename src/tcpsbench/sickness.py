@@ -5,10 +5,9 @@ operator's hand and the fed-back robot position stays within 1 mm. Given a
 hand-speed ceiling, E can be predicted straight from the trajectory's
 velocity histogram; replaying the same trajectory through a channel (with
 an optional robot actuation lag) measures it. Like a step run, the replay
-is a timing skeleton plus a value recurrence: the channel decides the
-arrival times of all commands and answers off the clock (under cross
-traffic, a value-free replay on the clock gives them), and the robot lag
-and the errors follow from those times.
+is a timing skeleton plus a value recurrence: the arrival times of all
+commands and answers come from loopsim's round trip, and the robot lag and
+the errors follow from those times.
 """
 
 from __future__ import annotations
@@ -21,11 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .clock import EventScheduler, PRIO_CONTROL
 from .core import TcpsbenchError
-from .loopsim import _delivery_order, _lag_factors, _newest_first_seen
+from .loopsim import _fresh, _lag_factors, _round_trip
 from .qoc import QoCResult
-from .transport import BACKWARD, FORWARD
 
 ERROR_LIMIT_MM = 1.0
 HIST_BIN_MM = 0.1
@@ -124,53 +121,6 @@ def _histogram(errors: np.ndarray) -> list[tuple[float, float]]:
     return [(float(edges[i]), float(pct[i])) for i in range(n_bins)]
 
 
-def _fresh(arrivals: np.ndarray) -> np.ndarray:
-    """Send indices of the packets taken in delivery order, each newer than
-    every one delivered before it; ascending."""
-    order = _delivery_order(arrivals)
-    return order[_newest_first_seen(order)]
-
-
-def _replay_on_clock(channel, sends: np.ndarray, size_b: int) -> tuple[np.ndarray, np.ndarray]:
-    """measure_E's arrival times from a value-free replay on the virtual
-    clock, for a channel that cannot carry a batch (under cross traffic the
-    two directions share the flows): the commands' (NaN: lost), and those
-    of the answers to the fresh commands."""
-    sched = EventScheduler()
-    channel.bind(sched)
-    n = len(sends)
-    times = sends.tolist()
-    fwd = np.full(n, np.nan)
-    bwd: list[float] = []
-    newest = -1
-    sent = 0
-
-    def on_feedback(m: int) -> None:
-        bwd[m] = sched.now
-
-    def on_command(k: int) -> None:
-        nonlocal newest
-        fwd[k] = sched.now
-        if k > newest:
-            newest = k
-            bwd.append(math.nan)
-            channel.send(BACKWARD, len(bwd) - 1, size_b, on_feedback)
-
-    def send_next() -> None:
-        nonlocal sent
-        channel.send(FORWARD, sent, size_b, on_command)
-        sent += 1
-        if sent < n:
-            sched.schedule(times[sent], send_next, PRIO_CONTROL)
-
-    sched.schedule(0.0, send_next, PRIO_CONTROL)
-    sched.run(stop=lambda: sent >= n)
-    # stop the cross-traffic sources, then let in-flight packets land
-    channel.begin_drain()
-    sched.run()
-    return fwd, np.array(bwd)
-
-
 def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
               robot_tau_ms: float = 0.0, v_max_mps: float = 0.0,
               packet_size_b: int = 32) -> SicknessReport:
@@ -183,9 +133,9 @@ def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
     arithmetic, its factor from math.exp) and echoes its position at once;
     a feedback counts when it is newer than every one delivered before it,
     and its error is the fed-back position minus the hand's interpolated
-    position at its arrival. The arrival times come from the channel's
-    batch carry, or from a replay on the clock for a channel that cannot
-    carry a batch; the values follow from them.
+    position at its arrival. The arrival times come first, from the same
+    value-free round trip as a step run's, which ends with the last send;
+    the values follow from them.
     """
     fs = traj.fs_hz if fs_hz is None else fs_hz
     pos = traj.positions
@@ -193,13 +143,7 @@ def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
     sends = np.full(n, 1000.0 / fs)
     sends[0] = 0.0
     np.add.accumulate(sends, out=sends)
-    if getattr(channel, "carries_batches", False):
-        fwd = channel.carry(FORWARD, sends, packet_size_b, reserve=n)
-        fresh = _fresh(fwd)
-        bwd = channel.carry(BACKWARD, fwd[fresh], packet_size_b, reserve=n)
-    else:
-        fwd, bwd = _replay_on_clock(channel, sends, packet_size_b)
-        fresh = _fresh(fwd)
+    fwd, fresh, bwd = _round_trip(channel, sends, packet_size_b, float(sends[-1]))
 
     robot_y = pos[fresh]
     if robot_tau_ms > 0.0:

@@ -293,8 +293,10 @@ class SimChannel:
     which moves one packet and schedules `deliver` at its arrival. A
     subclass whose delivery times depend on send times only also sets
     carries_batches and implements carry(direction, send_times, size_b,
-    reserve), which decides a time-sorted batch of sends without the clock
-    and returns the delivery times, NaN for a lost packet."""
+    reserve), which decides a time-sorted batch of sends without the clock,
+    counts it in the stats as send does once every packet has landed, and
+    returns the delivery times, NaN for a lost packet. Simulated runs use
+    carry when it is set and send in a value-free replay otherwise."""
 
     carries_batches = False
 
@@ -459,8 +461,9 @@ class ImpairedChannel(SimChannel):
               reserve: int = 0) -> np.ndarray:
         """transit_time over a time-sorted batch of sends, in one call with
         the same arithmetic, draws and state changes: the delivery times,
-        NaN where a packet is dropped. reserve: draw at least that many
-        values of a random stream at its first use."""
+        NaN where a packet is dropped. The delivered packets count at once.
+        reserve: draw at least that many values of a random stream at its
+        first use."""
         if self._closed:
             raise ChannelClosed("channel is closed")
         link = self._links[direction]
@@ -490,6 +493,7 @@ class ImpairedChannel(SimChannel):
         stats = self.stats[direction]
         stats.sent += n
         stats.dropped += n - len(t)
+        stats.delivered += len(t)  # send counts them as they land
         if kept is None:
             return t
         out = np.full(n, np.nan)

@@ -66,6 +66,9 @@ BAD_VALUES = [
     ("zero-byte flow", {"channel": {**TOPOLOGY, "flows": [{"src": "m0", "dst": "n0",
                                                            "rate_bps": 1e6, "pkt_bytes": 0}]}},
      "1 byte"),
+    ("zero queue cap", {"channel": {**TOPOLOGY, "queue_cap": 0}}, "queue_cap"),
+    ("negative packet size", {"channel": IDEAL, "loop": {"packet_size_b": -64}},
+     "packet_size_b"),
 ]
 
 

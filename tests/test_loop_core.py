@@ -27,8 +27,9 @@ GOLDEN_DIGEST = "1aad100b2925575e6d9886e6dae8dd79f121036627c64adba287754d5694afd
 # a clock event; it stays hashed so that GOLDEN_DIGEST keeps covering the rest.
 RECORDED_SCHEDULED = 60_279
 # Events now that cross traffic runs off the clock and only a topology under
-# cross traffic keeps the rest on it: the tactile hops, deliveries and
-# controller checks of the loaded usnet-nw trial.
+# cross traffic replays its sends on it: the tactile hops, the sends after
+# the first and the drain of the loaded usnet-nw trial, as many as the old
+# runner's hops and controller checks.
 SCHEDULED = 500
 
 _REORDER = ChannelModel(

@@ -1,4 +1,4 @@
-"""Controller, plants, oracle, and the virtual-clock experiment runner."""
+"""Controller, plants, oracle, and the step-experiment runners."""
 
 import math
 import threading

@@ -1,12 +1,13 @@
 """Differential test of the skeleton runner against the virtual clock.
 
-On an impaired (or ideal) channel and on a topology without cross traffic,
-`run_step_experiment` computes a step run as a timing skeleton plus a value
-recurrence, without the clock. `run_step_on_clock` is the event-driven
-runner that topologies under cross traffic still use. On random channels,
-both settings and robot lag, both runners must give the same curve columns,
-operator trace and per-direction stats, bit for bit (compared through repr,
-so -0.0 differs from 0.0).
+`run_step_experiment` computes every simulated step run as a timing
+skeleton plus a value recurrence: an impaired (or ideal) channel and a
+topology without cross traffic carry each direction as one batch, and a
+topology under cross traffic gives the arrival times from a value-free
+replay on the clock. `tests/step_oracle.py` keeps the event-driven runner
+it replaced. On random channels, both settings and robot lag, both runners
+must give the same curve columns, operator trace and per-direction stats,
+bit for bit (compared through repr, so -0.0 differs from 0.0).
 """
 
 from collections import Counter
@@ -15,9 +16,10 @@ from random import Random
 import numpy as np
 import pytest
 
-from random_topologies import count_waiting_batches, random_topology
+from random_topologies import count_waiting_batches, random_flows, random_topology
+from step_oracle import run_step_on_clock
 from tcpsbench import transport
-from tcpsbench.loopsim import LoopConfig, run_step_experiment, run_step_on_clock
+from tcpsbench.loopsim import LoopConfig, run_step_experiment
 from tcpsbench.netsim import channel_from_topology
 from tcpsbench.transport import (
     BACKWARD,
@@ -32,6 +34,7 @@ from tcpsbench.transport import (
 
 CASES = 240
 TOPOLOGY_CASES = 240
+LOADED_CASES = 240
 
 
 def _link(rng, delta_ms, size_b):
@@ -113,19 +116,20 @@ def test_cases_cover_the_channel_features():
         assert seen[feature] >= 10, (feature, seen)
 
 
-def _topology_case(i):
-    """A random step run across a topology without cross traffic, with
-    serialization from a twentieth of the loop time up to three loop times
-    per slow link."""
-    rng = Random(8000 + i)
+def _topology_case(i, loaded=False):
+    """A random step run across a topology, with serialization from a
+    twentieth of the loop time up to three loop times per slow link; when
+    loaded, under random cross traffic."""
+    rng = Random((9500 if loaded else 8000) + i)
     cfg = LoopConfig(setting=rng.choice(("haptic", "non-haptic")),
                      delta_ms=rng.choice((0.5, 1.0, rng.uniform(0.1, 4.0))),
                      sweep_len=rng.randint(8, 60), packet_size_b=rng.choice((32, 64, 256)),
                      robot_tau_ms=rng.choice((0.0, rng.uniform(0.1, 3.0))),
                      seed=rng.randrange(1000))
     topo = random_topology(rng, cfg.packet_size_b, (0.05 * cfg.delta_ms, 3.0 * cfg.delta_ms))
+    flows = random_flows(rng, topo) if loaded else ()
     cap = rng.choice((None, None, rng.randint(1, 6)))
-    return cfg, lambda: channel_from_topology(topo, (), cfg.seed, cap)
+    return cfg, lambda: channel_from_topology(topo, flows, cfg.seed, cap)
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -153,6 +157,29 @@ def test_topology_cases_queue_and_tail_drop(monkeypatch):
         seen["tail drop"] += any(s.dropped for s in rec.channel_stats.values())
         seen["zero hop"] += not chan._routes[FORWARD]
     for feature in ("queued", "tail drop", "zero hop"):
+        assert seen[feature] >= 10, (feature, seen)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_loaded_topologies_match_the_clock(block):
+    for i in range(block * LOADED_CASES // 4, (block + 1) * LOADED_CASES // 4):
+        cfg, factory = _topology_case(i, loaded=True)
+        got = run_step_experiment(cfg, factory())
+        assert _record(got) == _record(run_step_on_clock(cfg, factory())), f"case {i}"
+
+
+def test_loaded_cases_keep_flows_and_tail_drop():
+    """In the loaded cases, flows survive pruning (the run replays on the
+    clock), and queues tail-drop in such replays."""
+    seen = Counter()
+    for i in range(LOADED_CASES):
+        cfg, factory = _topology_case(i, loaded=True)
+        chan = factory()
+        rec = run_step_experiment(cfg, chan)
+        replayed = not chan.carries_batches
+        seen["flows kept"] += replayed
+        seen["tail drop"] += replayed and any(s.dropped for s in rec.channel_stats.values())
+    for feature in ("flows kept", "tail drop"):
         assert seen[feature] >= 10, (feature, seen)
 
 
