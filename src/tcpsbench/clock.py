@@ -1,11 +1,11 @@
 """Deterministic virtual-clock event scheduler.
 
-The value-free replay that gives a step run or a cybersickness replay its
-arrival times on a topology under cross traffic shares one scheduler with
-the channel, so that every send and tactile hop executes in global time
-order; the cross traffic runs off it, up to each tactile hop. Channels that
-carry a batch of sends (impaired, ideal, a topology without cross traffic)
-skip it, matching it bit for bit. Time is in milliseconds and advances only
+A simulated channel bound to a scheduler delivers one packet at a time as
+an event (SimChannel.send); the event-driven reference runners in the tests
+drive their loops on it, so that every send and delivery executes in global
+time order. The experiment runners need no clock: every simulated step run
+and cybersickness replay asks its channel for a whole round trip at once,
+matching the clock bit for bit. Time is in milliseconds and advances only
 when events run, which makes runs reproducible bit-for-bit and much faster
 than wall time.
 """

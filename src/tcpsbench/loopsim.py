@@ -7,9 +7,8 @@ in the non-haptic one) and logs every received command with its arrival
 time. Experiments run against a simulated channel, or against a real
 datagram endpoint pair in wall-clock time. A simulated run is a timing
 skeleton plus a value recurrence: the arrival times never depend on the
-values, so the channel decides them first (one batch per direction, or a
-value-free replay on the virtual clock for a topology under cross traffic),
-and the controller and plant values follow in command order.
+values, so the channel decides them first as one value-free round trip, off
+the clock, and the controller and plant values follow in command order.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clock import EventScheduler, PRIO_CONTROL
 from .core import SETTING_HAPTIC, SETTING_NONHAPTIC, StepResponseCurve, TcpsbenchError
 from .transport import (
     BACKWARD,
@@ -279,59 +277,6 @@ def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
     return [1.0 - math.exp(v) for v in (-dt / tau_ms).tolist()]
 
 
-def _round_trip(channel, sends: np.ndarray, size_b: int,
-                drain_at: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arrival times of a value-free round trip: command k leaves at
-    sends[k] (sorted), and the teleoperator answers each fresh command when
-    it lands. Returns the commands' arrivals (NaN: lost), the ascending send
-    indices of the fresh commands, and the arrivals of their answers (answer
-    m is to command fresh[m]).
-
-    A channel that carries_batches decides each direction as one batch.
-    Any other (a topology under cross traffic) replays the sends on the
-    virtual clock: command 0 at once, the others as control events, then at
-    drain_at the channel stops its periodic sources and the in-flight
-    packets land.
-    """
-    n = len(sends)
-    if channel.carries_batches:
-        fwd = channel.carry(FORWARD, sends, size_b, reserve=n)
-        fresh = _fresh(fwd)
-        return fwd, fresh, channel.carry(BACKWARD, fwd[fresh], size_b, reserve=n)
-
-    sched = EventScheduler()
-    channel.bind(sched)
-    times = sends.tolist()
-    fwd = np.full(n, np.nan)
-    bwd: list[float] = []
-    newest = -1
-    sent = 0
-
-    def on_feedback(m: int) -> None:
-        bwd[m] = sched.now
-
-    def on_command(k: int) -> None:
-        nonlocal newest
-        fwd[k] = sched.now
-        if k > newest:
-            newest = k
-            bwd.append(math.nan)
-            channel.send(BACKWARD, len(bwd) - 1, size_b, on_feedback)
-
-    def send_next() -> None:
-        nonlocal sent
-        channel.send(FORWARD, sent, size_b, on_command)
-        sent += 1
-        if sent < n:
-            sched.schedule(times[sent], send_next, PRIO_CONTROL)
-        else:
-            sched.schedule(drain_at, channel.begin_drain, PRIO_CONTROL)
-
-    send_next()
-    sched.run()
-    return fwd, _fresh(fwd), np.array(bwd)
-
-
 def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     """Execute one full sweep over a simulated channel and return the record.
 
@@ -341,10 +286,10 @@ def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     hold, and stale packets (older sequence than the newest seen) are
     discarded on both sides. It is computed in two parts.
 
-    (a) A value-free timing skeleton (_round_trip). Command k leaves at
-    tick k (the first at 0; tick j runs at T_j, the j-fold sum of delta_ms,
-    as the clock adds it), and the operator's final check at T_n ends the
-    sweep. The plant takes the fresh commands in delivery order and answers
+    (a) A value-free timing skeleton (channel.round_trip). Command k
+    leaves at tick k (the first at 0; tick j runs at T_j, the j-fold sum of
+    delta_ms, as the clock adds it), and the operator's final check at T_n
+    ends the sweep. The plant takes the fresh commands in delivery order and answers
     each at its arrival; feedback on command i is visible at tick j when
     i < j and it arrived at or before T_j (a delivery at the instant of a
     check runs first, but the answer to the command sent by that check
@@ -358,7 +303,7 @@ def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     n = cfg.sweep_len
     ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
     sends = np.concatenate(([0.0], ticks[:-1]))
-    fwd, fresh, bwd = _round_trip(channel, sends, cfg.packet_size_b, float(ticks[-1]))
+    fwd, fresh, bwd = channel.round_trip(sends, cfg.packet_size_b, float(ticks[-1]), _fresh)
     t_fresh = fwd[fresh]
     # feedback m answers command fresh[m], so its send index orders sequence too
     fb_order = _delivery_order(bwd)

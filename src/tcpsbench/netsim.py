@@ -3,30 +3,27 @@
 A topology is a set of switches joined by propagation-delay/bandwidth links;
 hosts hang off switches over ideal access links. Every packet (tactile or
 cross-traffic) queues FIFO per directed link behind earlier departures, pays
-the serialization time for its size, then the propagation delay. Under cross
-traffic, tactile packets hop as virtual-clock events, and the cross traffic
-stays off the clock and is run lazily through each link's FIFO recurrence;
-without it, a whole batch of tactile sends crosses each hop at once, off the
-clock. Exposed as a bidirectional channel between the two tactile endpoints
-so control-loop experiments can run across any placement under any traffic
-load.
+the serialization time for its size, then the propagation delay. A round
+trip of tactile packets, with or without cross traffic, runs off the clock:
+each link admits everything it carries in one batch, through the FIFO
+(Lindley) recurrence of the shared link queue, with the links in the order
+in which packets flow between them. Exposed as a bidirectional channel
+between the two tactile endpoints so control-loop experiments can run
+across any placement under any traffic load.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
-from itertools import repeat
 from random import Random
 from typing import Callable
 
 import numpy as np
 
-from .clock import EventScheduler, PRIO_DELIVERY
 from .core import TcpsbenchError
-from .transport import BACKWARD, FORWARD, ChannelClosed, DirectionStats, LinkQueue, SimChannel
+from .transport import BACKWARD, FORWARD, ChannelClosed, LinkQueue, SimChannel
 
 
 class Unreachable(TcpsbenchError):
@@ -45,7 +42,9 @@ class Link:
     bandwidth_bps: float = 10_000_000.0
 
     def __post_init__(self) -> None:
-        if self.delay_ms < 0.0 or self.bandwidth_bps <= 0.0:
+        # a finite rate gives every hop a time on the wire, so a packet never
+        # lands at the instant it entered a link
+        if not (0.0 <= self.delay_ms < math.inf and 0.0 < self.bandwidth_bps < math.inf):
             raise TopologyError(f"bad link parameters on {self.a}-{self.b}")
 
 
@@ -61,8 +60,8 @@ class TrafficFlow:
     def __post_init__(self) -> None:
         if self.src == self.dst:
             raise TopologyError("flow endpoints must differ")
-        if self.rate_bps < 0.0:
-            raise TopologyError("flow rate must be >= 0")
+        if not 0.0 <= self.rate_bps < math.inf:
+            raise TopologyError("flow rate must be finite and >= 0")
         if self.pkt_bytes < 1:
             raise TopologyError("flow packets must be at least 1 byte")
 
@@ -162,184 +161,178 @@ def route(topology: Topology, a: str, b: str) -> list[tuple[str, str]]:
     raise Unreachable(f"no route from {src} to {dst}")
 
 
+# plans by (id(topology), flows, queue_cap). A plan is a pure function of
+# its key and is only read, so sharing it changes no result; each entry holds
+# its topology, so the id cannot be reused while the plan is kept
+_PLANS: dict[tuple, tuple] = {}
+
+
+def _plan(topology: Topology, flows: tuple[TrafficFlow, ...], queue_cap: int | None) -> tuple:
+    """What a channel needs of its topology, flows and queue cap, built once
+    for every trial on them: the tactile routes, the kept links, the
+    simulated flows, each link's inputs and the order the links run in."""
+    key = (id(topology), flows, queue_cap)
+    if key in _PLANS:
+        return _PLANS[key][1]
+    routes = {
+        FORWARD: route(topology, topology.te_master, topology.te_slave),
+        BACKWARD: route(topology, topology.te_slave, topology.te_master),
+    }
+    flow_routes = {(fl.src, fl.dst): route(topology, fl.src, fl.dst) for fl in flows}
+    # a link can delay a tactile packet if a tactile route crosses it, or if
+    # a flow crosses it before reaching such a link; grow that set to a fixed
+    # point, then simulate each flow up to its last link in the set
+    kept = set(routes[FORWARD]) | set(routes[BACKWARD])
+
+    def reach(hops: list[tuple[str, str]]) -> list[tuple[str, str]]:
+        return hops[:max((i + 1 for i, hop in enumerate(hops) if hop in kept), default=0)]
+
+    while not all(kept.issuperset(reach(hops)) for hops in flow_routes.values()):
+        for hops in flow_routes.values():
+            kept.update(reach(hops))
+    # one output queue per kept directed link; the first of parallel links
+    # wins, as in Topology.link_between
+    links: dict[tuple[str, str], tuple[float, float]] = {}
+    for ln in topology.links:
+        for hop in ((ln.a, ln.b), (ln.b, ln.a)):
+            if hop in kept and hop not in links:
+                links[hop] = (ln.bandwidth_bps, ln.delay_ms)
+    # streams: the simulated flows in flow order, then the commands and the
+    # answers. At equal times a link takes cross traffic first, ordered by
+    # (size, flow), then tactile packets
+    sims = [(idx, fl, reach(flow_routes[(fl.src, fl.dst)])) for idx, fl in enumerate(flows)]
+    sims = [(idx, fl, hops) for idx, fl, hops in sims if fl.rate_bps > 0.0 and hops]
+    paths = [hops for *_, hops in sims] + [routes[FORWARD], routes[BACKWARD]]
+    ties = [(0, fl.pkt_bytes) for _, fl, _ in sims] + [(1, 0), (1, 0)]
+    inputs: dict = {hop: [] for hop in links}
+    for s, hops in enumerate(paths):
+        for j, hop in enumerate(hops):
+            inputs[hop].append((s, j))
+    for chunks in inputs.values():
+        chunks.sort(key=lambda c: (ties[c[0]], c[0]))
+    # link u runs before v when a stream crosses u then v; the answers (None)
+    # leave when the commands land. Groups of links that feed each other
+    # (on rings) run in topological order, each group settling on its own
+    after: dict = {v: set() for v in [*links, None] if v is None or inputs[v]}
+    for hops in paths[:-2] + [routes[FORWARD] + [None] + routes[BACKWARD]]:
+        for u, v in zip(hops, hops[1:]):
+            after[u].add(v)
+    reached = {}
+    for v in after:
+        reached[v], todo = {v}, [v]
+        while todo:
+            for w in after[todo.pop()] - reached[v]:
+                reached[v].add(w)
+                todo.append(w)
+    order: list[list] = []
+    for v in sorted(after, key=lambda v: sum(v in r for r in reached.values())):
+        group = [u for u in after if u in reached[v] and v in reached[u]]
+        if group not in order:
+            order.append(group)
+    plan = (routes, links, [(idx, fl.period_ms, fl.pkt_bytes) for idx, fl, _ in sims], paths,
+            inputs, order)
+    if len(_PLANS) >= 8:
+        _PLANS.clear()
+    _PLANS[key] = (topology, plan)
+    return plan
+
+
 class NetsimChannel(SimChannel):
     """Topology-backed bidirectional channel for the tactile endpoints.
 
-    Tactile packets cross the topology hop by hop as virtual-clock events,
-    or, on a channel with no flow to simulate, as one batch of sends per
-    hop (carry): there each direction's route is a chain of FIFO link
-    queues that only its own packets use. Cross-traffic flows emit packets
-    on deterministic CBR schedules (one seeded phase offset per flow, stable
-    under flow-set changes) off the clock: before a tactile packet enters a
-    link at time t, the channel runs the cross traffic up to t, arrivals at
-    exactly t first, through the same `LinkQueue`s, so queueing
-    interactions stay exact. Only flows that can delay a tactile packet are
-    simulated. Randomness across trials comes solely from the phase offsets.
+    A simulated run is one value-free round trip, off the clock: every link
+    admits all the packets it carries in one batch (LinkQueue.carry), the
+    links running in the order in which packets flow between them, and a
+    group of links that feed each other (on a ring) sweeping until no input
+    changes. Cross-traffic flows emit packets on deterministic CBR schedules
+    (one seeded phase offset per flow, stable under flow-set changes) up to
+    the drain time; only flows that can delay a tactile packet are
+    simulated, and randomness across trials comes solely from the phases.
     """
 
     def __init__(self, topology: Topology, flows: tuple[TrafficFlow, ...],
                  seed: int, queue_cap: int | None = None) -> None:
         super().__init__()
-        self._routes = {
-            FORWARD: route(topology, topology.te_master, topology.te_slave),
-            BACKWARD: route(topology, topology.te_slave, topology.te_master),
-        }
-        flow_routes = {(fl.src, fl.dst): route(topology, fl.src, fl.dst) for fl in flows}
-        # a link can delay a tactile packet if a tactile route crosses it, or
-        # if a flow crosses it before reaching such a link; grow that set to a
-        # fixed point, then simulate each flow up to its last link in the set
-        kept = set(self._routes[FORWARD]) | set(self._routes[BACKWARD])
+        self._routes, links, sims, self._paths, self._inputs, self._order = _plan(
+            topology, flows, queue_cap)
+        self._queues = {hop: LinkQueue(bw, delay, queue_cap) for hop, (bw, delay) in links.items()}
+        # each simulated flow's first emission, period and size; the phase
+        # comes from (seed, flow index), so adding a flow never perturbs the others
+        self._emitters = [(Random(seed * 1_000_003 + idx).uniform(0.0, period), period, size_b)
+                          for idx, period, size_b in sims]
 
-        def reach(hops: list[tuple[str, str]]) -> list[tuple[str, str]]:
-            return hops[:max((i + 1 for i, hop in enumerate(hops) if hop in kept), default=0)]
-
-        while not all(kept.issuperset(reach(hops)) for hops in flow_routes.values()):
-            for hops in flow_routes.values():
-                kept.update(reach(hops))
-        # one output queue per kept directed link; the first of parallel links
-        # wins, as in Topology.link_between
-        self._queues: dict[tuple[str, str], LinkQueue] = {}
-        for ln in topology.links:
-            for hop in ((ln.a, ln.b), (ln.b, ln.a)):
-                if hop in kept and hop not in self._queues:
-                    self._queues[hop] = LinkQueue(ln.bandwidth_bps, ln.delay_ms, queue_cap)
-        # unprocessed cross arrivals (time, size_b, tag) wait at a link in
-        # time-sorted streams, one per upstream link and one (None) for the
-        # flows that start there. A packet at hop j of its flow carries tag
-        # slot + j; _next_stream maps it to the stream it joins next, if any.
-        # Each emitter holds a flow's next emission not yet in a stream, its
-        # period, size, tag and stream; the phase comes from (seed, flow
-        # index), so adding a flow never perturbs the others
-        streams: dict[tuple[tuple[str, str], tuple[str, str] | None], list] = {}
-        self._next_stream: list[list | None] = []
-        self._emitters: list[list] = []
-        self._width = self._span = math.inf
-        for idx, fl in enumerate(flows):
-            hops = reach(flow_routes[(fl.src, fl.dst)])
-            if fl.rate_bps <= 0.0 or not hops:
-                continue
-            phase = Random(seed * 1_000_003 + idx).uniform(0.0, fl.period_ms)
-            self._emitters.append([phase, fl.period_ms, fl.pkt_bytes, len(self._next_stream),
-                                   streams.setdefault((hops[0], None), [])])
-            self._next_stream += [streams.setdefault(k, []) for k in zip(hops[1:], hops)] + [None]
-            # refills add at least 64 emissions of the fastest flow
-            self._span = min(self._span, 64 * fl.period_ms)
-            for hop in hops:
-                q = self._queues[hop]
-                self._width = min(self._width, fl.pkt_bytes * 8.0 / q.bandwidth_bps * 1000.0
-                                  + q.delay_ms)
-        # a cross packet entering a link at a reaches the next one no sooner
-        # than a + width; the 1% margin outweighs the rounding of the time
-        # sums while simulated times stay below 1e13 widths
-        self._width *= 0.99
-        self._streams = list(streams.values())
-        self._links: dict[tuple[str, str], tuple[LinkQueue, list]] = {}
-        for (hop, _upstream), stream in streams.items():
-            self._links.setdefault(hop, (self._queues[hop], []))[1].append(stream)
-        self._drain_at = math.inf
-        self._emit_at = self._idle_until = min([em[0] for em in self._emitters] + [math.inf])
-        self.carries_batches = not self._emitters
-
-    def _emit(self, t: float) -> None:
-        """Append every emission up to t + _span, and none after the drain,
-        to the stream of its first link."""
-        until = min(t + self._span, self._drain_at)
-        for em in self._emitters:
-            nxt, period, size_b, tag, stream = em
-            if nxt <= until:
-                # two periods past until, so times[k] exists; a sequential
-                # left fold, bit-identical to repeated nxt + period
-                times = np.full(int((until - nxt) / period) + 3, period)
-                times[0] = nxt
-                np.add.accumulate(times, out=times)
-                k = int(np.searchsorted(times, until, side="right"))
-                stream.extend(zip(times[:k].tolist(), repeat(size_b), repeat(tag)))
-                em[0] = float(times[k])
-        for stream in {id(em[4]): em[4] for em in self._emitters}.values():
-            stream.sort()
-        self._emit_at = min(em[0] for em in self._emitters)
-
-    def _advance(self, t: float) -> None:
-        """Run cross traffic until every arrival at or before t has entered
-        its link. Each pass admits one window, narrower than _width, on every
-        link; departures land past its end, so links are independent within
-        a pass, in any topology."""
-        while True:
-            if self._emit_at <= min(t, self._drain_at):
-                self._emit(self._emit_at + self._width)
-            start = min((s[0][0] for s in self._streams if s), default=math.inf)
-            if start > t:
-                self._idle_until = min(start, self._emit_at)
-                return
-            end = start + self._width
-            cut = (end,) if end <= t else (t, math.inf)
-            for queue, streams in self._links.values():
-                batch = []
-                for s in streams:
-                    if s and s[0] < cut:
-                        k = bisect_left(s, cut)
-                        batch += s[:k]
-                        del s[:k]
-                batch.sort()
-                queue.run(batch, self._next_stream)
-
-    def _forward_packet(self, hops: list[tuple[str, str]], hop_idx: int, size_bytes: int,
-                        deliver: Callable[[], None], stats: DirectionStats) -> None:
-        """Advance one tactile packet across its next link; schedules the
-        following hop (or final delivery) at the computed arrival time."""
-        if hop_idx >= len(hops):
-            deliver()
-            return
-        now = self._sched.now
-        if now >= self._idle_until:
-            self._advance(now)
-        arrival = self._queues[hops[hop_idx]].admit(now, size_bytes)
-        if arrival is None:
-            stats.dropped += 1
-            return
-        self._sched.schedule(arrival, lambda: self._forward_packet(
-            hops, hop_idx + 1, size_bytes, deliver, stats), PRIO_DELIVERY)
-
-    def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
-        stats = self.stats[direction]
-        stats.sent += 1
-        self._forward_packet(self._routes[direction], 0, size_b, deliver, stats)
-
-    def carry(self, direction: str, send_times: np.ndarray, size_b: int,
-              reserve: int = 0) -> np.ndarray:
-        """The delivery times of a time-sorted batch of sends, NaN where a
-        packet is tail-dropped, as the clock gives them; one batch per hop.
-        Only for a channel without flows: then no other packet shares a
-        link, since a min-hop route visits nodes at growing distance from
-        its source and the reverse route at shrinking distance, so the two
-        directions never cross the same directed link. reserve is unused:
-        the channel draws nothing."""
+    def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float,
+                   answer: Callable[[np.ndarray], np.ndarray]):
+        """SimChannel.round_trip, computed by _run."""
         if self._closed:
             raise ChannelClosed("channel is closed")
-        if not self.carries_batches:
-            raise TopologyError("cross traffic runs on the clock only")
-        n = len(send_times)
-        kept, t = np.arange(n), np.array(send_times, dtype=float)
-        for hop in self._routes[direction]:
-            t = self._queues[hop].carry(t, size_b)
-            landed = t == t  # NaN is unequal to itself
-            if not landed.all():
-                kept, t = kept[landed], t[landed]
-        stats = self.stats[direction]
-        stats.sent += n
-        stats.dropped += n - len(t)
-        stats.delivered += len(t)  # send counts them as they land
-        if len(t) == n:
-            return t
-        out = np.full(n, np.nan)
-        out[kept] = t
-        return out
+        arrivals = self._run(sends, size_b, drain_at, answer)
+        fwd, bwd = arrivals[-2][-1], arrivals[-1][-1]
+        for direction, t in ((FORWARD, fwd), (BACKWARD, bwd)):
+            stats, landed = self.stats[direction], int(np.count_nonzero(t == t))
+            stats.sent += len(t)
+            stats.dropped += len(t) - landed
+            stats.delivered += landed
+        return fwd, answer(fwd), bwd
 
-    def begin_drain(self) -> None:
-        """Stop the flows: later emissions never happen; emitted packets keep queueing."""
-        self._drain_at = now = self._sched.now
-        for *_, stream in self._emitters:
-            del stream[bisect_left(stream, (now, math.inf)):]
+    def _run(self, sends: np.ndarray, size_b: int, drain_at: float,
+             answer: Callable[[np.ndarray], np.ndarray]) -> list[list[np.ndarray]]:
+        """The arrival times of every stream's packets at each hop and past
+        the last, NaN once lost. Flows emit at their CBR times at or before
+        drain_at (summed left to right, as repeated t + period adds them).
+        A group of links settles by sweeps from empty inputs: every hop takes
+        more than 0 ms, so packets can only depend on earlier ones, and each
+        sweep fixes at least one more hop latency of the run; the fixed
+        point is unique."""
+        sizes = [size for *_, size in self._emitters] + [size_b, size_b]
+        arrivals = [[np.empty(0) for _ in range(len(hops) + 1)] for hops in self._paths]
+        for s, (phase, period, _) in enumerate(self._emitters):
+            times = np.full(max(int((drain_at - phase) / period) + 3, 1), period)
+            times[0] = phase
+            np.add.accumulate(times, out=times)
+            arrivals[s][0] = times[:np.searchsorted(times, drain_at, side="right")]
+        arrivals[-2][0] = sends
+        for group in self._order:
+            while True:
+                moved = False
+                for hop in group:
+                    moved |= self._admit(hop, arrivals, sizes, answer, len(group) > 1)
+                if not moved or len(group) == 1:
+                    break
+        return arrivals
+
+    def _admit(self, hop: tuple[str, str] | None, arrivals: list, sizes: list[int],
+               answer: Callable[[np.ndarray], np.ndarray], settle: bool) -> bool:
+        """Run one link (None: the far end answers the commands that have
+        landed) on its current inputs. When settling a group, True if an
+        output changed."""
+        if hop is None:
+            fwd = arrivals[-2][-1]
+            outs = [(arrivals[-1], 0, fwd[answer(fwd)])]
+        else:
+            queue = self._queues[hop]
+            queue.free_at, queue.departures = 0.0, []
+            chunks = self._inputs[hop]
+            ins = [arrivals[s][j] for s, j in chunks]
+            ser = [queue.serialization_ms(sizes[s]) for s, _ in chunks]
+            a = np.concatenate(ins) if len(ins) > 1 else ins[0]
+            landed = np.count_nonzero(a == a)  # NaN: lost upstream
+            if len(ins) == 1 and landed == len(a):  # one time-sorted stream
+                done = queue.carry(a, ser[0])
+            else:
+                # by time, ties in chunk order; the lost packets sort last
+                order = np.argsort(a, kind="stable")[:landed]
+                done = np.full(len(a), np.nan)
+                done[order] = queue.carry(a[order], np.repeat(ser, [len(t) for t in ins])[order])
+            outs, at = [], 0
+            for (s, j), t in zip(chunks, ins):
+                outs.append((arrivals[s], j + 1, done[at:at + len(t)]))
+                at += len(t)
+        moved = settle and any(not np.array_equal(out, path[j], equal_nan=True)
+                               for path, j, out in outs)
+        for path, j, out in outs:
+            path[j] = out
+        return moved
 
 
 def channel_from_topology(topology: Topology, flows: tuple[TrafficFlow, ...] | list[TrafficFlow],
@@ -365,20 +358,23 @@ def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...] | list[
                       src: str | None = None, dst: str | None = None,
                       queue_cap: int | None = None) -> float:
     """One-shot delivery time of a single packet injected at t_send, with
-    cross traffic replayed from time zero. Fresh state per call."""
+    cross traffic from time zero. The flows emit up to a horizon that
+    doubles until the packet lands, or is dropped, at or before it; later
+    emissions reach every link after that, so the answer is exact."""
     placed = replace(topology,
                      te_master=topology.host_switch(src) if src else topology.te_master,
                      te_slave=topology.host_switch(dst) if dst else topology.te_slave)
     chan = NetsimChannel(placed, tuple(flows), seed, queue_cap)
-    sched = EventScheduler()
-    chan.bind(sched)
-    result: list[float] = []
-    sched.schedule(t_send, lambda: chan.send(FORWARD, None, pkt_bytes,
-                                             lambda _: result.append(sched.now)))
-    sched.run()
-    if not result:
+    horizon = 2.0 * t_send + 1.0
+    while True:
+        hops = [float(t[0]) for t in chan._run(np.array([t_send]), pkt_bytes, horizon,
+                                               lambda fwd: np.empty(0, dtype=int))[-2]]
+        if [t for t in hops if t == t][-1] <= horizon:
+            break
+        horizon *= 2.0
+    if hops[-1] != hops[-1]:
         raise Unreachable("packet was never delivered (tail-dropped or unroutable)")
-    return result[0]
+    return hops[-1]
 
 
 def closed_form_delivery(topology: Topology, pkt_bytes: int, t_send: float,

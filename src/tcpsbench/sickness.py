@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import TcpsbenchError
-from .loopsim import _fresh, _lag_factors, _round_trip
+from .loopsim import _fresh, _lag_factors
 from .qoc import QoCResult
 
 ERROR_LIMIT_MM = 1.0
@@ -143,7 +143,7 @@ def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
     sends = np.full(n, 1000.0 / fs)
     sends[0] = 0.0
     np.add.accumulate(sends, out=sends)
-    fwd, fresh, bwd = _round_trip(channel, sends, packet_size_b, float(sends[-1]))
+    fwd, fresh, bwd = channel.round_trip(sends, packet_size_b, float(sends[-1]), _fresh)
 
     robot_y = pos[fresh]
     if robot_tau_ms > 0.0:

@@ -1,27 +1,27 @@
 """Bidirectional channel models and the datagram wire codec.
 
-Simulated channels deliver payload objects through the virtual clock with
-configurable latency, jitter, drop probability and serialization rate; they
-carry full-precision floats and use the configured packet size only for
-serialization delay. An impaired channel, like a topology channel without
-cross traffic, also decides a whole batch of sends at once (carry), for
-runs that need no clock. Serialization queues FIFO: a packet waits in its
-link's `LinkQueue` until the transmitter has sent the packets before it,
-on impaired links and topology links alike. The byte codec (fixed
-little-endian header, random padding to a configured size, trailing CRC-32)
-is the wire format of the real-datagram adapter and of anything else that
-needs bit-exact framing.
+Simulated channels carry full-precision floats and use the configured
+packet size only for serialization delay. A simulated run asks its channel
+for a whole value-free round trip (round_trip); an impaired channel, with
+configurable latency, jitter, drop probability and serialization rate,
+decides it as one batch of sends per direction (carry), and also delivers
+one packet at a time through the virtual clock. Serialization queues FIFO:
+a packet waits in its link's `LinkQueue` until the transmitter has sent the
+packets before it, on impaired links and topology links alike. The byte
+codec (fixed little-endian header, random padding to a configured size,
+trailing CRC-32) is the wire format of the real-datagram adapter and of
+anything else that needs bit-exact framing.
 """
 
 from __future__ import annotations
 
+import math
 import socket
 import struct
 import zlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import repeat
 from random import Random
 from typing import Callable, Iterator
 
@@ -113,7 +113,7 @@ class Jitter:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.a < 0.0 or self.sigma < 0.0:
+        if not (self.a >= 0.0 and self.sigma >= 0.0):  # NaN fails too
             raise ValueError("jitter a and sigma must be >= 0")
 
     @staticmethod
@@ -174,11 +174,11 @@ class LinkParams:
     drop_seq: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.latency_ms < 0.0:
+        if not self.latency_ms >= 0.0:  # NaN fails too
             raise ValueError("latency must be >= 0")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
-        if self.bandwidth_bps < 0.0:
+        if not self.bandwidth_bps >= 0.0:
             raise ValueError("bandwidth_bps must be >= 0")
 
 
@@ -214,10 +214,12 @@ class DirectionStats:
 class LinkQueue:
     """FIFO output queue of one directed link: tracks when the transmitter
     frees up, plus in-flight departure times when a capacity cap applies.
-    admit() takes one packet at a time; run() takes a batch of tagged
-    packets, carry() a batch of arrival times."""
+    admit() takes one packet at a time; carry() a time-sorted batch of
+    packets, each with its own time on the wire."""
 
     __slots__ = ("bandwidth_bps", "delay_ms", "cap", "free_at", "departures")
+
+    ROUNDS = 32  # numpy rounds of run() before the unsettled suffix goes through the loop
 
     def __init__(self, bandwidth_bps: float, delay_ms: float = 0.0,
                  cap: int | None = None) -> None:
@@ -227,6 +229,10 @@ class LinkQueue:
         self.free_at = 0.0
         self.departures: list[float] = []
 
+    def serialization_ms(self, size_b: int | np.ndarray) -> float | np.ndarray:
+        """The time a packet of size_b bytes (or each of an array) takes on the wire."""
+        return size_b * 8.0 / self.bandwidth_bps * 1000.0
+
     def admit(self, now: float, size_b: int) -> float | None:
         """Returns the arrival time at the far end, or None on tail drop."""
         if self.cap is not None:
@@ -234,71 +240,82 @@ class LinkQueue:
             if len(self.departures) >= self.cap:
                 return None
         start = self.free_at if self.free_at > now else now
-        ser = size_b * 8.0 / self.bandwidth_bps * 1000.0
-        finish = start + ser
+        finish = start + self.serialization_ms(size_b)
         self.free_at = finish
         if self.cap is not None:
             self.departures.append(finish)
         return finish + self.delay_ms
 
-    def run(self, arrivals: list[tuple[float, int, int]], forward: list[list | None]) -> None:
-        """Admits a time-sorted batch of (arrival, size_b, tag) packets as
-        admit() would, by Lindley's recurrence d_k = max(a_k, d_{k-1}) + s_k.
-        Each packet not dropped joins forward[tag], unless that is None, as
-        (d_k + delay_ms, size_b, tag + 1)."""
-        free, cap, deps = self.free_at, self.cap, self.departures
-        bandwidth_bps, delay_ms = self.bandwidth_bps, self.delay_ms
-        for now, size_b, tag in arrivals:
-            if cap is not None:
-                deps = [d for d in deps if d > now]
-                if len(deps) >= cap:
-                    continue
-            start = free if free > now else now
-            free = start + size_b * 8.0 / bandwidth_bps * 1000.0
-            if cap is not None:
-                deps.append(free)
-            nxt = forward[tag]
-            if nxt is not None:
-                nxt.append((free + delay_ms, size_b, tag + 1))
-        self.free_at, self.departures = free, deps
-
-    def carry(self, arrivals: np.ndarray, size_b: int) -> np.ndarray:
-        """admit() over a time-sorted batch of same-size packets: the
+    def carry(self, arrivals: np.ndarray, ser: float | np.ndarray) -> np.ndarray:
+        """admit() over a time-sorted batch whose packets take ser ms on the
+        wire (one time, or one per packet, from serialization_ms): the
         far-end arrival times, NaN where a packet is tail-dropped. When no
-        packet waits for the transmitter, Lindley's recurrence is d = a + s
-        and nothing is in flight at an arrival, so the batch takes one
-        vector sum; otherwise it goes through run()."""
-        n = len(arrivals)
-        ser = size_b * 8.0 / self.bandwidth_bps * 1000.0
+        packet waits for the transmitter, Lindley's recurrence
+        d_k = max(a_k, d_{k-1}) + s_k is d = a + s and nothing is in flight
+        at an arrival, so the batch takes one vector sum; otherwise it goes
+        through run()."""
         done = arrivals + ser
-        if n and (self.cap is None or self.cap > 0) and arrivals[0] >= self.free_at \
+        if len(done) and (self.cap is None or self.cap > 0) and arrivals[0] >= self.free_at \
                 and bool(np.all(arrivals[1:] >= done[:-1])):
             self.free_at = float(done[-1])
             if self.cap is not None:
                 self.departures = [self.free_at]
             return done + self.delay_ms
-        out = np.full(n, np.nan)
-        landed: list = []
-        # tag k + 1 comes back on packet k
-        self.run(list(zip(arrivals.tolist(), repeat(size_b), range(n))), [landed] * n)
-        for t, _, k in landed:
-            out[k - 1] = t
-        return out
+        return self.run(arrivals, np.broadcast_to(ser, done.shape), done) + self.delay_ms
+
+    def run(self, a: np.ndarray, ser: np.ndarray, done: np.ndarray) -> np.ndarray:
+        """The departures of a time-sorted batch (done = a + ser), NaN for a
+        tail drop, by Lindley's recurrence with admit()'s arithmetic and cap
+        rule. Uncapped, numpy rounds start from d = done and recompute only
+        the packets whose predecessor changed, as max(a_k, d_{k-1}) + s_k,
+        until none changes: the loop's two float operations, and the
+        recurrence has one solution, so the result is bit-identical. After
+        ROUNDS rounds the unsettled suffix, and a capped batch from its
+        start, go through the sequential loop."""
+        n = len(a)
+        d = np.concatenate(([self.free_at], done))  # d[k + 1]: departure of packet k
+        k0 = 0
+        if self.cap is None:
+            todo = np.arange(n)
+            for _ in range(self.ROUNDS):
+                new = np.maximum(a[todo], d[todo]) + ser[todo]
+                moved = todo[new != d[todo + 1]]
+                d[todo + 1] = new
+                todo = moved[moved < n - 1] + 1
+                if not len(todo):
+                    break
+            k0 = int(todo[0]) if len(todo) else n
+        free, cap, deps = float(d[k0]), self.cap, self.departures
+        out = []
+        for now, s in zip(a[k0:].tolist(), ser[k0:].tolist()):
+            if cap is not None:
+                deps = [x for x in deps if x > now]
+                if len(deps) >= cap:
+                    out.append(math.nan)
+                    continue
+            start = free if free > now else now
+            free = start + s
+            out.append(free)
+            if cap is not None:
+                deps.append(free)
+        d[k0 + 1:] = out
+        self.free_at, self.departures = free, deps
+        return d[1:]
 
 
 class SimChannel:
-    """Shell of a bidirectional channel driven by the virtual clock:
-    per-direction stats, scheduler binding, close, and the checks and
-    delivery counting around each send. A subclass implements `_carry`,
-    which moves one packet and schedules `deliver` at its arrival. A
-    subclass whose delivery times depend on send times only also sets
-    carries_batches and implements carry(direction, send_times, size_b,
-    reserve), which decides a time-sorted batch of sends without the clock,
-    counts it in the stats as send does once every packet has landed, and
-    returns the delivery times, NaN for a lost packet. Simulated runs use
-    carry when it is set and send in a value-free replay otherwise."""
-
-    carries_batches = False
+    """Shell of a simulated bidirectional channel: per-direction stats,
+    scheduler binding, close, and the checks and delivery counting around
+    each send on the virtual clock, whose subclass `_carry` moves one
+    packet and schedules `deliver` at its arrival (an impaired channel
+    does; a topology channel only runs round trips). Simulated runs use
+    round_trip(sends, size_b, drain_at, answer) instead: command k leaves
+    at sends[k] (sorted), the far end answers each command that
+    answer(arrivals) picks (ascending send indices, in delivery order) when
+    it lands, and periodic sources stop after drain_at. It returns the
+    commands' arrival times (NaN: lost), the picks and the answers' arrival
+    times as the clock would give them, and counts both directions in the
+    stats as send does once every packet has landed."""
 
     def __init__(self) -> None:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
@@ -420,8 +437,6 @@ class ImpairedChannel(SimChannel):
     drops (the drop decisions nest). The streams are seeded at first use.
     """
 
-    carries_batches = True
-
     def __init__(self, model: ChannelModel, seed: int) -> None:
         super().__init__()
         self.model = model
@@ -481,7 +496,7 @@ class ImpairedChannel(SimChannel):
             kept = np.flatnonzero(~dropped)
             t = send_times[kept]
         if link.queue is not None:
-            t = link.queue.carry(t, size_b)
+            t = link.queue.carry(t, link.queue.serialization_ms(size_b))
         delay = p.latency_ms
         if link.jitter is not None:
             delay = delay + link.jitter.take(len(t), reserve)
@@ -499,6 +514,14 @@ class ImpairedChannel(SimChannel):
         out = np.full(n, np.nan)
         out[kept] = t
         return out
+
+    def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float,
+                   answer: Callable[[np.ndarray], np.ndarray]):
+        """SimChannel.round_trip as one batch per direction."""
+        n = len(sends)
+        fwd = self.carry(FORWARD, sends, size_b, reserve=n)
+        picked = answer(fwd)
+        return fwd, picked, self.carry(BACKWARD, fwd[picked], size_b, reserve=n)
 
     def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         t = self.transit_time(direction, size_b, self._sched.now)

@@ -3,17 +3,22 @@
 `NetsimChannel` below is the channel tcpsbench used before cross traffic
 left the virtual clock. Every cross-traffic packet is a clock event at each
 hop, so queueing on every link follows the scheduler's global time order
-directly. It is slow (a loaded trial schedules tens of thousands of events)
-but simple, which makes it the oracle that tests/test_netsim_engine.py
-compares `tcpsbench.netsim.NetsimChannel` against, bit for bit.
+directly. Its round trip is the value-free replay on the clock that step
+runs and cybersickness replays used under cross traffic. It is slow (a
+loaded trial schedules tens of thousands of events) but simple, which makes
+it the oracle that tests/test_netsim_engine.py compares
+`tcpsbench.netsim.NetsimChannel` against, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from random import Random
 from typing import Callable
 
-from tcpsbench.clock import EventScheduler, PRIO_DELIVERY
+import numpy as np
+
+from tcpsbench.clock import PRIO_CONTROL, EventScheduler, PRIO_DELIVERY
 from tcpsbench.netsim import Topology, TrafficFlow, Unreachable, route
 from tcpsbench.transport import BACKWARD, FORWARD, DirectionStats, LinkQueue, SimChannel
 
@@ -102,6 +107,45 @@ class NetsimChannel(SimChannel):
 
     def begin_drain(self) -> None:
         self._draining = True
+
+    def round_trip(self, sends, size_b, drain_at, answer):
+        """The round trip as a value-free replay on the clock: command 0 at
+        once, the others as control events, then at drain_at the flows stop
+        and the in-flight packets land. The far end answers a command when
+        it lands if answer() would pick it, that is, if it is newer than
+        every command that landed before it."""
+        sched = EventScheduler()
+        self.bind(sched)
+        times = sends.tolist()
+        n = len(times)
+        fwd = np.full(n, np.nan)
+        bwd: list[float] = []
+        newest = -1
+        sent = 0
+
+        def on_feedback(m: int) -> None:
+            bwd[m] = sched.now
+
+        def on_command(k: int) -> None:
+            nonlocal newest
+            fwd[k] = sched.now
+            if k > newest:
+                newest = k
+                bwd.append(math.nan)
+                self.send(BACKWARD, len(bwd) - 1, size_b, on_feedback)
+
+        def send_next() -> None:
+            nonlocal sent
+            self.send(FORWARD, sent, size_b, on_command)
+            sent += 1
+            if sent < n:
+                sched.schedule(times[sent], send_next, PRIO_CONTROL)
+            else:
+                sched.schedule(drain_at, self.begin_drain, PRIO_CONTROL)
+
+        send_next()
+        sched.run()
+        return fwd, answer(fwd), np.array(bwd)
 
 
 def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...],

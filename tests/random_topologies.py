@@ -50,9 +50,9 @@ def random_flows(rng, topo, n_max=8):
 
 
 def count_waiting_batches(monkeypatch):
-    """A one-item list that counts LinkQueue.run calls from here on. Without
-    cross traffic, LinkQueue.carry calls run only when a packet of its
-    batch waits for the transmitter (or the cap is below 1)."""
+    """A one-item list that counts LinkQueue.run calls from here on:
+    LinkQueue.carry calls run only when a packet of its batch waits for the
+    transmitter (or the cap is below 1)."""
     calls = [0]
     run = LinkQueue.run
 

@@ -12,8 +12,11 @@ import importlib.util
 import io
 from pathlib import Path
 
+import numpy as np
+
 from tcpsbench import cli, transport
 from tcpsbench.clock import EventScheduler
+from tcpsbench.loopsim import _fresh
 from tcpsbench.netsim import Link, Topology, TrafficFlow, channel_from_topology
 from tcpsbench.sickness import compliant_trajectory, write_trajectory_csv
 from tcpsbench.transport import FORWARD, ChannelModel, LinkParams
@@ -39,11 +42,6 @@ def test_instrument_wraps_and_uninstall_restores():
         lossy = ChannelModel(forward=LinkParams(drop_prob=1.0)).build(0)
         lossy.bind(sched)
         lossy.send(FORWARD, "x", 32, lambda p: None)
-        topo = Topology(switches=("s0", "s1"), links=(Link("s0", "s1"),), hosts={},
-                        te_master="s0", te_slave="s1")
-        chan = channel_from_topology(topo, (), 0)
-        chan.bind(sched)
-        chan.send(FORWARD, "y", 32, lambda p: None)
         sched.run()
         counts = tracing.op_counters(tracer.snapshot())
     finally:
@@ -51,13 +49,12 @@ def test_instrument_wraps_and_uninstall_restores():
     assert transport.ImpairedChannel.send is send
     assert counts["transport.sends"] == 1
     assert counts["transport.drops"] == 1
-    assert counts["netsim.sends"] == 1
-    assert counts["clock.events"] == 1
 
 
-def test_cross_traffic_is_neither_a_send_nor_an_event():
-    """With cross traffic on the route, the tracer still counts one netsim
-    send per tactile packet and one clock event per tactile hop."""
+def test_cross_traffic_round_trip_is_neither_a_send_nor_an_event():
+    """A round trip under cross traffic runs off the clock: the tracer
+    counts no netsim send and no clock event, and its tactile tail drops
+    through the channel's stats."""
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     tracing.instrument(tracer)
@@ -65,19 +62,14 @@ def test_cross_traffic_is_neither_a_send_nor_an_event():
         topo = Topology(switches=("s0", "s1", "s2"),
                         links=(Link("s0", "s1", 0.5, 1e6), Link("s1", "s2", 0.5, 1e6)),
                         hosts={"a": "s0", "b": "s2"}, te_master="s0", te_slave="s2")
-        chan = channel_from_topology(topo, (TrafficFlow("a", "b", 5e5, 64),), 0)
-        sched = EventScheduler()
-        chan.bind(sched)
-        delivered = []
-        sched.schedule(20.0, lambda: chan.send(FORWARD, "y", 32, delivered.append))
-        sched.run(stop=lambda: bool(delivered))
+        chan = channel_from_topology(topo, (TrafficFlow("a", "b", 5e5, 64),), 0, queue_cap=1)
+        fwd, _, bwd = chan.round_trip(0.1 * np.arange(20), 32, 2.0, _fresh)
         counts = tracing.op_counters(tracer.snapshot())
     finally:
         tracer.uninstall()
-    assert delivered == ["y"]
-    assert counts["netsim.sends"] == 1
-    assert counts["netsim.tail_drops"] == 0
-    assert counts["clock.events"] == 3  # the scheduled send and two hops
+    assert counts["netsim.sends"] == 0
+    assert counts["clock.events"] == 0
+    assert counts["netsim.tail_drops"] == int(np.isnan(fwd).sum() + np.isnan(bwd).sum()) > 0
 
 
 def test_sickness_replay_is_counted_without_the_clock(tmp_path):

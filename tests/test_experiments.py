@@ -54,6 +54,17 @@ def test_unknown_key_in_any_object_exits_2(tmp_path, capsys, cfg, key):
     assert key in capsys.readouterr().err
 
 
+def _line(delay=0.0, bandwidth=1e7, rate=1e6):
+    """A two-switch topology with one flow across its link."""
+    return {"channel": {"type": "topology", "flows": [{"src": "a", "dst": "b", "rate_bps": rate}],
+                        "topology": {"switches": ["S0", "S1"],
+                                     "links": [["S0", "S1", delay, bandwidth]],
+                                     "hosts": {"a": "S0", "b": "S1"},
+                                     "te_master": "S0", "te_slave": "S1"}}}
+
+
+NAN, INF = float("nan"), float("inf")
+
 # (case, config, text the error names): values a config object rejects when
 # it is built, before any experiment runs
 BAD_VALUES = [
@@ -69,6 +80,22 @@ BAD_VALUES = [
     ("zero queue cap", {"channel": {**TOPOLOGY, "queue_cap": 0}}, "queue_cap"),
     ("negative packet size", {"channel": IDEAL, "loop": {"packet_size_b": -64}},
      "packet_size_b"),
+    # JSON spells NaN and Infinity too; a channel number must be finite
+    ("NaN link delay", _line(delay=NAN), "bad link parameters"),
+    ("infinite link delay", _line(delay=INF), "bad link parameters"),
+    ("minus infinite link delay", _line(delay=-INF), "bad link parameters"),
+    ("NaN link bandwidth", _line(bandwidth=NAN), "bad link parameters"),
+    ("infinite link bandwidth", _line(bandwidth=INF), "bad link parameters"),
+    ("minus infinite link bandwidth", _line(bandwidth=-INF), "bad link parameters"),
+    ("NaN flow rate", _line(rate=NAN), "flow rate"),
+    ("infinite flow rate", _line(rate=INF), "flow rate"),
+    ("NaN latency", {"channel": _impaired(forward={"latency_ms": NAN})}, "latency"),
+    ("NaN impaired bandwidth", {"channel": _impaired(backward={"bandwidth_bps": NAN})},
+     "bandwidth_bps"),
+    ("NaN jitter a", {"channel": _impaired(forward={"jitter": {"kind": "uniform", "a": NAN}})},
+     "jitter"),
+    ("NaN jitter sigma", {"channel": _impaired(backward={"jitter": {
+        "kind": "truncnorm", "mu": 1.0, "sigma": NAN}})}, "jitter"),
 ]
 
 

@@ -8,8 +8,8 @@ of events scheduled on the virtual clock. The digest was recorded before the
 controller and plant copies were merged into Operator, Plant and Robot, so a
 refactor of the loop core must leave it unchanged bit for bit. The event
 count is checked on its own against SCHEDULED, because cross traffic, step
-runs on channels that carry a batch of sends and the cybersickness replays
-have since left the clock; the digest hashes the count it was recorded with.
+runs and the cybersickness replays have since left the clock; the digest
+hashes the count it was recorded with.
 """
 
 import hashlib
@@ -26,11 +26,9 @@ GOLDEN_DIGEST = "1aad100b2925575e6d9886e6dae8dd79f121036627c64adba287754d5694afd
 # Events the digest was recorded with, when every cross-traffic packet hop was
 # a clock event; it stays hashed so that GOLDEN_DIGEST keeps covering the rest.
 RECORDED_SCHEDULED = 60_279
-# Events now that cross traffic runs off the clock and only a topology under
-# cross traffic replays its sends on it: the tactile hops, the sends after
-# the first and the drain of the loaded usnet-nw trial, as many as the old
-# runner's hops and controller checks.
-SCHEDULED = 500
+# Events now that every simulated run, the loaded usnet-nw trial included,
+# is a round trip off the clock.
+SCHEDULED = 0
 
 _REORDER = ChannelModel(
     forward=LinkParams(latency_ms=0.2, jitter=Jitter.uniform(3.0), drop_prob=0.05,

@@ -5,9 +5,10 @@ from random import Random
 import numpy as np
 import pytest
 
+import netsim_oracle
 from random_topologies import random_topology
-from tcpsbench.clock import EventScheduler
 from tcpsbench.experiments import load_experiment
+from tcpsbench.loopsim import _fresh
 from tcpsbench.netsim import (
     Link,
     Topology,
@@ -35,6 +36,11 @@ def diamond_topology():
              Link("S0", "S2", 0.1, 1e7), Link("S2", "S3", 0.1, 1e7))
     return Topology(switches=("S0", "S1", "S2", "S3"), links=links,
                     hosts={"h0": "S0", "h3": "S3"}, te_master="S0", te_slave="S3")
+
+
+def no_answer(fwd):
+    """The far end of a round trip that answers no command."""
+    return np.empty(0, dtype=int)
 
 
 class TestRoute:
@@ -143,13 +149,8 @@ class TestDelivery:
         topo = line_topology(2, delay=0.1, bw=1e6)
         flows = (TrafficFlow("h0", "h1", rate_bps=2e6, pkt_bytes=1250),)
         chan = channel_from_topology(topo, flows, seed=1, queue_cap=4)
-        sched = EventScheduler()
-        chan.bind(sched)
-        delivered = []
-        for i in range(40):
-            sched.schedule(50.0 + i * 0.5, lambda: chan.send(
-                FORWARD, "p", 1250, delivered.append))
-        sched.run(horizon_ms=500.0)  # sources reschedule forever; bound the run
+        # the flow keeps emitting until 500 ms
+        chan.round_trip(50.0 + 0.5 * np.arange(40), 1250, 500.0, no_answer)
         stats = chan.stats[FORWARD]
         assert stats.dropped > 0
         assert stats.delivered + stats.dropped == stats.sent
@@ -158,13 +159,8 @@ class TestDelivery:
         topo = line_topology(3)
         flows = (TrafficFlow("h0", "h2", rate_bps=5e6, pkt_bytes=1000),)
         chan = channel_from_topology(topo, flows, seed=2)
-        sched = EventScheduler()
-        chan.bind(sched)
-        got = []
-        for i in range(50):
-            sched.schedule(i * 0.4, (lambda k: (
-                lambda: chan.send(FORWARD, k, 32, got.append)))(i))
-        sched.run(horizon_ms=100.0)
+        fwd, _, _ = chan.round_trip(0.4 * np.arange(50), 32, 100.0, no_answer)
+        got = np.flatnonzero(fwd == fwd).tolist()  # the packets that landed
         assert sorted(got) == sorted(set(got))
         assert chan.stats[FORWARD].delivered == len(got)
 
@@ -173,22 +169,15 @@ class TestChannelComposition:
     def test_ideal_links_no_flows_equals_path_delay(self):
         topo = line_topology(3)
         chan = channel_from_topology(topo, (), seed=1)
-        sched = EventScheduler()
-        chan.bind(sched)
-        arrivals = []
-        sched.schedule(0.0, lambda: chan.send(FORWARD, "x", 32, lambda p: arrivals.append(sched.now)))
-        sched.run()
-        assert arrivals[0] == closed_form_delivery(topo, 32, 0.0)
+        fwd, _, _ = chan.round_trip(np.array([0.0]), 32, 0.0, no_answer)
+        assert fwd[0] == closed_form_delivery(topo, 32, 0.0)
 
     def test_backward_direction_routes_reverse(self):
         topo = line_topology(3)
         chan = channel_from_topology(topo, (), seed=1)
-        sched = EventScheduler()
-        chan.bind(sched)
-        arrivals = []
-        sched.schedule(0.0, lambda: chan.send(BACKWARD, "x", 32, lambda p: arrivals.append(sched.now)))
-        sched.run()
-        assert arrivals[0] == pytest.approx(closed_form_delivery(topo, 32, 0.0))
+        fwd, fresh, bwd = chan.round_trip(np.array([0.0]), 32, 0.0, _fresh)
+        assert fresh.tolist() == [0]
+        assert bwd[0] - fwd[0] == pytest.approx(closed_form_delivery(topo, 32, 0.0))
 
     def test_bundled_topology_loads(self):
         exp = load_experiment("usnet-nw")
@@ -196,13 +185,16 @@ class TestChannelComposition:
         assert route(topo, "S0", "S8") == [("S0", "S5"), ("S5", "S8")]
         assert topo.hosts["m0"] == "S0" and topo.hosts["n0"] == "S8"
 
-    def test_cross_traffic_keeps_the_channel_on_the_clock(self):
+    def test_loaded_round_trip_runs_off_the_clock(self):
+        """A channel under cross traffic gives its round trip without a
+        scheduler, as the event-per-packet channel gives it on the clock."""
         topo = line_topology(3)
-        assert channel_from_topology(topo, (), seed=1).carries_batches
-        loaded = channel_from_topology(topo, (TrafficFlow("h0", "h2", 1e6, 64),), seed=1)
-        assert not loaded.carries_batches
-        with pytest.raises(TopologyError):
-            loaded.carry(FORWARD, np.array([0.0, 1.0]), 32)
+        flows = (TrafficFlow("h0", "h2", 1e6, 64), TrafficFlow("h2", "h1", 1e6, 200))
+        sends = 0.7 * np.arange(30)
+        got = channel_from_topology(topo, flows, seed=1).round_trip(sends, 32, 21.0, _fresh)
+        want = netsim_oracle.NetsimChannel(topo, flows, 1).round_trip(sends, 32, 21.0, _fresh)
+        assert repr([a.tolist() for a in got]) == repr([a.tolist() for a in want])
+        assert np.isnan(got[0]).sum() == 0 and len(got[2]) > 0
 
     def test_pair_flows_template(self):
         flows = pair_flows(3, 250000.0, 64)

@@ -1,20 +1,21 @@
 """Differential test of the netsim engine against the event-per-packet oracle.
 
-`tcpsbench.netsim.NetsimChannel` runs cross traffic off the virtual clock,
-link by link, and simulates only the flows that can delay a tactile packet.
-`tests/netsim_oracle.py` holds the channel it replaced, in which every cross
-packet hop is a clock event. On random topologies (rings included, zero
-delays included), flow sets and queue caps, both must give the same step
-runs and the same one-shot delivery times, bit for bit.
+`tcpsbench.netsim.NetsimChannel` runs a whole round trip off the virtual
+clock, one batch per link, and simulates only the flows that can delay a
+tactile packet. `tests/netsim_oracle.py` holds the channel it replaced, in
+which every packet hop is a clock event. On random topologies (rings
+included, zero delays included), flow sets and queue caps, and on rings
+whose flows chase each other so that links feed each other in a cycle,
+both must give the same step runs and the same one-shot delivery times,
+bit for bit.
 """
 
-import math
 from random import Random
 
+import numpy as np
 import pytest
 
 import netsim_oracle
-from tcpsbench.clock import EventScheduler
 from tcpsbench.loopsim import LoopConfig, run_step_experiment
 from tcpsbench.netsim import (
     Link,
@@ -24,9 +25,9 @@ from tcpsbench.netsim import (
     Unreachable,
     simulate_delivery,
 )
-from tcpsbench.transport import FORWARD
 
 CASES = 200
+RING_CASES = 40
 
 
 def _topology(rng):
@@ -109,6 +110,74 @@ def test_engine_matches_event_per_packet_oracle(block):
                     == _delivery(netsim_oracle.simulate_delivery, *args)), f"case {i}"
 
 
+def _ring_case(i):
+    """A ring of 5-8 switches on which a flow leaves every switch the same
+    way round and crosses 2 or more links, so that every link feeds the
+    next one."""
+    rng = Random(5000 + i)
+    n = rng.randint(5, 8)
+    switches = tuple(f"S{k}" for k in range(n))
+    links = tuple(Link(switches[k], switches[(k + 1) % n],
+                       rng.choice((0.0, 0.1, rng.uniform(0.0, 1.0))),
+                       rng.choice((1e6, 2e6, rng.uniform(5e5, 5e6)))) for k in range(n))
+    hosts = {f"h{k}": s for k, s in enumerate(switches)}
+    span = rng.randint(2, (n - 1) // 2)  # fewer than half the links: one way round
+    flows = []
+    for k in range(n):
+        pkt_bytes = rng.choice((64, 200, 1250))
+        period_ms = rng.uniform(0.3, 4.0)
+        flows.append(TrafficFlow(f"h{k}", f"h{(k + span) % n}",
+                                 pkt_bytes * 8.0 / period_ms * 1000.0, pkt_bytes))
+    te_master, te_slave = rng.sample(switches, 2)
+    topo = Topology(switches=switches, links=links, hosts=hosts,
+                    te_master=te_master, te_slave=te_slave)
+    cap = rng.choice((None, None, rng.randint(1, 6)))
+    cfg = LoopConfig(setting=rng.choice(("haptic", "non-haptic")),
+                     delta_ms=rng.uniform(0.5, 3.0), sweep_len=rng.randint(8, 30),
+                     packet_size_b=rng.choice((32, 64, 256)),
+                     robot_tau_ms=rng.choice((0.0, rng.uniform(0.1, 3.0))),
+                     seed=rng.randrange(1000))
+    return rng, topo, tuple(flows), cap, cfg
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_rings_of_chasing_flows_match_the_oracle(block):
+    for i in range(block * RING_CASES // 4, (block + 1) * RING_CASES // 4):
+        rng, topo, flows, cap, cfg = _ring_case(i)
+        got = run_step_experiment(cfg, NetsimChannel(topo, flows, cfg.seed, cap))
+        want = run_step_experiment(cfg, netsim_oracle.NetsimChannel(topo, flows, cfg.seed, cap))
+        assert _record(got) == _record(want), f"ring case {i}"
+        src, dst = rng.sample(sorted(topo.hosts), 2)
+        args = (topo, flows, rng.choice((1, 64, 1500)), rng.uniform(0.0, 40.0), cfg.seed,
+                src, dst, cap)
+        assert (_delivery(simulate_delivery, *args)
+                == _delivery(netsim_oracle.simulate_delivery, *args)), f"ring case {i}"
+
+
+def test_ring_cases_form_cyclic_link_groups(monkeypatch):
+    """The ring cases are not vacuous: in at least 10 of them a group of
+    links feeds itself, and its second sweep still changes an input, so the
+    group settles only in a third."""
+    runs = [0]
+    admit = NetsimChannel._admit
+
+    def counted(self, *args):
+        runs[0] += 1
+        return admit(self, *args)
+
+    monkeypatch.setattr(NetsimChannel, "_admit", counted)
+    resettled = 0
+    for i in range(RING_CASES):
+        _rng, topo, flows, cap, cfg = _ring_case(i)
+        chan = NetsimChannel(topo, flows, cfg.seed, cap)
+        runs[0] = 0
+        run_step_experiment(cfg, chan)
+        once = sum(len(group) for group in chan._order)  # one sweep of every group
+        cyclic = max(len(group) for group in chan._order)
+        resettled += cyclic > 1 and runs[0] >= once + 2 * cyclic
+    assert resettled >= 10, resettled
+
+
 def test_cases_exercise_queueing_drops_and_drain():
     """The random cases are not vacuous: tactile packets are tail-dropped,
     tactile routes carry cross traffic, and rings occur."""
@@ -137,22 +206,6 @@ def test_unreached_links_are_pruned():
     assert set(chan._queues) == {("S0", "S1"), ("S1", "S0"), ("S2", "S1"), ("S3", "S2")}
 
 
-def test_cross_traffic_schedules_no_events():
-    """Only tactile hops and deliveries reach the clock."""
-    links = (Link("S0", "S1", 0.5, 1e6), Link("S1", "S2", 0.0, 1e6))
-    topo = Topology(switches=("S0", "S1", "S2"), links=links, hosts={"a": "S0", "b": "S2"},
-                    te_master="S0", te_slave="S2")
-    chan = NetsimChannel(topo, (TrafficFlow("a", "b", 5e5, 64),), 0)
-    sched = EventScheduler()
-    chan.bind(sched)
-    delivered = []
-    sched.schedule(30.0, lambda: chan.send(FORWARD, None, 32, delivered.append))
-    sched.run(stop=lambda: bool(delivered))
-    assert delivered == [None]
-    assert sched._seq == 3  # the send plus one event per hop
-    assert chan._idle_until > 30.0 and math.isfinite(chan._idle_until)
-
-
 def test_cross_emission_at_the_same_instant_enters_first():
     """A cross packet emitted at the instant a tactile packet enters the same
     link queues ahead of it, as the oracle's delivery-before-control event
@@ -170,6 +223,21 @@ def test_cross_emission_at_the_same_instant_enters_first():
     assert got.operator_trace[1][0] == phase
     assert _record(got) == _record(run_step_experiment(cfg, netsim_oracle.NetsimChannel(
         topo, flows, 0)))
+
+
+def test_cross_packets_at_the_same_instant_enter_smallest_first():
+    """Cross packets that reach a link at one instant enter it by size, then
+    in flow order. Here a 1250-byte and a 64-byte packet leave S0 at 1 ms;
+    the small one goes first, so the large one reaches S1-S2 only at
+    11.512 ms and a tactile packet sent at 11.2 ms finds the link idle."""
+    topo = Topology(switches=("S0", "S1", "S2"),
+                    links=(Link("S0", "S1", 0.0, 1e6), Link("S1", "S2", 0.0, 1e6)),
+                    hosts={"a": "S0", "b": "S2"}, te_master="S1", te_slave="S2")
+    chan = NetsimChannel(topo, (TrafficFlow("a", "b", 1e5, 1250),
+                                TrafficFlow("a", "b", 1e5, 64)), 0)
+    chan._emitters = [(1.0, 100.0, 1250), (1.0, 100.0, 64)]  # one emission each, together
+    fwd, _, _ = chan.round_trip(np.array([11.2]), 32, 11.2, lambda fwd: np.empty(0, dtype=int))
+    assert fwd.tolist() == [11.2 + 0.256]
 
 
 def test_tail_dropped_packet_is_unreachable():

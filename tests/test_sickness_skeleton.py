@@ -2,11 +2,12 @@
 
 `tcpsbench.sickness.measure_E` computes a replay as a timing skeleton plus a
 value recurrence; `tests/sickness_oracle.py` keeps the event-driven replay
-it replaced. On random trajectories, sampling rates, robot lags and
-channels (ideal, impaired, topologies with and without cross traffic), both
-must report the same exposure, sample count and histogram, and reach them
-from the same errors in the same order, bit for bit (compared through repr),
-or fail with the same error type.
+it replaced, which runs on topologies over the event-per-packet channel of
+`tests/netsim_oracle.py`. On random trajectories, sampling rates, robot
+lags and channels (ideal, impaired, topologies with and without cross
+traffic), both must report the same exposure, sample count and histogram,
+and reach them from the same errors in the same order, bit for bit
+(compared through repr), or fail with the same error type.
 """
 
 from collections import Counter
@@ -15,6 +16,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import netsim_oracle
 import sickness_oracle
 from random_topologies import count_waiting_batches, random_flows, random_topology
 from tcpsbench import sickness
@@ -40,7 +42,9 @@ def _link(rng, period_ms, size_b):
 
 
 def _case(i):
-    """(trajectory, channel factory, measure_E keywords, kind) of case i."""
+    """(trajectory, channel factory, measure_E keywords, kind) of case i; on
+    a topology the factory builds the event-per-packet channel when oracle
+    is set."""
     rng = Random(9000 + i)
     n = rng.randint(2, 150)
     step_mm = rng.choice((0.01, 0.3, 1.0, 5.0))
@@ -54,16 +58,17 @@ def _case(i):
     kind = KINDS[i % 4]
     if kind == "ideal":
         model = ideal_model(rng.choice((0.0, period_ms / 2, rng.uniform(0.0, 3.0 * period_ms))))
-        factory = lambda: model.build(i)
+        factory = lambda oracle=False: model.build(i)
     elif kind == "impaired":
         model = ChannelModel(forward=_link(rng, period_ms, size_b),
                              backward=_link(rng, period_ms, size_b))
-        factory = lambda: model.build(i)
+        factory = lambda oracle=False: model.build(i)
     else:
         topo = random_topology(rng, size_b, (0.05 * period_ms, 3.0 * period_ms))
         flows = random_flows(rng, topo) if kind == "loaded" else ()
         cap = rng.choice((None, None, rng.randint(1, 6)))
-        factory = lambda: channel_from_topology(topo, flows, i, cap)
+        factory = lambda oracle=False: (netsim_oracle.NetsimChannel if oracle else
+                                        channel_from_topology)(topo, flows, i, cap)
     kw = dict(fs_hz=fs_hz, robot_tau_ms=rng.choice((0.0, rng.uniform(0.1, 5.0) * period_ms)),
               v_max_mps=rng.choice((0.0, 0.02, rng.uniform(0.001, 0.5))), packet_size_b=size_b)
     return traj, factory, kw, kind
@@ -93,7 +98,7 @@ def test_replay_matches_the_event_loop(block, monkeypatch):
         traj, factory, kw, _ = _case(i)
         errors.clear()
         got = _report(sickness.measure_E, traj, factory(), kw)
-        want = _report(sickness_oracle.measure_E, traj, factory(), kw)
+        want = _report(sickness_oracle.measure_E, traj, factory(oracle=True), kw)
         assert got == want, f"case {i}"
         assert len(errors) in (0, 2) and errors[:1] == errors[1:], f"case {i}"
 
@@ -130,7 +135,7 @@ def test_cases_cover_the_channel_features(monkeypatch):
             seen["queue cap"] += any(q.cap is not None for q in chan._queues.values())
             seen["zero hop"] += not chan._routes["forward"]
         elif kind == "loaded":
-            seen["flows kept"] += not chan.carries_batches
+            seen["flows kept"] += bool(chan._emitters)
     for feature in ("queued", "tail drop", "queue cap", "zero hop", "flows kept", "robot lag",
                     "fs_hz override", "random drops", "drop_seq", "fifo off",
                     "impaired bandwidth", "none", "uniform", "truncnorm", "error"):

@@ -1,13 +1,14 @@
 """Differential test of the skeleton runner against the virtual clock.
 
 `run_step_experiment` computes every simulated step run as a timing
-skeleton plus a value recurrence: an impaired (or ideal) channel and a
-topology without cross traffic carry each direction as one batch, and a
-topology under cross traffic gives the arrival times from a value-free
-replay on the clock. `tests/step_oracle.py` keeps the event-driven runner
-it replaced. On random channels, both settings and robot lag, both runners
-must give the same curve columns, operator trace and per-direction stats,
-bit for bit (compared through repr, so -0.0 differs from 0.0).
+skeleton plus a value recurrence: the channel gives the arrival times of a
+whole round trip off the clock, an impaired (or ideal) channel as one batch
+per direction and a topology as one batch per link. `tests/step_oracle.py`
+keeps the event-driven runner it replaced; on topologies it runs over the
+event-per-packet channel of `tests/netsim_oracle.py`. On random channels,
+both settings and robot lag, both runners must give the same curve columns,
+operator trace and per-direction stats, bit for bit (compared through repr,
+so -0.0 differs from 0.0).
 """
 
 from collections import Counter
@@ -16,6 +17,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import netsim_oracle
 from random_topologies import count_waiting_batches, random_flows, random_topology
 from step_oracle import run_step_on_clock
 from tcpsbench import transport
@@ -119,7 +121,8 @@ def test_cases_cover_the_channel_features():
 def _topology_case(i, loaded=False):
     """A random step run across a topology, with serialization from a
     twentieth of the loop time up to three loop times per slow link; when
-    loaded, under random cross traffic."""
+    loaded, under random cross traffic. The factory builds the engine's
+    channel, or with oracle=True the event-per-packet one."""
     rng = Random((9500 if loaded else 8000) + i)
     cfg = LoopConfig(setting=rng.choice(("haptic", "non-haptic")),
                      delta_ms=rng.choice((0.5, 1.0, rng.uniform(0.1, 4.0))),
@@ -129,7 +132,8 @@ def _topology_case(i, loaded=False):
     topo = random_topology(rng, cfg.packet_size_b, (0.05 * cfg.delta_ms, 3.0 * cfg.delta_ms))
     flows = random_flows(rng, topo) if loaded else ()
     cap = rng.choice((None, None, rng.randint(1, 6)))
-    return cfg, lambda: channel_from_topology(topo, flows, cfg.seed, cap)
+    return cfg, lambda oracle=False: (netsim_oracle.NetsimChannel if oracle else
+                                      channel_from_topology)(topo, flows, cfg.seed, cap)
 
 
 @pytest.mark.parametrize("block", range(4))
@@ -137,9 +141,9 @@ def test_tactile_only_topologies_match_the_clock(block):
     for i in range(block * TOPOLOGY_CASES // 4, (block + 1) * TOPOLOGY_CASES // 4):
         cfg, factory = _topology_case(i)
         chan = factory()
-        assert chan.carries_batches
+        assert not chan._emitters
         got = run_step_experiment(cfg, chan)
-        assert _record(got) == _record(run_step_on_clock(cfg, factory())), f"case {i}"
+        assert _record(got) == _record(run_step_on_clock(cfg, factory(oracle=True))), f"case {i}"
 
 
 def test_topology_cases_queue_and_tail_drop(monkeypatch):
@@ -165,20 +169,20 @@ def test_loaded_topologies_match_the_clock(block):
     for i in range(block * LOADED_CASES // 4, (block + 1) * LOADED_CASES // 4):
         cfg, factory = _topology_case(i, loaded=True)
         got = run_step_experiment(cfg, factory())
-        assert _record(got) == _record(run_step_on_clock(cfg, factory())), f"case {i}"
+        assert _record(got) == _record(run_step_on_clock(cfg, factory(oracle=True))), f"case {i}"
 
 
 def test_loaded_cases_keep_flows_and_tail_drop():
-    """In the loaded cases, flows survive pruning (the run replays on the
-    clock), and queues tail-drop in such replays."""
+    """In the loaded cases, flows survive pruning, and queues tail-drop in
+    runs under cross traffic."""
     seen = Counter()
     for i in range(LOADED_CASES):
         cfg, factory = _topology_case(i, loaded=True)
         chan = factory()
         rec = run_step_experiment(cfg, chan)
-        replayed = not chan.carries_batches
-        seen["flows kept"] += replayed
-        seen["tail drop"] += replayed and any(s.dropped for s in rec.channel_stats.values())
+        loaded = bool(chan._emitters)
+        seen["flows kept"] += loaded
+        seen["tail drop"] += loaded and any(s.dropped for s in rec.channel_stats.values())
     for feature in ("flows kept", "tail drop"):
         assert seen[feature] >= 10, (feature, seen)
 

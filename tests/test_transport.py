@@ -1,5 +1,6 @@
 """Wire codec, link queue and simulated-channel behavior."""
 
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -254,14 +255,42 @@ class TestLinkQueue:
             done = sends + size_b * 8.0 / args[0] * 1000.0
             paths.add(sends[0] < one.free_at or bool(np.any(sends[1:] < done[:-1])))
             want = [one.admit(s, size_b) for s in sends.tolist()]
-            got = batch.carry(sends, size_b).tolist()
+            got = batch.carry(sends, batch.serialization_ms(size_b)).tolist()
             assert repr(got) == repr([np.nan if w is None else w for w in want]), case
             assert (batch.free_at, batch.departures) == (one.free_at, one.departures), case
         assert paths == {False, True}
 
+    def test_mixed_sizes_and_saturated_links_match_admit(self):
+        """A batch of mixed sizes gives admit()'s arrivals, called one packet
+        at a time, bit for bit, and leaves the same state, under caps None,
+        1, 2, 4 and 6; loads run from a tenth to three times the link rate,
+        so some uncapped busy periods outlast LinkQueue.ROUNDS and finish in
+        the sequential loop. Some packets arrive together."""
+        rng = Random(4)
+        seen = Counter()
+        for case in range(300):
+            cap = rng.choice((None, None, 1, 2, 4, 6))
+            args = (rng.choice((1e5, 1e6, 1e7)), rng.choice((0.0, 0.5)), cap)
+            one, batch = LinkQueue(*args), LinkQueue(*args)
+            sizes = np.array([rng.choice((32, 64, 200, 1250)) for _ in range(rng.randint(1, 200))])
+            gap = sizes.mean() * 8.0 / args[0] * 1000.0 / rng.uniform(0.1, 3.0)
+            sends = np.add.accumulate([0.0 if rng.random() < 0.1 else rng.uniform(0.0, 2 * gap)
+                                       for _ in sizes])
+            want, run = [], 0
+            for s, b in zip(sends.tolist(), sizes.tolist()):
+                run = run + 1 if one.free_at > s else 0  # packets in a row that wait
+                seen[(cap is None, min(run, LinkQueue.ROUNDS + 1))] += 1
+                want.append(one.admit(s, b))
+            got = batch.carry(sends, batch.serialization_ms(sizes)).tolist()
+            assert repr(got) == repr([np.nan if w is None else w for w in want]), case
+            assert (batch.free_at, batch.departures) == (one.free_at, one.departures), case
+            seen["dropped"] += None in want
+        assert seen[(True, 1)] and seen[(True, LinkQueue.ROUNDS + 1)] >= 10, seen
+        assert seen["dropped"] >= 10, seen
+
     def test_empty_batch(self):
         q = LinkQueue(1e6, 0.5, 2)
-        assert len(q.carry(np.empty(0), 32)) == 0
+        assert len(q.carry(np.empty(0), q.serialization_ms(32))) == 0
         assert (q.free_at, q.departures) == (0.0, [])
 
 
@@ -309,7 +338,7 @@ class TestSimChannel:
         chan = build(1)
         chan.close()
         with pytest.raises(ChannelClosed):
-            chan.carry(FORWARD, np.array([0.0, 1.0]), 32)
+            chan.round_trip(np.array([0.0, 1.0]), 32, 1.0, lambda fwd: np.arange(len(fwd)))
 
     def test_unbound_channel_rejects_send(self, build):
         chan = build(1)
