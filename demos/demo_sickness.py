@@ -21,9 +21,8 @@ for fs_hz, fraction in ((40.0, 0.77), (30.0, 0.82), (20.0, 0.88)):
     traj = compliant_trajectory(fs_hz, n_steps=3000, v_max_mps=result.v_max_mps,
                                 fraction=fraction, seed=int(fs_hz))
     predicted = predict_E(traj, result.v_max_mps)
-    report = measure_E(traj, exp.channel.factory(int(fs_hz)), fs_hz=fs_hz,
-                       robot_tau_ms=exp.loop.robot_tau_ms,
-                       v_max_mps=result.v_max_mps)
+    report = measure_E(traj, exp.channel.factory(int(fs_hz)),
+                       robot_tau_ms=exp.loop.robot_tau_ms, v_max_mps=result.v_max_mps)
     print(f"fs = {fs_hz:4.0f} Hz: predicted E = {predicted:5.1f}%   "
           f"measured E = {report.measured_e_pct:5.1f}%   "
           f"({report.n_samples} feedback samples)")

@@ -261,9 +261,8 @@ def cmd_sickness(args: argparse.Namespace) -> int:
     # measure
     exp = load_experiment(args.config)
     channel = exp.channel.factory(args.seed if args.seed is not None else exp.loop.seed)
-    report = measure_E(traj, channel, fs_hz=traj.fs_hz,
-                       robot_tau_ms=exp.loop.robot_tau_ms, v_max_mps=args.vmax,
-                       packet_size_b=exp.loop.packet_size_b)
+    report = measure_E(traj, channel, robot_tau_ms=exp.loop.robot_tau_ms,
+                       v_max_mps=args.vmax, packet_size_b=exp.loop.packet_size_b)
     _write(out / "sickness.txt", report.summary() + "\n")
     _write(out / "error_histogram.csv", histogram_csv(report))
     _manifest(out, "sickness measure", exp.raw, ["sickness.txt", "error_histogram.csv"],

@@ -39,9 +39,6 @@ class EventScheduler:
         heapq.heappush(self._heap, (t_ms, priority, self._seq, fn))
         self._seq += 1
 
-    def pending(self) -> int:
-        return len(self._heap)
-
     def run(self, stop: Callable[[], bool] | None = None, horizon_ms: float | None = None) -> None:
         """Run events until the heap drains, `stop()` turns true, or the
         next event lies beyond `horizon_ms` (that event stays queued)."""

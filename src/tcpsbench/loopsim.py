@@ -63,6 +63,9 @@ class LoopConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("k_p", "k_1", "k_2", "p_ref", "delta_ms", "robot_tau_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.setting not in (SETTING_HAPTIC, SETTING_NONHAPTIC):
             raise ValueError(f"setting must be {SETTING_HAPTIC!r} or {SETTING_NONHAPTIC!r}, "
                              f"got {self.setting!r}")

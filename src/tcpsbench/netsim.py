@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .core import TcpsbenchError
-from .transport import BACKWARD, FORWARD, ChannelClosed, LinkQueue, SimChannel
+from .transport import BACKWARD, FORWARD, LinkQueue, SimChannel
 
 
 class Unreachable(TcpsbenchError):
@@ -264,8 +264,6 @@ class NetsimChannel(SimChannel):
     def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float,
                    answer: Callable[[np.ndarray], np.ndarray]):
         """SimChannel.round_trip, computed by _run."""
-        if self._closed:
-            raise ChannelClosed("channel is closed")
         arrivals = self._run(sends, size_b, drain_at, answer)
         fwd, bwd = arrivals[-2][-1], arrivals[-1][-1]
         for direction, t in ((FORWARD, fwd), (BACKWARD, bwd)):
@@ -340,14 +338,13 @@ def channel_from_topology(topology: Topology, flows: tuple[TrafficFlow, ...] | l
     return NetsimChannel(topology, tuple(flows), seed, queue_cap)
 
 
-def pair_flows(n_pairs: int, rate_bps: float, pkt_bytes: int = 64,
-               a_prefix: str = "m", b_prefix: str = "n") -> tuple[TrafficFlow, ...]:
-    """Bidirectional CBR flows between host pairs a0<->b0 .. a{n-1}<->b{n-1};
+def pair_flows(n_pairs: int, rate_bps: float, pkt_bytes: int = 64) -> tuple[TrafficFlow, ...]:
+    """Bidirectional CBR flows between host pairs m0<->n0 .. m{n-1}<->n{n-1};
     the bundled topology attaches the m* hosts at the master switch and the
     n* hosts at the slave switch, loading the tactile route end to end."""
     flows: list[TrafficFlow] = []
     for i in range(n_pairs):
-        a, b = f"{a_prefix}{i}", f"{b_prefix}{i}"
+        a, b = f"m{i}", f"n{i}"
         flows.append(TrafficFlow(src=a, dst=b, rate_bps=rate_bps, pkt_bytes=pkt_bytes))
         flows.append(TrafficFlow(src=b, dst=a, rate_bps=rate_bps, pkt_bytes=pkt_bytes))
     return tuple(flows)

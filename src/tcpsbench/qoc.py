@@ -32,6 +32,7 @@ from .transport import shared_draws
 
 T_R_IDEAL_MS = 1.5  # rise time of the ideal system's tuned curve; fixed, never re-measured
 _Z95 = 1.96
+PROBE_TRIALS = 8  # trials of the rejection probe at each new grid point
 
 
 class NoGoodDelta(TcpsbenchError):
@@ -86,13 +87,18 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # a NaN or infinite bound or step would make grid() endless
+        for name in ("delta_min_ms", "delta_max_ms", "delta_step_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.deltas is None:
             if self.delta_min_ms <= 0.0 or self.delta_step_ms <= 0.0:
                 raise ValueError("grid must be positive")
             if self.delta_max_ms < self.delta_min_ms:
                 raise ValueError("delta_max_ms below delta_min_ms")
-        elif any(d <= 0.0 for d in self.deltas):
-            raise ValueError("explicit grid must be positive")
+        elif not all(0.0 < d < math.inf for d in self.deltas):  # NaN fails too
+            raise ValueError(f"explicit grid deltas must be positive and finite, "
+                             f"got {list(self.deltas)}")
         if not 0.0 < self.ci_halfwidth < 0.5:
             raise ValueError("ci_halfwidth must lie in (0, 0.5)")
         if self.m_batch < 1 or self.m_max < self.m_batch:
@@ -203,19 +209,19 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig,
 
 
 def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: float,
-                probe_trials: int = 8, memo: TrialMemo | None = None) -> bool:
-    """Cheap scan filter: after a few shared-seed trials, is the upper 95%
-    confidence bound on goodness already below g_spec? Used only to skip
+                memo: TrialMemo | None = None) -> bool:
+    """Cheap scan filter: after PROBE_TRIALS shared-seed trials, is the upper
+    95% confidence bound on goodness already below g_spec? Used only to skip
     hopeless grid points; accepted points always get the full estimate."""
     good = 0
-    for i in range(probe_trials):
+    for i in range(PROBE_TRIALS):
         good += _run_trial(runner, delta_ms, search.trial_seed(i), memo)[0] is not None
-        remaining = probe_trials - (i + 1)
-        best_g = (good + remaining) / probe_trials
-        if best_g + ci_halfwidth(best_g, probe_trials) < g_spec:
+        remaining = PROBE_TRIALS - (i + 1)
+        best_g = (good + remaining) / PROBE_TRIALS
+        if best_g + ci_halfwidth(best_g, PROBE_TRIALS) < g_spec:
             return True
-    g = good / probe_trials
-    return g + ci_halfwidth(g, probe_trials) < g_spec
+    g = good / PROBE_TRIALS
+    return g + ci_halfwidth(g, PROBE_TRIALS) < g_spec
 
 
 def find_delta_opt(runner: Runner, search: SearchConfig) -> float:

@@ -53,13 +53,6 @@ class HandTrajectory:
         """Per-step speeds in m/s (mm * Hz / 1000)."""
         return np.diff(self.positions) * self.fs_hz / 1000.0
 
-    def below_fraction(self, v_max_mps: float) -> float:
-        v = np.abs(self.velocities_mps())
-        return float(np.count_nonzero(v < v_max_mps)) / len(v)
-
-    def duration_s(self) -> float:
-        return (len(self.positions) - 1) / self.fs_hz
-
     def position_at(self, t_ms: float) -> float:
         """Linear interpolation of the hand position at an arbitrary time,
         clamped to the first and last samples; the same arithmetic as
@@ -121,26 +114,24 @@ def _histogram(errors: np.ndarray) -> list[tuple[float, float]]:
     return [(float(edges[i]), float(pct[i])) for i in range(n_bins)]
 
 
-def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
-              robot_tau_ms: float = 0.0, v_max_mps: float = 0.0,
-              packet_size_b: int = 32) -> SicknessReport:
+def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
+              v_max_mps: float = 0.0, packet_size_b: int = 32) -> SicknessReport:
     """Replay the trajectory as position commands through a channel and
     measure E from the errors observed at every feedback arrival.
 
-    Command k leaves after k sampling periods (summed as the clock adds
-    them) and carries hand sample k. The robot takes the fresh commands in
-    delivery order, moves through its optional first-order lag (robot_lag's
-    arithmetic, its factor from math.exp) and echoes its position at once;
-    a feedback counts when it is newer than every one delivered before it,
-    and its error is the fed-back position minus the hand's interpolated
-    position at its arrival. The arrival times come first, from the same
-    value-free round trip as a step run's, which ends with the last send;
-    the values follow from them.
+    Command k leaves after k of the trajectory's sampling periods (summed
+    as the clock adds them) and carries hand sample k. The robot takes the
+    fresh commands in delivery order, moves through its optional first-order
+    lag (robot_lag's arithmetic, its factor from math.exp) and echoes its
+    position at once; a feedback counts when it is newer than every one
+    delivered before it, and its error is the fed-back position minus the
+    hand's interpolated position at its arrival. The arrival times come
+    first, from the same value-free round trip as a step run's, which ends
+    with the last send; the values follow from them.
     """
-    fs = traj.fs_hz if fs_hz is None else fs_hz
     pos = traj.positions
     n = len(pos)
-    sends = np.full(n, 1000.0 / fs)
+    sends = np.full(n, 1000.0 / traj.fs_hz)
     sends[0] = 0.0
     np.add.accumulate(sends, out=sends)
     fwd, fresh, bwd = channel.round_trip(sends, packet_size_b, float(sends[-1]), _fresh)
@@ -214,16 +205,14 @@ def synth_trajectory(fs_hz: float, duration_s: float, speed_dist: SpeedDist,
 
 
 def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction: float,
-                         seed: int, n_blocks: int = 6, range_mm: float = 250.0,
-                         slow_band: tuple[float, float] = (0.2, 0.6),
-                         fast_band: tuple[float, float] = (1.8, 2.6)) -> HandTrajectory:
+                         seed: int) -> HandTrajectory:
     """Trajectory with an exact share of steps below the speed ceiling.
 
     Hand motion is smooth, so both the speed class and the travel direction
-    persist over contiguous blocks (direction reverses only at the range
-    walls); slow-block speeds draw inside slow_band * v_max, fast blocks
-    inside fast_band * v_max. The below-ceiling step count is exactly
-    round(fraction * n_steps).
+    persist over up to three slow and three fast blocks, alternating
+    (direction reverses only at the +/- 250 mm range walls); slow-block
+    speeds draw inside (0.2, 0.6) * v_max, fast blocks inside (1.8, 2.6) *
+    v_max. The below-ceiling step count is exactly round(fraction * n_steps).
     """
     if fs_hz <= 0.0:
         raise ValueError("sampling frequency must be positive")
@@ -235,31 +224,28 @@ def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction:
     n_slow = round(fraction * n_steps)
     n_fast = n_steps - n_slow
 
-    def split(total: int, parts: int) -> list[int]:
-        if total == 0:
+    def split(total: int) -> list[int]:
+        """Up to three near-equal block sizes summing to total."""
+        parts = min(3, total)
+        if parts == 0:
             return []
-        parts = max(1, min(parts, total))
         base, extra = divmod(total, parts)
         return [base + (1 if i < extra else 0) for i in range(parts)]
 
-    slow_blocks = [(size, True) for size in split(n_slow, max(1, n_blocks // 2))]
-    fast_blocks = [(size, False) for size in split(n_fast, max(1, n_blocks - n_blocks // 2))]
+    slow, fast = split(n_slow), split(n_fast)
     blocks = []
-    for i in range(max(len(slow_blocks), len(fast_blocks))):
-        if i < len(slow_blocks):
-            blocks.append(slow_blocks[i])
-        if i < len(fast_blocks):
-            blocks.append(fast_blocks[i])
+    for i in range(3):
+        blocks += [(size, (0.2, 0.6)) for size in slow[i:i + 1]]
+        blocks += [(size, (1.8, 2.6)) for size in fast[i:i + 1]]
 
     pos = [0.0]
-    for size, is_slow in blocks:
-        band = slow_band if is_slow else fast_band
+    for size, band in blocks:
         direction = 1.0 if rng.random() < 0.5 else -1.0
         for _ in range(size):
             speed = rng.uniform(band[0], band[1]) * v_max_mps
             step = speed * 1000.0 / fs_hz * direction
             nxt = pos[-1] + step
-            if abs(nxt) > range_mm:
+            if abs(nxt) > 250.0:
                 direction = -direction
                 nxt = pos[-1] - step
             pos.append(nxt)
@@ -267,20 +253,21 @@ def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction:
                           source=f"synthetic(seed={seed},fraction={fraction})")
 
 
-def error_trace_vs_speed(qoc_result: QoCResult, speeds_mps: Sequence[float],
-                         window_ms: float = 200.0) -> list[tuple[float, float, bool]]:
+def error_trace_vs_speed(qoc_result: QoCResult,
+                         speeds_mps: Sequence[float]) -> list[tuple[float, float, bool]]:
     """Peak hand/robot error while tracking constant-speed motion, per speed.
 
     The tuned loop behaves as a pure transport delay of t_r_mean / 1.5 (the
     calibration that makes the hand-speed ceiling exact), sampled at the
-    tuned loop time; returns (speed, peak |error| mm, exceeds 1 mm).
+    tuned loop time over a 200 ms window; returns (speed, peak |error| mm,
+    exceeds 1 mm).
     """
     delay_ms = qoc_result.t_r_mean_ms / 1.5
     out = []
     for v in speeds_mps:
         if v <= 0.0:
             raise ValueError("speeds must be positive")
-        ts = np.arange(0.0, window_ms, qoc_result.delta_opt_bar_ms) + delay_ms
+        ts = np.arange(0.0, 200.0, qoc_result.delta_opt_bar_ms) + delay_ms
         hand = v * ts
         robot = v * (ts - delay_ms)
         peak = float(np.max(np.abs(hand - robot)))

@@ -4,11 +4,11 @@ Simulated channels carry full-precision floats and use the configured
 packet size only for serialization delay. A simulated run asks its channel
 for a whole value-free round trip (round_trip); an impaired channel, with
 configurable latency, jitter, drop probability and serialization rate,
-decides it as one batch of sends per direction (carry), and also delivers
-one packet at a time through the virtual clock. Serialization queues FIFO:
-a packet waits in its link's `LinkQueue` until the transmitter has sent the
-packets before it, on impaired links and topology links alike. The byte
-codec (fixed little-endian header, random padding to a configured size,
+decides it as one batch of sends per direction (carry). The per-packet
+send on the virtual clock serves the event-driven reference runners.
+Serialization queues FIFO: a packet waits in its link's `LinkQueue` until
+the transmitter has sent the packets before it, on impaired links and
+topology links alike. The byte codec (fixed little-endian header, random padding to a configured size,
 trailing CRC-32) is the wire format of the real-datagram adapter and of
 anything else that needs bit-exact framing.
 """
@@ -113,8 +113,9 @@ class Jitter:
     sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.a >= 0.0 and self.sigma >= 0.0):  # NaN fails too
-            raise ValueError("jitter a and sigma must be >= 0")
+        if not (0.0 <= self.a < math.inf and 0.0 <= self.sigma < math.inf
+                and math.isfinite(self.mu)):  # NaN fails too
+            raise ValueError("jitter a and sigma must be finite and >= 0, mu finite")
 
     @staticmethod
     def none() -> "Jitter":
@@ -127,9 +128,6 @@ class Jitter:
     @staticmethod
     def truncnorm(mu: float, sigma: float) -> "Jitter":
         return Jitter("truncnorm", mu=mu, sigma=sigma)
-
-    def draw(self, rng: Random) -> float:
-        return self.draws(rng, 1)[0]
 
     def draws(self, rng: Random, n: int) -> list[float]:
         """n successive draws; a truncated normal redraws negative values,
@@ -174,12 +172,12 @@ class LinkParams:
     drop_seq: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        if not self.latency_ms >= 0.0:  # NaN fails too
-            raise ValueError("latency must be >= 0")
+        if not 0.0 <= self.latency_ms < math.inf:  # NaN fails too
+            raise ValueError("latency must be finite and >= 0")
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
-        if not self.bandwidth_bps >= 0.0:
-            raise ValueError("bandwidth_bps must be >= 0")
+        if not 0.0 <= self.bandwidth_bps < math.inf:
+            raise ValueError("bandwidth_bps must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -305,7 +303,7 @@ class LinkQueue:
 
 class SimChannel:
     """Shell of a simulated bidirectional channel: per-direction stats,
-    scheduler binding, close, and the checks and delivery counting around
+    scheduler binding, and the bound check and delivery counting around
     each send on the virtual clock, whose subclass `_carry` moves one
     packet and schedules `deliver` at its arrival (an impaired channel
     does; a topology channel only runs round trips). Simulated runs use
@@ -320,21 +318,15 @@ class SimChannel:
     def __init__(self) -> None:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
         self._sched: EventScheduler | None = None
-        self._closed = False
 
     def bind(self, scheduler: EventScheduler) -> None:
         self._sched = scheduler
-
-    def close(self) -> None:
-        self._closed = True
 
     def begin_drain(self) -> None:
         """Stop periodic sources before the final drain; none by default."""
 
     def send(self, direction: str, payload: object, size_b: int,
              deliver: Callable[[object], None]) -> None:
-        if self._closed:
-            raise ChannelClosed("channel is closed")
         if self._sched is None:
             raise ChannelClosed("channel not bound to a scheduler")
         stats = self.stats[direction]
@@ -389,13 +381,6 @@ class _Draws:
         out = self.values[self.pos:end]
         self.pos = end
         return out
-
-    def next(self) -> float:
-        """The next value, without take's slice."""
-        if self.pos == len(self.values):
-            self._draw(max(2 * self.pos, 16))
-        self.pos += 1
-        return float(self.values[self.pos - 1])
 
     def _draw(self, size: int) -> None:
         shared = _SHARED_DRAWS.get()
@@ -459,12 +444,12 @@ class ImpairedChannel(SimChannel):
         dropped = seq in p.drop_seq
         # one uniform per packet, listed in drop_seq or not, so drop
         # decisions nest across drop_prob settings under a shared seed
-        if link.drops is not None and link.drops.next() < p.drop_prob:
+        if link.drops is not None and link.drops.take(1)[0] < p.drop_prob:
             dropped = True
         if dropped:
             self.stats[direction].dropped += 1
             return None
-        delay = p.latency_ms + (0.0 if link.jitter is None else link.jitter.next())
+        delay = p.latency_ms + (0.0 if link.jitter is None else float(link.jitter.take(1)[0]))
         t_sent = t_now if link.queue is None else link.queue.admit(t_now, size_b)
         t_deliver = t_sent + delay
         if p.fifo and t_deliver < link.last_delivery:
@@ -479,8 +464,6 @@ class ImpairedChannel(SimChannel):
         NaN where a packet is dropped. The delivered packets count at once.
         reserve: draw at least that many values of a random stream at its
         first use."""
-        if self._closed:
-            raise ChannelClosed("channel is closed")
         link = self._links[direction]
         p = link.params
         n = len(send_times)

@@ -23,9 +23,8 @@ from tcpsbench.sickness import (
 from tcpsbench.transport import BACKWARD, FORWARD, KIND_HAPTIC, KIND_KINEMATIC, Packet
 
 
-def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
-              robot_tau_ms: float = 0.0, v_max_mps: float = 0.0,
-              packet_size_b: int = 32) -> SicknessReport:
+def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
+              v_max_mps: float = 0.0, packet_size_b: int = 32) -> SicknessReport:
     """Replay the trajectory as position commands through a channel and
     measure E from the errors observed at every feedback arrival.
 
@@ -33,8 +32,7 @@ def measure_E(traj: HandTrajectory, channel, fs_hz: float | None = None,
     command; on arrival the error is the fed-back position minus the hand's
     interpolated position at that instant.
     """
-    fs = traj.fs_hz if fs_hz is None else fs_hz
-    period_ms = 1000.0 / fs
+    period_ms = 1000.0 / traj.fs_hz
     sched = EventScheduler()
     channel.bind(sched)
 

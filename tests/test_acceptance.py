@@ -223,7 +223,7 @@ def test_criterion_08_cybersickness_predict_vs_measure():
         traj = compliant_trajectory(fs, 3000, ceiling, fraction, seed=int(fs))
         predicted = predict_E(traj, ceiling)
         assert predicted == fraction * 100  # exact by construction
-        rep = measure_E(traj, exp.channel.factory(int(fs)), fs_hz=fs,
+        rep = measure_E(traj, exp.channel.factory(int(fs)),
                         robot_tau_ms=exp.loop.robot_tau_ms, v_max_mps=ceiling,
                         packet_size_b=exp.loop.packet_size_b)
         gap = abs(rep.measured_e_pct - predicted)

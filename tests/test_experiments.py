@@ -96,6 +96,25 @@ BAD_VALUES = [
      "jitter"),
     ("NaN jitter sigma", {"channel": _impaired(backward={"jitter": {
         "kind": "truncnorm", "mu": 1.0, "sigma": NAN}})}, "jitter"),
+    ("NaN jitter mu", {"channel": _impaired(forward={"jitter": {
+        "kind": "truncnorm", "mu": NAN, "sigma": 0.3}})}, "jitter"),
+    ("minus infinite jitter mu", {"channel": _impaired(forward={"jitter": {
+        "kind": "truncnorm", "mu": -INF, "sigma": 0.3}})}, "jitter"),
+    ("infinite jitter a", {"channel": _impaired(backward={"jitter": {"kind": "uniform",
+                                                                     "a": INF}})}, "jitter"),
+    ("infinite latency", {"channel": _impaired(forward={"latency_ms": INF})}, "latency"),
+    ("infinite impaired bandwidth", {"channel": _impaired(backward={"bandwidth_bps": INF})},
+     "bandwidth_bps"),
+    # every float of the loop: a NaN delta_ms or p_ref used to run
+    *((f"{value} {name}", {"channel": IDEAL, "loop": {name: value}}, name)
+      for name in ("k_p", "k_1", "k_2", "p_ref", "delta_ms", "robot_tau_ms")
+      for value in (NAN, INF, -INF)),
+    # a non-finite grid bound or step used to make the grid endless
+    *((f"{value} {name}", {"channel": IDEAL, "search": {name: value}}, name)
+      for name in ("delta_min_ms", "delta_max_ms", "delta_step_ms")
+      for value in (NAN, INF, -INF)),
+    ("NaN explicit delta", {"channel": IDEAL, "search": {"deltas": [1.0, NAN]}}, "deltas"),
+    ("infinite explicit delta", {"channel": IDEAL, "search": {"deltas": [INF]}}, "deltas"),
 ]
 
 

@@ -39,10 +39,6 @@ class TestPredict:
         with pytest.raises(TooShort):
             HandTrajectory(fs_hz=30.0, positions=np.array([1.0]))
 
-    def test_below_fraction_matches_predict(self):
-        traj = compliant_trajectory(20.0, 2000, 0.05, 0.4, seed=9)
-        assert traj.below_fraction(0.05) * 100 == predict_E(traj, 0.05)
-
 
 class TestSynth:
     def test_deterministic_per_seed(self):

@@ -50,10 +50,10 @@ def _case(i):
     step_mm = rng.choice((0.01, 0.3, 1.0, 5.0))
     start_mm = rng.choice((0.0, rng.uniform(-100.0, 100.0)))
     positions = np.cumsum([start_mm] + [rng.uniform(-step_mm, step_mm) for _ in range(n - 1)])
-    traj = HandTrajectory(fs_hz=rng.choice((20.0, 30.0, rng.uniform(10.0, 1000.0))),
-                          positions=positions)
-    fs_hz = rng.choice((None, None, rng.uniform(10.0, 1000.0)))
-    period_ms = 1000.0 / (traj.fs_hz if fs_hz is None else fs_hz)
+    fs_hz = rng.choice((20.0, 30.0, rng.uniform(10.0, 1000.0)))
+    rate = rng.choice((None, None, rng.uniform(10.0, 1000.0)))
+    traj = HandTrajectory(fs_hz=fs_hz if rate is None else rate, positions=positions)
+    period_ms = 1000.0 / traj.fs_hz
     size_b = rng.choice((32, 64, 256))
     kind = KINDS[i % 4]
     if kind == "ideal":
@@ -69,7 +69,7 @@ def _case(i):
         cap = rng.choice((None, None, rng.randint(1, 6)))
         factory = lambda oracle=False: (netsim_oracle.NetsimChannel if oracle else
                                         channel_from_topology)(topo, flows, i, cap)
-    kw = dict(fs_hz=fs_hz, robot_tau_ms=rng.choice((0.0, rng.uniform(0.1, 5.0) * period_ms)),
+    kw = dict(robot_tau_ms=rng.choice((0.0, rng.uniform(0.1, 5.0) * period_ms)),
               v_max_mps=rng.choice((0.0, 0.02, rng.uniform(0.001, 0.5))), packet_size_b=size_b)
     return traj, factory, kw, kind
 
@@ -118,7 +118,7 @@ def test_cases_cover_the_channel_features(monkeypatch):
         seen[kind] += 1
         seen["error"] += not report.startswith("(")
         seen["robot lag"] += kw["robot_tau_ms"] > 0.0
-        seen["fs_hz override"] += kw["fs_hz"] is not None
+        seen["free rate"] += traj.fs_hz not in (20.0, 30.0)
         dropped = any(s.dropped for s in chan.stats.values())
         if kind == "impaired":
             links = (chan.model.forward, chan.model.backward)
@@ -137,6 +137,6 @@ def test_cases_cover_the_channel_features(monkeypatch):
         elif kind == "loaded":
             seen["flows kept"] += bool(chan._emitters)
     for feature in ("queued", "tail drop", "queue cap", "zero hop", "flows kept", "robot lag",
-                    "fs_hz override", "random drops", "drop_seq", "fifo off",
+                    "free rate", "random drops", "drop_seq", "fifo off",
                     "impaired bandwidth", "none", "uniform", "truncnorm", "error"):
         assert seen[feature] >= 5, (feature, seen)

@@ -26,7 +26,6 @@ from tcpsbench.netsim import channel_from_topology
 from tcpsbench.transport import (
     BACKWARD,
     FORWARD,
-    ChannelClosed,
     ChannelModel,
     Jitter,
     LinkParams,
@@ -228,10 +227,3 @@ def test_shared_draws_seed_each_stream_once(monkeypatch):
         shared = [_record(run_step_experiment(cfg, model.build(seed))) for cfg, seed in runs]
     assert shared == alone
     assert seeded == {seed * 4 + i: 1 for seed in (3, 8) for i in (1, 3)}
-
-
-def test_closed_channel_rejects_the_run():
-    chan = ideal_model(0.5).build(1)
-    chan.close()
-    with pytest.raises(ChannelClosed):
-        run_step_experiment(LoopConfig(), chan)

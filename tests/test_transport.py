@@ -307,7 +307,7 @@ def _unqueued_transit_times(params: LinkParams, sends, seed: int):
         if dropped:
             out.append(None)
             continue
-        delay = params.latency_ms + params.jitter.draw(jitter_rng)
+        delay = params.latency_ms + params.jitter.draws(jitter_rng, 1)[0]
         if params.bandwidth_bps > 0.0:
             delay += size * 8.0 / params.bandwidth_bps * 1000.0
         t = t_now + delay
@@ -327,19 +327,6 @@ def _netsim_channel(seed: int):
 @pytest.mark.parametrize("build", [ideal_model().build, _netsim_channel],
                          ids=["impaired", "netsim"])
 class TestSimChannel:
-    def test_closed_channel_rejects_send(self, build):
-        chan = build(1)
-        chan.bind(EventScheduler())
-        chan.close()
-        with pytest.raises(ChannelClosed):
-            chan.send(FORWARD, "x", 32, lambda p: None)
-
-    def test_closed_channel_rejects_a_batch(self, build):
-        chan = build(1)
-        chan.close()
-        with pytest.raises(ChannelClosed):
-            chan.round_trip(np.array([0.0, 1.0]), 32, 1.0, lambda fwd: np.arange(len(fwd)))
-
     def test_unbound_channel_rejects_send(self, build):
         chan = build(1)
         with pytest.raises(ChannelClosed):
