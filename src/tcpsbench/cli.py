@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -229,6 +230,8 @@ def cmd_netsim(args: argparse.Namespace) -> int:
 
 
 def cmd_sickness(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.fs):
+        raise ConfigError(f"--fs must be finite, got {args.fs}")
     out = _out_dir(args)
     if args.mode == "synth":
         try:

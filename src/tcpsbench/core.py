@@ -84,6 +84,39 @@ class StepResponseCurve:
         return cls(*np.array(rows, dtype=float).reshape(-1, 4).T.copy(), config=config)
 
 
+@dataclass
+class CurveBatch:
+    """The step-response curves of one batch of trials at one configuration,
+    one row each: the columns of StepResponseCurve as float64 (trials x
+    width) blocks, row i holding its lengths[i] samples first and NaN after
+    them."""
+
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    signal: np.ndarray
+    lengths: np.ndarray
+    config: "object"
+
+    @classmethod
+    def from_curves(cls, curves: list[StepResponseCurve]) -> "CurveBatch":
+        """The rows of curves that share their config."""
+        lengths = np.array([len(c.t) for c in curves])
+        width = int(lengths.max()) if len(curves) else 0
+        blocks = []
+        for name in ("t", "x", "y", "signal"):
+            block = np.full((len(curves), width), np.nan)
+            for row, c in zip(block, curves):
+                row[:len(c.t)] = getattr(c, name)
+            blocks.append(block)
+        return cls(*blocks, lengths=lengths, config=curves[0].config)
+
+    def curve(self, i: int) -> StepResponseCurve:
+        m = self.lengths[i]
+        return StepResponseCurve(self.t[i, :m].copy(), self.x[i, :m].copy(),
+                                 self.y[i, :m].copy(), self.signal[i, :m].copy(), self.config)
+
+
 @dataclass(frozen=True)
 class CurveMetrics:
     """Extracted step-response statistics.
@@ -219,6 +252,74 @@ def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_L
         undershoot_pct=undershoot_pct,
         settling_ms=settling_ms,
     )
+
+
+# outcomes of extract_metrics_batch, one per row
+GOOD, NOT_GOOD, NO_STEP, MALFORMED = range(4)
+
+
+def _max0(v: np.ndarray) -> np.ndarray:
+    """Python's max(0.0, v) per element: v where v > 0.0, else 0.0 (NaN too)."""
+    return np.where(v > 0.0, v, 0.0)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # an infinite last time stamp, as extract_metrics takes it
+def extract_metrics_batch(batch: CurveBatch,
+                          limits: GoodnessLimits = DEFAULT_LIMITS) -> tuple[np.ndarray, np.ndarray]:
+    """extract_metrics' verdict on every row of a batch at once: each row's
+    outcome (GOOD; NOT_GOOD; NO_STEP where extract_metrics raises
+    NoStepDetected; MALFORMED where it raises MalformedCurve) and its rise
+    time, NaN unless GOOD, bit for bit those of extract_metrics row by row:
+    every value it computes comes from the same float operations, and the
+    steady-state window mean sums each window with np.add's own (pairwise)
+    order for its length, as np.mean does."""
+    t, sig, lengths = batch.t, batch.signal, batch.lengths
+    rows, width = t.shape
+    outcome = np.full(rows, NOT_GOOD, dtype=np.int8)
+    t_r = np.full(rows, np.nan)
+    if width < 2:  # no row has two samples
+        outcome[:] = MALFORMED
+        return outcome, t_r
+    # every comparison with the NaN after a row's samples is False
+    cols = np.arange(width)
+    prev, cur = sig[:, :-1], sig[:, 1:]
+    malformed = (lengths < 2) | (np.count_nonzero(t[:, 1:] > t[:, :-1], axis=1) != lengths - 1) \
+        | (np.count_nonzero(np.isfinite(sig), axis=1) != lengths)
+
+    p_ref = float(batch.config.p_ref)
+    base = p_ref / float(batch.config.k_2)
+    span = p_ref - base
+    l10, l90 = base + 0.1 * span, base + 0.9 * span
+    down = (cur <= l10) & (prev > l10)
+    stepped = down.any(axis=1) & ~malformed
+    outcome[~stepped] = NO_STEP
+    outcome[malformed] = MALFORMED
+    step = down.argmax(axis=1) + 1
+    up = (cur >= l90) & (prev < l90) & (cols[1:] > step[:, None])
+    r = np.flatnonzero(up.any(axis=1) & stepped)  # the rows with t2
+    if not len(r):
+        return outcome, t_r
+    j = up[r].argmax(axis=1) + 1
+    tr, sr, k = t[r], sig[r], np.arange(len(r))
+    s0, s1, ta, tb = sr[k, j - 1], sr[k, j], tr[k, j - 1], tr[k, j]
+    t2 = ta + (l90 - s0) / (s1 - s0) * (tb - ta)
+    t0 = tr[k, step[r]]
+    peak = np.fmax.reduce(np.where(cols >= step[r, None], sr, -np.inf), axis=1)  # NaN: none
+    overshoot_pct = _max0(peak - p_ref) / span * 100.0
+    t_end = tr[k, lengths[r] - 1]
+    win_start = t2 + 0.9 * _max0(t_end - t2)
+    start = np.count_nonzero(tr < win_start[:, None], axis=1)  # t rises: the window is a suffix
+    size = lengths[r] - start
+    mean = np.empty(len(r))
+    for n in set(size.tolist()):
+        at = np.flatnonzero(size == n)
+        window = sr[at[:, None], start[at, None] + np.arange(n)]
+        mean[at] = np.add.reduce(window, axis=1) / n
+    sse_pct = np.abs(mean - p_ref) / span * 100.0
+    good = (overshoot_pct <= limits.overshoot_max_pct) & (sse_pct <= limits.sse_max_pct)
+    outcome[r[good]] = GOOD
+    t_r[r[good]] = (t2 - t0)[good]
+    return outcome, t_r
 
 
 def _is_good(t2: float | None, sse_pct: float | None, overshoot_pct: float,

@@ -9,6 +9,8 @@ datagram endpoint pair in wall-clock time. A simulated run is a timing
 skeleton plus a value recurrence: the arrival times never depend on the
 values, so the channel decides them first as one value-free round trip, off
 the clock, and the controller and plant values follow in command order.
+Simulated runs go in batches at one configuration: the recurrence runs once
+per batch, with the trial as the array axis.
 """
 
 from __future__ import annotations
@@ -16,10 +18,17 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
-from .core import SETTING_HAPTIC, SETTING_NONHAPTIC, StepResponseCurve, TcpsbenchError
+from .core import (
+    SETTING_HAPTIC,
+    SETTING_NONHAPTIC,
+    CurveBatch,
+    StepResponseCurve,
+    TcpsbenchError,
+)
 from .transport import (
     BACKWARD,
     FORWARD,
@@ -252,100 +261,169 @@ class StepExperimentRecord:
     channel_stats: dict[str, DirectionStats] = field(default_factory=dict)
 
 
-def _delivery_order(arrivals: np.ndarray) -> np.ndarray:
-    """Indices of the delivered packets (arrival not NaN) in the clock's
-    delivery order: by arrival time, ties in send order."""
-    kept = np.flatnonzero(arrivals == arrivals)  # NaN is unequal to itself
-    return kept[np.argsort(arrivals[kept], kind="stable")]
-
-
-def _newest_first_seen(order: np.ndarray) -> np.ndarray:
-    """Mask of the deliveries newer than every one before them (the rest
-    are stale); send index stands for sequence number."""
-    return order == np.maximum.accumulate(order)
-
-
 def _fresh(arrivals: np.ndarray) -> np.ndarray:
-    """Send indices of the packets taken in delivery order, each newer than
-    every one delivered before it; ascending."""
-    order = _delivery_order(arrivals)
-    return order[_newest_first_seen(order)]
+    """Send indices of one channel's packets taken in delivery order, each
+    newer than every one delivered before it (send index stands for
+    sequence number); ascending. The delivery order is the clock's: by
+    arrival time, ties in send order; the lost packets (NaN) sort last."""
+    order = np.argsort(arrivals, kind="stable")[:np.count_nonzero(arrivals == arrivals)]
+    return order[order == np.maximum.accumulate(order)]
 
 
 def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
-    """robot_lag's factor 1 - exp(-dt / tau) for each fresh command, dt
-    since the one before (the robot's clock starts at 0), in robot_lag's
-    operation order and from math.exp (np.exp can differ in the last bit)."""
-    dt = np.diff(t_fresh, prepend=0.0)
-    return [1.0 - math.exp(v) for v in (-dt / tau_ms).tolist()]
+    """robot_lag's factor 1 - exp(-dt / tau) for each fresh command (per row
+    of a block, flattened), dt since the one before (the robot's clock
+    starts at 0), in robot_lag's operation order and from math.exp (np.exp
+    can differ in the last bit)."""
+    dt = np.diff(t_fresh, axis=-1, prepend=0.0)
+    return [1.0 - math.exp(v) for v in (-dt / tau_ms).ravel().tolist()]
+
+
+@dataclass
+class StepBatch:
+    """The sweeps of one batch of trials at one configuration: their curves,
+    the send times and sweep coordinates, and per trial (row) the commanded
+    y of each send (k-major: ys[k, i]), the arrival times of the commands
+    and of the feedback on each command (NaN: none), and the channel's
+    (sent, delivered, dropped) counts per direction."""
+
+    curves: CurveBatch
+    sends: np.ndarray
+    x: np.ndarray
+    ys: np.ndarray
+    fwd: np.ndarray
+    bwd: np.ndarray
+    counts: list
+
+    def record(self, i: int) -> StepExperimentRecord:
+        trace = list(zip(self.sends.tolist(), self.x.tolist(), self.ys[:, i].tolist()))
+        # the feedback on command k was the k-th fresh command's answer, so
+        # command order is its send order too
+        fwd, bwd = self.fwd[i], self.bwd[i]
+        landed = int(np.count_nonzero(bwd == bwd))
+        cmd_stale = int(np.count_nonzero(fwd == fwd)) - int(self.curves.lengths[i])
+        stats = {FORWARD: DirectionStats(*self.counts[i][0], cmd_stale),
+                 BACKWARD: DirectionStats(*self.counts[i][1], landed - len(_fresh(bwd)))}
+        return StepExperimentRecord(curve=self.curves.curve(i), operator_trace=trace,
+                                    channel_stats=stats)
 
 
 def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
-    """Execute one full sweep over a simulated channel and return the record.
+    """Execute one full sweep over a simulated channel and return the
+    record: run_step_batch over one channel."""
+    return run_step_batch(cfg, [channel]).record(0)
 
-    Deterministic given (cfg, channel seed). The record is that of the loop
-    on the virtual clock, where deliveries run ahead of a controller check
-    at the same instant, the operator polls non-blocking with last-value
-    hold, and stale packets (older sequence than the newest seen) are
-    discarded on both sides. It is computed in two parts.
 
-    (a) A value-free timing skeleton (channel.round_trip). Command k
-    leaves at tick k (the first at 0; tick j runs at T_j, the j-fold sum of
-    delta_ms, as the clock adds it), and the operator's final check at T_n
-    ends the sweep. The plant takes the fresh commands in delivery order and answers
-    each at its arrival; feedback on command i is visible at tick j when
-    i < j and it arrived at or before T_j (a delivery at the instant of a
-    check runs first, but the answer to the command sent by that check
-    comes after it).
-    (b) The value recurrence, in command order: the operator's PI update
-    from the freshest visible feedback; for a fresh command the robot lag
-    (robot_lag's arithmetic, its factor from math.exp) and the step plant
-    (plant_haptic / plant_nonhaptic). Feedback only ever reports on an
-    earlier command, so its value is known when a tick needs it.
+def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
+    """Execute one full sweep over each simulated channel, as one block.
+
+    Deterministic given (cfg, channel seeds). Each sweep is that of the
+    loop on the virtual clock, where deliveries run ahead of a controller
+    check at the same instant, the operator polls non-blocking with
+    last-value hold, and stale packets (older sequence than the newest
+    seen) are discarded on both sides. It is computed in two parts.
+
+    (a) A value-free timing skeleton (channel.round_trip), one channel at a
+    time, keeping only its arrival times. Command k leaves at tick k (the
+    first at 0; tick j runs at T_j, the j-fold sum of delta_ms, as the
+    clock adds it), and the operator's final check at T_n ends the sweep.
+    The plant takes the fresh commands in delivery order and answers each
+    at its arrival; feedback on command i is visible at tick j when i < j
+    and it arrived at or before T_j (a delivery at the instant of a check
+    runs first, but the answer to the command sent by that check comes
+    after it).
+    (b) The value recurrence, in command order, with the trial as the
+    array axis: the operator's PI update from the freshest visible
+    feedback; for a fresh command the robot lag (robot_lag's arithmetic,
+    its factor from math.exp) and the step plant (plant_haptic /
+    plant_nonhaptic). Feedback only ever reports on an earlier command, so
+    its value is known when a tick needs it.
     """
     n = cfg.sweep_len
     ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
     sends = np.concatenate(([0.0], ticks[:-1]))
-    fwd, fresh, bwd = channel.round_trip(sends, cfg.packet_size_b, float(ticks[-1]), _fresh)
-    t_fresh = fwd[fresh]
-    # feedback m answers command fresh[m], so its send index orders sequence too
-    fb_order = _delivery_order(bwd)
-    op_stale = len(fb_order) - int(np.count_nonzero(_newest_first_seen(fb_order)))
+    fwds, picks, answers, counts = [], [], [], []
+    for row, channel in enumerate(channels):
+        fwd, fresh, bwd = channel.round_trip(sends, cfg.packet_size_b, float(ticks[-1]), _fresh)
+        # copies: a topology's arrival times are views of its links' whole batches
+        fwds.append(fwd.copy())
+        picks.append(fresh + row * n)
+        answers.append(bwd.copy())
+        counts.append([(s.sent, s.delivered, s.dropped)
+                       for s in (channel.stats[FORWARD], channel.stats[BACKWARD])])
+    rows = len(fwds)
+    fwd = np.array(fwds).reshape(rows, n)
+    # each row's fresh commands in send order, as flat indices of a (rows x n)
+    # block, and as row r and command c
+    fresh_at = np.concatenate(picks)
+    r, c = np.divmod(fresh_at, n)
+    n_fresh = np.bincount(r, minlength=rows)
+    # the feedback on command k sits in column k, NaN where none arrived
+    bwd = np.full(rows * n, np.nan)
+    bwd[fresh_at] = np.concatenate(answers)
+    bwd = bwd.reshape(rows, n)
 
-    answered = fresh[fb_order]
-    first_tick = np.maximum(answered + 1, np.searchsorted(ticks, bwd[fb_order]) + 1)
-    held = np.full(n + 2, -1)
-    np.maximum.at(held, np.minimum(first_tick, n + 1), answered)
-    held = np.maximum.accumulate(held).tolist()  # freshest feedback at each tick, -1: none
+    # the freshest feedback at each tick: feedback on command c is held from
+    # tick first_tick[c] on (n + 1: never; a NaN arrival sorts past every
+    # tick), so the command held at tick j is the largest c whose suffix
+    # minimum of first_tick is at most j, one less than the number of them
+    cols = np.arange(n)
+    first_tick = np.maximum(cols + 1, np.searchsorted(ticks, bwd) + 1)
+    reach = np.minimum.accumulate(first_tick[:, ::-1], axis=1)[:, ::-1]
+    reach += np.arange(rows)[:, None] * (n + 2)
+    held = np.bincount(reach.ravel(), minlength=rows * (n + 2)).reshape(rows, n + 2)
+    held = np.cumsum(held, axis=1)[:, 1:n + 1] - 1  # held at ticks 1 .. n, -1: none
 
+    # the fresh commands' places in the first columns of their rows, and
+    # their flat indices in an (n x rows) block
+    kept, fresh_at_k = np.flatnonzero(cols < n_fresh[:, None]), c * rows + r
+
+    def fresh_only(values: np.ndarray) -> np.ndarray:
+        out = np.full(rows * n, np.nan)
+        out[kept] = values
+        return out.reshape(rows, n)
+
+    t_fresh = fresh_only(fwd.ravel()[fresh_at])
     haptic = cfg.setting == SETTING_HAPTIC
-    gain = cfg.k_1 if haptic else 1.0  # the non-haptic plant passes y through; 1.0 * y is y
+    gain = cfg.k_1 if haptic else 1.0  # the non-haptic plant passes y through
     step = cfg.step_index if haptic else cfg.step_index - 1  # epochs count from 1
     k_p, p_ref, k_2 = cfg.k_p, cfg.p_ref, cfg.k_2
-    lags = iter(_lag_factors(t_fresh, cfg.robot_tau_ms)) if cfg.robot_tau_ms > 0.0 else None
-    is_fresh = np.zeros(n, dtype=bool)
-    is_fresh[fresh] = True
-    ys = [0.0] * n
-    sig = [p_ref] * (n + 1)  # sig[-1]: the value the operator holds before any feedback
-    y = 0.0 if haptic else p_ref
-    robot_y = 0.0
-    for k, take in enumerate(is_fresh.tolist()):
-        ys[k] = y
-        if take:
-            robot_y = y if lags is None else robot_y + (y - robot_y) * next(lags)
-            s = gain * robot_y
-            sig[k] = s if k < step else s / k_2
-        y += k_p * (p_ref - sig[held[k + 1]])
+    # sig[k, r]: the signal logged for command k of trial r; sig[n] holds
+    # p_ref, the value the operator holds before any feedback
+    sig = np.full((n + 1, rows), p_ref)
+    flat = sig.reshape(-1)
+    src = (np.where(held >= 0, held, n) * rows + np.arange(rows)[:, None]).T.copy()
+    lags = None
+    if cfg.robot_tau_ms > 0.0:
+        lags = np.zeros(n * rows)
+        lags[fresh_at_k] = np.array(_lag_factors(t_fresh, cfg.robot_tau_ms))[kept]
+        takes = np.zeros(n * rows, dtype=bool)
+        takes[fresh_at_k] = True
+        lags, takes, robot = lags.reshape(n, rows), takes.reshape(n, rows), np.zeros(rows)
+    y = np.full(rows, 0.0 if haptic else p_ref)
+    ys = []  # ys[k]: the commanded y of send k
+    # a product with 1.0 is skipped: 1.0 * v is v, bit for bit
+    for k in range(n):
+        ys.append(y)
+        if lags is not None:
+            robot = np.where(takes[k], robot + (y - robot) * lags[k], robot)
+            s = robot
+        else:
+            s = y
+        if gain != 1.0:
+            s = gain * s
+        if k < step:
+            sig[k] = s
+        else:
+            np.divide(s, k_2, out=sig[k])
+        d = p_ref - flat[src[k]]
+        y = y + (d if k_p == 1.0 else k_p * d)
 
     x = np.arange(n, dtype=float) if haptic else np.arange(1, n + 1, dtype=float)
-    curve = StepResponseCurve(t=t_fresh, x=x[fresh], y=np.array(ys)[fresh],
-                              signal=np.array(sig)[fresh], config=cfg)
-    trace = list(zip(sends.tolist(), x.tolist(), ys))
-    fs, bs = channel.stats[FORWARD], channel.stats[BACKWARD]
-    cmd_stale = int(np.count_nonzero(fwd == fwd)) - len(fresh)
-    stats = {FORWARD: DirectionStats(fs.sent, fs.delivered, fs.dropped, cmd_stale),
-             BACKWARD: DirectionStats(bs.sent, bs.delivered, bs.dropped, op_stale)}
-    return StepExperimentRecord(curve=curve, operator_trace=trace, channel_stats=stats)
+    ys = np.array(ys)
+    curves = CurveBatch(t=t_fresh, x=fresh_only(x[c]), y=fresh_only(ys.ravel()[fresh_at_k]),
+                        signal=fresh_only(flat[fresh_at_k]), lengths=n_fresh, config=cfg)
+    return StepBatch(curves=curves, sends=sends, x=x, ys=ys, fwd=fwd, bwd=bwd, counts=counts)
 
 
 # --- real-socket mode -------------------------------------------------------

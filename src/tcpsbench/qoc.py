@@ -20,15 +20,18 @@ import numpy as np
 
 from .core import (
     DEFAULT_LIMITS,
+    GOOD,
+    MALFORMED,
+    CurveBatch,
     GoodnessLimits,
-    MalformedCurve,
     NoStepDetected,
     StepResponseCurve,
     TcpsbenchError,
     extract_metrics,
+    extract_metrics_batch,
 )
-from .loopsim import LoopConfig, StepExperimentRecord, run_step_experiment
-from .transport import shared_draws
+from .loopsim import LoopConfig, StepExperimentRecord, run_step_batch, run_step_experiment
+from .transport import batch_seeds, shared_draws
 
 T_R_IDEAL_MS = 1.5  # rise time of the ideal system's tuned curve; fixed, never re-measured
 _Z95 = 1.96
@@ -48,6 +51,10 @@ class NonMonotoneCurve(TcpsbenchError):
 
 
 class Runner(Protocol):
+    """A trial source for the searches. A runner may also offer
+    run_batch(delta_ms, seeds) -> CurveBatch, the curves of those trials;
+    the searches then run each batch of trials as one block."""
+
     limits: GoodnessLimits
 
     def run(self, delta_ms: float, seed: int) -> StepExperimentRecord: ...
@@ -66,11 +73,21 @@ class StepRunner:
     _at_delta: dict[float, LoopConfig] = field(default_factory=dict, init=False, repr=False,
                                                compare=False)
 
-    def run(self, delta_ms: float, seed: int) -> StepExperimentRecord:
+    def _cfg(self, delta_ms: float) -> LoopConfig:
         cfg = self._at_delta.get(delta_ms)
         if cfg is None:
             cfg = self._at_delta[delta_ms] = replace(self.cfg, delta_ms=delta_ms)
-        return run_step_experiment(cfg, self.channel_factory(seed))
+        return cfg
+
+    def run(self, delta_ms: float, seed: int) -> StepExperimentRecord:
+        return run_step_experiment(self._cfg(delta_ms), self.channel_factory(seed))
+
+    def run_batch(self, delta_ms: float, seeds: Sequence[int]) -> CurveBatch:
+        """The curves of the trials at one loop time, one per seed, run as
+        one block; each channel is built when its round trip runs. Impaired
+        channels draw the random streams of the batch's seeds together."""
+        with batch_seeds(seeds):
+            return run_step_batch(self._cfg(delta_ms), map(self.channel_factory, seeds)).curves
 
 
 @dataclass(frozen=True)
@@ -152,25 +169,25 @@ class GoodnessEstimate:
 TrialMemo = dict[tuple[float, int], tuple[float | None, bool]]
 
 
-def _run_trial(runner: Runner, delta_ms: float, seed: int,
-               memo: TrialMemo | None = None) -> tuple[float | None, bool]:
+def _run_trials(runner: Runner, delta_ms: float, seeds: Sequence[int],
+                memo: TrialMemo | None = None) -> list[tuple[float | None, bool]]:
     """(rise time of a good curve, else None; whether the curve was
-    malformed) of one trial. A curve without a step or a malformed curve is
-    a "not good" trial; any other extraction error propagates. With a memo,
-    each (delta, seed) runs once."""
-    if memo is not None and (delta_ms, seed) in memo:
-        return memo[delta_ms, seed]
-    record = runner.run(delta_ms, seed)
-    try:
-        metrics = extract_metrics(record.curve, runner.limits)
-        outcome = (metrics.t_r if metrics.is_good else None, False)  # good implies t_r
-    except NoStepDetected:
-        outcome = (None, False)
-    except MalformedCurve:
-        outcome = (None, True)
-    if memo is not None:
-        memo[delta_ms, seed] = outcome
-    return outcome
+    malformed) of each trial, in seed order. A curve without a step or a
+    malformed curve is a "not good" trial. The trials run as one batch
+    (runner.run_batch, else one runner.run each) and are extracted as one
+    batch; with a memo, each (delta, seed) runs once."""
+    memo = {} if memo is None else memo
+    todo = list(dict.fromkeys(s for s in seeds if (delta_ms, s) not in memo))
+    if todo:
+        run_batch = getattr(runner, "run_batch", None)
+        if run_batch is not None:
+            curves = run_batch(delta_ms, todo)
+        else:
+            curves = CurveBatch.from_curves([runner.run(delta_ms, s).curve for s in todo])
+        outcome, t_r = extract_metrics_batch(curves, runner.limits)
+        for s, o, t in zip(todo, outcome.tolist(), t_r.tolist()):
+            memo[delta_ms, s] = (t if o == GOOD else None, o == MALFORMED)
+    return [memo[delta_ms, s] for s in seeds]
 
 
 def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig,
@@ -191,8 +208,8 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig,
     capped = False
     while True:
         batch = min(search.m_batch, search.m_max - m)
-        for i in range(batch):
-            t_r, bad_curve = _run_trial(runner, delta_ms, search.trial_seed(m + i), memo)
+        seeds = [search.trial_seed(m + i) for i in range(batch)]
+        for t_r, bad_curve in _run_trials(runner, delta_ms, seeds, memo):
             malformed += bad_curve
             if t_r is not None:
                 rise_times.append(t_r)
@@ -212,23 +229,34 @@ def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: f
                 memo: TrialMemo | None = None) -> bool:
     """Cheap scan filter: after PROBE_TRIALS shared-seed trials, is the upper
     95% confidence bound on goodness already below g_spec? Used only to skip
-    hopeless grid points; accepted points always get the full estimate."""
-    good = 0
-    for i in range(PROBE_TRIALS):
-        good += _run_trial(runner, delta_ms, search.trial_seed(i), memo)[0] is not None
-        remaining = PROBE_TRIALS - (i + 1)
-        best_g = (good + remaining) / PROBE_TRIALS
-        if best_g + ci_halfwidth(best_g, PROBE_TRIALS) < g_spec:
-            return True
-    g = good / PROBE_TRIALS
-    return g + ci_halfwidth(g, PROBE_TRIALS) < g_spec
+    hopeless grid points; accepted points always get the full estimate.
+    It stops as soon as the bound falls below g_spec even if every trial
+    left were good. The trials run in batches that end at the earliest
+    trial after which some outcome of the batch could stop it, so the same
+    trials run as one at a time."""
+
+    def hopeless(good: int, done: int) -> bool:
+        best_g = (good + PROBE_TRIALS - done) / PROBE_TRIALS
+        return best_g + ci_halfwidth(best_g, PROBE_TRIALS) < g_spec
+
+    good = done = 0
+    while done < PROBE_TRIALS:
+        end = next((i for i in range(done + 1, PROBE_TRIALS)
+                    if any(hopeless(good + g, i) for g in range(i - done + 1))), PROBE_TRIALS)
+        seeds = [search.trial_seed(i) for i in range(done, end)]
+        for t_r, _ in _run_trials(runner, delta_ms, seeds, memo):
+            good += t_r is not None
+            done += 1
+            if hopeless(good, done):
+                return True
+    return False  # after the last trial, hopeless() is the bound on the goodness found
 
 
 def find_delta_opt(runner: Runner, search: SearchConfig) -> float:
     """Least grid loop time whose single-run curve is good (deterministic
     channels); scans ascending."""
     for delta in search.grid():
-        if _run_trial(runner, delta, search.trial_seed(0))[0] is not None:
+        if _run_trials(runner, delta, [search.trial_seed(0)])[0][0] is not None:
             return delta
     raise NoGoodDelta("no grid loop time produced a good curve")
 

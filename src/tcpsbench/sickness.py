@@ -15,8 +15,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 from random import Random
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .qoc import QoCResult
 
 ERROR_LIMIT_MM = 1.0
 HIST_BIN_MM = 0.1
+RANGE_MM = 250.0  # synthetic hands stay within +/- this of the start
 
 
 class TooShort(TcpsbenchError):
@@ -42,8 +44,8 @@ class HandTrajectory:
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=float)
-        if self.fs_hz <= 0.0:
-            raise ValueError("sampling frequency must be positive")
+        if not 0.0 < self.fs_hz < math.inf:  # NaN fails too
+            raise ValueError(f"sampling frequency must be positive and finite, got {self.fs_hz}")
         if len(self.positions) < 2:
             raise TooShort("trajectory needs at least 2 samples")
         if not np.all(np.isfinite(self.positions)):
@@ -188,9 +190,9 @@ class SpeedDist:
 
 
 def synth_trajectory(fs_hz: float, duration_s: float, speed_dist: SpeedDist,
-                     seed: int, range_mm: float = 250.0) -> HandTrajectory:
+                     seed: int) -> HandTrajectory:
     """Random-walk trajectory with per-step speeds from the distribution;
-    reflects at +/- range_mm to stay physical. Deterministic per seed."""
+    reflects at +/- RANGE_MM to stay physical. Deterministic per seed."""
     rng = Random(seed)
     n_steps = max(1, round(duration_s * fs_hz))
     pos = [0.0]
@@ -198,7 +200,7 @@ def synth_trajectory(fs_hz: float, duration_s: float, speed_dist: SpeedDist,
         speed = speed_dist.draw(rng)
         step = speed * 1000.0 / fs_hz * (1.0 if rng.random() < 0.5 else -1.0)
         nxt = pos[-1] + step
-        if abs(nxt) > range_mm:
+        if abs(nxt) > RANGE_MM:
             nxt = pos[-1] - step
         pos.append(nxt)
     return HandTrajectory(fs_hz=fs_hz, positions=np.array(pos), source=f"synthetic(seed={seed})")
@@ -210,12 +212,12 @@ def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction:
 
     Hand motion is smooth, so both the speed class and the travel direction
     persist over up to three slow and three fast blocks, alternating
-    (direction reverses only at the +/- 250 mm range walls); slow-block
+    (direction reverses only at the +/- RANGE_MM walls); slow-block
     speeds draw inside (0.2, 0.6) * v_max, fast blocks inside (1.8, 2.6) *
     v_max. The below-ceiling step count is exactly round(fraction * n_steps).
     """
-    if fs_hz <= 0.0:
-        raise ValueError("sampling frequency must be positive")
+    if not 0.0 < fs_hz < math.inf:  # NaN fails too
+        raise ValueError(f"sampling frequency must be positive and finite, got {fs_hz}")
     if n_steps < 1:
         raise ValueError("a trajectory needs at least one step")
     if not 0.0 <= fraction <= 1.0:
@@ -245,7 +247,7 @@ def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction:
             speed = rng.uniform(band[0], band[1]) * v_max_mps
             step = speed * 1000.0 / fs_hz * direction
             nxt = pos[-1] + step
-            if abs(nxt) > 250.0:
+            if abs(nxt) > RANGE_MM:
                 direction = -direction
                 nxt = pos[-1] - step
             pos.append(nxt)
@@ -288,35 +290,29 @@ def write_trajectory_csv(traj: HandTrajectory, path: str) -> None:
 
 
 def read_trajectory_csv(path: str, fs_hz: float | None = None) -> HandTrajectory:
-    """Accepts `t_s,pos_mm` or bare `pos_mm` rows; the sampling rate comes
-    from the comment header unless given explicitly."""
-    positions: list[float] = []
-    times: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(TRAJ_HEADER_PREFIX):
-                if fs_hz is None:
-                    fs_hz = float(line[len(TRAJ_HEADER_PREFIX):])
-                continue
-            if line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if parts[0] in ("t_s", "pos_mm"):
-                continue
-            if len(parts) >= 2:
-                times.append(float(parts[0]))
-                positions.append(float(parts[1]))
-            else:
-                positions.append(float(parts[0]))
+    """Accepts `t_s,pos_mm` or bare `pos_mm` rows, blank lines and `#`
+    comments; the sampling rate comes from the `# fs_hz:` header unless
+    given explicitly, else from the first two `t_s` values. The file is read
+    at once and its positions converted to one array; time stamps other
+    than those two, and fields past the second, are not read."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh.read().splitlines()]
     if fs_hz is None:
-        if len(times) >= 2:
-            fs_hz = 1.0 / (times[1] - times[0])
-        else:
+        header = next((line for line in lines if line.startswith(TRAJ_HEADER_PREFIX)), None)
+        if header is not None:
+            fs_hz = float(header[len(TRAJ_HEADER_PREFIX):])
+
+    def rows() -> Iterator[list[str]]:
+        fields = (line.split(",", 2) for line in lines if line and line[0] != "#")
+        return (r for r in fields if r[0] not in ("t_s", "pos_mm"))
+
+    positions = np.array([r[1] if len(r) > 1 else r[0] for r in rows()], dtype=float)
+    if fs_hz is None:
+        times = [float(r[0]) for r in islice((r for r in rows() if len(r) > 1), 2)]
+        if len(times) < 2:
             raise ValueError("sampling rate not in header and not derivable")
-    return HandTrajectory(fs_hz=fs_hz, positions=np.array(positions), source=path)
+        fs_hz = 1.0 / (times[1] - times[0])
+    return HandTrajectory(fs_hz=fs_hz, positions=positions, source=path)
 
 
 def histogram_csv(report: SicknessReport) -> str:

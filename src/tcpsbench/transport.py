@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,27 +128,6 @@ class Jitter:
     @staticmethod
     def truncnorm(mu: float, sigma: float) -> "Jitter":
         return Jitter("truncnorm", mu=mu, sigma=sigma)
-
-    def draws(self, rng: Random, n: int) -> list[float]:
-        """n successive draws; a truncated normal redraws negative values,
-        up to 64 times, then gives 0."""
-        if self.kind == "none":
-            return [0.0] * n
-        if self.kind == "uniform":
-            return [rng.uniform(0.0, self.a) for _ in range(n)]
-        if self.kind == "truncnorm":
-            gauss, mu, sigma = rng.gauss, self.mu, self.sigma
-            out = []
-            for _ in range(n):
-                for _ in range(64):
-                    v = gauss(mu, sigma)
-                    if v >= 0.0:
-                        break
-                else:
-                    v = 0.0
-                out.append(v)
-            return out
-        raise ValueError(f"unknown jitter kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -358,20 +337,131 @@ def shared_draws() -> Iterator[None]:
         _SHARED_DRAWS.reset(token)
 
 
+_TWOPI = 2.0 * math.pi  # Random.gauss's constant
+
+
+def _uniforms(rngs: Sequence[Random], n: int) -> np.ndarray:
+    """The next n values of rng.random() of each generator, one row each,
+    bit for bit: getrandbits returns MT19937's 32-bit outputs least
+    significant first, so read as little-endian words they come in
+    random()'s order, and random() is ((a >> 5) * 2**26 + (b >> 6)) / 2**53
+    of two successive words, all exact in float64."""
+    raw = b"".join([rng.getrandbits(64 * n).to_bytes(8 * n, "little") for rng in rngs])
+    w = np.frombuffer(raw, dtype="<u4").reshape(len(rngs), 2 * n)
+    return ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) / 9007199254740992.0
+
+
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """The standard normals rng.gauss makes of its uniforms u (per row,
+    pairs in draw order), bit for bit: Box-Muller (Box & Muller 1958) in
+    Random.gauss's operation order, the products and the square root in
+    numpy (both correctly rounded) and the libm calls through math (numpy's
+    vector log, cos and sin can differ in the last bit).
+    rng.gauss(mu, sigma) is mu + z * sigma."""
+    half = u[..., 0::2].shape
+    x2pi = (u[..., 0::2] * _TWOPI).ravel().tolist()
+    logs = np.fromiter(map(math.log, (1.0 - u[..., 1::2]).ravel().tolist()), float, len(x2pi))
+    g2rad = np.sqrt(-2.0 * logs)
+    z = np.empty(u.shape)
+    z[..., 0::2] = (np.fromiter(map(math.cos, x2pi), float, len(x2pi)) * g2rad).reshape(half)
+    z[..., 1::2] = (np.fromiter(map(math.sin, x2pi), float, len(x2pi)) * g2rad).reshape(half)
+    return z
+
+
+def _tries_per_value(mu: float, sigma: float) -> float:
+    """The expected normals a truncated normal value takes, (1 - (1 - p)^64)
+    / p for p the chance of a non-negative one."""
+    p = 0.5 * math.erfc(-mu / (sigma * math.sqrt(2.0))) if sigma > 0.0 else float(mu >= 0.0)
+    return 64.0 if p == 0.0 else 1.0 if p == 1.0 else -math.expm1(64 * math.log1p(-p)) / p
+
+
+def _tries(v: list[float], k: int) -> list[float]:
+    """Up to k truncated normal values from the tries v: the first
+    non-negative one of each value's tries, or 0 after 64 negative ones."""
+    vals, tries = [], 0
+    for x in v:
+        tries += 1
+        if x >= 0.0 or tries == 64:
+            vals.append(x if x >= 0.0 else 0.0)
+            tries = 0
+            if len(vals) == k:
+                break
+    return vals
+
+
+def _draw_streams(seeds: Sequence[int], jitter: Jitter | None, size: int) -> list[np.ndarray]:
+    """The first `size` values of the stream (seed, jitter) of each seed,
+    drawn together in bulk, bit for bit those of a loop that calls a
+    Random(seed) once per value: random() for drops (jitter None),
+    uniform(0, a) or gauss(mu, sigma) for jitter, where a truncated normal
+    redraws a negative value up to 64 times, then gives 0.
+
+    Each stream's normals come in one chunk of the expected number of tries
+    plus a margin. Its values are the chunk's non-negative normals, unless
+    64 negatives in a row come before the last one needed: then a scalar
+    pass over the chunk applies the 64-try rule. A stream whose chunk falls
+    short is drawn again from its seed, with a chunk twice as long."""
+    if jitter is None or jitter.kind == "uniform":
+        u = _uniforms([Random(seed) for seed in seeds], size)
+        return list(u if jitter is None else jitter.a * u)  # uniform(0, a): 0.0 + (a - 0.0) * random()
+    if jitter.kind != "truncnorm":
+        raise ValueError(f"unknown jitter kind {jitter.kind!r}")
+    mu, sigma = jitter.mu, jitter.sigma
+    out: dict[int, np.ndarray] = {}
+    todo = list(range(len(seeds)))
+    pairs = math.ceil((size * _tries_per_value(mu, sigma) * 1.1 + 16) / 2)
+    while todo:
+        v = mu + _box_muller(_uniforms([Random(seeds[i]) for i in todo], 2 * pairs)) * sigma
+        kept = v >= 0.0
+        count = np.cumsum(kept, axis=1)
+        cols = np.arange(2 * pairs)
+        last = np.argmax(count >= size, axis=1)  # the normal that gives the last value
+        negatives = cols - np.maximum.accumulate(np.where(kept, cols, -1), axis=1)
+        whole = (count[:, -1] >= size) & ~((negatives >= 64) & (cols <= last[:, None])).any(axis=1)
+        short = []
+        for j, (i, ok) in enumerate(zip(todo, whole.tolist())):
+            vals = v[j][kept[j]][:size] if ok else np.array(_tries(v[j].tolist(), size))
+            if len(vals) == size:
+                out[i] = vals
+            else:
+                short.append(i)
+        todo, pairs = short, 2 * pairs
+    return [out[i] for i in range(len(seeds))]
+
+
+# channel seeds of the batch of trials about to run, while a batch_seeds() block is open
+_BATCH_SEEDS: ContextVar[frozenset] = ContextVar("batch_seeds", default=frozenset())
+
+
+@contextmanager
+def batch_seeds(seeds: Sequence[int]) -> Iterator[None]:
+    """Within the block, and inside a shared_draws() block, an impaired
+    channel built for one of these seeds draws each of its random streams
+    for all of them at once at its first round trip; the channels built for
+    the other seeds then read their streams from the shared draws. The
+    values are those each channel would draw alone."""
+    token = _BATCH_SEEDS.set(frozenset(seeds))
+    try:
+        yield
+    finally:
+        _BATCH_SEEDS.reset(token)
+
+
 class _Draws:
     """One seeded stdlib stream of per-packet draws (drop uniforms when
-    jitter is None, else jitter values), read in order. The generator is
-    seeded at first use and draws at least `reserve` values at a time; in a
-    shared_draws() block a stream starts from the values already drawn for
-    its (seed, jitter), which are the same values."""
+    jitter is None, else jitter values), read in order. The stream is drawn
+    at first use, at least `reserve` values at a time, by _draw_streams;
+    a stream that needs more values is drawn again from its seed, and the
+    values so far repeat exactly. In a shared_draws() block a stream starts
+    from the values already drawn for its (seed, jitter), which are the same
+    values."""
 
-    __slots__ = ("key", "values", "pos", "rng")
+    __slots__ = ("key", "values", "pos")
 
     def __init__(self, seed: int, jitter: Jitter | None) -> None:
         self.key = (seed, jitter)
         self.values = np.empty(0)
         self.pos = 0
-        self.rng: Random | None = None
 
     def take(self, n: int, reserve: int = 0) -> np.ndarray:
         """The next n values."""
@@ -384,17 +474,11 @@ class _Draws:
 
     def _draw(self, size: int) -> None:
         shared = _SHARED_DRAWS.get()
-        if shared is not None:
-            cached = shared.get(self.key)
-            if cached is not None and len(cached) >= size:
-                self.values, self.rng = cached, None
-                return
-        seed, jitter = self.key
-        if self.rng is None:  # redraw from the start: the values so far repeat exactly
-            self.rng, self.values = Random(seed), np.empty(0)
-        k = size - len(self.values)
-        more = [self.rng.random() for _ in range(k)] if jitter is None else jitter.draws(self.rng, k)
-        self.values = np.concatenate((self.values, more))
+        cached = None if shared is None else shared.get(self.key)
+        if cached is not None and len(cached) >= size:
+            self.values = cached
+            return
+        self.values = _draw_streams([self.key[0]], self.key[1], size)[0]
         if shared is not None:
             shared[self.key] = self.values
 
@@ -427,7 +511,8 @@ class ImpairedChannel(SimChannel):
         self.model = model
         # integer seed derivation only: string/tuple seeding would go through
         # the per-process randomized hash and break reproducibility
-        base = int(seed) * 4
+        self.seed = int(seed)
+        base = self.seed * 4
         self._links = {
             FORWARD: _LinkState(model.forward, base),
             BACKWARD: _LinkState(model.backward, base + 2),
@@ -502,9 +587,27 @@ class ImpairedChannel(SimChannel):
                    answer: Callable[[np.ndarray], np.ndarray]):
         """SimChannel.round_trip as one batch per direction."""
         n = len(sends)
+        self._draw_for_batch(max(n, 16))
         fwd = self.carry(FORWARD, sends, size_b, reserve=n)
         picked = answer(fwd)
         return fwd, picked, self.carry(BACKWARD, fwd[picked], size_b, reserve=n)
+
+    def _draw_for_batch(self, size: int) -> None:
+        """In a batch_seeds() block that holds this channel's seed, inside a
+        shared_draws() block, draw the first `size` values of each stream of
+        this channel's kind for every seed of the batch not drawn yet, one
+        bulk draw per stream (_draw_streams); a round trip reads at most
+        that many at its first take (reserve)."""
+        shared, seeds = _SHARED_DRAWS.get(), _BATCH_SEEDS.get()
+        if shared is None or self.seed not in seeds:
+            return
+        for link in self._links.values():
+            for stream in (link.drops, link.jitter):
+                if stream is None or stream.key in shared:
+                    continue
+                offset, jitter = stream.key[0] - 4 * self.seed, stream.key[1]
+                keys = [k for k in sorted((4 * s + offset, jitter) for s in seeds) if k not in shared]
+                shared.update(zip(keys, _draw_streams([k[0] for k in keys], jitter, size)))
 
     def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         t = self.transit_time(direction, size_b, self._sched.now)

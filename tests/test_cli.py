@@ -229,6 +229,18 @@ class TestSickness:
         err = capsys.readouterr().err
         assert "needs --traj" in err and "absent.csv" in err
 
+    @pytest.mark.parametrize("fs", ["nan", "inf", "-inf"])
+    def test_non_finite_sampling_rate_exits_2(self, tmp_path, fs):
+        traj = tmp_path / "t" / "trajectory.csv"
+        assert run(["sickness", "synth", "--fs", 30, "--steps", 300, "--vmax", 0.02,
+                    "--fraction", 0.5, "--out", traj.parent]) == EXIT_OK
+        # --fs=-inf: a separate "-inf" would parse as an option
+        assert run(["sickness", "synth", f"--fs={fs}", "--steps", 300, "--vmax", 0.02,
+                    "--fraction", 0.5, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        for mode in ("predict", "measure"):
+            assert run(["sickness", mode, "--traj", traj, f"--fs={fs}", "--vmax", 0.02,
+                        "--config", "ideal", "--out", tmp_path / "o"]) == EXIT_CONFIG
+
     def test_synth_without_sampling_rate_exits_2(self, tmp_path):
         assert run(["sickness", "synth", "--out", tmp_path / "o"]) == EXIT_CONFIG
 

@@ -1,0 +1,221 @@
+"""Bulk random draws against the per-value stdlib loops.
+
+`tcpsbench.transport._Draws` draws each seeded stream in bulk: drop
+uniforms and uniform jitter from one getrandbits call, truncated-normal
+jitter by Box-Muller in Random.gauss's operation order. `tests/draws_oracle.py`
+keeps the loops that call the generator once per value; both must give the
+same values bit for bit, whatever the sizes of the reads.
+"""
+
+import os
+import shutil
+import subprocess
+from collections import Counter
+from random import Random
+
+import numpy as np
+import pytest
+
+from draws_oracle import drop_draws, jitter_draws
+from tcpsbench import transport
+from tcpsbench.loopsim import LoopConfig, run_step_batch
+from tcpsbench.transport import (
+    FORWARD,
+    ChannelModel,
+    Jitter,
+    LinkParams,
+    _Draws,
+    _draw_streams,
+    batch_seeds,
+    shared_draws,
+)
+
+TRUNCNORMS = ((0.1, 0.3), (0.0, 1.0), (0.5, 0.01), (-1.0, 1.0), (1.0, 0.0), (-1.0, 0.0),
+              (0.0, 0.0))
+
+
+def _reads(rng: Random) -> list[int]:
+    """Read sizes: odd ones split a Box-Muller pair between reads."""
+    return [rng.choice((1, 2, 3, 5, 17, 64, 101)) for _ in range(rng.randint(1, 8))]
+
+
+def _taken(draws: _Draws, sizes: list[int]) -> list[float]:
+    return [v for n in sizes for v in draws.take(n).tolist()]
+
+
+def test_drop_uniforms_match_random():
+    rng = Random(1)
+    for seed in range(300):
+        sizes = _reads(rng)
+        assert _taken(_Draws(seed, None), sizes) == drop_draws(Random(seed), sum(sizes)), seed
+
+
+def test_uniform_jitter_matches_random_uniform():
+    rng = Random(2)
+    for seed in range(300):
+        jitter = Jitter.uniform(rng.choice((0.0, 1.0, 2.5, rng.uniform(0.0, 9.0))))
+        sizes = _reads(rng)
+        want = jitter_draws(jitter, Random(seed), sum(sizes))
+        assert _taken(_Draws(seed, jitter), sizes) == want, seed
+
+
+def test_truncnorm_jitter_matches_the_redraw_loop():
+    """Reads of any size, odd ones included, continue the stdlib stream:
+    gauss keeps the second normal of a pair for its next call, and the bulk
+    draw keeps the normals past its last value for its next read."""
+    rng = Random(3)
+    for seed in range(400):
+        jitter = Jitter.truncnorm(*TRUNCNORMS[seed % len(TRUNCNORMS)])
+        sizes = _reads(rng)
+        oracle = Random(seed)
+        want = [v for n in sizes for v in jitter_draws(jitter, oracle, n)]
+        assert _taken(_Draws(seed, jitter), sizes) == want, (seed, jitter, sizes)
+
+
+def _count_scalar_passes(monkeypatch) -> Counter:
+    """Count the scalar passes of the 64-try rule, and those whose chunk
+    ends in a run of negatives before the values are complete."""
+    seen = Counter()
+    tries = transport._tries
+
+    def counted(v, k):
+        vals = tries(v, k)
+        seen["scalar"] += 1
+        seen["run cut by the chunk end"] += len(vals) < k and v[-1] < 0.0
+        return vals
+
+    monkeypatch.setattr(transport, "_tries", counted)
+    return seen
+
+
+def test_truncnorm_far_below_zero_takes_the_64_try_rule(monkeypatch):
+    """With mu far below zero most values are 0 after 64 negative tries.
+    With the first chunk sized for one try per value, chunks end inside
+    runs of negatives and are drawn again, longer; reads of odd sizes draw
+    the stream again as it grows. The values still equal the loop's."""
+    seen = _count_scalar_passes(monkeypatch)
+    monkeypatch.setattr(transport, "_tries_per_value", lambda mu, sigma: 1.0)
+    rng = Random(4)
+    zeros = 0
+    for seed in range(30):
+        jitter = Jitter.truncnorm(rng.choice((-2.0, -2.5, -9.0)), 1.0)
+        draws, oracle = _Draws(seed, jitter), Random(seed)
+        for n in _reads(rng):
+            want = jitter_draws(jitter, oracle, n)
+            assert draws.take(n).tolist() == want, (seed, n)
+            zeros += want.count(0.0)
+    assert zeros >= 100 and seen["run cut by the chunk end"] >= 20, (zeros, seen)
+
+
+def test_shared_stream_extends_a_shorter_cached_array():
+    """In a shared_draws block a stream that needs more than the cached
+    values redraws from its seed, and the longer array replaces the cache."""
+    jitter = Jitter.truncnorm(0.1, 0.3)
+    want = jitter_draws(jitter, Random(9), 300)
+    with shared_draws():
+        assert _Draws(9, jitter).take(20).tolist() == want[:20]
+        longer = _Draws(9, jitter)
+        assert _taken(longer, [7, 250]) == want[:257]
+        cached = _Draws(9, jitter)
+        assert cached.take(257).tolist() == want[:257]
+        assert cached.values is transport._SHARED_DRAWS.get()[9, jitter]
+        assert cached.take(43).tolist() == want[257:]
+
+
+def test_streams_drawn_together_match_each_alone(monkeypatch):
+    """_draw_streams draws many seeds' streams as one block. Every stream
+    equals its loop's values, including those that take the scalar pass of
+    the 64-try rule or are drawn again after a short chunk."""
+    seen = _count_scalar_passes(monkeypatch)
+    rng = Random(8)
+    for case in range(40):
+        jitter = rng.choice((None, Jitter.uniform(rng.uniform(0.0, 3.0)),
+                             Jitter.truncnorm(0.1, 0.3), Jitter.truncnorm(-2.0, 1.0),
+                             Jitter.truncnorm(-2.5, 1.0), Jitter.truncnorm(0.0, 0.0)))
+        seeds = rng.sample(range(10_000), rng.randint(1, 25))
+        size = rng.choice((16, 100, 137))
+        got = _draw_streams(seeds, jitter, size)
+        for s, values in zip(seeds, got, strict=True):
+            want = drop_draws(Random(s), size) if jitter is None else jitter_draws(
+                jitter, Random(s), size)
+            assert values.tolist() == want, (case, s)
+    assert seen["scalar"] >= 10 and seen["run cut by the chunk end"] >= 1, seen
+
+
+def test_batch_seeds_draw_each_stream_once(monkeypatch):
+    """In shared_draws and batch_seeds blocks, a batch of impaired channels
+    seeds each of its streams once, and the runs equal those without."""
+    seeded = Counter()
+
+    class CountedRandom(transport.Random):
+        def __init__(self, seed):
+            seeded[seed] += 1
+            super().__init__(seed)
+
+    model = ChannelModel(forward=LinkParams(drop_prob=0.05, jitter=Jitter.truncnorm(0.1, 0.3)),
+                         backward=LinkParams(drop_prob=0.05, jitter=Jitter.uniform(0.4)))
+    seeds = [3, 8, 21, 40, 77]
+    want = [run_step_batch(LoopConfig(delta_ms=d), [model.build(s) for s in seeds])
+            for d in (0.6, 1.4)]
+    monkeypatch.setattr(transport, "Random", CountedRandom)
+    with shared_draws(), batch_seeds(seeds):
+        got = [run_step_batch(LoopConfig(delta_ms=d), [model.build(s) for s in seeds])
+               for d in (0.6, 1.4)]
+    def exact(rec):
+        c = rec.curve
+        return repr(([v.tolist() for v in (c.t, c.x, c.y, c.signal)], rec.operator_trace,
+                     rec.channel_stats))
+
+    for a, b in zip(got, want):
+        for i in range(len(seeds)):
+            assert exact(a.record(i)) == exact(b.record(i))
+    assert seeded == {4 * s + i: 1 for s in seeds for i in range(4)}
+
+
+def test_no_jitter_draws_nothing():
+    """Jitter 'none' has no stream: every packet takes the latency alone,
+    as the oracle's zeros give."""
+    chan = ChannelModel(forward=LinkParams(latency_ms=0.7)).build(5)
+    assert chan._links[FORWARD].jitter is None and chan._links[FORWARD].drops is None
+    sends = 0.5 * np.arange(40)
+    got = chan.carry(FORWARD, sends, 32).tolist()
+    zeros = jitter_draws(Jitter.none(), Random(21), 40)
+    assert got == [s + (0.7 + z) for s, z in zip(sends.tolist(), zeros)]
+
+
+_INTERPRETER_CHECK = """
+import math, random
+n = 400
+bits = random.Random(12345).getrandbits(64 * n).to_bytes(8 * n, "little")
+w = [int.from_bytes(bits[4 * i:4 * i + 4], "little") for i in range(2 * n)]
+u = [((w[2 * i] >> 5) * 67108864.0 + (w[2 * i + 1] >> 6)) / 9007199254740992.0 for i in range(n)]
+ref = random.Random(12345)
+assert u == [ref.random() for _ in range(n)], "getrandbits word order"
+src, ref = random.Random(3), random.Random(3)
+assert [2.5 * src.random() for _ in range(n)] == [ref.uniform(0.0, 2.5) for _ in range(n)], "uniform"
+src, ref = random.Random(7), random.Random(7)
+u = [src.random() for _ in range(2 * n)]
+z = []
+for i in range(n):
+    x2pi = u[2 * i] * (2.0 * math.pi)
+    g2rad = math.sqrt(-2.0 * math.log(1.0 - u[2 * i + 1]))
+    z += [math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad]
+assert [0.1 + v * 0.3 for v in z] == [ref.gauss(0.1, 0.3) for _ in range(2 * n)], "gauss"
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_other_interpreters_share_the_generator_formulas(version):
+    """The bulk draws rely on getrandbits returning MT19937's words least
+    significant first, on random()'s formula of two words, and on gauss's
+    Box-Muller order. Each interpreter found on PATH must agree; an absent
+    one (or a launcher that cannot start it) is skipped."""
+    exe = shutil.which(f"python{version}")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True,
+                                     env=env).returncode != 0:
+        pytest.skip(f"python{version} is not available")
+    proc = subprocess.run([exe, "-c", _INTERPRETER_CHECK], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr

@@ -3,7 +3,9 @@
 `tests/extract_oracle.py` holds the extraction that scanned the curve with
 Python loops. On every curve here both must return the same CurveMetrics,
 compared field by field through repr (so None matches None and -0.0 differs
-from 0.0), or raise the same error type with the same message.
+from 0.0), or raise the same error type with the same message. The batched
+verdict, extract_metrics_batch, must give every row of a batch the outcome
+the oracle gives its curve, and the same rise time bit for bit.
 """
 
 from collections import Counter
@@ -14,13 +16,22 @@ import numpy as np
 
 import extract_oracle
 from tcpsbench.core import (
+    GOOD,
+    MALFORMED,
+    NO_STEP,
+    NOT_GOOD,
+    DEFAULT_LIMITS,
+    CurveBatch,
     GoodnessLimits,
+    MalformedCurve,
+    NoStepDetected,
     StepResponseCurve,
     TcpsbenchError,
     extract_metrics,
+    extract_metrics_batch,
 )
 from tcpsbench.experiments import PRESET_NAMES, load_experiment
-from tcpsbench.loopsim import LoopConfig, run_step_experiment
+from tcpsbench.loopsim import LoopConfig, run_step_batch, run_step_experiment
 
 
 def _outcome(extract, curve, limits):
@@ -30,9 +41,27 @@ def _outcome(extract, curve, limits):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _random_curve(rng: Random, kind: str) -> tuple[StepResponseCurve, GoodnessLimits]:
-    cfg = LoopConfig(p_ref=rng.choice((100.0, 1.0, 37.5, 2.0e4)),
-                     k_2=rng.choice((1.25, 1.1, 2.0, rng.uniform(1.01, 3.0))))
+def _verdict(curve, limits):
+    """The oracle's outcome in extract_metrics_batch's terms: the outcome
+    and the repr of the rise time of a good curve."""
+    try:
+        m = extract_oracle.extract_metrics(curve, limits)
+    except NoStepDetected:
+        return (NO_STEP, "nan")
+    except MalformedCurve:
+        return (MALFORMED, "nan")
+    return (GOOD, repr(m.t_r)) if m.is_good else (NOT_GOOD, "nan")
+
+
+def _batch_verdicts(batch, limits):
+    outcome, t_r = extract_metrics_batch(batch, limits)
+    return [(o, repr(t)) for o, t in zip(outcome.tolist(), t_r.tolist())]
+
+
+def _random_curve(rng: Random, kind: str, cfg: LoopConfig | None = None,
+                  limits: GoodnessLimits | None = None) -> tuple[StepResponseCurve, GoodnessLimits]:
+    cfg = cfg or LoopConfig(p_ref=rng.choice((100.0, 1.0, 37.5, 2.0e4)),
+                            k_2=rng.choice((1.25, 1.1, 2.0, rng.uniform(1.01, 3.0))))
     base = cfg.p_ref / cfg.k_2
     span = cfg.p_ref - base
     l10, l90 = base + 0.1 * span, base + 0.9 * span
@@ -70,8 +99,9 @@ def _random_curve(rng: Random, kind: str) -> tuple[StepResponseCurve, GoodnessLi
     ys = [rng.uniform(-1.0, 1.0) * cfg.p_ref for _ in range(n)]
     if kind == "nan" and n and rng.random() < 0.3:
         ys[rng.randrange(n)] = float("nan")
-    limits = GoodnessLimits(overshoot_max_pct=rng.choice((20.0, rng.uniform(1.0, 99.0))),
-                            sse_max_pct=rng.choice((10.0, rng.uniform(1.0, 99.0))))
+    limits = limits or GoodnessLimits(
+        overshoot_max_pct=rng.choice((20.0, rng.uniform(1.0, 99.0))),
+        sse_max_pct=rng.choice((10.0, rng.uniform(1.0, 99.0))))
     curve = StepResponseCurve(t=t, x=list(range(n)), y=ys, signal=sig, config=cfg)
     return curve, limits
 
@@ -86,6 +116,8 @@ def test_random_curves_match_the_oracle():
         curve, limits = _random_curve(rng, KINDS[i % len(KINDS)])
         expected = _outcome(extract_oracle.extract_metrics, curve, limits)
         assert _outcome(extract_metrics, curve, limits) == expected, (i, expected)
+        assert _batch_verdicts(CurveBatch.from_curves([curve]), limits) == [
+            _verdict(curve, limits)], (i, expected)
         if expected.startswith("CurveMetrics"):
             outcomes["good" if "is_good=True" in expected else
                      "no rise" if "t2=None" in expected else "bad"] += 1
@@ -102,6 +134,56 @@ def test_preset_curves_match_the_oracle():
             rec = run_step_experiment(replace(exp.loop, seed=seed), exp.channel.factory(seed))
             expected = _outcome(extract_oracle.extract_metrics, rec.curve, exp.limits)
             assert _outcome(extract_metrics, rec.curve, exp.limits) == expected
+
+
+def test_random_batches_match_the_oracle():
+    """Batches of 1 to 20 random curves of every kind and length that share
+    a configuration and limits: each row gets its curve's verdict."""
+    rng = Random(16)
+    seen = Counter()
+    for _ in range(200):
+        cfg = LoopConfig(p_ref=rng.choice((100.0, 1.0, 37.5, 2.0e4)),
+                         k_2=rng.choice((1.25, 1.1, 2.0, rng.uniform(1.01, 3.0))))
+        limits = GoodnessLimits(overshoot_max_pct=rng.choice((20.0, rng.uniform(1.0, 99.0))),
+                                sse_max_pct=rng.choice((10.0, rng.uniform(1.0, 99.0))))
+        curves = [_random_curve(rng, rng.choice(KINDS), cfg, limits)[0]
+                  for _ in range(rng.randint(1, 20))]
+        want = [_verdict(c, limits) for c in curves]
+        assert _batch_verdicts(CurveBatch.from_curves(curves), limits) == want
+        seen.update(o for o, _ in want)
+    assert min(seen.values()) >= 100 and len(seen) == 4, seen
+
+
+def test_infinite_last_time_stamp():
+    """A rise through the upper band into an infinite last time stamp puts
+    t2 at infinity: extract_metrics' max(0.0, inf - inf) is 0.0, so the
+    steady-state window is that last sample."""
+    cfg = LoopConfig()
+    rows = [(0.0, 100.0), (1.0, 100.0), (2.0, 80.0), (3.0, 95.0), (4.0, 90.0),
+            (float("inf"), 100.0)]
+    curve = StepResponseCurve(t=[t for t, _ in rows], x=list(range(6)), y=[0.0] * 6,
+                              signal=[v for _, v in rows], config=cfg)
+    flat = StepResponseCurve(t=list(range(6)), x=list(range(6)), y=[0.0] * 6,
+                             signal=[100.0] * 6, config=cfg)
+    want = [_verdict(curve, DEFAULT_LIMITS), _verdict(flat, DEFAULT_LIMITS)]
+    assert want[0] == (GOOD, "inf")
+    assert _batch_verdicts(CurveBatch.from_curves([curve, flat]), DEFAULT_LIMITS) == want
+
+
+def test_preset_batches_match_the_oracle():
+    """Batches of 20 simulated trials per preset and loop time, including
+    the malformed curves of the impaired presets at short loop times."""
+    seen = Counter()
+    for preset in PRESET_NAMES:
+        exp = load_experiment(preset)
+        for delta in (0.5, 0.9, exp.loop.delta_ms, 3.0):
+            cfg = replace(exp.loop, delta_ms=delta)
+            batch = run_step_batch(cfg, [exp.channel.factory(exp.search.trial_seed(i))
+                                         for i in range(20)]).curves
+            want = [_verdict(batch.curve(i), exp.limits) for i in range(20)]
+            assert _batch_verdicts(batch, exp.limits) == want, (preset, delta)
+            seen.update(o for o, _ in want)
+    assert seen[GOOD] and seen[NOT_GOOD] and seen[MALFORMED], seen
 
 
 def test_plant_log_becomes_float64_columns():

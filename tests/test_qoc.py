@@ -115,7 +115,7 @@ class TestEstimateGoodness:
         def broken(curve, limits):
             raise UnknownModality("not a curve error")
 
-        monkeypatch.setattr(qoc, "extract_metrics", broken)
+        monkeypatch.setattr(qoc, "extract_metrics_batch", broken)
         with pytest.raises(UnknownModality):
             estimate_goodness(runner_for(ideal_model(0.5)), 1.0, SearchConfig(seed=1))
 

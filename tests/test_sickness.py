@@ -5,6 +5,7 @@ import pytest
 
 from tcpsbench.qoc import QoCResult
 from tcpsbench.sickness import (
+    RANGE_MM,
     HandTrajectory,
     SpeedDist,
     TooShort,
@@ -54,8 +55,9 @@ class TestSynth:
         assert np.allclose(steps, steps[0])
 
     def test_positions_stay_in_range(self):
-        traj = synth_trajectory(30.0, 60.0, SpeedDist.constant(0.5), seed=6, range_mm=100.0)
-        assert np.max(np.abs(traj.positions)) <= 100.0 + 1e-9
+        # 1800 steps of about 16.7 mm walk far past the walls unless reflected
+        traj = synth_trajectory(30.0, 60.0, SpeedDist.constant(0.5), seed=6)
+        assert 200.0 < np.max(np.abs(traj.positions)) <= RANGE_MM
 
     def test_compliant_speeds_keep_margin(self):
         traj = compliant_trajectory(30.0, 1200, 0.02, 0.5, seed=7)
@@ -192,3 +194,34 @@ class TestTrajectoryCsv:
         path.write_text("t_s,pos_mm\n0.0,0.0\n0.05,1.0\n0.1,2.0\n")
         traj = read_trajectory_csv(str(path))
         assert traj.fs_hz == pytest.approx(20.0)
+
+    def test_comments_blank_lines_and_mixed_rows(self, tmp_path):
+        """Comments and blank lines anywhere, the first rate header, bare
+        and timed rows in one file, fields past the second ignored."""
+        path = tmp_path / "mixed.csv"
+        path.write_text("# recorded by hand\n\n# fs_hz: 12.5\n# fs_hz: 99.0\npos_mm\n1.5\n"
+                        "  2.5,-3.0,note\n\n# aside\n0.25,4.0\n")
+        traj = read_trajectory_csv(str(path))
+        assert traj.fs_hz == 12.5
+        assert traj.positions.tolist() == [1.5, -3.0, 4.0]
+        assert read_trajectory_csv(str(path), fs_hz=7.0).fs_hz == 7.0
+        derived = tmp_path / "derived.csv"
+        derived.write_text("pos_mm\n1.0\n0.0,2.0\n0.5,3.0\n")
+        assert read_trajectory_csv(str(derived)).fs_hz == 2.0
+
+    def test_bad_numbers_and_missing_rate_raise(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# fs_hz: 10.0\n0.0,1.0\n0.1,x\n")
+        with pytest.raises(ValueError):
+            read_trajectory_csv(str(path))
+        path.write_text("pos_mm\n1.0\n2.0\n")
+        with pytest.raises(ValueError, match="not derivable"):
+            read_trajectory_csv(str(path))
+
+
+@pytest.mark.parametrize("fs_hz", [0.0, -1.0, float("nan"), float("inf")])
+def test_non_positive_or_non_finite_rates_are_rejected(fs_hz):
+    with pytest.raises(ValueError, match="sampling frequency"):
+        HandTrajectory(fs_hz=fs_hz, positions=[0.0, 1.0])
+    with pytest.raises(ValueError, match="sampling frequency"):
+        compliant_trajectory(fs_hz, 10, 0.02, 0.5, seed=1)

@@ -1,0 +1,200 @@
+"""Differential test of the batched step runner against the per-trial one.
+
+`run_step_batch` runs a batch of trials at one configuration as one block:
+each channel's round trip gives its timing columns, and the PI update,
+robot lag and step plant run once per batch with the trial as the array
+axis. `tests/trial_oracle.py` keeps the runner that took one trial at a
+time with a scalar recurrence. Over any batch of channels, record i of the
+batch must equal the oracle's run on channel i, bit for bit (compared
+through repr, so -0.0 differs from 0.0). The searches run their trials
+through these batches; their work counts and their probe's early exit
+must stay those of one trial at a time.
+"""
+
+from collections import Counter
+from dataclasses import replace
+from random import Random
+
+import numpy as np
+import pytest
+
+from test_skeleton import _case, _record, _topology_case
+from trial_oracle import run_trial
+from tcpsbench import qoc
+from tcpsbench.core import MALFORMED, CurveBatch
+from tcpsbench.experiments import PRESET_NAMES, load_experiment
+from tcpsbench.loopsim import LoopConfig, run_step_batch
+from tcpsbench.netsim import Topology, channel_from_topology, pair_flows
+from tcpsbench.qoc import PROBE_TRIALS, SearchConfig, StepRunner, ci_halfwidth, perf_curve
+from tcpsbench.transport import BACKWARD, FORWARD, ChannelModel, LinkParams
+
+
+def _assert_batch_matches(cfg, factory, seeds, label):
+    batch = run_step_batch(cfg, [factory(s) for s in seeds])
+    assert len(batch.curves.lengths) == len(seeds)
+    for i, seed in enumerate(seeds):
+        want = run_trial(cfg, factory(seed))
+        assert _record(batch.record(i)) == _record(want), (label, seed)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_random_channels_match_one_trial_at_a_time(block):
+    """The random impaired cases of the skeleton test (drops by chance and
+    by index, reordering, finite bandwidth, robot lag, both settings), each
+    as a batch of 1 to 12 seeds."""
+    for i in range(block * 60, (block + 1) * 60):
+        cfg, model = _case(i)
+        rng = Random(i)
+        seeds = [cfg.seed + j for j in range(rng.randint(1, 12))]
+        _assert_batch_matches(cfg, model.build, seeds, i)
+
+
+def test_random_cases_cover_the_features():
+    seen = Counter()
+    for i in range(240):
+        cfg, model = _case(i)
+        links = (model.forward, model.backward)
+        seen["random drops"] += any(p.drop_prob > 0.0 for p in links)
+        seen["drop_seq"] += any(p.drop_seq for p in links)
+        seen["bandwidth"] += any(p.bandwidth_bps > 0.0 for p in links)
+        seen["robot lag"] += cfg.robot_tau_ms > 0.0
+        seen["non-haptic"] += cfg.setting == "non-haptic"
+    assert min(seen.values()) >= 20 and len(seen) == 5, seen
+
+
+@pytest.mark.parametrize("preset", PRESET_NAMES)
+def test_presets_match_one_trial_at_a_time(preset):
+    exp = load_experiment(preset)
+    for delta in (0.6, exp.loop.delta_ms, 2.7):
+        cfg = replace(exp.loop, delta_ms=delta)
+        _assert_batch_matches(cfg, exp.channel.factory, [exp.search.trial_seed(j) for j in range(8)],
+                              (preset, delta))
+
+
+def test_topologies_match_one_trial_at_a_time():
+    """Random tactile-only and loaded topologies of the skeleton test, and
+    usnet-nw under the pair flows of the netsim benchmark."""
+    for i in range(0, 240, 8):
+        for loaded in (False, True):
+            cfg, factory = _topology_case(i, loaded)
+            batch = run_step_batch(cfg, [factory() for _ in range(3)])
+            want = _record(run_trial(cfg, factory()))
+            assert all(_record(batch.record(j)) == want for j in range(3)), (i, loaded)
+    exp = load_experiment("usnet-nw")
+    topo = exp.channel.topology
+    placed = Topology(switches=topo.switches, links=topo.links, hosts=topo.hosts,
+                      te_master="S0", te_slave="S8")
+    flows = pair_flows(16, 500000.0, 64)
+    cfg = replace(exp.loop, delta_ms=3.1)
+    _assert_batch_matches(cfg, lambda seed: channel_from_topology(placed, flows, seed),
+                          [exp.search.trial_seed(j) for j in range(3)], "usnet-nw loaded")
+
+
+def test_channels_run_one_at_a_time():
+    """The batch takes its channels from an iterator and finishes each
+    round trip before it builds the next channel, so a batch never holds
+    more than one live channel."""
+    model = ChannelModel(forward=LinkParams(drop_prob=0.1), backward=LinkParams(drop_prob=0.1))
+    events = []
+
+    def channels():
+        for seed in range(5):
+            chan = model.build(seed)
+            round_trip = chan.round_trip
+
+            def traced(*args, seed=seed, round_trip=round_trip):
+                events.append(("round trip", seed))
+                return round_trip(*args)
+
+            chan.round_trip = traced
+            events.append(("built", seed))
+            yield chan
+
+    run_step_batch(LoopConfig(), channels())
+    assert events == [e for seed in range(5) for e in (("built", seed), ("round trip", seed))]
+
+
+def test_batch_stats_are_each_trials_own():
+    model = ChannelModel(forward=LinkParams(drop_prob=0.2, drop_seq=frozenset({3})),
+                         backward=LinkParams(drop_prob=0.2))
+    batch = run_step_batch(LoopConfig(), [model.build(s) for s in range(6)])
+    for i in range(6):
+        stats = run_trial(LoopConfig(), model.build(i)).channel_stats
+        assert batch.record(i).channel_stats == stats
+        assert stats[FORWARD].dropped and stats[BACKWARD].dropped
+
+
+def test_curve_search_work_count(monkeypatch):
+    """`curve` on testbed-overhead-like builds one channel per trial: 1825
+    trials, the same as one trial at a time, 17 of them malformed (all in
+    rejection probes)."""
+    exp = load_experiment("testbed-overhead-like")
+    built = Counter()
+
+    def factory(seed):
+        built[seed] += 1
+        return exp.channel.factory(seed)
+
+    malformed = []
+    extract = qoc.extract_metrics_batch
+
+    def counted(curves, limits):
+        outcome, t_r = extract(curves, limits)
+        malformed.append(int(np.count_nonzero(outcome == MALFORMED)))
+        return outcome, t_r
+
+    monkeypatch.setattr(qoc, "extract_metrics_batch", counted)
+    pc = perf_curve(replace(exp.runner(), channel_factory=factory), [0.5, 0.7, 0.9, 0.95],
+                    exp.search)
+    assert not pc.missing
+    assert sum(built.values()) == 1825 and sum(malformed) == 17
+
+
+class _TableRunner:
+    """Trials whose verdict comes from a table: a good ideal-channel curve
+    or a flat one without a step. It records the seeds it runs."""
+
+    limits = qoc.DEFAULT_LIMITS
+
+    def __init__(self, table):
+        self.table, self.ran = table, []
+        good = StepRunner(cfg=LoopConfig(), channel_factory=lambda s: ChannelModel().build(s))
+        self.good = good.run(1.0, 0).curve
+        self.flat = replace(self.good, signal=np.full(len(self.good.t), 100.0))
+
+    def run_batch(self, delta_ms, seeds):
+        self.ran.extend(seeds)
+        return CurveBatch.from_curves([self.good if self.table[s] else self.flat for s in seeds])
+
+
+def _probe_one_at_a_time(table, g_spec):
+    """The probe as a loop over single trials: its verdict and its trials."""
+    good, ran = 0, []
+    for i in range(PROBE_TRIALS):
+        ran.append(i)
+        good += table[i]
+        best_g = (good + PROBE_TRIALS - (i + 1)) / PROBE_TRIALS
+        if best_g + ci_halfwidth(best_g, PROBE_TRIALS) < g_spec:
+            return True, ran
+    g = good / PROBE_TRIALS
+    return g + ci_halfwidth(g, PROBE_TRIALS) < g_spec, ran
+
+
+def test_probe_batches_stop_where_one_trial_at_a_time_does():
+    """The probe runs its trials in batches, yet it runs exactly the trials
+    and returns exactly the verdict of one trial at a time, for every
+    outcome pattern and targets inside and outside (0, 1]."""
+    search = SearchConfig(seed=0)
+    rng = Random(5)
+    exits = Counter()
+    for case in range(600):
+        table = {search.trial_seed(i): rng.random() < rng.choice((0.2, 0.5, 0.9))
+                 for i in range(PROBE_TRIALS)}
+        g_spec = rng.choice((0.3, 0.5, 0.7, 0.9, 0.95, 1.0, 1.05, rng.uniform(0.0, 1.2)))
+        runner = _TableRunner(table)
+        got = qoc._rejectable(runner, 1.0, search, g_spec)
+        want, ran = _probe_one_at_a_time([table[search.trial_seed(i)]
+                                          for i in range(PROBE_TRIALS)], g_spec)
+        assert (got, runner.ran) == (want, [search.trial_seed(i) for i in ran]), case
+        exits[len(ran) < PROBE_TRIALS] += 1
+    assert exits[True] >= 50 and exits[False] >= 50, exits

@@ -6,6 +6,7 @@ from random import Random
 import numpy as np
 import pytest
 
+from draws_oracle import jitter_draws
 from tcpsbench.clock import EventScheduler
 from tcpsbench.netsim import Link, Topology, channel_from_topology
 from tcpsbench.transport import (
@@ -307,7 +308,7 @@ def _unqueued_transit_times(params: LinkParams, sends, seed: int):
         if dropped:
             out.append(None)
             continue
-        delay = params.latency_ms + params.jitter.draws(jitter_rng, 1)[0]
+        delay = params.latency_ms + jitter_draws(params.jitter, jitter_rng, 1)[0]
         if params.bandwidth_bps > 0.0:
             delay += size * 8.0 / params.bandwidth_bps * 1000.0
         t = t_now + delay
