@@ -36,6 +36,7 @@ from .transport import (
     KIND_KINEMATIC,
     DatagramEndpoint,
     DirectionStats,
+    ImpairedChannel,
     Packet,
     SocketTimeout,
 )
@@ -261,13 +262,25 @@ class StepExperimentRecord:
     channel_stats: dict[str, DirectionStats] = field(default_factory=dict)
 
 
+def _fresh_mask(arrivals: np.ndarray) -> np.ndarray:
+    """The mask of the packets of each row of arrival times (a channel's
+    packets in send order, NaN: lost) that are taken in delivery order,
+    each newer than every one delivered before it (send index stands for
+    sequence number). The delivery order is the clock's: by arrival time,
+    ties in send order. So a landed packet is fresh when no later send
+    lands strictly before it: when it lands at or before the minimum
+    arrival of the later sends, a running minimum from the last send on,
+    seeded with inf (fmin skips the lost sends, so it is never NaN)."""
+    later = np.empty(arrivals.shape)
+    later[..., :1] = np.inf
+    later[..., 1:] = arrivals[..., :0:-1]
+    np.fmin.accumulate(later, axis=-1, out=later)
+    return arrivals <= later[..., ::-1]
+
+
 def _fresh(arrivals: np.ndarray) -> np.ndarray:
-    """Send indices of one channel's packets taken in delivery order, each
-    newer than every one delivered before it (send index stands for
-    sequence number); ascending. The delivery order is the clock's: by
-    arrival time, ties in send order; the lost packets (NaN) sort last."""
-    order = np.argsort(arrivals, kind="stable")[:np.count_nonzero(arrivals == arrivals)]
-    return order[order == np.maximum.accumulate(order)]
+    """Send indices of one channel's fresh packets (_fresh_mask); ascending."""
+    return np.flatnonzero(_fresh_mask(arrivals))
 
 
 def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
@@ -314,6 +327,11 @@ def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     return run_step_batch(cfg, [channel]).record(0)
 
 
+def _counts(channel) -> list[tuple[int, int, int]]:
+    return [(s.sent, s.delivered, s.dropped)
+            for s in (channel.stats[FORWARD], channel.stats[BACKWARD])]
+
+
 def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
     """Execute one full sweep over each simulated channel, as one block.
 
@@ -323,8 +341,10 @@ def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
     last-value hold, and stale packets (older sequence than the newest
     seen) are discarded on both sides. It is computed in two parts.
 
-    (a) A value-free timing skeleton (channel.round_trip), one channel at a
-    time, keeping only its arrival times. Command k leaves at tick k (the
+    (a) A value-free timing skeleton: the impaired channels of one model
+    run their round trips as one block (ImpairedChannel.round_trips), any
+    other channel (a topology) its own round_trip, one channel at a time,
+    keeping only its arrival times. Command k leaves at tick k (the
     first at 0; tick j runs at T_j, the j-fold sum of delta_ms, as the
     clock adds it), and the operator's final check at T_n ends the sweep.
     The plant takes the fresh commands in delivery order and answers each
@@ -342,26 +362,43 @@ def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
     n = cfg.sweep_len
     ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
     sends = np.concatenate(([0.0], ticks[:-1]))
-    fwds, picks, answers, counts = [], [], [], []
+    size_b, drain_at = cfg.packet_size_b, float(ticks[-1])
+    # per block of rows: their indices, the commands' arrival times, the
+    # fresh commands' mask, the feedback's arrival times by command and the
+    # channels' (sent, delivered, dropped) counts per direction
+    parts, impaired, rows = [], {}, 0
     for row, channel in enumerate(channels):
-        fwd, fresh, bwd = channel.round_trip(sends, cfg.packet_size_b, float(ticks[-1]), _fresh)
-        # copies: a topology's arrival times are views of its links' whole batches
-        fwds.append(fwd.copy())
-        picks.append(fresh + row * n)
-        answers.append(bwd.copy())
-        counts.append([(s.sent, s.delivered, s.dropped)
-                       for s in (channel.stats[FORWARD], channel.stats[BACKWARD])])
-    rows = len(fwds)
-    fwd = np.array(fwds).reshape(rows, n)
+        rows += 1
+        if isinstance(channel, ImpairedChannel):
+            impaired.setdefault(id(channel.model), []).append((row, channel))
+            continue
+        fwd, fresh, bwd = channel.round_trip(sends, size_b, drain_at, _fresh)
+        picked = np.zeros((1, n), dtype=bool)
+        picked[0, fresh] = True
+        answers = np.full((1, n), np.nan)
+        answers[0, fresh] = bwd
+        # a copy: a topology's arrival times are views of its links' whole batches
+        parts.append(([row], np.array(fwd, ndmin=2), picked, answers, [_counts(channel)]))
+    for group in impaired.values():
+        idx, chans = zip(*group)
+        parts.append((list(idx), *ImpairedChannel.round_trips(chans, sends, size_b, drain_at,
+                                                              _fresh_mask),
+                      [_counts(c) for c in chans]))
+    if len(parts) == 1:
+        _, fwd, picked, bwd, counts = parts[0]
+    else:
+        fwd, bwd = np.empty((rows, n)), np.empty((rows, n))
+        picked, counts = np.empty((rows, n), dtype=bool), [None] * rows
+        for idx, f, p, b, c in parts:
+            fwd[idx], picked[idx], bwd[idx] = f, p, b
+            for i, row_counts in zip(idx, c):
+                counts[i] = row_counts
     # each row's fresh commands in send order, as flat indices of a (rows x n)
-    # block, and as row r and command c
-    fresh_at = np.concatenate(picks)
+    # block, and as row r and command c; the feedback on command k sits in
+    # column k, NaN where none arrived
+    fresh_at = np.flatnonzero(picked)
     r, c = np.divmod(fresh_at, n)
-    n_fresh = np.bincount(r, minlength=rows)
-    # the feedback on command k sits in column k, NaN where none arrived
-    bwd = np.full(rows * n, np.nan)
-    bwd[fresh_at] = np.concatenate(answers)
-    bwd = bwd.reshape(rows, n)
+    n_fresh = np.count_nonzero(picked, axis=1)
 
     # the freshest feedback at each tick: feedback on command c is held from
     # tick first_tick[c] on (n + 1: never; a NaN arrival sorts past every
@@ -402,7 +439,11 @@ def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
         lags, takes, robot = lags.reshape(n, rows), takes.reshape(n, rows), np.zeros(rows)
     y = np.full(rows, 0.0 if haptic else p_ref)
     ys = []  # ys[k]: the commanded y of send k
-    # a product with 1.0 is skipped: 1.0 * v is v, bit for bit
+    # the constants as rows, since a scalar operand costs a conversion per
+    # call; a product with 1.0 is skipped: 1.0 * v is v, bit for bit
+    p_refs, k_2s = np.full(rows, p_ref), np.full(rows, k_2)
+    gains = None if gain == 1.0 else np.full(rows, gain)
+    k_ps = None if k_p == 1.0 else np.full(rows, k_p)
     for k in range(n):
         ys.append(y)
         if lags is not None:
@@ -410,14 +451,11 @@ def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
             s = robot
         else:
             s = y
-        if gain != 1.0:
-            s = gain * s
-        if k < step:
-            sig[k] = s
-        else:
-            np.divide(s, k_2, out=sig[k])
-        d = p_ref - flat[src[k]]
-        y = y + (d if k_p == 1.0 else k_p * d)
+        if gains is not None:
+            s = gains * s
+        sig[k] = s if k < step else s / k_2s
+        d = p_refs - flat[src[k]]
+        y = y + (d if k_ps is None else k_ps * d)
 
     x = np.arange(n, dtype=float) if haptic else np.arange(1, n + 1, dtype=float)
     ys = np.array(ys)

@@ -31,7 +31,7 @@ from .core import (
     extract_metrics_batch,
 )
 from .loopsim import LoopConfig, StepExperimentRecord, run_step_batch, run_step_experiment
-from .transport import batch_seeds, shared_draws
+from .transport import shared_draws
 
 T_R_IDEAL_MS = 1.5  # rise time of the ideal system's tuned curve; fixed, never re-measured
 _Z95 = 1.96
@@ -84,10 +84,9 @@ class StepRunner:
 
     def run_batch(self, delta_ms: float, seeds: Sequence[int]) -> CurveBatch:
         """The curves of the trials at one loop time, one per seed, run as
-        one block; each channel is built when its round trip runs. Impaired
-        channels draw the random streams of the batch's seeds together."""
-        with batch_seeds(seeds):
-            return run_step_batch(self._cfg(delta_ms), map(self.channel_factory, seeds)).curves
+        one block; a topology channel is built when its round trip runs,
+        and the impaired channels run their round trips together."""
+        return run_step_batch(self._cfg(delta_ms), map(self.channel_factory, seeds)).curves
 
 
 @dataclass(frozen=True)

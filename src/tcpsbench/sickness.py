@@ -309,7 +309,7 @@ def read_trajectory_csv(path: str, fs_hz: float | None = None) -> HandTrajectory
     positions = np.array([r[1] if len(r) > 1 else r[0] for r in rows()], dtype=float)
     if fs_hz is None:
         times = [float(r[0]) for r in islice((r for r in rows() if len(r) > 1), 2)]
-        if len(times) < 2:
+        if len(times) < 2 or times[1] == times[0]:
             raise ValueError("sampling rate not in header and not derivable")
         fs_hz = 1.0 / (times[1] - times[0])
     return HandTrajectory(fs_hz=fs_hz, positions=positions, source=path)

@@ -2,10 +2,11 @@
 
 Simulated channels carry full-precision floats and use the configured
 packet size only for serialization delay. A simulated run asks its channel
-for a whole value-free round trip (round_trip); an impaired channel, with
+for a whole value-free round trip (round_trip); impaired channels, with
 configurable latency, jitter, drop probability and serialization rate,
-decides it as one batch of sends per direction (carry). The per-packet
-send on the virtual clock serves the event-driven reference runners.
+decide the round trips of a whole batch of channels as (channels x sends)
+blocks (round_trips). The per-packet send on the virtual clock serves the
+event-driven reference runners.
 Serialization queues FIFO: a packet waits in its link's `LinkQueue` until
 the transmitter has sent the packets before it, on impaired links and
 topology links alike. The byte codec (fixed little-endian header, random padding to a configured size,
@@ -157,6 +158,8 @@ class LinkParams:
             raise ValueError("drop_prob must lie in [0, 1]")
         if not 0.0 <= self.bandwidth_bps < math.inf:
             raise ValueError("bandwidth_bps must be finite and >= 0")
+        if not all(type(s) is int and s >= 0 for s in self.drop_seq):
+            raise ValueError("drop_seq entries must be send indices (integers >= 0)")
 
 
 @dataclass(frozen=True)
@@ -246,35 +249,44 @@ class LinkQueue:
         rule. Uncapped, numpy rounds start from d = done and recompute only
         the packets whose predecessor changed, as max(a_k, d_{k-1}) + s_k,
         until none changes: the loop's two float operations, and the
-        recurrence has one solution, so the result is bit-identical. After
-        ROUNDS rounds the unsettled suffix, and a capped batch from its
-        start, go through the sequential loop."""
+        recurrence has one solution, so the result is bit-identical. The
+        first round takes every packet, on slices. After ROUNDS rounds the
+        unsettled suffix, and a capped batch from its start, go through the
+        sequential loop. Accepted departures never decrease, so "at least
+        cap in flight at now" is deps[-cap] > now, and the in-flight list is
+        filtered once, at the end, to what admit() would leave."""
         n = len(a)
         d = np.concatenate(([self.free_at], done))  # d[k + 1]: departure of packet k
         k0 = 0
-        if self.cap is None:
-            todo = np.arange(n)
-            for _ in range(self.ROUNDS):
+        if self.cap is None and n:
+            new = np.maximum(a, d[:-1]) + ser
+            moved = np.flatnonzero(new != d[1:])
+            d[1:] = new
+            todo = moved[moved < n - 1] + 1
+            for _ in range(self.ROUNDS - 1):
+                if not len(todo):
+                    break
                 new = np.maximum(a[todo], d[todo]) + ser[todo]
                 moved = todo[new != d[todo + 1]]
                 d[todo + 1] = new
                 todo = moved[moved < n - 1] + 1
-                if not len(todo):
-                    break
             k0 = int(todo[0]) if len(todo) else n
-        free, cap, deps = float(d[k0]), self.cap, self.departures
-        out = []
+        free, cap, deps = float(d[k0]), self.cap, list(self.departures)
+        out, now, taken = [], None, False
         for now, s in zip(a[k0:].tolist(), ser[k0:].tolist()):
-            if cap is not None:
-                deps = [x for x in deps if x > now]
-                if len(deps) >= cap:
-                    out.append(math.nan)
-                    continue
+            if cap is not None and len(deps) >= cap and (cap == 0 or deps[-cap] > now):
+                out.append(math.nan)
+                taken = False
+                continue
             start = free if free > now else now
             free = start + s
             out.append(free)
+            taken = True
             if cap is not None:
                 deps.append(free)
+        if cap is not None and now is not None:
+            # admit() filters before it appends, so the last accepted one stays
+            deps = [x for x in deps[:len(deps) - taken] if x > now] + deps[len(deps) - taken:]
         d[k0 + 1:] = out
         self.free_at, self.departures = free, deps
         return d[1:]
@@ -429,58 +441,62 @@ def _draw_streams(seeds: Sequence[int], jitter: Jitter | None, size: int) -> lis
     return [out[i] for i in range(len(seeds))]
 
 
-# channel seeds of the batch of trials about to run, while a batch_seeds() block is open
-_BATCH_SEEDS: ContextVar[frozenset] = ContextVar("batch_seeds", default=frozenset())
-
-
-@contextmanager
-def batch_seeds(seeds: Sequence[int]) -> Iterator[None]:
-    """Within the block, and inside a shared_draws() block, an impaired
-    channel built for one of these seeds draws each of its random streams
-    for all of them at once at its first round trip; the channels built for
-    the other seeds then read their streams from the shared draws. The
-    values are those each channel would draw alone."""
-    token = _BATCH_SEEDS.set(frozenset(seeds))
-    try:
-        yield
-    finally:
-        _BATCH_SEEDS.reset(token)
-
-
 class _Draws:
     """One seeded stdlib stream of per-packet draws (drop uniforms when
-    jitter is None, else jitter values), read in order. The stream is drawn
-    at first use, at least `reserve` values at a time, by _draw_streams;
-    a stream that needs more values is drawn again from its seed, and the
-    values so far repeat exactly. In a shared_draws() block a stream starts
-    from the values already drawn for its (seed, jitter), which are the same
-    values."""
+    jitter is None, else jitter values), read in order from pos. The values
+    are drawn in bulk when first needed (_fill); a stream that needs more is
+    drawn again from its seed, and the values so far repeat exactly."""
 
-    __slots__ = ("key", "values", "pos")
+    __slots__ = ("seed", "jitter", "values", "pos")
+
+    _NONE = np.empty(0)  # shared: values arrays are never written
 
     def __init__(self, seed: int, jitter: Jitter | None) -> None:
-        self.key = (seed, jitter)
-        self.values = np.empty(0)
+        self.seed, self.jitter = seed, jitter
+        self.values = self._NONE
         self.pos = 0
 
-    def take(self, n: int, reserve: int = 0) -> np.ndarray:
+    def take(self, n: int) -> np.ndarray:
         """The next n values."""
         end = self.pos + n
         if end > len(self.values):
-            self._draw(max(end, reserve, 2 * len(self.values), 16))
+            _fill([self], n)
         out = self.values[self.pos:end]
         self.pos = end
         return out
 
-    def _draw(self, size: int) -> None:
-        shared = _SHARED_DRAWS.get()
-        cached = None if shared is None else shared.get(self.key)
-        if cached is not None and len(cached) >= size:
-            self.values = cached
-            return
-        self.values = _draw_streams([self.key[0]], self.key[1], size)[0]
-        if shared is not None:
-            shared[self.key] = self.values
+
+def _fill(streams: Sequence[_Draws], n: int) -> None:
+    """Make each stream, all of one kind (one jitter, or drops), hold at
+    least n values past its position. In a shared_draws() block a stream
+    takes the values already drawn for its (seed, jitter) when they are
+    long enough, which are the same values; the others are drawn by one
+    _draw_streams call, at least twice as many as they held and 16 at first."""
+    shared = _SHARED_DRAWS.get()
+    # keyed by jitter, then by seed, so the frozen Jitter hashes once per call
+    cache = None if shared is None else shared.setdefault(streams[0].jitter, {})
+    todo = []
+    for s in streams:
+        if len(s.values) >= s.pos + n:
+            continue
+        cached = None if cache is None else cache.get(s.seed)
+        if cached is not None and len(cached) >= s.pos + n:
+            s.values = cached
+        else:
+            todo.append(s)
+    if todo:
+        size = max(16, *(max(s.pos + n, 2 * len(s.values)) for s in todo))
+        for s, values in zip(todo, _draw_streams([s.seed for s in todo], todo[0].jitter, size)):
+            s.values = values
+            if cache is not None:
+                cache[s.seed] = values
+
+
+def _block(streams: Sequence[_Draws], n: int) -> np.ndarray:
+    """The n values of each stream from its position, one row each; the
+    caller advances the positions by what it reads."""
+    _fill(streams, n)
+    return np.array([s.values[s.pos:s.pos + n] for s in streams])
 
 
 class _LinkState:
@@ -497,9 +513,82 @@ class _LinkState:
         self.jitter = _Draws(seed + 1, params.jitter) if params.jitter.kind != "none" else None
 
 
+def _carry_rows(links: Sequence[_LinkState], stats: Sequence[DirectionStats], t: np.ndarray,
+                sent: np.ndarray | None, m: list[int] | None, size_b: int) -> np.ndarray:
+    """transit_time over a block of links with one LinkParams, one row
+    each: row r sends at the times t[r] where sent[r] is set (a prefix of
+    the row, m[r] long; None: every column), in time order. It returns the
+    delivery times, NaN where a packet is dropped or not sent, with transit_time's
+    arithmetic, draws and state changes; the delivered packets count at
+    once. Each row's transmitter admits its kept packets (LinkQueue.carry);
+    the rest is one array operation over the block. A kept packet takes
+    its row's jitter value at its rank among the kept ones, and the FIFO
+    clamp is a running maximum over the kept packets (fmax skips the NaN of
+    the others) and the row's last delivery."""
+    rows, n = t.shape
+    if not n:
+        return np.empty((rows, 0))
+    head = links[0]
+    p = head.params
+    kept = sent  # None: every packet sent and kept
+    if p.drop_seq:
+        first = np.array([link.send_count for link in links])
+        listed = np.isin(np.arange(n) + first[:, None], list(p.drop_seq))
+        kept = ~listed if kept is None else kept & ~listed
+    if head.drops is not None:
+        # one uniform per packet, listed in drop_seq or not, so drop
+        # decisions nest across drop_prob settings under a shared seed
+        lost = _block([link.drops for link in links], n) < p.drop_prob
+        kept = ~lost if kept is None else kept & ~lost
+    if head.queue is not None:
+        ser = head.queue.serialization_ms(size_b)
+        t = t.copy()
+        for r, link in enumerate(links):
+            if kept is None:
+                t[r] = link.queue.carry(t[r], ser)
+            else:
+                t[r, kept[r]] = link.queue.carry(t[r, kept[r]], ser)
+    delay = p.latency_ms
+    if head.jitter is not None:
+        jitter = _block([link.jitter for link in links], n)
+        if kept is not sent:  # a drop moves the later packets' ranks
+            jitter = jitter[np.arange(rows)[:, None], kept.cumsum(axis=1) - 1]
+        delay = delay + jitter
+    out = t + delay
+    if kept is not None:
+        lost = ~kept
+        out[lost] = np.nan
+    if p.fifo:
+        out = np.fmax.accumulate(out, axis=1)
+        np.maximum(out, np.array([[link.last_delivery] for link in links]), out=out)
+        last = out[:, -1].tolist()
+        if kept is not None:
+            out[lost] = np.nan
+    elif kept is None:
+        last = out[:, -1].tolist()
+    else:
+        last = out[np.arange(rows), n - 1 - kept[:, ::-1].argmax(axis=1)].tolist()
+    if m is None:
+        m = [n] * rows
+    k = m if kept is sent else kept.sum(axis=1).tolist()
+    for link, st, sent_r, kept_r, last_r in zip(links, stats, m, k, last):
+        link.send_count += sent_r
+        if link.drops is not None:
+            link.drops.pos += sent_r
+        if link.jitter is not None:
+            link.jitter.pos += kept_r
+        if kept_r:
+            link.last_delivery = last_r
+        st.sent += sent_r
+        st.dropped += sent_r - kept_r
+        st.delivered += kept_r  # send counts them as they land
+    return out
+
+
 class ImpairedChannel(SimChannel):
     """Parametric lossy/jittery link pair driven by the virtual clock, or
-    carrying a whole batch of sends at once (carry).
+    running the round trips of a whole batch of channels at once
+    (round_trips).
 
     Deterministic per seed: each direction owns independent RNG streams for
     drops and jitter so that raising drop_prob with a fixed seed only adds
@@ -542,72 +631,47 @@ class ImpairedChannel(SimChannel):
         link.last_delivery = t_deliver
         return t_deliver
 
-    def carry(self, direction: str, send_times: np.ndarray, size_b: int,
-              reserve: int = 0) -> np.ndarray:
-        """transit_time over a time-sorted batch of sends, in one call with
-        the same arithmetic, draws and state changes: the delivery times,
-        NaN where a packet is dropped. The delivered packets count at once.
-        reserve: draw at least that many values of a random stream at its
-        first use."""
-        link = self._links[direction]
-        p = link.params
-        n = len(send_times)
-        first = link.send_count
-        link.send_count += n
-        listed = [s - first for s in p.drop_seq if first <= s < first + n]
-        t, kept = send_times, None  # None: no packet dropped
-        if listed or link.drops is not None:
-            dropped = np.zeros(n, dtype=bool)
-            dropped[listed] = True
-            if link.drops is not None:
-                dropped |= link.drops.take(n, reserve) < p.drop_prob
-            kept = np.flatnonzero(~dropped)
-            t = send_times[kept]
-        if link.queue is not None:
-            t = link.queue.carry(t, link.queue.serialization_ms(size_b))
-        delay = p.latency_ms
-        if link.jitter is not None:
-            delay = delay + link.jitter.take(len(t), reserve)
-        t = t + delay
-        if len(t):
-            if p.fifo:
-                t = np.maximum(np.maximum.accumulate(t), link.last_delivery)
-            link.last_delivery = float(t[-1])
-        stats = self.stats[direction]
-        stats.sent += n
-        stats.dropped += n - len(t)
-        stats.delivered += len(t)  # send counts them as they land
-        if kept is None:
-            return t
-        out = np.full(n, np.nan)
-        out[kept] = t
-        return out
+    @staticmethod
+    def round_trips(channels: Sequence["ImpairedChannel"], sends: np.ndarray, size_b: int,
+                    drain_at: float, answer: Callable[[np.ndarray], np.ndarray]):
+        """SimChannel.round_trip on each of a batch of channels of one
+        model, with the same sends, computed over (channels x sends) blocks
+        and bit for bit the round trips one at a time. answer maps the
+        block of the commands' arrival times to the mask of the commands the
+        far end answers in each row. Returns that block, the mask and the
+        answers' arrival times, the answer to command k in column k (NaN:
+        none, or lost). The backward direction sends each row's answers
+        left-packed, in send order."""
+        model = channels[0].model
+        if any(c.model is not model for c in channels):
+            raise ValueError("round_trips needs channels of one model")
+        rows, n = len(channels), len(sends)
+        fwd = _carry_rows([c._links[FORWARD] for c in channels],
+                          [c.stats[FORWARD] for c in channels],
+                          sends[None].repeat(rows, axis=0), None, None, size_b)
+        picked = answer(fwd)
+        counts = picked.sum(axis=1)
+        sent = np.arange(n) < counts[:, None]
+        packed = np.zeros((rows, n))
+        packed[sent] = fwd[picked]
+        back = _carry_rows([c._links[BACKWARD] for c in channels],
+                           [c.stats[BACKWARD] for c in channels], packed, sent, counts.tolist(),
+                           size_b)
+        bwd = np.full((rows, n), np.nan)
+        bwd[picked] = back[sent]
+        return fwd, picked, bwd
 
     def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float,
                    answer: Callable[[np.ndarray], np.ndarray]):
-        """SimChannel.round_trip as one batch per direction."""
-        n = len(sends)
-        self._draw_for_batch(max(n, 16))
-        fwd = self.carry(FORWARD, sends, size_b, reserve=n)
-        picked = answer(fwd)
-        return fwd, picked, self.carry(BACKWARD, fwd[picked], size_b, reserve=n)
+        """SimChannel.round_trip as a batch of one of round_trips."""
+        def picks(fwd: np.ndarray) -> np.ndarray:
+            mask = np.zeros(fwd.shape, dtype=bool)
+            mask[0, answer(fwd[0])] = True
+            return mask
 
-    def _draw_for_batch(self, size: int) -> None:
-        """In a batch_seeds() block that holds this channel's seed, inside a
-        shared_draws() block, draw the first `size` values of each stream of
-        this channel's kind for every seed of the batch not drawn yet, one
-        bulk draw per stream (_draw_streams); a round trip reads at most
-        that many at its first take (reserve)."""
-        shared, seeds = _SHARED_DRAWS.get(), _BATCH_SEEDS.get()
-        if shared is None or self.seed not in seeds:
-            return
-        for link in self._links.values():
-            for stream in (link.drops, link.jitter):
-                if stream is None or stream.key in shared:
-                    continue
-                offset, jitter = stream.key[0] - 4 * self.seed, stream.key[1]
-                keys = [k for k in sorted((4 * s + offset, jitter) for s in seeds) if k not in shared]
-                shared.update(zip(keys, _draw_streams([k[0] for k in keys], jitter, size)))
+        fwd, picked, bwd = self.round_trips([self], sends, size_b, drain_at, picks)
+        fresh = np.flatnonzero(picked[0])
+        return fwd[0], fresh, bwd[0, fresh]
 
     def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         t = self.transit_time(direction, size_b, self._sched.now)

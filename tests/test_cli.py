@@ -229,6 +229,16 @@ class TestSickness:
         err = capsys.readouterr().err
         assert "needs --traj" in err and "absent.csv" in err
 
+    def test_equal_first_time_stamps_exit_2(self, tmp_path, capsys):
+        """Two equal first time stamps give no sampling rate; they used to
+        end in a ZeroDivisionError traceback."""
+        traj = tmp_path / "traj.csv"
+        traj.write_text("t_s,pos_mm\n0.0,1.0\n0.0,2.0\n0.1,3.0\n")
+        for mode in ("predict", "measure"):
+            assert run(["sickness", mode, "--traj", traj, "--vmax", 0.02, "--config", "ideal",
+                        "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "not derivable" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fs", ["nan", "inf", "-inf"])
     def test_non_finite_sampling_rate_exits_2(self, tmp_path, fs):
         traj = tmp_path / "t" / "trajectory.csv"

@@ -26,7 +26,6 @@ from tcpsbench.transport import (
     LinkParams,
     _Draws,
     _draw_streams,
-    batch_seeds,
     shared_draws,
 )
 
@@ -118,7 +117,7 @@ def test_shared_stream_extends_a_shorter_cached_array():
         assert _taken(longer, [7, 250]) == want[:257]
         cached = _Draws(9, jitter)
         assert cached.take(257).tolist() == want[:257]
-        assert cached.values is transport._SHARED_DRAWS.get()[9, jitter]
+        assert cached.values is transport._SHARED_DRAWS.get()[jitter][9]
         assert cached.take(43).tolist() == want[257:]
 
 
@@ -142,9 +141,10 @@ def test_streams_drawn_together_match_each_alone(monkeypatch):
     assert seen["scalar"] >= 10 and seen["run cut by the chunk end"] >= 1, seen
 
 
-def test_batch_seeds_draw_each_stream_once(monkeypatch):
-    """In shared_draws and batch_seeds blocks, a batch of impaired channels
-    seeds each of its streams once, and the runs equal those without."""
+def test_batch_draws_each_stream_once(monkeypatch):
+    """In a shared_draws block, a batch of impaired channels seeds each of
+    its streams once, over batches at two loop times, and the runs equal
+    those without."""
     seeded = Counter()
 
     class CountedRandom(transport.Random):
@@ -158,7 +158,7 @@ def test_batch_seeds_draw_each_stream_once(monkeypatch):
     want = [run_step_batch(LoopConfig(delta_ms=d), [model.build(s) for s in seeds])
             for d in (0.6, 1.4)]
     monkeypatch.setattr(transport, "Random", CountedRandom)
-    with shared_draws(), batch_seeds(seeds):
+    with shared_draws():
         got = [run_step_batch(LoopConfig(delta_ms=d), [model.build(s) for s in seeds])
                for d in (0.6, 1.4)]
     def exact(rec):
@@ -178,7 +178,7 @@ def test_no_jitter_draws_nothing():
     chan = ChannelModel(forward=LinkParams(latency_ms=0.7)).build(5)
     assert chan._links[FORWARD].jitter is None and chan._links[FORWARD].drops is None
     sends = 0.5 * np.arange(40)
-    got = chan.carry(FORWARD, sends, 32).tolist()
+    got = chan.round_trip(sends, 32, 19.5, lambda fwd: np.empty(0, dtype=int))[0].tolist()
     zeros = jitter_draws(Jitter.none(), Random(21), 40)
     assert got == [s + (0.7 + z) for s, z in zip(sends.tolist(), zeros)]
 

@@ -105,6 +105,11 @@ BAD_VALUES = [
     ("infinite latency", {"channel": _impaired(forward={"latency_ms": INF})}, "latency"),
     ("infinite impaired bandwidth", {"channel": _impaired(backward={"bandwidth_bps": INF})},
      "bandwidth_bps"),
+    # a float send index used to crash the run, a negative one never matched
+    ("float drop_seq entry", {"channel": _impaired(forward={"drop_seq": [2.5]})}, "drop_seq"),
+    ("negative drop_seq entry", {"channel": _impaired(forward={"drop_seq": [-3]})}, "drop_seq"),
+    ("boolean drop_seq entry", {"channel": _impaired(backward={"drop_seq": [True]})},
+     "drop_seq"),
     # every float of the loop: a NaN delta_ms or p_ref used to run
     *((f"{value} {name}", {"channel": IDEAL, "loop": {name: value}}, name)
       for name in ("k_p", "k_1", "k_2", "p_ref", "delta_ms", "robot_tau_ms")

@@ -1,0 +1,129 @@
+"""Differential test of the block round trips against the per-channel carry.
+
+`ImpairedChannel.round_trips` runs the round trips of a batch of impaired
+channels of one model as (channels x sends) blocks, and `round_trip` is a
+batch of one of it. `tests/carry_oracle.py` keeps the per-channel carry it
+replaced. On random batches (drops by chance and by index, finite
+bandwidth, FIFO off, every jitter kind, rows of 1, channels that carried
+packets before, with and without shared draws) every row must equal the
+oracle's round trip on a twin channel bit for bit, leave the same channel
+state, and let the per-packet transit_time continue the same streams.
+"""
+
+from collections import Counter
+from random import Random
+
+import numpy as np
+import pytest
+
+import carry_oracle
+from test_skeleton import _link
+from tcpsbench.loopsim import _fresh, _fresh_mask
+from tcpsbench.transport import (
+    BACKWARD,
+    FORWARD,
+    ChannelModel,
+    ImpairedChannel,
+    LinkParams,
+    shared_draws,
+)
+
+CASES = 300
+
+
+def _state(chan):
+    """Everything a round trip changes on a channel, as a comparable repr."""
+    out = []
+    for d in (FORWARD, BACKWARD):
+        link, st = chan._links[d], chan.stats[d]
+        out.append((link.send_count, link.last_delivery,
+                    None if link.drops is None else link.drops.pos,
+                    None if link.jitter is None else link.jitter.pos,
+                    None if link.queue is None else (link.queue.free_at, link.queue.departures),
+                    st.sent, st.delivered, st.dropped))
+    return repr(out)
+
+
+def _history(rng, chans, twins):
+    """The same random earlier traffic on each channel and its twin:
+    per-packet sends, or an oracle round trip."""
+    for chan, twin in zip(chans, twins):
+        if rng.random() < 0.5:
+            continue
+        times = np.add.accumulate([rng.uniform(0.0, 1.5) for _ in range(rng.randint(1, 30))])
+        if rng.random() < 0.5:
+            for t in times.tolist():
+                d = rng.choice((FORWARD, BACKWARD))
+                assert repr(chan.transit_time(d, 64, t)) == repr(twin.transit_time(d, 64, t))
+        else:
+            for c in (chan, twin):
+                carry_oracle.round_trip(c, times, 64, 0.0, _fresh)
+
+
+def _case(i):
+    rng = Random(4200 + i)
+    model = ChannelModel(forward=_link(rng, 1.0, 64), backward=_link(rng, 1.0, 64))
+    rows = rng.choice((1, 1, rng.randint(2, 9)))
+    seeds = [rng.randrange(500) for _ in range(rows)]
+    gap = rng.choice((0.3, 1.0, rng.uniform(0.05, 3.0)))
+    sends = np.add.accumulate([0.0] + [gap * rng.choice((1.0, rng.uniform(0.0, 2.0)))
+                                       for _ in range(rng.randint(0, 70))])
+    return rng, model, seeds, sends, rng.choice((32, 64, 256))
+
+
+def _run_case(i, seen):
+    rng, model, seeds, sends, size_b = _case(i)
+    chans, twins = [model.build(s) for s in seeds], [model.build(s) for s in seeds]
+    _history(rng, chans, twins)
+    if len(chans) == 1 and rng.random() < 0.5:
+        fwd, fresh, answers = chans[0].round_trip(sends, size_b, 0.0, _fresh)
+        got = [(fwd, fresh, answers)]
+    else:
+        fwd, picked, bwd = ImpairedChannel.round_trips(chans, sends, size_b, 0.0, _fresh_mask)
+        got = [(fwd[r], np.flatnonzero(picked[r]), bwd[r][picked[r]]) for r in range(len(chans))]
+        assert np.isnan(bwd[~picked]).all()
+    for r, twin in enumerate(twins):
+        want = carry_oracle.round_trip(twin, sends, size_b, 0.0, _fresh)
+        assert repr([a.tolist() for a in got[r]]) == repr([a.tolist() for a in want]), (i, r)
+        assert _state(chans[r]) == _state(twin), (i, r)
+    # the per-packet path continues the same streams from the same state
+    for chan, twin in zip(chans, twins):
+        t = float(sends[-1]) if len(sends) else 0.0
+        for _ in range(rng.randint(1, 12)):
+            t += rng.uniform(0.0, 1.5)
+            d = rng.choice((FORWARD, BACKWARD))
+            assert repr(chan.transit_time(d, size_b, t)) == repr(twin.transit_time(d, size_b, t))
+        assert _state(chan) == _state(twin), i
+    links = (model.forward, model.backward)
+    seen["rows of 1"] += len(chans) == 1
+    seen["rows of several"] += len(chans) > 1
+    seen["random drops"] += any(p.drop_prob > 0.0 for p in links)
+    seen["drop_seq"] += any(p.drop_seq for p in links)
+    seen["bandwidth"] += any(p.bandwidth_bps > 0.0 for p in links)
+    seen["fifo off"] += not all(p.fifo for p in links)
+    seen["carried before"] += any(c._links[FORWARD].send_count > len(sends) for c in chans)
+    for p in links:
+        seen[p.jitter.kind] += 1
+
+
+@pytest.mark.parametrize("block", range(3))
+def test_round_trips_match_the_per_channel_oracle(block):
+    seen = Counter()
+    with shared_draws():
+        for i in range(block * CASES // 3, (block + 1) * CASES // 3):
+            _run_case(i, seen)
+
+
+def test_round_trips_match_without_shared_draws_and_cover_the_features():
+    seen = Counter()
+    for i in range(CASES):
+        _run_case(i, seen)
+    for feature in ("rows of 1", "rows of several", "random drops", "drop_seq", "bandwidth",
+                    "fifo off", "carried before", "none", "uniform", "truncnorm"):
+        assert seen[feature] >= 20, (feature, seen)
+
+
+def test_round_trips_take_one_model():
+    a, b = ChannelModel(), ChannelModel(forward=LinkParams(latency_ms=2.0))
+    with pytest.raises(ValueError, match="one model"):
+        ImpairedChannel.round_trips([a.build(0), b.build(1)], np.zeros(3), 32, 0.0, _fresh_mask)

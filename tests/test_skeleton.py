@@ -17,6 +17,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import carry_oracle
 import netsim_oracle
 from random_topologies import count_waiting_batches, random_flows, random_topology
 from step_oracle import run_step_on_clock
@@ -187,8 +188,8 @@ def test_loaded_cases_keep_flows_and_tail_drop():
 
 
 def test_batches_continue_the_per_packet_streams():
-    """carry after transit_time, and transit_time after carry, read the same
-    draws and leave the same state as transit_time alone."""
+    """The carry oracle after transit_time, and transit_time after it, read
+    the same draws and leave the same state as transit_time alone."""
     rng = Random(11)
     for case in range(50):
         params = _link(rng, 1.0, 64)
@@ -200,7 +201,7 @@ def test_batches_continue_the_per_packet_streams():
         a, b = sorted(rng.sample(range(61), 2))
         got = [mixed.transit_time(FORWARD, 64, t) for t in times[:a].tolist()]
         got += [None if np.isnan(t) else t for t in
-                mixed.carry(FORWARD, times[a:b], 64, reserve=rng.choice((0, 100))).tolist()]
+                carry_oracle.carry(mixed, FORWARD, times[a:b], 64).tolist()]
         got += [mixed.transit_time(FORWARD, 64, t) for t in times[b:].tolist()]
         assert repr(got) == repr(want), case
         assert (mixed.stats[FORWARD].sent, mixed.stats[FORWARD].dropped) == (

@@ -24,9 +24,16 @@ from tcpsbench import qoc
 from tcpsbench.core import MALFORMED, CurveBatch
 from tcpsbench.experiments import PRESET_NAMES, load_experiment
 from tcpsbench.loopsim import LoopConfig, run_step_batch
-from tcpsbench.netsim import Topology, channel_from_topology, pair_flows
+from tcpsbench.netsim import Link, Topology, TrafficFlow, channel_from_topology, pair_flows
 from tcpsbench.qoc import PROBE_TRIALS, SearchConfig, StepRunner, ci_halfwidth, perf_curve
-from tcpsbench.transport import BACKWARD, FORWARD, ChannelModel, LinkParams
+from tcpsbench.transport import (
+    BACKWARD,
+    FORWARD,
+    ChannelModel,
+    ImpairedChannel,
+    Jitter,
+    LinkParams,
+)
 
 
 def _assert_batch_matches(cfg, factory, seeds, label):
@@ -91,15 +98,18 @@ def test_topologies_match_one_trial_at_a_time():
 
 
 def test_channels_run_one_at_a_time():
-    """The batch takes its channels from an iterator and finishes each
-    round trip before it builds the next channel, so a batch never holds
-    more than one live channel."""
-    model = ChannelModel(forward=LinkParams(drop_prob=0.1), backward=LinkParams(drop_prob=0.1))
+    """The batch takes its channels from an iterator and finishes a
+    topology channel's round trip before it builds the next channel, so a
+    batch never holds more than one live topology channel (a loaded one
+    holds its links' whole batches)."""
+    topo = Topology(switches=("s0", "s1", "s2"),
+                    links=(Link("s0", "s1", 0.5, 1e6), Link("s1", "s2", 0.5, 1e6)),
+                    hosts={"a": "s0", "b": "s2"}, te_master="s0", te_slave="s2")
     events = []
 
     def channels():
         for seed in range(5):
-            chan = model.build(seed)
+            chan = channel_from_topology(topo, (TrafficFlow("a", "b", 2e5, 64),), seed)
             round_trip = chan.round_trip
 
             def traced(*args, seed=seed, round_trip=round_trip):
@@ -112,6 +122,33 @@ def test_channels_run_one_at_a_time():
 
     run_step_batch(LoopConfig(), channels())
     assert events == [e for seed in range(5) for e in (("built", seed), ("round trip", seed))]
+
+
+def test_impaired_channels_run_as_one_block_per_model(monkeypatch):
+    """The impaired channels of a batch run their round trips as one block
+    per model, the topology channels one at a time between them, and every
+    row still equals its own trial."""
+    blocks = []
+    round_trips = ImpairedChannel.round_trips
+
+    def counted(channels, *args):
+        blocks.append([c.seed for c in channels])
+        return round_trips(channels, *args)
+
+    monkeypatch.setattr(ImpairedChannel, "round_trips", staticmethod(counted))
+    lossy = ChannelModel(forward=LinkParams(drop_prob=0.2, jitter=Jitter.uniform(1.5)),
+                         backward=LinkParams(drop_prob=0.1, bandwidth_bps=1e5))
+    slow = ChannelModel(forward=LinkParams(latency_ms=2.5, jitter=Jitter.truncnorm(0.1, 0.3)),
+                        backward=LinkParams(fifo=False, jitter=Jitter.uniform(3.0)))
+    topo = Topology(switches=("s0", "s1"), links=(Link("s0", "s1", 0.5, 1e6),), hosts={},
+                    te_master="s0", te_slave="s1")
+    factories = [lossy.build, slow.build, lambda s: channel_from_topology(topo, (), s),
+                 lossy.build, lossy.build, slow.build, lambda s: channel_from_topology(topo, (), s)]
+    cfg = LoopConfig(delta_ms=0.8)
+    batch = run_step_batch(cfg, [f(seed) for seed, f in enumerate(factories)])
+    assert blocks == [[0, 3, 4], [1, 5]]
+    for seed, f in enumerate(factories):
+        assert _record(batch.record(seed)) == _record(run_trial(cfg, f(seed))), seed
 
 
 def test_batch_stats_are_each_trials_own():

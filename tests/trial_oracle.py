@@ -11,9 +11,10 @@ import math
 
 import numpy as np
 
+import carry_oracle
 from tcpsbench.core import SETTING_HAPTIC, StepResponseCurve
 from tcpsbench.loopsim import LoopConfig, StepExperimentRecord
-from tcpsbench.transport import BACKWARD, FORWARD, DirectionStats
+from tcpsbench.transport import BACKWARD, FORWARD, DirectionStats, ImpairedChannel
 
 
 def _delivery_order(arrivals: np.ndarray) -> np.ndarray:
@@ -44,12 +45,16 @@ def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
 
 
 def run_trial(cfg: LoopConfig, channel) -> StepExperimentRecord:
-    """One sweep: the channel's value-free round trip, then the PI update,
+    """One sweep: the channel's value-free round trip (an impaired
+    channel's through the per-channel carry oracle), then the PI update,
     robot lag and step plant in command order."""
     n = cfg.sweep_len
     ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
     sends = np.concatenate(([0.0], ticks[:-1]))
-    fwd, fresh, bwd = channel.round_trip(sends, cfg.packet_size_b, float(ticks[-1]), _fresh)
+    round_trip = channel.round_trip
+    if isinstance(channel, ImpairedChannel):
+        round_trip = lambda *args: carry_oracle.round_trip(channel, *args)
+    fwd, fresh, bwd = round_trip(sends, cfg.packet_size_b, float(ticks[-1]), _fresh)
     t_fresh = fwd[fresh]
     # feedback m answers command fresh[m], so its send index orders sequence too
     fb_order = _delivery_order(bwd)
