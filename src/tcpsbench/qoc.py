@@ -36,6 +36,8 @@ from .transport import shared_draws
 T_R_IDEAL_MS = 1.5  # rise time of the ideal system's tuned curve; fixed, never re-measured
 _Z95 = 1.96
 PROBE_TRIALS = 8  # trials of the rejection probe at each new grid point
+BLOCK_TRIALS = 64  # most trials a block of a scan spans; a batch peaks at about 18 KB a trial
+_SEED_STRIDE = 1_000_003  # between the seeds of consecutive trials
 
 
 class NoGoodDelta(TcpsbenchError):
@@ -112,6 +114,8 @@ class SearchConfig:
                 raise ValueError("grid must be positive")
             if self.delta_max_ms < self.delta_min_ms:
                 raise ValueError("delta_max_ms below delta_min_ms")
+        elif not self.deltas:  # all() of nothing is True
+            raise ValueError("explicit grid deltas must not be empty")
         elif not all(0.0 < d < math.inf for d in self.deltas):  # NaN fails too
             raise ValueError(f"explicit grid deltas must be positive and finite, "
                              f"got {list(self.deltas)}")
@@ -134,7 +138,11 @@ class SearchConfig:
         return out
 
     def trial_seed(self, trial: int) -> int:
-        return self.seed + 1_000_003 * (trial + 1)
+        return self.seed + _SEED_STRIDE * (trial + 1)
+
+    def trial_seeds(self, start: int, stop: int) -> range:
+        """trial_seed(i) for i in range(start, stop)."""
+        return range(self.trial_seed(start), self.trial_seed(stop), _SEED_STRIDE)
 
 
 def ci_halfwidth(g: float, m: int) -> float:
@@ -189,39 +197,83 @@ def _run_trials(runner: Runner, delta_ms: float, seeds: Sequence[int],
     return [memo[delta_ms, s] for s in seeds]
 
 
+def _block_end(delta_ms: float, search: SearchConfig, step: int, last: int,
+               stop: Callable[[int, int], bool], memo: TrialMemo, good: int, done: int) -> int:
+    """The check a block of trials from trial `done` (good of them good)
+    runs to: the first where some outcome of its trials not in the memo
+    could meet stop, else the last that keeps the block within
+    BLOCK_TRIALS trials, and at least the first. Only the two extreme
+    outcomes, every unknown trial good or every one bad, are tried."""
+    known = unknown = 0
+    end = done
+    while end < last:
+        check = min(end + step, last)
+        if end > done and check - done > BLOCK_TRIALS:
+            break
+        held = [memo.get((delta_ms, s)) for s in search.trial_seeds(end, check)]
+        new = held.count(None)
+        unknown += new
+        if new < len(held):  # most spans hold nothing yet
+            known += sum(o is not None and o[0] is not None for o in held)
+        end = check
+        if stop(good + known, check) or stop(good + known + unknown, check):
+            break
+    return end
+
+
+def _scan(runner: Runner, delta_ms: float, search: SearchConfig, step: int, last: int,
+          stop: Callable[[int, int], bool], memo: TrialMemo | None = None,
+          ) -> tuple[list[tuple[float | None, bool]], bool]:
+    """A sequential test over the seeded trials at one loop time.
+
+    Runs trials search.trial_seed(0), (1), ... and evaluates stop(good,
+    done) after every `step` trials and after trial `last`, until it
+    holds. Returns the outcomes (as _run_trials gives them) of the trials
+    up to that check, or of all `last`, and whether stop held. The trials run
+    in blocks (_block_end) that end at the first check where some outcome
+    of their trials not yet in the memo could meet stop, so the same trials
+    run as check by check. Wherever stop holds between two good counts, it
+    must hold at one of them: true where a concave function of the
+    goodness lies at or below a bound, as for both CI rules."""
+    memo = {} if memo is None else memo
+    outcomes: list[tuple[float | None, bool]] = []
+    good = counted = 0
+    while counted < last:
+        check = min(counted + step, last)
+        if check > len(outcomes):
+            end = _block_end(delta_ms, search, step, last, stop, memo, good, counted)
+            outcomes += _run_trials(runner, delta_ms, search.trial_seeds(counted, end), memo)
+        good += sum(t_r is not None for t_r, _ in outcomes[counted:check])
+        counted = check
+        if stop(good, check):
+            return outcomes[:check], True
+    return outcomes, False
+
+
 def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig,
                       memo: TrialMemo | None = None) -> GoodnessEstimate:
     """Estimate the fraction of good curves at one loop time.
 
-    Runs seed-indexed trials in batches until the 95% CI half-width of the
-    fraction is within search.ci_halfwidth, or m_max is reached (reported
-    via m_cap_exceeded, not fatal). Trial seeds depend only on the trial
-    index, so estimates at different loop times share seeds. A memo given
-    by the caller supplies the trials it already holds.
+    Checks the 95% CI half-width of the fraction after every m_batch
+    seed-indexed trials and stops once it is within search.ci_halfwidth,
+    or at m_max (reported via m_cap_exceeded, not fatal). The trials run
+    in blocks of up to BLOCK_TRIALS that end at the first check some
+    outcome of their trials could stop (_scan), so the same trials run as
+    batch by batch. Trial seeds depend only on the trial index, so
+    estimates at different loop times share seeds. A memo given by the
+    caller supplies the trials it already holds.
     """
     if delta_ms <= 0.0:
         raise ValueError("delta_ms must be positive")
-    malformed = 0
-    m = 0
-    rise_times: list[float] = []
-    capped = False
-    while True:
-        batch = min(search.m_batch, search.m_max - m)
-        seeds = [search.trial_seed(m + i) for i in range(batch)]
-        for t_r, bad_curve in _run_trials(runner, delta_ms, seeds, memo):
-            malformed += bad_curve
-            if t_r is not None:
-                rise_times.append(t_r)
-        m += batch
-        g = len(rise_times) / m
-        ci = ci_halfwidth(g, m)
-        if ci <= search.ci_halfwidth:
-            break
-        if m >= search.m_max:
-            capped = True
-            break
-    return GoodnessEstimate(delta_ms=delta_ms, g=g, m=m, ci=ci, m_cap_exceeded=capped,
-                            good_rise_times=rise_times, malformed=malformed)
+    outcomes, stopped = _scan(runner, delta_ms, search, search.m_batch, search.m_max,
+                              lambda good, m: ci_halfwidth(good / m, m) <= search.ci_halfwidth,
+                              memo)
+    m = len(outcomes)
+    rise_times = [t_r for t_r, _ in outcomes if t_r is not None]
+    g = len(rise_times) / m
+    return GoodnessEstimate(delta_ms=delta_ms, g=g, m=m, ci=ci_halfwidth(g, m),
+                            m_cap_exceeded=not stopped, good_rise_times=rise_times,
+                            malformed=sum(bad_curve for _, bad_curve in outcomes))
 
 
 def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: float,
@@ -230,25 +282,15 @@ def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: f
     95% confidence bound on goodness already below g_spec? Used only to skip
     hopeless grid points; accepted points always get the full estimate.
     It stops as soon as the bound falls below g_spec even if every trial
-    left were good. The trials run in batches that end at the earliest
-    trial after which some outcome of the batch could stop it, so the same
-    trials run as one at a time."""
+    left were good: a sequential test checked after every trial (_scan),
+    so its blocks end at the earliest trial some outcome could stop it."""
 
     def hopeless(good: int, done: int) -> bool:
         best_g = (good + PROBE_TRIALS - done) / PROBE_TRIALS
         return best_g + ci_halfwidth(best_g, PROBE_TRIALS) < g_spec
 
-    good = done = 0
-    while done < PROBE_TRIALS:
-        end = next((i for i in range(done + 1, PROBE_TRIALS)
-                    if any(hopeless(good + g, i) for g in range(i - done + 1))), PROBE_TRIALS)
-        seeds = [search.trial_seed(i) for i in range(done, end)]
-        for t_r, _ in _run_trials(runner, delta_ms, seeds, memo):
-            good += t_r is not None
-            done += 1
-            if hopeless(good, done):
-                return True
-    return False  # after the last trial, hopeless() is the bound on the goodness found
+    # after the last trial, hopeless() is the bound on the goodness found
+    return _scan(runner, delta_ms, search, 1, PROBE_TRIALS, hopeless, memo)[1]
 
 
 def find_delta_opt(runner: Runner, search: SearchConfig) -> float:

@@ -120,6 +120,8 @@ BAD_VALUES = [
       for value in (NAN, INF, -INF)),
     ("NaN explicit delta", {"channel": IDEAL, "search": {"deltas": [1.0, NAN]}}, "deltas"),
     ("infinite explicit delta", {"channel": IDEAL, "search": {"deltas": [INF]}}, "deltas"),
+    # an empty grid used to write a header-only curve (exit 0) or fail as NoGoodDelta (exit 3)
+    ("empty explicit grid", {"channel": IDEAL, "search": {"deltas": []}}, "deltas"),
 ]
 
 

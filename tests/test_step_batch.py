@@ -18,6 +18,7 @@ from random import Random
 import numpy as np
 import pytest
 
+import search_oracle
 from test_skeleton import _case, _record, _topology_case
 from trial_oracle import run_trial
 from tcpsbench import qoc
@@ -25,7 +26,14 @@ from tcpsbench.core import MALFORMED, CurveBatch
 from tcpsbench.experiments import PRESET_NAMES, load_experiment
 from tcpsbench.loopsim import LoopConfig, run_step_batch
 from tcpsbench.netsim import Link, Topology, TrafficFlow, channel_from_topology, pair_flows
-from tcpsbench.qoc import PROBE_TRIALS, SearchConfig, StepRunner, ci_halfwidth, perf_curve
+from tcpsbench.qoc import (
+    BLOCK_TRIALS,
+    PROBE_TRIALS,
+    SearchConfig,
+    StepRunner,
+    ci_halfwidth,
+    perf_curve,
+)
 from tcpsbench.transport import (
     BACKWARD,
     FORWARD,
@@ -164,7 +172,9 @@ def test_batch_stats_are_each_trials_own():
 def test_curve_search_work_count(monkeypatch):
     """`curve` on testbed-overhead-like builds one channel per trial: 1825
     trials, the same as one trial at a time, 17 of them malformed (all in
-    rejection probes)."""
+    rejection probes). The estimates run them in blocks of up to
+    BLOCK_TRIALS: at most 66 run_batch calls, where one batch of m_batch
+    trials at a time took 116."""
     exp = load_experiment("testbed-overhead-like")
     built = Counter()
 
@@ -180,11 +190,20 @@ def test_curve_search_work_count(monkeypatch):
         malformed.append(int(np.count_nonzero(outcome == MALFORMED)))
         return outcome, t_r
 
+    blocks = []
+    run_batch = StepRunner.run_batch
+
+    def counted_blocks(self, delta_ms, seeds):
+        blocks.append(len(seeds))
+        return run_batch(self, delta_ms, seeds)
+
     monkeypatch.setattr(qoc, "extract_metrics_batch", counted)
+    monkeypatch.setattr(StepRunner, "run_batch", counted_blocks)
     pc = perf_curve(replace(exp.runner(), channel_factory=factory), [0.5, 0.7, 0.9, 0.95],
                     exp.search)
     assert not pc.missing
     assert sum(built.values()) == 1825 and sum(malformed) == 17
+    assert len(blocks) <= 66 and max(blocks) <= BLOCK_TRIALS, blocks
 
 
 class _TableRunner:
@@ -194,27 +213,37 @@ class _TableRunner:
     limits = qoc.DEFAULT_LIMITS
 
     def __init__(self, table):
-        self.table, self.ran = table, []
+        self.table, self.ran, self.batches = table, [], []
         good = StepRunner(cfg=LoopConfig(), channel_factory=lambda s: ChannelModel().build(s))
         self.good = good.run(1.0, 0).curve
         self.flat = replace(self.good, signal=np.full(len(self.good.t), 100.0))
 
     def run_batch(self, delta_ms, seeds):
         self.ran.extend(seeds)
+        self.batches.append(list(seeds))
         return CurveBatch.from_curves([self.good if self.table[s] else self.flat for s in seeds])
+
+
+def _hopeless(g_spec):
+    """The probe's stopping rule: even if every trial left were good, the
+    upper 95% bound on goodness stays below g_spec."""
+
+    def hopeless(good, done):
+        best_g = (good + PROBE_TRIALS - done) / PROBE_TRIALS
+        return best_g + ci_halfwidth(best_g, PROBE_TRIALS) < g_spec
+
+    return hopeless
 
 
 def _probe_one_at_a_time(table, g_spec):
     """The probe as a loop over single trials: its verdict and its trials."""
-    good, ran = 0, []
+    hopeless, good, ran = _hopeless(g_spec), 0, []
     for i in range(PROBE_TRIALS):
         ran.append(i)
         good += table[i]
-        best_g = (good + PROBE_TRIALS - (i + 1)) / PROBE_TRIALS
-        if best_g + ci_halfwidth(best_g, PROBE_TRIALS) < g_spec:
+        if hopeless(good, i + 1):
             return True, ran
-    g = good / PROBE_TRIALS
-    return g + ci_halfwidth(g, PROBE_TRIALS) < g_spec, ran
+    return False, ran
 
 
 def test_probe_batches_stop_where_one_trial_at_a_time_does():
@@ -233,5 +262,68 @@ def test_probe_batches_stop_where_one_trial_at_a_time_does():
         want, ran = _probe_one_at_a_time([table[search.trial_seed(i)]
                                           for i in range(PROBE_TRIALS)], g_spec)
         assert (got, runner.ran) == (want, [search.trial_seed(i) for i in ran]), case
+        _check_blocks(runner, table, search, range(1, PROBE_TRIALS + 1), _hopeless(g_spec))
         exits[len(ran) < PROBE_TRIALS] += 1
     assert exits[True] >= 50 and exits[False] >= 50, exits
+
+
+def _check_blocks(runner, table, search, checks, stop):
+    """Each run_batch call of a scan runs the unknown trials from the end
+    of the previous call's block up to a check. No check before that end
+    could have stopped the scan, whatever the outcome of the block's
+    trials (brute force over every good count), and a block that could
+    not stop at its end either is at the last check or was cut where the
+    next check would take its span past BLOCK_TRIALS; a block runs more
+    trials than that only to reach its first check. Returns whether a
+    block was cut."""
+    good = [table[search.trial_seed(i)] for i in range(checks[-1])]
+    index = {search.trial_seed(i): i for i in range(checks[-1])}
+    start, cut = 0, False
+    for seeds in runner.batches:
+        block = {index[s] for s in seeds}
+
+        def could_stop(c):
+            known = sum(g for i, g in enumerate(good[:c]) if i not in block)
+            return any(stop(known + k, c) for k in range(sum(i < c for i in block) + 1))
+
+        end = next(c for c in checks if c > max(block))
+        assert len(block) <= max(BLOCK_TRIALS, checks[0]), seeds  # at least one check
+        assert not any(could_stop(c) for c in checks if start < c < end), (seeds, start, end)
+        if end < checks[-1] and not could_stop(end):
+            assert checks[list(checks).index(end) + 1] - start > BLOCK_TRIALS, (seeds, end)
+            cut = True
+        start = end
+    return cut
+
+
+def test_estimate_blocks_run_the_trials_of_one_batch_at_a_time():
+    """The estimate runs its trials in blocks, yet it returns the same
+    GoodnessEstimate and runs the same trials in the same order as one
+    batch at a time (tests/search_oracle.py), for goodness near 0, 0.2,
+    0.5, 0.9 and 1, m_max a multiple of m_batch or not, m_batch above
+    BLOCK_TRIALS, with and without the probe's trials in the memo; its
+    blocks end where they could stop and no later (_check_blocks)."""
+    rng = Random(14)
+    seen = Counter()
+    for case in range(600):
+        p = rng.choice((0.0, 0.03, 0.2, 0.5, 0.5, 0.9, 0.97, 1.0))
+        m_max, m_batch = rng.choice(((50, 20), (200, 20), (400, 20), (130, 7), (90, 45),
+                                     (300, 13), (250, 80)))
+        search = SearchConfig(m_max=m_max, m_batch=m_batch, seed=rng.randrange(3),
+                              ci_halfwidth=rng.choice((0.05, 0.05, 0.1, 0.2)))
+        table = {search.trial_seed(i): rng.random() < p for i in range(m_max)}
+        memo = {}
+        if rng.random() < 0.5:  # the probe's trials
+            qoc._run_trials(_TableRunner(table), 1.0, search.trial_seeds(0, PROBE_TRIALS), memo)
+        runner, oracle = _TableRunner(table), _TableRunner(table)
+        got = qoc.estimate_goodness(runner, 1.0, search, dict(memo))
+        want = search_oracle.estimate_goodness(oracle, 1.0, search, dict(memo))
+        assert (repr(got), runner.ran) == (repr(want), oracle.ran), case
+        checks = [*range(m_batch, m_max, m_batch), m_max]
+        seen["cut"] += _check_blocks(runner, table, search, checks,
+                                     lambda good, m: ci_halfwidth(good / m, m)
+                                     <= search.ci_halfwidth)
+        seen["m_max"] += got.m_cap_exceeded
+        seen["early stop"] += got.m < m_max
+        seen["probe trials"] += bool(memo)
+    assert min(seen.values()) >= 50 and len(seen) == 4, seen
