@@ -26,7 +26,7 @@ from . import __version__
 from .core import TcpsbenchError, extract_metrics, rtt_budget, write_curve_csv
 from .experiments import ConfigError, Experiment, load_experiment, parse_addr
 from .loopsim import run_step_experiment, serve_plant, run_socket_experiment
-from .netsim import TopologyError, channel_from_topology, pair_flows
+from .netsim import TopologyError, channel_from_topology, check_flow_hosts, pair_flows
 from .qoc import (
     NoGoodDelta,
     find_delta_opt,
@@ -188,7 +188,13 @@ def cmd_vmax(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if args.qoc is None and args.t_r_ms is None:
         raise ConfigError("vmax needs --qoc or --t-r-ms")
+    if args.qoc is not None and not math.isfinite(args.qoc):
+        raise ConfigError(f"--qoc must be finite, got {args.qoc}")
+    if args.t_r_ms is not None and not 0.0 < args.t_r_ms < math.inf:
+        raise ConfigError(f"--t-r-ms must be positive and finite, got {args.t_r_ms}")
     q = args.qoc if args.qoc is not None else qoc_value(args.t_r_ms)
+    if not math.isfinite(q):  # 1.5 / t_r overflows for a subnormal rise time
+        raise ConfigError(f"--t-r-ms {args.t_r_ms} is too small: QoC {q}")
     v = v_max(q)
     _write(out / "vmax.txt", f"qoc: {q!r}\nv_max_mps: {v!r}\n")
     _manifest(out, "vmax", {"qoc": q, "t_r_ms": args.t_r_ms}, ["vmax.txt"])
@@ -205,10 +211,14 @@ def cmd_netsim(args: argparse.Namespace) -> int:
     placements = args.placements or [(topo.te_master, topo.te_slave)]
     try:  # every placement and flow set is checked before the first search
         placed = [replace(topo, te_master=a, te_slave=b) for a, b in placements]
+        if args.pairs < 1:
+            raise TopologyError(f"need at least 1 host pair, got {args.pairs}")
         flow_sets = {rate: pair_flows(args.pairs, rate, args.flow_pkt_bytes)
                      for rate in args.rates}
+        check_flow_hosts(topo, [f for rate in args.rates if rate > 0 for f in flow_sets[rate]])
     except TopologyError as exc:
-        raise ConfigError(f"bad --placements, --rates or --flow-pkt-bytes: {exc}") from None
+        raise ConfigError(f"bad --placements, --pairs, --rates or --flow-pkt-bytes: "
+                          f"{exc}") from None
     rows = ["te_master,te_slave,rate_bps,delta_opt_ms,t_r_ms,qoc,v_max"]
     for (a, b), topo_ab in zip(placements, placed):
         for rate in args.rates:
@@ -232,6 +242,8 @@ def cmd_netsim(args: argparse.Namespace) -> int:
 def cmd_sickness(args: argparse.Namespace) -> int:
     if not math.isfinite(args.fs):
         raise ConfigError(f"--fs must be finite, got {args.fs}")
+    if not 0.0 <= args.vmax < math.inf:
+        raise ConfigError(f"--vmax must be finite and >= 0, got {args.vmax}")
     out = _out_dir(args)
     if args.mode == "synth":
         try:

@@ -178,15 +178,75 @@ def critical_loops(hand_speed_class: str, stiffness_class: str) -> frozenset[str
     return _CRITICAL_LOOPS.get((hand_speed_class, stiffness_class), frozenset({LOOP_KVL}))
 
 
-def _cross_up(t: np.ndarray, sig: np.ndarray, start: int, level: float) -> float | None:
-    """Interpolated time of the first upward crossing of `level` at index
-    > start. Returns None if the signal never reaches the level."""
-    hits = np.flatnonzero((sig[start + 1:] >= level) & (sig[start:-1] < level))
-    if not len(hits):
-        return None
-    j = start + 1 + int(hits[0])
-    frac = (level - sig[j - 1]) / (sig[j] - sig[j - 1])
-    return float(t[j - 1] + frac * (t[j] - t[j - 1]))
+def _bands(config: "object") -> tuple[float, float, float, float, float]:
+    """p_ref, the signal right after the step, their span, and the 10% and 90% levels."""
+    p_ref = float(config.p_ref)
+    base = p_ref / float(config.k_2)
+    span = p_ref - base
+    return p_ref, base, span, base + 0.1 * span, base + 0.9 * span
+
+
+def _max0(v: np.ndarray) -> np.ndarray:
+    """Python's max(0.0, v) per element: v where v > 0.0, else 0.0 (NaN too)."""
+    return np.where(v > 0.0, v, 0.0)
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # a row without a crossing divides by anything
+def _cross_up(t: np.ndarray, sig: np.ndarray, after: np.ndarray,
+              level: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: whether the signal crosses level upward at an index > after,
+    and the time of the first such crossing, interpolated between its two
+    samples (a meaningless number where there is none)."""
+    up = (sig[:, 1:] >= level) & (sig[:, :-1] < level) \
+        & (np.arange(1, t.shape[1]) > after[:, None])
+    j, k = up.argmax(axis=1) + 1, np.arange(len(t))
+    s0, s1, ta, tb = sig[k, j - 1], sig[k, j], t[k, j - 1], t[k, j]
+    return up.any(axis=1), ta + (level - s0) / (s1 - s0) * (tb - ta)
+
+
+@np.errstate(all="ignore")  # a malformed row computes numbers never read
+def _measure(batch: "CurveBatch") -> tuple[np.ndarray, ...]:
+    """The step-response measures of every row of a batch: malformed (fewer
+    than two samples, times not strictly increasing or a non-finite
+    signal), stepped (not malformed, and the signal crosses the 10% level
+    downward), the step index (the sample after that crossing), rose and t2
+    (the first upward crossing of the 90% level after the step), the
+    overshoot and the steady-state error (the error of the mean over the
+    final 10% of the post-t2 duration; NaN unless stepped and rose). The
+    step, t2 and overshoot of a row without a step mean nothing. The window
+    mean sums each window with np.add's own (pairwise) order for its
+    length, as np.mean does."""
+    t, sig, lengths = batch.t, batch.signal, batch.lengths
+    # every comparison with the NaN after a row's samples is False
+    malformed = (lengths < 2) | ((t[:, 1:] > t[:, :-1]).sum(axis=1) != lengths - 1) \
+        | (np.isfinite(sig).sum(axis=1) != lengths)
+    p_ref, _, span, l10, l90 = _bands(batch.config)
+    down = (sig[:, 1:] <= l10) & (sig[:, :-1] > l10)
+    stepped = down.any(axis=1) & ~malformed
+    if not stepped.any():  # nothing more to measure, and no sample to search below width 2
+        nan = np.full(len(t), np.nan)
+        return malformed, stepped, np.zeros(len(t), dtype=int), stepped, nan, nan, nan
+    step = down.argmax(axis=1) + 1
+    rose, t2 = _cross_up(t, sig, step, l90)
+    peak = np.fmax.reduce(np.where(np.arange(t.shape[1]) >= step[:, None], sig, -np.inf), axis=1)
+    overshoot_pct = _max0(peak - p_ref) / span * 100.0
+    sse_pct = np.full(len(t), np.nan)
+    r = np.flatnonzero(rose & stepped)
+    if len(r):
+        tr, t2r, last = t[r], t2[r], lengths[r] - 1
+        win_start = t2r + 0.9 * _max0(tr[np.arange(len(r)), last] - t2r)
+        size = (tr >= win_start[:, None]).sum(axis=1)  # t rises: the window is a suffix
+        for n in set(size.tolist()):
+            at = np.flatnonzero(size == n)
+            window = sig[r[at, None], (last - size + 1)[at, None] + np.arange(n)]
+            sse_pct[r[at]] = np.abs(np.add.reduce(window, axis=1) / n - p_ref) / span * 100.0
+    return malformed, stepped, step, rose, t2, overshoot_pct, sse_pct
+
+
+def _good(overshoot_pct, sse_pct, limits: GoodnessLimits):
+    """The good/bad verdict, elementwise: overshoot and steady-state error
+    within the limits. A NaN error (no rise) is not good."""
+    return (overshoot_pct <= limits.overshoot_max_pct) & (sse_pct <= limits.sse_max_pct)
 
 
 def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_LIMITS) -> CurveMetrics:
@@ -196,59 +256,43 @@ def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_L
     sample at or below the 10% band; the recovery crossings t1/t2 are located
     by linear interpolation between samples, which keeps the rise time
     insensitive to sampling phase. The steady-state window is the final 10%
-    of the post-t2 duration.
+    of the post-t2 duration. The measures are those of the curve as a batch
+    of one (_measure); t1, undershoot, delta_y and settling are its own.
     """
     t, sig = curve.t, curve.signal
-    n = len(t)
-    if n < 2:
-        raise MalformedCurve(f"curve needs at least 2 samples, got {n}")
-    if not np.all(np.diff(t) > 0.0):
-        raise MalformedCurve("sample times must be strictly increasing")
-    if not np.all(np.isfinite(sig)):
-        raise MalformedCurve("signal contains non-finite values")
-
-    p_ref = float(curve.config.p_ref)
-    base = p_ref / float(curve.config.k_2)  # the signal right after the step
-    span = p_ref - base
-    l10, l90 = base + 0.1 * span, base + 0.9 * span
-
-    down = np.flatnonzero((sig[1:] <= l10) & (sig[:-1] > l10))
-    if not len(down):
+    if len(t) < 2:
+        raise MalformedCurve(f"curve needs at least 2 samples, got {len(t)}")
+    one = CurveBatch(t[None], curve.x[None], curve.y[None], sig[None], np.array([len(t)]),
+                     curve.config)
+    malformed, stepped, step, rose, t2s, overshoot_pct, sse_pct = _measure(one)
+    if malformed[0]:
+        raise MalformedCurve("signal contains non-finite values" if np.all(np.diff(t) > 0.0)
+                             else "sample times must be strictly increasing")
+    if not stepped[0]:
         raise NoStepDetected("signal never crosses the lower band downward")
-    step_idx = int(down[0]) + 1
+    p_ref, base, span, l10, _ = _bands(curve.config)
+    step_idx = int(step[0])
     t0 = float(t[step_idx])
+    up, t1 = _cross_up(one.t, one.signal, step, l10)
+    undershoot_pct = max(0.0, base - float(np.min(sig[step_idx:]))) / span * 100.0
 
-    t1 = _cross_up(t, sig, step_idx, l10)
-    t2 = _cross_up(t, sig, step_idx, l90)
-
-    post = sig[step_idx:]
-    peak = float(np.max(post))
-    trough = float(np.min(post))
-    overshoot_pct = max(0.0, peak - p_ref) / span * 100.0
-    undershoot_pct = max(0.0, base - trough) / span * 100.0
-
-    t_r = sse_pct = delta_y = settling_ms = None
-    if t2 is not None:
+    t2 = t_r = sse = delta_y = settling_ms = None
+    if rose[0]:
+        t2, sse = float(t2s[0]), float(sse_pct[0])
         t_r = t2 - t0
-        t_end = float(t[-1])
-        win_start = t2 + 0.9 * max(0.0, t_end - t2)
-        window = sig[t >= win_start]
-        sse_pct = abs(float(np.mean(window)) - p_ref) / span * 100.0
-
         delta_y = abs(float(np.interp(t2, t, curve.y)) - float(np.interp(t0, t, curve.y)))
-
         # the curve settles at the sample after the last one outside the 2% band
         outside = np.flatnonzero(np.abs(sig - p_ref) > 0.02 * span)
         settle_idx = max(step_idx, int(outside[-1]) + 1 if len(outside) else 0)
-        if settle_idx < n:
+        if settle_idx < len(t):
             settling_ms = float(t[settle_idx]) - t0
 
     return CurveMetrics(
-        t0=t0, t1=t1, t2=t2, t_r=t_r,
-        overshoot_pct=overshoot_pct,
-        steady_state_error_pct=sse_pct,
+        t0=t0, t1=float(t1[0]) if up[0] else None, t2=t2, t_r=t_r,
+        overshoot_pct=float(overshoot_pct[0]),
+        steady_state_error_pct=sse,
         delta_y=delta_y,
-        is_good=_is_good(t2, sse_pct, overshoot_pct, limits),
+        is_good=bool(_good(overshoot_pct[0], sse_pct[0], limits)),
         undershoot_pct=undershoot_pct,
         settling_ms=settling_ms,
     )
@@ -258,82 +302,28 @@ def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_L
 GOOD, NOT_GOOD, NO_STEP, MALFORMED = range(4)
 
 
-def _max0(v: np.ndarray) -> np.ndarray:
-    """Python's max(0.0, v) per element: v where v > 0.0, else 0.0 (NaN too)."""
-    return np.where(v > 0.0, v, 0.0)
-
-
-@np.errstate(invalid="ignore", over="ignore")  # an infinite last time stamp, as extract_metrics takes it
 def extract_metrics_batch(batch: CurveBatch,
                           limits: GoodnessLimits = DEFAULT_LIMITS) -> tuple[np.ndarray, np.ndarray]:
     """extract_metrics' verdict on every row of a batch at once: each row's
     outcome (GOOD; NOT_GOOD; NO_STEP where extract_metrics raises
     NoStepDetected; MALFORMED where it raises MalformedCurve) and its rise
-    time, NaN unless GOOD, bit for bit those of extract_metrics row by row:
-    every value it computes comes from the same float operations, and the
-    steady-state window mean sums each window with np.add's own (pairwise)
-    order for its length, as np.mean does."""
-    t, sig, lengths = batch.t, batch.signal, batch.lengths
-    rows, width = t.shape
-    outcome = np.full(rows, NOT_GOOD, dtype=np.int8)
-    t_r = np.full(rows, np.nan)
-    if width < 2:  # no row has two samples
-        outcome[:] = MALFORMED
-        return outcome, t_r
-    # every comparison with the NaN after a row's samples is False
-    cols = np.arange(width)
-    prev, cur = sig[:, :-1], sig[:, 1:]
-    malformed = (lengths < 2) | (np.count_nonzero(t[:, 1:] > t[:, :-1], axis=1) != lengths - 1) \
-        | (np.count_nonzero(np.isfinite(sig), axis=1) != lengths)
-
-    p_ref = float(batch.config.p_ref)
-    base = p_ref / float(batch.config.k_2)
-    span = p_ref - base
-    l10, l90 = base + 0.1 * span, base + 0.9 * span
-    down = (cur <= l10) & (prev > l10)
-    stepped = down.any(axis=1) & ~malformed
-    outcome[~stepped] = NO_STEP
+    time, NaN unless GOOD. Both come from the same measures (_measure)."""
+    malformed, stepped, step, _, t2, overshoot_pct, sse_pct = _measure(batch)
+    good = _good(overshoot_pct, sse_pct, limits)  # NaN errors: rows without a step or a rise
+    outcome = np.where(good, GOOD, np.where(stepped, NOT_GOOD, NO_STEP)).astype(np.int8)
     outcome[malformed] = MALFORMED
-    step = down.argmax(axis=1) + 1
-    up = (cur >= l90) & (prev < l90) & (cols[1:] > step[:, None])
-    r = np.flatnonzero(up.any(axis=1) & stepped)  # the rows with t2
-    if not len(r):
-        return outcome, t_r
-    j = up[r].argmax(axis=1) + 1
-    tr, sr, k = t[r], sig[r], np.arange(len(r))
-    s0, s1, ta, tb = sr[k, j - 1], sr[k, j], tr[k, j - 1], tr[k, j]
-    t2 = ta + (l90 - s0) / (s1 - s0) * (tb - ta)
-    t0 = tr[k, step[r]]
-    peak = np.fmax.reduce(np.where(cols >= step[r, None], sr, -np.inf), axis=1)  # NaN: none
-    overshoot_pct = _max0(peak - p_ref) / span * 100.0
-    t_end = tr[k, lengths[r] - 1]
-    win_start = t2 + 0.9 * _max0(t_end - t2)
-    start = np.count_nonzero(tr < win_start[:, None], axis=1)  # t rises: the window is a suffix
-    size = lengths[r] - start
-    mean = np.empty(len(r))
-    for n in set(size.tolist()):
-        at = np.flatnonzero(size == n)
-        window = sr[at[:, None], start[at, None] + np.arange(n)]
-        mean[at] = np.add.reduce(window, axis=1) / n
-    sse_pct = np.abs(mean - p_ref) / span * 100.0
-    good = (overshoot_pct <= limits.overshoot_max_pct) & (sse_pct <= limits.sse_max_pct)
-    outcome[r[good]] = GOOD
-    t_r[r[good]] = (t2 - t0)[good]
+    t_r = np.full(len(good), np.nan)
+    r = np.flatnonzero(good)
+    t_r[r] = t2[r] - batch.t[r, step[r]]
     return outcome, t_r
 
 
-def _is_good(t2: float | None, sse_pct: float | None, overshoot_pct: float,
-             limits: GoodnessLimits) -> bool:
-    """A curve is good when it rose back (t2 defined) and both overshoot and
-    steady-state error sit within the limits."""
-    if t2 is None or sse_pct is None:
-        return False
-    return overshoot_pct <= limits.overshoot_max_pct and sse_pct <= limits.sse_max_pct
-
-
 def classify_good(metrics: CurveMetrics, limits: GoodnessLimits = DEFAULT_LIMITS) -> bool:
-    """The good/bad verdict of extracted metrics (see _is_good)."""
-    return _is_good(metrics.t2, metrics.steady_state_error_pct, metrics.overshoot_pct, limits)
+    """The good/bad verdict of extracted metrics (_good): False when the
+    curve never rose back (t2 or the steady-state error is None)."""
+    if metrics.t2 is None or metrics.steady_state_error_pct is None:
+        return False
+    return bool(_good(metrics.overshoot_pct, metrics.steady_state_error_pct, limits))
 
 
 CURVE_CSV_HEADER = ["t_ms", "x", "y", "signal"]

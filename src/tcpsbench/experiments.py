@@ -19,7 +19,8 @@ from typing import Any, Callable, Iterable
 
 from .core import GoodnessLimits, TcpsbenchError
 from .loopsim import LoopConfig
-from .netsim import Link, Topology, TrafficFlow, channel_from_topology
+from .netsim import (Link, Topology, TopologyError, TrafficFlow, channel_from_topology,
+                     check_flow_hosts)
 from .qoc import SearchConfig, StepRunner
 from .transport import ChannelModel, Jitter, LinkParams, ideal_model
 
@@ -181,6 +182,10 @@ def build_channel_spec(d: Any) -> ChannelSpec:
         topo = build_topology(topo_dict)
         flows = tuple(_build(TrafficFlow, e, "flow entry")
                       for e in _check("flows", d.get("flows", []), list))
+        try:
+            check_flow_hosts(topo, flows)
+        except TopologyError as exc:
+            raise ConfigError(f"flow entry: {exc}") from None
         queue_cap = _check("queue_cap", d.get("queue_cap"), int | None)
         if queue_cap is not None and queue_cap < 1:
             raise ConfigError(f"field 'queue_cap' must be at least 1, got {queue_cap}")

@@ -18,7 +18,7 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -336,6 +336,12 @@ class NetsimChannel(SimChannel):
 def channel_from_topology(topology: Topology, flows: tuple[TrafficFlow, ...] | list[TrafficFlow],
                           seed: int, queue_cap: int | None = None) -> NetsimChannel:
     return NetsimChannel(topology, tuple(flows), seed, queue_cap)
+
+
+def check_flow_hosts(topology: Topology, flows: Iterable[TrafficFlow]) -> None:
+    """Raises TopologyError unless both ends of every flow are nodes of topology."""
+    for f in flows:
+        topology.host_switch(f.src), topology.host_switch(f.dst)
 
 
 def pair_flows(n_pairs: int, rate_bps: float, pkt_bytes: int = 64) -> tuple[TrafficFlow, ...]:

@@ -53,13 +53,12 @@ class NonMonotoneCurve(TcpsbenchError):
 
 
 class Runner(Protocol):
-    """A trial source for the searches. A runner may also offer
-    run_batch(delta_ms, seeds) -> CurveBatch, the curves of those trials;
-    the searches then run each batch of trials as one block."""
+    """A trial source for the searches: run_batch gives the curves of the
+    trials at one loop time, one row per seed, run as one block."""
 
     limits: GoodnessLimits
 
-    def run(self, delta_ms: float, seed: int) -> StepExperimentRecord: ...
+    def run_batch(self, delta_ms: float, seeds: Sequence[int]) -> CurveBatch: ...
 
 
 @dataclass
@@ -181,17 +180,12 @@ def _run_trials(runner: Runner, delta_ms: float, seeds: Sequence[int],
     """(rise time of a good curve, else None; whether the curve was
     malformed) of each trial, in seed order. A curve without a step or a
     malformed curve is a "not good" trial. The trials run as one batch
-    (runner.run_batch, else one runner.run each) and are extracted as one
-    batch; with a memo, each (delta, seed) runs once."""
+    (runner.run_batch) and are extracted as one batch; with a memo, each
+    (delta, seed) runs once."""
     memo = {} if memo is None else memo
     todo = list(dict.fromkeys(s for s in seeds if (delta_ms, s) not in memo))
     if todo:
-        run_batch = getattr(runner, "run_batch", None)
-        if run_batch is not None:
-            curves = run_batch(delta_ms, todo)
-        else:
-            curves = CurveBatch.from_curves([runner.run(delta_ms, s).curve for s in todo])
-        outcome, t_r = extract_metrics_batch(curves, runner.limits)
+        outcome, t_r = extract_metrics_batch(runner.run_batch(delta_ms, todo), runner.limits)
         for s, o, t in zip(todo, outcome.tolist(), t_r.tolist()):
             memo[delta_ms, s] = (t if o == GOOD else None, o == MALFORMED)
     return [memo[delta_ms, s] for s in seeds]

@@ -1,13 +1,12 @@
 """Reference step-response metric extraction, kept as the test oracle.
 
 This is the loop-based `extract_metrics` that `tcpsbench.core` used while a
-curve was a list of sample objects, with its band helper. Only the line that
-reads the curve changed: it takes the columns. The vectorised extraction in
+curve was a list of sample objects, with its band helper and its own
+good/bad verdict. Only the line that reads the curve changed: it takes the
+columns. The vectorised extraction in
 `core` must agree with it on every curve, field for field and error for
 error.
 """
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from tcpsbench.core import (
     MalformedCurve,
     NoStepDetected,
     StepResponseCurve,
-    classify_good,
 )
 
 
@@ -39,6 +37,15 @@ def _cross_up(t: np.ndarray, sig: np.ndarray, start: int, level: float) -> float
             frac = (level - sig[j - 1]) / (sig[j] - sig[j - 1])
             return float(t[j - 1] + frac * (t[j] - t[j - 1]))
     return None
+
+
+def _is_good(t2: float | None, sse_pct: float | None, overshoot_pct: float,
+             limits: GoodnessLimits) -> bool:
+    """A curve is good when it rose back (t2 defined) and both overshoot and
+    steady-state error sit within the limits."""
+    if t2 is None or sse_pct is None:
+        return False
+    return overshoot_pct <= limits.overshoot_max_pct and sse_pct <= limits.sse_max_pct
 
 
 def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_LIMITS) -> CurveMetrics:
@@ -87,12 +94,12 @@ def extract_metrics(curve: StepResponseCurve, limits: GoodnessLimits = DEFAULT_L
         if settle_idx < n:
             settling_ms = float(t[settle_idx]) - t0
 
-    metrics = CurveMetrics(
+    return CurveMetrics(
         t0=t0, t1=t1, t2=t2, t_r=t_r,
         overshoot_pct=overshoot_pct,
         steady_state_error_pct=sse_pct,
-        delta_y=delta_y, is_good=False,
+        delta_y=delta_y,
+        is_good=_is_good(t2, sse_pct, overshoot_pct, limits),
         undershoot_pct=undershoot_pct,
         settling_ms=settling_ms,
     )
-    return replace(metrics, is_good=classify_good(metrics, limits))

@@ -194,6 +194,19 @@ class TestSearchCommands:
     def test_vmax_needs_input(self, tmp_path):
         assert run(["vmax", "--out", tmp_path / "o"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["--t-r-ms", "inf"], ["--t-r-ms", "nan"], ["--t-r-ms", "0"], ["--t-r-ms=-1.5"],
+        ["--t-r-ms", "1e-320"], ["--qoc", "nan"], ["--qoc", "inf"], ["--qoc=-inf"],
+    ], ids=["t_r inf", "t_r nan", "t_r zero", "t_r negative", "t_r subnormal", "qoc nan",
+            "qoc inf", "qoc -inf"])
+    def test_vmax_needs_a_finite_qoc_and_a_positive_finite_rise_time(self, argv, tmp_path,
+                                                                      capsys):
+        """An infinite rise time used to end in a traceback, a NaN one or a NaN
+        QoC printed v_max 1.0, a zero rise time was an experiment error, and a
+        subnormal one printed an infinite QoC."""
+        assert run(["vmax", *argv, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert argv[0].split("=")[0] in capsys.readouterr().err
+
     def test_vmax_of_a_huge_qoc_is_clamped(self, tmp_path, capsys):
         # 10 ** 400 overflows a float: the exponent is clamped first
         assert run(["vmax", "--qoc", 400, "--out", tmp_path / "o"]) == EXIT_OK
@@ -251,6 +264,17 @@ class TestSickness:
             assert run(["sickness", mode, "--traj", traj, f"--fs={fs}", "--vmax", 0.02,
                         "--config", "ideal", "--out", tmp_path / "o"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("vmax", ["nan", "inf", "-1"])
+    def test_non_finite_or_negative_ceiling_exits_2(self, tmp_path, capsys, vmax):
+        """A NaN or negative --vmax used to predict 0.0 and measure None."""
+        traj = tmp_path / "t" / "trajectory.csv"
+        assert run(["sickness", "synth", "--fs", 30, "--steps", 300, "--vmax", 0.02,
+                    "--fraction", 0.5, "--out", traj.parent]) == EXIT_OK
+        for mode in ("predict", "measure"):
+            assert run(["sickness", mode, "--traj", traj, f"--vmax={vmax}", "--config", "ideal",
+                        "--out", tmp_path / "o"]) == EXIT_CONFIG
+            assert "--vmax" in capsys.readouterr().err
+
     def test_synth_without_sampling_rate_exits_2(self, tmp_path):
         assert run(["sickness", "synth", "--out", tmp_path / "o"]) == EXIT_CONFIG
 
@@ -298,6 +322,22 @@ class TestNetsim:
         assert run(["netsim", "--config", "usnet-nw", "--rates", "0,500000",
                     "--flow-pkt-bytes", 0, "--out", tmp_path / "n"]) == EXIT_CONFIG
 
+
+    @pytest.mark.parametrize("pairs, text", [(40, "m16"), (0, "host pair"), (-3, "host pair")],
+                             ids=["unknown hosts", "zero", "negative"])
+    def test_bad_pair_count_exits_2_before_any_search(self, tmp_path, monkeypatch, capsys,
+                                                      pairs, text):
+        """usnet-nw has hosts m0..m15 and n0..n15: 40 pairs used to fail as an
+        experiment error mid-sweep, and -3 pairs ran an unloaded search
+        labelled with the rate."""
+        def no_search(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(cli, "find_delta_opt_bar", no_search)
+        assert run(["netsim", "--config", "usnet-nw", "--rates", "0,500000",
+                    f"--pairs={pairs}", "--out", tmp_path / "n"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--pairs" in err and text in err
 
     def test_unknown_placement_switch_exits_2_before_any_search(self, tmp_path, monkeypatch,
                                                                  capsys):

@@ -3,10 +3,15 @@
 from dataclasses import replace
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import extract_oracle
 from tcpsbench.core import (
+    GOOD,
+    NOT_GOOD,
+    CurveBatch,
     CurveMetrics,
     GoodnessLimits,
     MalformedCurve,
@@ -17,6 +22,7 @@ from tcpsbench.core import (
     classify_good,
     critical_loops,
     extract_metrics,
+    extract_metrics_batch,
     max_rtt_kvl,
     read_curve_csv,
     rtt_budget,
@@ -175,6 +181,30 @@ class TestClassifyGood:
                                sse_max_pct=lim_sse * tighter_sse)
         if not classify_good(m, loose):
             assert not classify_good(m, tight)
+
+
+def test_limits_are_inclusive_in_every_verdict():
+    """A curve whose overshoot and steady-state error equal their limits is
+    good, and not good with either limit one ulp lower: in extract_metrics,
+    extract_metrics_batch, classify_good and the oracle's own verdict."""
+    rng = Random(3)
+    for _ in range(30):
+        root = rng.uniform(-0.9, -0.1)  # a negative root overshoots
+        sig = [100.0] * 4 + [100.0 - 20.0 * root ** j + rng.uniform(-0.5, 0.5) for j in range(40)]
+        curve = curve_from_signals(sig)
+        m = extract_oracle.extract_metrics(curve)
+        exact = GoodnessLimits(overshoot_max_pct=m.overshoot_pct,
+                               sse_max_pct=m.steady_state_error_pct)
+        for limits, good in [
+            (exact, True),
+            (replace(exact, overshoot_max_pct=float(np.nextafter(m.overshoot_pct, 0.0))), False),
+            (replace(exact, sse_max_pct=float(np.nextafter(m.steady_state_error_pct, 0.0))), False),
+        ]:
+            assert extract_oracle.extract_metrics(curve, limits).is_good is good
+            assert extract_metrics(curve, limits).is_good is good
+            assert classify_good(m, limits) is good
+            outcome, _ = extract_metrics_batch(CurveBatch.from_curves([curve]), limits)
+            assert outcome.tolist() == [GOOD if good else NOT_GOOD]
 
 
 class TestLookups:

@@ -77,6 +77,11 @@ BAD_VALUES = [
     ("zero-byte flow", {"channel": {**TOPOLOGY, "flows": [{"src": "m0", "dst": "n0",
                                                            "rate_bps": 1e6, "pkt_bytes": 0}]}},
      "1 byte"),
+    # a flow between unknown nodes used to fail as an experiment error when a trial ran
+    ("unknown flow source", {"channel": {**TOPOLOGY, "flows": [{"src": "m99", "dst": "n0",
+                                                                "rate_bps": 1e5}]}}, "m99"),
+    ("unknown flow destination", {"channel": {**TOPOLOGY, "flows": [{"src": "m0", "dst": "x",
+                                                                     "rate_bps": 1e5}]}}, "'x'"),
     ("zero queue cap", {"channel": {**TOPOLOGY, "queue_cap": 0}}, "queue_cap"),
     ("negative packet size", {"channel": IDEAL, "loop": {"packet_size_b": -64}},
      "packet_size_b"),

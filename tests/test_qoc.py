@@ -99,10 +99,10 @@ class _RepeatedTimeRunner:
 
     limits = DEFAULT_LIMITS
 
-    def run(self, delta_ms, seed):
-        record = runner_for(ideal_model(0.5)).run(delta_ms, seed)
-        record.curve.t[1] = record.curve.t[0]
-        return record
+    def run_batch(self, delta_ms, seeds):
+        curves = runner_for(ideal_model(0.5)).run_batch(delta_ms, seeds)
+        curves.t[:, 1] = curves.t[:, 0]
+        return curves
 
 
 class TestEstimateGoodness:
@@ -250,9 +250,9 @@ class _CountingRunner:
         self.runner = runner
         self.runs = Counter()
 
-    def run(self, delta_ms, seed):
-        self.runs[delta_ms, seed] += 1
-        return self.runner.run(delta_ms, seed)
+    def run_batch(self, delta_ms, seeds):
+        self.runs.update((delta_ms, seed) for seed in seeds)
+        return self.runner.run_batch(delta_ms, seeds)
 
 
 def test_perf_curve_runs_each_trial_once():
