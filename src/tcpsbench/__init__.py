@@ -31,8 +31,7 @@ from .loopsim import (
     StepExperimentRecord,
     difference_trace,
     oracle_trace,
-    plant_haptic,
-    plant_nonhaptic,
+    plant,
     robot_lag,
     run_step_experiment,
 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -99,6 +100,11 @@ class LoopConfig:
         return self.sweep_len // 2 if self.step_at is None else self.step_at
 
     @property
+    def gain(self) -> float | None:
+        """The plant's gain on y: k_1; None: the non-haptic plant passes y through."""
+        return self.k_1 if self.setting == SETTING_HAPTIC else None
+
+    @property
     def last_x(self) -> int:
         """Sweep coordinate (haptic) or epoch of the sweep's final command."""
         return self.sweep_len - 1 if self.setting == SETTING_HAPTIC else self.sweep_len
@@ -139,26 +145,39 @@ class Operator:
             self.fb_seq_seen = feedback.seq
             self.last_p = feedback.value
         self.x += 1.0
-        self.y += self.cfg.k_p * (self.cfg.p_ref - self.last_p)
+        self.y = pi_update(self.y, self.last_p, self.cfg)
         if self.x > self.cfg.last_x:
             return None
         return self.command()
 
 
-def plant_haptic(x: float, y: float, cfg: LoopConfig) -> float:
-    """Contact pressure for commanded coordinate y; drops by k_2 once the
-    arm crosses the material boundary."""
-    if x < cfg.step_index:
-        return cfg.k_1 * y
-    return cfg.k_1 * y / cfg.k_2
+# The loop's arithmetic, each update written once; cfg is a LoopConfig or a
+# batch's _Rows. IEEE 754 rounds Python floats and float64 rows alike, so
+# each runs on either, bit for bit, and a batch of one runs on floats.
+
+def pi_update(y, feedback, cfg):
+    """The operator's PI update y + k_p * (p_ref - feedback)."""
+    d = cfg.p_ref - feedback
+    return y + d if cfg.k_p is None else y + cfg.k_p * d
 
 
-def plant_nonhaptic(n: float, y: float, cfg: LoopConfig) -> float:
-    """Observed robot coordinate for epoch n; the step divisor engages once
-    n reaches the step epoch."""
-    if n < cfg.step_index:
-        return y
-    return y / cfg.k_2
+def plant(pos, y, cfg):
+    """The step plant's signal for robot position y at sweep position pos
+    (haptic: the coordinate; non-haptic: the epoch): gain * y, divided by
+    k_2 once pos reaches the step index."""
+    s = y if cfg.gain is None else cfg.gain * y
+    return s if pos < cfg.step_index else s / cfg.k_2
+
+
+def lag_step(state, cmd, factor):
+    """One step of the robot's first-order lag from state toward cmd."""
+    return state + (cmd - state) * factor
+
+
+def _lag_factors(dt, tau_ms: float) -> list[float]:
+    """The lag factor 1 - exp(-dt / tau) for each time step dt (ms) of an
+    array, flattened, from math.exp (np.exp can differ in the last bit)."""
+    return [1.0 - math.exp(v) for v in (-np.asarray(dt) / tau_ms).ravel().tolist()]
 
 
 def robot_lag(y_cmd: float, y_state: float, dt_ms: float, tau_ms: float) -> float:
@@ -167,7 +186,7 @@ def robot_lag(y_cmd: float, y_state: float, dt_ms: float, tau_ms: float) -> floa
         raise NegativeTau(f"tau_ms = {tau_ms}")
     if tau_ms == 0.0:
         return y_cmd
-    return y_state + (y_cmd - y_state) * (1.0 - math.exp(-dt_ms / tau_ms))
+    return lag_step(y_state, y_cmd, _lag_factors([dt_ms], tau_ms)[0])
 
 
 def difference_trace(kp: float, k1: float, k2_pre: float, k2_post: float,
@@ -217,10 +236,7 @@ class Robot:
             self.stale += 1
             return False
         self.newest_seq = pkt.seq
-        if self.tau_ms > 0.0:
-            self.y = robot_lag(pkt.value, self.y, now - self.last_t, self.tau_ms)
-        else:
-            self.y = pkt.value
+        self.y = robot_lag(pkt.value, self.y, now - self.last_t, self.tau_ms)
         self.last_t = now
         return True
 
@@ -239,13 +255,9 @@ class Plant(Robot):
     def on_command(self, pkt: Packet, now: float) -> Packet | None:
         if not self.move(pkt, now):
             return None
-        if self.cfg.setting == SETTING_HAPTIC:
-            x = pkt.x
-            sig = plant_haptic(pkt.x, self.y, self.cfg)
-        else:
-            x = float(pkt.epoch)
-            sig = plant_nonhaptic(pkt.epoch, self.y, self.cfg)
-        self.log.append((now, x, pkt.value, sig))
+        pos = pkt.x if self.cfg.setting == SETTING_HAPTIC else pkt.epoch
+        sig = plant(pos, self.y, self.cfg)
+        self.log.append((now, float(pos), pkt.value, sig))
         return Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch, x=pkt.x, value=sig)
 
     def curve(self) -> StepResponseCurve:
@@ -283,13 +295,10 @@ def _fresh(arrivals: np.ndarray) -> np.ndarray:
     return np.flatnonzero(_fresh_mask(arrivals))
 
 
-def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
-    """robot_lag's factor 1 - exp(-dt / tau) for each fresh command (per row
-    of a block, flattened), dt since the one before (the robot's clock
-    starts at 0), in robot_lag's operation order and from math.exp (np.exp
-    can differ in the last bit)."""
-    dt = np.diff(t_fresh, axis=-1, prepend=0.0)
-    return [1.0 - math.exp(v) for v in (-dt / tau_ms).ravel().tolist()]
+# a batch's loop constants under LoopConfig's names: floats for a batch of
+# one, else rows (a scalar operand costs a conversion per numpy call); a unit
+# gain is None, its product skipped (1.0 * v is v, bit for bit)
+_Rows = namedtuple("_Rows", "k_p gain k_2 p_ref step_index")
 
 
 @dataclass
@@ -352,12 +361,11 @@ def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
     and it arrived at or before T_j (a delivery at the instant of a check
     runs first, but the answer to the command sent by that check comes
     after it).
-    (b) The value recurrence, in command order, with the trial as the
-    array axis: the operator's PI update from the freshest visible
-    feedback; for a fresh command the robot lag (robot_lag's arithmetic,
-    its factor from math.exp) and the step plant (plant_haptic /
-    plant_nonhaptic). Feedback only ever reports on an earlier command, so
-    its value is known when a tick needs it.
+    (b) The value recurrence, in command order, one loop body on rows with
+    the trial as the array axis (a batch of one: on floats): pi_update from
+    the freshest visible feedback; for a fresh command lag_step and plant.
+    Feedback only ever reports on an earlier command, so its value is known
+    when a tick needs it.
     """
     n = cfg.sweep_len
     ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
@@ -421,44 +429,37 @@ def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
         return out.reshape(rows, n)
 
     t_fresh = fresh_only(fwd.ravel()[fresh_at])
-    haptic = cfg.setting == SETTING_HAPTIC
-    gain = cfg.k_1 if haptic else 1.0  # the non-haptic plant passes y through
-    step = cfg.step_index if haptic else cfg.step_index - 1  # epochs count from 1
-    k_p, p_ref, k_2 = cfg.k_p, cfg.p_ref, cfg.k_2
     # sig[k, r]: the signal logged for command k of trial r; sig[n] holds
     # p_ref, the value the operator holds before any feedback
-    sig = np.full((n + 1, rows), p_ref)
+    sig = np.full((n + 1, rows), cfg.p_ref)
     flat = sig.reshape(-1)
     src = (np.where(held >= 0, held, n) * rows + np.arange(rows)[:, None]).T.copy()
-    lags = None
-    if cfg.robot_tau_ms > 0.0:
+    lags = takes = None
+    if cfg.robot_tau_ms > 0.0:  # takes[k, r]: trial r's robot takes command k
         lags = np.zeros(n * rows)
-        lags[fresh_at_k] = np.array(_lag_factors(t_fresh, cfg.robot_tau_ms))[kept]
-        takes = np.zeros(n * rows, dtype=bool)
-        takes[fresh_at_k] = True
-        lags, takes, robot = lags.reshape(n, rows), takes.reshape(n, rows), np.zeros(rows)
-    y = np.full(rows, 0.0 if haptic else p_ref)
+        lags[fresh_at_k] = np.array(_lag_factors(np.diff(t_fresh, axis=-1, prepend=0.0),
+                                                 cfg.robot_tau_ms))[kept]
+        lags, takes = lags.reshape(n, rows), picked.T
+    if rows == 1:  # one trial runs on floats, indexed by lists
+        as_row, pick = float, (lambda take, new, old: new if take else old)
+        sig = flat = flat.tolist()
+        src, lags, takes = (a if a is None else a.ravel().tolist() for a in (src, lags, takes))
+    else:
+        as_row, pick = (lambda v: np.full(rows, v)), np.where
+    k_p, gain = (None if v is None or v == 1.0 else as_row(v) for v in (cfg.k_p, cfg.gain))
+    consts = _Rows(k_p, gain, as_row(cfg.k_2), as_row(cfg.p_ref), cfg.step_index)
+    haptic = cfg.setting == SETTING_HAPTIC
+    first = 0 if haptic else 1  # command 0's sweep position: epochs count from 1
+    y, robot = as_row(0.0 if haptic else cfg.p_ref), as_row(0.0)
     ys = []  # ys[k]: the commanded y of send k
-    # the constants as rows, since a scalar operand costs a conversion per
-    # call; a product with 1.0 is skipped: 1.0 * v is v, bit for bit
-    p_refs, k_2s = np.full(rows, p_ref), np.full(rows, k_2)
-    gains = None if gain == 1.0 else np.full(rows, gain)
-    k_ps = None if k_p == 1.0 else np.full(rows, k_p)
     for k in range(n):
         ys.append(y)
-        if lags is not None:
-            robot = np.where(takes[k], robot + (y - robot) * lags[k], robot)
-            s = robot
-        else:
-            s = y
-        if gains is not None:
-            s = gains * s
-        sig[k] = s if k < step else s / k_2s
-        d = p_refs - flat[src[k]]
-        y = y + (d if k_ps is None else k_ps * d)
-
-    x = np.arange(n, dtype=float) if haptic else np.arange(1, n + 1, dtype=float)
-    ys = np.array(ys)
+        robot = y if lags is None else pick(takes[k], lag_step(robot, y, lags[k]), robot)
+        sig[k] = plant(k + first, robot, consts)
+        y = pi_update(y, flat[src[k]], consts)
+    flat = np.asarray(sig).reshape(-1)
+    x = np.arange(first, n + first, dtype=float)
+    ys = np.array(ys).reshape(n, rows)
     curves = CurveBatch(t=t_fresh, x=fresh_only(x[c]), y=fresh_only(ys.ravel()[fresh_at_k]),
                         signal=fresh_only(flat[fresh_at_k]), lengths=n_fresh, config=cfg)
     return StepBatch(curves=curves, sends=sends, x=x, ys=ys, fwd=fwd, bwd=bwd, counts=counts)
@@ -471,13 +472,13 @@ def serve_plant(endpoint: DatagramEndpoint, cfg: LoopConfig,
     """Teleoperator responder over datagrams: runs until the full sweep has
     been received (or the deadline passes with no traffic) and returns its
     log. Time stamps are wall-clock milliseconds from the first receive."""
-    plant = Plant(cfg)
+    responder = Plant(cfg)
     t0 = None
     while True:
         try:
             pkt, addr = endpoint.recv_packet(deadline_ms)
         except SocketTimeout:
-            if plant.log:
+            if responder.log:
                 break
             raise ExperimentTimeout("no command packet before deadline") from None
         if pkt.kind != KIND_KINEMATIC:
@@ -485,13 +486,13 @@ def serve_plant(endpoint: DatagramEndpoint, cfg: LoopConfig,
         now = time.perf_counter() * 1000.0
         if t0 is None:
             t0 = now
-        fb = plant.on_command(pkt, now - t0)
+        fb = responder.on_command(pkt, now - t0)
         if fb is None:
             continue
         endpoint.send_packet(fb, to=addr)
-        if plant.log[-1][1] >= cfg.last_x:
+        if responder.log[-1][1] >= cfg.last_x:
             break
-    return plant.curve()
+    return responder.curve()
 
 
 def run_socket_experiment(cfg: LoopConfig, endpoint: DatagramEndpoint,

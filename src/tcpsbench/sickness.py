@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import TcpsbenchError
-from .loopsim import _fresh, _lag_factors
+from .loopsim import _fresh, _lag_factors, lag_step
 from .qoc import QoCResult
 
 ERROR_LIMIT_MM = 1.0
@@ -124,12 +124,12 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
     Command k leaves after k of the trajectory's sampling periods (summed
     as the clock adds them) and carries hand sample k. The robot takes the
     fresh commands in delivery order, moves through its optional first-order
-    lag (robot_lag's arithmetic, its factor from math.exp) and echoes its
-    position at once; a feedback counts when it is newer than every one
-    delivered before it, and its error is the fed-back position minus the
-    hand's interpolated position at its arrival. The arrival times come
-    first, from the same value-free round trip as a step run's, which ends
-    with the last send; the values follow from them.
+    lag (loopsim's lag_step, from hand sample 0) and echoes its position at
+    once; a feedback counts when it is newer than every one delivered before
+    it, and its error is the fed-back position minus the hand's interpolated
+    position at its arrival. The arrival times come first, from the same
+    value-free round trip as a step run's, which ends with the last send;
+    the values follow from them.
     """
     pos = traj.positions
     n = len(pos)
@@ -140,13 +140,12 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
 
     robot_y = pos[fresh]
     if robot_tau_ms > 0.0:
-        y = float(pos[0])
-        lagged = np.empty(len(fresh))
-        for k, (cmd, lag) in enumerate(zip(robot_y.tolist(),
-                                           _lag_factors(fwd[fresh], robot_tau_ms))):
-            y = y + (cmd - y) * lag
-            lagged[k] = y
-        robot_y = lagged
+        y, lagged = float(pos[0]), []
+        for cmd, factor in zip(robot_y.tolist(),
+                               _lag_factors(np.diff(fwd[fresh], prepend=0.0), robot_tau_ms)):
+            y = lag_step(y, cmd, factor)
+            lagged.append(y)
+        robot_y = np.array(lagged)
     # feedback m answers command fresh[m], so its send index orders sequence too
     newest = _fresh(bwd)
     hand = np.interp(bwd[newest] / 1000.0 * traj.fs_hz, np.arange(n), pos)

@@ -13,8 +13,7 @@ from tcpsbench.loopsim import (
     Operator,
     difference_trace,
     oracle_trace,
-    plant_haptic,
-    plant_nonhaptic,
+    plant,
     robot_lag,
     run_socket_experiment,
     run_step_experiment,
@@ -62,7 +61,7 @@ class TestPiUpdate:
         # y* = p_ref * k2 / k1 = 125 and P* = 100 for kp k1 = 1, k2 = 1.25
         cfg = LoopConfig()
         y_star = cfg.p_ref * cfg.k_2 / cfg.k_1
-        p_star = plant_haptic(60.0, y_star, cfg)
+        p_star = plant(60.0, y_star, cfg)
         assert p_star == pytest.approx(100.0)
         op = operator_at(cfg, x=60.0, y=y_star, last_p=p_star)
         op.tick(feedback(p_star))
@@ -88,19 +87,19 @@ class TestPiUpdate:
 
 class TestPlants:
     def test_haptic_pre_step(self):
-        assert plant_haptic(10.0, 100.0, LoopConfig()) == 100.0
+        assert plant(10.0, 100.0, LoopConfig()) == 100.0
 
     def test_haptic_post_step(self):
-        assert plant_haptic(50.0, 100.0, LoopConfig()) == pytest.approx(80.0)
+        assert plant(50.0, 100.0, LoopConfig()) == pytest.approx(80.0)
 
     def test_haptic_boundary_exclusive(self):
-        assert plant_haptic(49.99, 100.0, LoopConfig()) == 100.0
+        assert plant(49.99, 100.0, LoopConfig()) == 100.0
 
     def test_nonhaptic(self):
         cfg = LoopConfig(setting="non-haptic")
-        assert plant_nonhaptic(1, 100.0, cfg) == 100.0
-        assert plant_nonhaptic(49, 100.0, cfg) == 100.0
-        assert plant_nonhaptic(50, 100.0, cfg) == pytest.approx(80.0)
+        assert plant(1, 100.0, cfg) == 100.0
+        assert plant(49, 100.0, cfg) == 100.0
+        assert plant(50, 100.0, cfg) == pytest.approx(80.0)
 
 
 class TestRobotLag:
