@@ -152,7 +152,7 @@ class Operator:
 
 
 # The loop's arithmetic, each update written once; cfg is a LoopConfig or a
-# batch's _Rows. IEEE 754 rounds Python floats and float64 rows alike, so
+# batch's _Constants. IEEE 754 rounds Python floats and float64 rows alike, so
 # each runs on either, bit for bit, and a batch of one runs on floats.
 
 def pi_update(y, feedback, cfg):
@@ -180,10 +180,17 @@ def _lag_factors(dt, tau_ms: float) -> list[float]:
     return [1.0 - math.exp(v) for v in (-np.asarray(dt) / tau_ms).ravel().tolist()]
 
 
-def robot_lag(y_cmd: float, y_state: float, dt_ms: float, tau_ms: float) -> float:
-    """First-order actuation lag; tau = 0 degenerates to pass-through."""
+def check_tau(tau_ms: float) -> None:
+    """Refuse a lag time constant that LoopConfig refuses."""
+    if not math.isfinite(tau_ms):
+        raise ValueError(f"tau_ms must be finite, got {tau_ms}")
     if tau_ms < 0.0:
         raise NegativeTau(f"tau_ms = {tau_ms}")
+
+
+def robot_lag(y_cmd: float, y_state: float, dt_ms: float, tau_ms: float) -> float:
+    """First-order actuation lag; tau = 0 degenerates to pass-through."""
+    check_tau(tau_ms)
     if tau_ms == 0.0:
         return y_cmd
     return lag_step(y_state, y_cmd, _lag_factors([dt_ms], tau_ms)[0])
@@ -298,7 +305,7 @@ def _fresh(arrivals: np.ndarray) -> np.ndarray:
 # a batch's loop constants under LoopConfig's names: floats for a batch of
 # one, else rows (a scalar operand costs a conversion per numpy call); a unit
 # gain is None, its product skipped (1.0 * v is v, bit for bit)
-_Rows = namedtuple("_Rows", "k_p gain k_2 p_ref step_index")
+_Constants = namedtuple("_Constants", "k_p gain k_2 p_ref step_index")
 
 
 @dataclass
@@ -447,7 +454,7 @@ def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
     else:
         as_row, pick = (lambda v: np.full(rows, v)), np.where
     k_p, gain = (None if v is None or v == 1.0 else as_row(v) for v in (cfg.k_p, cfg.gain))
-    consts = _Rows(k_p, gain, as_row(cfg.k_2), as_row(cfg.p_ref), cfg.step_index)
+    consts = _Constants(k_p, gain, as_row(cfg.k_2), as_row(cfg.p_ref), cfg.step_index)
     haptic = cfg.setting == SETTING_HAPTIC
     first = 0 if haptic else 1  # command 0's sweep position: epochs count from 1
     y, robot = as_row(0.0 if haptic else cfg.p_ref), as_row(0.0)

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import TcpsbenchError
-from .loopsim import _fresh, _lag_factors, lag_step
+from .loopsim import _fresh, _lag_factors, check_tau, lag_step
 from .qoc import QoCResult
 
 ERROR_LIMIT_MM = 1.0
@@ -124,13 +124,18 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
     Command k leaves after k of the trajectory's sampling periods (summed
     as the clock adds them) and carries hand sample k. The robot takes the
     fresh commands in delivery order, moves through its optional first-order
-    lag (loopsim's lag_step, from hand sample 0) and echoes its position at
-    once; a feedback counts when it is newer than every one delivered before
-    it, and its error is the fed-back position minus the hand's interpolated
-    position at its arrival. The arrival times come first, from the same
-    value-free round trip as a step run's, which ends with the last send;
-    the values follow from them.
+    lag (loopsim's lag_step, from hand sample 0 at time 0) and echoes its
+    position at once; a feedback counts when it is newer than every one
+    delivered before it, and its error is the fed-back position minus the
+    hand's interpolated position at its arrival. The arrival times come
+    first, from the same value-free round trip as a step run's, which ends
+    with the last send; the values follow from them. A negative
+    robot_tau_ms raises NegativeTau; a non-finite one, or a packet_size_b
+    that is not an int of at least 1, raises ValueError.
     """
+    check_tau(robot_tau_ms)
+    if isinstance(packet_size_b, bool) or not isinstance(packet_size_b, int) or packet_size_b < 1:
+        raise ValueError(f"packet_size_b must be an int >= 1, got {packet_size_b!r}")
     pos = traj.positions
     n = len(pos)
     sends = np.full(n, 1000.0 / traj.fs_hz)

@@ -116,6 +116,12 @@ class TestRobotLag:
         with pytest.raises(NegativeTau):
             robot_lag(1.0, 0.0, 1.0, -1.0)
 
+    def test_non_finite_tau(self):
+        # NaN returned NaN, inf a robot that never moves
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau_ms"):
+                robot_lag(1.0, 0.0, 1.0, tau)
+
 
 class TestOracle:
     def test_post_step_sequence(self):

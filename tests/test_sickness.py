@@ -1,8 +1,11 @@
 """Cybersickness exposure: prediction, synthesis, and replay measurement."""
 
+import math
+
 import numpy as np
 import pytest
 
+from tcpsbench.loopsim import NegativeTau
 from tcpsbench.qoc import QoCResult
 from tcpsbench.sickness import (
     RANGE_MM,
@@ -141,6 +144,24 @@ class TestMeasure:
         fast = measure_E(traj, ideal_model(0.5).build(4), robot_tau_ms=0.0)
         lagged = measure_E(traj, ideal_model(0.5).build(4), robot_tau_ms=120.0)
         assert lagged.measured_e_pct <= fast.measured_e_pct
+
+    def test_loop_numbers_that_a_loop_config_refuses(self):
+        """A negative or non-finite lag time constant and a packet size that
+        is not an int of at least 1 are refused, as LoopConfig refuses them
+        (a negative or NaN tau ran as tau = 0; a negative size ran with a
+        negative serialization time)."""
+        traj = compliant_trajectory(30.0, 400, v_max_mps=0.02, fraction=0.85, seed=2)
+        channel = ChannelModel(forward=LinkParams(latency_ms=5.0, bandwidth_bps=64000.0),
+                               backward=LinkParams(latency_ms=5.0)).build(1)
+        with pytest.raises(NegativeTau):
+            measure_E(traj, channel, robot_tau_ms=-5.0)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau_ms"):
+                measure_E(traj, channel, robot_tau_ms=tau)
+        for size in (0, -5, 32.5, True):
+            with pytest.raises(ValueError, match="packet_size_b"):
+                measure_E(traj, channel, packet_size_b=size)
+        assert measure_E(traj, channel, robot_tau_ms=5.0, packet_size_b=1).n_samples > 0
 
 
 class TestErrorTraceVsSpeed:
