@@ -101,7 +101,7 @@ class LoopConfig:
 
     @property
     def gain(self) -> float | None:
-        """The plant's gain on y: k_1; None: the non-haptic plant passes y through."""
+        """The step plant's gain on y: k_1, or None: the non-haptic plant passes y through."""
         return self.k_1 if self.setting == SETTING_HAPTIC else None
 
     @property

@@ -117,7 +117,7 @@ class TestRobotLag:
             robot_lag(1.0, 0.0, 1.0, -1.0)
 
     def test_non_finite_tau(self):
-        # NaN returned NaN, inf a robot that never moves
+        # LoopConfig refuses both: NaN would make the robot NaN, inf would freeze it
         for tau in (math.nan, math.inf):
             with pytest.raises(ValueError, match="tau_ms"):
                 robot_lag(1.0, 0.0, 1.0, tau)
