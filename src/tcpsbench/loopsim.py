@@ -19,8 +19,6 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Iterable
-
 import numpy as np
 
 from .core import (
@@ -37,7 +35,6 @@ from .transport import (
     KIND_KINEMATIC,
     DatagramEndpoint,
     DirectionStats,
-    ImpairedChannel,
     Packet,
     SocketTimeout,
 )
@@ -348,8 +345,9 @@ def _counts(channel) -> list[tuple[int, int, int]]:
             for s in (channel.stats[FORWARD], channel.stats[BACKWARD])]
 
 
-def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
-    """Execute one full sweep over each simulated channel, as one block.
+def run_step_batch(cfg: LoopConfig, channels: list) -> StepBatch:
+    """Execute one full sweep over each simulated channel, as one block;
+    the channels are all of one type, else ValueError.
 
     Deterministic given (cfg, channel seeds). Each sweep is that of the
     loop on the virtual clock, where deliveries run ahead of a controller
@@ -357,12 +355,11 @@ def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
     last-value hold, and stale packets (older sequence than the newest
     seen) are discarded on both sides. It is computed in two parts.
 
-    (a) A value-free timing skeleton: the impaired channels of one model
-    run their round trips as one block (ImpairedChannel.round_trips), any
-    other channel (a topology) its own round_trip, one channel at a time,
-    keeping only its arrival times. Command k leaves at tick k (the
-    first at 0; tick j runs at T_j, the j-fold sum of delta_ms, as the
-    clock adds it), and the operator's final check at T_n ends the sweep.
+    (a) A value-free timing skeleton: one round_trips call of the channels'
+    type gives the arrival times of all their round trips as one block.
+    Command k leaves at tick k (the first at 0; tick j runs at T_j, the
+    j-fold sum of delta_ms, as the clock adds it), and the operator's final
+    check at T_n ends the sweep.
     The plant takes the fresh commands in delivery order and answers each
     at its arrival; feedback on command i is visible at tick j when i < j
     and it arrived at or before T_j (a delivery at the instant of a check
@@ -374,40 +371,17 @@ def run_step_batch(cfg: LoopConfig, channels: Iterable) -> StepBatch:
     Feedback only ever reports on an earlier command, so its value is known
     when a tick needs it.
     """
+    if not channels or any(type(c) is not type(channels[0]) for c in channels):
+        raise ValueError("a batch needs channels, all of one type")
     n = cfg.sweep_len
     ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
     sends = np.concatenate(([0.0], ticks[:-1]))
-    size_b, drain_at = cfg.packet_size_b, float(ticks[-1])
-    # per block of rows: their indices, the commands' arrival times, the
-    # fresh commands' mask, the feedback's arrival times by command and the
-    # channels' (sent, delivered, dropped) counts per direction
-    parts, impaired, rows = [], {}, 0
-    for row, channel in enumerate(channels):
-        rows += 1
-        if isinstance(channel, ImpairedChannel):
-            impaired.setdefault(id(channel.model), []).append((row, channel))
-            continue
-        fwd, fresh, bwd = channel.round_trip(sends, size_b, drain_at, _fresh)
-        picked = np.zeros((1, n), dtype=bool)
-        picked[0, fresh] = True
-        answers = np.full((1, n), np.nan)
-        answers[0, fresh] = bwd
-        # a copy: a topology's arrival times are views of its links' whole batches
-        parts.append(([row], np.array(fwd, ndmin=2), picked, answers, [_counts(channel)]))
-    for group in impaired.values():
-        idx, chans = zip(*group)
-        parts.append((list(idx), *ImpairedChannel.round_trips(chans, sends, size_b, drain_at,
-                                                              _fresh_mask),
-                      [_counts(c) for c in chans]))
-    if len(parts) == 1:
-        _, fwd, picked, bwd, counts = parts[0]
-    else:
-        fwd, bwd = np.empty((rows, n)), np.empty((rows, n))
-        picked, counts = np.empty((rows, n), dtype=bool), [None] * rows
-        for idx, f, p, b, c in parts:
-            fwd[idx], picked[idx], bwd[idx] = f, p, b
-            for i, row_counts in zip(idx, c):
-                counts[i] = row_counts
+    # the commands' arrival times, the fresh commands' mask, the feedback's
+    # arrival times by command and the channels' (sent, delivered, dropped)
+    # counts per direction
+    fwd, picked, bwd = type(channels[0]).round_trips(channels, sends, cfg.packet_size_b,
+                                                     float(ticks[-1]), _fresh_mask)
+    counts, rows = [_counts(c) for c in channels], len(channels)
     # each row's fresh commands in send order, as flat indices of a (rows x n)
     # block, and as row r and command c; the feedback on command k sits in
     # column k, NaN where none arrived

@@ -85,9 +85,8 @@ class StepRunner:
 
     def run_batch(self, delta_ms: float, seeds: Sequence[int]) -> CurveBatch:
         """The curves of the trials at one loop time, one per seed, run as
-        one block; a topology channel is built when its round trip runs,
-        and the impaired channels run their round trips together."""
-        return run_step_batch(self._cfg(delta_ms), map(self.channel_factory, seeds)).curves
+        one block: the factory builds every trial's channel first."""
+        return run_step_batch(self._cfg(delta_ms), [self.channel_factory(s) for s in seeds]).curves
 
 
 @dataclass(frozen=True)

@@ -304,11 +304,32 @@ class SimChannel:
     it lands, and periodic sources stop after drain_at. It returns the
     commands' arrival times (NaN: lost), the picks and the answers' arrival
     times as the clock would give them, and counts both directions in the
-    stats as send does once every packet has landed."""
+    stats as send does once every packet has landed. A batch of channels
+    of one type runs its round trips through the type's round_trips."""
 
     def __init__(self) -> None:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
         self._sched: EventScheduler | None = None
+
+    @classmethod
+    def round_trips(cls, channels: Sequence["SimChannel"], sends: np.ndarray, size_b: int,
+                    drain_at: float, answer: Callable[[np.ndarray], np.ndarray]):
+        """round_trip on each of a batch of channels, with the same sends,
+        as (channels x sends) blocks. answer maps a block of the commands'
+        arrival times to the mask of the commands the far end answers in
+        each row. Returns that block, the mask and the answers' arrival
+        times, the answer to command k in column k (NaN: none, or lost).
+        By default the channels run one at a time and each row is copied
+        into the block (a round trip may return views of larger arrays)."""
+        rows, n = len(channels), len(sends)
+        fwd, bwd = np.empty((rows, n)), np.full((rows, n), np.nan)
+        picked = np.zeros((rows, n), dtype=bool)
+        for r, channel in enumerate(channels):
+            fwd[r], fresh, answers = channel.round_trip(
+                sends, size_b, drain_at, lambda t: np.flatnonzero(answer(t[None])[0]))
+            picked[r, fresh] = True
+            bwd[r, fresh] = answers
+        return fwd, picked, bwd
 
     def bind(self, scheduler: EventScheduler) -> None:
         self._sched = scheduler
@@ -631,17 +652,13 @@ class ImpairedChannel(SimChannel):
         link.last_delivery = t_deliver
         return t_deliver
 
-    @staticmethod
-    def round_trips(channels: Sequence["ImpairedChannel"], sends: np.ndarray, size_b: int,
+    @classmethod
+    def round_trips(cls, channels: Sequence["ImpairedChannel"], sends: np.ndarray, size_b: int,
                     drain_at: float, answer: Callable[[np.ndarray], np.ndarray]):
-        """SimChannel.round_trip on each of a batch of channels of one
-        model, with the same sends, computed over (channels x sends) blocks
-        and bit for bit the round trips one at a time. answer maps the
-        block of the commands' arrival times to the mask of the commands the
-        far end answers in each row. Returns that block, the mask and the
-        answers' arrival times, the answer to command k in column k (NaN:
-        none, or lost). The backward direction sends each row's answers
-        left-packed, in send order."""
+        """SimChannel.round_trips for channels of one model, computed over
+        (channels x sends) blocks and bit for bit the round trips one at a
+        time; channels of several models raise ValueError. The backward
+        direction sends each row's answers left-packed, in send order."""
         model = channels[0].model
         if any(c.model is not model for c in channels):
             raise ValueError("round_trips needs channels of one model")

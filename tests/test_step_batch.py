@@ -24,8 +24,15 @@ from trial_oracle import run_trial
 from tcpsbench import qoc
 from tcpsbench.core import MALFORMED, CurveBatch
 from tcpsbench.experiments import PRESET_NAMES, load_experiment
-from tcpsbench.loopsim import LoopConfig, run_step_batch
-from tcpsbench.netsim import Link, Topology, TrafficFlow, channel_from_topology, pair_flows
+from tcpsbench.loopsim import LoopConfig, _fresh, _fresh_mask, run_step_batch
+from tcpsbench.netsim import (
+    Link,
+    NetsimChannel,
+    Topology,
+    TrafficFlow,
+    channel_from_topology,
+    pair_flows,
+)
 from tcpsbench.qoc import (
     BLOCK_TRIALS,
     PROBE_TRIALS,
@@ -41,6 +48,7 @@ from tcpsbench.transport import (
     ImpairedChannel,
     Jitter,
     LinkParams,
+    SimChannel,
 )
 
 
@@ -105,58 +113,98 @@ def test_topologies_match_one_trial_at_a_time():
                           [exp.search.trial_seed(j) for j in range(3)], "usnet-nw loaded")
 
 
-def test_channels_run_one_at_a_time():
-    """The batch takes its channels from an iterator and finishes a
-    topology channel's round trip before it builds the next channel, so a
-    batch never holds more than one live topology channel (a loaded one
-    holds its links' whole batches)."""
-    topo = Topology(switches=("s0", "s1", "s2"),
-                    links=(Link("s0", "s1", 0.5, 1e6), Link("s1", "s2", 0.5, 1e6)),
-                    hosts={"a": "s0", "b": "s2"}, te_master="s0", te_slave="s2")
-    events = []
-
-    def channels():
-        for seed in range(5):
-            chan = channel_from_topology(topo, (TrafficFlow("a", "b", 2e5, 64),), seed)
-            round_trip = chan.round_trip
-
-            def traced(*args, seed=seed, round_trip=round_trip):
-                events.append(("round trip", seed))
-                return round_trip(*args)
-
-            chan.round_trip = traced
-            events.append(("built", seed))
-            yield chan
-
-    run_step_batch(LoopConfig(), channels())
-    assert events == [e for seed in range(5) for e in (("built", seed), ("round trip", seed))]
-
-
-def test_impaired_channels_run_as_one_block_per_model(monkeypatch):
-    """The impaired channels of a batch run their round trips as one block
-    per model, the topology channels one at a time between them, and every
-    row still equals its own trial."""
-    blocks = []
-    round_trips = ImpairedChannel.round_trips
-
-    def counted(channels, *args):
-        blocks.append([c.seed for c in channels])
-        return round_trips(channels, *args)
-
-    monkeypatch.setattr(ImpairedChannel, "round_trips", staticmethod(counted))
+def _round_trip_kinds():
+    """Factories (seed -> channel) of three kinds of channel: impaired
+    channels of two models, and a topology channel under cross traffic."""
     lossy = ChannelModel(forward=LinkParams(drop_prob=0.2, jitter=Jitter.uniform(1.5)),
                          backward=LinkParams(drop_prob=0.1, bandwidth_bps=1e5))
     slow = ChannelModel(forward=LinkParams(latency_ms=2.5, jitter=Jitter.truncnorm(0.1, 0.3)),
                         backward=LinkParams(fifo=False, jitter=Jitter.uniform(3.0)))
-    topo = Topology(switches=("s0", "s1"), links=(Link("s0", "s1", 0.5, 1e6),), hosts={},
-                    te_master="s0", te_slave="s1")
-    factories = [lossy.build, slow.build, lambda s: channel_from_topology(topo, (), s),
-                 lossy.build, lossy.build, slow.build, lambda s: channel_from_topology(topo, (), s)]
+    topo = Topology(switches=("s0", "s1", "s2"),
+                    links=(Link("s0", "s1", 0.5, 1e6), Link("s1", "s2", 0.5, 1e6)),
+                    hosts={"a": "s0", "b": "s2"}, te_master="s0", te_slave="s2")
+    flows = (TrafficFlow("a", "b", 2e5, 64),)
+    return lossy.build, slow.build, lambda s: channel_from_topology(topo, flows, s)
+
+
+def test_each_batch_runs_its_round_trips_in_one_call(monkeypatch):
+    """A batch of impaired channels of one model, or of topology channels,
+    runs its round trips in one call of its type's round_trips, and every
+    row still equals its own trial."""
+    calls = []
+    for owner in (SimChannel, ImpairedChannel):
+        def counted(cls, channels, *args, round_trips=owner.__dict__["round_trips"].__func__):
+            calls.append((cls, len(channels)))
+            return round_trips(cls, channels, *args)
+
+        monkeypatch.setattr(owner, "round_trips", classmethod(counted))
     cfg = LoopConfig(delta_ms=0.8)
-    batch = run_step_batch(cfg, [f(seed) for seed, f in enumerate(factories)])
-    assert blocks == [[0, 3, 4], [1, 5]]
-    for seed, f in enumerate(factories):
-        assert _record(batch.record(seed)) == _record(run_trial(cfg, f(seed))), seed
+    for factory, rows in zip(_round_trip_kinds(), (3, 2, 4)):
+        calls.clear()
+        batch = run_step_batch(cfg, [factory(seed) for seed in range(rows)])
+        assert calls == [(type(factory(0)), rows)]
+        for seed in range(rows):
+            assert _record(batch.record(seed)) == _record(run_trial(cfg, factory(seed))), seed
+
+
+def test_a_batch_of_mixed_channels_is_refused():
+    """A batch is one kind of channel, and its impaired channels share one
+    model; an empty batch has no kind."""
+    lossy, slow, topology = _round_trip_kinds()
+    for channels in ([lossy(0), topology(1)], [topology(0), lossy(1)], [lossy(0), slow(1)], []):
+        with pytest.raises(ValueError):
+            run_step_batch(LoopConfig(), channels)
+
+
+def test_round_trips_run_one_channel_at_a_time_into_blocks_of_their_own():
+    """SimChannel.round_trips finishes a channel's round trip before the
+    next one starts, and copies its rows into blocks that own their memory:
+    a topology channel's arrival times are views of its links' whole
+    batches, which the blocks must not keep alive."""
+    *_, topology = _round_trip_kinds()
+    events, returned = [], []
+    channels = [topology(seed) for seed in range(5)]
+    for seed, chan in enumerate(channels):
+        def traced(*args, seed=seed, round_trip=chan.round_trip):
+            events.append(("start", seed))
+            returned.append(round_trip(*args))
+            events.append(("end", seed))
+            return returned[-1]
+
+        chan.round_trip = traced
+    sends = 0.5 * np.arange(40)
+    blocks = SimChannel.round_trips(channels, sends, 32, float(sends[-1]), _fresh_mask)
+    assert events == [(e, seed) for seed in range(5) for e in ("start", "end")]
+    arrivals = [a for fwd, _, bwd in returned for a in (fwd, bwd)]
+    assert any(a.base is not None for a in arrivals)
+    for block in blocks:
+        assert block.flags.owndata and block.shape == (5, 40)
+        assert not any(np.shares_memory(block, a) for a in arrivals)
+
+
+def test_round_trips_of_topologies_match_the_clock():
+    """SimChannel.round_trips over random topology channels of the
+    skeleton test, tactile-only and loaded, four to a batch, gives row by
+    row the round trip and the stats of the event-per-packet channel of
+    tests/netsim_oracle.py."""
+    for i in range(0, 240, 12):
+        for loaded in (False, True):
+            cases = [_topology_case(j, loaded) for j in range(i, i + 4)]
+            cfg = cases[0][0]
+            sends = np.concatenate(([0.0], np.add.accumulate(np.full(cfg.sweep_len - 1,
+                                                                     cfg.delta_ms))))
+            args = (sends, cfg.packet_size_b, float(sends[-1] + cfg.delta_ms))
+            channels = [factory() for _, factory in cases]
+            fwd, picked, bwd = NetsimChannel.round_trips(channels, *args, _fresh_mask)
+            for r, (chan, (_, factory)) in enumerate(zip(channels, cases)):
+                oracle = factory(oracle=True)
+                want_fwd, fresh, want_bwd = oracle.round_trip(*args, _fresh)
+                answered = np.full(len(sends), np.nan)
+                answered[fresh] = want_bwd
+                assert repr((fwd[r].tolist(), np.flatnonzero(picked[r]).tolist(),
+                             bwd[r].tolist())) == \
+                    repr((want_fwd.tolist(), fresh.tolist(), answered.tolist())), (i, loaded, r)
+                assert chan.stats == oracle.stats, (i, loaded, r)
 
 
 def test_batch_stats_are_each_trials_own():
