@@ -21,6 +21,7 @@ import sys
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .core import TcpsbenchError, extract_metrics, rtt_budget, write_curve_csv
@@ -44,7 +45,14 @@ from .sickness import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from .transport import DatagramEndpoint, KIND_HAPTIC, KIND_KINEMATIC, Packet, SocketTimeout
+from .transport import (
+    KIND_HAPTIC,
+    KIND_KINEMATIC,
+    MIN_PACKET_BYTES,
+    DatagramEndpoint,
+    Packet,
+    SocketTimeout,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,6 +119,21 @@ def _gspecs(text: str) -> list[float]:
 def _gspec(text: str) -> float:
     (g,) = _gspecs(text)
     return g
+
+
+def _number(convert: Callable[[str], float], least: float, above: bool = False):
+    """An argparse type: a finite number (convert: int or float) of at
+    least `least`, or above it."""
+    def parse(text: str) -> float:
+        v = convert(text)
+        if not math.isfinite(v) or v < least or (above and v == least):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite number {'above' if above else 'of at least'} {least}, "
+                f"got {text!r}")
+        return v
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
 
 
 def _placements(text: str) -> list[tuple[str, ...]]:
@@ -240,10 +263,6 @@ def cmd_netsim(args: argparse.Namespace) -> int:
 
 
 def cmd_sickness(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.fs):
-        raise ConfigError(f"--fs must be finite, got {args.fs}")
-    if not 0.0 <= args.vmax < math.inf:
-        raise ConfigError(f"--vmax must be finite and >= 0, got {args.vmax}")
     out = _out_dir(args)
     if args.mode == "synth":
         try:
@@ -410,8 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["predict", "measure", "synth"])
     common(p)
     p.add_argument("--traj", default=None, help="trajectory CSV path")
-    p.add_argument("--vmax", type=float, default=0.0, help="hand-speed ceiling, m/s")
-    p.add_argument("--fs", type=float, default=0.0, help="sampling rate, Hz")
+    p.add_argument("--vmax", type=_number(float, 0.0), default=0.0,
+                   help="hand-speed ceiling, m/s")
+    p.add_argument("--fs", type=_number(float, 0.0), default=0.0,
+                   help="sampling rate, Hz (0: predict and measure take the file's)")
     p.add_argument("--steps", type=int, default=3000)
     p.add_argument("--fraction", type=float, default=0.8,
                    help="share of steps below the ceiling (synth)")
@@ -424,10 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bind", default="127.0.0.1:9870", help="serve: local bind address")
     p.add_argument("--local", default="127.0.0.1:0", help="measure: local bind address")
     p.add_argument("--remote", default="127.0.0.1:9870", help="measure: responder address")
-    p.add_argument("--count", type=int, default=20, help="packets to send/echo (0 = forever)")
-    p.add_argument("--interval-ms", type=float, default=1.0)
-    p.add_argument("--packet-size", type=int, default=32)
-    p.add_argument("--deadline-ms", type=float, default=1000.0)
+    p.add_argument("--count", type=_number(int, 0), default=20,
+                   help="packets to send/echo (0 = forever)")
+    p.add_argument("--interval-ms", type=_number(float, 0.0), default=1.0)
+    p.add_argument("--packet-size", type=_number(int, MIN_PACKET_BYTES), default=MIN_PACKET_BYTES)
+    p.add_argument("--deadline-ms", type=_number(float, 0.0, above=True), default=1000.0)
     p.add_argument("--plant-config", default=None,
                    help="serve a full teleoperator plant from this experiment config")
     p.set_defaults(fn=cmd_probe)

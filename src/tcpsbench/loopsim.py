@@ -19,6 +19,7 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
+
 import numpy as np
 
 from .core import (
@@ -79,8 +80,7 @@ class LoopConfig:
                              f"got {self.setting!r}")
         if self.delta_ms <= 0.0:
             raise ValueError("delta_ms must be positive")
-        if self.packet_size_b < 1:
-            raise ValueError(f"packet_size_b must be at least 1, got {self.packet_size_b}")
+        check_packet_size(self.packet_size_b)
         if self.k_2 <= 1.0:
             raise ValueError("k_2 must exceed 1")
         gain = self.k_p * self.k_1
@@ -183,6 +183,12 @@ def check_tau(tau_ms: float) -> None:
         raise ValueError(f"tau_ms must be finite, got {tau_ms}")
     if tau_ms < 0.0:
         raise NegativeTau(f"tau_ms = {tau_ms}")
+
+
+def check_packet_size(size_b: int) -> None:
+    """Refuse a packet size that is not an int of at least 1 (bool is not)."""
+    if isinstance(size_b, bool) or not isinstance(size_b, int) or size_b < 1:
+        raise ValueError(f"packet_size_b must be an int >= 1, got {size_b!r}")
 
 
 def robot_lag(y_cmd: float, y_state: float, dt_ms: float, tau_ms: float) -> float:

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import TcpsbenchError
-from .loopsim import _fresh, _lag_factors, check_tau, lag_step
+from .loopsim import _fresh, _lag_factors, check_packet_size, check_tau, lag_step
 from .qoc import QoCResult
 
 ERROR_LIMIT_MM = 1.0
@@ -134,8 +134,7 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
     that is not an int of at least 1, raises ValueError.
     """
     check_tau(robot_tau_ms)
-    if isinstance(packet_size_b, bool) or not isinstance(packet_size_b, int) or packet_size_b < 1:
-        raise ValueError(f"packet_size_b must be an int >= 1, got {packet_size_b!r}")
+    check_packet_size(packet_size_b)
     pos = traj.positions
     n = len(pos)
     sends = np.full(n, 1000.0 / traj.fs_hz)

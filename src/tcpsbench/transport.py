@@ -2,10 +2,11 @@
 
 Simulated channels carry full-precision floats and use the configured
 packet size only for serialization delay. A simulated run asks its channel
-for a whole value-free round trip (round_trip); impaired channels, with
-configurable latency, jitter, drop probability and serialization rate,
-decide the round trips of a whole batch of channels as (channels x sends)
-blocks (round_trips). The per-packet send on the virtual clock serves the
+for a whole value-free round trip (round_trip), and a batch of channels of
+one type asks the type for all of theirs as (channels x sends) blocks
+(round_trips): by default one channel at a time; impaired channels, with
+configurable latency, jitter, drop probability and serialization rate, as
+array blocks. The per-packet send on the virtual clock serves the
 event-driven reference runners.
 Serialization queues FIFO: a packet waits in its link's `LinkQueue` until
 the transmitter has sent the packets before it, on impaired links and
@@ -324,9 +325,12 @@ class SimChannel:
         rows, n = len(channels), len(sends)
         fwd, bwd = np.empty((rows, n)), np.full((rows, n), np.nan)
         picked = np.zeros((rows, n), dtype=bool)
+
+        def picks(arrivals: np.ndarray) -> np.ndarray:
+            return np.flatnonzero(answer(arrivals[None])[0])
+
         for r, channel in enumerate(channels):
-            fwd[r], fresh, answers = channel.round_trip(
-                sends, size_b, drain_at, lambda t: np.flatnonzero(answer(t[None])[0]))
+            fwd[r], fresh, answers = channel.round_trip(sends, size_b, drain_at, picks)
             picked[r, fresh] = True
             bwd[r, fresh] = answers
         return fwd, picked, bwd

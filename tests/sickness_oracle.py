@@ -5,13 +5,17 @@ This is `measure_E` as it ran before the replay became a timing skeleton
 plus a value recurrence: every command, feedback and topology hop is an
 event on the virtual clock, and the hand position comes from
 `HandTrajectory.position_at` at each feedback arrival. Only the imports
-changed. tests/test_sickness_skeleton.py compares the two bit for bit.
+changed, and the robot (stale-command filter and first-order lag) is
+written out here instead of taken from `tcpsbench.loopsim`, so the two
+share no lag arithmetic. tests/test_sickness_skeleton.py compares the two
+bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from tcpsbench.clock import EventScheduler, PRIO_CONTROL
-from tcpsbench.loopsim import Robot
 from tcpsbench.sickness import (
     ERROR_LIMIT_MM,
     HandTrajectory,
@@ -36,7 +40,7 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
     sched = EventScheduler()
     channel.bind(sched)
 
-    robot = Robot(robot_tau_ms, float(traj.positions[0]))
+    robot_y, cmd_newest, last_t = float(traj.positions[0]), -1, 0.0
     errors: list[float] = []
     fb_newest = -1
 
@@ -49,9 +53,18 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
         errors.append(pkt.value - hand_now)
 
     def on_command(pkt: Packet) -> None:
-        if robot.move(pkt, sched.now):
-            channel.send(BACKWARD, Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch,
-                                          x=0.0, value=robot.y), packet_size_b, on_feedback)
+        nonlocal robot_y, cmd_newest, last_t
+        if pkt.seq <= cmd_newest:
+            return
+        cmd_newest = pkt.seq
+        cmd, dt = pkt.value, sched.now - last_t
+        if robot_tau_ms == 0.0:
+            robot_y = cmd
+        else:
+            robot_y = robot_y + (cmd - robot_y) * (1.0 - math.exp(-dt / robot_tau_ms))
+        last_t = sched.now
+        channel.send(BACKWARD, Packet(kind=KIND_HAPTIC, seq=pkt.seq, epoch=pkt.epoch,
+                                      x=0.0, value=robot_y), packet_size_b, on_feedback)
 
     n = len(traj.positions)
     sent = [0]

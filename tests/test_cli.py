@@ -117,7 +117,21 @@ class TestConfigErrors:
         ["netsim", "--config", "usnet-nw", "--placements", "S0"],
         ["probe", "measure", "--remote", "localhost"],
         ["probe", "serve", "--bind", "127.0.0.1:http"],
-    ], ids=["gspec", "gspec-list", "rates", "placements", "remote", "bind"])
+        # each of these used to fail after binding: a traceback (exit 1) from
+        # the socket timeout or the sleep, a run that sent or echoed nothing
+        # (exit 0), or a packet too small to encode (exit 3)
+        ["probe", "measure", "--deadline-ms=-1"],
+        ["probe", "measure", "--deadline-ms", "nan"],
+        ["probe", "serve", "--deadline-ms=-1"],
+        ["probe", "serve", "--deadline-ms", "nan"],
+        ["probe", "measure", "--interval-ms", "inf"],
+        ["probe", "measure", "--count=-1"],
+        ["probe", "serve", "--count=-2"],
+        ["probe", "measure", "--packet-size", "8"],
+    ], ids=["gspec", "gspec-list", "rates", "placements", "remote", "bind",
+            "measure-deadline-negative", "measure-deadline-nan", "serve-deadline-negative",
+            "serve-deadline-nan", "interval-inf", "measure-count", "serve-count",
+            "packet-size"])
     def test_bad_argument_exits_2_before_any_work(self, argv, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
@@ -252,7 +266,8 @@ class TestSickness:
                         "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert "not derivable" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fs", ["nan", "inf", "-inf"])
+    # -5 used to take the file's rate in predict and measure, as --fs 0 does
+    @pytest.mark.parametrize("fs", ["nan", "inf", "-inf", "-5"])
     def test_non_finite_sampling_rate_exits_2(self, tmp_path, fs):
         traj = tmp_path / "t" / "trajectory.csv"
         assert run(["sickness", "synth", "--fs", 30, "--steps", 300, "--vmax", 0.02,

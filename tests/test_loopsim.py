@@ -261,6 +261,9 @@ class TestRunStepExperiment:
             LoopConfig(k_p=2.0, k_2=1.5)  # gain above k2
         with pytest.raises(ValueError):
             LoopConfig(step_at=100)
+        for size in (0, -5, 32.5, True):  # a float or bool size used to run
+            with pytest.raises(ValueError, match="packet_size_b"):
+                LoopConfig(packet_size_b=size)
 
     def test_initial_states(self):
         h = Operator(LoopConfig())
