@@ -38,6 +38,7 @@ from .transport import (
     DirectionStats,
     Packet,
     SocketTimeout,
+    _fresh_mask,
 )
 
 
@@ -284,27 +285,6 @@ class StepExperimentRecord:
     channel_stats: dict[str, DirectionStats] = field(default_factory=dict)
 
 
-def _fresh_mask(arrivals: np.ndarray) -> np.ndarray:
-    """The mask of the packets of each row of arrival times (a channel's
-    packets in send order, NaN: lost) that are taken in delivery order,
-    each newer than every one delivered before it (send index stands for
-    sequence number). The delivery order is the clock's: by arrival time,
-    ties in send order. So a landed packet is fresh when no later send
-    lands strictly before it: when it lands at or before the minimum
-    arrival of the later sends, a running minimum from the last send on,
-    seeded with inf (fmin skips the lost sends, so it is never NaN)."""
-    later = np.empty(arrivals.shape)
-    later[..., :1] = np.inf
-    later[..., 1:] = arrivals[..., :0:-1]
-    np.fmin.accumulate(later, axis=-1, out=later)
-    return arrivals <= later[..., ::-1]
-
-
-def _fresh(arrivals: np.ndarray) -> np.ndarray:
-    """Send indices of one channel's fresh packets (_fresh_mask); ascending."""
-    return np.flatnonzero(_fresh_mask(arrivals))
-
-
 # a batch's loop constants under LoopConfig's names: floats for a batch of
 # one, else rows (a scalar operand costs a conversion per numpy call); a unit
 # gain is None, its product skipped (1.0 * v is v, bit for bit)
@@ -329,13 +309,14 @@ class StepBatch:
 
     def record(self, i: int) -> StepExperimentRecord:
         trace = list(zip(self.sends.tolist(), self.x.tolist(), self.ys[:, i].tolist()))
-        # the feedback on command k was the k-th fresh command's answer, so
-        # command order is its send order too
+        # the feedback on command k sits in column k, so command order is its
+        # send order too
         fwd, bwd = self.fwd[i], self.bwd[i]
         landed = int(np.count_nonzero(bwd == bwd))
         cmd_stale = int(np.count_nonzero(fwd == fwd)) - int(self.curves.lengths[i])
         stats = {FORWARD: DirectionStats(*self.counts[i][0], cmd_stale),
-                 BACKWARD: DirectionStats(*self.counts[i][1], landed - len(_fresh(bwd)))}
+                 BACKWARD: DirectionStats(*self.counts[i][1],
+                                          landed - int(np.count_nonzero(_fresh_mask(bwd))))}
         return StepExperimentRecord(curve=self.curves.curve(i), operator_trace=trace,
                                     channel_stats=stats)
 
@@ -386,7 +367,7 @@ def run_step_batch(cfg: LoopConfig, channels: list) -> StepBatch:
     # arrival times by command and the channels' (sent, delivered, dropped)
     # counts per direction
     fwd, picked, bwd = type(channels[0]).round_trips(channels, sends, cfg.packet_size_b,
-                                                     float(ticks[-1]), _fresh_mask)
+                                                     float(ticks[-1]))
     counts, rows = [_counts(c) for c in channels], len(channels)
     # each row's fresh commands in send order, as flat indices of a (rows x n)
     # block, and as row r and command c; the feedback on command k sits in

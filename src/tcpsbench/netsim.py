@@ -18,12 +18,12 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 from random import Random
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .core import TcpsbenchError
-from .transport import BACKWARD, FORWARD, LinkQueue, SimChannel
+from .transport import BACKWARD, FORWARD, LinkQueue, SimChannel, _fresh_mask
 
 
 class Unreachable(TcpsbenchError):
@@ -261,20 +261,21 @@ class NetsimChannel(SimChannel):
         self._emitters = [(Random(seed * 1_000_003 + idx).uniform(0.0, period), period, size_b)
                           for idx, period, size_b in sims]
 
-    def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float,
-                   answer: Callable[[np.ndarray], np.ndarray]):
+    def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float):
         """SimChannel.round_trip, computed by _run."""
-        arrivals = self._run(sends, size_b, drain_at, answer)
-        fwd, bwd = arrivals[-2][-1], arrivals[-1][-1]
-        for direction, t in ((FORWARD, fwd), (BACKWARD, bwd)):
+        arrivals = self._run(sends, size_b, drain_at)
+        fwd, answers = arrivals[-2][-1], arrivals[-1][-1]
+        picked = _fresh_mask(fwd)
+        bwd = np.full(len(fwd), np.nan)
+        bwd[picked] = answers
+        for direction, t in ((FORWARD, fwd), (BACKWARD, answers)):
             stats, landed = self.stats[direction], int(np.count_nonzero(t == t))
             stats.sent += len(t)
             stats.dropped += len(t) - landed
             stats.delivered += landed
-        return fwd, answer(fwd), bwd
+        return fwd, picked, bwd
 
-    def _run(self, sends: np.ndarray, size_b: int, drain_at: float,
-             answer: Callable[[np.ndarray], np.ndarray]) -> list[list[np.ndarray]]:
+    def _run(self, sends: np.ndarray, size_b: int, drain_at: float) -> list[list[np.ndarray]]:
         """The arrival times of every stream's packets at each hop and past
         the last, NaN once lost. Flows emit at their CBR times at or before
         drain_at (summed left to right, as repeated t + period adds them).
@@ -294,19 +295,19 @@ class NetsimChannel(SimChannel):
             while True:
                 moved = False
                 for hop in group:
-                    moved |= self._admit(hop, arrivals, sizes, answer, len(group) > 1)
+                    moved |= self._admit(hop, arrivals, sizes, len(group) > 1)
                 if not moved or len(group) == 1:
                     break
         return arrivals
 
     def _admit(self, hop: tuple[str, str] | None, arrivals: list, sizes: list[int],
-               answer: Callable[[np.ndarray], np.ndarray], settle: bool) -> bool:
-        """Run one link (None: the far end answers the commands that have
-        landed) on its current inputs. When settling a group, True if an
-        output changed."""
+               settle: bool) -> bool:
+        """Run one link (None: the far end answers the fresh commands that
+        have landed) on its current inputs. When settling a group, True if
+        an output changed."""
         if hop is None:
             fwd = arrivals[-2][-1]
-            outs = [(arrivals[-1], 0, fwd[answer(fwd)])]
+            outs = [(arrivals[-1], 0, fwd[_fresh_mask(fwd)])]
         else:
             queue = self._queues[hop]
             queue.free_at, queue.departures = 0.0, []
@@ -370,8 +371,7 @@ def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...] | list[
     chan = NetsimChannel(placed, tuple(flows), seed, queue_cap)
     horizon = 2.0 * t_send + 1.0
     while True:
-        hops = [float(t[0]) for t in chan._run(np.array([t_send]), pkt_bytes, horizon,
-                                               lambda fwd: np.empty(0, dtype=int))[-2]]
+        hops = [float(t[0]) for t in chan._run(np.array([t_send]), pkt_bytes, horizon)[-2]]
         if [t for t in hops if t == t][-1] <= horizon:
             break
         horizon *= 2.0

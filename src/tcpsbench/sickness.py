@@ -6,7 +6,7 @@ hand-speed ceiling, E can be predicted straight from the trajectory's
 velocity histogram; replaying the same trajectory through a channel (with
 an optional robot actuation lag) measures it. Like a step run, the replay
 is a timing skeleton plus a value recurrence: the arrival times of all
-commands and answers come from loopsim's round trip, and the robot lag and
+commands and answers come from the channel's round trip, and the robot lag and
 the errors follow from those times.
 """
 
@@ -22,8 +22,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import TcpsbenchError
-from .loopsim import _fresh, _lag_factors, check_packet_size, check_tau, lag_step
+from .loopsim import _lag_factors, check_packet_size, check_tau, lag_step
 from .qoc import QoCResult
+from .transport import _fresh_mask
 
 ERROR_LIMIT_MM = 1.0
 HIST_BIN_MM = 0.1
@@ -140,20 +141,20 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
     sends = np.full(n, 1000.0 / traj.fs_hz)
     sends[0] = 0.0
     np.add.accumulate(sends, out=sends)
-    fwd, fresh, bwd = channel.round_trip(sends, packet_size_b, float(sends[-1]), _fresh)
+    fwd, picked, bwd = channel.round_trip(sends, packet_size_b, float(sends[-1]))
 
-    robot_y = pos[fresh]
+    robot_y = pos[picked]
     if robot_tau_ms > 0.0:
         y, lagged = float(pos[0]), []
         for cmd, factor in zip(robot_y.tolist(),
-                               _lag_factors(np.diff(fwd[fresh], prepend=0.0), robot_tau_ms)):
+                               _lag_factors(np.diff(fwd[picked], prepend=0.0), robot_tau_ms)):
             y = lag_step(y, cmd, factor)
             lagged.append(y)
         robot_y = np.array(lagged)
-    # feedback m answers command fresh[m], so its send index orders sequence too
-    newest = _fresh(bwd)
+    # the answer to command k sits in column k, so its send index orders sequence too
+    newest = _fresh_mask(bwd)
     hand = np.interp(bwd[newest] / 1000.0 * traj.fs_hz, np.arange(n), pos)
-    err = robot_y[newest] - hand
+    err = robot_y[newest[picked]] - hand
 
     if not len(err):
         raise TooShort("no feedback arrived; cannot measure exposure")

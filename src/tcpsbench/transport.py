@@ -2,12 +2,13 @@
 
 Simulated channels carry full-precision floats and use the configured
 packet size only for serialization delay. A simulated run asks its channel
-for a whole value-free round trip (round_trip), and a batch of channels of
-one type asks the type for all of theirs as (channels x sends) blocks
-(round_trips): by default one channel at a time; impaired channels, with
-configurable latency, jitter, drop probability and serialization rate, as
-array blocks. The per-packet send on the virtual clock serves the
-event-driven reference runners.
+for a whole value-free round trip, in which the far end answers each fresh
+command (_fresh_mask) as it lands: round_trip for one channel, and
+round_trips for a batch of channels of one type, one row per channel of
+(channels x sends) blocks; by default one channel at a time, and impaired
+channels, with configurable latency, jitter, drop probability and
+serialization rate, as array blocks. The per-packet send on the virtual
+clock serves the event-driven reference runners.
 Serialization queues FIFO: a packet waits in its link's `LinkQueue` until
 the transmitter has sent the packets before it, on impaired links and
 topology links alike. The byte codec (fixed little-endian header, random padding to a configured size,
@@ -293,20 +294,36 @@ class LinkQueue:
         return d[1:]
 
 
+def _fresh_mask(arrivals: np.ndarray) -> np.ndarray:
+    """The mask of the packets of each row of arrival times (a channel's
+    packets in send order, NaN: lost) that are taken in delivery order,
+    each newer than every one delivered before it (send index stands for
+    sequence number). The delivery order is the clock's: by arrival time,
+    ties in send order. So a landed packet is fresh when no later send
+    lands strictly before it: when it lands at or before the minimum
+    arrival of the later sends, a running minimum from the last send on,
+    seeded with inf (fmin skips the lost sends, so it is never NaN)."""
+    later = np.empty(arrivals.shape)
+    later[..., :1] = np.inf
+    later[..., 1:] = arrivals[..., :0:-1]
+    np.fmin.accumulate(later, axis=-1, out=later)
+    return arrivals <= later[..., ::-1]
+
+
 class SimChannel:
     """Shell of a simulated bidirectional channel: per-direction stats,
     scheduler binding, and the bound check and delivery counting around
     each send on the virtual clock, whose subclass `_carry` moves one
     packet and schedules `deliver` at its arrival (an impaired channel
     does; a topology channel only runs round trips). Simulated runs use
-    round_trip(sends, size_b, drain_at, answer) instead: command k leaves
-    at sends[k] (sorted), the far end answers each command that
-    answer(arrivals) picks (ascending send indices, in delivery order) when
-    it lands, and periodic sources stop after drain_at. It returns the
-    commands' arrival times (NaN: lost), the picks and the answers' arrival
-    times as the clock would give them, and counts both directions in the
-    stats as send does once every packet has landed. A batch of channels
-    of one type runs its round trips through the type's round_trips."""
+    round_trip(sends, size_b, drain_at) instead: command k leaves at
+    sends[k] (sorted), the far end answers each fresh command (_fresh_mask)
+    when it lands, and periodic sources stop after drain_at. It returns the
+    commands' arrival times (NaN: lost), the mask of the fresh commands and
+    the answers' arrival times, the answer to command k in column k (NaN:
+    none, or lost), as the clock would give them, and counts both
+    directions in the stats as send does once every packet has landed. It
+    is one row of round_trips, which runs a batch of channels of one type."""
 
     def __init__(self) -> None:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
@@ -314,25 +331,17 @@ class SimChannel:
 
     @classmethod
     def round_trips(cls, channels: Sequence["SimChannel"], sends: np.ndarray, size_b: int,
-                    drain_at: float, answer: Callable[[np.ndarray], np.ndarray]):
+                    drain_at: float):
         """round_trip on each of a batch of channels, with the same sends,
-        as (channels x sends) blocks. answer maps a block of the commands'
-        arrival times to the mask of the commands the far end answers in
-        each row. Returns that block, the mask and the answers' arrival
-        times, the answer to command k in column k (NaN: none, or lost).
-        By default the channels run one at a time and each row is copied
-        into the block (a round trip may return views of larger arrays)."""
+        as (channels x sends) blocks, one row per channel. By default the
+        channels run one at a time and each row is copied into the block
+        before the next runs (a round trip may return views of larger
+        arrays, which the block must not keep alive)."""
         rows, n = len(channels), len(sends)
-        fwd, bwd = np.empty((rows, n)), np.full((rows, n), np.nan)
-        picked = np.zeros((rows, n), dtype=bool)
-
-        def picks(arrivals: np.ndarray) -> np.ndarray:
-            return np.flatnonzero(answer(arrivals[None])[0])
-
+        fwd, bwd = np.empty((rows, n)), np.empty((rows, n))
+        picked = np.empty((rows, n), dtype=bool)
         for r, channel in enumerate(channels):
-            fwd[r], fresh, answers = channel.round_trip(sends, size_b, drain_at, picks)
-            picked[r, fresh] = True
-            bwd[r, fresh] = answers
+            fwd[r], picked[r], bwd[r] = channel.round_trip(sends, size_b, drain_at)
         return fwd, picked, bwd
 
     def bind(self, scheduler: EventScheduler) -> None:
@@ -658,7 +667,7 @@ class ImpairedChannel(SimChannel):
 
     @classmethod
     def round_trips(cls, channels: Sequence["ImpairedChannel"], sends: np.ndarray, size_b: int,
-                    drain_at: float, answer: Callable[[np.ndarray], np.ndarray]):
+                    drain_at: float):
         """SimChannel.round_trips for channels of one model, computed over
         (channels x sends) blocks and bit for bit the round trips one at a
         time; channels of several models raise ValueError. The backward
@@ -670,7 +679,7 @@ class ImpairedChannel(SimChannel):
         fwd = _carry_rows([c._links[FORWARD] for c in channels],
                           [c.stats[FORWARD] for c in channels],
                           sends[None].repeat(rows, axis=0), None, None, size_b)
-        picked = answer(fwd)
+        picked = _fresh_mask(fwd)
         counts = picked.sum(axis=1)
         sent = np.arange(n) < counts[:, None]
         packed = np.zeros((rows, n))
@@ -682,17 +691,9 @@ class ImpairedChannel(SimChannel):
         bwd[picked] = back[sent]
         return fwd, picked, bwd
 
-    def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float,
-                   answer: Callable[[np.ndarray], np.ndarray]):
+    def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float):
         """SimChannel.round_trip as a batch of one of round_trips."""
-        def picks(fwd: np.ndarray) -> np.ndarray:
-            mask = np.zeros(fwd.shape, dtype=bool)
-            mask[0, answer(fwd[0])] = True
-            return mask
-
-        fwd, picked, bwd = self.round_trips([self], sends, size_b, drain_at, picks)
-        fresh = np.flatnonzero(picked[0])
-        return fwd[0], fresh, bwd[0, fresh]
+        return tuple(b[0] for b in self.round_trips([self], sends, size_b, drain_at))
 
     def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         t = self.transit_time(direction, size_b, self._sched.now)

@@ -5,9 +5,10 @@ replaced, kept as its oracle.
 from drop_seq and one uniform per packet, the transmitter's queue, then
 send + (latency + jitter) and the FIFO clamp, reading the channel's own
 streams and leaving its state as the per-packet transit_time would.
-`round_trip` is the round trip built from two of them. `round_trips` runs
-the round trips of a whole batch of channels as (channels x sends) blocks;
-`tests/test_round_trips.py` matches the two bit for bit.
+`round_trip` is the round trip built from two of them, the far end
+answering the commands that `picks` takes in delivery order. `round_trips`
+runs the round trips of a whole batch of channels as (channels x sends)
+blocks; `tests/test_round_trips.py` matches the two bit for bit.
 """
 
 import numpy as np
@@ -54,8 +55,33 @@ def carry(channel, direction, send_times, size_b):
     return out
 
 
-def round_trip(channel, sends, size_b, drain_at, answer):
-    """SimChannel.round_trip as one carry per direction."""
+def _delivery_order(arrivals: np.ndarray) -> np.ndarray:
+    """Indices of the delivered packets (arrival not NaN) in the clock's
+    delivery order: by arrival time, ties in send order."""
+    kept = np.flatnonzero(arrivals == arrivals)  # NaN is unequal to itself
+    return kept[np.argsort(arrivals[kept], kind="stable")]
+
+
+def _newest_first_seen(order: np.ndarray) -> np.ndarray:
+    """Mask of the deliveries newer than every one before them (the rest
+    are stale); send index stands for sequence number."""
+    return order == np.maximum.accumulate(order)
+
+
+def picks(arrivals: np.ndarray) -> np.ndarray:
+    """Mask of the packets taken in delivery order, each newer than every
+    one delivered before it."""
+    order = _delivery_order(arrivals)
+    mask = np.zeros(len(arrivals), dtype=bool)
+    mask[order[_newest_first_seen(order)]] = True
+    return mask
+
+
+def round_trip(channel, sends, size_b, drain_at):
+    """SimChannel.round_trip as one carry per direction: the commands'
+    arrival times, the picks and the answers by command column."""
     fwd = carry(channel, FORWARD, sends, size_b)
-    picked = answer(fwd)
-    return fwd, picked, carry(channel, BACKWARD, fwd[picked], size_b)
+    picked = picks(fwd)
+    bwd = np.full(len(sends), np.nan)
+    bwd[picked] = carry(channel, BACKWARD, fwd[picked], size_b)
+    return fwd, picked, bwd

@@ -12,7 +12,6 @@ it the oracle that tests/test_netsim_engine.py compares
 
 from __future__ import annotations
 
-import math
 from random import Random
 from typing import Callable
 
@@ -108,31 +107,32 @@ class NetsimChannel(SimChannel):
     def begin_drain(self) -> None:
         self._draining = True
 
-    def round_trip(self, sends, size_b, drain_at, answer):
+    def round_trip(self, sends, size_b, drain_at):
         """The round trip as a value-free replay on the clock: command 0 at
         once, the others as control events, then at drain_at the flows stop
         and the in-flight packets land. The far end answers a command when
-        it lands if answer() would pick it, that is, if it is newer than
-        every command that landed before it."""
+        it lands if it is newer than every command that landed before it.
+        Returns the commands' arrival times, the mask of the answered ones
+        and the answers' arrival times by command (NaN: none, or lost)."""
         sched = EventScheduler()
         self.bind(sched)
         times = sends.tolist()
         n = len(times)
-        fwd = np.full(n, np.nan)
-        bwd: list[float] = []
+        fwd, bwd = np.full(n, np.nan), np.full(n, np.nan)
+        picked = np.zeros(n, dtype=bool)
         newest = -1
         sent = 0
 
-        def on_feedback(m: int) -> None:
-            bwd[m] = sched.now
+        def on_feedback(k: int) -> None:
+            bwd[k] = sched.now
 
         def on_command(k: int) -> None:
             nonlocal newest
             fwd[k] = sched.now
             if k > newest:
                 newest = k
-                bwd.append(math.nan)
-                self.send(BACKWARD, len(bwd) - 1, size_b, on_feedback)
+                picked[k] = True
+                self.send(BACKWARD, k, size_b, on_feedback)
 
         def send_next() -> None:
             nonlocal sent
@@ -145,7 +145,7 @@ class NetsimChannel(SimChannel):
 
         send_next()
         sched.run()
-        return fwd, answer(fwd), np.array(bwd)
+        return fwd, picked, bwd
 
 
 def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...],

@@ -16,7 +16,6 @@ import numpy as np
 
 from tcpsbench import cli, transport
 from tcpsbench.clock import EventScheduler
-from tcpsbench.loopsim import _fresh
 from tcpsbench.netsim import Link, Topology, TrafficFlow, channel_from_topology
 from tcpsbench.sickness import compliant_trajectory, write_trajectory_csv
 from tcpsbench.transport import FORWARD, ChannelModel, LinkParams
@@ -63,13 +62,13 @@ def test_cross_traffic_round_trip_is_neither_a_send_nor_an_event():
                         links=(Link("s0", "s1", 0.5, 1e6), Link("s1", "s2", 0.5, 1e6)),
                         hosts={"a": "s0", "b": "s2"}, te_master="s0", te_slave="s2")
         chan = channel_from_topology(topo, (TrafficFlow("a", "b", 5e5, 64),), 0, queue_cap=1)
-        fwd, _, bwd = chan.round_trip(0.1 * np.arange(20), 32, 2.0, _fresh)
+        fwd, picked, bwd = chan.round_trip(0.1 * np.arange(20), 32, 2.0)
         counts = tracing.op_counters(tracer.snapshot())
     finally:
         tracer.uninstall()
     assert counts["netsim.sends"] == 0
     assert counts["clock.events"] == 0
-    assert counts["netsim.tail_drops"] == int(np.isnan(fwd).sum() + np.isnan(bwd).sum()) > 0
+    assert counts["netsim.tail_drops"] == int(np.isnan(fwd).sum() + np.isnan(bwd[picked]).sum()) > 0
 
 
 def test_sickness_replay_is_counted_without_the_clock(tmp_path):

@@ -178,7 +178,7 @@ def test_no_jitter_draws_nothing():
     chan = ChannelModel(forward=LinkParams(latency_ms=0.7)).build(5)
     assert chan._links[FORWARD].jitter is None and chan._links[FORWARD].drops is None
     sends = 0.5 * np.arange(40)
-    got = chan.round_trip(sends, 32, 19.5, lambda fwd: np.empty(0, dtype=int))[0].tolist()
+    got = chan.round_trip(sends, 32, 19.5)[0].tolist()
     zeros = jitter_draws(Jitter.none(), Random(21), 40)
     assert got == [s + (0.7 + z) for s, z in zip(sends.tolist(), zeros)]
 

@@ -236,7 +236,7 @@ def test_cross_packets_at_the_same_instant_enter_smallest_first():
     chan = NetsimChannel(topo, (TrafficFlow("a", "b", 1e5, 1250),
                                 TrafficFlow("a", "b", 1e5, 64)), 0)
     chan._emitters = [(1.0, 100.0, 1250), (1.0, 100.0, 64)]  # one emission each, together
-    fwd, _, _ = chan.round_trip(np.array([11.2]), 32, 11.2, lambda fwd: np.empty(0, dtype=int))
+    fwd, _, _ = chan.round_trip(np.array([11.2]), 32, 11.2)
     assert fwd.tolist() == [11.2 + 0.256]
 
 

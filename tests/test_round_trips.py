@@ -8,6 +8,10 @@ bandwidth, FIFO off, every jitter kind, rows of 1, channels that carried
 packets before, with and without shared draws) every row must equal the
 oracle's round trip on a twin channel bit for bit, leave the same channel
 state, and let the per-packet transit_time continue the same streams.
+
+Every channel kind keeps one round-trip contract: `round_trip` is row 0 of
+its type's `round_trips` on a batch of one, and the far end answers the
+commands the clock would take fresh, in delivery order.
 """
 
 from collections import Counter
@@ -17,8 +21,8 @@ import numpy as np
 import pytest
 
 import carry_oracle
-from test_skeleton import _link
-from tcpsbench.loopsim import _fresh, _fresh_mask
+from test_skeleton import _case as _step_case
+from test_skeleton import _link, _topology_case
 from tcpsbench.transport import (
     BACKWARD,
     FORWARD,
@@ -57,7 +61,7 @@ def _history(rng, chans, twins):
                 assert repr(chan.transit_time(d, 64, t)) == repr(twin.transit_time(d, 64, t))
         else:
             for c in (chan, twin):
-                carry_oracle.round_trip(c, times, 64, 0.0, _fresh)
+                carry_oracle.round_trip(c, times, 64, 0.0)
 
 
 def _case(i):
@@ -76,14 +80,12 @@ def _run_case(i, seen):
     chans, twins = [model.build(s) for s in seeds], [model.build(s) for s in seeds]
     _history(rng, chans, twins)
     if len(chans) == 1 and rng.random() < 0.5:
-        fwd, fresh, answers = chans[0].round_trip(sends, size_b, 0.0, _fresh)
-        got = [(fwd, fresh, answers)]
+        got = [chans[0].round_trip(sends, size_b, 0.0)]
     else:
-        fwd, picked, bwd = ImpairedChannel.round_trips(chans, sends, size_b, 0.0, _fresh_mask)
-        got = [(fwd[r], np.flatnonzero(picked[r]), bwd[r][picked[r]]) for r in range(len(chans))]
-        assert np.isnan(bwd[~picked]).all()
+        got = list(zip(*ImpairedChannel.round_trips(chans, sends, size_b, 0.0)))
     for r, twin in enumerate(twins):
-        want = carry_oracle.round_trip(twin, sends, size_b, 0.0, _fresh)
+        assert np.isnan(got[r][2][~got[r][1]]).all()
+        want = carry_oracle.round_trip(twin, sends, size_b, 0.0)
         assert repr([a.tolist() for a in got[r]]) == repr([a.tolist() for a in want]), (i, r)
         assert _state(chans[r]) == _state(twin), (i, r)
     # the per-packet path continues the same streams from the same state
@@ -126,4 +128,38 @@ def test_round_trips_match_without_shared_draws_and_cover_the_features():
 def test_round_trips_take_one_model():
     a, b = ChannelModel(), ChannelModel(forward=LinkParams(latency_ms=2.0))
     with pytest.raises(ValueError, match="one model"):
-        ImpairedChannel.round_trips([a.build(0), b.build(1)], np.zeros(3), 32, 0.0, _fresh_mask)
+        ImpairedChannel.round_trips([a.build(0), b.build(1)], np.zeros(3), 32, 0.0)
+
+
+def _contract_cases():
+    """(kind, channel factory, round_trip arguments) of random step runs:
+    impaired channels, and topology channels tactile-only and loaded, each
+    also as the event-per-packet oracle channel."""
+    for i in range(60):
+        cfg, model = _step_case(i)
+        yield "impaired", lambda: model.build(cfg.seed), cfg
+        for loaded in (False, True) if i % 2 == 0 else ():
+            cfg, factory = _topology_case(4 * i, loaded)
+            kind = "loaded" if loaded else "tactile-only"
+            yield kind, factory, cfg
+            yield kind + " oracle", lambda factory=factory: factory(oracle=True), cfg
+
+
+def test_round_trip_is_row_0_of_round_trips_and_answers_the_fresh_commands():
+    seen = Counter()
+    for kind, factory, cfg in _contract_cases():
+        sends = np.concatenate(([0.0], np.add.accumulate(np.full(cfg.sweep_len - 1,
+                                                                 cfg.delta_ms))))
+        args = (sends, cfg.packet_size_b, float(sends[-1] + cfg.delta_ms))
+        chan, twin = factory(), factory()
+        got = chan.round_trip(*args)
+        want = [block[0] for block in type(twin).round_trips([twin], *args)]
+        assert repr([a.tolist() for a in got]) == repr([a.tolist() for a in want]), kind
+        assert chan.stats == twin.stats, kind
+        fwd, picked, bwd = got
+        assert picked.dtype == bool and (picked == carry_oracle.picks(fwd)).all(), kind
+        assert np.isnan(bwd[~picked]).all(), kind
+        seen[kind] += 1
+        seen["stale"] += int(np.count_nonzero(fwd == fwd)) > int(np.count_nonzero(picked))
+        seen["lost answer"] += bool(np.isnan(bwd[picked]).any())
+    assert seen["stale"] >= 5 and seen["lost answer"] >= 5, seen

@@ -17,26 +17,6 @@ from tcpsbench.loopsim import LoopConfig, StepExperimentRecord
 from tcpsbench.transport import BACKWARD, FORWARD, DirectionStats, ImpairedChannel
 
 
-def _delivery_order(arrivals: np.ndarray) -> np.ndarray:
-    """Indices of the delivered packets (arrival not NaN) in the clock's
-    delivery order: by arrival time, ties in send order."""
-    kept = np.flatnonzero(arrivals == arrivals)  # NaN is unequal to itself
-    return kept[np.argsort(arrivals[kept], kind="stable")]
-
-
-def _newest_first_seen(order: np.ndarray) -> np.ndarray:
-    """Mask of the deliveries newer than every one before them (the rest
-    are stale); send index stands for sequence number."""
-    return order == np.maximum.accumulate(order)
-
-
-def _fresh(arrivals: np.ndarray) -> np.ndarray:
-    """Send indices of the packets taken in delivery order, each newer than
-    every one delivered before it; ascending."""
-    order = _delivery_order(arrivals)
-    return order[_newest_first_seen(order)]
-
-
 def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
     """robot_lag's factor 1 - exp(-dt / tau) for each fresh command, dt
     since the one before (the robot's clock starts at 0)."""
@@ -46,22 +26,25 @@ def _lag_factors(t_fresh: np.ndarray, tau_ms: float) -> list[float]:
 
 def run_trial(cfg: LoopConfig, channel) -> StepExperimentRecord:
     """One sweep: the channel's value-free round trip (an impaired
-    channel's through the per-channel carry oracle), then the PI update,
-    robot lag and step plant in command order."""
+    channel's through the per-channel carry oracle; any other channel's
+    picks must be the carry oracle's), then the PI update, robot lag and
+    step plant in command order."""
     n = cfg.sweep_len
     ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
     sends = np.concatenate(([0.0], ticks[:-1]))
-    round_trip = channel.round_trip
     if isinstance(channel, ImpairedChannel):
-        round_trip = lambda *args: carry_oracle.round_trip(channel, *args)
-    fwd, fresh, bwd = round_trip(sends, cfg.packet_size_b, float(ticks[-1]), _fresh)
+        fwd, picked, bwd = carry_oracle.round_trip(channel, sends, cfg.packet_size_b,
+                                                   float(ticks[-1]))
+    else:
+        fwd, picked, bwd = channel.round_trip(sends, cfg.packet_size_b, float(ticks[-1]))
+        assert (picked == carry_oracle.picks(fwd)).all()
+    fresh = np.flatnonzero(picked)
     t_fresh = fwd[fresh]
-    # feedback m answers command fresh[m], so its send index orders sequence too
-    fb_order = _delivery_order(bwd)
-    op_stale = len(fb_order) - int(np.count_nonzero(_newest_first_seen(fb_order)))
+    # the feedback on command k sits in column k, so its send index orders sequence too
+    answered = carry_oracle._delivery_order(bwd)
+    op_stale = len(answered) - int(np.count_nonzero(carry_oracle._newest_first_seen(answered)))
 
-    answered = fresh[fb_order]
-    first_tick = np.maximum(answered + 1, np.searchsorted(ticks, bwd[fb_order]) + 1)
+    first_tick = np.maximum(answered + 1, np.searchsorted(ticks, bwd[answered]) + 1)
     held = np.full(n + 2, -1)
     np.maximum.at(held, np.minimum(first_tick, n + 1), answered)
     held = np.maximum.accumulate(held).tolist()  # freshest feedback at each tick, -1: none
@@ -71,13 +54,11 @@ def run_trial(cfg: LoopConfig, channel) -> StepExperimentRecord:
     step = cfg.step_index if haptic else cfg.step_index - 1  # epochs count from 1
     k_p, p_ref, k_2 = cfg.k_p, cfg.p_ref, cfg.k_2
     lags = iter(_lag_factors(t_fresh, cfg.robot_tau_ms)) if cfg.robot_tau_ms > 0.0 else None
-    is_fresh = np.zeros(n, dtype=bool)
-    is_fresh[fresh] = True
     ys = [0.0] * n
     sig = [p_ref] * (n + 1)  # sig[-1]: the value the operator holds before any feedback
     y = 0.0 if haptic else p_ref
     robot_y = 0.0
-    for k, take in enumerate(is_fresh.tolist()):
+    for k, take in enumerate(picked.tolist()):
         ys[k] = y
         if take:
             robot_y = y if lags is None else robot_y + (y - robot_y) * next(lags)
