@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -105,8 +106,17 @@ def _metrics_summary(m) -> str:
 
 # argparse types: a bad argument is a usage error (exit 2) before any work starts
 
+# the longest wait in ms: a socket timeout takes up to threading.TIMEOUT_MAX
+# seconds, but time.sleep adds its wait to the monotonic clock, and that sum
+# must fit in the same range, so half of it
+_WAIT_MAX_MS = threading.TIMEOUT_MAX * 500.0
+
+
 def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+    values = [float(x) for x in text.split(",") if x]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _gspecs(text: str) -> list[float]:
@@ -121,15 +131,16 @@ def _gspec(text: str) -> float:
     return g
 
 
-def _number(convert: Callable[[str], float], least: float, above: bool = False):
+def _number(convert: Callable[[str], float], least: float, above: bool = False,
+            most: float = math.inf):
     """An argparse type: a finite number (convert: int or float) of at
-    least `least`, or above it."""
+    least `least`, or above it, and at most `most`."""
     def parse(text: str) -> float:
         v = convert(text)
-        if not math.isfinite(v) or v < least or (above and v == least):
+        if not math.isfinite(v) or v < least or (above and v == least) or v > most:
             raise argparse.ArgumentTypeError(
-                f"expected a finite number {'above' if above else 'of at least'} {least}, "
-                f"got {text!r}")
+                f"expected a finite number {'above' if above else 'of at least'} {least}"
+                f"{'' if most == math.inf else f' and at most {most}'}, got {text!r}")
         return v
 
     parse.__name__ = convert.__name__  # argparse names the type in its errors
@@ -390,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("step", help="run one step experiment, emit curve + metrics")
     common(p)
     p.add_argument("--delta-ms", type=float, default=None, help="override loop wait time")
-    p.add_argument("--deadline-ms", type=float, default=5000.0,
-                   help="socket mode: feedback deadline before timing out")
+    p.add_argument("--deadline-ms", type=_number(float, 0.0, above=True, most=_WAIT_MAX_MS),
+                   default=5000.0, help="socket mode: feedback deadline before timing out")
     p.set_defaults(fn=cmd_step)
 
     p = sub.add_parser("delta-opt", help="least loop time with a good single-run curve")
@@ -447,9 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--remote", default="127.0.0.1:9870", help="measure: responder address")
     p.add_argument("--count", type=_number(int, 0), default=20,
                    help="packets to send/echo (0 = forever)")
-    p.add_argument("--interval-ms", type=_number(float, 0.0), default=1.0)
+    p.add_argument("--interval-ms", type=_number(float, 0.0, most=_WAIT_MAX_MS), default=1.0)
     p.add_argument("--packet-size", type=_number(int, MIN_PACKET_BYTES), default=MIN_PACKET_BYTES)
-    p.add_argument("--deadline-ms", type=_number(float, 0.0, above=True), default=1000.0)
+    p.add_argument("--deadline-ms", type=_number(float, 0.0, above=True, most=_WAIT_MAX_MS),
+                   default=1000.0)
     p.add_argument("--plant-config", default=None,
                    help="serve a full teleoperator plant from this experiment config")
     p.set_defaults(fn=cmd_probe)

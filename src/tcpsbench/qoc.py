@@ -69,16 +69,9 @@ class StepRunner:
     cfg: LoopConfig
     channel_factory: Callable[[int], object]
     limits: GoodnessLimits = DEFAULT_LIMITS
-    # cfg at each loop time run so far; the seed reaches a trial through its
-    # channel only, so the trials at one loop time share one config
-    _at_delta: dict[float, LoopConfig] = field(default_factory=dict, init=False, repr=False,
-                                               compare=False)
 
     def _cfg(self, delta_ms: float) -> LoopConfig:
-        cfg = self._at_delta.get(delta_ms)
-        if cfg is None:
-            cfg = self._at_delta[delta_ms] = replace(self.cfg, delta_ms=delta_ms)
-        return cfg
+        return replace(self.cfg, delta_ms=delta_ms)
 
     def run(self, delta_ms: float, seed: int) -> StepExperimentRecord:
         return run_step_experiment(self._cfg(delta_ms), self.channel_factory(seed))

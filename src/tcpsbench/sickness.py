@@ -6,8 +6,8 @@ hand-speed ceiling, E can be predicted straight from the trajectory's
 velocity histogram; replaying the same trajectory through a channel (with
 an optional robot actuation lag) measures it. Like a step run, the replay
 is a timing skeleton plus a value recurrence: the arrival times of all
-commands and answers come from the channel's round trip, and the robot lag and
-the errors follow from those times.
+commands and answers come from the channel's round trip, and the robot lag
+and the errors follow from those times.
 """
 
 from __future__ import annotations

@@ -128,10 +128,25 @@ class TestConfigErrors:
         ["probe", "measure", "--count=-1"],
         ["probe", "serve", "--count=-2"],
         ["probe", "measure", "--packet-size", "8"],
+        # a wait past the platform's time range: an OverflowError traceback (exit 1);
+        # a sleep just under threading.TIMEOUT_MAX seconds raised OSError (EINVAL)
+        ["probe", "measure", "--deadline-ms", "1e15"],
+        ["probe", "serve", "--deadline-ms", "1e15"],
+        ["probe", "measure", "--interval-ms", "1e15"],
+        ["probe", "measure", "--interval-ms", "9223372035000"],
+        # a negative deadline ran and timed out (exit 3); nan turned it off (exit 0)
+        ["step", "--deadline-ms=-1"],
+        ["step", "--deadline-ms", "nan"],
+        ["step", "--deadline-ms", "1e15"],
+        # no rate: a header-only netsim.csv (exit 0)
+        ["netsim", "--config", "usnet-nw", "--rates", ""],
+        ["netsim", "--config", "usnet-nw", "--rates", ","],
     ], ids=["gspec", "gspec-list", "rates", "placements", "remote", "bind",
             "measure-deadline-negative", "measure-deadline-nan", "serve-deadline-negative",
             "serve-deadline-nan", "interval-inf", "measure-count", "serve-count",
-            "packet-size"])
+            "packet-size", "measure-deadline-huge", "serve-deadline-huge", "interval-huge",
+            "interval-past-sleep-range", "step-deadline-negative", "step-deadline-nan",
+            "step-deadline-huge", "rates-empty", "rates-commas"])
     def test_bad_argument_exits_2_before_any_work(self, argv, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
