@@ -132,12 +132,12 @@ def test_round_trips_take_one_model():
 
 
 def _contract_cases():
-    """(kind, channel factory, round_trip arguments) of random step runs:
+    """(kind, channel factory, loop config) of random step runs:
     impaired channels, and topology channels tactile-only and loaded, each
     also as the event-per-packet oracle channel."""
     for i in range(60):
         cfg, model = _step_case(i)
-        yield "impaired", lambda: model.build(cfg.seed), cfg
+        yield "impaired", lambda model=model, seed=cfg.seed: model.build(seed), cfg
         for loaded in (False, True) if i % 2 == 0 else ():
             cfg, factory = _topology_case(4 * i, loaded)
             kind = "loaded" if loaded else "tactile-only"
@@ -146,6 +146,9 @@ def _contract_cases():
 
 
 def test_round_trip_is_row_0_of_round_trips_and_answers_the_fresh_commands():
+    """On every channel kind, a step run's round trip equals row 0 of its
+    type's round_trips on a twin, and the far end answers exactly the
+    commands the clock's delivery order takes fresh."""
     seen = Counter()
     for kind, factory, cfg in _contract_cases():
         sends = np.concatenate(([0.0], np.add.accumulate(np.full(cfg.sweep_len - 1,
