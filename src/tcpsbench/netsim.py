@@ -260,12 +260,13 @@ class NetsimChannel(SimChannel):
         # comes from (seed, flow index), so adding a flow never perturbs the others
         self._emitters = [(Random(seed * 1_000_003 + idx).uniform(0.0, period), period, size_b)
                           for idx, period, size_b in sims]
+        self._picked = np.empty(0, dtype=bool)  # the commands the far end last answered
 
     def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float):
         """SimChannel.round_trip, computed by _run."""
         arrivals = self._run(sends, size_b, drain_at)
         fwd, answers = arrivals[-2][-1], arrivals[-1][-1]
-        picked = _fresh_mask(fwd)
+        picked = self._picked
         bwd = np.full(len(fwd), np.nan)
         bwd[picked] = answers
         for direction, t in ((FORWARD, fwd), (BACKWARD, answers)):
@@ -278,18 +279,27 @@ class NetsimChannel(SimChannel):
     def _run(self, sends: np.ndarray, size_b: int, drain_at: float) -> list[list[np.ndarray]]:
         """The arrival times of every stream's packets at each hop and past
         the last, NaN once lost. Flows emit at their CBR times at or before
-        drain_at (summed left to right, as repeated t + period adds them).
-        A group of links settles by sweeps from empty inputs: every hop takes
-        more than 0 ms, so packets can only depend on earlier ones, and each
-        sweep fixes at least one more hop latency of the run; the fixed
-        point is unique."""
+        drain_at (summed left to right, as repeated t + period adds them),
+        the flows of one period as the rows of one block. A group of links
+        settles by sweeps from empty inputs: every hop takes more than 0 ms,
+        so packets can only depend on earlier ones, and each sweep fixes at
+        least one more hop latency of the run; the fixed point is unique."""
         sizes = [size for *_, size in self._emitters] + [size_b, size_b]
         arrivals = [[np.empty(0) for _ in range(len(hops) + 1)] for hops in self._paths]
-        for s, (phase, period, _) in enumerate(self._emitters):
-            times = np.full(max(int((drain_at - phase) / period) + 3, 1), period)
-            times[0] = phase
-            np.add.accumulate(times, out=times)
-            arrivals[s][0] = times[:np.searchsorted(times, drain_at, side="right")]
+        by_period: dict[float, list[int]] = {}
+        for s, (_, period, _) in enumerate(self._emitters):
+            by_period.setdefault(period, []).append(s)
+        for period, streams in by_period.items():
+            phases = [self._emitters[s][0] for s in streams]
+            times = np.full((len(streams), max(int((drain_at - min(phases)) / period) + 3, 1)),
+                            period)
+            times[:, 0] = phases
+            np.add.accumulate(times, axis=1, out=times)
+            # a row's times never decrease, and pass drain_at within 3 more
+            # periods than fit before it
+            counts = np.count_nonzero(times <= drain_at, axis=1)
+            for s, row, count in zip(streams, times, counts.tolist()):
+                arrivals[s][0] = row[:count]
         arrivals[-2][0] = sends
         for group in self._order:
             while True:
@@ -303,11 +313,12 @@ class NetsimChannel(SimChannel):
     def _admit(self, hop: tuple[str, str] | None, arrivals: list, sizes: list[int],
                settle: bool) -> bool:
         """Run one link (None: the far end answers the fresh commands that
-        have landed) on its current inputs. When settling a group, True if
-        an output changed."""
+        have landed, whose mask it keeps for round_trip) on its current
+        inputs. When settling a group, True if an output changed."""
         if hop is None:
             fwd = arrivals[-2][-1]
-            outs = [(arrivals[-1], 0, fwd[_fresh_mask(fwd)])]
+            self._picked = _fresh_mask(fwd)
+            outs = [(arrivals[-1], 0, fwd[self._picked])]
         else:
             queue = self._queues[hop]
             queue.free_at, queue.departures = 0.0, []

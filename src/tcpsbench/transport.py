@@ -201,7 +201,7 @@ class LinkQueue:
 
     __slots__ = ("bandwidth_bps", "delay_ms", "cap", "free_at", "departures")
 
-    ROUNDS = 32  # numpy rounds of run() before the unsettled suffix goes through the loop
+    ROUNDS = 16  # rounds of _lindley before each busy period still moving is walked whole
 
     def __init__(self, bandwidth_bps: float, delay_ms: float = 0.0,
                  cap: int | None = None) -> None:
@@ -248,35 +248,21 @@ class LinkQueue:
     def run(self, a: np.ndarray, ser: np.ndarray, done: np.ndarray) -> np.ndarray:
         """The departures of a time-sorted batch (done = a + ser), NaN for a
         tail drop, by Lindley's recurrence with admit()'s arithmetic and cap
-        rule. Uncapped, numpy rounds start from d = done and recompute only
-        the packets whose predecessor changed, as max(a_k, d_{k-1}) + s_k,
-        until none changes: the loop's two float operations, and the
-        recurrence has one solution, so the result is bit-identical. The
-        first round takes every packet, on slices. After ROUNDS rounds the
-        unsettled suffix, and a capped batch from its start, go through the
-        sequential loop. Accepted departures never decrease, so "at least
-        cap in flight at now" is deps[-cap] > now, and the in-flight list is
-        filtered once, at the end, to what admit() would leave."""
-        n = len(a)
+        rule, bit for bit. Uncapped, _lindley solves the batch with no loop
+        over its packets. A capped batch goes through the sequential loop:
+        accepted departures never decrease, so "at least cap in flight at
+        now" is deps[-cap] > now, and the in-flight list is filtered once,
+        at the end, to what admit() would leave."""
         d = np.concatenate(([self.free_at], done))  # d[k + 1]: departure of packet k
-        k0 = 0
-        if self.cap is None and n:
-            new = np.maximum(a, d[:-1]) + ser
-            moved = np.flatnonzero(new != d[1:])
-            d[1:] = new
-            todo = moved[moved < n - 1] + 1
-            for _ in range(self.ROUNDS - 1):
-                if not len(todo):
-                    break
-                new = np.maximum(a[todo], d[todo]) + ser[todo]
-                moved = todo[new != d[todo + 1]]
-                d[todo + 1] = new
-                todo = moved[moved < n - 1] + 1
-            k0 = int(todo[0]) if len(todo) else n
-        free, cap, deps = float(d[k0]), self.cap, list(self.departures)
+        if self.cap is None:
+            if len(a):
+                _lindley(a, ser, d, self.ROUNDS)
+                self.free_at = float(d[-1])
+            return d[1:]
+        free, cap, deps = self.free_at, self.cap, list(self.departures)
         out, now, taken = [], None, False
-        for now, s in zip(a[k0:].tolist(), ser[k0:].tolist()):
-            if cap is not None and len(deps) >= cap and (cap == 0 or deps[-cap] > now):
+        for now, s in zip(a.tolist(), ser.tolist()):
+            if len(deps) >= cap and (cap == 0 or deps[-cap] > now):
                 out.append(math.nan)
                 taken = False
                 continue
@@ -284,14 +270,73 @@ class LinkQueue:
             free = start + s
             out.append(free)
             taken = True
-            if cap is not None:
-                deps.append(free)
-        if cap is not None and now is not None:
+            deps.append(free)
+        if now is not None:
             # admit() filters before it appends, so the last accepted one stays
             deps = [x for x in deps[:len(deps) - taken] if x > now] + deps[len(deps) - taken:]
-        d[k0 + 1:] = out
+        d[1:] = out
         self.free_at, self.departures = free, deps
         return d[1:]
+
+
+def _lindley(a: np.ndarray, ser: np.ndarray, d: np.ndarray, rounds: int) -> None:
+    """Lindley's recurrence d_k = max(a_k, d_{k-1}) + s_k over a time-sorted
+    batch, solved in place and bit for bit as the sequential loop computes
+    it: d[0] is the departure before the batch, and d[k + 1], packet k's,
+    starts at a_k + s_k. A round recomputes packets from their predecessors
+    with the loop's two float operations: whole-array sweeps while more
+    than a 16th of the batch changes, then only the packets whose
+    predecessor changed (todo). A round only raises a departure toward the
+    recurrence's unique solution, as float rounding is monotone, and a
+    packet outside todo agrees with its predecessor. So after `rounds`
+    rounds the departures before the first packet k of todo are final, and
+    k heads a busy period: its departures are the loop's own left-to-right
+    sum, np.add.accumulate([max(a_k, d_{k-1}) + s_k, s_{k+1}, ...]), read
+    in windows that double, up to the first packet j with a_j >= d_{j-1}.
+    Packet j's departure a_j + s_j is already final, and so is every
+    departure from j up to the next head in todo, which is walked the same
+    way."""
+    n = len(a)
+    new, moved = np.empty(n), np.empty(n - 1, dtype=bool)  # the sweeps' buffers
+    todo = None
+    for _ in range(rounds):
+        if todo is None:
+            np.maximum(a, d[:-1], out=new)
+            new += ser
+            np.not_equal(new[:-1], d[1:-1], out=moved)  # the last packet moves no successor
+            d[1:] = new
+            if np.count_nonzero(moved) * 16 < n:
+                todo = np.flatnonzero(moved) + 1
+        else:
+            nxt = todo + 1  # d[nxt]: the departures of the packets in todo
+            new = np.maximum(a[todo], d[todo])
+            new += ser[todo]
+            moved = (new != d[nxt]) & (nxt < n)  # changed, and a packet follows
+            d[nxt] = new
+            todo = nxt[moved]
+        if todo is not None and not len(todo):
+            return
+    if todo is None:
+        todo = np.flatnonzero(moved) + 1
+    end = 0
+    for k in todo.tolist():
+        if k <= end:  # inside, or at the final end of, a period already walked
+            continue
+        free, width = d[k], 2 * rounds
+        while k < n:
+            hi = min(k + width, n)
+            sums = ser[k:hi].copy()
+            sums[0] += max(a[k], free)
+            np.add.accumulate(sums, out=sums)
+            idle = np.flatnonzero(a[k + 1:hi] >= sums[:-1])
+            if len(idle):
+                end = k + 1 + int(idle[0])
+                d[k + 1:end + 1] = sums[:end - k]
+                break
+            d[k + 1:hi + 1] = sums
+            free, k, width = sums[-1], hi, 2 * width
+        else:
+            end = n
 
 
 def _fresh_mask(arrivals: np.ndarray) -> np.ndarray:

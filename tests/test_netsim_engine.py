@@ -248,3 +248,78 @@ def test_tail_dropped_packet_is_unreachable():
     flows = (TrafficFlow("a", "b", 5e6, 1250),)  # five times the link rate
     with pytest.raises(Unreachable):
         simulate_delivery(topo, flows, 32, 50.0, 0, queue_cap=1)
+
+
+def _per_flow_emissions(emitters, drain_at):
+    """Each flow's CBR emission times at or before drain_at, summed one
+    flow at a time, as the engine did before it summed the flows of one
+    period as the rows of one block."""
+    out = []
+    for phase, period, _ in emitters:
+        times = np.full(max(int((drain_at - phase) / period) + 3, 1), period)
+        times[0] = phase
+        np.add.accumulate(times, out=times)
+        out.append(times[:np.searchsorted(times, drain_at, side="right")])
+    return out
+
+
+def _mixed_period_case():
+    """Two switches and nine flows: three periods shared by two or three
+    flows each, and two flows with periods of their own."""
+    topo = Topology(switches=("S0", "S1"), links=(Link("S0", "S1", 0.2, 1e6),),
+                    hosts={"a": "S0", "b": "S1"}, te_master="S0", te_slave="S1")
+    flows = tuple(TrafficFlow(src, dst, rate, size)
+                  for src, dst, rate, size in (("a", "b", 1e5, 64), ("b", "a", 1e5, 64),
+                                               ("a", "b", 1e5, 64), ("a", "b", 2e5, 1250),
+                                               ("b", "a", 2e5, 1250), ("a", "b", 3e4, 200),
+                                               ("b", "a", 3e4, 200), ("a", "b", 7e4, 64),
+                                               ("b", "a", 4.5e5, 500)))
+    return topo, flows
+
+
+def test_flows_of_one_period_emit_as_they_did_one_flow_at_a_time():
+    """Every flow's emission times equal the per-flow sum, bit for bit:
+    flows of several periods, some shared and some not, with drain times
+    before, among and after their phases and at an emission; and a channel
+    with no flows."""
+    topo, flows = _mixed_period_case()
+    sends = np.array([0.5, 3.0])
+    empty = nonempty = 0
+    for seed in range(20):
+        chan = NetsimChannel(topo, flows, seed)
+        periods = [period for _, period, _ in chan._emitters]
+        assert len(set(periods)) == 5 and len(periods) == len(flows)
+        last = float(_per_flow_emissions(chan._emitters, 50.0)[seed % len(flows)][-1])
+        for drain_at in (0.0, 1.0, 7.3, 40.0, 250.0, last):  # last: a flow emits at drain_at
+            arrivals = chan._run(sends, 32, drain_at)
+            for s, want in enumerate(_per_flow_emissions(chan._emitters, drain_at)):
+                assert repr(arrivals[s][0].tolist()) == repr(want.tolist()), (seed, drain_at, s)
+                empty += not len(want)
+                nonempty += len(want) > 1
+    assert empty >= 20 and nonempty >= 100, (empty, nonempty)  # phases past drain_at, and not
+    chan = NetsimChannel(topo, (), 0)
+    assert chan._emitters == []
+    arrivals = chan._run(sends, 32, 10.0)
+    assert len(arrivals) == 2 and arrivals[0][0] is sends
+
+
+def test_mixed_period_loaded_round_trips_match_the_oracle():
+    """Round trips and step runs across flows of several shared and
+    unshared periods, loading the link near its rate, with and without a
+    queue cap, give the event-per-packet oracle's results bit for bit."""
+    topo, flows = _mixed_period_case()
+    rng = Random(19)
+    waited = 0
+    for case in range(12):
+        seed, cap = rng.randrange(1000), rng.choice((None, None, 2))
+        sends = np.add.accumulate([0.0] + [rng.uniform(0.5, 3.0) for _ in range(29)])
+        drain_at = float(sends[-1])
+        got = NetsimChannel(topo, flows, seed, cap).round_trip(sends, 64, drain_at)
+        want = netsim_oracle.NetsimChannel(topo, flows, seed, cap).round_trip(sends, 64, drain_at)
+        assert repr([x.tolist() for x in got]) == repr([x.tolist() for x in want]), case
+        waited += bool(np.any(got[0] - sends > 0.2 + 64 * 8.0 / 1e6 * 1000.0 + 1e-9))
+        cfg = LoopConfig(delta_ms=rng.uniform(0.5, 3.0), sweep_len=20, seed=seed)
+        assert (_record(run_step_experiment(cfg, NetsimChannel(topo, flows, seed, cap)))
+                == _record(run_step_experiment(
+                    cfg, netsim_oracle.NetsimChannel(topo, flows, seed, cap)))), case
+    assert waited >= 6, waited

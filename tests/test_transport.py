@@ -265,8 +265,9 @@ class TestLinkQueue:
         """A batch of mixed sizes gives admit()'s arrivals, called one packet
         at a time, bit for bit, and leaves the same state, under caps None,
         1, 2, 4 and 6; loads run from a tenth to three times the link rate,
-        so some uncapped busy periods outlast LinkQueue.ROUNDS and finish in
-        the sequential loop. Some packets arrive together."""
+        so some uncapped busy periods outlast LinkQueue.ROUNDS and the walk
+        over each busy period still moving settles them. Some packets
+        arrive together."""
         rng = Random(4)
         seen = Counter()
         for case in range(300):
