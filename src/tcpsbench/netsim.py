@@ -5,11 +5,11 @@ hosts hang off switches over ideal access links. Every packet (tactile or
 cross-traffic) queues FIFO per directed link behind earlier departures, pays
 the serialization time for its size, then the propagation delay. A round
 trip of tactile packets, with or without cross traffic, runs off the clock:
-each link admits everything it carries in one batch, through the FIFO
-(Lindley) recurrence of the shared link queue, with the links in the order
-in which packets flow between them. Exposed as a bidirectional channel
-between the two tactile endpoints so control-loop experiments can run
-across any placement under any traffic load.
+each link admits everything it carries in one batch, held in the order it
+serves it, through the FIFO (Lindley) recurrence of the shared link queue,
+with the links in the order in which packets flow between them. Exposed as
+a bidirectional channel between the two tactile endpoints so control-loop
+experiments can run across any placement under any traffic load.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import TcpsbenchError
-from .transport import BACKWARD, FORWARD, LinkQueue, SimChannel, _fresh_mask
+from .transport import BACKWARD, FORWARD, LinkQueue, SimChannel, _fresh_mask, _shared
 
 
 class Unreachable(TcpsbenchError):
@@ -166,14 +166,20 @@ def route(topology: Topology, a: str, b: str) -> list[tuple[str, str]]:
 # its topology, so the id cannot be reused while the plan is kept
 _PLANS: dict[tuple, tuple] = {}
 
+_NO_TIMES = np.empty(0)
+_NO_STREAMS = np.empty(0, dtype=np.intp)
+
 
 def _plan(topology: Topology, flows: tuple[TrafficFlow, ...], queue_cap: int | None) -> tuple:
     """What a channel needs of its topology, flows and queue cap, built once
     for every trial on them: the tactile routes, the kept links, the
-    simulated flows, each link's inputs and the order the links run in."""
+    simulated flows and their first links, the streams' tie ranks, what
+    feeds each link, the tactile stream each link carries, and the order
+    the links run in."""
     key = (id(topology), flows, queue_cap)
-    if key in _PLANS:
-        return _PLANS[key][1]
+    kept_plan = _PLANS.get(key)
+    if kept_plan is not None:
+        return kept_plan[1]
     routes = {
         FORWARD: route(topology, topology.te_master, topology.te_slave),
         BACKWARD: route(topology, topology.te_slave, topology.te_master),
@@ -199,21 +205,42 @@ def _plan(topology: Topology, flows: tuple[TrafficFlow, ...], queue_cap: int | N
                 links[hop] = (ln.bandwidth_bps, ln.delay_ms)
     # streams: the simulated flows in flow order, then the commands and the
     # answers. At equal times a link takes cross traffic first, ordered by
-    # (size, flow), then tactile packets
+    # (size, flow), then tactile packets: rank[s] is stream s's place in
+    # that order
     sims = [(idx, fl, reach(flow_routes[(fl.src, fl.dst)])) for idx, fl in enumerate(flows)]
     sims = [(idx, fl, hops) for idx, fl, hops in sims if fl.rate_bps > 0.0 and hops]
     paths = [hops for *_, hops in sims] + [routes[FORWARD], routes[BACKWARD]]
     ties = [(0, fl.pkt_bytes) for _, fl, _ in sims] + [(1, 0), (1, 0)]
-    inputs: dict = {hop: [] for hop in links}
+    rank = np.empty(len(paths), dtype=np.intp)
+    rank[sorted(range(len(paths)), key=lambda s: (ties[s], s))] = np.arange(len(paths))
+    # a link is fed by the links its streams cross just before it, each
+    # passing on the streams that go on to it (go: a mask by stream, None
+    # when all of them do); the commands as sent feed the first forward
+    # link, the answers as sent the first backward one
+    carried: dict = {}
+    passed: dict = {}
     for s, hops in enumerate(paths):
-        for j, hop in enumerate(hops):
-            inputs[hop].append((s, j))
-    for chunks in inputs.values():
-        chunks.sort(key=lambda c: (ties[c[0]], c[0]))
+        for u, v in zip([None, *hops], hops):
+            carried.setdefault(v, set()).add(s)
+            if u is not None:
+                passed.setdefault((u, v), []).append(s)
+    feeds: dict = {hop: [] for hop in links}
+    for (u, v), streams in passed.items():
+        go = None
+        if len(streams) < len(carried[u]):
+            go = np.zeros(len(paths), dtype=bool)
+            go[streams] = True
+        feeds[v].append((u, go))
+    tactile = {}
+    for direction, s in ((FORWARD, len(paths) - 2), (BACKWARD, len(paths) - 1)):
+        if routes[direction]:
+            feeds[routes[direction][0]].append((direction, None))
+        for j, hop in enumerate(routes[direction]):
+            tactile[hop] = (direction, j + 1, s)
     # link u runs before v when a stream crosses u then v; the answers (None)
     # leave when the commands land. Groups of links that feed each other
     # (on rings) run in topological order, each group settling on its own
-    after: dict = {v: set() for v in [*links, None] if v is None or inputs[v]}
+    after: dict = {v: set() for v in [*links, None] if v is None or v in carried}
     for hops in paths[:-2] + [routes[FORWARD] + [None] + routes[BACKWARD]]:
         for u, v in zip(hops, hops[1:]):
             after[u].add(v)
@@ -229,12 +256,58 @@ def _plan(topology: Topology, flows: tuple[TrafficFlow, ...], queue_cap: int | N
         group = [u for u in after if u in reached[v] and v in reached[u]]
         if group not in order:
             order.append(group)
-    plan = (routes, links, [(idx, fl.period_ms, fl.pkt_bytes) for idx, fl, _ in sims], paths,
-            inputs, order)
+    plan = (routes, links, [(idx, fl.period_ms, fl.pkt_bytes) for idx, fl, _ in sims],
+            [hops[0] for *_, hops in sims], rank, feeds, tactile, order)
     if len(_PLANS) >= 8:
         _PLANS.clear()
     _PLANS[key] = (topology, plan)
     return plan
+
+
+def _first_uniforms(seeds: list[int]) -> list[float]:
+    """Random(seed).random() for each seed. In a shared_draws() block each
+    seed is seeded once and its value kept."""
+    kept = _shared("first uniform")
+    if kept is None:
+        return [Random(seed).random() for seed in seeds]
+    for seed in seeds:
+        if seed not in kept:
+            kept[seed] = Random(seed).random()
+    return [kept[seed] for seed in seeds]
+
+
+def _insert(t: np.ndarray, sid: np.ndarray, t_in: np.ndarray,
+            sid_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The time-sorted run (t_in, sid_in) merged into the time-sorted run
+    (t, sid), each packet of t_in after the packets of t at its time."""
+    at = np.searchsorted(t, t_in, side="right")
+    at += np.arange(len(t_in))
+    theirs = np.ones(len(t) + len(t_in), dtype=bool)
+    theirs[at] = False
+    out_t, out_sid = np.empty(len(theirs)), np.empty(len(theirs), dtype=np.intp)
+    out_t[at], out_sid[at] = t_in, sid_in
+    out_t[theirs], out_sid[theirs] = t, sid
+    return out_t, out_sid
+
+
+def _merge(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Time-sorted runs merged by one stable sort; packets of equal time
+    keep the order of the runs they came in."""
+    t = np.concatenate([t for t, _ in runs])
+    order = np.argsort(t, kind="stable")
+    return t[order], np.concatenate([sid for _, sid in runs])[order]
+
+
+def _untie(t: np.ndarray, sid: np.ndarray, tied: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """The streams sid of the time-sorted packets t, each run of equal
+    times (tied: t[k] == t[k + 1]) reordered by stream rank, stably, so a
+    stream's own packets keep their order."""
+    at = np.flatnonzero(tied)
+    at = np.union1d(at, at + 1)
+    sid = sid.copy()
+    streams = sid[at]
+    sid[at] = streams[np.lexsort((rank[streams], t[at]))]
+    return sid
 
 
 class NetsimChannel(SimChannel):
@@ -244,28 +317,32 @@ class NetsimChannel(SimChannel):
     admits all the packets it carries in one batch (LinkQueue.carry), the
     links running in the order in which packets flow between them, and a
     group of links that feed each other (on a ring) sweeping until no input
-    changes. Cross-traffic flows emit packets on deterministic CBR schedules
-    (one seeded phase offset per flow, stable under flow-set changes) up to
-    the drain time; only flows that can delay a tactile packet are
-    simulated, and randomness across trials comes solely from the phases.
+    changes. A link holds its packets in the order it serves them, each
+    tagged with its stream, so its input is a merge of runs that are
+    already in order. Cross-traffic flows emit packets on deterministic CBR
+    schedules (one seeded phase offset per flow, stable under flow-set
+    changes) up to the drain time; only flows that can delay a tactile
+    packet are simulated, and randomness across trials comes solely from
+    the phases.
     """
 
     def __init__(self, topology: Topology, flows: tuple[TrafficFlow, ...],
                  seed: int, queue_cap: int | None = None) -> None:
         super().__init__()
-        self._routes, links, sims, self._paths, self._inputs, self._order = _plan(
-            topology, flows, queue_cap)
+        (self._routes, links, sims, self._first, self._rank, self._feeds, self._tactile,
+         self._order) = _plan(topology, flows, queue_cap)
         self._queues = {hop: LinkQueue(bw, delay, queue_cap) for hop, (bw, delay) in links.items()}
-        # each simulated flow's first emission, period and size; the phase
-        # comes from (seed, flow index), so adding a flow never perturbs the others
-        self._emitters = [(Random(seed * 1_000_003 + idx).uniform(0.0, period), period, size_b)
-                          for idx, period, size_b in sims]
+        # each simulated flow's first emission, period and size; the phase,
+        # uniform(0, period) of a generator seeded by (seed, flow index), is
+        # 0.0 + period * random(), so adding a flow never perturbs the others
+        uniforms = _first_uniforms([seed * 1_000_003 + idx for idx, *_ in sims])
+        self._emitters = [(0.0 + period * r, period, size_b)
+                          for (_, period, size_b), r in zip(sims, uniforms)]
         self._picked = np.empty(0, dtype=bool)  # the commands the far end last answered
 
     def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float):
         """SimChannel.round_trip, computed by _run."""
-        arrivals = self._run(sends, size_b, drain_at)
-        fwd, answers = arrivals[-2][-1], arrivals[-1][-1]
+        fwd, answers = (hops[-1] for hops in self._run(sends, size_b, drain_at))
         picked = self._picked
         bwd = np.full(len(fwd), np.nan)
         bwd[picked] = answers
@@ -276,73 +353,118 @@ class NetsimChannel(SimChannel):
             stats.delivered += landed
         return fwd, picked, bwd
 
-    def _run(self, sends: np.ndarray, size_b: int, drain_at: float) -> list[list[np.ndarray]]:
-        """The arrival times of every stream's packets at each hop and past
-        the last, NaN once lost. Flows emit at their CBR times at or before
-        drain_at (summed left to right, as repeated t + period adds them),
-        the flows of one period as the rows of one block. A group of links
-        settles by sweeps from empty inputs: every hop takes more than 0 ms,
-        so packets can only depend on earlier ones, and each sweep fixes at
-        least one more hop latency of the run; the fixed point is unique."""
-        sizes = [size for *_, size in self._emitters] + [size_b, size_b]
-        arrivals = [[np.empty(0) for _ in range(len(hops) + 1)] for hops in self._paths]
-        by_period: dict[float, list[int]] = {}
-        for s, (_, period, _) in enumerate(self._emitters):
-            by_period.setdefault(period, []).append(s)
-        for period, streams in by_period.items():
-            phases = [self._emitters[s][0] for s in streams]
-            times = np.full((len(streams), max(int((drain_at - min(phases)) / period) + 3, 1)),
-                            period)
-            times[:, 0] = phases
-            np.add.accumulate(times, axis=1, out=times)
-            # a row's times never decrease, and pass drain_at within 3 more
-            # periods than fit before it
-            counts = np.count_nonzero(times <= drain_at, axis=1)
-            for s, row, count in zip(streams, times, counts.tolist()):
-                arrivals[s][0] = row[:count]
-        arrivals[-2][0] = sends
+    def _run(self, sends: np.ndarray, size_b: int,
+             drain_at: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """The arrival times of the commands and of the answers at each hop
+        of their routes and past the last, NaN once lost. Each link serves
+        its packets by time, ties by stream rank, a stream's own packets in
+        order. Its output run, the departures in that order without the
+        tail-dropped packets, never decreases, as a FIFO link does not
+        reorder; so every input run of a link is in order: the emission
+        runs (_emit), the commands as sent, the answers in fresh order, and
+        each upstream link's run kept to the streams that go on to it. A
+        group of links settles by sweeps from empty inputs: every hop takes
+        more than 0 ms, so packets can only depend on earlier ones, and
+        each sweep fixes at least one more hop latency of the run; the
+        fixed point is unique."""
+        sizes = np.array([size for *_, size in self._emitters] + [size_b, size_b], dtype=float)
+        hops = {FORWARD: [sends] + [_NO_TIMES] * len(self._routes[FORWARD]),
+                BACKWARD: [_NO_TIMES] * (len(self._routes[BACKWARD]) + 1)}
+        runs = {FORWARD: (sends, np.full(len(sends), len(sizes) - 2))}
+        emitted = self._emit(drain_at)
         for group in self._order:
             while True:
                 moved = False
                 for hop in group:
-                    moved |= self._admit(hop, arrivals, sizes, len(group) > 1)
+                    moved |= self._admit(hop, runs, emitted, hops, sizes, len(group) > 1)
                 if not moved or len(group) == 1:
                     break
-        return arrivals
+        return hops[FORWARD], hops[BACKWARD]
 
-    def _admit(self, hop: tuple[str, str] | None, arrivals: list, sizes: list[int],
-               settle: bool) -> bool:
+    def _emit(self, drain_at: float) -> dict:
+        """The emission runs of each link, (times, streams): the cross
+        packets the simulated flows first put on it at their CBR times at
+        or before drain_at, one run per period. A run is the flows' block of
+        running sums (t + period added left to right), rows sorted by phase
+        and rank, read column by column. That sequence never decreases,
+        since float addition rounds monotonically and each phase is below
+        the period, so the drain time cuts a prefix."""
+        groups: dict = {}
+        for s, (phase, period, _) in enumerate(self._emitters):
+            groups.setdefault((self._first[s], period), []).append((phase, self._rank[s], s))
+        runs: dict = {}
+        for (hop, period), rows in groups.items():
+            rows.sort()
+            times = np.full((max(int((drain_at - rows[0][0]) / period) + 3, 1), len(rows)),
+                            period)
+            times[0] = [phase for phase, *_ in rows]
+            np.add.accumulate(times, axis=0, out=times)
+            t = times.ravel()
+            count = int(np.searchsorted(t, drain_at, side="right"))
+            if count:
+                sid = np.tile(np.array([s for *_, s in rows], dtype=np.intp), len(times))
+                runs.setdefault(hop, []).append((t[:count], sid[:count]))
+        return runs
+
+    def _admit(self, hop: tuple[str, str] | None, runs: dict, emitted: dict, hops: dict,
+               sizes: np.ndarray, settle: bool) -> bool:
         """Run one link (None: the far end answers the fresh commands that
         have landed, whose mask it keeps for round_trip) on its current
-        inputs. When settling a group, True if an output changed."""
+        inputs, keep its output run and its tactile stream's times. When
+        settling a group, True if the output run changed."""
         if hop is None:
-            fwd = arrivals[-2][-1]
+            fwd = hops[FORWARD][-1]
             self._picked = _fresh_mask(fwd)
-            outs = [(arrivals[-1], 0, fwd[self._picked])]
+            t = hops[BACKWARD][0] = fwd[self._picked]
+            sid, hop = np.full(len(t), len(sizes) - 1), BACKWARD
         else:
+            t, sid = self._input(hop, runs, emitted)
             queue = self._queues[hop]
             queue.free_at, queue.departures = 0.0, []
-            chunks = self._inputs[hop]
-            ins = [arrivals[s][j] for s, j in chunks]
-            ser = [queue.serialization_ms(sizes[s]) for s, _ in chunks]
-            a = np.concatenate(ins) if len(ins) > 1 else ins[0]
-            landed = np.count_nonzero(a == a)  # NaN: lost upstream
-            if len(ins) == 1 and landed == len(a):  # one time-sorted stream
-                done = queue.carry(a, ser[0])
+            t = queue.carry(t, queue.serialization_ms(sizes)[sid])
+            tactile = self._tactile.get(hop)
+            if tactile is not None:
+                direction, j, s = tactile
+                mine, before = t[sid == s], hops[direction][j - 1]
+                if len(mine) < len(before):  # some were lost before this link
+                    hops[direction][j] = np.full(len(before), np.nan)
+                    hops[direction][j][before == before] = mine
+                else:
+                    hops[direction][j] = mine
+            if queue.cap is not None:
+                landed = t == t
+                t, sid = t[landed], sid[landed]
+        was = runs.get(hop, (_NO_TIMES, _NO_STREAMS))
+        runs[hop] = t, sid
+        return settle and not (np.array_equal(t, was[0]) and np.array_equal(sid, was[1]))
+
+    def _input(self, hop: tuple[str, str], runs: dict, emitted: dict) -> tuple[np.ndarray, np.ndarray]:
+        """The packets that reach a link, (times, streams), in the order it
+        serves them. One run and the tactile run merge by an insert, more
+        runs by one stable sort; then each run of equal times is put in
+        rank order."""
+        ins, tactile = list(emitted.get(hop, ())), None
+        for source, go in self._feeds[hop]:
+            run = runs.get(source)
+            if run is None or not len(run[0]):
+                continue
+            if source in (FORWARD, BACKWARD):
+                tactile = run
+            elif go is None:
+                ins.append(run)
             else:
-                # by time, ties in chunk order; the lost packets sort last
-                order = np.argsort(a, kind="stable")[:landed]
-                done = np.full(len(a), np.nan)
-                done[order] = queue.carry(a[order], np.repeat(ser, [len(t) for t in ins])[order])
-            outs, at = [], 0
-            for (s, j), t in zip(chunks, ins):
-                outs.append((arrivals[s], j + 1, done[at:at + len(t)]))
-                at += len(t)
-        moved = settle and any(not np.array_equal(out, path[j], equal_nan=True)
-                               for path, j, out in outs)
-        for path, j, out in outs:
-            path[j] = out
-        return moved
+                keep = go[run[1]]
+                if keep.any():
+                    ins.append((run[0][keep], run[1][keep]))
+        if tactile is not None and len(ins) == 1:
+            t, sid = _insert(*ins[0], *tactile)
+        else:
+            ins += [tactile] if tactile is not None else []
+            t, sid = _merge(ins) if len(ins) > 1 else ins[0] if ins else (_NO_TIMES, _NO_STREAMS)
+        tied = t[1:] == t[:-1]
+        if tied.any():
+            sid = _untie(t, sid, tied, self._rank)
+        return t, sid
 
 
 def channel_from_topology(topology: Topology, flows: tuple[TrafficFlow, ...] | list[TrafficFlow],
@@ -382,7 +504,7 @@ def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...] | list[
     chan = NetsimChannel(placed, tuple(flows), seed, queue_cap)
     horizon = 2.0 * t_send + 1.0
     while True:
-        hops = [float(t[0]) for t in chan._run(np.array([t_send]), pkt_bytes, horizon)[-2]]
+        hops = [float(t[0]) for t in chan._run(np.array([t_send]), pkt_bytes, horizon)[0]]
         if [t for t in hops if t == t][-1] <= horizon:
             break
         horizon *= 2.0

@@ -419,13 +419,21 @@ _SHARED_DRAWS: ContextVar[dict | None] = ContextVar("shared_draws", default=None
 def shared_draws() -> Iterator[None]:
     """Within the block, impaired channels with the same seed share their
     random draws: each stream is drawn once and kept as an array, without
-    its generator. A search opens one block, so trials at different loop
-    times reuse the draws of their common seeds."""
+    its generator; topology channels share their flows' phase draws the
+    same way. A search opens one block, so trials at different loop times
+    reuse the draws of their common seeds."""
     token = _SHARED_DRAWS.set({})
     try:
         yield
     finally:
         _SHARED_DRAWS.reset(token)
+
+
+def _shared(kind: object) -> dict | None:
+    """The values kept for kind in the open shared_draws() block, by seed,
+    or None outside a block."""
+    shared = _SHARED_DRAWS.get()
+    return None if shared is None else shared.setdefault(kind, {})
 
 
 _TWOPI = 2.0 * math.pi  # Random.gauss's constant
@@ -551,9 +559,8 @@ def _fill(streams: Sequence[_Draws], n: int) -> None:
     takes the values already drawn for its (seed, jitter) when they are
     long enough, which are the same values; the others are drawn by one
     _draw_streams call, at least twice as many as they held and 16 at first."""
-    shared = _SHARED_DRAWS.get()
     # keyed by jitter, then by seed, so the frozen Jitter hashes once per call
-    cache = None if shared is None else shared.setdefault(streams[0].jitter, {})
+    cache = _shared(streams[0].jitter)
     todo = []
     for s in streams:
         if len(s.values) >= s.pos + n:

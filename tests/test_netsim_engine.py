@@ -281,7 +281,8 @@ def test_flows_of_one_period_emit_as_they_did_one_flow_at_a_time():
     """Every flow's emission times equal the per-flow sum, bit for bit:
     flows of several periods, some shared and some not, with drain times
     before, among and after their phases and at an emission; and a channel
-    with no flows."""
+    with no flows. A flow's times are its packets in the emission runs of
+    its first link, and every run is in time order."""
     topo, flows = _mixed_period_case()
     sends = np.array([0.5, 3.0])
     empty = nonempty = 0
@@ -291,16 +292,19 @@ def test_flows_of_one_period_emit_as_they_did_one_flow_at_a_time():
         assert len(set(periods)) == 5 and len(periods) == len(flows)
         last = float(_per_flow_emissions(chan._emitters, 50.0)[seed % len(flows)][-1])
         for drain_at in (0.0, 1.0, 7.3, 40.0, 250.0, last):  # last: a flow emits at drain_at
-            arrivals = chan._run(sends, 32, drain_at)
+            runs = [run for hop_runs in chan._emit(drain_at).values() for run in hop_runs]
+            assert all(np.all(t[1:] >= t[:-1]) for t, _ in runs), (seed, drain_at)
             for s, want in enumerate(_per_flow_emissions(chan._emitters, drain_at)):
-                assert repr(arrivals[s][0].tolist()) == repr(want.tolist()), (seed, drain_at, s)
+                got = [x for t, sid in runs for x in t[sid == s].tolist()]
+                assert repr(got) == repr(want.tolist()), (seed, drain_at, s)
                 empty += not len(want)
                 nonempty += len(want) > 1
     assert empty >= 20 and nonempty >= 100, (empty, nonempty)  # phases past drain_at, and not
     chan = NetsimChannel(topo, (), 0)
     assert chan._emitters == []
-    arrivals = chan._run(sends, 32, 10.0)
-    assert len(arrivals) == 2 and arrivals[0][0] is sends
+    assert chan._emit(10.0) == {}
+    commands, answers = chan._run(sends, 32, 10.0)
+    assert len(commands) == len(answers) == 2 and commands[0] is sends
 
 
 def test_mixed_period_loaded_round_trips_match_the_oracle():

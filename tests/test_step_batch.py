@@ -159,15 +159,18 @@ def test_a_batch_of_mixed_channels_is_refused():
 def test_round_trips_run_one_channel_at_a_time_into_blocks_of_their_own():
     """SimChannel.round_trips finishes a channel's round trip before the
     next one starts, and copies its rows into blocks that own their memory:
-    a topology channel's arrival times are views of its links' whole
-    batches, which the blocks must not keep alive."""
+    a round trip may return views of larger arrays (here each traced one
+    returns its arrival times as views of one array), which the blocks
+    must not keep alive."""
     *_, topology = _round_trip_kinds()
     events, returned = [], []
     channels = [topology(seed) for seed in range(5)]
     for seed, chan in enumerate(channels):
         def traced(*args, seed=seed, round_trip=chan.round_trip):
             events.append(("start", seed))
-            returned.append(round_trip(*args))
+            fwd, picked, bwd = round_trip(*args)
+            both = np.concatenate([fwd, bwd])
+            returned.append((both[:len(fwd)], picked, both[len(fwd):]))
             events.append(("end", seed))
             return returned[-1]
 
