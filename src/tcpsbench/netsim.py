@@ -402,8 +402,9 @@ class NetsimChannel(SimChannel):
             t = times.ravel()
             count = int(np.searchsorted(t, drain_at, side="right"))
             if count:
-                sid = np.tile(np.array([s for *_, s in rows], dtype=np.intp), len(times))
-                runs.setdefault(hop, []).append((t[:count], sid[:count]))
+                sid = np.empty(times.shape, dtype=np.intp)
+                sid[:] = [s for *_, s in rows]
+                runs.setdefault(hop, []).append((t[:count], sid.ravel()[:count]))
         return runs
 
     def _admit(self, hop: tuple[str, str] | None, runs: dict, emitted: dict, hops: dict,
