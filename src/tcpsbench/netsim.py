@@ -174,8 +174,8 @@ def _plan(topology: Topology, flows: tuple[TrafficFlow, ...], queue_cap: int | N
     """What a channel needs of its topology, flows and queue cap, built once
     for every trial on them: the tactile routes, the kept links, the
     simulated flows and their first links, the streams' tie ranks, what
-    feeds each link, the tactile stream each link carries, and the order
-    the links run in."""
+    feeds each link, the tactile stream each link carries (and whether it
+    carries nothing else), and the order the links run in."""
     key = (id(topology), flows, queue_cap)
     kept_plan = _PLANS.get(key)
     if kept_plan is not None:
@@ -236,7 +236,7 @@ def _plan(topology: Topology, flows: tuple[TrafficFlow, ...], queue_cap: int | N
         if routes[direction]:
             feeds[routes[direction][0]].append((direction, None))
         for j, hop in enumerate(routes[direction]):
-            tactile[hop] = (direction, j + 1, s)
+            tactile[hop] = (direction, j + 1, s, carried[hop] == {s})
     # link u runs before v when a stream crosses u then v; the answers (None)
     # leave when the commands land. Groups of links that feed each other
     # (on rings) run in topological order, each group settling on its own
@@ -274,6 +274,12 @@ def _first_uniforms(seeds: list[int]) -> list[float]:
         if seed not in kept:
             kept[seed] = Random(seed).random()
     return [kept[seed] for seed in seeds]
+
+
+def _one_stream(s: int, n: int) -> np.ndarray:
+    """The streams of n packets of stream s, as a read-only view that
+    takes no memory."""
+    return np.broadcast_to(np.intp(s), (n,))
 
 
 def _insert(t: np.ndarray, sid: np.ndarray, t_in: np.ndarray,
@@ -370,7 +376,7 @@ class NetsimChannel(SimChannel):
         sizes = np.array([size for *_, size in self._emitters] + [size_b, size_b], dtype=float)
         hops = {FORWARD: [sends] + [_NO_TIMES] * len(self._routes[FORWARD]),
                 BACKWARD: [_NO_TIMES] * (len(self._routes[BACKWARD]) + 1)}
-        runs = {FORWARD: (sends, np.full(len(sends), len(sizes) - 2))}
+        runs = {FORWARD: (sends, _one_stream(len(sizes) - 2, len(sends)))}
         emitted = self._emit(drain_at)
         for group in self._order:
             while True:
@@ -417,16 +423,17 @@ class NetsimChannel(SimChannel):
             fwd = hops[FORWARD][-1]
             self._picked = _fresh_mask(fwd)
             t = hops[BACKWARD][0] = fwd[self._picked]
-            sid, hop = np.full(len(t), len(sizes) - 1), BACKWARD
+            sid, key = _one_stream(len(sizes) - 1, len(t)), BACKWARD
         else:
+            key = hop
             t, sid = self._input(hop, runs, emitted)
             queue = self._queues[hop]
             queue.free_at, queue.departures = 0.0, []
-            t = queue.carry(t, queue.serialization_ms(sizes)[sid])
-            tactile = self._tactile.get(hop)
-            if tactile is not None:
-                direction, j, s = tactile
-                mine, before = t[sid == s], hops[direction][j - 1]
+            direction, j, s, alone = self._tactile.get(hop, (None, 0, 0, False))
+            ser = queue.serialization_ms(sizes)
+            t = queue.carry(t, ser[s] if alone else ser[sid])
+            if direction is not None:
+                mine, before = t if alone else t[sid == s], hops[direction][j - 1]
                 if len(mine) < len(before):  # some were lost before this link
                     hops[direction][j] = np.full(len(before), np.nan)
                     hops[direction][j][before == before] = mine
@@ -435,11 +442,12 @@ class NetsimChannel(SimChannel):
             if queue.cap is not None:
                 landed = t == t
                 t, sid = t[landed], sid[landed]
-        was = runs.get(hop, (_NO_TIMES, _NO_STREAMS))
-        runs[hop] = t, sid
+        was = runs.get(key, (_NO_TIMES, _NO_STREAMS))
+        runs[key] = t, sid
         return settle and not (np.array_equal(t, was[0]) and np.array_equal(sid, was[1]))
 
-    def _input(self, hop: tuple[str, str], runs: dict, emitted: dict) -> tuple[np.ndarray, np.ndarray]:
+    def _input(self, hop: tuple[str, str], runs: dict,
+               emitted: dict) -> tuple[np.ndarray, np.ndarray]:
         """The packets that reach a link, (times, streams), in the order it
         serves them. One run and the tactile run merge by an insert, more
         runs by one stable sort; then each run of equal times is put in
@@ -458,10 +466,12 @@ class NetsimChannel(SimChannel):
                 if keep.any():
                     ins.append((run[0][keep], run[1][keep]))
         if tactile is not None and len(ins) == 1:
-            t, sid = _insert(*ins[0], *tactile)
-        else:
-            ins += [tactile] if tactile is not None else []
-            t, sid = _merge(ins) if len(ins) > 1 else ins[0] if ins else (_NO_TIMES, _NO_STREAMS)
+            ins = [_insert(*ins[0], *tactile)]
+        elif tactile is not None:
+            ins.append(tactile)
+        if len(ins) > 1:
+            ins = [_merge(ins)]
+        t, sid = ins[0] if ins else (_NO_TIMES, _NO_STREAMS)
         tied = t[1:] == t[:-1]
         if tied.any():
             sid = _untie(t, sid, tied, self._rank)
