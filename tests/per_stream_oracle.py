@@ -13,12 +13,11 @@ against, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from random import Random
 
 import numpy as np
 
-from tcpsbench.netsim import Topology, TrafficFlow, Unreachable, route
+from tcpsbench.netsim import Topology, TrafficFlow, route
 from tcpsbench.transport import BACKWARD, FORWARD, LinkQueue, SimChannel, _fresh_mask
 
 
@@ -159,21 +158,3 @@ class NetsimChannel(SimChannel):
             path[j] = out
         return moved
 
-
-def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...], pkt_bytes: int,
-                      t_send: float, seed: int = 0, src: str | None = None,
-                      dst: str | None = None, queue_cap: int | None = None) -> float:
-    """tcpsbench.netsim.simulate_delivery on the per-stream channel."""
-    placed = replace(topology,
-                     te_master=topology.host_switch(src) if src else topology.te_master,
-                     te_slave=topology.host_switch(dst) if dst else topology.te_slave)
-    chan = NetsimChannel(placed, tuple(flows), seed, queue_cap)
-    horizon = 2.0 * t_send + 1.0
-    while True:
-        hops = [float(t[0]) for t in chan._run(np.array([t_send]), pkt_bytes, horizon)[-2]]
-        if [t for t in hops if t == t][-1] <= horizon:
-            break
-        horizon *= 2.0
-    if hops[-1] != hops[-1]:
-        raise Unreachable("packet was never delivered (tail-dropped or unroutable)")
-    return hops[-1]
