@@ -9,8 +9,9 @@ datagram endpoint pair in wall-clock time. A simulated run is a timing
 skeleton plus a value recurrence: the arrival times never depend on the
 values, so the channel decides them first as one value-free round trip, off
 the clock, and the controller and plant values follow in command order.
-Simulated runs go in batches at one configuration: the recurrence runs once
-per batch, with the trial as the array axis.
+Simulated runs go in batches at one configuration, each trial (row) at its
+own loop time: the recurrence runs once per batch, with the trial as the
+array axis.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -294,10 +296,10 @@ _Constants = namedtuple("_Constants", "k_p gain k_2 p_ref step_index")
 @dataclass
 class StepBatch:
     """The sweeps of one batch of trials at one configuration: their curves,
-    the send times and sweep coordinates, and per trial (row) the commanded
-    y of each send (k-major: ys[k, i]), the arrival times of the commands
-    and of the feedback on each command (NaN: none), and the channel's
-    (sent, delivered, dropped) counts per direction."""
+    the sweep coordinates, and per trial (row) the send times, the
+    commanded y of each send (k-major: ys[k, i]), the arrival times of the
+    commands and of the feedback on each command (NaN: none), and the
+    channel's (sent, delivered, dropped) counts per direction."""
 
     curves: CurveBatch
     sends: np.ndarray
@@ -308,7 +310,7 @@ class StepBatch:
     counts: list
 
     def record(self, i: int) -> StepExperimentRecord:
-        trace = list(zip(self.sends.tolist(), self.x.tolist(), self.ys[:, i].tolist()))
+        trace = list(zip(self.sends[i].tolist(), self.x.tolist(), self.ys[:, i].tolist()))
         # the feedback on command k sits in column k, so command order is its
         # send order too
         fwd, bwd = self.fwd[i], self.bwd[i]
@@ -332,26 +334,54 @@ def _counts(channel) -> list[tuple[int, int, int]]:
             for s in (channel.stats[FORWARD], channel.stats[BACKWARD])]
 
 
-def run_step_batch(cfg: LoopConfig, channels: list) -> StepBatch:
-    """Execute one full sweep over each simulated channel, as one block;
-    the channels are all of one type, else ValueError.
+def _feedback_sources(ticks: np.ndarray, step_of: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+    """The freshest feedback at each tick: src[k, r], the flat index into an
+    ((n + 1) x rows) block of the command of row r whose feedback the
+    operator holds when it computes command k + 1 (row n: none yet). Row r
+    ticks at ticks[step_of[r]]. Feedback on command c is held from tick
+    first_tick[c] on (n + 1: never; a NaN arrival sorts past every tick),
+    so the command held at tick j is the largest c whose suffix minimum of
+    first_tick is at most j, one less than the number of them."""
+    rows, n = bwd.shape
+    cols = np.arange(n)
+    if len(ticks) == 1:
+        first_tick = np.searchsorted(ticks[0], bwd)
+    else:
+        first_tick = np.empty((rows, n), dtype=np.intp)
+        for step, at in enumerate(step_of[None] == np.arange(len(ticks))[:, None]):
+            first_tick[at] = np.searchsorted(ticks[step], bwd[at])
+    first_tick = np.maximum(cols + 1, first_tick + 1, out=first_tick)
+    reach = np.minimum.accumulate(first_tick[:, ::-1], axis=1)[:, ::-1]
+    reach += np.arange(rows)[:, None] * (n + 2)
+    held = np.bincount(reach.ravel(), minlength=rows * (n + 2)).reshape(rows, n + 2)
+    held = np.cumsum(held, axis=1)[:, 1:n + 1] - 1  # held at ticks 1 .. n, -1: none
+    return (np.where(held >= 0, held, n) * rows + np.arange(rows)[:, None]).T.copy()
 
-    Deterministic given (cfg, channel seeds). Each sweep is that of the
-    loop on the virtual clock, where deliveries run ahead of a controller
-    check at the same instant, the operator polls non-blocking with
-    last-value hold, and stale packets (older sequence than the newest
-    seen) are discarded on both sides. It is computed in two parts.
+
+def run_step_batch(cfg: LoopConfig, channels: list,
+                   delta_ms: Sequence[float] | None = None) -> StepBatch:
+    """Execute one full sweep over each simulated channel, as one block;
+    the channels are all of one type, else ValueError. Row r runs at loop
+    time delta_ms[r] (by default every row at cfg.delta_ms); the curves'
+    config is cfg, whose other constants every row shares.
+
+    Deterministic given (cfg, loop times, channel seeds). Each sweep is
+    that of the loop on the virtual clock, where deliveries run ahead of a
+    controller check at the same instant, the operator polls non-blocking
+    with last-value hold, and stale packets (older sequence than the
+    newest seen) are discarded on both sides. It is computed in two parts.
 
     (a) A value-free timing skeleton: one round_trips call of the channels'
     type gives the arrival times of all their round trips as one block.
     Command k leaves at tick k (the first at 0; tick j runs at T_j, the
-    j-fold sum of delta_ms, as the clock adds it), and the operator's final
-    check at T_n ends the sweep.
+    j-fold sum of the row's loop time, as the clock adds it), and the
+    operator's final check at T_n ends the sweep.
     The plant takes the fresh commands in delivery order and answers each
     at its arrival; feedback on command i is visible at tick j when i < j
     and it arrived at or before T_j (a delivery at the instant of a check
     runs first, but the answer to the command sent by that check comes
-    after it).
+    after it). The loop time enters only here, so the rows of each loop
+    time find their ticks in one searchsorted.
     (b) The value recurrence, in command order, one loop body on rows with
     the trial as the array axis (a batch of one: on floats): pi_update from
     the freshest visible feedback; for a fresh command lag_step and plant.
@@ -360,36 +390,32 @@ def run_step_batch(cfg: LoopConfig, channels: list) -> StepBatch:
     """
     if not channels or any(type(c) is not type(channels[0]) for c in channels):
         raise ValueError("a batch needs channels, all of one type")
-    n = cfg.sweep_len
-    ticks = np.add.accumulate(np.full(n, cfg.delta_ms))  # T_1 .. T_n
-    sends = np.concatenate(([0.0], ticks[:-1]))
+    n, rows = cfg.sweep_len, len(channels)
+    deltas = [cfg.delta_ms] * rows if delta_ms is None else [float(d) for d in delta_ms]
+    if len(deltas) != rows or not all(0.0 < d < math.inf for d in deltas):
+        raise ValueError(f"need one positive, finite loop time per channel, got {delta_ms}")
+    # the distinct loop times, and each row's among them
+    steps = {d: k for k, d in enumerate(dict.fromkeys(deltas))}
+    step_of = np.array([steps[d] for d in deltas])
+    ticks = np.add.accumulate(np.repeat([[d] for d in steps], n, axis=1), axis=1)  # T_1 .. T_n
+    sends = np.zeros((len(steps), n))
+    sends[:, 1:] = ticks[:, :-1]
+    sends = sends[step_of]
     # the commands' arrival times, the fresh commands' mask, the feedback's
     # arrival times by command and the channels' (sent, delivered, dropped)
     # counts per direction
     fwd, picked, bwd = type(channels[0]).round_trips(channels, sends, cfg.packet_size_b,
-                                                     float(ticks[-1]))
-    counts, rows = [_counts(c) for c in channels], len(channels)
+                                                     ticks[step_of, -1])
+    counts = [_counts(c) for c in channels]
     # each row's fresh commands in send order, as flat indices of a (rows x n)
     # block, and as row r and command c; the feedback on command k sits in
     # column k, NaN where none arrived
     fresh_at = np.flatnonzero(picked)
     r, c = np.divmod(fresh_at, n)
     n_fresh = np.count_nonzero(picked, axis=1)
-
-    # the freshest feedback at each tick: feedback on command c is held from
-    # tick first_tick[c] on (n + 1: never; a NaN arrival sorts past every
-    # tick), so the command held at tick j is the largest c whose suffix
-    # minimum of first_tick is at most j, one less than the number of them
-    cols = np.arange(n)
-    first_tick = np.maximum(cols + 1, np.searchsorted(ticks, bwd) + 1)
-    reach = np.minimum.accumulate(first_tick[:, ::-1], axis=1)[:, ::-1]
-    reach += np.arange(rows)[:, None] * (n + 2)
-    held = np.bincount(reach.ravel(), minlength=rows * (n + 2)).reshape(rows, n + 2)
-    held = np.cumsum(held, axis=1)[:, 1:n + 1] - 1  # held at ticks 1 .. n, -1: none
-
     # the fresh commands' places in the first columns of their rows, and
     # their flat indices in an (n x rows) block
-    kept, fresh_at_k = np.flatnonzero(cols < n_fresh[:, None]), c * rows + r
+    kept, fresh_at_k = np.flatnonzero(np.arange(n) < n_fresh[:, None]), c * rows + r
 
     def fresh_only(values: np.ndarray) -> np.ndarray:
         out = np.full(rows * n, np.nan)
@@ -397,11 +423,12 @@ def run_step_batch(cfg: LoopConfig, channels: list) -> StepBatch:
         return out.reshape(rows, n)
 
     t_fresh = fresh_only(fwd.ravel()[fresh_at])
+    del fresh_at, r  # the batch's transient peak is its largest memory cost
     # sig[k, r]: the signal logged for command k of trial r; sig[n] holds
     # p_ref, the value the operator holds before any feedback
     sig = np.full((n + 1, rows), cfg.p_ref)
     flat = sig.reshape(-1)
-    src = (np.where(held >= 0, held, n) * rows + np.arange(rows)[:, None]).T.copy()
+    src = _feedback_sources(ticks, step_of, bwd)
     lags = takes = None
     if cfg.robot_tau_ms > 0.0:  # takes[k, r]: trial r's robot takes command k
         lags = np.zeros(n * rows)

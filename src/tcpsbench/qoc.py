@@ -8,6 +8,13 @@ repeated seeded runs, growing the trial count until the 95% confidence
 half-width closes under the configured bound. QoC compares the mean rise
 time of the good curves against the 1.5 ms ideal; the hand-speed ceiling is
 min(1, 10^QoC) m/s.
+
+Trials run in batches of (loop time, seed) pairs. A batch's cost on
+impaired and ideal channels is mostly per call, so the performance-curve
+search fills each call with the block the grid point it visits needs and
+the next blocks of the grid points after it (a wave), which it may or may
+not need later; its probes and estimates then read their trials from the
+search's memo, in the order and with the results of one point at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ from .transport import shared_draws
 T_R_IDEAL_MS = 1.5  # rise time of the ideal system's tuned curve; fixed, never re-measured
 _Z95 = 1.96
 PROBE_TRIALS = 8  # trials of the rejection probe at each new grid point
-BLOCK_TRIALS = 64  # most trials a block of a scan spans; a batch peaks at about 18 KB a trial
+BLOCK_TRIALS = 64  # most trials a block of a scan spans
+WAVE_POINTS = 8  # most grid points one run_batch call of a curve search spans
+WAVE_TRIALS = 128  # most trials such a call runs; a batch peaks at under 16 KB a trial
 _SEED_STRIDE = 1_000_003  # between the seeds of consecutive trials
 
 
@@ -53,12 +62,16 @@ class NonMonotoneCurve(TcpsbenchError):
 
 
 class Runner(Protocol):
-    """A trial source for the searches: run_batch gives the curves of the
-    trials at one loop time, one row per seed, run as one block."""
+    """A trial source for the searches: run_batch gives the curves of
+    (loop time, seed) trials, one row each, run as one block; speculates
+    tells whether a block's cost is mostly per call, so that the searches
+    may fill a call with trials they might not need."""
 
     limits: GoodnessLimits
 
-    def run_batch(self, delta_ms: float, seeds: Sequence[int]) -> CurveBatch: ...
+    def run_batch(self, trials: Sequence[tuple[float, int]]) -> CurveBatch: ...
+
+    def speculates(self) -> bool: ...
 
 
 @dataclass
@@ -69,17 +82,25 @@ class StepRunner:
     cfg: LoopConfig
     channel_factory: Callable[[int], object]
     limits: GoodnessLimits = DEFAULT_LIMITS
-
-    def _cfg(self, delta_ms: float) -> LoopConfig:
-        return replace(self.cfg, delta_ms=delta_ms)
+    # whether the channels built so far run their round trips as one array
+    # block; a topology trial costs about the same alone or in a batch
+    _blocks: bool = field(default=False, init=False, repr=False, compare=False)
 
     def run(self, delta_ms: float, seed: int) -> StepExperimentRecord:
-        return run_step_experiment(self._cfg(delta_ms), self.channel_factory(seed))
+        return run_step_experiment(replace(self.cfg, delta_ms=delta_ms),
+                                   self.channel_factory(seed))
 
-    def run_batch(self, delta_ms: float, seeds: Sequence[int]) -> CurveBatch:
-        """The curves of the trials at one loop time, one per seed, run as
-        one block: the factory builds every trial's channel first."""
-        return run_step_batch(self._cfg(delta_ms), [self.channel_factory(s) for s in seeds]).curves
+    def run_batch(self, trials: Sequence[tuple[float, int]]) -> CurveBatch:
+        """The curves of (loop time, seed) trials, one row each, run as one
+        block: the factory builds every trial's channel first."""
+        channels = [self.channel_factory(seed) for _, seed in trials]
+        self._blocks = type(channels[0]).block_round_trips
+        return run_step_batch(self.cfg, channels, [delta for delta, _ in trials]).curves
+
+    def speculates(self) -> bool:
+        """Whether the channels run as array blocks (known from the first
+        batch on)."""
+        return self._blocks
 
 
 @dataclass(frozen=True)
@@ -165,22 +186,24 @@ class GoodnessEstimate:
 
 # (delta, seed) -> (rise time if good, else None; malformed) of one search
 TrialMemo = dict[tuple[float, int], tuple[float | None, bool]]
+# the (delta, seed) trials a scan needs run next
+Block = list[tuple[float, int]]
 
 
-def _run_trials(runner: Runner, delta_ms: float, seeds: Sequence[int],
+def _run_trials(runner: Runner, trials: Sequence[tuple[float, int]],
                 memo: TrialMemo | None = None) -> list[tuple[float | None, bool]]:
     """(rise time of a good curve, else None; whether the curve was
-    malformed) of each trial, in seed order. A curve without a step or a
-    malformed curve is a "not good" trial. The trials run as one batch
-    (runner.run_batch) and are extracted as one batch; with a memo, each
-    (delta, seed) runs once."""
+    malformed) of each (delta, seed) trial, in order. A curve without a
+    step or a malformed curve is a "not good" trial. The trials run as one
+    batch (runner.run_batch) and are extracted as one batch; with a memo,
+    each (delta, seed) runs once."""
     memo = {} if memo is None else memo
-    todo = list(dict.fromkeys(s for s in seeds if (delta_ms, s) not in memo))
+    todo = list(dict.fromkeys(t for t in trials if t not in memo))
     if todo:
-        outcome, t_r = extract_metrics_batch(runner.run_batch(delta_ms, todo), runner.limits)
-        for s, o, t in zip(todo, outcome.tolist(), t_r.tolist()):
-            memo[delta_ms, s] = (t if o == GOOD else None, o == MALFORMED)
-    return [memo[delta_ms, s] for s in seeds]
+        outcome, t_r = extract_metrics_batch(runner.run_batch(todo), runner.limits)
+        for trial, o, t in zip(todo, outcome.tolist(), t_r.tolist()):
+            memo[trial] = (t if o == GOOD else None, o == MALFORMED)
+    return [memo[t] for t in trials]
 
 
 def _block_end(delta_ms: float, search: SearchConfig, step: int, last: int,
@@ -207,33 +230,64 @@ def _block_end(delta_ms: float, search: SearchConfig, step: int, last: int,
     return end
 
 
-def _scan(runner: Runner, delta_ms: float, search: SearchConfig, step: int, last: int,
-          stop: Callable[[int, int], bool], memo: TrialMemo | None = None,
-          ) -> tuple[list[tuple[float | None, bool]], bool]:
-    """A sequential test over the seeded trials at one loop time.
+def _scan(delta_ms: float, search: SearchConfig, step: int, last: int,
+          stop: Callable[[int, int], bool], memo: TrialMemo):
+    """A sequential test over the seeded trials at one loop time, as a
+    generator that yields each block of trials it needs that the memo does
+    not hold, and resumes once the memo holds them.
 
-    Runs trials search.trial_seed(0), (1), ... and evaluates stop(good,
+    Takes trials search.trial_seed(0), (1), ... and evaluates stop(good,
     done) after every `step` trials and after trial `last`, until it
     holds. Returns the outcomes (as _run_trials gives them) of the trials
-    up to that check, or of all `last`, and whether stop held. The trials run
-    in blocks (_block_end) that end at the first check where some outcome
-    of their trials not yet in the memo could meet stop, so the same trials
-    run as check by check. Wherever stop holds between two good counts, it
-    must hold at one of them: true where a concave function of the
-    goodness lies at or below a bound, as for both CI rules."""
-    memo = {} if memo is None else memo
+    up to that check, or of all `last`, and whether stop held. The blocks
+    (_block_end) end at the first check where some outcome of their trials
+    not yet in the memo could meet stop, so the same trials run as check by
+    check. Wherever stop holds between two good counts, it must hold at one
+    of them: true where a concave function of the goodness lies at or below
+    a bound, as for both CI rules."""
     outcomes: list[tuple[float | None, bool]] = []
     good = counted = 0
     while counted < last:
         check = min(counted + step, last)
         if check > len(outcomes):
             end = _block_end(delta_ms, search, step, last, stop, memo, good, counted)
-            outcomes += _run_trials(runner, delta_ms, search.trial_seeds(counted, end), memo)
+            trials = [(delta_ms, s) for s in search.trial_seeds(counted, end)]
+            todo = [t for t in trials if t not in memo]
+            if todo:
+                yield todo
+            outcomes += [memo[t] for t in trials]
         good += sum(t_r is not None for t_r, _ in outcomes[counted:check])
         counted = check
         if stop(good, check):
             return outcomes[:check], True
     return outcomes, False
+
+
+def _run_scan(runner: Runner, scan, memo: TrialMemo):
+    """Run a scan to its end, each block it needs as one run_batch call,
+    and return its result."""
+    try:
+        while True:
+            _run_trials(runner, next(scan), memo)
+    except StopIteration as done:
+        return done.value
+
+
+def _estimate_scan(delta_ms: float, search: SearchConfig, memo: TrialMemo):
+    """The goodness estimate's scan (estimate_goodness)."""
+    return _scan(delta_ms, search, search.m_batch, search.m_max,
+                 lambda good, m: ci_halfwidth(good / m, m) <= search.ci_halfwidth, memo)
+
+
+def _probe_scan(delta_ms: float, search: SearchConfig, g_spec: float, memo: TrialMemo):
+    """The rejection probe's scan (_rejectable); it returns the verdict."""
+
+    def hopeless(good: int, done: int) -> bool:
+        best_g = (good + PROBE_TRIALS - done) / PROBE_TRIALS
+        return best_g + ci_halfwidth(best_g, PROBE_TRIALS) < g_spec
+
+    # after the last trial, hopeless() is the bound on the goodness found
+    return (yield from _scan(delta_ms, search, 1, PROBE_TRIALS, hopeless, memo))[1]
 
 
 def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig,
@@ -251,9 +305,8 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig,
     """
     if delta_ms <= 0.0:
         raise ValueError("delta_ms must be positive")
-    outcomes, stopped = _scan(runner, delta_ms, search, search.m_batch, search.m_max,
-                              lambda good, m: ci_halfwidth(good / m, m) <= search.ci_halfwidth,
-                              memo)
+    memo = {} if memo is None else memo
+    outcomes, stopped = _run_scan(runner, _estimate_scan(delta_ms, search, memo), memo)
     m = len(outcomes)
     rise_times = [t_r for t_r, _ in outcomes if t_r is not None]
     g = len(rise_times) / m
@@ -270,21 +323,22 @@ def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: f
     It stops as soon as the bound falls below g_spec even if every trial
     left were good: a sequential test checked after every trial (_scan),
     so its blocks end at the earliest trial some outcome could stop it."""
-
-    def hopeless(good: int, done: int) -> bool:
-        best_g = (good + PROBE_TRIALS - done) / PROBE_TRIALS
-        return best_g + ci_halfwidth(best_g, PROBE_TRIALS) < g_spec
-
-    # after the last trial, hopeless() is the bound on the goodness found
-    return _scan(runner, delta_ms, search, 1, PROBE_TRIALS, hopeless, memo)[1]
+    memo = {} if memo is None else memo
+    return _run_scan(runner, _probe_scan(delta_ms, search, g_spec, memo), memo)
 
 
 def find_delta_opt(runner: Runner, search: SearchConfig) -> float:
     """Least grid loop time whose single-run curve is good (deterministic
-    channels); scans ascending."""
-    for delta in search.grid():
-        if _run_trials(runner, delta, [search.trial_seed(0)])[0][0] is not None:
-            return delta
+    channels); scans ascending. A runner that speculates runs trial 0 of
+    WAVE_POINTS grid points in one call, the others one point at a time."""
+    grid, seed = search.grid(), search.trial_seed(0)
+    idx = 0
+    while idx < len(grid):
+        wave = grid[idx:idx + (WAVE_POINTS if runner.speculates() else 1)]
+        for delta, (t_r, _) in zip(wave, _run_trials(runner, [(d, seed) for d in wave])):
+            if t_r is not None:
+                return delta
+        idx += len(wave)
     raise NoGoodDelta("no grid loop time produced a good curve")
 
 
@@ -373,6 +427,62 @@ class PerfCurve:
             raise NonMonotoneCurve(f"performance curve must be non-increasing, got QoC {qocs}")
 
 
+def _point_scan(delta_ms: float, search: SearchConfig, g_spec: float, memo: TrialMemo):
+    """The scans of a grid point that has no estimate yet, as the search
+    for g_spec runs them: the probe, then the estimate unless the probe
+    rejects the point."""
+    if not (yield from _probe_scan(delta_ms, search, g_spec, memo)):
+        yield from _estimate_scan(delta_ms, search, memo)
+
+
+class _Waves:
+    """The point scans of one curve search, run in waves. A wave is one
+    run_batch call: the block the scan at the current grid point needs,
+    and, when the runner speculates, the next block under the same target
+    of each following grid point that has no estimate yet, nearest first,
+    within WAVE_POINTS points and WAVE_TRIALS trials. Each scan resumes
+    where its last block left it; a point's scan restarts only under a new
+    target, from the memo."""
+
+    def __init__(self, runner: Runner, grid: list[float], search: SearchConfig,
+                 memo: TrialMemo, estimates: dict[float, GoodnessEstimate]) -> None:
+        self.runner, self.grid, self.search = runner, grid, search
+        self.memo, self.estimates = memo, estimates
+        # grid index -> [target, point scan, its next block; None: not asked yet]
+        self.scans: dict[int, list] = {}
+
+    def _next(self, idx: int, g_spec: float) -> Block | None:
+        """The block the scan at grid point idx needs next under g_spec;
+        None once it needs nothing more."""
+        entry = self.scans.get(idx)
+        if entry is None or entry[0] != g_spec:
+            scan = _point_scan(self.grid[idx], self.search, g_spec, self.memo)
+            entry = self.scans[idx] = [g_spec, scan, None]
+        if entry[2] is None:
+            entry[2] = next(entry[1], None)
+        return entry[2]
+
+    def finish(self, idx: int, g_spec: float) -> None:
+        """Run waves until the memo holds every trial the scans of grid
+        point idx under g_spec read."""
+        while (block := self._next(idx, g_spec)) is not None:
+            wave, points = list(block), [idx]
+            if self.runner.speculates():
+                for j in range(idx + 1, len(self.grid)):
+                    if len(points) == WAVE_POINTS:
+                        break
+                    more = None if self.grid[j] in self.estimates else self._next(j, g_spec)
+                    if more is None:
+                        continue
+                    if len(wave) + len(more) > WAVE_TRIALS:
+                        break
+                    wave += more
+                    points.append(j)
+            _run_trials(self.runner, wave, self.memo)
+            for j in points:
+                self.scans[j][2] = None
+
+
 @shared_draws()
 def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -> PerfCurve:
     """One tuned QoC per target, ascending; grid points and their trial
@@ -380,13 +490,18 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
     once, so a full estimate reuses its point's probe trials. Impaired
     channels share their random draws by seed for the whole search. Targets
     the grid cannot satisfy are recorded as missing rather than failing
-    the whole curve."""
+    the whole curve.
+
+    The points are visited one at a time, and each visit's probe and
+    estimate read only the memo: the trials run beforehand in waves
+    (_Waves), which also run the next blocks of the following points."""
     specs = list(g_specs)
     if any(b <= a for a, b in zip(specs, specs[1:])):
         raise ValueError("g_spec list must be strictly increasing")
     grid = search.grid()
     estimates: dict[float, GoodnessEstimate] = {}  # one trial batch per grid point
     memo: TrialMemo = {}
+    waves = _Waves(runner, grid, search, memo, estimates)
     points: list[QoCResult] = []
     missing: list[float] = []
     start_idx = 0
@@ -394,6 +509,7 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
         for idx in range(start_idx, len(grid)):
             est = estimates.get(grid[idx])
             if est is None:
+                waves.finish(idx, g_spec)
                 # the probe only skips points that have no estimate yet
                 if _rejectable(runner, grid[idx], search, g_spec, memo=memo):
                     continue

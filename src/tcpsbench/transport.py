@@ -374,19 +374,26 @@ class SimChannel:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
         self._sched: EventScheduler | None = None
 
+    # whether round_trips runs a batch as one array block, so that a batch
+    # costs mostly per call rather than per channel
+    block_round_trips = False
+
     @classmethod
     def round_trips(cls, channels: Sequence["SimChannel"], sends: np.ndarray, size_b: int,
-                    drain_at: float):
-        """round_trip on each of a batch of channels, with the same sends,
-        as (channels x sends) blocks, one row per channel. By default the
-        channels run one at a time and each row is copied into the block
-        before the next runs (a round trip may return views of larger
-        arrays, which the block must not keep alive)."""
-        rows, n = len(channels), len(sends)
-        fwd, bwd = np.empty((rows, n)), np.empty((rows, n))
-        picked = np.empty((rows, n), dtype=bool)
+                    drain_at: float | np.ndarray):
+        """round_trip on each of a batch of channels, as (channels x sends)
+        blocks, one row per channel: channel r sends at sends[r] and drains
+        at drain_at[r] (one row of sends, or one drain_at, serves every
+        channel). By default the channels run one at a time and each row is
+        copied into the block before the next runs (a round trip may return
+        views of larger arrays, which the block must not keep alive)."""
+        rows = len(channels)
+        sends = np.broadcast_to(sends, (rows, np.shape(sends)[-1]))
+        drains = np.broadcast_to(drain_at, rows).tolist()
+        fwd, bwd = np.empty(sends.shape), np.empty(sends.shape)
+        picked = np.empty(sends.shape, dtype=bool)
         for r, channel in enumerate(channels):
-            fwd[r], picked[r], bwd[r] = channel.round_trip(sends, size_b, drain_at)
+            fwd[r], picked[r], bwd[r] = channel.round_trip(sends[r], size_b, drains[r])
         return fwd, picked, bwd
 
     def bind(self, scheduler: EventScheduler) -> None:
@@ -558,7 +565,9 @@ def _fill(streams: Sequence[_Draws], n: int) -> None:
     least n values past its position. In a shared_draws() block a stream
     takes the values already drawn for its (seed, jitter) when they are
     long enough, which are the same values; the others are drawn by one
-    _draw_streams call, at least twice as many as they held and 16 at first."""
+    _draw_streams call, once per seed (a batch across loop times holds a
+    seed once per loop time), at least twice as many as they held and 16
+    at first."""
     # keyed by jitter, then by seed, so the frozen Jitter hashes once per call
     cache = _shared(streams[0].jitter)
     todo = []
@@ -572,10 +581,12 @@ def _fill(streams: Sequence[_Draws], n: int) -> None:
             todo.append(s)
     if todo:
         size = max(16, *(max(s.pos + n, 2 * len(s.values)) for s in todo))
-        for s, values in zip(todo, _draw_streams([s.seed for s in todo], todo[0].jitter, size)):
-            s.values = values
-            if cache is not None:
-                cache[s.seed] = values
+        seeds = list(dict.fromkeys(s.seed for s in todo))
+        drawn = dict(zip(seeds, _draw_streams(seeds, todo[0].jitter, size)))
+        for s in todo:
+            s.values = drawn[s.seed]
+        if cache is not None:
+            cache.update(drawn)
 
 
 def _block(streams: Sequence[_Draws], n: int) -> np.ndarray:
@@ -717,20 +728,23 @@ class ImpairedChannel(SimChannel):
         link.last_delivery = t_deliver
         return t_deliver
 
+    block_round_trips = True
+
     @classmethod
     def round_trips(cls, channels: Sequence["ImpairedChannel"], sends: np.ndarray, size_b: int,
-                    drain_at: float):
+                    drain_at: float | np.ndarray):
         """SimChannel.round_trips for channels of one model, computed over
         (channels x sends) blocks and bit for bit the round trips one at a
-        time; channels of several models raise ValueError. The backward
+        time; channels of several models raise ValueError. An impaired
+        link has no periodic source, so drain_at goes unread. The backward
         direction sends each row's answers left-packed, in send order."""
         model = channels[0].model
         if any(c.model is not model for c in channels):
             raise ValueError("round_trips needs channels of one model")
-        rows, n = len(channels), len(sends)
+        rows, n = len(channels), np.shape(sends)[-1]
         fwd = _carry_rows([c._links[FORWARD] for c in channels],
                           [c.stats[FORWARD] for c in channels],
-                          sends[None].repeat(rows, axis=0), None, None, size_b)
+                          np.broadcast_to(sends, (rows, n)), None, None, size_b)
         picked = _fresh_mask(fwd)
         counts = picked.sum(axis=1)
         sent = np.arange(n) < counts[:, None]

@@ -99,8 +99,8 @@ class _RepeatedTimeRunner:
 
     limits = DEFAULT_LIMITS
 
-    def run_batch(self, delta_ms, seeds):
-        curves = runner_for(ideal_model(0.5)).run_batch(delta_ms, seeds)
+    def run_batch(self, trials):
+        curves = runner_for(ideal_model(0.5)).run_batch(trials)
         curves.t[:, 1] = curves.t[:, 0]
         return curves
 
@@ -250,9 +250,12 @@ class _CountingRunner:
         self.runner = runner
         self.runs = Counter()
 
-    def run_batch(self, delta_ms, seeds):
-        self.runs.update((delta_ms, seed) for seed in seeds)
-        return self.runner.run_batch(delta_ms, seeds)
+    def run_batch(self, trials):
+        self.runs.update(trials)
+        return self.runner.run_batch(trials)
+
+    def speculates(self):
+        return self.runner.speculates()
 
 
 def test_perf_curve_runs_each_trial_once():

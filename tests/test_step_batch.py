@@ -11,6 +11,7 @@ through these batches; their work counts and their probe's early exit
 must stay those of one trial at a time.
 """
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from random import Random
@@ -36,6 +37,7 @@ from tcpsbench.netsim import (
 from tcpsbench.qoc import (
     BLOCK_TRIALS,
     PROBE_TRIALS,
+    WAVE_TRIALS,
     SearchConfig,
     StepRunner,
     ci_halfwidth,
@@ -49,6 +51,7 @@ from tcpsbench.transport import (
     Jitter,
     LinkParams,
     SimChannel,
+    shared_draws,
 )
 
 
@@ -70,6 +73,40 @@ def test_random_channels_match_one_trial_at_a_time(block):
         rng = Random(i)
         seeds = [cfg.seed + j for j in range(rng.randint(1, 12))]
         _assert_batch_matches(cfg, model.build, seeds, i)
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_rows_at_several_loop_times_match_one_trial_at_a_time(block):
+    """A batch whose rows run at loop times of their own, as the waves of
+    a curve search do, rows of one loop time apart or together: row j
+    equals the oracle's trial at row j's loop time, over the random
+    impaired cases and random topology channels, tactile-only and loaded
+    (whose cross traffic drains at the row's own last tick)."""
+    for i in range(block * 120, (block + 1) * 120):
+        cfg, model = _case(i)
+        rng = Random(i)
+        deltas = [rng.choice((cfg.delta_ms, 0.5, 1.0, rng.uniform(0.1, 4.0)))
+                  for _ in range(rng.randint(1, 12))]
+        seeds = [cfg.seed + j for j in range(len(deltas))]
+        batch = run_step_batch(cfg, [model.build(s) for s in seeds], deltas)
+        for j, (delta, seed) in enumerate(zip(deltas, seeds)):
+            want = run_trial(replace(cfg, delta_ms=delta), model.build(seed))
+            assert _record(batch.record(j)) == _record(want), (i, j)
+    for i in range(block, 240, 16):
+        for loaded in (False, True):
+            cfg, factory = _topology_case(i, loaded)
+            deltas = [cfg.delta_ms, 2.0 * cfg.delta_ms, cfg.delta_ms, 0.7]
+            batch = run_step_batch(cfg, [factory() for _ in deltas], deltas)
+            for j, delta in enumerate(deltas):
+                want = run_trial(replace(cfg, delta_ms=delta), factory())
+                assert _record(batch.record(j)) == _record(want), (i, loaded, j)
+
+
+def test_loop_times_are_one_positive_finite_value_per_row():
+    model = ChannelModel()
+    for deltas in ([1.0], [1.0, 0.0], [1.0, -0.5], [float("nan"), 1.0], [1.0, float("inf")]):
+        with pytest.raises(ValueError):
+            run_step_batch(LoopConfig(), [model.build(0), model.build(1)], deltas)
 
 
 def test_random_cases_cover_the_features():
@@ -218,11 +255,11 @@ def test_batch_stats_are_each_trials_own():
 
 
 def test_curve_search_work_count(monkeypatch):
-    """`curve` on testbed-overhead-like builds one channel per trial: 1825
-    trials, the same as one trial at a time, 17 of them malformed (all in
-    rejection probes). The estimates run them in blocks of up to
-    BLOCK_TRIALS: at most 66 run_batch calls, where one batch of m_batch
-    trials at a time took 116."""
+    """`curve` on testbed-overhead-like builds one channel per trial. The
+    one-point-at-a-time search (tests/search_oracle.py) runs 1825 trials,
+    17 of them malformed (all in rejection probes), in 64 run_batch calls;
+    the waves run every one of them and at most 10% more, in at most 32
+    calls of at most WAVE_TRIALS trials each, every (delta, seed) once."""
     exp = load_experiment("testbed-overhead-like")
     built = Counter()
 
@@ -230,28 +267,38 @@ def test_curve_search_work_count(monkeypatch):
         built[seed] += 1
         return exp.channel.factory(seed)
 
-    malformed = []
+    malformed, blocks, ran = set(), [], Counter()
     extract = qoc.extract_metrics_batch
 
     def counted(curves, limits):
         outcome, t_r = extract(curves, limits)
-        malformed.append(int(np.count_nonzero(outcome == MALFORMED)))
+        malformed.update(t for t, o in zip(blocks[-1], outcome) if o == MALFORMED)
         return outcome, t_r
 
-    blocks = []
     run_batch = StepRunner.run_batch
 
-    def counted_blocks(self, delta_ms, seeds):
-        blocks.append(len(seeds))
-        return run_batch(self, delta_ms, seeds)
+    def counted_blocks(self, trials):
+        blocks.append(trials)
+        ran.update(trials)
+        return run_batch(self, trials)
 
     monkeypatch.setattr(qoc, "extract_metrics_batch", counted)
     monkeypatch.setattr(StepRunner, "run_batch", counted_blocks)
-    pc = perf_curve(replace(exp.runner(), channel_factory=factory), [0.5, 0.7, 0.9, 0.95],
-                    exp.search)
-    assert not pc.missing
-    assert sum(built.values()) == 1825 and sum(malformed) == 17
-    assert len(blocks) <= 66 and max(blocks) <= BLOCK_TRIALS, blocks
+    specs = [0.5, 0.7, 0.9, 0.95]
+    runner = replace(exp.runner(), channel_factory=factory)
+    want = search_oracle.perf_curve(runner, specs, exp.search)
+    oracle_ran, oracle_malformed = set(ran), set(malformed)
+    assert sum(built.values()) == len(oracle_ran) == 1825 and len(blocks) == 64
+    assert len(oracle_malformed) == 17
+    for seen in (blocks, ran, built, malformed):
+        seen.clear()
+    got = perf_curve(replace(exp.runner(), channel_factory=factory), specs, exp.search)
+    assert repr(got) == repr(want) and not got.missing
+    assert oracle_ran <= set(ran) and max(ran.values()) == 1
+    assert malformed & oracle_ran == oracle_malformed
+    sizes = [len(trials) for trials in blocks]
+    assert sum(built.values()) == sum(sizes) <= 1825 * 1.10
+    assert len(sizes) <= 32 and max(sizes) <= WAVE_TRIALS, sizes
 
 
 class _TableRunner:
@@ -266,9 +313,10 @@ class _TableRunner:
         self.good = good.run(1.0, 0).curve
         self.flat = replace(self.good, signal=np.full(len(self.good.t), 100.0))
 
-    def run_batch(self, delta_ms, seeds):
+    def run_batch(self, trials):
+        seeds = [s for _, s in trials]
         self.ran.extend(seeds)
-        self.batches.append(list(seeds))
+        self.batches.append(seeds)
         return CurveBatch.from_curves([self.good if self.table[s] else self.flat for s in seeds])
 
 
@@ -362,7 +410,8 @@ def test_estimate_blocks_run_the_trials_of_one_batch_at_a_time():
         table = {search.trial_seed(i): rng.random() < p for i in range(m_max)}
         memo = {}
         if rng.random() < 0.5:  # the probe's trials
-            qoc._run_trials(_TableRunner(table), 1.0, search.trial_seeds(0, PROBE_TRIALS), memo)
+            qoc._run_trials(_TableRunner(table),
+                            [(1.0, s) for s in search.trial_seeds(0, PROBE_TRIALS)], memo)
         runner, oracle = _TableRunner(table), _TableRunner(table)
         got = qoc.estimate_goodness(runner, 1.0, search, dict(memo))
         want = search_oracle.estimate_goodness(oracle, 1.0, search, dict(memo))
@@ -375,3 +424,23 @@ def test_estimate_blocks_run_the_trials_of_one_batch_at_a_time():
         seen["early stop"] += got.m < m_max
         seen["probe trials"] += bool(memo)
     assert min(seen.values()) >= 50 and len(seen) == 4, seen
+
+
+def test_a_wave_sized_batch_peaks_under_16_kb_a_trial():
+    """A curve search's largest call, WAVE_TRIALS trials over eight loop
+    times on testbed-overhead-like, peaks at under 16 KB a trial of traced
+    memory, its draws already kept as in a search (the parent of the waves
+    peaked at 14.4 KB a trial on 128 trials at one loop time)."""
+    exp = load_experiment("testbed-overhead-like")
+    trials = [(1.0 + 0.1 * (i % 8), exp.search.trial_seed(i)) for i in range(WAVE_TRIALS)]
+    runner = exp.runner()
+    with shared_draws():
+        runner.run_batch(trials)
+        channels = [exp.channel.factory(seed) for _, seed in trials]
+        tracemalloc.start()
+        try:
+            run_step_batch(exp.loop, channels, [delta for delta, _ in trials])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 16 * 1024 * WAVE_TRIALS, peak / WAVE_TRIALS
