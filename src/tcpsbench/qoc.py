@@ -186,8 +186,6 @@ class GoodnessEstimate:
 
 # (delta, seed) -> (rise time if good, else None; malformed) of one search
 TrialMemo = dict[tuple[float, int], tuple[float | None, bool]]
-# the (delta, seed) trials a scan needs run next
-Block = list[tuple[float, int]]
 
 
 def _run_trials(runner: Runner, trials: Sequence[tuple[float, int]],
@@ -451,7 +449,7 @@ class _Waves:
         # grid index -> [target, point scan, its next block; None: not asked yet]
         self.scans: dict[int, list] = {}
 
-    def _next(self, idx: int, g_spec: float) -> Block | None:
+    def _next(self, idx: int, g_spec: float) -> list[tuple[float, int]] | None:
         """The block the scan at grid point idx needs next under g_spec;
         None once it needs nothing more."""
         entry = self.scans.get(idx)

@@ -7,6 +7,7 @@ keeps the loops that call the generator once per value; both must give the
 same values bit for bit, whatever the sizes of the reads.
 """
 
+import contextlib
 import os
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from draws_oracle import drop_draws, jitter_draws
+from test_skeleton import _record
 from tcpsbench import transport
 from tcpsbench.loopsim import LoopConfig, run_step_batch
 from tcpsbench.transport import (
@@ -170,6 +172,33 @@ def test_batch_draws_each_stream_once(monkeypatch):
         for i in range(len(seeds)):
             assert exact(a.record(i)) == exact(b.record(i))
     assert seeded == {4 * s + i: 1 for s in seeds for i in range(4)}
+
+
+def test_a_batch_across_loop_times_seeds_each_stream_once(monkeypatch):
+    """A batch that holds each seed at two loop times, as a wave of a curve
+    search does, seeds each of its streams once, in or out of a
+    shared_draws block, and its rows equal the batches at one loop time."""
+    seeded = Counter()
+
+    class CountedRandom(transport.Random):
+        def __init__(self, seed):
+            seeded[seed] += 1
+            super().__init__(seed)
+
+    model = ChannelModel(forward=LinkParams(drop_prob=0.05, jitter=Jitter.truncnorm(0.1, 0.3)),
+                         backward=LinkParams(drop_prob=0.05, jitter=Jitter.uniform(0.4)))
+    seeds, deltas = [3, 8, 21, 40, 77], (0.6, 1.4)
+    want = [run_step_batch(LoopConfig(delta_ms=d), [model.build(s) for s in seeds]).record(i)
+            for d in deltas for i in range(len(seeds))]
+    monkeypatch.setattr(transport, "Random", CountedRandom)
+    for shared in (False, True):
+        seeded.clear()
+        with shared_draws() if shared else contextlib.nullcontext():
+            got = run_step_batch(LoopConfig(), [model.build(s) for _ in deltas for s in seeds],
+                                 [d for d in deltas for _ in seeds])
+        assert seeded == {4 * s + i: 1 for s in seeds for i in range(4)}, shared
+        for i, rec in enumerate(want):
+            assert _record(got.record(i)) == _record(rec), (shared, i)
 
 
 def test_no_jitter_draws_nothing():
