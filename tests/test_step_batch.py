@@ -1,14 +1,15 @@
 """Differential test of the batched step runner against the per-trial one.
 
-`run_step_batch` runs a batch of trials at one configuration as one block:
-each channel's round trip gives its timing columns, and the PI update,
-robot lag and step plant run once per batch with the trial as the array
-axis. `tests/trial_oracle.py` keeps the runner that took one trial at a
-time with a scalar recurrence. Over any batch of channels, record i of the
-batch must equal the oracle's run on channel i, bit for bit (compared
-through repr, so -0.0 differs from 0.0). The searches run their trials
-through these batches; their work counts and their probe's early exit
-must stay those of one trial at a time.
+`run_step_batch` runs a batch of trials at one configuration as one block,
+each trial at its own loop time: each channel's round trip gives its
+timing columns, and the PI update, robot lag and step plant run once per
+batch with the trial as the array axis. `tests/trial_oracle.py` keeps the
+runner that took one trial at a time with a scalar recurrence. Over any
+batch of channels, record i of the batch must equal the oracle's run on
+channel i at its loop time, bit for bit (compared through repr, so -0.0
+differs from 0.0). The searches run their trials through these batches;
+their probe's early exit must stay that of one trial at a time, and the
+curve search must run every trial the one-point-at-a-time search runs.
 """
 
 import tracemalloc
