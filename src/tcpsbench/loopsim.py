@@ -9,9 +9,9 @@ datagram endpoint pair in wall-clock time. A simulated run is a timing
 skeleton plus a value recurrence: the arrival times never depend on the
 values, so the channel decides them first as one value-free round trip, off
 the clock, and the controller and plant values follow in command order.
-Simulated runs go in batches at one configuration, each trial (row) at its
-own loop time: the recurrence runs once per batch, with the trial as the
-array axis.
+Simulated runs go in batches at one configuration, over a list of channels
+or the rows of an ImpairedBlock, each trial (row) at its own loop time: the
+recurrence runs once per batch, with the trial as the array axis.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .transport import (
     KIND_KINEMATIC,
     DatagramEndpoint,
     DirectionStats,
+    ImpairedBlock,
     Packet,
     SocketTimeout,
     _fresh_mask,
@@ -176,8 +177,10 @@ def lag_step(state, cmd, factor):
 
 def _lag_factors(dt, tau_ms: float) -> list[float]:
     """The lag factor 1 - exp(-dt / tau) for each time step dt (ms) of an
-    array, flattened, from math.exp (np.exp can differ in the last bit)."""
-    return [1.0 - math.exp(v) for v in (-np.asarray(dt) / tau_ms).ravel().tolist()]
+    array, flattened, from math.exp (np.exp can differ in the last bit),
+    called once per distinct exponent (a replay's steps repeat)."""
+    v, at = np.unique((-np.asarray(dt) / tau_ms).ravel(), return_inverse=True)
+    return np.array([1.0 - math.exp(x) for x in v.tolist()])[at].tolist()
 
 
 def check_tau(tau_ms: float) -> None:
@@ -299,7 +302,7 @@ class StepBatch:
     the sweep coordinates, and per trial (row) the send times, the
     commanded y of each send (k-major: ys[k, i]), the arrival times of the
     commands and of the feedback on each command (NaN: none), and the
-    channel's (sent, delivered, dropped) counts per direction."""
+    channel's (sent, delivered, dropped) counts per direction (rows x 2 x 3)."""
 
     curves: CurveBatch
     sends: np.ndarray
@@ -307,7 +310,7 @@ class StepBatch:
     ys: np.ndarray
     fwd: np.ndarray
     bwd: np.ndarray
-    counts: list
+    counts: np.ndarray
 
     def record(self, i: int) -> StepExperimentRecord:
         trace = list(zip(self.sends[i].tolist(), self.x.tolist(), self.ys[:, i].tolist()))
@@ -316,8 +319,8 @@ class StepBatch:
         fwd, bwd = self.fwd[i], self.bwd[i]
         landed = int(np.count_nonzero(bwd == bwd))
         cmd_stale = int(np.count_nonzero(fwd == fwd)) - int(self.curves.lengths[i])
-        stats = {FORWARD: DirectionStats(*self.counts[i][0], cmd_stale),
-                 BACKWARD: DirectionStats(*self.counts[i][1],
+        stats = {FORWARD: DirectionStats(*self.counts[i, 0].tolist(), cmd_stale),
+                 BACKWARD: DirectionStats(*self.counts[i, 1].tolist(),
                                           landed - int(np.count_nonzero(_fresh_mask(bwd))))}
         return StepExperimentRecord(curve=self.curves.curve(i), operator_trace=trace,
                                     channel_stats=stats)
@@ -327,11 +330,6 @@ def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     """Execute one full sweep over a simulated channel and return the
     record: run_step_batch over one channel."""
     return run_step_batch(cfg, [channel]).record(0)
-
-
-def _counts(channel) -> list[tuple[int, int, int]]:
-    return [(s.sent, s.delivered, s.dropped)
-            for s in (channel.stats[FORWARD], channel.stats[BACKWARD])]
 
 
 def _feedback_sources(ticks: np.ndarray, step_of: np.ndarray, bwd: np.ndarray) -> np.ndarray:
@@ -358,12 +356,13 @@ def _feedback_sources(ticks: np.ndarray, step_of: np.ndarray, bwd: np.ndarray) -
     return (np.where(held >= 0, held, n) * rows + np.arange(rows)[:, None]).T.copy()
 
 
-def run_step_batch(cfg: LoopConfig, channels: list,
+def run_step_batch(cfg: LoopConfig, channels: list | ImpairedBlock,
                    delta_ms: Sequence[float] | None = None) -> StepBatch:
-    """Execute one full sweep over each simulated channel, as one block;
-    the channels are all of one type, else ValueError. Row r runs at loop
-    time delta_ms[r] (by default every row at cfg.delta_ms); the curves'
-    config is cfg, whose other constants every row shares.
+    """Execute one full sweep over each simulated channel, as one block:
+    a list of channels, all of one type (else ValueError), or the rows of
+    an ImpairedBlock, one trial per row with no channel object. Row r runs
+    at loop time delta_ms[r] (by default every row at cfg.delta_ms); the
+    curves' config is cfg, whose other constants every row shares.
 
     Deterministic given (cfg, loop times, channel seeds). Each sweep is
     that of the loop on the virtual clock, where deliveries run ahead of a
@@ -371,8 +370,9 @@ def run_step_batch(cfg: LoopConfig, channels: list,
     with last-value hold, and stale packets (older sequence than the
     newest seen) are discarded on both sides. It is computed in two parts.
 
-    (a) A value-free timing skeleton: one round_trips call of the channels'
-    type gives the arrival times of all their round trips as one block.
+    (a) A value-free timing skeleton: one round_trips call of the block, or
+    of the channels' type, gives the arrival times of all their round trips
+    as one block.
     Command k leaves at tick k (the first at 0; tick j runs at T_j, the
     j-fold sum of the row's loop time, as the clock adds it), and the
     operator's final check at T_n ends the sweep.
@@ -388,7 +388,8 @@ def run_step_batch(cfg: LoopConfig, channels: list,
     Feedback only ever reports on an earlier command, so its value is known
     when a tick needs it.
     """
-    if not channels or any(type(c) is not type(channels[0]) for c in channels):
+    block = isinstance(channels, ImpairedBlock)
+    if not block and (not channels or any(type(c) is not type(channels[0]) for c in channels)):
         raise ValueError("a batch needs channels, all of one type")
     n, rows = cfg.sweep_len, len(channels)
     deltas = [cfg.delta_ms] * rows if delta_ms is None else [float(d) for d in delta_ms]
@@ -404,9 +405,13 @@ def run_step_batch(cfg: LoopConfig, channels: list,
     # the commands' arrival times, the fresh commands' mask, the feedback's
     # arrival times by command and the channels' (sent, delivered, dropped)
     # counts per direction
-    fwd, picked, bwd = type(channels[0]).round_trips(channels, sends, cfg.packet_size_b,
-                                                     ticks[step_of, -1])
-    counts = [_counts(c) for c in channels]
+    args = sends, cfg.packet_size_b, ticks[step_of, -1]
+    if block:
+        (fwd, picked, bwd), counts = channels.round_trips(*args), channels.counts()
+    else:
+        fwd, picked, bwd = type(channels[0]).round_trips(channels, *args)
+        counts = np.array([[(s.sent, s.delivered, s.dropped) for s in c.stats.values()]
+                           for c in channels])
     # each row's fresh commands in send order, as flat indices of a (rows x n)
     # block, and as row r and command c; the feedback on command k sits in
     # column k, NaN where none arrived

@@ -9,12 +9,12 @@ half-width closes under the configured bound. QoC compares the mean rise
 time of the good curves against the 1.5 ms ideal; the hand-speed ceiling is
 min(1, 10^QoC) m/s.
 
-Trials run in batches of (loop time, seed) pairs. A batch's cost on
-impaired and ideal channels is mostly per call, so the performance-curve
-search fills each call with the block the grid point it visits needs and
-the next blocks of the grid points after it (a wave), which it may or may
-not need later; its probes and estimates then read their trials from the
-search's memo, in the order and with the results of one point at a time.
+Trials run in batches of (loop time, seed) pairs; impaired and ideal ones
+as the rows of one block, whose cost is mostly per call, so the performance-
+curve search fills each call with the block the grid point it visits needs
+and the next blocks of the grid points after it (a wave), which it may or
+may not need later; its probes and estimates then read their trials from
+the search's memo, in the order and with the results of one point at a time.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .core import (
     extract_metrics_batch,
 )
 from .loopsim import LoopConfig, StepExperimentRecord, run_step_batch, run_step_experiment
-from .transport import shared_draws
+from .transport import ChannelModel, shared_draws
 
 T_R_IDEAL_MS = 1.5  # rise time of the ideal system's tuned curve; fixed, never re-measured
 _Z95 = 1.96
@@ -77,14 +77,19 @@ class Runner(Protocol):
 @dataclass
 class StepRunner:
     """Binds a loop configuration to a per-trial channel factory so searches
-    can re-run the experiment at any loop time with independent seeds."""
+    can re-run the experiment at any loop time with independent seeds. A
+    factory that is a channel model's build (impaired and ideal channels)
+    runs a batch as the rows of one block, with no channel per trial."""
 
     cfg: LoopConfig
     channel_factory: Callable[[int], object]
     limits: GoodnessLimits = DEFAULT_LIMITS
-    # whether the channels built so far run their round trips as one array
-    # block; a topology trial costs about the same alone or in a batch
-    _blocks: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def _model(self) -> ChannelModel | None:
+        """The channel model whose build the factory is, if any."""
+        if getattr(self.channel_factory, "__func__", None) is ChannelModel.build:
+            return self.channel_factory.__self__
+        return None
 
     def run(self, delta_ms: float, seed: int) -> StepExperimentRecord:
         return run_step_experiment(replace(self.cfg, delta_ms=delta_ms),
@@ -92,15 +97,18 @@ class StepRunner:
 
     def run_batch(self, trials: Sequence[tuple[float, int]]) -> CurveBatch:
         """The curves of (loop time, seed) trials, one row each, run as one
-        block: the factory builds every trial's channel first."""
-        channels = [self.channel_factory(seed) for _, seed in trials]
-        self._blocks = type(channels[0]).block_round_trips
+        block: the model's block of their seeds, or else the channels the
+        factory builds for them."""
+        model, seeds = self._model(), [seed for _, seed in trials]
+        channels = (model.block(seeds) if model is not None
+                    else [self.channel_factory(seed) for seed in seeds])
         return run_step_batch(self.cfg, channels, [delta for delta, _ in trials]).curves
 
     def speculates(self) -> bool:
-        """Whether the channels run as array blocks (known from the first
-        batch on)."""
-        return self._blocks
+        """Whether the trials run as the rows of a block, whose cost is
+        mostly per call: a channel model's build. A topology trial costs
+        about the same alone or in a batch."""
+        return self._model() is not None
 
 
 @dataclass(frozen=True)
@@ -242,18 +250,24 @@ def _scan(delta_ms: float, search: SearchConfig, step: int, last: int,
     not yet in the memo could meet stop, so the same trials run as check by
     check. Wherever stop holds between two good counts, it must hold at one
     of them: true where a concave function of the goodness lies at or below
-    a bound, as for both CI rules."""
+    a bound, as for both CI rules. Spans the memo holds whole are read from
+    it: a block's end is computed only where a span lacks a trial, from the
+    block's start, where it would have been the same (nothing ran since)."""
     outcomes: list[tuple[float | None, bool]] = []
-    good = counted = 0
+    good = counted = start = good_before = end = 0  # the block from trial start, up to end
     while counted < last:
         check = min(counted + step, last)
         if check > len(outcomes):
-            end = _block_end(delta_ms, search, step, last, stop, memo, good, counted)
-            trials = [(delta_ms, s) for s in search.trial_seeds(counted, end)]
-            todo = [t for t in trials if t not in memo]
-            if todo:
-                yield todo
-            outcomes += [memo[t] for t in trials]
+            if check > end:  # a block starts; it runs to the most checks it may span
+                start, good_before = counted, good
+                end = min(last, start + step * max(1, BLOCK_TRIALS // step))
+            held = [memo.get((delta_ms, s)) for s in search.trial_seeds(counted, check)]
+            if None in held:  # the block ends where _block_end says, from its start
+                end = _block_end(delta_ms, search, step, last, stop, memo, good_before, start)
+                trials = [(delta_ms, s) for s in search.trial_seeds(counted, end)]
+                yield [t for t in trials if t not in memo]
+                held = [memo[t] for t in trials]
+            outcomes += held
         good += sum(t_r is not None for t_r, _ in outcomes[counted:check])
         counted = check
         if stop(good, check):

@@ -1,19 +1,18 @@
 """Bidirectional channel models and the datagram wire codec.
 
 Simulated channels carry full-precision floats and use the configured
-packet size only for serialization delay. A simulated run asks its channel
-for a whole value-free round trip, in which the far end answers each fresh
-command (_fresh_mask) as it lands: round_trip for one channel, and
-round_trips for a batch of channels of one type, one row per channel of
-(channels x sends) blocks; by default one channel at a time, and impaired
-channels, with configurable latency, jitter, drop probability and
-serialization rate, as array blocks. The per-packet send on the virtual
-clock serves the event-driven reference runners.
-Serialization queues FIFO: a packet waits in its link's `LinkQueue` until
-the transmitter has sent the packets before it, on impaired links and
-topology links alike. The byte codec (fixed little-endian header, random padding to a configured size,
-trailing CRC-32) is the wire format of the real-datagram adapter and of
-anything else that needs bit-exact framing.
+packet size only for serialization delay. A simulated run asks for a whole
+value-free round trip, in which the far end answers each fresh command
+(_fresh_mask) as it lands: round_trip for one channel, round_trips for a
+batch of channels of one type, one at a time, and for impaired and ideal
+channels (latency, jitter, drop probability, serialization rate) the rows
+of an ImpairedBlock: a batch of trial seeds as arrays, with no channel
+object per trial. An ImpairedChannel is a block of one; its per-packet
+send on the virtual clock serves the event-driven reference runners.
+Serialization queues FIFO in a `LinkQueue`, on impaired and topology links
+alike. The byte codec (fixed little-endian header, random padding to a
+configured size, trailing CRC-32) is the wire format of the real-datagram
+adapter and of anything else that needs bit-exact framing.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 import socket
 import struct
 import zlib
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from random import Random
@@ -173,6 +172,10 @@ class ChannelModel:
 
     def build(self, seed: int) -> "ImpairedChannel":
         return ImpairedChannel(self, seed)
+
+    def block(self, seeds: Sequence[int]) -> "ImpairedBlock":
+        """The channels of these seeds as the rows of one block."""
+        return ImpairedBlock(self, seeds)
 
 
 def ideal_model(latency_each_way_ms: float = 0.5) -> ChannelModel:
@@ -355,6 +358,18 @@ def _fresh_mask(arrivals: np.ndarray) -> np.ndarray:
     return arrivals <= later[..., ::-1]
 
 
+def _one_at_a_time(channels, sends, size_b, drain_at):
+    """SimChannel.round_trips's default: each channel's round_trip in turn."""
+    rows = len(channels)
+    sends = np.broadcast_to(sends, (rows, np.shape(sends)[-1]))
+    drains = np.broadcast_to(drain_at, rows).tolist()
+    fwd, bwd = np.empty(sends.shape), np.empty(sends.shape)
+    picked = np.empty(sends.shape, dtype=bool)
+    for r, channel in enumerate(channels):
+        fwd[r], picked[r], bwd[r] = channel.round_trip(sends[r], size_b, drains[r])
+    return fwd, picked, bwd
+
+
 class SimChannel:
     """Shell of a simulated bidirectional channel: per-direction stats,
     scheduler binding, and the bound check and delivery counting around
@@ -374,10 +389,6 @@ class SimChannel:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
         self._sched: EventScheduler | None = None
 
-    # whether round_trips runs a batch as one array block, so that a batch
-    # costs mostly per call rather than per channel
-    block_round_trips = False
-
     @classmethod
     def round_trips(cls, channels: Sequence["SimChannel"], sends: np.ndarray, size_b: int,
                     drain_at: float | np.ndarray):
@@ -387,14 +398,7 @@ class SimChannel:
         channel). By default the channels run one at a time and each row is
         copied into the block before the next runs (a round trip may return
         views of larger arrays, which the block must not keep alive)."""
-        rows = len(channels)
-        sends = np.broadcast_to(sends, (rows, np.shape(sends)[-1]))
-        drains = np.broadcast_to(drain_at, rows).tolist()
-        fwd, bwd = np.empty(sends.shape), np.empty(sends.shape)
-        picked = np.empty(sends.shape, dtype=bool)
-        for r, channel in enumerate(channels):
-            fwd[r], picked[r], bwd[r] = channel.round_trip(sends[r], size_b, drains[r])
-        return fwd, picked, bwd
+        return _one_at_a_time(channels, sends, size_b, drain_at)
 
     def bind(self, scheduler: EventScheduler) -> None:
         self._sched = scheduler
@@ -524,168 +528,159 @@ def _draw_streams(seeds: Sequence[int], jitter: Jitter | None, size: int) -> lis
         last = np.argmax(count >= size, axis=1)  # the normal that gives the last value
         negatives = cols - np.maximum.accumulate(np.where(kept, cols, -1), axis=1)
         whole = (count[:, -1] >= size) & ~((negatives >= 64) & (cols <= last[:, None])).any(axis=1)
+        out.update(zip(np.array(todo)[whole].tolist(),
+                       v[kept & (count <= size) & whole[:, None]].reshape(-1, size)))
         short = []
-        for j, (i, ok) in enumerate(zip(todo, whole.tolist())):
-            vals = v[j][kept[j]][:size] if ok else np.array(_tries(v[j].tolist(), size))
+        for j in np.flatnonzero(~whole).tolist():
+            vals = np.array(_tries(v[j].tolist(), size))
             if len(vals) == size:
-                out[i] = vals
+                out[todo[j]] = vals
             else:
-                short.append(i)
+                short.append(todo[j])
         todo, pairs = short, 2 * pairs
     return [out[i] for i in range(len(seeds))]
 
 
-class _Draws:
-    """One seeded stdlib stream of per-packet draws (drop uniforms when
-    jitter is None, else jitter values), read in order from pos. The values
-    are drawn in bulk when first needed (_fill); a stream that needs more is
-    drawn again from its seed, and the values so far repeat exactly."""
+def _read(streams: dict, seeds: list[int], row_key: np.ndarray, jitter: Jitter | None,
+          pos: np.ndarray, n: int) -> np.ndarray:
+    """The n values from position pos[r] of row r's stream (seeds[row_key[r]],
+    jitter): drop uniforms (jitter None) or jitter values. The streams drawn
+    so far are kept by seed in the open shared_draws() block, else in
+    streams (by jitter, then seed); those too short for the farthest read
+    are drawn by one _draw_streams call, each seed once, at least twice as
+    long as they were and 16 at first, and their values repeat exactly."""
+    cache = _shared(jitter)
+    if cache is None:
+        cache = streams.setdefault(jitter, {})
+    need = int(pos.max()) + n
+    if len(pos) == 1 and len(cache.get(seeds[0], ())) >= need:  # a packet on the clock
+        return cache[seeds[0]][None, pos[0]:need]
+    held = [cache.get(s) for s in seeds]
+    todo = [k for k, v in enumerate(held) if v is None or len(v) < need]
+    if todo:
+        size = max(16, need, *(2 * len(held[k]) for k in todo if held[k] is not None))
+        for k, values in zip(todo, _draw_streams([seeds[k] for k in todo], jitter, size)):
+            held[k] = cache[seeds[k]] = values
+    starts = np.cumsum([0] + [len(v) for v in held[:-1]])
+    return np.concatenate(held)[(starts[row_key] + pos)[:, None] + np.arange(n)]
 
-    __slots__ = ("seed", "jitter", "values", "pos")
 
-    _NONE = np.empty(0)  # shared: values arrays are never written
+class ImpairedBlock:
+    """Impaired channels of one model as the rows of one block, one per
+    trial seed (rows may share one), with no channel object per row: row r
+    draws and decides exactly what ImpairedChannel(model, seeds[r]) would.
+    The state is arrays by direction d (0: forward, 1: backward) and row:
+    the packets sent (the drop stream's position, and the send index
+    drop_seq counts), the packets kept (the jitter stream's position), the
+    last delivery and, where a link has bandwidth, each row's queue. Seed s
+    draws direction d's drops from Random(4s + 2d), its jitter from
+    Random(4s + 2d + 1)."""
 
-    def __init__(self, seed: int, jitter: Jitter | None) -> None:
-        self.seed, self.jitter = seed, jitter
-        self.values = self._NONE
-        self.pos = 0
+    def __init__(self, model: ChannelModel, seeds: Sequence[int]) -> None:
+        self.params = (model.forward, model.backward)
+        # integer seed derivation only: string/tuple seeding would go through
+        # the per-process randomized hash and break reproducibility
+        seeds = list(map(int, seeds))
+        keys = {s: k for k, s in enumerate(dict.fromkeys(seeds))}
+        self.row_key = np.fromiter(map(keys.__getitem__, seeds), np.intp, len(seeds))
+        # by direction, the streams of each distinct seed: drops, then jitter
+        self.seeds = [([4 * s + d for s in keys], [4 * s + d + 1 for s in keys]) for d in (0, 2)]
+        rows = len(self.row_key)
+        self.sent, self.kept = np.zeros((2, 2, rows), dtype=np.int64)
+        self.last = np.full((2, rows), -1.0)
+        # bandwidth 0 has no transmitter to queue behind
+        self.queues = [[LinkQueue(p.bandwidth_bps) for _ in range(rows)]
+                       if p.bandwidth_bps > 0.0 else None for p in self.params]
+        self.streams: dict = {}  # by kind, then seed, outside a shared_draws() block
 
-    def take(self, n: int) -> np.ndarray:
-        """The next n values."""
-        end = self.pos + n
-        if end > len(self.values):
-            _fill([self], n)
-        out = self.values[self.pos:end]
-        self.pos = end
+    def __len__(self) -> int:
+        return len(self.row_key)
+
+    def read(self, d: int, jitter: Jitter | None, pos: np.ndarray, n: int) -> np.ndarray:
+        """n values of each row's drop (jitter None) or jitter stream in direction d from pos."""
+        seeds = self.seeds[d][jitter is not None]
+        return _read(self.streams, seeds, self.row_key, jitter, pos, n)
+
+    def carry(self, direction: str, t: np.ndarray, sent: np.ndarray | None,
+              size_b: int) -> np.ndarray:
+        """transit_time over the rows in one direction: row r sends at the
+        times t[r] where sent[r] is set (a prefix of the row; None: every
+        column), in time order. It returns the delivery times, NaN where a
+        packet is dropped or not sent, with transit_time's arithmetic, draws
+        and state changes. Each row's queue admits its kept packets
+        (LinkQueue.carry); the rest is array operations over the block. A
+        kept packet takes its row's jitter value at its rank among the kept
+        ones, and the FIFO clamp is a running maximum over the kept packets
+        (fmax skips the others' NaN) and the row's last delivery."""
+        rows, n = t.shape
+        if not n:
+            return np.empty((rows, 0))
+        d = 0 if direction == FORWARD else 1
+        p = self.params[d]
+        kept = sent  # None: every packet sent and kept
+        if p.drop_seq:
+            listed = np.isin(np.arange(n) + self.sent[d, :, None], list(p.drop_seq))
+            kept = ~listed if kept is None else kept & ~listed
+        if p.drop_prob > 0.0:  # a uniform never falls below drop_prob 0
+            # one uniform per packet, listed in drop_seq or not, so drop
+            # decisions nest across drop_prob settings under a shared seed
+            lost = self.read(d, None, self.sent[d], n) < p.drop_prob
+            kept = ~lost if kept is None else kept & ~lost
+        if self.queues[d] is not None:
+            ser = self.queues[d][0].serialization_ms(size_b)
+            t = t.copy()
+            for r, queue in enumerate(self.queues[d]):
+                at = slice(None) if kept is None else kept[r]
+                t[r, at] = queue.carry(t[r, at], ser)
+        delay = p.latency_ms
+        if p.jitter.kind != "none":  # jitter 'none' draws nothing
+            jitter = self.read(d, p.jitter, self.kept[d], n)
+            if kept is not sent:  # a drop moves the later packets' ranks
+                jitter = jitter[np.arange(rows)[:, None], kept.cumsum(axis=1) - 1]
+            delay = delay + jitter
+        out = t + delay
+        if kept is not None:
+            out[~kept] = np.nan
+        if p.fifo:
+            out = np.fmax.accumulate(out, axis=1)
+            np.maximum(out, self.last[d, :, None], out=out)
+        # each row's last delivery: its last kept packet's
+        at = n - 1 if kept is None else n - 1 - kept[:, ::-1].argmax(axis=1)
+        carried = n if kept is None else kept.sum(axis=1)
+        self.last[d] = np.where(carried > 0, out[np.arange(rows), at], self.last[d])
+        self.sent[d] += n if sent is None else sent.sum(axis=1)
+        self.kept[d] += carried
+        if p.fifo and kept is not None:
+            out[~kept] = np.nan
         return out
 
+    def round_trips(self, sends: np.ndarray, size_b: int, drain_at: float | np.ndarray):
+        """SimChannel.round_trips over the rows, bit for bit the round trips
+        of their channels one at a time. An impaired link has no periodic
+        source, so drain_at goes unread. The backward direction sends each
+        row's answers left-packed, in send order."""
+        rows, n = len(self), np.shape(sends)[-1]
+        fwd = self.carry(FORWARD, np.broadcast_to(sends, (rows, n)), None, size_b)
+        picked = _fresh_mask(fwd)
+        counts = picked.sum(axis=1)
+        sent = np.arange(n) < counts[:, None]
+        packed = np.zeros((rows, n))
+        packed[sent] = fwd[picked]
+        back = self.carry(BACKWARD, packed, sent, size_b)
+        bwd = np.full((rows, n), np.nan)
+        bwd[picked] = back[sent]
+        return fwd, picked, bwd
 
-def _fill(streams: Sequence[_Draws], n: int) -> None:
-    """Make each stream, all of one kind (one jitter, or drops), hold at
-    least n values past its position. In a shared_draws() block a stream
-    takes the values already drawn for its (seed, jitter) when they are
-    long enough, which are the same values; the others are drawn by one
-    _draw_streams call, once per seed (a batch across loop times holds a
-    seed once per loop time), at least twice as many as they held and 16
-    at first."""
-    # keyed by jitter, then by seed, so the frozen Jitter hashes once per call
-    cache = _shared(streams[0].jitter)
-    todo = []
-    for s in streams:
-        if len(s.values) >= s.pos + n:
-            continue
-        cached = None if cache is None else cache.get(s.seed)
-        if cached is not None and len(cached) >= s.pos + n:
-            s.values = cached
-        else:
-            todo.append(s)
-    if todo:
-        size = max(16, *(max(s.pos + n, 2 * len(s.values)) for s in todo))
-        seeds = list(dict.fromkeys(s.seed for s in todo))
-        drawn = dict(zip(seeds, _draw_streams(seeds, todo[0].jitter, size)))
-        for s in todo:
-            s.values = drawn[s.seed]
-        if cache is not None:
-            cache.update(drawn)
-
-
-def _block(streams: Sequence[_Draws], n: int) -> np.ndarray:
-    """The n values of each stream from its position, one row each; the
-    caller advances the positions by what it reads."""
-    _fill(streams, n)
-    return np.array([s.values[s.pos:s.pos + n] for s in streams])
-
-
-class _LinkState:
-    __slots__ = ("params", "send_count", "last_delivery", "queue", "drops", "jitter")
-
-    def __init__(self, params: LinkParams, seed: int) -> None:
-        self.params = params
-        self.send_count = 0
-        self.last_delivery = -1.0
-        # bandwidth 0 has no transmitter to queue behind
-        self.queue = LinkQueue(params.bandwidth_bps) if params.bandwidth_bps > 0.0 else None
-        # a uniform never falls below drop_prob 0, and jitter 'none' draws nothing
-        self.drops = _Draws(seed, None) if params.drop_prob > 0.0 else None
-        self.jitter = _Draws(seed + 1, params.jitter) if params.jitter.kind != "none" else None
-
-
-def _carry_rows(links: Sequence[_LinkState], stats: Sequence[DirectionStats], t: np.ndarray,
-                sent: np.ndarray | None, m: list[int] | None, size_b: int) -> np.ndarray:
-    """transit_time over a block of links with one LinkParams, one row
-    each: row r sends at the times t[r] where sent[r] is set (a prefix of
-    the row, m[r] long; None: every column), in time order. It returns the
-    delivery times, NaN where a packet is dropped or not sent, with transit_time's
-    arithmetic, draws and state changes; the delivered packets count at
-    once. Each row's transmitter admits its kept packets (LinkQueue.carry);
-    the rest is one array operation over the block. A kept packet takes
-    its row's jitter value at its rank among the kept ones, and the FIFO
-    clamp is a running maximum over the kept packets (fmax skips the NaN of
-    the others) and the row's last delivery."""
-    rows, n = t.shape
-    if not n:
-        return np.empty((rows, 0))
-    head = links[0]
-    p = head.params
-    kept = sent  # None: every packet sent and kept
-    if p.drop_seq:
-        first = np.array([link.send_count for link in links])
-        listed = np.isin(np.arange(n) + first[:, None], list(p.drop_seq))
-        kept = ~listed if kept is None else kept & ~listed
-    if head.drops is not None:
-        # one uniform per packet, listed in drop_seq or not, so drop
-        # decisions nest across drop_prob settings under a shared seed
-        lost = _block([link.drops for link in links], n) < p.drop_prob
-        kept = ~lost if kept is None else kept & ~lost
-    if head.queue is not None:
-        ser = head.queue.serialization_ms(size_b)
-        t = t.copy()
-        for r, link in enumerate(links):
-            if kept is None:
-                t[r] = link.queue.carry(t[r], ser)
-            else:
-                t[r, kept[r]] = link.queue.carry(t[r, kept[r]], ser)
-    delay = p.latency_ms
-    if head.jitter is not None:
-        jitter = _block([link.jitter for link in links], n)
-        if kept is not sent:  # a drop moves the later packets' ranks
-            jitter = jitter[np.arange(rows)[:, None], kept.cumsum(axis=1) - 1]
-        delay = delay + jitter
-    out = t + delay
-    if kept is not None:
-        lost = ~kept
-        out[lost] = np.nan
-    if p.fifo:
-        out = np.fmax.accumulate(out, axis=1)
-        np.maximum(out, np.array([[link.last_delivery] for link in links]), out=out)
-        last = out[:, -1].tolist()
-        if kept is not None:
-            out[lost] = np.nan
-    elif kept is None:
-        last = out[:, -1].tolist()
-    else:
-        last = out[np.arange(rows), n - 1 - kept[:, ::-1].argmax(axis=1)].tolist()
-    if m is None:
-        m = [n] * rows
-    k = m if kept is sent else kept.sum(axis=1).tolist()
-    for link, st, sent_r, kept_r, last_r in zip(links, stats, m, k, last):
-        link.send_count += sent_r
-        if link.drops is not None:
-            link.drops.pos += sent_r
-        if link.jitter is not None:
-            link.jitter.pos += kept_r
-        if kept_r:
-            link.last_delivery = last_r
-        st.sent += sent_r
-        st.dropped += sent_r - kept_r
-        st.delivered += kept_r  # send counts them as they land
-    return out
+    def counts(self) -> np.ndarray:
+        """Each row's (sent, delivered, dropped) packets per direction, (rows
+        x 2 x 3); a round trip counts its kept packets as delivered."""
+        return np.stack([self.sent, self.kept, self.sent - self.kept], axis=-1).swapaxes(0, 1)
 
 
 class ImpairedChannel(SimChannel):
-    """Parametric lossy/jittery link pair driven by the virtual clock, or
-    running the round trips of a whole batch of channels at once
-    (round_trips).
+    """Parametric lossy/jittery link pair, an ImpairedBlock of one: driven
+    by the virtual clock a packet at a time (transit_time), or running its
+    round trips with those of other channels of its model (round_trips).
 
     Deterministic per seed: each direction owns independent RNG streams for
     drops and jitter so that raising drop_prob with a fixed seed only adds
@@ -695,71 +690,55 @@ class ImpairedChannel(SimChannel):
     def __init__(self, model: ChannelModel, seed: int) -> None:
         super().__init__()
         self.model = model
-        # integer seed derivation only: string/tuple seeding would go through
-        # the per-process randomized hash and break reproducibility
         self.seed = int(seed)
-        base = self.seed * 4
-        self._links = {
-            FORWARD: _LinkState(model.forward, base),
-            BACKWARD: _LinkState(model.backward, base + 2),
-        }
+        self.block = ImpairedBlock(model, [self.seed])
 
     def transit_time(self, direction: str, size_b: int, t_now: float) -> float | None:
         """Decide drop/delivery for one packet; returns the delivery time or
-        None when dropped. Advances per-direction state."""
-        link = self._links[direction]
-        p = link.params
-        seq = link.send_count
-        link.send_count += 1
-        self.stats[direction].sent += 1
-        dropped = seq in p.drop_seq
+        None when dropped. Advances per-direction state: the block's row,
+        as its carry of a row of one packet does."""
+        block, stats = self.block, self.stats[direction]
+        d = 0 if direction == FORWARD else 1
+        p = block.params[d]
+        sent, kept = block.sent[d].copy(), block.kept[d].copy()
+        block.sent[d] += 1
+        stats.sent += 1
         # one uniform per packet, listed in drop_seq or not, so drop
         # decisions nest across drop_prob settings under a shared seed
-        if link.drops is not None and link.drops.take(1)[0] < p.drop_prob:
-            dropped = True
-        if dropped:
-            self.stats[direction].dropped += 1
+        if int(sent[0]) in p.drop_seq or (
+                p.drop_prob > 0.0 and block.read(d, None, sent, 1)[0, 0] < p.drop_prob):
+            stats.dropped += 1
             return None
-        delay = p.latency_ms + (0.0 if link.jitter is None else float(link.jitter.take(1)[0]))
-        t_sent = t_now if link.queue is None else link.queue.admit(t_now, size_b)
+        block.kept[d] += 1
+        delay = p.latency_ms + (0.0 if p.jitter.kind == "none" else
+                                float(block.read(d, p.jitter, kept, 1)[0, 0]))
+        t_sent = t_now if block.queues[d] is None else block.queues[d][0].admit(t_now, size_b)
         t_deliver = t_sent + delay
-        if p.fifo and t_deliver < link.last_delivery:
-            t_deliver = link.last_delivery
-        link.last_delivery = t_deliver
+        if p.fifo and t_deliver < block.last[d, 0]:
+            t_deliver = float(block.last[d, 0])
+        block.last[d] = t_deliver
         return t_deliver
-
-    block_round_trips = True
 
     @classmethod
     def round_trips(cls, channels: Sequence["ImpairedChannel"], sends: np.ndarray, size_b: int,
                     drain_at: float | np.ndarray):
-        """SimChannel.round_trips for channels of one model, computed over
-        (channels x sends) blocks and bit for bit the round trips one at a
-        time; channels of several models raise ValueError. An impaired
-        link has no periodic source, so drain_at goes unread. The backward
-        direction sends each row's answers left-packed, in send order."""
-        model = channels[0].model
-        if any(c.model is not model for c in channels):
+        """SimChannel.round_trips for channels of one model (else
+        ValueError), one channel at a time, each seed's streams drawn once
+        for the call (a search runs an ImpairedBlock instead)."""
+        if any(c.model is not channels[0].model for c in channels):
             raise ValueError("round_trips needs channels of one model")
-        rows, n = len(channels), np.shape(sends)[-1]
-        fwd = _carry_rows([c._links[FORWARD] for c in channels],
-                          [c.stats[FORWARD] for c in channels],
-                          np.broadcast_to(sends, (rows, n)), None, None, size_b)
-        picked = _fresh_mask(fwd)
-        counts = picked.sum(axis=1)
-        sent = np.arange(n) < counts[:, None]
-        packed = np.zeros((rows, n))
-        packed[sent] = fwd[picked]
-        back = _carry_rows([c._links[BACKWARD] for c in channels],
-                           [c.stats[BACKWARD] for c in channels], packed, sent, counts.tolist(),
-                           size_b)
-        bwd = np.full((rows, n), np.nan)
-        bwd[picked] = back[sent]
-        return fwd, picked, bwd
+        with nullcontext() if _SHARED_DRAWS.get() is not None else shared_draws():
+            return _one_at_a_time(channels, sends, size_b, drain_at)
 
     def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float):
-        """SimChannel.round_trip as a batch of one of round_trips."""
-        return tuple(b[0] for b in self.round_trips([self], sends, size_b, drain_at))
+        """SimChannel.round_trip as its block's round trip, counted in the stats."""
+        before = self.block.counts()[0]
+        out = tuple(b[0] for b in self.block.round_trips(sends, size_b, drain_at))
+        moved = (self.block.counts()[0] - before).tolist()
+        for st, (sent, kept, lost) in zip(self.stats.values(), moved):
+            st.sent, st.delivered, st.dropped = (st.sent + sent, st.delivered + kept,
+                                                 st.dropped + lost)
+        return out
 
     def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         t = self.transit_time(direction, size_b, self._sched.now)

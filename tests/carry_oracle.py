@@ -1,49 +1,69 @@
-"""The per-channel batch carry that `tcpsbench.transport.ImpairedChannel.round_trips`
+"""The per-channel batch carry that `tcpsbench.transport.ImpairedBlock`
 replaced, kept as its oracle.
 
 `carry` decides one direction of one impaired channel as a batch: drops
 from drop_seq and one uniform per packet, the transmitter's queue, then
-send + (latency + jitter) and the FIFO clamp, reading the channel's own
-streams and leaving its state as the per-packet transit_time would.
+send + (latency + jitter) and the FIFO clamp, reading the channel's
+streams through the per-value stdlib loops of `tests/draws_oracle.py` and
+leaving its state as the per-packet transit_time would.
 `round_trip` is the round trip built from two of them, the far end
-answering the commands that `picks` takes in delivery order. `round_trips`
-runs the round trips of a whole batch of channels as (channels x sends)
-blocks; `tests/test_round_trips.py` matches the two bit for bit.
+answering the commands that `picks` takes in delivery order. An
+ImpairedBlock runs the round trips of a whole batch of trial seeds as
+(rows x sends) blocks; `tests/test_block.py` and `tests/test_round_trips.py`
+match the two bit for bit.
 """
+
+from random import Random
 
 import numpy as np
 
+from draws_oracle import drop_draws, jitter_draws
 from tcpsbench.transport import BACKWARD, FORWARD
+
+
+def _stream(seed, pos, n, jitter=None):
+    """Values pos .. pos + n of a stream, from the per-value stdlib loops:
+    drop uniforms (jitter None) or jitter values."""
+    rng = Random(seed)
+    values = drop_draws(rng, pos + n) if jitter is None else jitter_draws(jitter, rng, pos + n)
+    return np.array(values[pos:])
 
 
 def carry(channel, direction, send_times, size_b):
     """transit_time over a time-sorted batch of sends, in one call with the
     same arithmetic, draws and state changes: the delivery times, NaN where
-    a packet is dropped. The delivered packets count at once."""
-    link = channel._links[direction]
-    p = link.params
+    a packet is dropped. The delivered packets count at once. A channel of
+    seed s draws its forward drops from Random(4s) and its forward jitter
+    from Random(4s + 1), and its backward streams from 4s + 2 and 4s + 3;
+    the drop stream is read from the packets sent so far, the jitter stream
+    from the packets kept so far."""
+    block, d = channel.block, (0 if direction == FORWARD else 1)
+    p = block.params[d]
+    seed = 4 * channel.seed + 2 * d
     n = len(send_times)
-    first = link.send_count
-    link.send_count += n
+    first = int(block.sent[d, 0])
+    block.sent[d, 0] += n
     listed = [s - first for s in p.drop_seq if first <= s < first + n]
     t, kept = send_times, None  # None: no packet dropped
-    if listed or link.drops is not None:
+    if listed or p.drop_prob > 0.0:
         dropped = np.zeros(n, dtype=bool)
         dropped[listed] = True
-        if link.drops is not None:
-            dropped |= link.drops.take(n) < p.drop_prob
+        if p.drop_prob > 0.0:
+            dropped |= _stream(seed, first, n) < p.drop_prob
         kept = np.flatnonzero(~dropped)
         t = send_times[kept]
-    if link.queue is not None:
-        t = link.queue.carry(t, link.queue.serialization_ms(size_b))
+    if block.queues[d] is not None:
+        queue = block.queues[d][0]
+        t = queue.carry(t, queue.serialization_ms(size_b))
     delay = p.latency_ms
-    if link.jitter is not None:
-        delay = delay + link.jitter.take(len(t))
+    if p.jitter.kind != "none":
+        delay = delay + _stream(seed + 1, int(block.kept[d, 0]), len(t), p.jitter)
+    block.kept[d, 0] += len(t)
     t = t + delay
     if len(t):
         if p.fifo:
-            t = np.maximum(np.maximum.accumulate(t), link.last_delivery)
-        link.last_delivery = float(t[-1])
+            t = np.maximum(np.maximum.accumulate(t), block.last[d, 0])
+        block.last[d, 0] = float(t[-1])
     stats = channel.stats[direction]
     stats.sent += n
     stats.dropped += n - len(t)

@@ -167,10 +167,10 @@ def test_topology_searches_run_one_point_at_a_time(monkeypatch, tmp_path):
 
 
 def test_find_delta_opt_runs_trial_0_of_a_wave_of_points_per_call(monkeypatch):
-    """find_delta_opt runs trial 0 of WAVE_POINTS grid points per call once
-    its runner knows the channels run as array blocks (after the first
-    call), and picks the same least good loop time; a topology channel
-    runs one point a call."""
+    """find_delta_opt runs trial 0 of WAVE_POINTS grid points per call when
+    its runner's trials run as array blocks, known up front for a channel
+    model's build, and picks the same least good loop time; a topology
+    channel runs one point a call."""
     calls = []
     run_batch = StepRunner.run_batch
 
@@ -183,7 +183,7 @@ def test_find_delta_opt_runs_trial_0_of_a_wave_of_points_per_call(monkeypatch):
     grid, seed = search.grid(), search.trial_seed(0)
     runner = StepRunner(cfg=LoopConfig(), channel_factory=ideal_model(0.5).build)
     assert find_delta_opt(runner, search) == grid[9] == pytest.approx(1.0)
-    assert calls == [[(d, seed) for d in wave] for wave in (grid[:1], grid[1:9], grid[9:17])]
+    assert calls == [[(d, seed) for d in wave] for wave in (grid[:8], grid[8:16])]
     calls.clear()
     topo = Topology(switches=("s0", "s1"), links=(Link("s0", "s1", 0.25, 1e7),),
                     hosts={}, te_master="s0", te_slave="s1")

@@ -1,6 +1,6 @@
 """Bulk random draws against the per-value stdlib loops.
 
-`tcpsbench.transport._Draws` draws each seeded stream in bulk: drop
+`tcpsbench.transport._read` draws each seeded stream in bulk: drop
 uniforms and uniform jitter from one getrandbits call, truncated-normal
 jitter by Box-Muller in Random.gauss's operation order. `tests/draws_oracle.py`
 keeps the loops that call the generator once per value; both must give the
@@ -26,8 +26,8 @@ from tcpsbench.transport import (
     ChannelModel,
     Jitter,
     LinkParams,
-    _Draws,
     _draw_streams,
+    _read,
     shared_draws,
 )
 
@@ -40,7 +40,22 @@ def _reads(rng: Random) -> list[int]:
     return [rng.choice((1, 2, 3, 5, 17, 64, 101)) for _ in range(rng.randint(1, 8))]
 
 
-def _taken(draws: _Draws, sizes: list[int]) -> list[float]:
+class _Stream:
+    """One stream read in order through _read, as an impaired block's row
+    reads it: its values kept in the open shared_draws() block, else here."""
+
+    def __init__(self, seed: int, jitter: Jitter | None) -> None:
+        self.seed, self.jitter, self.pos, self.streams = seed, jitter, 0, {}
+
+    def take(self, n: int) -> np.ndarray:
+        """The next n values."""
+        out = _read(self.streams, [self.seed], np.zeros(1, dtype=np.intp), self.jitter,
+                    np.array([self.pos]), n)[0]
+        self.pos += n
+        return out
+
+
+def _taken(draws: _Stream, sizes: list[int]) -> list[float]:
     return [v for n in sizes for v in draws.take(n).tolist()]
 
 
@@ -48,7 +63,7 @@ def test_drop_uniforms_match_random():
     rng = Random(1)
     for seed in range(300):
         sizes = _reads(rng)
-        assert _taken(_Draws(seed, None), sizes) == drop_draws(Random(seed), sum(sizes)), seed
+        assert _taken(_Stream(seed, None), sizes) == drop_draws(Random(seed), sum(sizes)), seed
 
 
 def test_uniform_jitter_matches_random_uniform():
@@ -57,7 +72,7 @@ def test_uniform_jitter_matches_random_uniform():
         jitter = Jitter.uniform(rng.choice((0.0, 1.0, 2.5, rng.uniform(0.0, 9.0))))
         sizes = _reads(rng)
         want = jitter_draws(jitter, Random(seed), sum(sizes))
-        assert _taken(_Draws(seed, jitter), sizes) == want, seed
+        assert _taken(_Stream(seed, jitter), sizes) == want, seed
 
 
 def test_truncnorm_jitter_matches_the_redraw_loop():
@@ -70,7 +85,7 @@ def test_truncnorm_jitter_matches_the_redraw_loop():
         sizes = _reads(rng)
         oracle = Random(seed)
         want = [v for n in sizes for v in jitter_draws(jitter, oracle, n)]
-        assert _taken(_Draws(seed, jitter), sizes) == want, (seed, jitter, sizes)
+        assert _taken(_Stream(seed, jitter), sizes) == want, (seed, jitter, sizes)
 
 
 def _count_scalar_passes(monkeypatch) -> Counter:
@@ -100,7 +115,7 @@ def test_truncnorm_far_below_zero_takes_the_64_try_rule(monkeypatch):
     zeros = 0
     for seed in range(30):
         jitter = Jitter.truncnorm(rng.choice((-2.0, -2.5, -9.0)), 1.0)
-        draws, oracle = _Draws(seed, jitter), Random(seed)
+        draws, oracle = _Stream(seed, jitter), Random(seed)
         for n in _reads(rng):
             want = jitter_draws(jitter, oracle, n)
             assert draws.take(n).tolist() == want, (seed, n)
@@ -114,12 +129,12 @@ def test_shared_stream_extends_a_shorter_cached_array():
     jitter = Jitter.truncnorm(0.1, 0.3)
     want = jitter_draws(jitter, Random(9), 300)
     with shared_draws():
-        assert _Draws(9, jitter).take(20).tolist() == want[:20]
-        longer = _Draws(9, jitter)
+        assert _Stream(9, jitter).take(20).tolist() == want[:20]
+        longer = _Stream(9, jitter)
         assert _taken(longer, [7, 250]) == want[:257]
-        cached = _Draws(9, jitter)
+        cached, held = _Stream(9, jitter), transport._SHARED_DRAWS.get()[jitter][9]
         assert cached.take(257).tolist() == want[:257]
-        assert cached.values is transport._SHARED_DRAWS.get()[jitter][9]
+        assert cached.streams == {} and transport._SHARED_DRAWS.get()[jitter][9] is held
         assert cached.take(43).tolist() == want[257:]
 
 
@@ -205,9 +220,9 @@ def test_no_jitter_draws_nothing():
     """Jitter 'none' has no stream: every packet takes the latency alone,
     as the oracle's zeros give."""
     chan = ChannelModel(forward=LinkParams(latency_ms=0.7)).build(5)
-    assert chan._links[FORWARD].jitter is None and chan._links[FORWARD].drops is None
     sends = 0.5 * np.arange(40)
     got = chan.round_trip(sends, 32, 19.5)[0].tolist()
+    assert chan.block.streams == {}  # outside shared_draws a block keeps its streams here
     zeros = jitter_draws(Jitter.none(), Random(21), 40)
     assert got == [s + (0.7 + z) for s, z in zip(sends.tolist(), zeros)]
 

@@ -3,6 +3,7 @@
 import math
 import threading
 
+import numpy as np
 import pytest
 
 from tcpsbench.core import extract_metrics
@@ -11,6 +12,7 @@ from tcpsbench.loopsim import (
     LoopConfig,
     NegativeTau,
     Operator,
+    _lag_factors,
     difference_trace,
     oracle_trace,
     plant,
@@ -315,3 +317,24 @@ class TestSocketMode:
                 run_socket_experiment(cfg, dead, deadline_ms=60.0)
         finally:
             dead.close()
+
+
+def test_lag_factors_match_one_exp_per_step():
+    """_lag_factors calls math.exp once per distinct exponent; it must give
+    the per-step list bit for bit, on steps that repeat (a replay's few
+    distinct sampling periods), rows, NaN, +0.0 and -0.0 (exp of either is
+    1.0, so they may share a call)."""
+    def per_step(dt, tau):
+        return [1.0 - math.exp(v) for v in (-np.asarray(dt) / tau).ravel().tolist()]
+
+    rng = np.random.default_rng(5)
+    periods = 1000.0 / np.array([20.0, 30.0, 40.0])
+    cases = [np.diff(np.add.accumulate(np.repeat(periods, 400)), prepend=0.0),
+             rng.choice([0.5, 1.25, 2.0, 0.0, -0.0, math.nan], size=(7, 60)),
+             np.array([0.0, -0.0, -0.0, 0.0, math.nan, math.nan, 1e-300, 3.0]),
+             rng.uniform(0.0, 5.0, 500), np.empty(0)]
+    for dt in cases:
+        for tau in (0.3, 1.0, 50.0):
+            got, want = _lag_factors(dt, tau), per_step(dt, tau)
+            assert repr(got) == repr(want) and type(got) is list, (dt, tau)
+    assert len(set(per_step(cases[0], 50.0))) < 40 < len(cases[0])

@@ -1,13 +1,14 @@
-"""Differential test of the block round trips against the per-channel carry.
+"""Differential test of the channel round trips against the per-channel carry.
 
 `ImpairedChannel.round_trips` runs the round trips of a batch of impaired
-channels of one model as (channels x sends) blocks, and `round_trip` is a
-batch of one of it. `tests/carry_oracle.py` keeps the per-channel carry it
-replaced. On random batches (drops by chance and by index, finite
-bandwidth, FIFO off, every jitter kind, rows of 1, channels that carried
-packets before, with and without shared draws) every row must equal the
-oracle's round trip on a twin channel bit for bit, leave the same channel
-state, and let the per-packet transit_time continue the same streams.
+channels of one model into (channels x sends) blocks, and `round_trip` is
+its channel's ImpairedBlock of one (`tests/test_block.py` checks blocks of
+many rows). `tests/carry_oracle.py` keeps the per-channel carry. On
+random batches (drops by chance and by index, finite bandwidth, FIFO off,
+every jitter kind, rows of 1, channels that carried packets before, with
+and without shared draws) every row must equal the oracle's round trip on
+a twin channel bit for bit, leave the same channel state, and let the
+per-packet transit_time continue the same streams.
 
 Every channel kind keeps one round-trip contract: `round_trip` is row 0 of
 its type's `round_trips` on a batch of one, and the far end answers the
@@ -38,12 +39,13 @@ CASES = 300
 def _state(chan):
     """Everything a round trip changes on a channel, as a comparable repr."""
     out = []
-    for d in (FORWARD, BACKWARD):
-        link, st = chan._links[d], chan.stats[d]
-        out.append((link.send_count, link.last_delivery,
-                    None if link.drops is None else link.drops.pos,
-                    None if link.jitter is None else link.jitter.pos,
-                    None if link.queue is None else (link.queue.free_at, link.queue.departures),
+    block = chan.block
+    for d, direction in enumerate((FORWARD, BACKWARD)):
+        # the drop stream's position is the send count, the jitter
+        # stream's the count of kept packets
+        st, queues = chan.stats[direction], block.queues[d]
+        out.append((int(block.sent[d, 0]), float(block.last[d, 0]), int(block.kept[d, 0]),
+                    None if queues is None else (queues[0].free_at, queues[0].departures),
                     st.sent, st.delivered, st.dropped))
     return repr(out)
 
@@ -103,7 +105,7 @@ def _run_case(i, seen):
     seen["drop_seq"] += any(p.drop_seq for p in links)
     seen["bandwidth"] += any(p.bandwidth_bps > 0.0 for p in links)
     seen["fifo off"] += not all(p.fifo for p in links)
-    seen["carried before"] += any(c._links[FORWARD].send_count > len(sends) for c in chans)
+    seen["carried before"] += any(c.block.sent[0, 0] > len(sends) for c in chans)
     for p in links:
         seen[p.jitter.kind] += 1
 

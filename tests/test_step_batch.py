@@ -256,17 +256,21 @@ def test_batch_stats_are_each_trials_own():
 
 
 def test_curve_search_work_count(monkeypatch):
-    """`curve` on testbed-overhead-like builds one channel per trial. The
-    one-point-at-a-time search (tests/search_oracle.py) runs 1825 trials,
-    17 of them malformed (all in rejection probes), in 64 run_batch calls;
-    the waves run every one of them and at most 10% more, in at most 32
-    calls of at most WAVE_TRIALS trials each, every (delta, seed) once."""
+    """`curve` on testbed-overhead-like runs its trials as the rows of
+    impaired blocks and builds no channel object. The one-point-at-a-time
+    search (tests/search_oracle.py) runs 1825 trials, 17 of them malformed
+    (all in rejection probes), in 64 run_batch calls; the waves run every
+    one of them and at most 10% more, in at most 32 calls of at most
+    WAVE_TRIALS trials each, every (delta, seed) once."""
     exp = load_experiment("testbed-overhead-like")
     built = Counter()
+    init = ImpairedChannel.__init__
 
-    def factory(seed):
+    def counted_init(self, model, seed):
         built[seed] += 1
-        return exp.channel.factory(seed)
+        init(self, model, seed)
+
+    monkeypatch.setattr(ImpairedChannel, "__init__", counted_init)
 
     malformed, blocks, ran = set(), [], Counter()
     extract = qoc.extract_metrics_batch
@@ -286,19 +290,18 @@ def test_curve_search_work_count(monkeypatch):
     monkeypatch.setattr(qoc, "extract_metrics_batch", counted)
     monkeypatch.setattr(StepRunner, "run_batch", counted_blocks)
     specs = [0.5, 0.7, 0.9, 0.95]
-    runner = replace(exp.runner(), channel_factory=factory)
-    want = search_oracle.perf_curve(runner, specs, exp.search)
+    want = search_oracle.perf_curve(exp.runner(), specs, exp.search)
     oracle_ran, oracle_malformed = set(ran), set(malformed)
-    assert sum(built.values()) == len(oracle_ran) == 1825 and len(blocks) == 64
+    assert not built and len(oracle_ran) == 1825 and len(blocks) == 64
     assert len(oracle_malformed) == 17
     for seen in (blocks, ran, built, malformed):
         seen.clear()
-    got = perf_curve(replace(exp.runner(), channel_factory=factory), specs, exp.search)
+    got = perf_curve(exp.runner(), specs, exp.search)
     assert repr(got) == repr(want) and not got.missing
     assert oracle_ran <= set(ran) and max(ran.values()) == 1
     assert malformed & oracle_ran == oracle_malformed
     sizes = [len(trials) for trials in blocks]
-    assert sum(built.values()) == sum(sizes) <= 1825 * 1.10
+    assert not built and sum(ran.values()) == sum(sizes) <= 1825 * 1.10
     assert len(sizes) <= 32 and max(sizes) <= WAVE_TRIALS, sizes
 
 
