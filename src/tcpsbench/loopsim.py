@@ -9,9 +9,9 @@ datagram endpoint pair in wall-clock time. A simulated run is a timing
 skeleton plus a value recurrence: the arrival times never depend on the
 values, so the channel decides them first as one value-free round trip, off
 the clock, and the controller and plant values follow in command order.
-Simulated runs go in batches at one configuration, over a list of channels
-or the rows of an ImpairedBlock, each trial (row) at its own loop time: the
-recurrence runs once per batch, with the trial as the array axis.
+Simulated runs go in batches at one configuration, over the rows of a
+block (ChannelRows or an ImpairedBlock), each trial (row) at its own loop
+time: the recurrence runs once per batch, with the trial as the array axis.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from .transport import (
     FORWARD,
     KIND_HAPTIC,
     KIND_KINEMATIC,
+    ChannelRows,
     DatagramEndpoint,
     DirectionStats,
-    ImpairedBlock,
     Packet,
     SocketTimeout,
     _fresh_mask,
@@ -177,10 +177,8 @@ def lag_step(state, cmd, factor):
 
 def _lag_factors(dt, tau_ms: float) -> list[float]:
     """The lag factor 1 - exp(-dt / tau) for each time step dt (ms) of an
-    array, flattened, from math.exp (np.exp can differ in the last bit),
-    called once per distinct exponent (a replay's steps repeat)."""
-    v, at = np.unique((-np.asarray(dt) / tau_ms).ravel(), return_inverse=True)
-    return np.array([1.0 - math.exp(x) for x in v.tolist()])[at].tolist()
+    array, flattened, from math.exp (np.exp can differ in the last bit)."""
+    return [1.0 - math.exp(x) for x in (-np.asarray(dt) / tau_ms).ravel().tolist()]
 
 
 def check_tau(tau_ms: float) -> None:
@@ -329,7 +327,7 @@ class StepBatch:
 def run_step_experiment(cfg: LoopConfig, channel) -> StepExperimentRecord:
     """Execute one full sweep over a simulated channel and return the
     record: run_step_batch over one channel."""
-    return run_step_batch(cfg, [channel]).record(0)
+    return run_step_batch(cfg, ChannelRows([channel])).record(0)
 
 
 def _feedback_sources(ticks: np.ndarray, step_of: np.ndarray, bwd: np.ndarray) -> np.ndarray:
@@ -356,13 +354,12 @@ def _feedback_sources(ticks: np.ndarray, step_of: np.ndarray, bwd: np.ndarray) -
     return (np.where(held >= 0, held, n) * rows + np.arange(rows)[:, None]).T.copy()
 
 
-def run_step_batch(cfg: LoopConfig, channels: list | ImpairedBlock,
-                   delta_ms: Sequence[float] | None = None) -> StepBatch:
-    """Execute one full sweep over each simulated channel, as one block:
-    a list of channels, all of one type (else ValueError), or the rows of
-    an ImpairedBlock, one trial per row with no channel object. Row r runs
-    at loop time delta_ms[r] (by default every row at cfg.delta_ms); the
-    curves' config is cfg, whose other constants every row shares.
+def run_step_batch(cfg: LoopConfig, block, delta_ms: Sequence[float] | None = None) -> StepBatch:
+    """Execute one full sweep over each row of a block, one trial per row:
+    a ChannelRows (channels of any kinds) or an ImpairedBlock (no channel
+    object), each with len, round_trips and counts. Row r runs at loop
+    time delta_ms[r] (by default every row at cfg.delta_ms); the curves'
+    config is cfg, whose other constants every row shares.
 
     Deterministic given (cfg, loop times, channel seeds). Each sweep is
     that of the loop on the virtual clock, where deliveries run ahead of a
@@ -370,9 +367,8 @@ def run_step_batch(cfg: LoopConfig, channels: list | ImpairedBlock,
     with last-value hold, and stale packets (older sequence than the
     newest seen) are discarded on both sides. It is computed in two parts.
 
-    (a) A value-free timing skeleton: one round_trips call of the block, or
-    of the channels' type, gives the arrival times of all their round trips
-    as one block.
+    (a) A value-free timing skeleton: one round_trips call of the block
+    gives the arrival times of all its round trips.
     Command k leaves at tick k (the first at 0; tick j runs at T_j, the
     j-fold sum of the row's loop time, as the clock adds it), and the
     operator's final check at T_n ends the sweep.
@@ -388,13 +384,12 @@ def run_step_batch(cfg: LoopConfig, channels: list | ImpairedBlock,
     Feedback only ever reports on an earlier command, so its value is known
     when a tick needs it.
     """
-    block = isinstance(channels, ImpairedBlock)
-    if not block and (not channels or any(type(c) is not type(channels[0]) for c in channels)):
-        raise ValueError("a batch needs channels, all of one type")
-    n, rows = cfg.sweep_len, len(channels)
+    n, rows = cfg.sweep_len, len(block)
+    if not rows:
+        raise ValueError("a batch needs at least one row")
     deltas = [cfg.delta_ms] * rows if delta_ms is None else [float(d) for d in delta_ms]
     if len(deltas) != rows or not all(0.0 < d < math.inf for d in deltas):
-        raise ValueError(f"need one positive, finite loop time per channel, got {delta_ms}")
+        raise ValueError(f"need one positive, finite loop time per row, got {delta_ms}")
     # the distinct loop times, and each row's among them
     steps = {d: k for k, d in enumerate(dict.fromkeys(deltas))}
     step_of = np.array([steps[d] for d in deltas])
@@ -402,16 +397,9 @@ def run_step_batch(cfg: LoopConfig, channels: list | ImpairedBlock,
     sends = np.zeros((len(steps), n))
     sends[:, 1:] = ticks[:, :-1]
     sends = sends[step_of]
-    # the commands' arrival times, the fresh commands' mask, the feedback's
-    # arrival times by command and the channels' (sent, delivered, dropped)
-    # counts per direction
-    args = sends, cfg.packet_size_b, ticks[step_of, -1]
-    if block:
-        (fwd, picked, bwd), counts = channels.round_trips(*args), channels.counts()
-    else:
-        fwd, picked, bwd = type(channels[0]).round_trips(channels, *args)
-        counts = np.array([[(s.sent, s.delivered, s.dropped) for s in c.stats.values()]
-                           for c in channels])
+    # the commands' arrival times, the fresh commands' mask and the
+    # feedback's arrival times by command
+    fwd, picked, bwd = block.round_trips(sends, cfg.packet_size_b, ticks[step_of, -1])
     # each row's fresh commands in send order, as flat indices of a (rows x n)
     # block, and as row r and command c; the feedback on command k sits in
     # column k, NaN where none arrived
@@ -462,7 +450,8 @@ def run_step_batch(cfg: LoopConfig, channels: list | ImpairedBlock,
     ys = np.array(ys).reshape(n, rows)
     curves = CurveBatch(t=t_fresh, x=fresh_only(x[c]), y=fresh_only(ys.ravel()[fresh_at_k]),
                         signal=fresh_only(flat[fresh_at_k]), lengths=n_fresh, config=cfg)
-    return StepBatch(curves=curves, sends=sends, x=x, ys=ys, fwd=fwd, bwd=bwd, counts=counts)
+    return StepBatch(curves=curves, sends=sends, x=x, ys=ys, fwd=fwd, bwd=bwd,
+                     counts=block.counts())
 
 
 # --- real-socket mode -------------------------------------------------------

@@ -38,7 +38,7 @@ from .core import (
     extract_metrics_batch,
 )
 from .loopsim import LoopConfig, StepExperimentRecord, run_step_batch, run_step_experiment
-from .transport import ChannelModel, shared_draws
+from .transport import ChannelModel, ChannelRows, shared_draws
 
 T_R_IDEAL_MS = 1.5  # rise time of the ideal system's tuned curve; fixed, never re-measured
 _Z95 = 1.96
@@ -97,12 +97,12 @@ class StepRunner:
 
     def run_batch(self, trials: Sequence[tuple[float, int]]) -> CurveBatch:
         """The curves of (loop time, seed) trials, one row each, run as one
-        block: the model's block of their seeds, or else the channels the
-        factory builds for them."""
+        block: the model's block of their seeds, or else the ChannelRows of
+        the channels the factory builds for them."""
         model, seeds = self._model(), [seed for _, seed in trials]
-        channels = (model.block(seeds) if model is not None
-                    else [self.channel_factory(seed) for seed in seeds])
-        return run_step_batch(self.cfg, channels, [delta for delta, _ in trials]).curves
+        block = (model.block(seeds) if model is not None
+                 else ChannelRows([self.channel_factory(seed) for seed in seeds]))
+        return run_step_batch(self.cfg, block, [delta for delta, _ in trials]).curves
 
     def speculates(self) -> bool:
         """Whether the trials run as the rows of a block, whose cost is

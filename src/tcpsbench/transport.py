@@ -3,12 +3,13 @@
 Simulated channels carry full-precision floats and use the configured
 packet size only for serialization delay. A simulated run asks for a whole
 value-free round trip, in which the far end answers each fresh command
-(_fresh_mask) as it lands: round_trip for one channel, round_trips for a
-batch of channels of one type, one at a time, and for impaired and ideal
-channels (latency, jitter, drop probability, serialization rate) the rows
-of an ImpairedBlock: a batch of trial seeds as arrays, with no channel
-object per trial. An ImpairedChannel is a block of one; its per-packet
-send on the virtual clock serves the event-driven reference runners.
+(_fresh_mask) as it lands: round_trip for one channel, and round_trips for
+the rows of a block, of one of two kinds: ChannelRows, channels of any
+kind, one at a time, or for impaired and ideal channels (latency, jitter,
+drop probability, serialization rate) an ImpairedBlock, a batch of trial
+seeds as arrays with no channel object per trial. An ImpairedChannel is a
+block of one; its per-packet send on the virtual clock serves the
+event-driven reference runners.
 Serialization queues FIFO in a `LinkQueue`, on impaired and topology links
 alike. The byte codec (fixed little-endian header, random padding to a
 configured size, trailing CRC-32) is the wire format of the real-datagram
@@ -358,18 +359,6 @@ def _fresh_mask(arrivals: np.ndarray) -> np.ndarray:
     return arrivals <= later[..., ::-1]
 
 
-def _one_at_a_time(channels, sends, size_b, drain_at):
-    """SimChannel.round_trips's default: each channel's round_trip in turn."""
-    rows = len(channels)
-    sends = np.broadcast_to(sends, (rows, np.shape(sends)[-1]))
-    drains = np.broadcast_to(drain_at, rows).tolist()
-    fwd, bwd = np.empty(sends.shape), np.empty(sends.shape)
-    picked = np.empty(sends.shape, dtype=bool)
-    for r, channel in enumerate(channels):
-        fwd[r], picked[r], bwd[r] = channel.round_trip(sends[r], size_b, drains[r])
-    return fwd, picked, bwd
-
-
 class SimChannel:
     """Shell of a simulated bidirectional channel: per-direction stats,
     scheduler binding, and the bound check and delivery counting around
@@ -383,22 +372,11 @@ class SimChannel:
     the answers' arrival times, the answer to command k in column k (NaN:
     none, or lost), as the clock would give them, and counts both
     directions in the stats as send does once every packet has landed. It
-    is one row of round_trips, which runs a batch of channels of one type."""
+    is row 0 of ChannelRows([channel]).round_trips."""
 
     def __init__(self) -> None:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
         self._sched: EventScheduler | None = None
-
-    @classmethod
-    def round_trips(cls, channels: Sequence["SimChannel"], sends: np.ndarray, size_b: int,
-                    drain_at: float | np.ndarray):
-        """round_trip on each of a batch of channels, as (channels x sends)
-        blocks, one row per channel: channel r sends at sends[r] and drains
-        at drain_at[r] (one row of sends, or one drain_at, serves every
-        channel). By default the channels run one at a time and each row is
-        copied into the block before the next runs (a round trip may return
-        views of larger arrays, which the block must not keep alive)."""
-        return _one_at_a_time(channels, sends, size_b, drain_at)
 
     def bind(self, scheduler: EventScheduler) -> None:
         self._sched = scheduler
@@ -655,10 +633,10 @@ class ImpairedBlock:
         return out
 
     def round_trips(self, sends: np.ndarray, size_b: int, drain_at: float | np.ndarray):
-        """SimChannel.round_trips over the rows, bit for bit the round trips
-        of their channels one at a time. An impaired link has no periodic
-        source, so drain_at goes unread. The backward direction sends each
-        row's answers left-packed, in send order."""
+        """ChannelRows.round_trips over the rows, bit for bit that of their
+        channels. An impaired link has no periodic source, so drain_at goes
+        unread. The backward direction sends each row's answers
+        left-packed, in send order."""
         rows, n = len(self), np.shape(sends)[-1]
         fwd = self.carry(FORWARD, np.broadcast_to(sends, (rows, n)), None, size_b)
         picked = _fresh_mask(fwd)
@@ -677,10 +655,44 @@ class ImpairedBlock:
         return np.stack([self.sent, self.kept, self.sent - self.kept], axis=-1).swapaxes(0, 1)
 
 
+class ChannelRows:
+    """Simulated channels of any kinds as the rows of one block, one
+    channel per row."""
+
+    def __init__(self, channels: Sequence[SimChannel]) -> None:
+        self.channels = list(channels)
+
+    def __len__(self) -> int:
+        return len(self.channels)
+
+    def round_trips(self, sends: np.ndarray, size_b: int, drain_at: float | np.ndarray):
+        """Each row's round_trip as (rows x sends) blocks: row r sends at
+        sends[r] and drains at drain_at[r] (one row of sends, or one
+        drain_at, serves every row). The channels run one at a time, each
+        seed's streams drawn once for the call, and each row is copied into
+        the blocks before the next runs (a round trip may return views of
+        larger arrays, which the blocks must not keep alive)."""
+        rows = len(self)
+        sends = np.broadcast_to(sends, (rows, np.shape(sends)[-1]))
+        drains = np.broadcast_to(drain_at, rows).tolist()
+        fwd, bwd = np.empty(sends.shape), np.empty(sends.shape)
+        picked = np.empty(sends.shape, dtype=bool)
+        with nullcontext() if _SHARED_DRAWS.get() is not None else shared_draws():
+            for r, channel in enumerate(self.channels):
+                fwd[r], picked[r], bwd[r] = channel.round_trip(sends[r], size_b, drains[r])
+        return fwd, picked, bwd
+
+    def counts(self) -> np.ndarray:
+        """Each row's (sent, delivered, dropped) packets per direction,
+        (rows x 2 x 3), from its channel's stats."""
+        return np.array([[(s.sent, s.delivered, s.dropped) for s in c.stats.values()]
+                         for c in self.channels])
+
+
 class ImpairedChannel(SimChannel):
     """Parametric lossy/jittery link pair, an ImpairedBlock of one: driven
-    by the virtual clock a packet at a time (transit_time), or running its
-    round trips with those of other channels of its model (round_trips).
+    by the virtual clock a packet at a time (transit_time), or running a
+    round trip (round_trip).
 
     Deterministic per seed: each direction owns independent RNG streams for
     drops and jitter so that raising drop_prob with a fixed seed only adds
@@ -718,17 +730,6 @@ class ImpairedChannel(SimChannel):
             t_deliver = float(block.last[d, 0])
         block.last[d] = t_deliver
         return t_deliver
-
-    @classmethod
-    def round_trips(cls, channels: Sequence["ImpairedChannel"], sends: np.ndarray, size_b: int,
-                    drain_at: float | np.ndarray):
-        """SimChannel.round_trips for channels of one model (else
-        ValueError), one channel at a time, each seed's streams drawn once
-        for the call (a search runs an ImpairedBlock instead)."""
-        if any(c.model is not channels[0].model for c in channels):
-            raise ValueError("round_trips needs channels of one model")
-        with nullcontext() if _SHARED_DRAWS.get() is not None else shared_draws():
-            return _one_at_a_time(channels, sends, size_b, drain_at)
 
     def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float):
         """SimChannel.round_trip as its block's round trip, counted in the stats."""

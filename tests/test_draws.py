@@ -24,6 +24,7 @@ from tcpsbench.loopsim import LoopConfig, run_step_batch
 from tcpsbench.transport import (
     FORWARD,
     ChannelModel,
+    ChannelRows,
     Jitter,
     LinkParams,
     _draw_streams,
@@ -172,11 +173,11 @@ def test_batch_draws_each_stream_once(monkeypatch):
     model = ChannelModel(forward=LinkParams(drop_prob=0.05, jitter=Jitter.truncnorm(0.1, 0.3)),
                          backward=LinkParams(drop_prob=0.05, jitter=Jitter.uniform(0.4)))
     seeds = [3, 8, 21, 40, 77]
-    want = [run_step_batch(LoopConfig(delta_ms=d), [model.build(s) for s in seeds])
+    want = [run_step_batch(LoopConfig(delta_ms=d), ChannelRows([model.build(s) for s in seeds]))
             for d in (0.6, 1.4)]
     monkeypatch.setattr(transport, "Random", CountedRandom)
     with shared_draws():
-        got = [run_step_batch(LoopConfig(delta_ms=d), [model.build(s) for s in seeds])
+        got = [run_step_batch(LoopConfig(delta_ms=d), ChannelRows([model.build(s) for s in seeds]))
                for d in (0.6, 1.4)]
     def exact(rec):
         c = rec.curve
@@ -203,13 +204,15 @@ def test_a_batch_across_loop_times_seeds_each_stream_once(monkeypatch):
     model = ChannelModel(forward=LinkParams(drop_prob=0.05, jitter=Jitter.truncnorm(0.1, 0.3)),
                          backward=LinkParams(drop_prob=0.05, jitter=Jitter.uniform(0.4)))
     seeds, deltas = [3, 8, 21, 40, 77], (0.6, 1.4)
-    want = [run_step_batch(LoopConfig(delta_ms=d), [model.build(s) for s in seeds]).record(i)
+    want = [run_step_batch(LoopConfig(delta_ms=d),
+                           ChannelRows([model.build(s) for s in seeds])).record(i)
             for d in deltas for i in range(len(seeds))]
     monkeypatch.setattr(transport, "Random", CountedRandom)
     for shared in (False, True):
         seeded.clear()
         with shared_draws() if shared else contextlib.nullcontext():
-            got = run_step_batch(LoopConfig(), [model.build(s) for _ in deltas for s in seeds],
+            got = run_step_batch(LoopConfig(),
+                                 ChannelRows([model.build(s) for _ in deltas for s in seeds]),
                                  [d for d in deltas for _ in seeds])
         assert seeded == {4 * s + i: 1 for s in seeds for i in range(4)}, shared
         for i, rec in enumerate(want):

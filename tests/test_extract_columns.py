@@ -32,6 +32,7 @@ from tcpsbench.core import (
 )
 from tcpsbench.experiments import PRESET_NAMES, load_experiment
 from tcpsbench.loopsim import LoopConfig, run_step_batch, run_step_experiment
+from tcpsbench.transport import ChannelRows
 
 
 def _outcome(extract, curve, limits):
@@ -178,8 +179,8 @@ def test_preset_batches_match_the_oracle():
         exp = load_experiment(preset)
         for delta in (0.5, 0.9, exp.loop.delta_ms, 3.0):
             cfg = replace(exp.loop, delta_ms=delta)
-            batch = run_step_batch(cfg, [exp.channel.factory(exp.search.trial_seed(i))
-                                         for i in range(20)]).curves
+            batch = run_step_batch(cfg, ChannelRows([exp.channel.factory(exp.search.trial_seed(i))
+                                                     for i in range(20)])).curves
             want = [_verdict(batch.curve(i), exp.limits) for i in range(20)]
             assert _batch_verdicts(batch, exp.limits) == want, (preset, delta)
             seen.update(o for o, _ in want)

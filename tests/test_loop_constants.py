@@ -22,6 +22,7 @@ from step_oracle import run_step_on_clock
 from test_skeleton import _case, _record
 from trial_oracle import run_trial
 from tcpsbench.loopsim import run_step_batch, run_step_experiment
+from tcpsbench.transport import ChannelRows
 
 CASES = 200
 
@@ -45,7 +46,7 @@ def _constants_case(i):
 def test_random_constants_match_both_oracles(block):
     for i in range(block * CASES // 4, (block + 1) * CASES // 4):
         cfg, model, seeds = _constants_case(i)
-        batch = run_step_batch(cfg, [model.build(s) for s in seeds])
+        batch = run_step_batch(cfg, ChannelRows([model.build(s) for s in seeds]))
         for j, seed in enumerate(seeds):
             want = _record(run_trial(cfg, model.build(seed)))
             assert _record(run_step_on_clock(cfg, model.build(seed))) == want, (i, seed)

@@ -1,18 +1,19 @@
 """Differential test of the channel round trips against the per-channel carry.
 
-`ImpairedChannel.round_trips` runs the round trips of a batch of impaired
-channels of one model into (channels x sends) blocks, and `round_trip` is
-its channel's ImpairedBlock of one (`tests/test_block.py` checks blocks of
-many rows). `tests/carry_oracle.py` keeps the per-channel carry. On
-random batches (drops by chance and by index, finite bandwidth, FIFO off,
-every jitter kind, rows of 1, channels that carried packets before, with
-and without shared draws) every row must equal the oracle's round trip on
-a twin channel bit for bit, leave the same channel state, and let the
-per-packet transit_time continue the same streams.
+`ChannelRows` runs the round trips of a batch of channels one at a time
+into (rows x sends) blocks, and an impaired channel's `round_trip` is its
+ImpairedBlock of one (`tests/test_block.py` checks blocks of many rows).
+`tests/carry_oracle.py` keeps the per-channel carry. On random batches of
+impaired channels (drops by chance and by index, finite bandwidth, FIFO
+off, every jitter kind, rows of 1, channels that carried packets before,
+with and without shared draws) every row must equal the oracle's round
+trip on a twin channel bit for bit, leave the same channel state, and let
+the per-packet transit_time continue the same streams.
 
 Every channel kind keeps one round-trip contract: `round_trip` is row 0 of
-its type's `round_trips` on a batch of one, and the far end answers the
-commands the clock would take fresh, in delivery order.
+`ChannelRows([channel])`, an impaired or ideal channel's also row 0 of its
+model's block of its seed, and the far end answers the commands the clock
+would take fresh, in delivery order.
 """
 
 from collections import Counter
@@ -28,8 +29,9 @@ from tcpsbench.transport import (
     BACKWARD,
     FORWARD,
     ChannelModel,
+    ChannelRows,
     ImpairedChannel,
-    LinkParams,
+    ideal_model,
     shared_draws,
 )
 
@@ -84,7 +86,7 @@ def _run_case(i, seen):
     if len(chans) == 1 and rng.random() < 0.5:
         got = [chans[0].round_trip(sends, size_b, 0.0)]
     else:
-        got = list(zip(*ImpairedChannel.round_trips(chans, sends, size_b, 0.0)))
+        got = list(zip(*ChannelRows(chans).round_trips(sends, size_b, 0.0)))
     for r, twin in enumerate(twins):
         assert np.isnan(got[r][2][~got[r][1]]).all()
         want = carry_oracle.round_trip(twin, sends, size_b, 0.0)
@@ -127,19 +129,32 @@ def test_round_trips_match_without_shared_draws_and_cover_the_features():
         assert seen[feature] >= 20, (feature, seen)
 
 
-def test_round_trips_take_one_model():
-    a, b = ChannelModel(), ChannelModel(forward=LinkParams(latency_ms=2.0))
-    with pytest.raises(ValueError, match="one model"):
-        ImpairedChannel.round_trips([a.build(0), b.build(1)], np.zeros(3), 32, 0.0)
+def test_rows_of_two_models_match_the_per_channel_oracle():
+    """A ChannelRows block takes impaired channels of different models:
+    rows of two models, alternating, each equal the oracle's round trip on
+    a twin and leave the same channel state."""
+    for i in range(60):
+        _, model, seeds, sends, size_b = _case(i)
+        other = _case(CASES + i)[1]
+        models = [(model, other)[r % 2] for r in range(max(2, len(seeds)))]
+        seeds = [seeds[r % len(seeds)] for r in range(len(models))]
+        chans = [m.build(s) for m, s in zip(models, seeds)]
+        got = list(zip(*ChannelRows(chans).round_trips(sends, size_b, 0.0)))
+        for r, (m, seed) in enumerate(zip(models, seeds)):
+            twin = m.build(seed)
+            want = carry_oracle.round_trip(twin, sends, size_b, 0.0)
+            assert repr([a.tolist() for a in got[r]]) == repr([a.tolist() for a in want]), (i, r)
+            assert _state(chans[r]) == _state(twin), (i, r)
 
 
 def _contract_cases():
     """(kind, channel factory, loop config) of random step runs:
-    impaired channels, and topology channels tactile-only and loaded, each
-    also as the event-per-packet oracle channel."""
+    impaired and ideal channels, and topology channels tactile-only and
+    loaded, each also as the event-per-packet oracle channel."""
     for i in range(60):
         cfg, model = _step_case(i)
-        yield "impaired", lambda model=model, seed=cfg.seed: model.build(seed), cfg
+        kind = "ideal" if model == ideal_model(model.forward.latency_ms) else "impaired"
+        yield kind, lambda model=model, seed=cfg.seed: model.build(seed), cfg
         for loaded in (False, True) if i % 2 == 0 else ():
             cfg, factory = _topology_case(4 * i, loaded)
             kind = "loaded" if loaded else "tactile-only"
@@ -148,9 +163,10 @@ def _contract_cases():
 
 
 def test_round_trip_is_row_0_of_round_trips_and_answers_the_fresh_commands():
-    """On every channel kind, a step run's round trip equals row 0 of its
-    type's round_trips on a twin, and the far end answers exactly the
-    commands the clock's delivery order takes fresh."""
+    """On every channel kind, a step run's round trip equals row 0 of
+    ChannelRows' round_trips on a twin, and on an impaired or ideal channel
+    row 0 of its model's block of its seed too; the far end answers
+    exactly the commands the clock's delivery order takes fresh."""
     seen = Counter()
     for kind, factory, cfg in _contract_cases():
         sends = np.concatenate(([0.0], np.add.accumulate(np.full(cfg.sweep_len - 1,
@@ -158,9 +174,15 @@ def test_round_trip_is_row_0_of_round_trips_and_answers_the_fresh_commands():
         args = (sends, cfg.packet_size_b, float(sends[-1] + cfg.delta_ms))
         chan, twin = factory(), factory()
         got = chan.round_trip(*args)
-        want = [block[0] for block in type(twin).round_trips([twin], *args)]
+        want = [block[0] for block in ChannelRows([twin]).round_trips(*args)]
         assert repr([a.tolist() for a in got]) == repr([a.tolist() for a in want]), kind
         assert chan.stats == twin.stats, kind
+        if isinstance(chan, ImpairedChannel):
+            block = chan.model.block([chan.seed])
+            want = [rows[0] for rows in block.round_trips(*args)]
+            assert repr([a.tolist() for a in got]) == repr([a.tolist() for a in want]), kind
+            stats = [(s.sent, s.delivered, s.dropped) for s in chan.stats.values()]
+            assert block.counts()[0].tolist() == [list(s) for s in stats], kind
         fwd, picked, bwd = got
         assert picked.dtype == bool and (picked == carry_oracle.picks(fwd)).all(), kind
         assert np.isnan(bwd[~picked]).all(), kind
@@ -168,3 +190,4 @@ def test_round_trip_is_row_0_of_round_trips_and_answers_the_fresh_commands():
         seen["stale"] += int(np.count_nonzero(fwd == fwd)) > int(np.count_nonzero(picked))
         seen["lost answer"] += bool(np.isnan(bwd[picked]).any())
     assert seen["stale"] >= 5 and seen["lost answer"] >= 5, seen
+    assert seen["ideal"] >= 5 and seen["impaired"] >= 5, seen

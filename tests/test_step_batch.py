@@ -1,8 +1,8 @@
 """Differential test of the batched step runner against the per-trial one.
 
 `run_step_batch` runs a batch of trials at one configuration as one block,
-each trial at its own loop time: each channel's round trip gives its
-timing columns, and the PI update, robot lag and step plant run once per
+each trial at its own loop time: the block's round trips (here mostly a
+`ChannelRows`, each channel's round trip in turn) give its timing columns, and the PI update, robot lag and step plant run once per
 batch with the trial as the array axis. `tests/trial_oracle.py` keeps the
 runner that took one trial at a time with a scalar recurrence. Over any
 batch of channels, record i of the batch must equal the oracle's run on
@@ -29,7 +29,6 @@ from tcpsbench.experiments import PRESET_NAMES, load_experiment
 from tcpsbench.loopsim import LoopConfig, run_step_batch
 from tcpsbench.netsim import (
     Link,
-    NetsimChannel,
     Topology,
     TrafficFlow,
     channel_from_topology,
@@ -48,16 +47,16 @@ from tcpsbench.transport import (
     BACKWARD,
     FORWARD,
     ChannelModel,
+    ChannelRows,
     ImpairedChannel,
     Jitter,
     LinkParams,
-    SimChannel,
     shared_draws,
 )
 
 
 def _assert_batch_matches(cfg, factory, seeds, label):
-    batch = run_step_batch(cfg, [factory(s) for s in seeds])
+    batch = run_step_batch(cfg, ChannelRows([factory(s) for s in seeds]))
     assert len(batch.curves.lengths) == len(seeds)
     for i, seed in enumerate(seeds):
         want = run_trial(cfg, factory(seed))
@@ -89,7 +88,7 @@ def test_rows_at_several_loop_times_match_one_trial_at_a_time(block):
         deltas = [rng.choice((cfg.delta_ms, 0.5, 1.0, rng.uniform(0.1, 4.0)))
                   for _ in range(rng.randint(1, 12))]
         seeds = [cfg.seed + j for j in range(len(deltas))]
-        batch = run_step_batch(cfg, [model.build(s) for s in seeds], deltas)
+        batch = run_step_batch(cfg, ChannelRows([model.build(s) for s in seeds]), deltas)
         for j, (delta, seed) in enumerate(zip(deltas, seeds)):
             want = run_trial(replace(cfg, delta_ms=delta), model.build(seed))
             assert _record(batch.record(j)) == _record(want), (i, j)
@@ -97,7 +96,7 @@ def test_rows_at_several_loop_times_match_one_trial_at_a_time(block):
         for loaded in (False, True):
             cfg, factory = _topology_case(i, loaded)
             deltas = [cfg.delta_ms, 2.0 * cfg.delta_ms, cfg.delta_ms, 0.7]
-            batch = run_step_batch(cfg, [factory() for _ in deltas], deltas)
+            batch = run_step_batch(cfg, ChannelRows([factory() for _ in deltas]), deltas)
             for j, delta in enumerate(deltas):
                 want = run_trial(replace(cfg, delta_ms=delta), factory())
                 assert _record(batch.record(j)) == _record(want), (i, loaded, j)
@@ -107,7 +106,7 @@ def test_loop_times_are_one_positive_finite_value_per_row():
     model = ChannelModel()
     for deltas in ([1.0], [1.0, 0.0], [1.0, -0.5], [float("nan"), 1.0], [1.0, float("inf")]):
         with pytest.raises(ValueError):
-            run_step_batch(LoopConfig(), [model.build(0), model.build(1)], deltas)
+            run_step_batch(LoopConfig(), ChannelRows([model.build(0), model.build(1)]), deltas)
 
 
 def test_random_cases_cover_the_features():
@@ -138,7 +137,7 @@ def test_topologies_match_one_trial_at_a_time():
     for i in range(0, 240, 8):
         for loaded in (False, True):
             cfg, factory = _topology_case(i, loaded)
-            batch = run_step_batch(cfg, [factory() for _ in range(3)])
+            batch = run_step_batch(cfg, ChannelRows([factory() for _ in range(3)]))
             want = _record(run_trial(cfg, factory()))
             assert all(_record(batch.record(j)) == want for j in range(3)), (i, loaded)
     exp = load_experiment("usnet-nw")
@@ -167,64 +166,76 @@ def _round_trip_kinds():
 
 def test_each_batch_runs_its_round_trips_in_one_call(monkeypatch):
     """A batch of impaired channels of one model, or of topology channels,
-    runs its round trips in one call of its type's round_trips, and every
+    runs its round trips in one call of its block's round_trips, and every
     row still equals its own trial."""
     calls = []
-    for owner in (SimChannel, ImpairedChannel):
-        def counted(cls, channels, *args, round_trips=owner.__dict__["round_trips"].__func__):
-            calls.append((cls, len(channels)))
-            return round_trips(cls, channels, *args)
+    round_trips = ChannelRows.round_trips
 
-        monkeypatch.setattr(owner, "round_trips", classmethod(counted))
+    def counted(self, *args):
+        calls.append((type(self), len(self)))
+        return round_trips(self, *args)
+
+    monkeypatch.setattr(ChannelRows, "round_trips", counted)
     cfg = LoopConfig(delta_ms=0.8)
     for factory, rows in zip(_round_trip_kinds(), (3, 2, 4)):
         calls.clear()
-        batch = run_step_batch(cfg, [factory(seed) for seed in range(rows)])
-        assert calls == [(type(factory(0)), rows)]
+        batch = run_step_batch(cfg, ChannelRows([factory(seed) for seed in range(rows)]))
+        assert calls == [(ChannelRows, rows)]
         for seed in range(rows):
             assert _record(batch.record(seed)) == _record(run_trial(cfg, factory(seed))), seed
 
 
-def test_a_batch_of_mixed_channels_is_refused():
-    """A batch is one kind of channel, and its impaired channels share one
-    model; an empty batch has no kind."""
+def test_a_batch_of_mixed_channels_runs_each_row_as_its_own_trial():
+    """A ChannelRows block takes channels of any kinds: impaired channels
+    of two models and topology channels, interleaved, give row by row each
+    channel's own trial, at one loop time or at a loop time per row. A
+    block with no rows is refused."""
     lossy, slow, topology = _round_trip_kinds()
-    for channels in ([lossy(0), topology(1)], [topology(0), lossy(1)], [lossy(0), slow(1)], []):
-        with pytest.raises(ValueError):
-            run_step_batch(LoopConfig(), channels)
+    factories = [lossy, topology, slow, lossy, topology, slow, slow]
+    cfg = LoopConfig(delta_ms=0.8)
+    for deltas in (None, [0.8, 1.3, 0.5, 0.8, 2.0, 1.3, 0.7]):
+        rows = ChannelRows([factory(seed) for seed, factory in enumerate(factories)])
+        batch = run_step_batch(cfg, rows, deltas)
+        for seed, factory in enumerate(factories):
+            trial = cfg if deltas is None else replace(cfg, delta_ms=deltas[seed])
+            assert _record(batch.record(seed)) == _record(run_trial(trial, factory(seed))), seed
+    for empty in (ChannelRows([]), ChannelModel().block([])):
+        with pytest.raises(ValueError, match="at least one row"):
+            run_step_batch(LoopConfig(), empty)
 
 
 def test_round_trips_run_one_channel_at_a_time_into_blocks_of_their_own():
-    """SimChannel.round_trips finishes a channel's round trip before the
+    """ChannelRows.round_trips finishes a channel's round trip before the
     next one starts, and copies its rows into blocks that own their memory:
     a round trip may return views of larger arrays (here each traced one
     returns its arrival times as views of one array), which the blocks
-    must not keep alive."""
+    must not keep alive; a block of one row too."""
     *_, topology = _round_trip_kinds()
-    events, returned = [], []
-    channels = [topology(seed) for seed in range(5)]
-    for seed, chan in enumerate(channels):
-        def traced(*args, seed=seed, round_trip=chan.round_trip):
-            events.append(("start", seed))
-            fwd, picked, bwd = round_trip(*args)
-            both = np.concatenate([fwd, bwd])
-            returned.append((both[:len(fwd)], picked, both[len(fwd):]))
-            events.append(("end", seed))
-            return returned[-1]
+    for rows in (5, 1):
+        events, returned = [], []
+        channels = [topology(seed) for seed in range(rows)]
+        for seed, chan in enumerate(channels):
+            def traced(*args, seed=seed, round_trip=chan.round_trip):
+                events.append(("start", seed))
+                fwd, picked, bwd = round_trip(*args)
+                both = np.concatenate([fwd, bwd])
+                returned.append((both[:len(fwd)], picked, both[len(fwd):]))
+                events.append(("end", seed))
+                return returned[-1]
 
-        chan.round_trip = traced
-    sends = 0.5 * np.arange(40)
-    blocks = SimChannel.round_trips(channels, sends, 32, float(sends[-1]))
-    assert events == [(e, seed) for seed in range(5) for e in ("start", "end")]
-    arrivals = [a for fwd, _, bwd in returned for a in (fwd, bwd)]
-    assert any(a.base is not None for a in arrivals)
-    for block in blocks:
-        assert block.flags.owndata and block.shape == (5, 40)
-        assert not any(np.shares_memory(block, a) for a in arrivals)
+            chan.round_trip = traced
+        sends = 0.5 * np.arange(40)
+        blocks = ChannelRows(channels).round_trips(sends, 32, float(sends[-1]))
+        assert events == [(e, seed) for seed in range(rows) for e in ("start", "end")]
+        arrivals = [a for fwd, _, bwd in returned for a in (fwd, bwd)]
+        assert any(a.base is not None for a in arrivals)
+        for block in blocks:
+            assert block.flags.owndata and block.shape == (rows, 40)
+            assert not any(np.shares_memory(block, a) for a in arrivals)
 
 
 def test_round_trips_of_topologies_match_the_clock():
-    """SimChannel.round_trips over random topology channels of the
+    """ChannelRows.round_trips over random topology channels of the
     skeleton test, tactile-only and loaded, four to a batch, gives row by
     row the round trip and the stats of the event-per-packet channel of
     tests/netsim_oracle.py."""
@@ -236,7 +247,7 @@ def test_round_trips_of_topologies_match_the_clock():
                                                                      cfg.delta_ms))))
             args = (sends, cfg.packet_size_b, float(sends[-1] + cfg.delta_ms))
             channels = [factory() for _, factory in cases]
-            got = NetsimChannel.round_trips(channels, *args)
+            got = ChannelRows(channels).round_trips(*args)
             for r, (chan, (_, factory)) in enumerate(zip(channels, cases)):
                 oracle = factory(oracle=True)
                 want = oracle.round_trip(*args)
@@ -248,7 +259,7 @@ def test_round_trips_of_topologies_match_the_clock():
 def test_batch_stats_are_each_trials_own():
     model = ChannelModel(forward=LinkParams(drop_prob=0.2, drop_seq=frozenset({3})),
                          backward=LinkParams(drop_prob=0.2))
-    batch = run_step_batch(LoopConfig(), [model.build(s) for s in range(6)])
+    batch = run_step_batch(LoopConfig(), ChannelRows([model.build(s) for s in range(6)]))
     for i in range(6):
         stats = run_trial(LoopConfig(), model.build(i)).channel_stats
         assert batch.record(i).channel_stats == stats
@@ -443,7 +454,7 @@ def test_a_wave_sized_batch_peaks_under_16_kb_a_trial():
         channels = [exp.channel.factory(seed) for _, seed in trials]
         tracemalloc.start()
         try:
-            run_step_batch(exp.loop, channels, [delta for delta, _ in trials])
+            run_step_batch(exp.loop, ChannelRows(channels), [delta for delta, _ in trials])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
