@@ -39,6 +39,7 @@ from .qoc import (
     v_max,
 )
 from .sickness import (
+    TooShort,
     compliant_trajectory,
     histogram_csv,
     measure_E,
@@ -293,7 +294,7 @@ def cmd_sickness(args: argparse.Namespace) -> int:
         raise ConfigError(f"sickness {args.mode} needs --traj")
     try:
         traj = read_trajectory_csv(args.traj, args.fs if args.fs > 0 else None)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, TooShort) as exc:
         raise ConfigError(f"cannot read trajectory {args.traj!r}: {exc}") from None
     if args.mode == "predict":
         e = predict_E(traj, args.vmax)
@@ -441,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--traj", default=None, help="trajectory CSV path")
     p.add_argument("--vmax", type=_number(float, 0.0), default=0.0,
-                   help="hand-speed ceiling, m/s")
+                   help="hand-speed ceiling, m/s (synth needs one above 0)")
     p.add_argument("--fs", type=_number(float, 0.0), default=0.0,
                    help="sampling rate, Hz (0: predict and measure take the file's)")
     p.add_argument("--steps", type=int, default=3000)

@@ -13,6 +13,7 @@ and the errors follow from those times.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -224,6 +225,8 @@ def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction:
         raise ValueError(f"sampling frequency must be positive and finite, got {fs_hz}")
     if n_steps < 1:
         raise ValueError("a trajectory needs at least one step")
+    if not 0.0 < v_max_mps < math.inf:  # a zero ceiling would stand the hand still
+        raise ValueError(f"speed ceiling must be positive and finite, got {v_max_mps}")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
     rng = Random(seed)
@@ -293,14 +296,65 @@ def write_trajectory_csv(traj: HandTrajectory, path: str) -> None:
             w.writerow([repr(i / traj.fs_hz), repr(float(p))])
 
 
+_LABELS = ("t_s", "pos_mm")
+# line breaks of str.splitlines() that text mode leaves inside a line
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def read_trajectory_csv(path: str, fs_hz: float | None = None) -> HandTrajectory:
     """Accepts `t_s,pos_mm` or bare `pos_mm` rows, blank lines and `#`
     comments; the sampling rate comes from the `# fs_hz:` header unless
-    given explicitly, else from the first two `t_s` values. The file is read
-    at once and its positions converted to one array; time stamps other
-    than those two, and fields past the second, are not read."""
+    given explicitly, else from the first two `t_s` values. Fields past the
+    second are not used.
+
+    Every file `write_trajectory_csv` writes is a leading block of headers,
+    comments, blank lines and labels, then a regular body: numeric rows
+    with one number of fields, with nothing between them but empty lines.
+    numpy's C tokenizer reads such a body whole. Every other file is read
+    line by line: a comment, label or whitespace-only line among the rows,
+    bare and timed rows mixed, a field numpy does not read as a number, or
+    a line break that only `str.splitlines` knows. The two readers give the
+    same rate and positions, bit for bit, where both read a file, and the
+    line-by-line reader raises every error."""
     with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh.read().splitlines()]
+        text = fh.read()
+    regular = _read_regular(text, fs_hz)
+    fs_hz, positions = regular if regular is not None else _read_lines(text, fs_hz)
+    return HandTrajectory(fs_hz=fs_hz, positions=positions, source=path)
+
+
+def _read_regular(text: str, fs_hz: float | None) -> tuple[float, np.ndarray] | None:
+    """The rate and positions of a file with a regular body, else None."""
+    if any(c in text for c in _OTHER_BREAKS):
+        return None
+    header, start = None, 0
+    while True:
+        end = text.find("\n", start)
+        line = text[start:end if end >= 0 else len(text)].strip()
+        if line and line[0] != "#" and line.split(",", 2)[0] not in _LABELS:
+            break
+        if header is None and line.startswith(TRAJ_HEADER_PREFIX):
+            header = line
+        if end < 0:
+            return None
+        start = end + 1
+    try:
+        rows = np.loadtxt(io.StringIO(text[start:]), delimiter=",", comments=None,
+                          quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if fs_hz is None and header is not None:
+        fs_hz = float(header[len(TRAJ_HEADER_PREFIX):])
+    if fs_hz is None:
+        if rows.shape[1] < 2 or len(rows) < 2 or rows[1, 0] == rows[0, 0]:
+            return None
+        fs_hz = 1.0 / (float(rows[1, 0]) - float(rows[0, 0]))
+    return fs_hz, rows[:, 1 if rows.shape[1] > 1 else 0].copy()
+
+
+def _read_lines(text: str, fs_hz: float | None) -> tuple[float, np.ndarray]:
+    """The reader of every file: strips and splits each line in Python."""
+    lines = [line.strip() for line in text.splitlines()]
     if fs_hz is None:
         header = next((line for line in lines if line.startswith(TRAJ_HEADER_PREFIX)), None)
         if header is not None:
@@ -308,7 +362,7 @@ def read_trajectory_csv(path: str, fs_hz: float | None = None) -> HandTrajectory
 
     def rows() -> Iterator[list[str]]:
         fields = (line.split(",", 2) for line in lines if line and line[0] != "#")
-        return (r for r in fields if r[0] not in ("t_s", "pos_mm"))
+        return (r for r in fields if r[0] not in _LABELS)
 
     positions = np.array([r[1] if len(r) > 1 else r[0] for r in rows()], dtype=float)
     if fs_hz is None:
@@ -316,7 +370,7 @@ def read_trajectory_csv(path: str, fs_hz: float | None = None) -> HandTrajectory
         if len(times) < 2 or times[1] == times[0]:
             raise ValueError("sampling rate not in header and not derivable")
         fs_hz = 1.0 / (times[1] - times[0])
-    return HandTrajectory(fs_hz=fs_hz, positions=positions, source=path)
+    return fs_hz, positions
 
 
 def histogram_csv(report: SicknessReport) -> str:

@@ -1,5 +1,6 @@
-"""The event-driven cybersickness replay, kept as the reference of
-`tcpsbench.sickness.measure_E`.
+"""The references of `tcpsbench.sickness`: the event-driven cybersickness
+replay, kept for `measure_E`, and the per-line trajectory file reader, kept
+for `read_trajectory_csv`.
 
 This is `measure_E` as it ran before the replay became a timing skeleton
 plus a value recurrence: every command, feedback and topology hop is an
@@ -9,15 +10,22 @@ changed, and the robot (stale-command filter and first-order lag) is
 written out here instead of taken from `tcpsbench.loopsim`, so the two
 share no lag arithmetic. tests/test_sickness_skeleton.py compares the two
 bit for bit.
+
+`read_trajectory_csv` is the reader as it was before files with a regular
+body went to numpy's C tokenizer, unedited; tests/test_trajectory_csv.py
+compares the two on random files.
 """
 
 import math
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from tcpsbench.clock import EventScheduler, PRIO_CONTROL
 from tcpsbench.sickness import (
     ERROR_LIMIT_MM,
+    TRAJ_HEADER_PREFIX,
     HandTrajectory,
     SicknessReport,
     TooShort,
@@ -95,3 +103,29 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
         error_histogram=_histogram(err),
         n_samples=len(err),
     )
+
+
+def read_trajectory_csv(path: str, fs_hz: float | None = None) -> HandTrajectory:
+    """Accepts `t_s,pos_mm` or bare `pos_mm` rows, blank lines and `#`
+    comments; the sampling rate comes from the `# fs_hz:` header unless
+    given explicitly, else from the first two `t_s` values. The file is read
+    at once and its positions converted to one array; time stamps other
+    than those two, and fields past the second, are not read."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh.read().splitlines()]
+    if fs_hz is None:
+        header = next((line for line in lines if line.startswith(TRAJ_HEADER_PREFIX)), None)
+        if header is not None:
+            fs_hz = float(header[len(TRAJ_HEADER_PREFIX):])
+
+    def rows() -> Iterator[list[str]]:
+        fields = (line.split(",", 2) for line in lines if line and line[0] != "#")
+        return (r for r in fields if r[0] not in ("t_s", "pos_mm"))
+
+    positions = np.array([r[1] if len(r) > 1 else r[0] for r in rows()], dtype=float)
+    if fs_hz is None:
+        times = [float(r[0]) for r in islice((r for r in rows() if len(r) > 1), 2)]
+        if len(times) < 2 or times[1] == times[0]:
+            raise ValueError("sampling rate not in header and not derivable")
+        fs_hz = 1.0 / (times[1] - times[0])
+    return HandTrajectory(fs_hz=fs_hz, positions=positions, source=path)

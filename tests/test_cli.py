@@ -312,6 +312,23 @@ class TestSickness:
         assert run(["sickness", "synth", "--fs", 30, "--steps", 0,
                     "--out", tmp_path / "o"]) == EXIT_CONFIG
 
+    def test_synth_without_ceiling_exits_2(self, tmp_path, capsys):
+        """--vmax defaults to 0, which used to write a trajectory that never
+        moves, predicted at 100% under any ceiling."""
+        assert run(["sickness", "synth", "--fs", 30, "--steps", 300, "--fraction", 0.5,
+                    "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "speed ceiling" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    def test_one_sample_trajectory_exits_2(self, tmp_path, capsys):
+        """A file of one sample used to exit 3, an experiment error."""
+        traj = tmp_path / "short.csv"
+        traj.write_text("# fs_hz: 10.0\n1.0\n")
+        for mode in ("predict", "measure"):
+            assert run(["sickness", mode, "--traj", traj, "--vmax", 0.02, "--config", "ideal",
+                        "--out", tmp_path / "o"]) == EXIT_CONFIG
+            assert "at least 2 samples" in capsys.readouterr().err
+
 
 class TestNetsim:
     def test_placement_sweep_no_traffic(self, tmp_path):

@@ -246,3 +246,10 @@ def test_non_positive_or_non_finite_rates_are_rejected(fs_hz):
         HandTrajectory(fs_hz=fs_hz, positions=[0.0, 1.0])
     with pytest.raises(ValueError, match="sampling frequency"):
         compliant_trajectory(fs_hz, 10, 0.02, 0.5, seed=1)
+
+
+@pytest.mark.parametrize("v_max_mps", [0.0, -0.02, float("nan"), float("inf")])
+def test_non_positive_or_non_finite_ceilings_are_rejected(v_max_mps):
+    """A zero ceiling used to give a trajectory that never moves."""
+    with pytest.raises(ValueError, match="speed ceiling"):
+        compliant_trajectory(30.0, 10, v_max_mps, 0.5, seed=1)
