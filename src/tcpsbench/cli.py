@@ -292,6 +292,8 @@ def cmd_sickness(args: argparse.Namespace) -> int:
 
     if args.traj is None:
         raise ConfigError(f"sickness {args.mode} needs --traj")
+    if args.mode == "predict" and not args.vmax > 0.0:
+        raise ConfigError("sickness predict needs a --vmax above 0")
     try:
         traj = read_trajectory_csv(args.traj, args.fs if args.fs > 0 else None)
     except (OSError, ValueError, TooShort) as exc:
@@ -318,6 +320,8 @@ def cmd_sickness(args: argparse.Namespace) -> int:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    if args.mode == "measure" and args.count == 0:
+        raise ConfigError("probe measure needs a --count above 0 (0 is for serve)")
     local = parse_addr(args.bind if args.mode == "serve" else args.local)
     if args.mode == "serve":
         endpoint = DatagramEndpoint(local, packet_size_b=args.packet_size)
@@ -347,7 +351,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     rtts = []
     lost = 0
     try:
-        for i in range(args.count or 20):
+        for i in range(args.count):
             t0 = time.perf_counter()
             endpoint.send_packet(Packet(kind=KIND_KINEMATIC, seq=i, epoch=i, x=0.0, value=0.0))
             try:
@@ -363,7 +367,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     finally:
         endpoint.close()
     out = _out_dir(args)
-    lines = [f"sent: {args.count or 20}", f"lost: {lost}"]
+    lines = [f"sent: {args.count}", f"lost: {lost}"]
     if rtts:
         rtts_sorted = sorted(rtts)
         mean = sum(rtts) / len(rtts)
@@ -442,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--traj", default=None, help="trajectory CSV path")
     p.add_argument("--vmax", type=_number(float, 0.0), default=0.0,
-                   help="hand-speed ceiling, m/s (synth needs one above 0)")
+                   help="hand-speed ceiling, m/s (synth and predict need one above 0)")
     p.add_argument("--fs", type=_number(float, 0.0), default=0.0,
                    help="sampling rate, Hz (0: predict and measure take the file's)")
     p.add_argument("--steps", type=int, default=3000)
@@ -458,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local", default="127.0.0.1:0", help="measure: local bind address")
     p.add_argument("--remote", default="127.0.0.1:9870", help="measure: responder address")
     p.add_argument("--count", type=_number(int, 0), default=20,
-                   help="packets to send/echo (0 = forever)")
+                   help="packets to send/echo (0: serve echoes forever)")
     p.add_argument("--interval-ms", type=_number(float, 0.0, most=_WAIT_MAX_MS), default=1.0)
     p.add_argument("--packet-size", type=_number(int, MIN_PACKET_BYTES), default=MIN_PACKET_BYTES)
     p.add_argument("--deadline-ms", type=_number(float, 0.0, above=True, most=_WAIT_MAX_MS),

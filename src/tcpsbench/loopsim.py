@@ -281,7 +281,7 @@ class Plant(Robot):
 @dataclass
 class StepExperimentRecord:
     """Everything one run produced: the plant-side curve, the operator's
-    send trace, and per-direction packet accounting."""
+    send trace, and per-direction packet accounting of this run alone."""
 
     curve: StepResponseCurve
     operator_trace: list[tuple[float, float, float]]
@@ -298,9 +298,9 @@ _Constants = namedtuple("_Constants", "k_p gain k_2 p_ref step_index")
 class StepBatch:
     """The sweeps of one batch of trials at one configuration: their curves,
     the sweep coordinates, and per trial (row) the send times, the
-    commanded y of each send (k-major: ys[k, i]), the arrival times of the
-    commands and of the feedback on each command (NaN: none), and the
-    channel's (sent, delivered, dropped) counts per direction (rows x 2 x 3)."""
+    commanded y of each send (k-major: ys[k, i]), and the arrival times of
+    the commands and of the feedback on each command (NaN: none), from
+    which a record counts its own packets by SimChannel._count's rule."""
 
     curves: CurveBatch
     sends: np.ndarray
@@ -308,18 +308,16 @@ class StepBatch:
     ys: np.ndarray
     fwd: np.ndarray
     bwd: np.ndarray
-    counts: np.ndarray
 
     def record(self, i: int) -> StepExperimentRecord:
         trace = list(zip(self.sends[i].tolist(), self.x.tolist(), self.ys[:, i].tolist()))
         # the feedback on command k sits in column k, so command order is its
         # send order too
-        fwd, bwd = self.fwd[i], self.bwd[i]
-        landed = int(np.count_nonzero(bwd == bwd))
-        cmd_stale = int(np.count_nonzero(fwd == fwd)) - int(self.curves.lengths[i])
-        stats = {FORWARD: DirectionStats(*self.counts[i, 0].tolist(), cmd_stale),
-                 BACKWARD: DirectionStats(*self.counts[i, 1].tolist(),
-                                          landed - int(np.count_nonzero(_fresh_mask(bwd))))}
+        fwd, bwd, fresh = self.fwd[i], self.bwd[i], int(self.curves.lengths[i])
+        cmds, answers = int(np.count_nonzero(fwd == fwd)), int(np.count_nonzero(bwd == bwd))
+        stats = {FORWARD: DirectionStats(len(fwd), cmds, len(fwd) - cmds, cmds - fresh),
+                 BACKWARD: DirectionStats(fresh, answers, fresh - answers,
+                                          answers - int(np.count_nonzero(_fresh_mask(bwd))))}
         return StepExperimentRecord(curve=self.curves.curve(i), operator_trace=trace,
                                     channel_stats=stats)
 
@@ -357,9 +355,9 @@ def _feedback_sources(ticks: np.ndarray, step_of: np.ndarray, bwd: np.ndarray) -
 def run_step_batch(cfg: LoopConfig, block, delta_ms: Sequence[float] | None = None) -> StepBatch:
     """Execute one full sweep over each row of a block, one trial per row:
     a ChannelRows (channels of any kinds) or an ImpairedBlock (no channel
-    object), each with len, round_trips and counts. Row r runs at loop
-    time delta_ms[r] (by default every row at cfg.delta_ms); the curves'
-    config is cfg, whose other constants every row shares.
+    object), used only through len and one round_trips call. Row r runs
+    at loop time delta_ms[r] (by default every row at cfg.delta_ms); the
+    curves' config is cfg, whose other constants every row shares.
 
     Deterministic given (cfg, loop times, channel seeds). Each sweep is
     that of the loop on the virtual clock, where deliveries run ahead of a
@@ -450,8 +448,7 @@ def run_step_batch(cfg: LoopConfig, block, delta_ms: Sequence[float] | None = No
     ys = np.array(ys).reshape(n, rows)
     curves = CurveBatch(t=t_fresh, x=fresh_only(x[c]), y=fresh_only(ys.ravel()[fresh_at_k]),
                         signal=fresh_only(flat[fresh_at_k]), lengths=n_fresh, config=cfg)
-    return StepBatch(curves=curves, sends=sends, x=x, ys=ys, fwd=fwd, bwd=bwd,
-                     counts=block.counts())
+    return StepBatch(curves=curves, sends=sends, x=x, ys=ys, fwd=fwd, bwd=bwd)
 
 
 # --- real-socket mode -------------------------------------------------------

@@ -352,11 +352,7 @@ class NetsimChannel(SimChannel):
         picked = self._picked
         bwd = np.full(len(fwd), np.nan)
         bwd[picked] = answers
-        for direction, t in ((FORWARD, fwd), (BACKWARD, answers)):
-            stats, landed = self.stats[direction], int(np.count_nonzero(t == t))
-            stats.sent += len(t)
-            stats.dropped += len(t) - landed
-            stats.delivered += landed
+        self._count(fwd, picked, bwd)
         return fwd, picked, bwd
 
     def _run(self, sends: np.ndarray, size_b: int,

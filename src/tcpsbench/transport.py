@@ -371,8 +371,8 @@ class SimChannel:
     commands' arrival times (NaN: lost), the mask of the fresh commands and
     the answers' arrival times, the answer to command k in column k (NaN:
     none, or lost), as the clock would give them, and counts both
-    directions in the stats as send does once every packet has landed. It
-    is row 0 of ChannelRows([channel]).round_trips."""
+    directions in the stats (_count) as send does once every packet has
+    landed. It is row 0 of ChannelRows([channel]).round_trips."""
 
     def __init__(self) -> None:
         self.stats = {FORWARD: DirectionStats(), BACKWARD: DirectionStats()}
@@ -398,6 +398,16 @@ class SimChannel:
 
     def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:
         raise NotImplementedError
+
+    def _count(self, fwd: np.ndarray, picked: np.ndarray, bwd: np.ndarray) -> None:
+        """Add a round trip to the stats from its result: each command and
+        the answer to each fresh one are sent, a packet whose arrival time
+        is not NaN is delivered, and every other one is dropped."""
+        for direction, t in ((FORWARD, fwd), (BACKWARD, bwd[picked])):
+            stats, landed = self.stats[direction], int(np.count_nonzero(t == t))
+            stats.sent += len(t)
+            stats.delivered += landed
+            stats.dropped += len(t) - landed
 
 
 # draws kept for reuse by seed while a shared_draws() block is open
@@ -649,11 +659,6 @@ class ImpairedBlock:
         bwd[picked] = back[sent]
         return fwd, picked, bwd
 
-    def counts(self) -> np.ndarray:
-        """Each row's (sent, delivered, dropped) packets per direction, (rows
-        x 2 x 3); a round trip counts its kept packets as delivered."""
-        return np.stack([self.sent, self.kept, self.sent - self.kept], axis=-1).swapaxes(0, 1)
-
 
 class ChannelRows:
     """Simulated channels of any kinds as the rows of one block, one
@@ -681,12 +686,6 @@ class ChannelRows:
             for r, channel in enumerate(self.channels):
                 fwd[r], picked[r], bwd[r] = channel.round_trip(sends[r], size_b, drains[r])
         return fwd, picked, bwd
-
-    def counts(self) -> np.ndarray:
-        """Each row's (sent, delivered, dropped) packets per direction,
-        (rows x 2 x 3), from its channel's stats."""
-        return np.array([[(s.sent, s.delivered, s.dropped) for s in c.stats.values()]
-                         for c in self.channels])
 
 
 class ImpairedChannel(SimChannel):
@@ -732,13 +731,9 @@ class ImpairedChannel(SimChannel):
         return t_deliver
 
     def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float):
-        """SimChannel.round_trip as its block's round trip, counted in the stats."""
-        before = self.block.counts()[0]
+        """SimChannel.round_trip as its block's round trip."""
         out = tuple(b[0] for b in self.block.round_trips(sends, size_b, drain_at))
-        moved = (self.block.counts()[0] - before).tolist()
-        for st, (sent, kept, lost) in zip(self.stats.values(), moved):
-            st.sent, st.delivered, st.dropped = (st.sent + sent, st.delivered + kept,
-                                                 st.dropped + lost)
+        self._count(*out)
         return out
 
     def _carry(self, direction: str, size_b: int, deliver: Callable[[], None]) -> None:

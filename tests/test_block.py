@@ -79,7 +79,7 @@ def _run_round_trips(i, seen):
                                                       for _ in range(cfg.sweep_len - 1)])
         sends = np.concatenate([start[:, None], start[:, None] + np.add.accumulate(steps, 1)], 1)
         got = block.round_trips(sends, cfg.packet_size_b, sends[:, -1])
-        counts = block.counts()
+        counts = np.stack([block.sent, block.kept, block.sent - block.kept], -1).swapaxes(0, 1)
         for r, twin in enumerate(twins):
             want = carry_oracle.round_trip(twin, sends[r], cfg.packet_size_b, 0.0)
             assert repr([a[r].tolist() for a in got]) == repr([a.tolist() for a in want]), (i, r)

@@ -126,6 +126,8 @@ class TestConfigErrors:
         ["probe", "serve", "--deadline-ms", "nan"],
         ["probe", "measure", "--interval-ms", "inf"],
         ["probe", "measure", "--count=-1"],
+        # sent 20 packets and recorded "count": 0 in its manifest (exit 0)
+        ["probe", "measure", "--count", "0"],
         ["probe", "serve", "--count=-2"],
         ["probe", "measure", "--packet-size", "8"],
         # a wait past the platform's time range: an OverflowError traceback (exit 1);
@@ -143,10 +145,10 @@ class TestConfigErrors:
         ["netsim", "--config", "usnet-nw", "--rates", ","],
     ], ids=["gspec", "gspec-list", "rates", "placements", "remote", "bind",
             "measure-deadline-negative", "measure-deadline-nan", "serve-deadline-negative",
-            "serve-deadline-nan", "interval-inf", "measure-count", "serve-count",
-            "packet-size", "measure-deadline-huge", "serve-deadline-huge", "interval-huge",
-            "interval-past-sleep-range", "step-deadline-negative", "step-deadline-nan",
-            "step-deadline-huge", "rates-empty", "rates-commas"])
+            "serve-deadline-nan", "interval-inf", "measure-count", "measure-count-zero",
+            "serve-count", "packet-size", "measure-deadline-huge", "serve-deadline-huge",
+            "interval-huge", "interval-past-sleep-range", "step-deadline-negative",
+            "step-deadline-nan", "step-deadline-huge", "rates-empty", "rates-commas"])
     def test_bad_argument_exits_2_before_any_work(self, argv, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
@@ -319,6 +321,21 @@ class TestSickness:
                     "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert "speed ceiling" in capsys.readouterr().err
         assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+    def test_predict_without_ceiling_exits_2(self, tmp_path, capsys):
+        """--vmax defaults to 0, under which predict used to find no speed:
+        predicted_E_pct 0.0, exit 0. measure still takes 0 as no prediction."""
+        traj = tmp_path / "t" / "trajectory.csv"
+        assert run(["sickness", "synth", "--fs", 30, "--steps", 300, "--vmax", 0.02,
+                    "--fraction", 0.5, "--out", traj.parent]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["sickness", "predict", "--traj", traj,
+                    "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "--vmax" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "sickness.txt").exists()
+        assert run(["sickness", "measure", "--traj", traj, "--config", "ideal",
+                    "--out", tmp_path / "m"]) == EXIT_OK
+        assert "predicted_E_pct: None" in capsys.readouterr().out
 
     def test_one_sample_trajectory_exits_2(self, tmp_path, capsys):
         """A file of one sample used to exit 3, an experiment error."""

@@ -14,7 +14,7 @@ curve search must run every trial the one-point-at-a-time search runs.
 
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from random import Random
 
 import numpy as np
@@ -26,7 +26,7 @@ from trial_oracle import run_trial
 from tcpsbench import qoc
 from tcpsbench.core import MALFORMED, CurveBatch
 from tcpsbench.experiments import PRESET_NAMES, load_experiment
-from tcpsbench.loopsim import LoopConfig, run_step_batch
+from tcpsbench.loopsim import LoopConfig, run_step_batch, run_step_experiment
 from tcpsbench.netsim import (
     Link,
     Topology,
@@ -264,6 +264,67 @@ def test_batch_stats_are_each_trials_own():
         stats = run_trial(LoopConfig(), model.build(i)).channel_stats
         assert batch.record(i).channel_stats == stats
         assert stats[FORWARD].dropped and stats[BACKWARD].dropped
+
+
+def _reused_channel(kind):
+    """(channel, config): an impaired channel that drops both ways, or the
+    vrep-like topology channel at its preset's loop."""
+    if kind == "vrep-like":
+        exp = load_experiment(kind)
+        return exp.channel.factory(exp.loop.seed), exp.loop
+    lossy = ChannelModel(forward=LinkParams(drop_prob=0.2, jitter=Jitter.uniform(1.5)),
+                         backward=LinkParams(drop_prob=0.1))
+    return lossy.build(3), LoopConfig(delta_ms=0.8)
+
+
+@pytest.mark.parametrize("kind", ["lossy", "vrep-like"])
+def test_a_record_counts_only_its_own_run(kind):
+    """Run twice on one channel, the second record counts its own run
+    alone: its (sent, delivered, dropped) in each direction are the
+    channel's stats after that run less its stats before it. It used to
+    read the channel's lifetime counts (200 commands sent for a run of
+    100) beside its own run's stale counts."""
+    chan, cfg = _reused_channel(kind)
+    run_step_experiment(cfg, chan)
+    before = {d: astuple(s)[:3] for d, s in chan.stats.items()}
+    record = run_step_experiment(cfg, chan)
+    for d, s in chan.stats.items():
+        own = astuple(record.channel_stats[d])[:3]
+        assert own == tuple(a - b for a, b in zip(astuple(s)[:3], before[d])), d
+    assert record.channel_stats[FORWARD].sent == cfg.sweep_len
+    if kind == "lossy":
+        assert all(s.dropped for s in record.channel_stats.values())
+
+
+class _LenAndRoundTrips:
+    """A block with nothing but len and round_trips, both forwarded to a
+    ChannelRows, counting the round_trips calls."""
+
+    def __init__(self, rows):
+        self._rows, self.calls = rows, 0
+
+    def __len__(self):
+        return len(self._rows)
+
+    def round_trips(self, *args):
+        self.calls += 1
+        return self._rows.round_trips(*args)
+
+
+def test_a_block_is_len_and_round_trips():
+    """run_step_batch needs of a block only its len and one round_trips
+    call: a block of just these two gives the records of the ChannelRows
+    it forwards to."""
+    factories = _round_trip_kinds()
+    cfg = LoopConfig(delta_ms=0.8)
+    for deltas in (None, [0.8, 1.3, 0.5]):
+        block = _LenAndRoundTrips(ChannelRows([f(seed) for seed, f in enumerate(factories)]))
+        got = run_step_batch(cfg, block, deltas)
+        want = run_step_batch(cfg, ChannelRows([f(seed) for seed, f in enumerate(factories)]),
+                              deltas)
+        assert block.calls == 1
+        for i in range(len(factories)):
+            assert _record(got.record(i)) == _record(want.record(i)), (deltas, i)
 
 
 def test_curve_search_work_count(monkeypatch):
