@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="bundled preset name or path to a JSON config")
         p.add_argument("--out", default=None,
                        help=f"output directory (default: ${OUTPUT_ENV} or ./out)")
-        p.add_argument("--seed", type=int, default=None, help="override loop+search seed")
+        p.add_argument("--seed", type=_number(int, 0), default=None,
+                       help="override loop+search seed (0 or more)")
 
     p = sub.add_parser("step", help="run one step experiment, emit curve + metrics")
     common(p)

@@ -95,6 +95,8 @@ class LoopConfig:
         step = self.step_index
         if not 0 < step < self.sweep_len:
             raise ValueError("step_at must fall inside the sweep")
+        if self.seed < 0:  # Random() seeds with abs(): -s would replay s's streams
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def step_index(self) -> int:

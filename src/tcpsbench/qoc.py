@@ -143,6 +143,8 @@ class SearchConfig:
             raise ValueError("ci_halfwidth must lie in (0, 0.5)")
         if self.m_batch < 1 or self.m_max < self.m_batch:
             raise ValueError("need 1 <= m_batch <= m_max")
+        if self.seed < 0:  # one seed range with LoopConfig: --seed sets both
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def grid(self) -> list[float]:
         if self.deltas is not None:

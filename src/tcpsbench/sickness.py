@@ -297,6 +297,8 @@ def write_trajectory_csv(traj: HandTrajectory, path: str) -> None:
 
 
 _LABELS = ("t_s", "pos_mm")
+# a comment row holds a "#" and a label row an "s"; no number holds either
+_ROW_MARKS = "#s"
 # line breaks of str.splitlines() that text mode leaves inside a line
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
@@ -310,12 +312,16 @@ def read_trajectory_csv(path: str, fs_hz: float | None = None) -> HandTrajectory
     Every file `write_trajectory_csv` writes is a leading block of headers,
     comments, blank lines and labels, then a regular body: numeric rows
     with one number of fields, with nothing between them but empty lines.
-    numpy's C tokenizer reads such a body whole. Every other file is read
-    line by line: a comment, label or whitespace-only line among the rows,
-    bare and timed rows mixed, a field numpy does not read as a number, or
-    a line break that only `str.splitlines` knows. The two readers give the
-    same rate and positions, bit for bit, where both read a file, and the
-    line-by-line reader raises every error."""
+    numpy's C tokenizer reads such a body. A two-field body's times are
+    converted only when the rate must come from them: with the rate given
+    or in the header, numpy splits each row but converts only its position,
+    unless a `#` or an `s` in the body could mark a comment or label row.
+    Every other file is read line by line: a comment, label or
+    whitespace-only line among the rows, bare and timed rows mixed, a field
+    numpy does not read as a number, or a line break that only
+    `str.splitlines` knows. The two readers give the same rate and
+    positions, bit for bit, where both read a file, and the line-by-line
+    reader raises every error."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     regular = _read_regular(text, fs_hz)
@@ -338,13 +344,20 @@ def _read_regular(text: str, fs_hz: float | None) -> tuple[float, np.ndarray] | 
         if end < 0:
             return None
         start = end + 1
-    try:
-        rows = np.loadtxt(io.StringIO(text[start:]), delimiter=",", comments=None,
-                          quotechar=None, ndmin=2)
-    except ValueError:
-        return None
     if fs_hz is None and header is not None:
         fs_hz = float(header[len(TRAJ_HEADER_PREFIX):])
+    # with the rate known, a two-field body's times are split off but never
+    # converted; a comment or label row would then pass for data, so a body
+    # holding either is converted whole
+    positions_only = (fs_hz is not None and line.count(",") == 1
+                      and all(text.find(mark, start) < 0 for mark in _ROW_MARKS))
+    try:
+        rows = np.loadtxt(io.StringIO(text[start:]), delimiter=",", comments=None,
+                          quotechar=None, usecols=1 if positions_only else None, ndmin=2)
+    except ValueError:
+        return None
+    if positions_only:
+        return fs_hz, rows[:, 0]  # one column: contiguous already
     if fs_hz is None:
         if rows.shape[1] < 2 or len(rows) < 2 or rows[1, 0] == rows[0, 0]:
             return None

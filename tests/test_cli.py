@@ -143,12 +143,16 @@ class TestConfigErrors:
         # no rate: a header-only netsim.csv (exit 0)
         ["netsim", "--config", "usnet-nw", "--rates", ""],
         ["netsim", "--config", "usnet-nw", "--rates", ","],
+        # Random() seeds with abs(): -1 replayed seed 1's streams (exit 0)
+        ["step", "--config", "testbed-overhead-like", "--seed=-1"],
+        ["sickness", "synth", "--fs", "30", "--vmax", "0.02", "--seed=-1"],
     ], ids=["gspec", "gspec-list", "rates", "placements", "remote", "bind",
             "measure-deadline-negative", "measure-deadline-nan", "serve-deadline-negative",
             "serve-deadline-nan", "interval-inf", "measure-count", "measure-count-zero",
             "serve-count", "packet-size", "measure-deadline-huge", "serve-deadline-huge",
             "interval-huge", "interval-past-sleep-range", "step-deadline-negative",
-            "step-deadline-nan", "step-deadline-huge", "rates-empty", "rates-commas"])
+            "step-deadline-nan", "step-deadline-huge", "rates-empty", "rates-commas",
+            "step-seed-negative", "synth-seed-negative"])
     def test_bad_argument_exits_2_before_any_work(self, argv, tmp_path, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
@@ -162,6 +166,13 @@ class TestConfigErrors:
         bad.write_text(json.dumps({"channel": {"type": "ideal"},
                                    "loop": {"k_p": 2.0, "k_2": 1.2}}))
         assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("section", ["loop", "search"])
+    def test_negative_config_seed_rejected(self, tmp_path, capsys, section):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channel": {"type": "ideal"}, section: {"seed": -1}}))
+        assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
 
 
 class TestExperimentErrors:

@@ -168,3 +168,55 @@ def test_written_and_bare_files_take_numpys_reader(tmp_path, monkeypatch):
     back = read_trajectory_csv(str(written))
     assert back.fs_hz == traj.fs_hz and back.positions.tobytes() == traj.positions.tobytes()
     assert back.positions.flags.c_contiguous
+
+
+def _refuse(text, fs_hz):
+    raise AssertionError("read line by line")
+
+
+@pytest.mark.parametrize("time", ["t", "1_0", "inf"])
+def test_rated_two_field_body_never_converts_its_times(tmp_path, monkeypatch, time):
+    """With the rate in the header, numpy splits off the time column but
+    never converts it: times it would refuse do not send the file to the
+    per-line reader, which ignores them too."""
+    path = tmp_path / "rated.csv"
+    path.write_text("# fs_hz: 12.5\nt_s,pos_mm\n"
+                    + "".join(f"{time},{p!r}\n" for p in (1.5, -2.25, 3.0)), encoding="utf-8")
+    want = _outcome(sickness_oracle.read_trajectory_csv, path, None)
+    monkeypatch.setattr(sickness, "_read_lines", _refuse)
+    assert _outcome(read_trajectory_csv, path, None) == want
+    assert read_trajectory_csv(str(path)).positions.tolist() == [1.5, -2.25, 3.0]
+
+
+@pytest.mark.parametrize("row", ["t_s,5.0", "pos_mm,5.0", "  t_s,5.0", "# aside,5.0",
+                                 "  #,5.0"])
+@pytest.mark.filterwarnings("error")
+def test_comment_and_label_rows_in_a_rated_body_are_not_data(tmp_path, row):
+    """The per-line reader skips these rows; with the times unconverted,
+    numpy alone would read their second field as a position."""
+    path = tmp_path / "marked.csv"
+    path.write_text(f"# fs_hz: 10.0\n0.0,1.0\n{row}\n0.2,2.0\n", encoding="utf-8")
+    got = _outcome(read_trajectory_csv, path, None)
+    assert got == _outcome(sickness_oracle.read_trajectory_csv, path, None)
+    assert got[-1] == np.array([1.0, 2.0]).tobytes()
+
+
+def test_workload_sized_files_take_numpys_reader(tmp_path, monkeypatch):
+    """Three files as the sickness replay benchmark writes them: 12 000
+    steps at 20, 30 and 40 Hz."""
+    paths = []
+    for i, fs in enumerate((20.0, 30.0, 40.0)):
+        paths.append(tmp_path / f"trajectory-{i}.csv")
+        write_trajectory_csv(compliant_trajectory(fs, 12_000, 0.02, 0.8, seed=i), str(paths[-1]))
+    want = [_outcome(sickness_oracle.read_trajectory_csv, path, None) for path in paths]
+    monkeypatch.setattr(sickness, "_read_lines", _refuse)
+    assert [_outcome(read_trajectory_csv, path, None) for path in paths] == want
+
+
+def test_unrated_two_field_body_takes_its_rate_from_its_times(tmp_path, monkeypatch):
+    path = tmp_path / "unrated.csv"
+    path.write_text("t_s,pos_mm\n0.0,1.0\n0.25,2.0\n0.5,3.0\n", encoding="utf-8")
+    want = _outcome(sickness_oracle.read_trajectory_csv, path, None)
+    monkeypatch.setattr(sickness, "_read_lines", _refuse)
+    assert _outcome(read_trajectory_csv, path, None) == want
+    assert read_trajectory_csv(str(path)).fs_hz == 4.0
