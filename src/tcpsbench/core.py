@@ -46,6 +46,12 @@ class NonPositiveInput(TcpsbenchError):
     pass
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed: Random() seeds with abs(), so -s would replay s's streams."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class GoodnessLimits:
     overshoot_max_pct: float = 20.0

@@ -6,6 +6,7 @@ the goodness limits. The dataclasses are the schema: `_build` takes each
 object's keys, defaults and JSON types from the dataclass it becomes, so
 every object rejects keys it does not read. The result is the LoopConfig,
 SearchConfig, GoodnessLimits and per-trial channel factory the searches need.
+The topology code (`netsim`) loads only for a topology config.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ import json
 import typing
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .core import GoodnessLimits, TcpsbenchError
 from .loopsim import LoopConfig
-from .netsim import (Link, Topology, TopologyError, TrafficFlow, channel_from_topology,
-                     check_flow_hosts)
 from .qoc import SearchConfig, StepRunner
 from .transport import ChannelModel, Jitter, LinkParams, ideal_model
+
+if TYPE_CHECKING:  # netsim loads only for a topology config
+    from .netsim import Topology
 
 PRESET_NAMES = ("ideal", "testbed-overhead-like", "usnet-nw", "vrep-like")
 _type_hints = functools.cache(typing.get_type_hints)  # evaluating annotations is slow
@@ -115,6 +117,8 @@ def _build_link(d: Any, what: str) -> LinkParams:
 
 
 def build_topology(d: Any) -> Topology:
+    from .netsim import Link, Topology
+
     return _build(Topology, d, "topology",
                   switches=lambda v: tuple(str(s) for s in v),
                   links=lambda v: tuple(Link(a=str(a), b=str(b), delay_ms=float(delay),
@@ -168,6 +172,8 @@ def build_channel_spec(d: Any) -> ChannelSpec:
                              backward=_build_link(d.get("backward"), "backward link"))
         return ChannelSpec(kind=kind, factory=model.build, description=dict(d))
     if kind == "topology":
+        from .netsim import TopologyError, TrafficFlow, channel_from_topology, check_flow_hosts
+
         topo_dict = d.get("topology")
         if isinstance(topo_dict, str):
             topo_cfg = load_config(topo_dict)

@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import TcpsbenchError
+from .core import TcpsbenchError, check_seed
 from .transport import BACKWARD, FORWARD, LinkQueue, SimChannel, _fresh_mask, _shared
 
 
@@ -334,6 +334,7 @@ class NetsimChannel(SimChannel):
 
     def __init__(self, topology: Topology, flows: tuple[TrafficFlow, ...],
                  seed: int, queue_cap: int | None = None) -> None:
+        check_seed(seed)
         super().__init__()
         (self._routes, links, sims, self._first, self._rank, self._feeds, self._tactile,
          self._order) = _plan(topology, flows, queue_cap)

@@ -34,6 +34,7 @@ from .core import (
     NoStepDetected,
     StepResponseCurve,
     TcpsbenchError,
+    check_seed,
     extract_metrics,
     extract_metrics_batch,
 )
@@ -143,8 +144,7 @@ class SearchConfig:
             raise ValueError("ci_halfwidth must lie in (0, 0.5)")
         if self.m_batch < 1 or self.m_max < self.m_batch:
             raise ValueError("need 1 <= m_batch <= m_max")
-        if self.seed < 0:  # one seed range with LoopConfig: --seed sets both
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_seed(self.seed)  # one seed range with LoopConfig: --seed sets both
 
     def grid(self) -> list[float]:
         if self.deltas is not None:

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import TcpsbenchError
+from .core import TcpsbenchError, check_seed
 from .loopsim import _lag_factors, check_packet_size, check_tau, lag_step
 from .qoc import QoCResult
 from .transport import _fresh_mask
@@ -198,6 +198,7 @@ def synth_trajectory(fs_hz: float, duration_s: float, speed_dist: SpeedDist,
                      seed: int) -> HandTrajectory:
     """Random-walk trajectory with per-step speeds from the distribution;
     reflects at +/- RANGE_MM to stay physical. Deterministic per seed."""
+    check_seed(seed)
     rng = Random(seed)
     n_steps = max(1, round(duration_s * fs_hz))
     pos = [0.0]
@@ -229,6 +230,7 @@ def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction:
         raise ValueError(f"speed ceiling must be positive and finite, got {v_max_mps}")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
+    check_seed(seed)
     rng = Random(seed)
     n_slow = round(fraction * n_steps)
     n_fast = n_steps - n_slow

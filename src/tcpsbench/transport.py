@@ -19,7 +19,6 @@ adapter and of anything else that needs bit-exact framing.
 from __future__ import annotations
 
 import math
-import socket
 import struct
 import zlib
 from contextlib import contextmanager, nullcontext
@@ -31,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .clock import EventScheduler, PRIO_DELIVERY
-from .core import TcpsbenchError
+from .core import TcpsbenchError, check_seed
 
 FORWARD = "forward"   # operator -> teleoperator (kinematic)
 BACKWARD = "backward"  # teleoperator -> operator (haptic / video)
@@ -570,6 +569,7 @@ class ImpairedBlock:
         # the per-process randomized hash and break reproducibility
         seeds = list(map(int, seeds))
         keys = {s: k for k, s in enumerate(dict.fromkeys(seeds))}
+        check_seed(min(keys, default=0))
         self.row_key = np.fromiter(map(keys.__getitem__, seeds), np.intp, len(seeds))
         # by direction, the streams of each distinct seed: drops, then jitter
         self.seeds = [([4 * s + d for s in keys], [4 * s + d + 1 for s in keys]) for d in (0, 2)]
@@ -758,6 +758,7 @@ class DatagramEndpoint:
 
     def __init__(self, local: tuple[str, int], remote: tuple[str, int] | None = None,
                  packet_size_b: int = MIN_PACKET_BYTES, seed: int = 0) -> None:
+        import socket
         import threading
 
         self.packet_size_b = packet_size_b
@@ -786,7 +787,7 @@ class DatagramEndpoint:
         while True:
             try:
                 data, addr = self._sock.recvfrom(65535)
-            except socket.timeout:
+            except TimeoutError:
                 raise SocketTimeout(f"no packet within {deadline_ms} ms") from None
             try:
                 return decode(data), addr

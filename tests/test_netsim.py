@@ -37,6 +37,18 @@ def diamond_topology():
                     hosts={"h0": "S0", "h3": "S3"}, te_master="S0", te_slave="S3")
 
 
+@pytest.mark.parametrize("build", [
+    lambda seed: channel_from_topology(line_topology(3), (), seed),
+    lambda seed: simulate_delivery(line_topology(3), (), 32, 0.0, seed=seed),
+    lambda seed: load_experiment("usnet-nw").channel.factory(seed),
+], ids=["channel_from_topology", "simulate_delivery", "preset-factory"])
+def test_negative_seeds_are_refused(build):
+    """Random() seeds with abs(): seed -1's flow phases would be another seed's."""
+    build(0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        build(-1)
+
+
 class TestRoute:
     def test_adjacent_single_link(self):
         topo = line_topology(2)

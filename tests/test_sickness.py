@@ -248,6 +248,17 @@ def test_non_positive_or_non_finite_rates_are_rejected(fs_hz):
         compliant_trajectory(fs_hz, 10, 0.02, 0.5, seed=1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda seed: compliant_trajectory(30.0, 200, 0.02, 0.8, seed=seed),
+    lambda seed: synth_trajectory(30.0, 2.0, SpeedDist.uniform(0.0, 0.05), seed),
+], ids=["compliant", "synth"])
+def test_negative_seeds_are_refused(build):
+    """Random() seeds with abs(): seed -4 would give seed 4's positions."""
+    build(0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        build(-1)
+
+
 @pytest.mark.parametrize("v_max_mps", [0.0, -0.02, float("nan"), float("inf")])
 def test_non_positive_or_non_finite_ceilings_are_rejected(v_max_mps):
     """A zero ceiling used to give a trajectory that never moves."""

@@ -8,6 +8,7 @@ import pytest
 
 from draws_oracle import jitter_draws
 from tcpsbench.clock import EventScheduler
+from tcpsbench.experiments import load_experiment
 from tcpsbench.netsim import Link, Topology, channel_from_topology
 from tcpsbench.transport import (
     BACKWARD,
@@ -15,6 +16,8 @@ from tcpsbench.transport import (
     ChannelClosed,
     ChannelModel,
     ChecksumMismatch,
+    DatagramEndpoint,
+    ImpairedChannel,
     Jitter,
     KIND_HAPTIC,
     KIND_KINEMATIC,
@@ -23,6 +26,7 @@ from tcpsbench.transport import (
     MIN_PACKET_BYTES,
     Packet,
     PacketTooSmall,
+    SocketTimeout,
     TruncatedPacket,
     decode,
     encode,
@@ -95,6 +99,31 @@ class TestCodec:
                 corrupted[bit // 8] ^= 1 << (bit % 8)
                 with pytest.raises(ChecksumMismatch):
                     decode(bytes(corrupted))
+
+
+_IMPAIRED = ChannelModel(forward=LinkParams(drop_prob=0.2), backward=LinkParams())
+
+
+@pytest.mark.parametrize("build", [
+    _IMPAIRED.build,
+    lambda seed: _IMPAIRED.block([3, seed]),
+    lambda seed: ImpairedChannel(_IMPAIRED, seed),
+    lambda seed: load_experiment("testbed-overhead-like").channel.factory(seed),
+], ids=["build", "block", "ImpairedChannel", "preset-factory"])
+def test_negative_seeds_are_refused(build):
+    """Random() seeds with abs(): seed -1 would draw seed 1's forward drops."""
+    build(0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        build(-1)
+
+
+def test_receive_with_no_peer_times_out():
+    endpoint = DatagramEndpoint(("127.0.0.1", 0))
+    try:
+        with pytest.raises(SocketTimeout, match="no packet within 50"):
+            endpoint.recv_packet(50.0)
+    finally:
+        endpoint.close()
 
 
 class TestImpairedChannel:
