@@ -11,6 +11,7 @@ import numpy as np
 from tcpsbench import (
     LoopConfig,
     extract_metrics,
+    iae,
     ideal_model,
     oracle_trace,
     run_step_experiment,
@@ -38,6 +39,10 @@ print(f"rise time = {metrics.t_r} ms (ideal reference: 1.5 ms)")
 print(f"overshoot = {metrics.overshoot_pct}%  "
       f"steady-state error = {metrics.steady_state_error_pct}%  "
       f"good = {metrics.is_good}")
+
+# IAE, for comparison with integral-style metrics only: held errors of
+# 20 * 0.2^l for one loop each sum to 20 / (1 - 0.2) = 25 units*ms
+print(f"IAE = {iae(curve, metrics.t0):.4f} units*ms (geometric-sum reference: 25)")
 
 # a loop time below the channel round trip destabilizes the correction
 fast = LoopConfig(delta_ms=0.6)

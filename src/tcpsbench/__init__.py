@@ -14,17 +14,16 @@ import importlib
 _EXPORTS = {
     "core": ("CurveMetrics", "DEFAULT_LIMITS", "GoodnessLimits", "MalformedCurve",
              "NoStepDetected", "RttBudget", "StepResponseCurve", "TcpsbenchError",
-             "classify_good", "critical_loops", "extract_metrics", "max_rtt_kvl",
-             "read_curve_csv", "rtt_budget", "write_curve_csv"),
+             "extract_metrics", "rtt_budget", "write_curve_csv"),
     "loopsim": ("LoopConfig", "Operator", "Plant", "Robot", "StepExperimentRecord",
                 "difference_trace", "oracle_trace", "plant", "robot_lag", "run_step_experiment"),
     "netsim": ("Link", "Topology", "TrafficFlow", "channel_from_topology",
                "closed_form_delivery", "route", "simulate_delivery"),
     "qoc": ("NoGoodDelta", "PerfCurve", "QoCResult", "SearchConfig", "StepRunner",
             "estimate_goodness", "find_delta_opt", "find_delta_opt_bar", "iae", "perf_curve",
-            "qoc_value", "quad_cost", "v_max"),
-    "sickness": ("HandTrajectory", "SicknessReport", "SpeedDist", "compliant_trajectory",
-                 "error_trace_vs_speed", "measure_E", "predict_E", "synth_trajectory"),
+            "qoc_value", "v_max"),
+    "sickness": ("HandTrajectory", "SicknessReport", "compliant_trajectory", "measure_E",
+                 "predict_E"),
     "transport": ("ChannelModel", "ChecksumMismatch", "ImpairedChannel", "Jitter", "LinkParams",
                   "Packet", "PacketTooSmall", "TruncatedPacket", "decode", "encode",
                   "ideal_model"),

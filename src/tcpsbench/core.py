@@ -14,10 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-LOOP_KVL = "kvl"  # kinematic-video loop
-LOOP_KHL = "khl"  # kinematic-haptic loop
-LOOP_KAL = "kal"  # kinematic-audio loop
-
 SETTING_HAPTIC = "haptic"
 SETTING_NONHAPTIC = "non-haptic"
 
@@ -39,10 +35,6 @@ class NoStepDetected(TcpsbenchError):
 
 
 class UnknownModality(TcpsbenchError):
-    pass
-
-
-class NonPositiveInput(TcpsbenchError):
     pass
 
 
@@ -104,19 +96,6 @@ class CurveBatch:
     lengths: np.ndarray
     config: "object"
 
-    @classmethod
-    def from_curves(cls, curves: list[StepResponseCurve]) -> "CurveBatch":
-        """The rows of curves that share their config."""
-        lengths = np.array([len(c.t) for c in curves])
-        width = int(lengths.max()) if len(curves) else 0
-        blocks = []
-        for name in ("t", "x", "y", "signal"):
-            block = np.full((len(curves), width), np.nan)
-            for row, c in zip(block, curves):
-                row[:len(c.t)] = getattr(c, name)
-            blocks.append(block)
-        return cls(*blocks, lengths=lengths, config=curves[0].config)
-
     def curve(self, i: int) -> StepResponseCurve:
         m = self.lengths[i]
         return StepResponseCurve(self.t[i, :m].copy(), self.x[i, :m].copy(),
@@ -159,36 +138,15 @@ def rtt_budget(modality: str) -> RttBudget:
     return RttBudget(modality=modality, max_rtt_ms=_VIDEO_BUDGET_MS + sync)
 
 
-def max_rtt_kvl(hand_speed_mps: float, zoom: float = 1.0) -> float:
-    """Largest kinematic-video RTT (ms) keeping the perceived hand/robot
-    error below 1 mm for the given hand speed and display zoom factor."""
-    if hand_speed_mps <= 0.0 or zoom <= 0.0:
-        raise NonPositiveInput("hand speed and zoom must be positive")
-    if zoom > 1.0:
-        raise NonPositiveInput("zoom factor must be <= 1")
-    return 1.0 / (hand_speed_mps * zoom)
-
-
-_CRITICAL_LOOPS = {
-    ("high", "high"): frozenset({LOOP_KVL, LOOP_KHL}),
-    ("high", "low"): frozenset({LOOP_KVL}),
-    ("medium", "high"): frozenset({LOOP_KHL}),
-}
-
-
-def critical_loops(hand_speed_class: str, stiffness_class: str) -> frozenset[str]:
-    """Which control loops must be benchmarked for a deployment scenario.
-
-    Falls back to the kinematic-video loop when no tabulated case applies.
-    """
-    return _CRITICAL_LOOPS.get((hand_speed_class, stiffness_class), frozenset({LOOP_KVL}))
-
-
 def _bands(config: "object") -> tuple[float, float, float, float, float]:
-    """p_ref, the signal right after the step, their span, and the 10% and 90% levels."""
+    """p_ref, the signal right after the step, their span, and the 10% and 90% levels.
+    The bands assume the step lowers the signal: a span not above 0
+    (p_ref <= 0) raises ValueError."""
     p_ref = float(config.p_ref)
     base = p_ref / float(config.k_2)
     span = p_ref - base
+    if not span > 0.0:
+        raise ValueError(f"step-response bands need p_ref > 0, got {p_ref}")
     return p_ref, base, span, base + 0.1 * span, base + 0.9 * span
 
 
@@ -324,14 +282,6 @@ def extract_metrics_batch(batch: CurveBatch,
     return outcome, t_r
 
 
-def classify_good(metrics: CurveMetrics, limits: GoodnessLimits = DEFAULT_LIMITS) -> bool:
-    """The good/bad verdict of extracted metrics (_good): False when the
-    curve never rose back (t2 or the steady-state error is None)."""
-    if metrics.t2 is None or metrics.steady_state_error_pct is None:
-        return False
-    return bool(_good(metrics.overshoot_pct, metrics.steady_state_error_pct, limits))
-
-
 CURVE_CSV_HEADER = ["t_ms", "x", "y", "signal"]
 
 
@@ -341,13 +291,3 @@ def write_curve_csv(curve: StepResponseCurve, path: str) -> None:
         w.writerow(CURVE_CSV_HEADER)
         for row in zip(curve.t.tolist(), curve.x.tolist(), curve.y.tolist(), curve.signal.tolist()):
             w.writerow([repr(v) for v in row])
-
-
-def read_curve_csv(path: str, config: "object") -> StepResponseCurve:
-    with open(path, newline="", encoding="utf-8") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if [h.strip() for h in header] != CURVE_CSV_HEADER:
-            raise MalformedCurve(f"unexpected curve header: {header}")
-        rows = [[float(v) for v in row] for row in r if row]
-    return StepResponseCurve.from_rows(rows, config)

@@ -234,8 +234,11 @@ def build_experiment(cfg: dict) -> Experiment:
     _object(cfg, "top-level", _TOP_FIELDS)
     if "channel" not in cfg:
         raise ConfigError("missing required field 'channel'")
+    loop = _build(LoopConfig, cfg.get("loop"), "loop")
+    if not loop.p_ref > 0.0:  # the step-response bands assume a positive set point
+        raise ConfigError(f"invalid loop: p_ref must be positive, got {loop.p_ref}")
     return Experiment(
-        loop=_build(LoopConfig, cfg.get("loop"), "loop"),
+        loop=loop,
         channel=build_channel_spec(cfg["channel"]),
         search=_build(SearchConfig, cfg.get("search"), "search",
                       deltas=lambda v: None if v is None else tuple(float(x) for x in v)),

@@ -7,7 +7,8 @@ estimated goodness reaches it. Goodness at one grid point is estimated from
 repeated seeded runs, growing the trial count until the 95% confidence
 half-width closes under the configured bound. QoC compares the mean rise
 time of the good curves against the 1.5 ms ideal; the hand-speed ceiling is
-min(1, 10^QoC) m/s.
+min(1, 10^QoC) m/s. A curve's IAE is only for comparison with integral-style
+metrics; it never drives loop-time selection.
 
 Trials run in batches of (loop time, seed) pairs; impaired and ideal ones
 as the rows of one block, whose cost is mostly per call, so the performance-
@@ -35,7 +36,7 @@ from .core import (
     StepResponseCurve,
     TcpsbenchError,
     check_seed,
-    extract_metrics,
+    extract_metrics,  # unused here: the benchmark's tracer wraps this binding
     extract_metrics_batch,
 )
 from .loopsim import LoopConfig, StepExperimentRecord, run_step_batch, run_step_experiment
@@ -538,40 +539,18 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
     return PerfCurve(points=points, missing=missing)
 
 
-def _post_onset_integral(curve: StepResponseCurve, t0: float, f: Callable) -> float:
-    """Trapezoid of f(tracking error) from the last sample before the onset
-    t0 to the end of the record; 0 when fewer than two samples remain."""
+def iae(curve: StepResponseCurve, t0: float) -> float:
+    """Integral of absolute tracking error from the step onset to the end of
+    the record (units * ms). The trapezoid includes the last sample before
+    the onset, reconstructing the error ramp across the discontinuity; 0
+    when fewer than two samples remain."""
+    if len(curve.t) < 2:
+        raise NoStepDetected("curve too short to integrate")
     start = max(0, int(np.searchsorted(curve.t, t0)) - 1)
     if start >= len(curve.t) - 1:
         return 0.0
     err = curve.config.p_ref - curve.signal[start:]
-    return float(np.trapezoid(f(err), curve.t[start:]))
-
-
-def iae(curve: StepResponseCurve, t0: float) -> float:
-    """Integral of absolute tracking error from the step onset to the end of
-    the record (units * ms). The trapezoid includes the last sample before
-    the onset, reconstructing the error ramp across the discontinuity."""
-    if len(curve.t) < 2:
-        raise NoStepDetected("curve too short to integrate")
-    return _post_onset_integral(curve, t0, np.abs)
-
-
-def quad_cost(curve: StepResponseCurve, operator_trace: Sequence[tuple[float, float, float]],
-              r_weight: float, q_weight: float, t0: float | None = None) -> float:
-    """Quadratic cost J = 1/2 * (R * integral(u^2) + Q * integral(s^2)) with
-    u the per-loop command increment and s the tracking error, both from the
-    step onset onward (detected from the curve bands when t0 is omitted)."""
-    if t0 is None:
-        t0 = extract_metrics(curve).t0
-    s_term = _post_onset_integral(curve, t0, np.square)
-
-    ts = np.array([p[0] for p in operator_trace], dtype=float)
-    ys = np.array([p[2] for p in operator_trace], dtype=float)
-    mask = ts[1:] >= t0
-    u = np.diff(ys)[mask]
-    u_term = float(np.trapezoid(u ** 2, ts[1:][mask])) if len(u) >= 2 else 0.0
-    return 0.5 * (r_weight * u_term + q_weight * s_term)
+    return float(np.trapezoid(np.abs(err), curve.t[start:]))
 
 
 def result_rows_csv(results: Sequence[QoCResult]) -> str:

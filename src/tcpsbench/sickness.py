@@ -18,13 +18,12 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .core import TcpsbenchError, check_seed
 from .loopsim import _lag_factors, check_packet_size, check_tau, lag_step
-from .qoc import QoCResult
 from .transport import _fresh_mask
 
 ERROR_LIMIT_MM = 1.0
@@ -170,48 +169,6 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
     )
 
 
-@dataclass(frozen=True)
-class SpeedDist:
-    """Per-step speed draw (m/s): constant, or uniform over [lo, hi]."""
-
-    kind: str = "constant"
-    lo: float = 0.0
-    hi: float = 0.0
-
-    @staticmethod
-    def constant(speed: float) -> "SpeedDist":
-        return SpeedDist("constant", lo=speed, hi=speed)
-
-    @staticmethod
-    def uniform(lo: float, hi: float) -> "SpeedDist":
-        return SpeedDist("uniform", lo=lo, hi=hi)
-
-    def draw(self, rng: Random) -> float:
-        if self.kind == "constant":
-            return self.lo
-        if self.kind == "uniform":
-            return rng.uniform(self.lo, self.hi)
-        raise ValueError(f"unknown speed distribution {self.kind!r}")
-
-
-def synth_trajectory(fs_hz: float, duration_s: float, speed_dist: SpeedDist,
-                     seed: int) -> HandTrajectory:
-    """Random-walk trajectory with per-step speeds from the distribution;
-    reflects at +/- RANGE_MM to stay physical. Deterministic per seed."""
-    check_seed(seed)
-    rng = Random(seed)
-    n_steps = max(1, round(duration_s * fs_hz))
-    pos = [0.0]
-    for _ in range(n_steps):
-        speed = speed_dist.draw(rng)
-        step = speed * 1000.0 / fs_hz * (1.0 if rng.random() < 0.5 else -1.0)
-        nxt = pos[-1] + step
-        if abs(nxt) > RANGE_MM:
-            nxt = pos[-1] - step
-        pos.append(nxt)
-    return HandTrajectory(fs_hz=fs_hz, positions=np.array(pos), source=f"synthetic(seed={seed})")
-
-
 def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction: float,
                          seed: int) -> HandTrajectory:
     """Trajectory with an exact share of steps below the speed ceiling.
@@ -262,28 +219,6 @@ def compliant_trajectory(fs_hz: float, n_steps: int, v_max_mps: float, fraction:
             pos.append(nxt)
     return HandTrajectory(fs_hz=fs_hz, positions=np.array(pos),
                           source=f"synthetic(seed={seed},fraction={fraction})")
-
-
-def error_trace_vs_speed(qoc_result: QoCResult,
-                         speeds_mps: Sequence[float]) -> list[tuple[float, float, bool]]:
-    """Peak hand/robot error while tracking constant-speed motion, per speed.
-
-    The tuned loop behaves as a pure transport delay of t_r_mean / 1.5 (the
-    calibration that makes the hand-speed ceiling exact), sampled at the
-    tuned loop time over a 200 ms window; returns (speed, peak |error| mm,
-    exceeds 1 mm).
-    """
-    delay_ms = qoc_result.t_r_mean_ms / 1.5
-    out = []
-    for v in speeds_mps:
-        if v <= 0.0:
-            raise ValueError("speeds must be positive")
-        ts = np.arange(0.0, 200.0, qoc_result.delta_opt_bar_ms) + delay_ms
-        hand = v * ts
-        robot = v * (ts - delay_ms)
-        peak = float(np.max(np.abs(hand - robot)))
-        out.append((v, peak, peak > ERROR_LIMIT_MM))
-    return out
 
 
 TRAJ_HEADER_PREFIX = "# fs_hz:"

@@ -7,9 +7,10 @@ import time
 
 import pytest
 
+from curves import read_curve_csv
 from tcpsbench import cli
 from tcpsbench.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, run_command
-from tcpsbench.core import extract_metrics, read_curve_csv
+from tcpsbench.core import extract_metrics
 from tcpsbench.loopsim import LoopConfig
 
 

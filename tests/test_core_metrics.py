@@ -8,23 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import extract_oracle
+from curves import batch_of, read_curve_csv
 from tcpsbench.core import (
+    DEFAULT_LIMITS,
     GOOD,
     NOT_GOOD,
-    CurveBatch,
-    CurveMetrics,
     GoodnessLimits,
     MalformedCurve,
     NoStepDetected,
-    NonPositiveInput,
     StepResponseCurve,
     UnknownModality,
-    classify_good,
-    critical_loops,
+    _good,
     extract_metrics,
     extract_metrics_batch,
-    max_rtt_kvl,
-    read_curve_csv,
     rtt_budget,
     write_curve_csv,
 )
@@ -70,7 +66,6 @@ class TestExtractMetrics:
         m = extract_metrics(curve_from_signals(sig))
         assert m.t2 is None and m.t_r is None
         assert not m.is_good
-        assert not classify_good(m)
 
     def test_malformed_too_few_samples(self):
         with pytest.raises(MalformedCurve):
@@ -143,26 +138,36 @@ class TestExtractMetrics:
         assert m1.t_r == pytest.approx(m0.t_r, abs=1e-6)
         assert m1.is_good == m0.is_good
 
+    def test_p_ref_not_above_zero_has_no_bands(self):
+        """The bands assume the step lowers the signal: a curve at p_ref 0
+        raised NoStepDetected, and one at -100 read as good with negative
+        overshoot and undershoot."""
+        for p_ref in (0.0, -100.0):
+            with pytest.raises(ValueError, match="p_ref"):
+                extract_metrics(ideal_curve(LoopConfig(p_ref=p_ref)))
+
+    def test_batch_p_ref_not_above_zero_has_no_bands(self):
+        for p_ref in (0.0, -100.0):
+            with pytest.raises(ValueError, match="p_ref"):
+                extract_metrics_batch(batch_of([ideal_curve(LoopConfig(p_ref=p_ref))]))
+
 
 class TestClassifyGood:
-    def _metrics(self, overshoot, sse, t2=60.0):
-        return CurveMetrics(t0=50.0, t1=51.0, t2=t2, t_r=(t2 - 50.0) if t2 else None,
-                            overshoot_pct=overshoot, steady_state_error_pct=sse,
-                            delta_y=None, is_good=False)
+    """The one good/bad verdict (core._good), on overshoot and steady-state
+    error in percent."""
 
     def test_boundary_inside(self):
-        assert classify_good(self._metrics(19.9, 9.9))
+        assert _good(19.9, 9.9, DEFAULT_LIMITS)
 
     def test_overshoot_outside(self):
-        assert not classify_good(self._metrics(20.1, 5.0))
+        assert not _good(20.1, 5.0, DEFAULT_LIMITS)
 
     def test_sse_outside(self):
-        assert not classify_good(self._metrics(5.0, 10.1))
+        assert not _good(5.0, 10.1, DEFAULT_LIMITS)
 
     def test_no_rise_is_bad(self):
-        m = CurveMetrics(t0=50.0, t1=None, t2=None, t_r=None, overshoot_pct=0.0,
-                         steady_state_error_pct=None, delta_y=None, is_good=False)
-        assert not classify_good(m)
+        # a curve that never rose back has no steady-state error: NaN
+        assert not _good(0.0, np.nan, DEFAULT_LIMITS)
 
     @given(
         ov=st.floats(0, 60, allow_nan=False),
@@ -175,18 +180,17 @@ class TestClassifyGood:
     @settings(max_examples=200, deadline=None)
     def test_tightening_limits_is_monotone(self, ov, sse, lim_ov, lim_sse,
                                            tighter_ov, tighter_sse):
-        m = self._metrics(ov, sse)
         loose = GoodnessLimits(overshoot_max_pct=lim_ov, sse_max_pct=lim_sse)
         tight = GoodnessLimits(overshoot_max_pct=lim_ov * tighter_ov,
                                sse_max_pct=lim_sse * tighter_sse)
-        if not classify_good(m, loose):
-            assert not classify_good(m, tight)
+        if not _good(ov, sse, loose):
+            assert not _good(ov, sse, tight)
 
 
 def test_limits_are_inclusive_in_every_verdict():
     """A curve whose overshoot and steady-state error equal their limits is
     good, and not good with either limit one ulp lower: in extract_metrics,
-    extract_metrics_batch, classify_good and the oracle's own verdict."""
+    extract_metrics_batch and the oracle's own verdict."""
     rng = Random(3)
     for _ in range(30):
         root = rng.uniform(-0.9, -0.1)  # a negative root overshoots
@@ -202,8 +206,7 @@ def test_limits_are_inclusive_in_every_verdict():
         ]:
             assert extract_oracle.extract_metrics(curve, limits).is_good is good
             assert extract_metrics(curve, limits).is_good is good
-            assert classify_good(m, limits) is good
-            outcome, _ = extract_metrics_batch(CurveBatch.from_curves([curve]), limits)
+            outcome, _ = extract_metrics_batch(batch_of([curve]), limits)
             assert outcome.tolist() == [GOOD if good else NOT_GOOD]
 
 
@@ -216,26 +219,6 @@ class TestLookups:
     def test_unknown_modality(self):
         with pytest.raises(UnknownModality):
             rtt_budget("smell")
-
-    def test_max_rtt_kvl(self):
-        assert max_rtt_kvl(1.0, 1.0) == pytest.approx(1.0)
-        assert max_rtt_kvl(0.5, 1.0) == pytest.approx(2.0)
-        assert max_rtt_kvl(1.0, 0.5) == pytest.approx(2.0)
-
-    def test_max_rtt_kvl_rejects_nonpositive(self):
-        with pytest.raises(NonPositiveInput):
-            max_rtt_kvl(0.0, 1.0)
-        with pytest.raises(NonPositiveInput):
-            max_rtt_kvl(1.0, -0.2)
-
-    def test_critical_loops_cases(self):
-        assert critical_loops("high", "high") == {"kvl", "khl"}
-        assert critical_loops("high", "low") == {"kvl"}
-        assert critical_loops("medium", "high") == {"khl"}
-
-    def test_critical_loops_default(self):
-        assert critical_loops("low", "low") == {"kvl"}
-        assert critical_loops("medium", "low") == {"kvl"}
 
 
 class TestCurveCsv:

@@ -119,6 +119,9 @@ BAD_VALUES = [
     *((f"{value} {name}", {"channel": IDEAL, "loop": {name: value}}, name)
       for name in ("k_p", "k_1", "k_2", "p_ref", "delta_ms", "robot_tau_ms")
       for value in (NAN, INF, -INF)),
+    # the bands need p_ref > 0: 0 ran to NoStepDetected, -100 to "good" curves
+    ("0 p_ref", {"channel": IDEAL, "loop": {"p_ref": 0}}, "p_ref"),
+    ("-100 p_ref", {"channel": IDEAL, "loop": {"p_ref": -100}}, "p_ref"),
     # a non-finite grid bound or step used to make the grid endless
     *((f"{value} {name}", {"channel": IDEAL, "search": {name: value}}, name)
       for name in ("delta_min_ms", "delta_max_ms", "delta_step_ms")

@@ -15,13 +15,13 @@ from random import Random
 import numpy as np
 
 import extract_oracle
+from curves import batch_of
 from tcpsbench.core import (
     GOOD,
     MALFORMED,
     NO_STEP,
     NOT_GOOD,
     DEFAULT_LIMITS,
-    CurveBatch,
     GoodnessLimits,
     MalformedCurve,
     NoStepDetected,
@@ -117,7 +117,7 @@ def test_random_curves_match_the_oracle():
         curve, limits = _random_curve(rng, KINDS[i % len(KINDS)])
         expected = _outcome(extract_oracle.extract_metrics, curve, limits)
         assert _outcome(extract_metrics, curve, limits) == expected, (i, expected)
-        assert _batch_verdicts(CurveBatch.from_curves([curve]), limits) == [
+        assert _batch_verdicts(batch_of([curve]), limits) == [
             _verdict(curve, limits)], (i, expected)
         if expected.startswith("CurveMetrics"):
             outcomes["good" if "is_good=True" in expected else
@@ -150,7 +150,7 @@ def test_random_batches_match_the_oracle():
         curves = [_random_curve(rng, rng.choice(KINDS), cfg, limits)[0]
                   for _ in range(rng.randint(1, 20))]
         want = [_verdict(c, limits) for c in curves]
-        assert _batch_verdicts(CurveBatch.from_curves(curves), limits) == want
+        assert _batch_verdicts(batch_of(curves), limits) == want
         seen.update(o for o, _ in want)
     assert min(seen.values()) >= 100 and len(seen) == 4, seen
 
@@ -168,7 +168,7 @@ def test_infinite_last_time_stamp():
                              signal=[100.0] * 6, config=cfg)
     want = [_verdict(curve, DEFAULT_LIMITS), _verdict(flat, DEFAULT_LIMITS)]
     assert want[0] == (GOOD, "inf")
-    assert _batch_verdicts(CurveBatch.from_curves([curve, flat]), DEFAULT_LIMITS) == want
+    assert _batch_verdicts(batch_of([curve, flat]), DEFAULT_LIMITS) == want
 
 
 def test_preset_batches_match_the_oracle():

@@ -4,6 +4,7 @@ Each check that depends on what is already imported runs in a fresh
 interpreter, since this test process has loaded every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,23 +16,23 @@ import pytest
 
 import tcpsbench
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
-# the names the package exported when it imported every module eagerly
+# the names the package exports, by the module that defines each
 EXPORTS = {
     "core": ["CurveMetrics", "DEFAULT_LIMITS", "GoodnessLimits", "MalformedCurve",
              "NoStepDetected", "RttBudget", "StepResponseCurve", "TcpsbenchError",
-             "classify_good", "critical_loops", "extract_metrics", "max_rtt_kvl",
-             "read_curve_csv", "rtt_budget", "write_curve_csv"],
+             "extract_metrics", "rtt_budget", "write_curve_csv"],
     "loopsim": ["LoopConfig", "Operator", "Plant", "Robot", "StepExperimentRecord",
                 "difference_trace", "oracle_trace", "plant", "robot_lag", "run_step_experiment"],
     "netsim": ["Link", "Topology", "TrafficFlow", "channel_from_topology",
                "closed_form_delivery", "route", "simulate_delivery"],
     "qoc": ["NoGoodDelta", "PerfCurve", "QoCResult", "SearchConfig", "StepRunner",
             "estimate_goodness", "find_delta_opt", "find_delta_opt_bar", "iae", "perf_curve",
-            "qoc_value", "quad_cost", "v_max"],
-    "sickness": ["HandTrajectory", "SicknessReport", "SpeedDist", "compliant_trajectory",
-                 "error_trace_vs_speed", "measure_E", "predict_E", "synth_trajectory"],
+            "qoc_value", "v_max"],
+    "sickness": ["HandTrajectory", "SicknessReport", "compliant_trajectory", "measure_E",
+                 "predict_E"],
     "transport": ["ChannelModel", "ChecksumMismatch", "ImpairedChannel", "Jitter", "LinkParams",
                   "Packet", "PacketTooSmall", "TruncatedPacket", "decode", "encode",
                   "ideal_model"],
@@ -61,8 +62,39 @@ def test_import_loads_no_submodule_and_no_numpy():
 
 def test_all_holds_the_exported_names():
     want = sorted(n for names in EXPORTS.values() for n in names)
-    assert len(want) == 64
+    assert len(want) == 56
     assert sorted(tcpsbench.__all__) == sorted([*want, "__version__"])
+
+
+def _used_names(path: Path) -> set[str]:
+    """The names a module's code reads: a bare name, an attribute, or a
+    string that is exactly the name (perfbench wraps functions by name).
+    A top-level definition's own name does not count inside it."""
+    used = set()
+    for stmt in ast.parse(path.read_text("utf-8")).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        used |= names
+    return used
+
+
+def test_every_exported_name_has_a_product_caller():
+    """Each exported name is used by the package itself, a demo or the
+    benchmark, not only by tests: the export table of `__init__` and the
+    benchmark's own tests do not count."""
+    files = [p for p in (SRC / "tcpsbench").glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "demos").glob("*.py"),
+              *(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))]
+    used = set().union(*map(_used_names, files))
+    assert [n for n in tcpsbench.__all__ if n != "__version__" and n not in used] == []
 
 
 def test_each_name_is_its_own_modules_object():

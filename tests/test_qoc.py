@@ -22,7 +22,6 @@ from tcpsbench.qoc import (
     iae,
     perf_curve,
     qoc_value,
-    quad_cost,
     result_rows_csv,
     v_max,
 )
@@ -298,25 +297,11 @@ class TestComparisonIntegrals:
         curve = _settled_span(rec.curve)
         assert iae(curve, curve.t[0]) == pytest.approx(0.0, abs=1e-9)
 
-    def test_quad_cost_zero_when_error_free(self):
-        cfg, rec = self._ideal_record()
-        curve = _settled_span(rec.curve)
-        trace = [(t, x, 100.0) for (t, x, _) in rec.operator_trace if 5 <= x < 45]
-        assert quad_cost(curve, trace, 1.0, 1.0, t0=curve.t[0]) == pytest.approx(0.0, abs=1e-9)
-
-    def test_quad_cost_q_term_linearity(self):
-        cfg, rec = self._ideal_record()
-        j1 = quad_cost(rec.curve, rec.operator_trace, 0.0, 1.0)
-        j3 = quad_cost(rec.curve, rec.operator_trace, 0.0, 3.0)
-        assert j3 == pytest.approx(3.0 * j1)
-        assert j1 > 0.0
-
-    def test_quad_cost_r_term_linearity(self):
-        cfg, rec = self._ideal_record()
-        j1 = quad_cost(rec.curve, rec.operator_trace, 1.0, 0.0)
-        j2 = quad_cost(rec.curve, rec.operator_trace, 2.0, 0.0)
-        assert j2 == pytest.approx(2.0 * j1)
-        assert j1 > 0.0
+    def test_iae_counts_overshoot_as_error(self):
+        # errors 0, 20, -20, 0 one ms apart: the trapezoids of |error| are 10 + 20 + 10
+        curve = StepResponseCurve(t=[0.0, 1.0, 2.0, 3.0], x=[0, 1, 2, 3], y=[0, 0, 0, 0],
+                                  signal=[100.0, 80.0, 120.0, 100.0], config=LoopConfig())
+        assert iae(curve, 1.0) == 40.0
 
     def test_iae_never_feeds_delta_selection(self):
         # the searches return before any comparison integral is evaluated;

@@ -6,23 +6,24 @@ import numpy as np
 import pytest
 
 from tcpsbench.loopsim import NegativeTau
-from tcpsbench.qoc import QoCResult
 from tcpsbench.sickness import (
     RANGE_MM,
     HandTrajectory,
-    SpeedDist,
     TooShort,
     _histogram,
     compliant_trajectory,
-    error_trace_vs_speed,
     histogram_csv,
     measure_E,
     predict_E,
     read_trajectory_csv,
-    synth_trajectory,
     write_trajectory_csv,
 )
 from tcpsbench.transport import ChannelModel, LinkParams, ideal_model
+
+
+def constant_speed(speed_mps: float, n_steps: int = 150, fs_hz: float = 30.0) -> HandTrajectory:
+    """A hand moving one way at a constant speed."""
+    return HandTrajectory(fs_hz, np.arange(n_steps + 1) * (speed_mps * 1000.0 / fs_hz))
 
 
 class TestPredict:
@@ -32,11 +33,11 @@ class TestPredict:
             assert predict_E(traj, 0.02) == frac * 100
 
     def test_all_below(self):
-        traj = synth_trajectory(30.0, 10.0, SpeedDist.constant(0.01), seed=1)
+        traj = constant_speed(0.01, 300)
         assert predict_E(traj, 0.02) == 100.0
 
     def test_constant_speed_twice_ceiling(self):
-        traj = synth_trajectory(30.0, 10.0, SpeedDist.constant(0.04), seed=1)
+        traj = constant_speed(0.04, 300)
         assert predict_E(traj, 0.02) == 0.0
 
     def test_too_short(self):
@@ -46,20 +47,15 @@ class TestPredict:
 
 class TestSynth:
     def test_deterministic_per_seed(self):
-        a = synth_trajectory(30.0, 5.0, SpeedDist.uniform(0.0, 0.1), seed=4)
-        b = synth_trajectory(30.0, 5.0, SpeedDist.uniform(0.0, 0.1), seed=4)
+        a = compliant_trajectory(30.0, 150, 0.02, 0.5, seed=4)
+        b = compliant_trajectory(30.0, 150, 0.02, 0.5, seed=4)
         assert np.array_equal(a.positions, b.positions)
-        c = synth_trajectory(30.0, 5.0, SpeedDist.uniform(0.0, 0.1), seed=5)
+        c = compliant_trajectory(30.0, 150, 0.02, 0.5, seed=5)
         assert not np.array_equal(a.positions, c.positions)
 
-    def test_zero_variance_gives_uniform_motion(self):
-        traj = synth_trajectory(25.0, 4.0, SpeedDist.constant(0.05), seed=2)
-        steps = np.abs(np.diff(traj.positions))
-        assert np.allclose(steps, steps[0])
-
     def test_positions_stay_in_range(self):
-        # 1800 steps of about 16.7 mm walk far past the walls unless reflected
-        traj = synth_trajectory(30.0, 60.0, SpeedDist.constant(0.5), seed=6)
+        # 1800 steps of 12 to 17 mm in the fast blocks walk far past the walls unless reflected
+        traj = compliant_trajectory(30.0, 1800, 0.2, 0.5, seed=6)
         assert 200.0 < np.max(np.abs(traj.positions)) <= RANGE_MM
 
     def test_compliant_speeds_keep_margin(self):
@@ -118,14 +114,14 @@ class TestMeasure:
     def test_slow_motion_converges_to_full_exposure(self):
         values = []
         for speed in (0.2, 0.05, 0.001):
-            traj = synth_trajectory(30.0, 5.0, SpeedDist.constant(speed), seed=3)
+            traj = constant_speed(speed)
             report = measure_E(traj, ideal_model(0.5).build(2))
             values.append(report.measured_e_pct)
         assert values[-1] == 100.0
         assert values[0] <= values[1] <= values[2]
 
     def test_histogram_mass_sums_to_100(self):
-        traj = synth_trajectory(30.0, 6.0, SpeedDist.uniform(0.0, 0.3), seed=4)
+        traj = compliant_trajectory(30.0, 180, v_max_mps=0.1, fraction=0.5, seed=4)
         report = measure_E(traj, ideal_model(0.5).build(3))
         total = sum(pct for (_, pct) in report.error_histogram)
         assert total == pytest.approx(100.0, abs=1e-9)
@@ -140,7 +136,7 @@ class TestMeasure:
             assert hist[0][1] == hist[-1][1] == 50.0
 
     def test_robot_lag_reduces_exposure_for_fast_motion(self):
-        traj = synth_trajectory(30.0, 5.0, SpeedDist.constant(0.08), seed=5)
+        traj = constant_speed(0.08)
         fast = measure_E(traj, ideal_model(0.5).build(4), robot_tau_ms=0.0)
         lagged = measure_E(traj, ideal_model(0.5).build(4), robot_tau_ms=120.0)
         assert lagged.measured_e_pct <= fast.measured_e_pct
@@ -164,39 +160,9 @@ class TestMeasure:
         assert measure_E(traj, channel, robot_tau_ms=5.0, packet_size_b=1).n_samples > 0
 
 
-class TestErrorTraceVsSpeed:
-    def _result(self, t_r_ms: float) -> QoCResult:
-        from tcpsbench.qoc import qoc_value, v_max
-        q = qoc_value(t_r_ms)
-        return QoCResult(g_spec=1.0, delta_opt_bar_ms=1.0, g_achieved=1.0,
-                         g_ci_halfwidth=0.0, m=20, t_r_mean_ms=t_r_ms,
-                         qoc=q, v_max_mps=v_max(q))
-
-    def test_ideal_system_peak_at_natural_limit(self):
-        rows = error_trace_vs_speed(self._result(1.5), [1.0])
-        speed, peak, exceeds = rows[0]
-        assert peak <= 1.0 + 1e-12
-        assert not exceeds
-
-    def test_degraded_system_exceeds_at_sub_limit_speed(self):
-        # t_r for a -0.3 quality system: 1.5 / 10^-0.3 ~ 2.993 ms
-        rows = error_trace_vs_speed(self._result(2.993), [0.6])
-        _, peak, exceeds = rows[0]
-        assert peak > 1.0 and exceeds
-
-    def test_quasi_static_error_vanishes(self):
-        rows = error_trace_vs_speed(self._result(2.993), [1e-4])
-        assert rows[0][1] < 1e-3
-
-    def test_speed_at_v_max_is_safe(self):
-        res = self._result(2.993)
-        rows = error_trace_vs_speed(res, [res.v_max_mps])
-        assert rows[0][1] <= 1.0 + 1e-9
-
-
 class TestTrajectoryCsv:
     def test_roundtrip_with_time_column(self, tmp_path):
-        traj = synth_trajectory(40.0, 2.0, SpeedDist.uniform(0.0, 0.2), seed=8)
+        traj = compliant_trajectory(40.0, 80, v_max_mps=0.1, fraction=0.5, seed=8)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(traj, str(path))
         back = read_trajectory_csv(str(path))
@@ -248,15 +214,11 @@ def test_non_positive_or_non_finite_rates_are_rejected(fs_hz):
         compliant_trajectory(fs_hz, 10, 0.02, 0.5, seed=1)
 
 
-@pytest.mark.parametrize("build", [
-    lambda seed: compliant_trajectory(30.0, 200, 0.02, 0.8, seed=seed),
-    lambda seed: synth_trajectory(30.0, 2.0, SpeedDist.uniform(0.0, 0.05), seed),
-], ids=["compliant", "synth"])
-def test_negative_seeds_are_refused(build):
+def test_negative_seeds_are_refused():
     """Random() seeds with abs(): seed -4 would give seed 4's positions."""
-    build(0)
+    compliant_trajectory(30.0, 200, 0.02, 0.8, seed=0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        build(-1)
+        compliant_trajectory(30.0, 200, 0.02, 0.8, seed=-1)
 
 
 @pytest.mark.parametrize("v_max_mps", [0.0, -0.02, float("nan"), float("inf")])

@@ -21,10 +21,11 @@ import numpy as np
 import pytest
 
 import search_oracle
+from curves import batch_of
 from test_skeleton import _case, _record, _topology_case
 from trial_oracle import run_trial
 from tcpsbench import qoc
-from tcpsbench.core import MALFORMED, CurveBatch
+from tcpsbench.core import MALFORMED
 from tcpsbench.experiments import PRESET_NAMES, load_experiment
 from tcpsbench.loopsim import LoopConfig, run_step_batch, run_step_experiment
 from tcpsbench.netsim import (
@@ -393,7 +394,7 @@ class _TableRunner:
         seeds = [s for _, s in trials]
         self.ran.extend(seeds)
         self.batches.append(seeds)
-        return CurveBatch.from_curves([self.good if self.table[s] else self.flat for s in seeds])
+        return batch_of([self.good if self.table[s] else self.flat for s in seeds])
 
 
 def _hopeless(g_spec):
