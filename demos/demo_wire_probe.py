@@ -6,7 +6,9 @@ a matching checksum. The probe pair measures real round-trip times and
 grades them against the per-modality RTT budgets.
 """
 
+import socket
 import threading
+import time
 from random import Random
 
 from tcpsbench import Packet, decode, encode, rtt_budget
@@ -30,14 +32,27 @@ for modality in ("video", "audio", "haptic"):
     budget = rtt_budget(modality)
     print(f"RTT budget for the kinematic-{modality} loop: {budget.max_rtt_ms:.0f} ms")
 
-# a local probe pair: responder in a thread, measurement over 127.0.0.1
+# a local probe pair: responder in a thread, measurement over 127.0.0.1. The
+# measurement starts once the kernel stops refusing datagrams to the
+# responder's port (the responder skips the undecodable polls); a packet
+# sent before the responder binds is lost
 port = 9873
 server = threading.Thread(
     target=run_command,
-    args=(["probe", "serve", "--bind", f"127.0.0.1:{port}", "--count", "20",
-           "--out", "/tmp/tcpsbench-demo-serve"],),
+    args=(["probe", "serve", "--bind", f"127.0.0.1:{port}", "--count", "20"],),
     daemon=True)
 server.start()
+with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as poll:
+    poll.connect(("127.0.0.1", port))
+    poll.settimeout(0.05)
+    for _ in range(100):
+        poll.send(b"?")
+        try:
+            poll.recv(1)
+        except ConnectionRefusedError:
+            time.sleep(0.01)
+        except socket.timeout:
+            break
 run_command(["probe", "measure", "--local", "127.0.0.1:0",
              "--remote", f"127.0.0.1:{port}", "--count", "20",
              "--out", "/tmp/tcpsbench-demo-measure"])

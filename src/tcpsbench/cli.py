@@ -307,8 +307,8 @@ def cmd_sickness(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # measure
-    exp = load_experiment(args.config)
-    channel = exp.channel.factory(args.seed if args.seed is not None else exp.loop.seed)
+    exp = _load(args)
+    channel = exp.channel.factory(exp.loop.seed)
     report = measure_E(traj, channel, robot_tau_ms=exp.loop.robot_tau_ms,
                        v_max_mps=args.vmax, packet_size_b=exp.loop.packet_size_b)
     _write(out / "sickness.txt", report.summary() + "\n")

@@ -39,13 +39,10 @@ class EventScheduler:
         heapq.heappush(self._heap, (t_ms, priority, self._seq, fn))
         self._seq += 1
 
-    def run(self, stop: Callable[[], bool] | None = None, horizon_ms: float | None = None) -> None:
-        """Run events until the heap drains, `stop()` turns true, or the
-        next event lies beyond `horizon_ms` (that event stays queued)."""
+    def run(self, stop: Callable[[], bool] | None = None) -> None:
+        """Run events until the heap drains or `stop()` turns true."""
         while self._heap:
             if stop is not None and stop():
-                return
-            if horizon_ms is not None and self._heap[0][0] > horizon_ms:
                 return
             t, _prio, _seq, fn = heapq.heappop(self._heap)
             self.now = t

@@ -176,8 +176,9 @@ def build_channel_spec(d: Any) -> ChannelSpec:
 
         topo_dict = d.get("topology")
         if isinstance(topo_dict, str):
-            topo_cfg = load_config(topo_dict)
-            topo_dict = topo_cfg["channel"].get("topology") if "channel" in topo_cfg else topo_cfg
+            topo_dict = load_config(topo_dict)
+            if "channel" in topo_dict:
+                topo_dict = _check("channel", topo_dict["channel"], dict).get("topology")
         if not isinstance(topo_dict, dict):
             raise ConfigError("topology channel needs a 'topology' object or a topology preset")
         te = _check("te", d.get("te", []), list)

@@ -14,7 +14,6 @@ experiments can run across any placement under any traffic load.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from random import Random
@@ -97,19 +96,7 @@ class Topology:
         for te in (self.te_master, self.te_slave):
             if te not in known:
                 raise TopologyError(f"tactile endpoint switch {te} unknown")
-        # connectivity over the switch graph
-        adj = self.adjacency()
-        seen = {self.switches[0]}
-        frontier = [self.switches[0]]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        if seen != known:
+        if len(_walk(self.adjacency(), self.switches[0])) != len(known):
             raise TopologyError("switch graph is not connected")
 
     def adjacency(self) -> dict[str, list[str]]:
@@ -135,30 +122,32 @@ class Topology:
         raise TopologyError(f"unknown node {node!r}")
 
 
+def _walk(adj: dict, start) -> dict:
+    """Breadth-first walk of the graph adj (node -> neighbours) from start:
+    each node reached, mapped to the node it was first reached from."""
+    parent, queue = {start: None}, [start]
+    for u in queue:
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
 def route(topology: Topology, a: str, b: str) -> list[tuple[str, str]]:
     """Deterministic loop-free minimum-hop path between two switches (or the
     switches the given hosts attach to); ties broken by the smallest
     lexicographic node-id sequence. Returns directed (u, v) link hops."""
     src = topology.host_switch(a)
     dst = topology.host_switch(b)
-    if src == dst:
-        return []
-    adj = topology.adjacency()
-    best: dict[str, tuple[int, tuple[str, ...]]] = {}
-    heap: list[tuple[int, tuple[str, ...]]] = [(0, (src,))]
-    while heap:
-        hops, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in best and best[node] <= (hops, path):
-            continue
-        best[node] = (hops, path)
-        if node == dst:
-            return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-        for nxt in adj[node]:
-            if nxt in path:
-                continue
-            heapq.heappush(heap, (hops + 1, path + (nxt,)))
-    raise Unreachable(f"no route from {src} to {dst}")
+    # over sorted neighbours a node's first parent lies on its min-hop path
+    # with the smallest node sequence
+    parent = _walk(topology.adjacency(), src)
+    hops = []
+    while dst != src:
+        hops.append((parent[dst], dst))
+        dst = parent[dst]
+    return hops[::-1]
 
 
 # plans by (id(topology), flows, queue_cap). A plan is a pure function of
@@ -244,13 +233,7 @@ def _plan(topology: Topology, flows: tuple[TrafficFlow, ...], queue_cap: int | N
     for hops in paths[:-2] + [routes[FORWARD] + [None] + routes[BACKWARD]]:
         for u, v in zip(hops, hops[1:]):
             after[u].add(v)
-    reached = {}
-    for v in after:
-        reached[v], todo = {v}, [v]
-        while todo:
-            for w in after[todo.pop()] - reached[v]:
-                reached[v].add(w)
-                todo.append(w)
+    reached = {v: _walk(after, v) for v in after}
     order: list[list] = []
     for v in sorted(after, key=lambda v: sum(v in r for r in reached.values())):
         group = [u for u in after if u in reached[v] and v in reached[u]]

@@ -276,6 +276,19 @@ class TestSickness:
         summary = (out / "sickness.txt").read_text()
         assert "measured_E_pct" in summary
 
+    def test_measure_seed_reaches_the_manifest(self, tmp_path):
+        """--seed S used to build the channel from S while the manifest kept
+        the config's own seed, so two runs that measured different E wrote
+        the same manifest."""
+        traj = tmp_path / "t" / "trajectory.csv"
+        run(["sickness", "synth", "--fs", 30, "--steps", 300, "--vmax", 0.05,
+             "--fraction", 0.9, "--out", traj.parent])
+        for seed in (1, 9):
+            out = tmp_path / str(seed)
+            assert run(["sickness", "measure", "--traj", traj, "--config", "testbed-overhead-like",
+                        "--vmax", 0.05, "--seed", seed, "--out", out]) == EXIT_OK
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["loop"]["seed"] == seed
 
     def test_missing_or_unreadable_trajectory_exits_2(self, tmp_path, capsys):
         for mode in ("predict", "measure"):

@@ -185,3 +185,16 @@ def test_setting_other_than_haptic_or_non_haptic_exits_2(tmp_path, capsys):
     assert "setting" in capsys.readouterr().err
     with pytest.raises(ValueError):
         LoopConfig(setting="Haptic")
+
+
+@pytest.mark.parametrize("channel", [5, "usnet-nw", [1], None])
+def test_topology_reference_whose_channel_is_not_an_object_exits_2(tmp_path, capsys, channel):
+    """A referenced file's "channel" used to be read as a dict, so any other
+    value ended in an AttributeError traceback (exit 1)."""
+    ref = tmp_path / "topo.json"
+    ref.write_text(json.dumps({"channel": channel}))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"channel": {"type": "topology", "topology": str(ref)}}))
+    assert run_command(["step", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "'channel'" in err
