@@ -7,6 +7,7 @@ grades them against the per-modality RTT budgets.
 """
 
 import socket
+import tempfile
 import threading
 import time
 from random import Random
@@ -32,11 +33,14 @@ for modality in ("video", "audio", "haptic"):
     budget = rtt_budget(modality)
     print(f"RTT budget for the kinematic-{modality} loop: {budget.max_rtt_ms:.0f} ms")
 
-# a local probe pair: responder in a thread, measurement over 127.0.0.1. The
-# measurement starts once the kernel stops refusing datagrams to the
-# responder's port (the responder skips the undecodable polls); a packet
-# sent before the responder binds is lost
-port = 9873
+# a local probe pair: responder in a thread, measurement over 127.0.0.1, on a
+# port the kernel picks free and into a fresh directory, so that two runs at
+# once do not meet. The measurement starts once the kernel stops refusing
+# datagrams to the responder's port (the responder skips the undecodable
+# polls); a packet sent before the responder binds is lost
+with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as reserve:
+    reserve.bind(("127.0.0.1", 0))
+    port = reserve.getsockname()[1]
 server = threading.Thread(
     target=run_command,
     args=(["probe", "serve", "--bind", f"127.0.0.1:{port}", "--count", "20"],),
@@ -53,7 +57,7 @@ with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as poll:
             time.sleep(0.01)
         except socket.timeout:
             break
-run_command(["probe", "measure", "--local", "127.0.0.1:0",
-             "--remote", f"127.0.0.1:{port}", "--count", "20",
-             "--out", "/tmp/tcpsbench-demo-measure"])
+with tempfile.TemporaryDirectory() as out:
+    run_command(["probe", "measure", "--local", "127.0.0.1:0",
+                 "--remote", f"127.0.0.1:{port}", "--count", "20", "--out", out])
 server.join(timeout=5.0)

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration or argument error, 3 experiment error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -66,7 +67,10 @@ OUTPUT_ENV = "TCPSBENCH_OUT"
 def _out_dir(args: argparse.Namespace) -> Path:
     out = args.out or os.environ.get(OUTPUT_ENV) or "out"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out!r}: {exc}") from None
     return path
 
 
@@ -324,12 +328,13 @@ def cmd_probe(args: argparse.Namespace) -> int:
         raise ConfigError("probe measure needs a --count above 0 (0 is for serve)")
     local = parse_addr(args.bind if args.mode == "serve" else args.local)
     if args.mode == "serve":
+        if args.plant_config:  # a config or output error exits 2 before binding
+            exp = load_experiment(args.plant_config)
+            out = _out_dir(args)
         endpoint = DatagramEndpoint(local, packet_size_b=args.packet_size)
         try:
             if args.plant_config:
-                exp = load_experiment(args.plant_config)
                 curve = serve_plant(endpoint, exp.loop, deadline_ms=args.deadline_ms)
-                out = _out_dir(args)
                 write_curve_csv(curve, str(out / "curve.csv"))
                 _manifest(out, "probe serve", exp.raw, ["curve.csv"])
                 print(out / "curve.csv")
@@ -347,7 +352,9 @@ def cmd_probe(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     # measure
-    endpoint = DatagramEndpoint(local, parse_addr(args.remote), packet_size_b=args.packet_size)
+    remote = parse_addr(args.remote)
+    out = _out_dir(args)
+    endpoint = DatagramEndpoint(local, remote, packet_size_b=args.packet_size)
     rtts = []
     lost = 0
     try:
@@ -366,7 +373,6 @@ def cmd_probe(args: argparse.Namespace) -> int:
                 time.sleep(args.interval_ms / 1000.0)
     finally:
         endpoint.close()
-    out = _out_dir(args)
     lines = [f"sent: {args.count}", f"lost: {lost}"]
     if rtts:
         rtts_sorted = sorted(rtts)
@@ -387,7 +393,11 @@ def cmd_probe(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's shared parser, built on the first call. No caller may
+    mutate it: argparse keeps each parse's state in the fresh Namespace it
+    returns, and no argument has a mutable default."""
     parser = argparse.ArgumentParser(
         prog="tcpsbench",
         description="Step-response benchmarking for tactile cyber-physical systems",

@@ -1,7 +1,9 @@
 """Command-line front-end: artifacts, manifests, exit codes."""
 
+import argparse
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -162,6 +164,25 @@ class TestConfigErrors:
             monkeypatch.setattr(cli, name, no_work)
         assert run(argv + ["--out", tmp_path / "o"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["step", "--config", "ideal"],
+        ["vmax", "--qoc", "0"],
+        ["sickness", "synth", "--fs", "30", "--vmax", "0.02"],
+        # probe measure made its directory only after sending every packet
+        ["probe", "measure"],
+        ["probe", "serve", "--plant-config", "ideal"],
+    ], ids=["step", "vmax", "synth", "probe-measure", "probe-serve-plant"])
+    def test_unusable_out_exits_2(self, argv, tmp_path, monkeypatch, capsys):
+        """An --out below a regular file raised NotADirectoryError (exit 1)."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "DatagramEndpoint", no_work)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(argv + ["--out", blocker / "sub"]) == EXIT_CONFIG
+        assert "config error: cannot use output directory" in capsys.readouterr().err
+
     def test_invalid_loop_constants_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"channel": {"type": "ideal"},
@@ -174,6 +195,96 @@ class TestConfigErrors:
         bad.write_text(json.dumps({"channel": {"type": "ideal"}, section: {"seed": -1}}))
         assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert "seed must be >= 0" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    """run_command parses with one parser per process, built on the first command."""
+
+    def test_parser_is_built_during_the_first_command_only(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(["vmax", "--qoc", 0, "--out", tmp_path / "a"]) == EXIT_OK
+        first = len(built)
+        assert run(["vmax", "--qoc", 0, "--out", tmp_path / "b"]) == EXIT_OK
+        assert first > 0
+        assert len(built) == first
+
+    @pytest.mark.parametrize("full, defaults", [
+        (["step", "--config", "testbed-overhead-like", "--out", "o", "--seed", "5",
+          "--delta-ms", "2.5", "--deadline-ms", "100"], ["step"]),
+        (["delta-opt", "--config", "vrep-like", "--seed", "2"], ["delta-opt"]),
+        (["qoc", "--gspec", "0.8", "--seed", "3"], ["qoc", "--gspec", "0.9"]),
+        (["curve", "--gspec-list", "0.5,0.9", "--out", "o"], ["curve", "--gspec-list", "0.9"]),
+        (["vmax", "--qoc", "1.5", "--t-r-ms", "3"], ["vmax"]),
+        (["netsim", "--gspec", "0.8", "--rates", "0,500000", "--placements", "S0:S8,S1:S7",
+          "--pairs", "4", "--flow-pkt-bytes", "32"], ["netsim"]),
+        (["sickness", "measure", "--traj", "t.csv", "--vmax", "0.02", "--fs", "30",
+          "--steps", "10", "--fraction", "0.5", "--seed", "1"], ["sickness", "synth"]),
+        (["probe", "measure", "--local", "127.0.0.1:1", "--remote", "127.0.0.1:2",
+          "--count", "3", "--interval-ms", "0", "--packet-size", "64",
+          "--deadline-ms", "10"], ["probe", "serve"]),
+    ], ids=["step", "delta-opt", "qoc", "curve", "vmax", "netsim", "sickness", "probe"])
+    def test_shared_parse_equals_a_fresh_parsers(self, full, defaults):
+        shared = cli.build_parser()
+        for argv in (full, defaults, full):
+            fresh = cli.build_parser.__wrapped__()
+            assert vars(shared.parse_args(argv)) == vars(fresh.parse_args(argv))
+
+    def test_nothing_carries_over_between_commands(self, tmp_path, capsys):
+        assert run(["step", "--seed", 5, "--out", tmp_path / "a"]) == EXIT_OK
+        assert run(["step", "--seed", "x"]) == EXIT_CONFIG
+        assert run(["--help"]) == EXIT_OK
+        assert run(["--version"]) == EXIT_OK
+        assert run(["step", "--out", tmp_path / "b"]) == EXIT_OK
+        seeds = [json.loads((tmp_path / d / "manifest.json").read_text())["config"]["loop"]["seed"]
+                 for d in ("a", "b")]
+        assert seeds == [5, 1]  # the ideal preset's own loop seed is 1
+
+    def test_two_threads_share_the_parser(self, tmp_path, capsys):
+        commands = [
+            lambda k: ["step", "--seed", k],
+            lambda k: ["step", "--config", "testbed-overhead-like", "--seed", k],
+            lambda k: ["vmax", "--qoc", k / 4],
+            lambda k: ["sickness", "synth", "--fs", 30, "--steps", 50 + k, "--vmax", 0.02,
+                       "--seed", k],
+            lambda k: ["sickness", "synth", "--fs", 20, "--steps", 60, "--vmax", 0.05,
+                       "--fraction", 0.5 + k / 20],
+        ]
+        jobs = [(f"{i}-{k}", command(k)) for k in range(5) for i, command in enumerate(commands)]
+
+        def run_all(root, codes):
+            for name, argv in jobs:
+                codes.append(run(argv + ["--out", root / name]))
+
+        serial = []
+        run_all(tmp_path / "serial", serial)
+        assert serial == [EXIT_OK] * len(jobs)
+        cli.build_parser.cache_clear()  # the two threads also race to build it
+        codes = {root: [] for root in (tmp_path / "t0", tmp_path / "t1")}
+        threads = [threading.Thread(target=run_all, args=item, daemon=True)
+                   for item in codes.items()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for root, got in codes.items():
+            assert got == serial
+            for name, _ in jobs:
+                for path in (tmp_path / "serial" / name).iterdir():
+                    assert (root / name / path.name).read_bytes() == path.read_bytes()
 
 
 class TestExperimentErrors:
