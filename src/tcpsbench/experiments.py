@@ -97,15 +97,10 @@ def _build(cls: type, d: Any, what: str, **convert: Callable[[Any], Any]) -> Any
         raise ConfigError(f"invalid {what}: {exc}") from None
 
 
-_JITTER_PARAMS = {"none": (), "uniform": ("a",), "truncnorm": ("mu", "sigma")}
-
-
 def _build_jitter(d: Any) -> Jitter:
     """A jitter block holds its kind and exactly the parameters it draws with."""
     jitter = _build(Jitter, d, "jitter")
-    params = _JITTER_PARAMS.get(jitter.kind)
-    if params is None:
-        raise ConfigError(f"unknown jitter kind {jitter.kind!r}")
+    params = Jitter.PARAMS[jitter.kind]
     _object(d, f"{jitter.kind} jitter", ("kind", *params))
     if not set(params) <= set(d or ()):
         raise ConfigError(f"{jitter.kind} jitter needs {' and '.join(params)}")

@@ -268,7 +268,8 @@ def _one_stream(s: int, n: int) -> np.ndarray:
 def _insert(t: np.ndarray, sid: np.ndarray, t_in: np.ndarray,
             sid_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The time-sorted run (t_in, sid_in) merged into the time-sorted run
-    (t, sid), each packet of t_in after the packets of t at its time."""
+    (t, sid), each packet of t_in after the packets of t at its time: the
+    one merge of a link's input runs."""
     at = np.searchsorted(t, t_in, side="right")
     at += np.arange(len(t_in))
     theirs = np.ones(len(t) + len(t_in), dtype=bool)
@@ -277,14 +278,6 @@ def _insert(t: np.ndarray, sid: np.ndarray, t_in: np.ndarray,
     out_t[at], out_sid[at] = t_in, sid_in
     out_t[theirs], out_sid[theirs] = t, sid
     return out_t, out_sid
-
-
-def _merge(runs: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """Time-sorted runs merged by one stable sort; packets of equal time
-    keep the order of the runs they came in."""
-    t = np.concatenate([t for t, _ in runs])
-    order = np.argsort(t, kind="stable")
-    return t[order], np.concatenate([sid for _, sid in runs])[order]
 
 
 def _untie(t: np.ndarray, sid: np.ndarray, tied: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -307,12 +300,12 @@ class NetsimChannel(SimChannel):
     links running in the order in which packets flow between them, and a
     group of links that feed each other (on a ring) sweeping until no input
     changes. A link holds its packets in the order it serves them, each
-    tagged with its stream, so its input is a merge of runs that are
-    already in order. Cross-traffic flows emit packets on deterministic CBR
-    schedules (one seeded phase offset per flow, stable under flow-set
-    changes) up to the drain time; only flows that can delay a tactile
-    packet are simulated, and randomness across trials comes solely from
-    the phases.
+    tagged with its stream, so its input is runs that are already in order,
+    inserted one into another. Cross-traffic flows emit packets on
+    deterministic CBR schedules (one seeded phase offset per flow, stable
+    under flow-set changes) up to the drain time; only flows that can delay
+    a tactile packet are simulated, and randomness across trials comes
+    solely from the phases.
     """
 
     def __init__(self, topology: Topology, flows: tuple[TrafficFlow, ...],
@@ -429,29 +422,21 @@ class NetsimChannel(SimChannel):
     def _input(self, hop: tuple[str, str], runs: dict,
                emitted: dict) -> tuple[np.ndarray, np.ndarray]:
         """The packets that reach a link, (times, streams), in the order it
-        serves them. One run and the tactile run merge by an insert, more
-        runs by one stable sort; then each run of equal times is put in
-        rank order."""
-        ins, tactile = list(emitted.get(hop, ())), None
+        serves them: its emission runs, then each run that feeds it kept to
+        the streams that go on to it, each folded in by an insert; then each
+        run of equal times is put in rank order. A stream reaches a link
+        from one run only, so the order the runs fold in changes nothing."""
+        ins = list(emitted.get(hop, ()))
         for source, go in self._feeds[hop]:
             run = runs.get(source)
-            if run is None or not len(run[0]):
-                continue
-            if source in (FORWARD, BACKWARD):
-                tactile = run
-            elif go is None:
-                ins.append(run)
-            else:
+            if run is not None and go is not None:
                 keep = go[run[1]]
-                if keep.any():
-                    ins.append((run[0][keep], run[1][keep]))
-        if tactile is not None and len(ins) == 1:
-            ins = [_insert(*ins[0], *tactile)]
-        elif tactile is not None:
-            ins.append(tactile)
-        if len(ins) > 1:
-            ins = [_merge(ins)]
+                run = run[0][keep], run[1][keep]
+            if run is not None and len(run[0]):
+                ins.append(run)
         t, sid = ins[0] if ins else (_NO_TIMES, _NO_STREAMS)
+        for run in ins[1:]:
+            t, sid = _insert(t, sid, *run)
         tied = t[1:] == t[:-1]
         if tied.any():
             sid = _untie(t, sid, tied, self._rank)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from random import Random
@@ -114,7 +114,12 @@ class Jitter:
     mu: float = 0.0
     sigma: float = 0.0
 
+    # the parameters each kind draws with
+    PARAMS = {"none": (), "uniform": ("a",), "truncnorm": ("mu", "sigma")}
+
     def __post_init__(self) -> None:
+        if self.kind not in self.PARAMS:
+            raise ValueError(f"unknown jitter kind {self.kind!r}")
         if not (0.0 <= self.a < math.inf and 0.0 <= self.sigma < math.inf
                 and math.isfinite(self.mu)):  # NaN fails too
             raise ValueError("jitter a and sigma must be finite and >= 0, mu finite")
@@ -419,12 +424,14 @@ def shared_draws() -> Iterator[None]:
     random draws: each stream is drawn once and kept as an array, without
     its generator; topology channels share their flows' phase draws the
     same way. A search opens one block, so trials at different loop times
-    reuse the draws of their common seeds."""
-    token = _SHARED_DRAWS.set({})
+    reuse the draws of their common seeds. A block opened inside another
+    uses the one already open."""
+    token = _SHARED_DRAWS.set({}) if _SHARED_DRAWS.get() is None else None
     try:
         yield
     finally:
-        _SHARED_DRAWS.reset(token)
+        if token is not None:
+            _SHARED_DRAWS.reset(token)
 
 
 def _shared(kind: object) -> dict | None:
@@ -472,20 +479,6 @@ def _tries_per_value(mu: float, sigma: float) -> float:
     return 64.0 if p == 0.0 else 1.0 if p == 1.0 else -math.expm1(64 * math.log1p(-p)) / p
 
 
-def _tries(v: list[float], k: int) -> list[float]:
-    """Up to k truncated normal values from the tries v: the first
-    non-negative one of each value's tries, or 0 after 64 negative ones."""
-    vals, tries = [], 0
-    for x in v:
-        tries += 1
-        if x >= 0.0 or tries == 64:
-            vals.append(x if x >= 0.0 else 0.0)
-            tries = 0
-            if len(vals) == k:
-                break
-    return vals
-
-
 def _draw_streams(seeds: Sequence[int], jitter: Jitter | None, size: int) -> list[np.ndarray]:
     """The first `size` values of the stream (seed, jitter) of each seed,
     drawn together in bulk, bit for bit those of a loop that calls a
@@ -494,54 +487,49 @@ def _draw_streams(seeds: Sequence[int], jitter: Jitter | None, size: int) -> lis
     redraws a negative value up to 64 times, then gives 0.
 
     Each stream's normals come in one chunk of the expected number of tries
-    plus a margin. Its values are the chunk's non-negative normals, unless
-    64 negatives in a row come before the last one needed: then a scalar
-    pass over the chunk applies the 64-try rule. A stream whose chunk falls
-    short is drawn again from its seed, with a chunk twice as long."""
+    plus a margin. A try ends a value when it lies a multiple of 64 tries
+    after the last non-negative one (0 at a non-negative try itself; the
+    stream starts as if after one): the value is the try, or 0.0 where it
+    is negative. A stream whose chunk ends fewer than `size` values is drawn
+    again from its seed, with a chunk twice as long."""
     if jitter is None or jitter.kind == "uniform":
         u = _uniforms([Random(seed) for seed in seeds], size)
         return list(u if jitter is None else jitter.a * u)  # uniform(0, a): 0.0 + (a - 0.0) * random()
-    if jitter.kind != "truncnorm":
-        raise ValueError(f"unknown jitter kind {jitter.kind!r}")
     mu, sigma = jitter.mu, jitter.sigma
     out: dict[int, np.ndarray] = {}
     todo = list(range(len(seeds)))
     pairs = math.ceil((size * _tries_per_value(mu, sigma) * 1.1 + 16) / 2)
     while todo:
         v = mu + _box_muller(_uniforms([Random(seeds[i]) for i in todo], 2 * pairs)) * sigma
-        kept = v >= 0.0
-        count = np.cumsum(kept, axis=1)
+        kept = v >= 0.0  # -0.0 too, kept as it is
         cols = np.arange(2 * pairs)
-        last = np.argmax(count >= size, axis=1)  # the normal that gives the last value
-        negatives = cols - np.maximum.accumulate(np.where(kept, cols, -1), axis=1)
-        whole = (count[:, -1] >= size) & ~((negatives >= 64) & (cols <= last[:, None])).any(axis=1)
-        out.update(zip(np.array(todo)[whole].tolist(),
-                       v[kept & (count <= size) & whole[:, None]].reshape(-1, size)))
-        short = []
-        for j in np.flatnonzero(~whole).tolist():
-            vals = np.array(_tries(v[j].tolist(), size))
-            if len(vals) == size:
-                out[todo[j]] = vals
-            else:
-                short.append(todo[j])
-        todo, pairs = short, 2 * pairs
+        since = cols - np.maximum.accumulate(np.where(kept, cols, -1), axis=1)
+        ends = (since & 63) == 0
+        count = np.cumsum(ends, axis=1)
+        whole = count[:, -1] >= size
+        vals = v[ends & (count <= size) & whole[:, None]]
+        vals[vals < 0.0] = 0.0
+        out.update(zip(np.array(todo)[whole].tolist(), vals.reshape(-1, size)))
+        todo, pairs = [i for i, w in zip(todo, whole.tolist()) if not w], 2 * pairs
     return [out[i] for i in range(len(seeds))]
+
+
+def _cache(streams: dict, jitter: Jitter | None) -> dict:
+    """The streams (seed, jitter) drawn so far, by seed: those kept in the
+    open shared_draws() block, else in streams (by jitter, then seed)."""
+    cache = _shared(jitter)
+    return streams.setdefault(jitter, {}) if cache is None else cache
 
 
 def _read(streams: dict, seeds: list[int], row_key: np.ndarray, jitter: Jitter | None,
           pos: np.ndarray, n: int) -> np.ndarray:
     """The n values from position pos[r] of row r's stream (seeds[row_key[r]],
-    jitter): drop uniforms (jitter None) or jitter values. The streams drawn
-    so far are kept by seed in the open shared_draws() block, else in
-    streams (by jitter, then seed); those too short for the farthest read
-    are drawn by one _draw_streams call, each seed once, at least twice as
-    long as they were and 16 at first, and their values repeat exactly."""
-    cache = _shared(jitter)
-    if cache is None:
-        cache = streams.setdefault(jitter, {})
+    jitter): drop uniforms (jitter None) or jitter values, from _cache.
+    Streams too short for the farthest read are drawn by one _draw_streams
+    call, each seed once, at least twice as long as they were and 16 at
+    first, and their values repeat exactly."""
+    cache = _cache(streams, jitter)
     need = int(pos.max()) + n
-    if len(pos) == 1 and len(cache.get(seeds[0], ())) >= need:  # a packet on the clock
-        return cache[seeds[0]][None, pos[0]:need]
     held = [cache.get(s) for s in seeds]
     todo = [k for k, v in enumerate(held) if v is None or len(v) < need]
     if todo:
@@ -588,6 +576,13 @@ class ImpairedBlock:
         """n values of each row's drop (jitter None) or jitter stream in direction d from pos."""
         seeds = self.seeds[d][jitter is not None]
         return _read(self.streams, seeds, self.row_key, jitter, pos, n)
+
+    def value(self, d: int, jitter: Jitter | None, pos: int) -> float:
+        """Row 0's value at pos of its drop (jitter None) or jitter stream in direction d."""
+        cache, seed = _cache(self.streams, jitter), self.seeds[d][jitter is not None][0]
+        if len(cache.get(seed, ())) <= pos:
+            self.read(d, jitter, np.array([pos]), 1)  # draws the stream longer
+        return cache[seed].item(pos)
 
     def carry(self, direction: str, t: np.ndarray, sent: np.ndarray | None,
               size_b: int) -> np.ndarray:
@@ -682,7 +677,7 @@ class ChannelRows:
         drains = np.broadcast_to(drain_at, rows).tolist()
         fwd, bwd = np.empty(sends.shape), np.empty(sends.shape)
         picked = np.empty(sends.shape, dtype=bool)
-        with nullcontext() if _SHARED_DRAWS.get() is not None else shared_draws():
+        with shared_draws():
             for r, channel in enumerate(self.channels):
                 fwd[r], picked[r], bwd[r] = channel.round_trip(sends[r], size_b, drains[r])
         return fwd, picked, bwd
@@ -707,27 +702,26 @@ class ImpairedChannel(SimChannel):
     def transit_time(self, direction: str, size_b: int, t_now: float) -> float | None:
         """Decide drop/delivery for one packet; returns the delivery time or
         None when dropped. Advances per-direction state: the block's row,
-        as its carry of a row of one packet does."""
+        as its carry of a row of one packet does, read and written as
+        Python numbers."""
         block, stats = self.block, self.stats[direction]
         d = 0 if direction == FORWARD else 1
         p = block.params[d]
-        sent, kept = block.sent[d].copy(), block.kept[d].copy()
-        block.sent[d] += 1
+        sent = block.sent.item(d, 0)
+        block.sent[d, 0] = sent + 1
         stats.sent += 1
         # one uniform per packet, listed in drop_seq or not, so drop
         # decisions nest across drop_prob settings under a shared seed
-        if int(sent[0]) in p.drop_seq or (
-                p.drop_prob > 0.0 and block.read(d, None, sent, 1)[0, 0] < p.drop_prob):
+        if sent in p.drop_seq or (p.drop_prob > 0.0 and block.value(d, None, sent) < p.drop_prob):
             stats.dropped += 1
             return None
-        block.kept[d] += 1
+        kept = block.kept.item(d, 0)
+        block.kept[d, 0] = kept + 1
         delay = p.latency_ms + (0.0 if p.jitter.kind == "none" else
-                                float(block.read(d, p.jitter, kept, 1)[0, 0]))
+                                block.value(d, p.jitter, kept))
         t_sent = t_now if block.queues[d] is None else block.queues[d][0].admit(t_now, size_b)
-        t_deliver = t_sent + delay
-        if p.fifo and t_deliver < block.last[d, 0]:
-            t_deliver = float(block.last[d, 0])
-        block.last[d] = t_deliver
+        t_deliver = max(t_sent + delay, block.last.item(d, 0)) if p.fifo else t_sent + delay
+        block.last[d, 0] = t_deliver
         return t_deliver
 
     def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float):

@@ -3,7 +3,9 @@ kept as its oracle.
 
 `_Draws` draws a stream's values in bulk; these loops call the generator
 once per value, as `Jitter.draws` and the drop stream did. Both must give
-the same values, bit for bit.
+the same values, bit for bit. `tries` is the scalar pass of the 64-try
+rule that `transport._draw_streams` took for a chunk with 64 negatives in
+a row, kept as the oracle of the array rule that replaced it.
 """
 
 from random import Random
@@ -36,3 +38,17 @@ def jitter_draws(jitter: Jitter, rng: Random, n: int) -> list[float]:
 def drop_draws(rng: Random, n: int) -> list[float]:
     """n successive drop uniforms."""
     return [rng.random() for _ in range(n)]
+
+
+def tries(v: list[float], k: int) -> list[float]:
+    """Up to k truncated normal values from the tries v: the first
+    non-negative one of each value's tries, or 0 after 64 negative ones."""
+    vals, count = [], 0
+    for x in v:
+        count += 1
+        if x >= 0.0 or count == 64:
+            vals.append(x if x >= 0.0 else 0.0)
+            count = 0
+            if len(vals) == k:
+                break
+    return vals

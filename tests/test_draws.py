@@ -17,7 +17,7 @@ from random import Random
 import numpy as np
 import pytest
 
-from draws_oracle import drop_draws, jitter_draws
+from draws_oracle import drop_draws, jitter_draws, tries
 from test_skeleton import _record
 from tcpsbench import transport
 from tcpsbench.loopsim import LoopConfig, run_step_batch
@@ -27,7 +27,6 @@ from tcpsbench.transport import (
     ChannelRows,
     Jitter,
     LinkParams,
-    _draw_streams,
     _read,
     shared_draws,
 )
@@ -89,19 +88,38 @@ def test_truncnorm_jitter_matches_the_redraw_loop():
         assert _taken(_Stream(seed, jitter), sizes) == want, (seed, jitter, sizes)
 
 
-def _count_scalar_passes(monkeypatch) -> Counter:
-    """Count the scalar passes of the 64-try rule, and those whose chunk
-    ends in a run of negatives before the values are complete."""
-    seen = Counter()
-    tries = transport._tries
+def _count_cut_offs(monkeypatch) -> Counter:
+    """Count the truncated-normal streams drawn with a value cut off to 0
+    by the 64-try rule, and the chunks drawn again, with those whose chunk
+    ends inside a run of negatives. A chunk is drawn again exactly when the
+    scalar pass (draws_oracle.tries) over its normals falls short."""
+    seen, drawing = Counter(), []
+    draw_streams, uniforms = transport._draw_streams, transport._uniforms
 
-    def counted(v, k):
-        vals = tries(v, k)
-        seen["scalar"] += 1
-        seen["run cut by the chunk end"] += len(vals) < k and v[-1] < 0.0
-        return vals
+    def counted_draws(seeds, jitter, size):
+        drawing.append({"jitter": jitter, "size": size, "calls": 0, "short": 0})
+        out = draw_streams(seeds, jitter, size)
+        call = drawing.pop()
+        assert call["short"] == max(0, call["calls"] - len(seeds)), call
+        if jitter is not None and jitter.kind == "truncnorm" and jitter.sigma > 0.0:
+            seen["streams cut off"] += sum(bool(np.any(v == 0.0)) for v in out)
+        return out
 
-    monkeypatch.setattr(transport, "_tries", counted)
+    def counted_uniforms(rngs, n):
+        u = uniforms(rngs, n)
+        call = drawing[-1]
+        call["calls"] += len(rngs)
+        jitter, size = call["jitter"], call["size"]
+        if jitter is not None and jitter.kind == "truncnorm":
+            for v in (jitter.mu + transport._box_muller(u) * jitter.sigma).tolist():
+                short = len(tries(v, size)) < size
+                call["short"] += short
+                seen["redrawn"] += short
+                seen["run cut by the chunk end"] += short and v[-1] < 0.0
+        return u
+
+    monkeypatch.setattr(transport, "_draw_streams", counted_draws)
+    monkeypatch.setattr(transport, "_uniforms", counted_uniforms)
     return seen
 
 
@@ -110,7 +128,7 @@ def test_truncnorm_far_below_zero_takes_the_64_try_rule(monkeypatch):
     With the first chunk sized for one try per value, chunks end inside
     runs of negatives and are drawn again, longer; reads of odd sizes draw
     the stream again as it grows. The values still equal the loop's."""
-    seen = _count_scalar_passes(monkeypatch)
+    seen = _count_cut_offs(monkeypatch)
     monkeypatch.setattr(transport, "_tries_per_value", lambda mu, sigma: 1.0)
     rng = Random(4)
     zeros = 0
@@ -139,11 +157,26 @@ def test_shared_stream_extends_a_shorter_cached_array():
         assert cached.take(43).tolist() == want[257:]
 
 
+def test_nested_shared_draws_blocks_share_one_dict():
+    """A shared_draws block opened inside an open one uses it: what the
+    inner block draws stays kept when it closes, until the outer one does."""
+    assert transport._SHARED_DRAWS.get() is None
+    with shared_draws():
+        outer = transport._SHARED_DRAWS.get()
+        with shared_draws():
+            assert transport._SHARED_DRAWS.get() is outer
+            inner = _Stream(9, None)
+            assert inner.take(5).tolist() == drop_draws(Random(9), 5)
+        assert transport._SHARED_DRAWS.get() is outer and inner.streams == {}
+        assert outer[None][9][:5].tolist() == drop_draws(Random(9), 5)
+    assert transport._SHARED_DRAWS.get() is None
+
+
 def test_streams_drawn_together_match_each_alone(monkeypatch):
     """_draw_streams draws many seeds' streams as one block. Every stream
-    equals its loop's values, including those that take the scalar pass of
-    the 64-try rule or are drawn again after a short chunk."""
-    seen = _count_scalar_passes(monkeypatch)
+    equals its loop's values, including those with values cut off to 0 by
+    the 64-try rule or drawn again after a short chunk."""
+    seen = _count_cut_offs(monkeypatch)
     rng = Random(8)
     for case in range(40):
         jitter = rng.choice((None, Jitter.uniform(rng.uniform(0.0, 3.0)),
@@ -151,12 +184,62 @@ def test_streams_drawn_together_match_each_alone(monkeypatch):
                              Jitter.truncnorm(-2.5, 1.0), Jitter.truncnorm(0.0, 0.0)))
         seeds = rng.sample(range(10_000), rng.randint(1, 25))
         size = rng.choice((16, 100, 137))
-        got = _draw_streams(seeds, jitter, size)
+        got = transport._draw_streams(seeds, jitter, size)
         for s, values in zip(seeds, got, strict=True):
             want = drop_draws(Random(s), size) if jitter is None else jitter_draws(
                 jitter, Random(s), size)
             assert values.tolist() == want, (case, s)
-    assert seen["scalar"] >= 10 and seen["run cut by the chunk end"] >= 1, seen
+    assert seen["streams cut off"] >= 10 and seen["run cut by the chunk end"] >= 1, seen
+
+
+RUNS = (0, 63, 64, 65, 127, 128, 129)
+
+
+def _planted(rng: Random, length: int) -> list[float]:
+    """length tries of planted signs: runs of negatives, of a length in
+    RUNS or of 0-3, each ended by a non-negative try, -0.0 (kept as it is)
+    or a positive one."""
+    v = []
+    while len(v) < length:
+        run = rng.choice(RUNS) if rng.random() < 0.5 else rng.randint(0, 3)
+        v += [-rng.uniform(1e-9, 3.0) for _ in range(run)]
+        v.append(rng.choice((-0.0, rng.uniform(1e-9, 3.0))))
+    return v[:length]
+
+
+def test_cut_off_rule_matches_the_scalar_pass_on_planted_tries(monkeypatch):
+    """_draw_streams' array rule on planted tries (its generators and
+    Box-Muller replaced, truncnorm(-0.0, 1.0) so each try passes through as
+    it is) equals the scalar pass of the 64-try rule, signs of zeros
+    included, with runs of every length in RUNS and chunks that end inside
+    a run and are drawn again."""
+    planted: dict[int, list[float]] = {}
+    seen = Counter()
+
+    def uniforms(seeds, n):
+        for s in seeds:
+            inside = planted[s][n - 1] < 0.0 and planted[s][n] < 0.0
+            seen["ended inside a run" if inside else "ended outside a run"] += 1
+        return np.array([planted[s][:n] for s in seeds])
+
+    monkeypatch.setattr(transport, "Random", lambda seed: seed)
+    monkeypatch.setattr(transport, "_uniforms", uniforms)
+    monkeypatch.setattr(transport, "_box_muller", lambda u: u)
+    monkeypatch.setattr(transport, "_tries_per_value", lambda mu, sigma: 1.0)
+    rng, jitter = Random(12), Jitter.truncnorm(-0.0, 1.0)
+    for case in range(80):
+        size = rng.choice((1, 2, 5, 16, 40))
+        seeds = [100 * case + k for k in range(rng.randint(1, 6))]
+        for s in seeds:
+            planted[s] = _planted(rng, 200 * size + 100)
+        got = transport._draw_streams(seeds, jitter, size)
+        for s, values in zip(seeds, got, strict=True):
+            want = tries(planted[s], size)
+            assert repr(values.tolist()) == repr(want), (case, s)
+            seen["negative zeros"] += repr(want).count("-0.0")
+            seen["cut-off zeros"] += sum(str(x) == "0.0" for x in want)
+    assert seen["ended inside a run"] >= 20 and seen["ended outside a run"] >= 20, seen
+    assert seen["negative zeros"] >= 20 and seen["cut-off zeros"] >= 100, seen
 
 
 def test_batch_draws_each_stream_once(monkeypatch):

@@ -130,6 +130,8 @@ BAD_VALUES = [
     ("infinite explicit delta", {"channel": IDEAL, "search": {"deltas": [INF]}}, "deltas"),
     # an empty grid used to write a header-only curve (exit 0) or fail as NoGoodDelta (exit 3)
     ("empty explicit grid", {"channel": IDEAL, "search": {"deltas": []}}, "deltas"),
+    ("unknown jitter kind", {"channel": _impaired(forward={"jitter": {"kind": "gauss"}})},
+     "unknown jitter kind 'gauss'"),
 ]
 
 

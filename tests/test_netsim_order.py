@@ -2,13 +2,14 @@
 
 `tcpsbench.netsim.NetsimChannel` keeps each link's packets in the order the
 link serves them, each tagged with its stream, and builds a link's input by
-merging runs that are already in time order: the emission runs, the
-tactile run and the upstream links' outputs. `tests/per_stream_oracle.py`
-holds the engine it replaced, which keeps one array per stream and hop and
-sorts every link's input from scratch. On random topologies, chasing
-rings, queue caps None/1/2/4, flows of mixed periods and sizes, and
-hand-built ties at one instant, both must give the same arrivals, picks,
-answers, stats and per-hop tactile times, compared by repr.
+inserting into one another runs that are already in time order: the
+emission runs, the tactile run and the upstream links' outputs.
+`tests/per_stream_oracle.py` holds the engine it replaced, which keeps one
+array per stream and hop and sorts every link's input from scratch. On
+random topologies, chasing rings, queue caps None/1/2/4, flows of mixed
+periods and sizes, and hand-built ties at one instant, both must give the
+same arrivals, picks, answers, stats and per-hop tactile times, compared by
+repr.
 """
 
 import math
@@ -28,15 +29,24 @@ CASES = 240
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Counts of the engine's tie fix-ups (_untie) and multi-run merges
-    (_merge) from here on."""
-    counts = {"_untie": 0, "_merge": 0}
-    for name in counts:
+    """Counts of the engine's tie fix-ups (_untie), and of the link inputs
+    folded from 3 or more runs (2 or more _insert calls in one _input)
+    from here on."""
+    counts = {"_untie": 0, "_insert": 0, "3+ runs": 0}
+    for name in ("_untie", "_insert"):
         def counted(*args, name=name, f=getattr(netsim, name)):
             counts[name] += 1
             return f(*args)
 
         monkeypatch.setattr(netsim, name, counted)
+
+    def counted_input(self, *args, f=NetsimChannel._input):
+        before = counts["_insert"]
+        out = f(self, *args)
+        counts["3+ runs"] += counts["_insert"] - before >= 2
+        return out
+
+    monkeypatch.setattr(NetsimChannel, "_input", counted_input)
     return counts
 
 
@@ -81,7 +91,7 @@ def _sends(rng, start=0.0, n_max=40):
 @pytest.mark.parametrize("block", range(4))
 def test_random_topologies_match_the_per_stream_engine(block, paths):
     """Random rings, trees and meshes with random or mixed-period flows and
-    caps None/1/2/4. The cases are not vacuous: links merge several runs,
+    caps None/1/2/4. The cases are not vacuous: links fold 3 or more runs,
     tactile packets queue and are tail-dropped."""
     queued = dropped = 0
     for i in range(block * CASES // 4, (block + 1) * CASES // 4):
@@ -94,7 +104,7 @@ def test_random_topologies_match_the_per_stream_engine(block, paths):
                                float(sends[-1]))
         queued += bool(np.any(fwd - sends > netsim.closed_form_delivery(topo, size_b, 0.0)))
         dropped += bool(np.isnan(fwd).any())
-    assert paths["_merge"] >= 10 and queued >= 10 and dropped >= 3, (paths, queued, dropped)
+    assert paths["3+ runs"] >= 10 and queued >= 10 and dropped >= 3, (paths, queued, dropped)
 
 
 @pytest.mark.parametrize("block", range(2))
@@ -146,8 +156,8 @@ def _equal_phase_case(rng):
 def test_ties_at_one_instant_match_the_per_stream_engine(paths, monkeypatch):
     """Equal phases, and arrivals that collide after + delay_ms, within one
     run and across runs: each run of equal times is served by rank. The
-    cases are not vacuous: the tie fix-up and the multi-run merge each run
-    at least 10 times, and at least 10 fix-ups change the order the
+    cases are not vacuous: the tie fix-up and an input of 3 or more runs
+    each come at least 10 times, and at least 10 fix-ups change the order the
     packets came in."""
     reordered = [0]
     untie = netsim._untie  # the counted fix-up
@@ -164,5 +174,5 @@ def test_ties_at_one_instant_match_the_per_stream_engine(paths, monkeypatch):
         topo, flows, emitters, sends = make(rng)
         cap = rng.choice((None, None, 1, 2, 4))
         _compare(topo, flows, i, cap, sends, rng.choice((32, 64)), float(sends[-1]), emitters)
-    assert paths["_untie"] >= 10 and paths["_merge"] >= 10, paths
+    assert paths["_untie"] >= 10 and paths["3+ runs"] >= 10, paths
     assert reordered[0] >= 10, reordered

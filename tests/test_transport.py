@@ -263,6 +263,11 @@ class TestImpairedChannel:
         with pytest.raises(ValueError):
             LinkParams(bandwidth_bps=-8000.0)
 
+    def test_unknown_jitter_kind_is_refused_when_built(self):
+        """Not at the first draw, in the middle of a search."""
+        with pytest.raises(ValueError, match="unknown jitter kind 'gauss'"):
+            Jitter("gauss")
+
 
 class TestLinkQueue:
     def test_batch_matches_admit(self):
