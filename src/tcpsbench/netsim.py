@@ -22,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import TcpsbenchError, check_seed
+from .loopsim import check_packet_size
 from .transport import BACKWARD, FORWARD, LinkQueue, SimChannel, _fresh_mask, _shared
 
 
@@ -311,6 +312,8 @@ class NetsimChannel(SimChannel):
     def __init__(self, topology: Topology, flows: tuple[TrafficFlow, ...],
                  seed: int, queue_cap: int | None = None) -> None:
         check_seed(seed)
+        if queue_cap is not None and (type(queue_cap) is not int or queue_cap < 0):
+            raise ValueError(f"queue_cap must be None or an int >= 0, got {queue_cap!r}")
         super().__init__()
         (self._routes, links, sims, self._first, self._rank, self._feeds, self._tactile,
          self._order) = _plan(topology, flows, queue_cap)
@@ -401,7 +404,7 @@ class NetsimChannel(SimChannel):
             key = hop
             t, sid = self._input(hop, runs, emitted)
             queue = self._queues[hop]
-            queue.free_at, queue.departures = 0.0, []
+            queue.free_at = 0.0
             direction, j, s, alone = self._tactile.get(hop, (None, 0, 0, False))
             ser = queue.serialization_ms(sizes)
             t = queue.carry(t, ser[s] if alone else ser[sid])
@@ -466,6 +469,13 @@ def pair_flows(n_pairs: int, rate_bps: float, pkt_bytes: int = 64) -> tuple[Traf
     return tuple(flows)
 
 
+def _check_send(pkt_bytes: int, t_send: float) -> None:
+    """Refuse a bad packet size and a send time before 0 (the flows' start) or not finite."""
+    check_packet_size(pkt_bytes)
+    if not 0.0 <= t_send < math.inf:
+        raise ValueError(f"t_send must be finite and >= 0, got {t_send!r}")
+
+
 def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...] | list[TrafficFlow],
                       pkt_bytes: int, t_send: float, seed: int = 0,
                       src: str | None = None, dst: str | None = None,
@@ -474,6 +484,7 @@ def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...] | list[
     cross traffic from time zero. The flows emit up to a horizon that
     doubles until the packet lands, or is dropped, at or before it; later
     emissions reach every link after that, so the answer is exact."""
+    _check_send(pkt_bytes, t_send)
     placed = replace(topology,
                      te_master=topology.host_switch(src) if src else topology.te_master,
                      te_slave=topology.host_switch(dst) if dst else topology.te_slave)
@@ -493,6 +504,7 @@ def closed_form_delivery(topology: Topology, pkt_bytes: int, t_send: float,
                          src: str | None = None, dst: str | None = None) -> float:
     """Traffic-free reference: per hop, serialization plus propagation,
     accumulated in route order (same arithmetic order as the simulator)."""
+    _check_send(pkt_bytes, t_send)
     src_sw = topology.host_switch(src) if src else topology.te_master
     dst_sw = topology.host_switch(dst) if dst else topology.te_slave
     t = t_send

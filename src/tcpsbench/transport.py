@@ -203,11 +203,11 @@ class DirectionStats:
 
 class LinkQueue:
     """FIFO output queue of one directed link: tracks when the transmitter
-    frees up, plus in-flight departure times when a capacity cap applies.
-    admit() takes one packet at a time; carry() a time-sorted batch of
-    packets, each with its own time on the wire."""
+    frees up. carry() takes a time-sorted batch of packets. A cap counts
+    only the packets of the batch it is carrying, so a capped batch starts
+    at an idle transmitter (free_at = 0.0), with nothing in flight."""
 
-    __slots__ = ("bandwidth_bps", "delay_ms", "cap", "free_at", "departures")
+    __slots__ = ("bandwidth_bps", "delay_ms", "cap", "free_at")
 
     ROUNDS = 16  # rounds of _lindley before each busy period still moving is walked whole
 
@@ -217,29 +217,15 @@ class LinkQueue:
         self.delay_ms = delay_ms
         self.cap = cap
         self.free_at = 0.0
-        self.departures: list[float] = []
 
     def serialization_ms(self, size_b: int | np.ndarray) -> float | np.ndarray:
         """The time a packet of size_b bytes (or each of an array) takes on the wire."""
         return size_b * 8.0 / self.bandwidth_bps * 1000.0
 
-    def admit(self, now: float, size_b: int) -> float | None:
-        """Returns the arrival time at the far end, or None on tail drop."""
-        if self.cap is not None:
-            self.departures = [d for d in self.departures if d > now]
-            if len(self.departures) >= self.cap:
-                return None
-        start = self.free_at if self.free_at > now else now
-        finish = start + self.serialization_ms(size_b)
-        self.free_at = finish
-        if self.cap is not None:
-            self.departures.append(finish)
-        return finish + self.delay_ms
-
     def carry(self, arrivals: np.ndarray, ser: float | np.ndarray) -> np.ndarray:
-        """admit() over a time-sorted batch whose packets take ser ms on the
-        wire (one time, or one per packet, from serialization_ms): the
-        far-end arrival times, NaN where a packet is tail-dropped. When no
+        """The far-end arrival times of a time-sorted batch whose packets
+        take ser ms on the wire (one time, or one per packet, from
+        serialization_ms), NaN where a packet is tail-dropped. When no
         packet waits for the transmitter, Lindley's recurrence
         d_k = max(a_k, d_{k-1}) + s_k is d = a + s and nothing is in flight
         at an arrival, so the batch takes one vector sum; otherwise it goes
@@ -248,42 +234,33 @@ class LinkQueue:
         if len(done) and (self.cap is None or self.cap > 0) and arrivals[0] >= self.free_at \
                 and bool(np.all(arrivals[1:] >= done[:-1])):
             self.free_at = float(done[-1])
-            if self.cap is not None:
-                self.departures = [self.free_at]
             return done + self.delay_ms
         return self.run(arrivals, np.broadcast_to(ser, done.shape), done) + self.delay_ms
 
     def run(self, a: np.ndarray, ser: np.ndarray, done: np.ndarray) -> np.ndarray:
         """The departures of a time-sorted batch (done = a + ser), NaN for a
-        tail drop, by Lindley's recurrence with admit()'s arithmetic and cap
-        rule, bit for bit. Uncapped, _lindley solves the batch with no loop
-        over its packets. A capped batch goes through the sequential loop:
-        accepted departures never decrease, so "at least cap in flight at
-        now" is deps[-cap] > now, and the in-flight list is filtered once,
-        at the end, to what admit() would leave."""
+        tail drop, by Lindley's recurrence. Uncapped, _lindley solves the
+        batch with no loop over its packets. A capped batch goes through the
+        sequential loop, which drops a packet that finds cap of the batch's
+        packets in flight: accepted departures never decrease, so that is
+        deps[-cap] > now."""
         d = np.concatenate(([self.free_at], done))  # d[k + 1]: departure of packet k
         if self.cap is None:
             if len(a):
                 _lindley(a, ser, d, self.ROUNDS)
                 self.free_at = float(d[-1])
             return d[1:]
-        free, cap, deps = self.free_at, self.cap, list(self.departures)
-        out, now, taken = [], None, False
+        free, cap, deps, out = self.free_at, self.cap, [], []
         for now, s in zip(a.tolist(), ser.tolist()):
             if len(deps) >= cap and (cap == 0 or deps[-cap] > now):
                 out.append(math.nan)
-                taken = False
                 continue
             start = free if free > now else now
             free = start + s
             out.append(free)
-            taken = True
             deps.append(free)
-        if now is not None:
-            # admit() filters before it appends, so the last accepted one stays
-            deps = [x for x in deps[:len(deps) - taken] if x > now] + deps[len(deps) - taken:]
         d[1:] = out
-        self.free_at, self.departures = free, deps
+        self.free_at = free
         return d[1:]
 
 
@@ -719,7 +696,11 @@ class ImpairedChannel(SimChannel):
         block.kept[d, 0] = kept + 1
         delay = p.latency_ms + (0.0 if p.jitter.kind == "none" else
                                 block.value(d, p.jitter, kept))
-        t_sent = t_now if block.queues[d] is None else block.queues[d][0].admit(t_now, size_b)
+        t_sent = t_now
+        if block.queues[d] is not None:  # the row's transmitter, never capped
+            queue = block.queues[d][0]
+            start = queue.free_at if queue.free_at > t_now else t_now
+            t_sent = queue.free_at = start + queue.serialization_ms(size_b)
         t_deliver = max(t_sent + delay, block.last.item(d, 0)) if p.fifo else t_sent + delay
         block.last[d, 0] = t_deliver
         return t_deliver

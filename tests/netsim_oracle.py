@@ -17,9 +17,10 @@ from typing import Callable
 
 import numpy as np
 
+from queue_oracle import PacketQueue
 from tcpsbench.clock import PRIO_CONTROL, EventScheduler, PRIO_DELIVERY
 from tcpsbench.netsim import Topology, TrafficFlow, Unreachable, route
-from tcpsbench.transport import BACKWARD, FORWARD, DirectionStats, LinkQueue, SimChannel
+from tcpsbench.transport import BACKWARD, FORWARD, DirectionStats, SimChannel
 
 
 class NetsimChannel(SimChannel):
@@ -47,11 +48,11 @@ class NetsimChannel(SimChannel):
                 self._flow_routes[key] = route(topology, fl.src, fl.dst)
         # one output queue per directed link; the first of parallel links wins,
         # as in Topology.link_between
-        self._queues: dict[tuple[str, str], LinkQueue] = {}
+        self._queues: dict[tuple[str, str], PacketQueue] = {}
         for ln in topology.links:
             for hop in ((ln.a, ln.b), (ln.b, ln.a)):
                 if hop not in self._queues:
-                    self._queues[hop] = LinkQueue(ln.bandwidth_bps, ln.delay_ms, queue_cap)
+                    self._queues[hop] = PacketQueue(ln.bandwidth_bps, ln.delay_ms, queue_cap)
         self._draining = False
 
     def bind(self, scheduler: EventScheduler) -> None:

@@ -135,7 +135,7 @@ class NetsimChannel(SimChannel):
             outs = [(arrivals[-1], 0, fwd[self._picked])]
         else:
             queue = self._queues[hop]
-            queue.free_at, queue.departures = 0.0, []
+            queue.free_at = 0.0
             chunks = self._inputs[hop]
             ins = [arrivals[s][j] for s, j in chunks]
             ser = [queue.serialization_ms(sizes[s]) for s, _ in chunks]

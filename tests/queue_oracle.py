@@ -1,28 +1,54 @@
-"""The link-queue solver that `tcpsbench.transport.LinkQueue.run` replaced,
-kept as its oracle.
+"""The link-queue solvers that `tcpsbench.transport.LinkQueue` replaced,
+kept as its oracles.
 
+`PacketQueue.admit` takes one packet at a time and keeps the departures
+still in flight between packets, as the event-driven channels need.
 `run` is Lindley's FIFO recurrence d_k = max(a_k, d_{k-1}) + s_k over a
-time-sorted batch, with `LinkQueue.admit`'s arithmetic and cap rule:
-uncapped, numpy rounds that recompute only the packets whose predecessor
-changed, then the sequential loop for whatever is still unsettled after
-`ROUNDS` rounds; capped, the sequential loop from the start.
-`tests/test_queue_engine.py` matches it, and `admit` called one packet at
-a time, against the engine bit for bit.
+time-sorted batch, with `admit`'s arithmetic and cap rule, a cap counting
+only the batch's own packets: uncapped, numpy rounds that recompute only
+the packets whose predecessor changed, then the sequential loop for
+whatever is still unsettled after `ROUNDS` rounds; capped, the sequential
+loop from the start. `tests/test_queue_engine.py` and
+`tests/test_transport.py` match both against the engine bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from tcpsbench.transport import LinkQueue
+
 ROUNDS = 32  # numpy rounds before the unsettled suffix goes through the loop
+
+
+class PacketQueue(LinkQueue):
+    """A link queue that admits one packet at a time, with the in-flight
+    departure times a capacity cap counts."""
+
+    __slots__ = ("departures",)
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.departures: list[float] = []
+
+    def admit(self, now: float, size_b: int) -> float | None:
+        """Returns the arrival time at the far end, or None on tail drop."""
+        if self.cap is not None:
+            self.departures = [d for d in self.departures if d > now]
+            if len(self.departures) >= self.cap:
+                return None
+        start = self.free_at if self.free_at > now else now
+        finish = start + self.serialization_ms(size_b)
+        self.free_at = finish
+        if self.cap is not None:
+            self.departures.append(finish)
+        return finish + self.delay_ms
 
 
 def run(queue, a, ser, done):
     """The departures of a time-sorted batch (done = a + ser), NaN for a
-    tail drop, leaving queue.free_at and queue.departures as admit() would.
-    Accepted departures never decrease, so "at least cap in flight at now"
-    is deps[-cap] > now, and the in-flight list is filtered once, at the
-    end, to what admit() would leave."""
+    tail drop, leaving queue.free_at as admit() would. Accepted departures
+    never decrease, so "at least cap in flight at now" is deps[-cap] > now."""
     n = len(a)
     d = np.concatenate(([queue.free_at], done))  # d[k + 1]: departure of packet k
     k0 = 0
@@ -39,22 +65,15 @@ def run(queue, a, ser, done):
             d[todo + 1] = new
             todo = moved[moved < n - 1] + 1
         k0 = int(todo[0]) if len(todo) else n
-    free, cap, deps = float(d[k0]), queue.cap, list(queue.departures)
-    out, now, taken = [], None, False
+    free, cap, deps, out = float(d[k0]), queue.cap, [], []
     for now, s in zip(a[k0:].tolist(), ser[k0:].tolist()):
         if cap is not None and len(deps) >= cap and (cap == 0 or deps[-cap] > now):
             out.append(math.nan)
-            taken = False
             continue
         start = free if free > now else now
         free = start + s
         out.append(free)
-        taken = True
-        if cap is not None:
-            deps.append(free)
-    if cap is not None and now is not None:
-        # admit() filters before it appends, so the last accepted one stays
-        deps = [x for x in deps[:len(deps) - taken] if x > now] + deps[len(deps) - taken:]
+        deps.append(free)
     d[k0 + 1:] = out
-    queue.free_at, queue.departures = free, deps
+    queue.free_at = free
     return d[1:]

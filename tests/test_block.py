@@ -64,7 +64,7 @@ def _state(block, r, twin):
     """Row r's stream positions, last deliveries and queues, and the twin
     channel's after its oracle carries."""
     def row(b, i):
-        queues = [None if q is None else (q[i].free_at, q[i].departures) for q in b.queues]
+        queues = [None if q is None else q[i].free_at for q in b.queues]
         return repr((b.sent[:, i].tolist(), b.kept[:, i].tolist(), b.last[:, i].tolist(), queues))
 
     return row(block, r), row(twin.block, 0)

@@ -1,18 +1,21 @@
 """Topology routing and store-and-forward queueing."""
 
+import math
+import re
 from random import Random
 
 import numpy as np
 import pytest
 
 import netsim_oracle
-from random_topologies import random_topology
+from random_topologies import random_flows, random_topology
 from tcpsbench.experiments import load_experiment
 from tcpsbench.netsim import (
     Link,
     Topology,
     TopologyError,
     TrafficFlow,
+    Unreachable,
     channel_from_topology,
     closed_form_delivery,
     pair_flows,
@@ -47,6 +50,48 @@ def test_negative_seeds_are_refused(build):
     build(0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         build(-1)
+
+
+@pytest.mark.parametrize("deliver", [
+    lambda topo, size_b, t: simulate_delivery(topo, (), size_b, t),
+    lambda topo, size_b, t: closed_form_delivery(topo, size_b, t),
+], ids=["simulate_delivery", "closed_form_delivery"])
+@pytest.mark.parametrize("size_b, t_send, message", [
+    (32, -0.5, "t_send must be finite and >= 0, got -0.5"),
+    (32, -0.4, "t_send must be finite and >= 0, got -0.4"),
+    (32, math.nan, "t_send must be finite and >= 0, got nan"),
+    (32, math.inf, "t_send must be finite and >= 0, got inf"),
+    (0, 0.0, "packet_size_b must be an int >= 1, got 0"),
+    (1.5, 0.0, "packet_size_b must be an int >= 1, got 1.5"),
+    (True, 0.0, "packet_size_b must be an int >= 1, got True"),
+], ids=["t-minus-half", "t-minus-0.4", "t-nan", "t-inf", "size-0", "size-float", "size-bool"])
+def test_delivery_helpers_refuse_a_bad_send(deliver, size_b, t_send, message):
+    """The flows and queues start at time 0: a send before it would loop
+    forever (t_send -0.5 gives a horizon of 0, which never doubles), or be
+    clamped to 0 by the simulator but not by the closed form."""
+    topo = line_topology(3)
+    assert deliver(topo, 32, 0.0) == closed_form_delivery(topo, 32, 0.0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        deliver(topo, size_b, t_send)
+
+
+@pytest.mark.parametrize("cap", [-1, 1.5, True, "3"], ids=["negative", "float", "bool", "str"])
+def test_a_queue_cap_that_is_not_an_int_of_at_least_0_is_refused(cap):
+    """Named when the channel is built, not as an IndexError or TypeError
+    inside its first round trip. Cap 0 stays legal and tail-drops every
+    packet."""
+    topo, flows = line_topology(3), (TrafficFlow("h0", "h2", 1e6, 64),)
+    sends = np.arange(5.0)
+    fwd, picked, _ = channel_from_topology(topo, flows, 3, 0).round_trip(sends, 32, 10.0)
+    assert np.isnan(fwd).all() and not picked.any()
+    with pytest.raises(Unreachable):
+        simulate_delivery(topo, flows, 32, 0.0, queue_cap=0)
+    builds = (lambda: channel_from_topology(topo, flows, 3, cap).round_trip(sends, 32, 10.0),
+              lambda: simulate_delivery(topo, flows, 32, 0.0, queue_cap=cap))
+    for build in builds:
+        with pytest.raises(ValueError, match=re.escape(f"queue_cap must be None or an int >= 0, "
+                                                       f"got {cap!r}")):
+            build()
 
 
 class TestRoute:
@@ -160,6 +205,24 @@ class TestDelivery:
         stats = chan.stats[FORWARD]
         assert stats.dropped > 0
         assert stats.delivered + stats.dropped == stats.sent
+
+    def test_a_capped_channel_repeats_its_round_trip(self):
+        """A capped link starts every batch at an idle transmitter, so a
+        second round trip on one channel gives the first one's arrivals,
+        fresh mask and answers: random topologies, caps 1-6, cross traffic,
+        some commands tail-dropped."""
+        rng = Random(23)
+        dropped = 0
+        for case in range(60):
+            topo = random_topology(rng)
+            chan = channel_from_topology(topo, random_flows(rng, topo), rng.randrange(100),
+                                         rng.randint(1, 6))
+            sends = np.add.accumulate([rng.uniform(0.0, 1.0) for _ in range(rng.randint(1, 60))])
+            first, second = ([a.tolist() for a in chan.round_trip(sends, 32, float(sends[-1]))]
+                             for _ in range(2))
+            assert repr(first) == repr(second), case
+            dropped += bool(np.isnan(first[0]).any())
+        assert dropped >= 20, dropped
 
     def test_conservation_each_packet_at_most_once(self):
         topo = line_topology(3)

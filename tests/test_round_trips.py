@@ -47,7 +47,7 @@ def _state(chan):
         # stream's the count of kept packets
         st, queues = chan.stats[direction], block.queues[d]
         out.append((int(block.sent[d, 0]), float(block.last[d, 0]), int(block.kept[d, 0]),
-                    None if queues is None else (queues[0].free_at, queues[0].departures),
+                    None if queues is None else queues[0].free_at,
                     st.sent, st.delivered, st.dropped))
     return repr(out)
 

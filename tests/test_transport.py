@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from draws_oracle import jitter_draws
+from queue_oracle import PacketQueue
 from tcpsbench.clock import EventScheduler
 from tcpsbench.experiments import load_experiment
 from tcpsbench.netsim import Link, Topology, channel_from_topology
@@ -271,20 +272,23 @@ class TestImpairedChannel:
 
 class TestLinkQueue:
     def test_batch_matches_admit(self):
-        """carry() gives admit()'s arrivals (NaN for a tail drop) and leaves
-        the same state, whether or not a packet waits; a queue holding
-        packets from earlier admits included."""
+        """carry() gives the oracle queue's admit() arrivals (NaN for a tail
+        drop) and leaves the same free_at, whether or not a packet waits;
+        an uncapped queue holding packets from earlier batches included. A
+        capped batch starts at a new queue."""
         rng = Random(3)
         paths = set()
         for case in range(400):
             args = (rng.choice((1e5, 1e6, 1e7)), rng.choice((0.0, 0.5)),
                     rng.choice((None, 0, 1, 2, 4)))
-            one, batch = LinkQueue(*args), LinkQueue(*args)
+            one, batch = PacketQueue(*args), LinkQueue(*args)
             size_b = rng.choice((32, 256))
             t = 0.0
             for _ in range(rng.randint(0, 2)):
                 t += rng.uniform(0.0, 1.0)
-                assert one.admit(t, size_b) == batch.admit(t, size_b)
+                if args[2] is None:  # a cap counts only the packets of its batch
+                    ser = batch.serialization_ms(size_b)
+                    assert one.admit(t, size_b) == batch.carry(np.array([t]), ser)[0]
             gap = rng.choice((0.01, 0.5, 5.0))
             sends = t + np.add.accumulate([rng.uniform(0.0, 2 * gap) for _ in range(30)])
             done = sends + size_b * 8.0 / args[0] * 1000.0
@@ -292,12 +296,13 @@ class TestLinkQueue:
             want = [one.admit(s, size_b) for s in sends.tolist()]
             got = batch.carry(sends, batch.serialization_ms(size_b)).tolist()
             assert repr(got) == repr([np.nan if w is None else w for w in want]), case
-            assert (batch.free_at, batch.departures) == (one.free_at, one.departures), case
+            assert batch.free_at == one.free_at, case
         assert paths == {False, True}
 
     def test_mixed_sizes_and_saturated_links_match_admit(self):
-        """A batch of mixed sizes gives admit()'s arrivals, called one packet
-        at a time, bit for bit, and leaves the same state, under caps None,
+        """A batch of mixed sizes gives the oracle queue's admit() arrivals,
+        called one packet at a time, bit for bit, and leaves the same
+        free_at, on a new queue under caps None,
         1, 2, 4 and 6; loads run from a tenth to three times the link rate,
         so some uncapped busy periods outlast LinkQueue.ROUNDS and the walk
         over each busy period still moving settles them. Some packets
@@ -307,7 +312,7 @@ class TestLinkQueue:
         for case in range(300):
             cap = rng.choice((None, None, 1, 2, 4, 6))
             args = (rng.choice((1e5, 1e6, 1e7)), rng.choice((0.0, 0.5)), cap)
-            one, batch = LinkQueue(*args), LinkQueue(*args)
+            one, batch = PacketQueue(*args), LinkQueue(*args)
             sizes = np.array([rng.choice((32, 64, 200, 1250)) for _ in range(rng.randint(1, 200))])
             gap = sizes.mean() * 8.0 / args[0] * 1000.0 / rng.uniform(0.1, 3.0)
             sends = np.add.accumulate([0.0 if rng.random() < 0.1 else rng.uniform(0.0, 2 * gap)
@@ -319,7 +324,7 @@ class TestLinkQueue:
                 want.append(one.admit(s, b))
             got = batch.carry(sends, batch.serialization_ms(sizes)).tolist()
             assert repr(got) == repr([np.nan if w is None else w for w in want]), case
-            assert (batch.free_at, batch.departures) == (one.free_at, one.departures), case
+            assert batch.free_at == one.free_at, case
             seen["dropped"] += None in want
         assert seen[(True, 1)] and seen[(True, LinkQueue.ROUNDS + 1)] >= 10, seen
         assert seen["dropped"] >= 10, seen
@@ -327,7 +332,30 @@ class TestLinkQueue:
     def test_empty_batch(self):
         q = LinkQueue(1e6, 0.5, 2)
         assert len(q.carry(np.empty(0), q.serialization_ms(32))) == 0
-        assert (q.free_at, q.departures) == (0.0, [])
+        assert q.free_at == 0.0
+
+    def test_capped_batch_after_a_reset_matches_a_new_queue(self):
+        """With free_at set back to 0.0, a capped queue carries a batch as a
+        new queue does, however loaded its previous batch left it: a cap
+        counts only the packets of the batch it is carrying."""
+        rng = Random(8)
+        dropped = 0
+        for case in range(200):
+            args = (rng.choice((1e5, 1e6)), rng.choice((0.0, 0.5)), rng.randint(0, 4))
+            used, new = LinkQueue(*args), LinkQueue(*args)
+            batches = []
+            for _ in range(2):
+                sizes = np.array([rng.choice((32, 200, 1250)) for _ in range(rng.randint(1, 80))])
+                gap = sizes.mean() * 8.0 / args[0] * 1000.0 / rng.uniform(0.5, 3.0)
+                sends = np.add.accumulate([rng.uniform(0.0, 2 * gap) for _ in sizes])
+                batches.append((sends, used.serialization_ms(sizes)))
+            used.carry(*batches[0])
+            used.free_at = 0.0
+            got, want = used.carry(*batches[1]), new.carry(*batches[1])
+            assert repr(got.tolist()) == repr(want.tolist()), case
+            assert used.free_at == new.free_at, case
+            dropped += bool(np.isnan(want).any())
+        assert dropped >= 100, dropped
 
 
 def _unqueued_transit_times(params: LinkParams, sends, seed: int):
