@@ -43,7 +43,7 @@ def load_config(source: str) -> dict:
         try:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {source!r}: {exc}") from None
         origin = source
     try:
@@ -160,7 +160,10 @@ def build_channel_spec(d: Any) -> ChannelSpec:
         raise ConfigError(f"unknown channel type {kind!r}")
     _object(d, f"{kind} channel", ("type", *_CHANNEL_KEYS[kind]))
     if kind == "ideal":
-        model = ideal_model(**{k: _check(k, v, float) for k, v in d.items() if k != "type"})
+        try:
+            model = ideal_model(**{k: _check(k, v, float) for k, v in d.items() if k != "type"})
+        except ValueError as exc:
+            raise ConfigError(f"invalid ideal channel: {exc}") from None
         return ChannelSpec(kind=kind, factory=model.build, description=dict(d))
     if kind == "impaired":
         model = ChannelModel(forward=_build_link(d.get("forward"), "forward link"),

@@ -5,8 +5,8 @@ hosts hang off switches over ideal access links. Every packet (tactile or
 cross-traffic) queues FIFO per directed link behind earlier departures, pays
 the serialization time for its size, then the propagation delay. A round
 trip of tactile packets, with or without cross traffic, runs off the clock:
-each link admits everything it carries in one batch, held in the order it
-serves it, through the FIFO (Lindley) recurrence of the shared link queue,
+each link carries all its packets in one batch, held in the order it
+serves them, through the FIFO (Lindley) recurrence of transport.carry,
 with the links in the order in which packets flow between them. Exposed as
 a bidirectional channel between the two tactile endpoints so control-loop
 experiments can run across any placement under any traffic load.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from random import Random
 from typing import Iterable
 
@@ -23,7 +24,8 @@ import numpy as np
 
 from .core import TcpsbenchError, check_seed
 from .loopsim import check_packet_size
-from .transport import BACKWARD, FORWARD, LinkQueue, SimChannel, _fresh_mask, _shared
+from .transport import (BACKWARD, FORWARD, SimChannel, _fresh_mask, _shared, carry,
+                        serialization_ms)
 
 
 class Unreachable(TcpsbenchError):
@@ -109,11 +111,21 @@ class Topology:
             adj[u].sort()
         return adj
 
-    def link_between(self, u: str, v: str) -> Link:
+    @cached_property
+    def hop_links(self) -> dict[tuple[str, str], Link]:
+        """Each directed hop (u, v) mapped to the link that carries it: of
+        parallel links, the first listed. In the order of self.links."""
+        hops: dict[tuple[str, str], Link] = {}
         for ln in self.links:
-            if {ln.a, ln.b} == {u, v}:
-                return ln
-        raise Unreachable(f"no link {u}-{v}")
+            hops.setdefault((ln.a, ln.b), ln)
+            hops.setdefault((ln.b, ln.a), ln)
+        return hops
+
+    def link_between(self, u: str, v: str) -> Link:
+        try:
+            return self.hop_links[(u, v)]
+        except KeyError:
+            raise Unreachable(f"no link {u}-{v}") from None
 
     def host_switch(self, node: str) -> str:
         if node in self.hosts:
@@ -186,13 +198,8 @@ def _plan(topology: Topology, flows: tuple[TrafficFlow, ...], queue_cap: int | N
     while not all(kept.issuperset(reach(hops)) for hops in flow_routes.values()):
         for hops in flow_routes.values():
             kept.update(reach(hops))
-    # one output queue per kept directed link; the first of parallel links
-    # wins, as in Topology.link_between
-    links: dict[tuple[str, str], tuple[float, float]] = {}
-    for ln in topology.links:
-        for hop in ((ln.a, ln.b), (ln.b, ln.a)):
-            if hop in kept and hop not in links:
-                links[hop] = (ln.bandwidth_bps, ln.delay_ms)
+    # one transmitter per kept directed link, in the order of topology.links
+    links = {hop: ln for hop, ln in topology.hop_links.items() if hop in kept}
     # streams: the simulated flows in flow order, then the commands and the
     # answers. At equal times a link takes cross traffic first, ordered by
     # (size, flow), then tactile packets: rank[s] is stream s's place in
@@ -297,12 +304,12 @@ class NetsimChannel(SimChannel):
     """Topology-backed bidirectional channel for the tactile endpoints.
 
     A simulated run is one value-free round trip, off the clock: every link
-    admits all the packets it carries in one batch (LinkQueue.carry), the
-    links running in the order in which packets flow between them, and a
-    group of links that feed each other (on a ring) sweeping until no input
-    changes. A link holds its packets in the order it serves them, each
-    tagged with its stream, so its input is runs that are already in order,
-    inserted one into another. Cross-traffic flows emit packets on
+    carries all its packets in one batch from an idle transmitter (carry),
+    the links running in the order in which packets flow between them, and
+    a group of links that feed each other (on a ring) sweeping until no
+    input changes. A link holds its packets in the order it serves them,
+    each tagged with its stream, so its input is runs that are already in
+    order, inserted one into another. Cross-traffic flows emit packets on
     deterministic CBR schedules (one seeded phase offset per flow, stable
     under flow-set changes) up to the drain time; only flows that can delay
     a tactile packet are simulated, and randomness across trials comes
@@ -315,9 +322,9 @@ class NetsimChannel(SimChannel):
         if queue_cap is not None and (type(queue_cap) is not int or queue_cap < 0):
             raise ValueError(f"queue_cap must be None or an int >= 0, got {queue_cap!r}")
         super().__init__()
-        (self._routes, links, sims, self._first, self._rank, self._feeds, self._tactile,
+        (self._routes, self._links, sims, self._first, self._rank, self._feeds, self._tactile,
          self._order) = _plan(topology, flows, queue_cap)
-        self._queues = {hop: LinkQueue(bw, delay, queue_cap) for hop, (bw, delay) in links.items()}
+        self._cap = queue_cap
         # each simulated flow's first emission, period and size; the phase,
         # uniform(0, period) of a generator seeded by (seed, flow index), is
         # 0.0 + period * random(), so adding a flow never perturbs the others
@@ -403,11 +410,10 @@ class NetsimChannel(SimChannel):
         else:
             key = hop
             t, sid = self._input(hop, runs, emitted)
-            queue = self._queues[hop]
-            queue.free_at = 0.0
+            link = self._links[hop]
             direction, j, s, alone = self._tactile.get(hop, (None, 0, 0, False))
-            ser = queue.serialization_ms(sizes)
-            t = queue.carry(t, ser[s] if alone else ser[sid])
+            ser = serialization_ms(sizes, link.bandwidth_bps)
+            t = carry(t, ser[s] if alone else ser[sid], cap=self._cap)[0] + link.delay_ms
             if direction is not None:
                 mine, before = t if alone else t[sid == s], hops[direction][j - 1]
                 if len(mine) < len(before):  # some were lost before this link
@@ -415,7 +421,7 @@ class NetsimChannel(SimChannel):
                     hops[direction][j][before == before] = mine
                 else:
                     hops[direction][j] = mine
-            if queue.cap is not None:
+            if self._cap is not None:
                 landed = t == t
                 t, sid = t[landed], sid[landed]
         was = runs.get(key, (_NO_TIMES, _NO_STREAMS))
@@ -483,7 +489,10 @@ def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...] | list[
     """One-shot delivery time of a single packet injected at t_send, with
     cross traffic from time zero. The flows emit up to a horizon that
     doubles until the packet lands, or is dropped, at or before it; later
-    emissions reach every link after that, so the answer is exact."""
+    emissions reach every link after that, so the answer is exact. Every
+    link has a finite rate and delay, so the packet lands at a finite time
+    for any horizon; if it does not, TcpsbenchError is raised rather than
+    doubling forever."""
     _check_send(pkt_bytes, t_send)
     placed = replace(topology,
                      te_master=topology.host_switch(src) if src else topology.te_master,
@@ -492,8 +501,13 @@ def simulate_delivery(topology: Topology, flows: tuple[TrafficFlow, ...] | list[
     horizon = 2.0 * t_send + 1.0
     while True:
         hops = [float(t[0]) for t in chan._run(np.array([t_send]), pkt_bytes, horizon)[0]]
-        if [t for t in hops if t == t][-1] <= horizon:
+        landed = [t for t in hops if t == t][-1]
+        if landed <= horizon:
             break
+        if landed == math.inf:
+            raise TcpsbenchError(f"the packet sent at t_send={t_send!r} ms never lands: with "
+                                 f"the flows emitting up to the horizon {horizon!r} ms, it "
+                                 f"reaches a hop at inf")
         horizon *= 2.0
     if hops[-1] != hops[-1]:
         raise Unreachable("packet was never delivered (tail-dropped or unroutable)")
@@ -510,5 +524,5 @@ def closed_form_delivery(topology: Topology, pkt_bytes: int, t_send: float,
     t = t_send
     for u, v in route(topology, src_sw, dst_sw):
         ln = topology.link_between(u, v)
-        t = t + pkt_bytes * 8.0 / ln.bandwidth_bps * 1000.0 + ln.delay_ms
+        t = t + serialization_ms(pkt_bytes, ln.bandwidth_bps) + ln.delay_ms
     return t

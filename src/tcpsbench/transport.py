@@ -10,7 +10,7 @@ drop probability, serialization rate) an ImpairedBlock, a batch of trial
 seeds as arrays with no channel object per trial. An ImpairedChannel is a
 block of one; its per-packet send on the virtual clock serves the
 event-driven reference runners.
-Serialization queues FIFO in a `LinkQueue`, on impaired and topology links
+Serialization queues FIFO through `carry`, on impaired and topology links
 alike. The byte codec (fixed little-endian header, random padding to a
 configured size, trailing CRC-32) is the wire format of the real-datagram
 adapter and of anything else that needs bit-exact framing.
@@ -142,7 +142,7 @@ class LinkParams:
     """One direction of an impaired point-to-point link.
 
     bandwidth_bps = 0 means infinite (no transmitter, no serialization
-    delay). A finite rate serializes packets FIFO through a `LinkQueue`, so
+    delay). A finite rate serializes packets FIFO through `carry`, so
     a packet sent while an earlier one is still on the wire waits for it;
     latency and jitter are added after serialization. Dropped packets never
     occupy the transmitter. drop_seq deterministically drops the packets
@@ -201,67 +201,53 @@ class DirectionStats:
     stale: int = 0
 
 
-class LinkQueue:
-    """FIFO output queue of one directed link: tracks when the transmitter
-    frees up. carry() takes a time-sorted batch of packets. A cap counts
-    only the packets of the batch it is carrying, so a capped batch starts
-    at an idle transmitter (free_at = 0.0), with nothing in flight."""
+ROUNDS = 16  # rounds of _lindley before each busy period still moving is walked whole
 
-    __slots__ = ("bandwidth_bps", "delay_ms", "cap", "free_at")
 
-    ROUNDS = 16  # rounds of _lindley before each busy period still moving is walked whole
+def serialization_ms(size_b: int | np.ndarray, bandwidth_bps: float) -> float | np.ndarray:
+    """The time a packet of size_b bytes (or each of an array) takes on the wire."""
+    return size_b * 8.0 / bandwidth_bps * 1000.0
 
-    def __init__(self, bandwidth_bps: float, delay_ms: float = 0.0,
-                 cap: int | None = None) -> None:
-        self.bandwidth_bps = bandwidth_bps
-        self.delay_ms = delay_ms
-        self.cap = cap
-        self.free_at = 0.0
 
-    def serialization_ms(self, size_b: int | np.ndarray) -> float | np.ndarray:
-        """The time a packet of size_b bytes (or each of an array) takes on the wire."""
-        return size_b * 8.0 / self.bandwidth_bps * 1000.0
+def carry(arrivals: np.ndarray, ser: float | np.ndarray, free_at: float = 0.0,
+          cap: int | None = None) -> tuple[np.ndarray, float]:
+    """The departures of a time-sorted batch whose packets take ser ms on
+    the wire (one time, or one per packet) from a FIFO transmitter busy
+    until free_at, NaN where a packet is tail-dropped, and the transmitter's
+    new free_at. A cap counts only the batch's packets, so a capped batch
+    starts idle. When no packet waits, Lindley's recurrence
+    d_k = max(a_k, d_{k-1}) + s_k is d = a + s, one vector sum; otherwise
+    the batch goes through _run."""
+    done = arrivals + ser
+    if len(done) and (cap is None or cap > 0) and arrivals[0] >= free_at \
+            and bool(np.all(arrivals[1:] >= done[:-1])):
+        return done, float(done[-1])
+    return _run(arrivals, np.broadcast_to(ser, done.shape), done, free_at, cap)
 
-    def carry(self, arrivals: np.ndarray, ser: float | np.ndarray) -> np.ndarray:
-        """The far-end arrival times of a time-sorted batch whose packets
-        take ser ms on the wire (one time, or one per packet, from
-        serialization_ms), NaN where a packet is tail-dropped. When no
-        packet waits for the transmitter, Lindley's recurrence
-        d_k = max(a_k, d_{k-1}) + s_k is d = a + s and nothing is in flight
-        at an arrival, so the batch takes one vector sum; otherwise it goes
-        through run()."""
-        done = arrivals + ser
-        if len(done) and (self.cap is None or self.cap > 0) and arrivals[0] >= self.free_at \
-                and bool(np.all(arrivals[1:] >= done[:-1])):
-            self.free_at = float(done[-1])
-            return done + self.delay_ms
-        return self.run(arrivals, np.broadcast_to(ser, done.shape), done) + self.delay_ms
 
-    def run(self, a: np.ndarray, ser: np.ndarray, done: np.ndarray) -> np.ndarray:
-        """The departures of a time-sorted batch (done = a + ser), NaN for a
-        tail drop, by Lindley's recurrence. Uncapped, _lindley solves the
-        batch with no loop over its packets. A capped batch goes through the
-        sequential loop, which drops a packet that finds cap of the batch's
-        packets in flight: accepted departures never decrease, so that is
-        deps[-cap] > now."""
-        d = np.concatenate(([self.free_at], done))  # d[k + 1]: departure of packet k
-        if self.cap is None:
-            if len(a):
-                _lindley(a, ser, d, self.ROUNDS)
-                self.free_at = float(d[-1])
-            return d[1:]
-        free, cap, deps, out = self.free_at, self.cap, [], []
-        for now, s in zip(a.tolist(), ser.tolist()):
-            if len(deps) >= cap and (cap == 0 or deps[-cap] > now):
-                out.append(math.nan)
-                continue
-            start = free if free > now else now
-            free = start + s
-            out.append(free)
-            deps.append(free)
-        d[1:] = out
-        self.free_at = free
-        return d[1:]
+def _run(a: np.ndarray, ser: np.ndarray, done: np.ndarray, free_at: float,
+         cap: int | None) -> tuple[np.ndarray, float]:
+    """carry for a batch (done = a + ser) in which a packet waits. Uncapped,
+    _lindley solves it with no loop over its packets. A capped batch goes
+    through the sequential loop, which drops a packet that finds cap of the
+    batch's packets in flight: accepted departures never decrease, so that
+    is deps[-cap] > now."""
+    d = np.concatenate(([free_at], done))  # d[k + 1]: departure of packet k
+    if cap is None:
+        if len(a):
+            _lindley(a, ser, d, ROUNDS)
+        return d[1:], float(d[-1])
+    free, deps, out = free_at, [], []
+    for now, s in zip(a.tolist(), ser.tolist()):
+        if len(deps) >= cap and (cap == 0 or deps[-cap] > now):
+            out.append(math.nan)
+            continue
+        start = free if free > now else now
+        free = start + s
+        out.append(free)
+        deps.append(free)
+    d[1:] = out
+    return d[1:], free
 
 
 def _lindley(a: np.ndarray, ser: np.ndarray, d: np.ndarray, rounds: int) -> None:
@@ -524,9 +510,9 @@ class ImpairedBlock:
     The state is arrays by direction d (0: forward, 1: backward) and row:
     the packets sent (the drop stream's position, and the send index
     drop_seq counts), the packets kept (the jitter stream's position), the
-    last delivery and, where a link has bandwidth, each row's queue. Seed s
-    draws direction d's drops from Random(4s + 2d), its jitter from
-    Random(4s + 2d + 1)."""
+    last delivery and the time each row's transmitter frees up (read only
+    where a link has bandwidth). Seed s draws direction d's drops from
+    Random(4s + 2d), its jitter from Random(4s + 2d + 1)."""
 
     def __init__(self, model: ChannelModel, seeds: Sequence[int]) -> None:
         self.params = (model.forward, model.backward)
@@ -541,9 +527,7 @@ class ImpairedBlock:
         rows = len(self.row_key)
         self.sent, self.kept = np.zeros((2, 2, rows), dtype=np.int64)
         self.last = np.full((2, rows), -1.0)
-        # bandwidth 0 has no transmitter to queue behind
-        self.queues = [[LinkQueue(p.bandwidth_bps) for _ in range(rows)]
-                       if p.bandwidth_bps > 0.0 else None for p in self.params]
+        self.free_at = np.zeros((2, rows))
         self.streams: dict = {}  # by kind, then seed, outside a shared_draws() block
 
     def __len__(self) -> int:
@@ -567,11 +551,11 @@ class ImpairedBlock:
         times t[r] where sent[r] is set (a prefix of the row; None: every
         column), in time order. It returns the delivery times, NaN where a
         packet is dropped or not sent, with transit_time's arithmetic, draws
-        and state changes. Each row's queue admits its kept packets
-        (LinkQueue.carry); the rest is array operations over the block. A
-        kept packet takes its row's jitter value at its rank among the kept
-        ones, and the FIFO clamp is a running maximum over the kept packets
-        (fmax skips the others' NaN) and the row's last delivery."""
+        and state changes. Each row's transmitter carries its kept packets
+        (carry); the rest is array operations over the block. A kept packet
+        takes its row's jitter value at its rank among the kept ones, and
+        the FIFO clamp is a running maximum over the kept packets (fmax
+        skips the others' NaN) and the row's last delivery."""
         rows, n = t.shape
         if not n:
             return np.empty((rows, 0))
@@ -586,12 +570,12 @@ class ImpairedBlock:
             # decisions nest across drop_prob settings under a shared seed
             lost = self.read(d, None, self.sent[d], n) < p.drop_prob
             kept = ~lost if kept is None else kept & ~lost
-        if self.queues[d] is not None:
-            ser = self.queues[d][0].serialization_ms(size_b)
+        if p.bandwidth_bps > 0.0:  # bandwidth 0 has no transmitter to queue behind
+            ser = serialization_ms(size_b, p.bandwidth_bps)
             t = t.copy()
-            for r, queue in enumerate(self.queues[d]):
+            for r in range(rows):
                 at = slice(None) if kept is None else kept[r]
-                t[r, at] = queue.carry(t[r, at], ser)
+                t[r, at], self.free_at[d, r] = carry(t[r, at], ser, self.free_at.item(d, r))
         delay = p.latency_ms
         if p.jitter.kind != "none":  # jitter 'none' draws nothing
             jitter = self.read(d, p.jitter, self.kept[d], n)
@@ -697,10 +681,11 @@ class ImpairedChannel(SimChannel):
         delay = p.latency_ms + (0.0 if p.jitter.kind == "none" else
                                 block.value(d, p.jitter, kept))
         t_sent = t_now
-        if block.queues[d] is not None:  # the row's transmitter, never capped
-            queue = block.queues[d][0]
-            start = queue.free_at if queue.free_at > t_now else t_now
-            t_sent = queue.free_at = start + queue.serialization_ms(size_b)
+        if p.bandwidth_bps > 0.0:  # carry's step for one packet
+            free_at = block.free_at.item(d, 0)
+            start = free_at if free_at > t_now else t_now
+            t_sent = start + serialization_ms(size_b, p.bandwidth_bps)
+            block.free_at[d, 0] = t_sent
         t_deliver = max(t_sent + delay, block.last.item(d, 0)) if p.fifo else t_sent + delay
         block.last[d, 0] = t_deliver
         return t_deliver

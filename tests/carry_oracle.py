@@ -18,6 +18,7 @@ from random import Random
 import numpy as np
 
 from draws_oracle import drop_draws, jitter_draws
+from tcpsbench import transport
 from tcpsbench.transport import BACKWARD, FORWARD
 
 
@@ -52,9 +53,9 @@ def carry(channel, direction, send_times, size_b):
             dropped |= _stream(seed, first, n) < p.drop_prob
         kept = np.flatnonzero(~dropped)
         t = send_times[kept]
-    if block.queues[d] is not None:
-        queue = block.queues[d][0]
-        t = queue.carry(t, queue.serialization_ms(size_b))
+    if p.bandwidth_bps > 0.0:
+        ser = transport.serialization_ms(size_b, p.bandwidth_bps)
+        t, block.free_at[d, 0] = transport.carry(t, ser, block.free_at.item(d, 0))
     delay = p.latency_ms
     if p.jitter.kind != "none":
         delay = delay + _stream(seed + 1, int(block.kept[d, 0]), len(t), p.jitter)

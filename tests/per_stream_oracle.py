@@ -5,7 +5,7 @@ its packets in the order it serves them. Every stream (each simulated flow,
 the commands and the answers) holds one array of arrival times per hop, NaN
 once lost. A link concatenates the chunks of the streams it carries, sorts
 them by time (ties by (size, flow) for cross traffic, then tactile) with a
-stable argsort, admits them through `LinkQueue.carry` and scatters the
+stable argsort, carries them through `transport.carry` and scatters the
 departures back into per-stream arrays. It is the oracle that
 tests/test_netsim_order.py compares `tcpsbench.netsim.NetsimChannel`
 against, bit for bit.
@@ -18,7 +18,7 @@ from random import Random
 import numpy as np
 
 from tcpsbench.netsim import Topology, TrafficFlow, route
-from tcpsbench.transport import BACKWARD, FORWARD, LinkQueue, SimChannel, _fresh_mask
+from tcpsbench.transport import BACKWARD, FORWARD, SimChannel, _fresh_mask, carry, serialization_ms
 
 
 def _plan(topology: Topology, flows: tuple[TrafficFlow, ...]) -> tuple:
@@ -78,8 +78,8 @@ class NetsimChannel(SimChannel):
     def __init__(self, topology: Topology, flows: tuple[TrafficFlow, ...],
                  seed: int, queue_cap: int | None = None) -> None:
         super().__init__()
-        links, sims, self._paths, self._inputs, self._order = _plan(topology, tuple(flows))
-        self._queues = {hop: LinkQueue(bw, delay, queue_cap) for hop, (bw, delay) in links.items()}
+        self._links, sims, self._paths, self._inputs, self._order = _plan(topology, tuple(flows))
+        self._cap = queue_cap
         self._emitters = [(Random(seed * 1_000_003 + idx).uniform(0.0, period), period, size_b)
                           for idx, period, size_b in sims]
         self._picked = np.empty(0, dtype=bool)
@@ -134,20 +134,20 @@ class NetsimChannel(SimChannel):
             self._picked = _fresh_mask(fwd)
             outs = [(arrivals[-1], 0, fwd[self._picked])]
         else:
-            queue = self._queues[hop]
-            queue.free_at = 0.0
+            bw, delay = self._links[hop]
             chunks = self._inputs[hop]
             ins = [arrivals[s][j] for s, j in chunks]
-            ser = [queue.serialization_ms(sizes[s]) for s, _ in chunks]
+            ser = [serialization_ms(sizes[s], bw) for s, _ in chunks]
             a = np.concatenate(ins) if len(ins) > 1 else ins[0]
             landed = np.count_nonzero(a == a)  # NaN: lost upstream
             if len(ins) == 1 and landed == len(a):
-                done = queue.carry(a, ser[0])
+                done = carry(a, ser[0], cap=self._cap)[0] + delay
             else:
                 # by time, ties in chunk order; the lost packets sort last
                 order = np.argsort(a, kind="stable")[:landed]
                 done = np.full(len(a), np.nan)
-                done[order] = queue.carry(a[order], np.repeat(ser, [len(t) for t in ins])[order])
+                done[order] = carry(a[order], np.repeat(ser, [len(t) for t in ins])[order],
+                                    cap=self._cap)[0] + delay
             outs, at = [], 0
             for (s, j), t in zip(chunks, ins):
                 outs.append((arrivals[s], j + 1, done[at:at + len(t)]))

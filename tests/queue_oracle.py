@@ -1,5 +1,5 @@
-"""The link-queue solvers that `tcpsbench.transport.LinkQueue` replaced,
-kept as its oracles.
+"""The link-queue solvers that `tcpsbench.transport.carry` replaced, kept
+as its oracles.
 
 `PacketQueue.admit` takes one packet at a time and keeps the departures
 still in flight between packets, as the event-driven channels need.
@@ -16,19 +16,22 @@ import math
 
 import numpy as np
 
-from tcpsbench.transport import LinkQueue
+from tcpsbench.transport import serialization_ms
 
 ROUNDS = 32  # numpy rounds before the unsettled suffix goes through the loop
 
 
-class PacketQueue(LinkQueue):
-    """A link queue that admits one packet at a time, with the in-flight
-    departure times a capacity cap counts."""
+class PacketQueue:
+    """A link queue that admits one packet at a time, with the time its
+    transmitter frees up and the in-flight departure times a capacity cap
+    counts."""
 
-    __slots__ = ("departures",)
-
-    def __init__(self, *args) -> None:
-        super().__init__(*args)
+    def __init__(self, bandwidth_bps: float, delay_ms: float = 0.0,
+                 cap: int | None = None) -> None:
+        self.bandwidth_bps = bandwidth_bps
+        self.delay_ms = delay_ms
+        self.cap = cap
+        self.free_at = 0.0
         self.departures: list[float] = []
 
     def admit(self, now: float, size_b: int) -> float | None:
@@ -38,21 +41,22 @@ class PacketQueue(LinkQueue):
             if len(self.departures) >= self.cap:
                 return None
         start = self.free_at if self.free_at > now else now
-        finish = start + self.serialization_ms(size_b)
+        finish = start + serialization_ms(size_b, self.bandwidth_bps)
         self.free_at = finish
         if self.cap is not None:
             self.departures.append(finish)
         return finish + self.delay_ms
 
 
-def run(queue, a, ser, done):
-    """The departures of a time-sorted batch (done = a + ser), NaN for a
-    tail drop, leaving queue.free_at as admit() would. Accepted departures
-    never decrease, so "at least cap in flight at now" is deps[-cap] > now."""
+def run(free_at, cap, a, ser, done):
+    """The departures of a time-sorted batch (done = a + ser) from a
+    transmitter busy until free_at, NaN for a tail drop, and the free_at
+    admit() would leave. Accepted departures never decrease, so "at least
+    cap in flight at now" is deps[-cap] > now."""
     n = len(a)
-    d = np.concatenate(([queue.free_at], done))  # d[k + 1]: departure of packet k
+    d = np.concatenate(([free_at], done))  # d[k + 1]: departure of packet k
     k0 = 0
-    if queue.cap is None and n:
+    if cap is None and n:
         new = np.maximum(a, d[:-1]) + ser
         moved = np.flatnonzero(new != d[1:])
         d[1:] = new
@@ -65,7 +69,7 @@ def run(queue, a, ser, done):
             d[todo + 1] = new
             todo = moved[moved < n - 1] + 1
         k0 = int(todo[0]) if len(todo) else n
-    free, cap, deps, out = float(d[k0]), queue.cap, [], []
+    free, deps, out = float(d[k0]), [], []
     for now, s in zip(a[k0:].tolist(), ser[k0:].tolist()):
         if cap is not None and len(deps) >= cap and (cap == 0 or deps[-cap] > now):
             out.append(math.nan)
@@ -75,5 +79,4 @@ def run(queue, a, ser, done):
         out.append(free)
         deps.append(free)
     d[k0 + 1:] = out
-    queue.free_at = free
-    return d[1:]
+    return d[1:], free

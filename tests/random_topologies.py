@@ -2,7 +2,7 @@
 count of the link-queue batches in which a packet waits."""
 
 from tcpsbench.netsim import Link, Topology, TrafficFlow
-from tcpsbench.transport import LinkQueue
+from tcpsbench import transport
 
 
 def random_topology(rng, size_b=32, ser_ms=(0.05, 3.0), zero_hop=0.1):
@@ -50,15 +50,15 @@ def random_flows(rng, topo, n_max=8):
 
 
 def count_waiting_batches(monkeypatch):
-    """A one-item list that counts LinkQueue.run calls from here on:
-    LinkQueue.carry calls run only when a packet of its batch waits for the
-    transmitter (or the cap is below 1)."""
+    """A one-item list that counts transport._run calls from here on:
+    transport.carry calls _run only when a packet of its batch waits for
+    the transmitter (or the cap is below 1)."""
     calls = [0]
-    run = LinkQueue.run
+    run = transport._run
 
-    def counted(self, *args):
+    def counted(*args):
         calls[0] += 1
-        return run(self, *args)
+        return run(*args)
 
-    monkeypatch.setattr(LinkQueue, "run", counted)
+    monkeypatch.setattr(transport, "_run", counted)
     return calls

@@ -61,11 +61,11 @@ def _case(i):
 
 
 def _state(block, r, twin):
-    """Row r's stream positions, last deliveries and queues, and the twin
-    channel's after its oracle carries."""
+    """Row r's stream positions, last deliveries and transmitters, and the
+    twin channel's after its oracle carries."""
     def row(b, i):
-        queues = [None if q is None else q[i].free_at for q in b.queues]
-        return repr((b.sent[:, i].tolist(), b.kept[:, i].tolist(), b.last[:, i].tolist(), queues))
+        return repr((b.sent[:, i].tolist(), b.kept[:, i].tolist(), b.last[:, i].tolist(),
+                     b.free_at[:, i].tolist()))
 
     return row(block, r), row(twin.block, 0)
 

@@ -113,6 +113,33 @@ class TestConfigErrors:
         assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert "localhost" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("latency", ["-1.0", "NaN", "Infinity"])
+    def test_bad_ideal_latency_rejected(self, tmp_path, capsys, latency):
+        """A ValueError traceback (exit 1) before it was a config error."""
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"channel": {"type": "ideal", "latency_each_way_ms": %s}}' % latency)
+        assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "config error: invalid ideal channel: latency" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("use", ["config", "topology", "plant-config"])
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, monkeypatch, capsys, use):
+        """A UnicodeDecodeError traceback (exit 1) before; the message names
+        the file."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(cli, "DatagramEndpoint", no_work)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"channel": {"type": "ideal"}}\xff')
+        argv = {"config": ["step", "--config", bad],
+                "topology": ["step", "--config", tmp_path / "topo.json"],
+                "plant-config": ["probe", "serve", "--plant-config", bad]}[use]
+        (tmp_path / "topo.json").write_text(
+            json.dumps({"channel": {"type": "topology", "topology": str(bad)}}))
+        assert run(argv + ["--out", tmp_path / "o"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: cannot read config" in err and str(bad) in err
+
     @pytest.mark.parametrize("argv", [
         ["qoc", "--gspec", "1.5"],
         ["curve", "--gspec-list", "0.9,0.5"],

@@ -9,6 +9,8 @@ import pytest
 
 import netsim_oracle
 from random_topologies import random_flows, random_topology
+from tcpsbench import netsim
+from tcpsbench.core import TcpsbenchError
 from tcpsbench.experiments import load_experiment
 from tcpsbench.netsim import (
     Link,
@@ -92,6 +94,63 @@ def test_a_queue_cap_that_is_not_an_int_of_at_least_0_is_refused(cap):
         with pytest.raises(ValueError, match=re.escape(f"queue_cap must be None or an int >= 0, "
                                                        f"got {cap!r}")):
             build()
+
+
+def test_a_packet_that_never_lands_raises(monkeypatch):
+    """A fault under which no packet lands (every departure inf) raises at
+    once, naming t_send and the horizon; it used to double the horizon
+    forever, the flows emitting ever more packets."""
+    calls = [0]
+
+    def never(a, ser, free_at=0.0, cap=None):
+        calls[0] += 1
+        return np.full(len(a), np.inf), math.inf
+
+    monkeypatch.setattr(netsim, "carry", never)
+    topo, flows = line_topology(3), (TrafficFlow("h0", "h2", 1e5, 64),)
+    with pytest.raises(TcpsbenchError, match=re.escape(
+            "t_send=2.0 ms never lands: with the flows emitting up to the horizon 5.0 ms")):
+        simulate_delivery(topo, flows, 32, 2.0)
+    assert calls[0] == 4  # the four links of one run
+
+
+@pytest.mark.parametrize("delay, bw, size_b", [
+    (2000.0, 1e7, 32),  # a long propagation delay
+    (0.1, 300.0, 1250),  # a slow link: 33 s on the wire
+])
+def test_a_late_but_finite_landing_is_answered(delay, bw, size_b):
+    """However many doublings of the horizon a packet needs (here 11 and
+    16), a finite landing is answered: with no flows, the closed form."""
+    topo = line_topology(2, delay, bw)
+    assert (simulate_delivery(topo, (), size_b, 0.0)
+            == closed_form_delivery(topo, size_b, 0.0) > 1024.0)
+
+
+def test_a_link_loaded_thousands_of_times_its_rate_is_answered():
+    """A packet behind cross traffic at 4000 times the link's rate lands
+    seconds after the first horizon, 3 ms; the event-per-packet oracle
+    agrees bit for bit."""
+    topo, flows = line_topology(2, 0.1, 1e3), (TrafficFlow("h0", "h1", 4e6, 64),)
+    got = simulate_delivery(topo, flows, 32, 1.0)
+    assert got == netsim_oracle.simulate_delivery(topo, flows, 32, 1.0) > 3.0 * 1024.0
+
+
+def test_the_first_of_parallel_links_carries():
+    """Where two links join the same switches, the first listed carries the
+    packets, in both directions: with no flows the simulator equals the
+    closed form bit for bit, and both take the first link's rate and
+    delay."""
+    links = (Link("S0", "S1", 0.3, 2e6), Link("S1", "S0", 0.05, 5e7),
+             Link("S1", "S2", 1.7, 3e5), Link("S2", "S1", 0.2, 1e8))
+    topo = Topology(switches=("S0", "S1", "S2"), links=links, hosts={"a": "S0", "b": "S2"},
+                    te_master="S0", te_slave="S2")
+    for src, dst in (("a", "b"), ("b", "a")):
+        for size_b in (32, 1250):
+            for t in (0.0, 3.7):
+                sim = simulate_delivery(topo, (), size_b, t, src=src, dst=dst)
+                assert sim == closed_form_delivery(topo, size_b, t, src=src, dst=dst)
+                assert sim == pytest.approx(t + size_b * 8.0 / 2e6 * 1000.0 + 0.3
+                                            + size_b * 8.0 / 3e5 * 1000.0 + 1.7)
 
 
 class TestRoute:

@@ -203,7 +203,7 @@ def test_unreached_links_are_pruned():
     assert NetsimChannel(topo, (away,), 0)._emitters == []
     chan = NetsimChannel(topo, (away, feeder), 0)
     assert len(chan._emitters) == 1
-    assert set(chan._queues) == {("S0", "S1"), ("S1", "S0"), ("S2", "S1"), ("S3", "S2")}
+    assert set(chan._links) == {("S0", "S1"), ("S1", "S0"), ("S2", "S1"), ("S3", "S2")}
 
 
 def test_cross_emission_at_the_same_instant_enters_first():

@@ -1,17 +1,18 @@
 """Differential test of the link-queue engine against the solver it replaced.
 
-`tcpsbench.transport.LinkQueue.run` solves an uncapped batch with
+`tcpsbench.transport._run` solves an uncapped batch with
 whole-array sweeps, index rounds and a walk over each busy period still
-moving after `LinkQueue.ROUNDS` rounds; `tests/queue_oracle.py` holds the
+moving after `transport.ROUNDS` rounds; `tests/queue_oracle.py` holds the
 index rounds and sequential loop it replaced, and the per-packet queue
 before them. On batches that load a link from a tenth to five times its
 rate, with mixed sizes, packets that arrive together, an uncapped
 transmitter still busy from earlier packets, busy periods of more than
 10 000 packets and periods that end exactly as the next packet arrives,
 `carry` must give the oracle queue's `admit` arrivals, called one packet at
-a time, and `run` the oracle's departures, bit for bit, and every queue
-must be left with the same `free_at`. A capped batch starts at a new
-queue, as a cap counts only the packets of the batch it is carrying.
+a time, and `_run` the oracle's departures, bit for bit, and each must
+return the `free_at` the oracle queue is left with. A capped batch starts
+at an idle transmitter, as a cap counts only the packets of the batch it
+is carrying.
 """
 
 import math
@@ -21,26 +22,27 @@ from random import Random
 import numpy as np
 
 import queue_oracle
-from tcpsbench.transport import LinkQueue
+from tcpsbench import transport
+from tcpsbench.transport import ROUNDS, carry, serialization_ms
 
 
 def _check(args, sends, sizes, earlier=()):
     """Run one batch through the oracle queue's admit() one packet at a
-    time, carry(), run() and the oracle's run, each on its own queue after
-    the same earlier packets (uncapped only: admitted by the oracle queues,
-    carried as one batch by the others), and require the same times (repr)
-    and the same final free_at. Returns the lengths of the batch's busy
-    periods, as admit() saw them."""
+    time, carry(), _run() and the oracle's run, each from a transmitter
+    after the same earlier packets (uncapped only: admitted by the oracle
+    queue, carried as one batch for the others), and require the same times
+    (repr) and the same final free_at. Returns the lengths of the batch's
+    busy periods, as admit() saw them."""
     assert not earlier or args[2] is None
-    one, old = (queue_oracle.PacketQueue(*args) for _ in range(2))
-    batch, raw = (LinkQueue(*args) for _ in range(2))
-    for queue in (one, old):
-        for t, size_b in earlier:
-            queue.admit(t, size_b)
+    bandwidth_bps, delay_ms, cap = args
+    one = queue_oracle.PacketQueue(*args)
+    for t, size_b in earlier:
+        one.admit(t, size_b)
+    start = one.free_at  # the oracle run's transmitter
+    free_at = 0.0  # carry's and _run's
     if earlier:
         times, sizes_b = np.array(earlier).T
-        for queue in (batch, raw):
-            queue.carry(times, queue.serialization_ms(sizes_b))
+        free_at = carry(times, serialization_ms(sizes_b, bandwidth_bps))[1]
     periods = []
     want = []
     for s, size_b in zip(sends.tolist(), sizes.tolist()):
@@ -50,13 +52,14 @@ def _check(args, sends, sizes, earlier=()):
             periods.append(1)
         want.append(one.admit(s, size_b))
     uniform = len(set(sizes.tolist())) == 1
-    ser = batch.serialization_ms(int(sizes[0]) if uniform else sizes)
-    got = batch.carry(sends, ser)
-    assert repr(got.tolist()) == repr([math.nan if w is None else w for w in want])
+    ser = serialization_ms(int(sizes[0]) if uniform else sizes, bandwidth_bps)
+    got, batch = carry(sends, ser, free_at, cap)
+    assert repr((got + delay_ms).tolist()) == repr([math.nan if w is None else w for w in want])
     ser = np.broadcast_to(ser, sends.shape)
-    deps = raw.run(sends, ser, sends + ser)
-    assert repr(deps.tolist()) == repr(queue_oracle.run(old, sends, ser, sends + ser).tolist())
-    assert all(q.free_at == one.free_at for q in (batch, raw, old))
+    deps, raw = transport._run(sends, ser, sends + ser, free_at, cap)
+    want_deps, old = queue_oracle.run(start, cap, sends, ser, sends + ser)
+    assert repr(deps.tolist()) == repr(want_deps.tolist())
+    assert all(free == one.free_at for free in (batch, raw, old))
     return periods
 
 
@@ -90,15 +93,15 @@ def test_loads_from_a_tenth_to_five_times_the_rate():
         except AssertionError:
             raise AssertionError(f"case {case}") from None
         if cap is None:
-            seen["walked"] += max(periods) > LinkQueue.ROUNDS + 1
-            seen["settled in rounds"] += 1 < max(periods) <= LinkQueue.ROUNDS
+            seen["walked"] += max(periods) > ROUNDS + 1
+            seen["settled in rounds"] += 1 < max(periods) <= ROUNDS
     assert seen["walked"] >= 20 and seen["settled in rounds"] >= 20, seen
 
 
 def test_a_carried_transmitter():
     """An uncapped transmitter is still busy from earlier packets when the
     batch starts, so its first packets wait for the carried free_at; a
-    capped batch starts at a new queue."""
+    capped batch starts at an idle transmitter."""
     rng = Random(7)
     waited = 0
     for case in range(100):
@@ -136,7 +139,7 @@ def test_several_long_busy_periods_in_one_batch():
     _check((bandwidth_bps, 0.25, 4), sends, sizes)
     periods = _check((bandwidth_bps, 0.25, None), sends, sizes)
     assert sum(p > 10_000 for p in periods) >= 2, sorted(periods)[-5:]
-    assert sum(2 * LinkQueue.ROUNDS < p < 10_000 for p in periods) >= 1, sorted(periods)[-5:]
+    assert sum(2 * ROUNDS < p < 10_000 for p in periods) >= 1, sorted(periods)[-5:]
 
 
 def test_a_period_that_ends_as_the_next_packet_arrives():
@@ -150,7 +153,7 @@ def test_a_period_that_ends_as_the_next_packet_arrives():
     def busy(start, n):  # every gap shorter than any packet's time on the wire
         return start + np.add.accumulate([0.0] + [rng.uniform(0.0, 0.25) for _ in range(n - 1)])
 
-    lengths = list(range(LinkQueue.ROUNDS, 8 * LinkQueue.ROUNDS + 2)) + [1000, 5000]
+    lengths = list(range(ROUNDS, 8 * ROUNDS + 2)) + [1000, 5000]
     for length in lengths:
         sizes = np.array([rng.choice((32, 64, 1250)) for _ in range(length + 200)])
         head = busy(0.0, length)

@@ -45,10 +45,9 @@ def _state(chan):
     for d, direction in enumerate((FORWARD, BACKWARD)):
         # the drop stream's position is the send count, the jitter
         # stream's the count of kept packets
-        st, queues = chan.stats[direction], block.queues[d]
+        st = chan.stats[direction]
         out.append((int(block.sent[d, 0]), float(block.last[d, 0]), int(block.kept[d, 0]),
-                    None if queues is None else queues[0].free_at,
-                    st.sent, st.delivered, st.dropped))
+                    float(block.free_at[d, 0]), st.sent, st.delivered, st.dropped))
     return repr(out)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from draws_oracle import jitter_draws
 from queue_oracle import PacketQueue
+from random_topologies import count_waiting_batches
 from tcpsbench.clock import EventScheduler
 from tcpsbench.experiments import load_experiment
 from tcpsbench.netsim import Link, Topology, channel_from_topology
@@ -23,15 +24,17 @@ from tcpsbench.transport import (
     KIND_HAPTIC,
     KIND_KINEMATIC,
     LinkParams,
-    LinkQueue,
     MIN_PACKET_BYTES,
+    ROUNDS,
     Packet,
     PacketTooSmall,
     SocketTimeout,
     TruncatedPacket,
+    carry,
     decode,
     encode,
     ideal_model,
+    serialization_ms,
 )
 
 
@@ -271,40 +274,44 @@ class TestImpairedChannel:
 
 
 class TestLinkQueue:
+    """transport.carry, the FIFO link queue, against the oracle queue."""
+
     def test_batch_matches_admit(self):
         """carry() gives the oracle queue's admit() arrivals (NaN for a tail
-        drop) and leaves the same free_at, whether or not a packet waits;
-        an uncapped queue holding packets from earlier batches included. A
-        capped batch starts at a new queue."""
+        drop) and returns the free_at it is left with, whether or not a
+        packet waits; an uncapped transmitter still busy with packets from
+        earlier batches included. A capped batch starts idle."""
         rng = Random(3)
         paths = set()
         for case in range(400):
             args = (rng.choice((1e5, 1e6, 1e7)), rng.choice((0.0, 0.5)),
                     rng.choice((None, 0, 1, 2, 4)))
-            one, batch = PacketQueue(*args), LinkQueue(*args)
+            one, free_at = PacketQueue(*args), 0.0
             size_b = rng.choice((32, 256))
+            ser = serialization_ms(size_b, args[0])
             t = 0.0
             for _ in range(rng.randint(0, 2)):
                 t += rng.uniform(0.0, 1.0)
                 if args[2] is None:  # a cap counts only the packets of its batch
-                    ser = batch.serialization_ms(size_b)
-                    assert one.admit(t, size_b) == batch.carry(np.array([t]), ser)[0]
+                    got, free_at = carry(np.array([t]), ser, free_at)
+                    assert one.admit(t, size_b) == got[0] + args[1]
             gap = rng.choice((0.01, 0.5, 5.0))
             sends = t + np.add.accumulate([rng.uniform(0.0, 2 * gap) for _ in range(30)])
             done = sends + size_b * 8.0 / args[0] * 1000.0
             paths.add(sends[0] < one.free_at or bool(np.any(sends[1:] < done[:-1])))
             want = [one.admit(s, size_b) for s in sends.tolist()]
-            got = batch.carry(sends, batch.serialization_ms(size_b)).tolist()
-            assert repr(got) == repr([np.nan if w is None else w for w in want]), case
-            assert batch.free_at == one.free_at, case
+            got, free_at = carry(sends, ser, free_at, args[2])
+            assert repr((got + args[1]).tolist()) == repr([np.nan if w is None else w
+                                                           for w in want]), case
+            assert free_at == one.free_at, case
         assert paths == {False, True}
 
     def test_mixed_sizes_and_saturated_links_match_admit(self):
         """A batch of mixed sizes gives the oracle queue's admit() arrivals,
-        called one packet at a time, bit for bit, and leaves the same
-        free_at, on a new queue under caps None,
+        called one packet at a time, bit for bit, and returns the free_at it
+        is left with, from an idle transmitter under caps None,
         1, 2, 4 and 6; loads run from a tenth to three times the link rate,
-        so some uncapped busy periods outlast LinkQueue.ROUNDS and the walk
+        so some uncapped busy periods outlast transport.ROUNDS and the walk
         over each busy period still moving settles them. Some packets
         arrive together."""
         rng = Random(4)
@@ -312,7 +319,7 @@ class TestLinkQueue:
         for case in range(300):
             cap = rng.choice((None, None, 1, 2, 4, 6))
             args = (rng.choice((1e5, 1e6, 1e7)), rng.choice((0.0, 0.5)), cap)
-            one, batch = PacketQueue(*args), LinkQueue(*args)
+            one = PacketQueue(*args)
             sizes = np.array([rng.choice((32, 64, 200, 1250)) for _ in range(rng.randint(1, 200))])
             gap = sizes.mean() * 8.0 / args[0] * 1000.0 / rng.uniform(0.1, 3.0)
             sends = np.add.accumulate([0.0 if rng.random() < 0.1 else rng.uniform(0.0, 2 * gap)
@@ -320,41 +327,64 @@ class TestLinkQueue:
             want, run = [], 0
             for s, b in zip(sends.tolist(), sizes.tolist()):
                 run = run + 1 if one.free_at > s else 0  # packets in a row that wait
-                seen[(cap is None, min(run, LinkQueue.ROUNDS + 1))] += 1
+                seen[(cap is None, min(run, ROUNDS + 1))] += 1
                 want.append(one.admit(s, b))
-            got = batch.carry(sends, batch.serialization_ms(sizes)).tolist()
+            got, free_at = carry(sends, serialization_ms(sizes, args[0]), cap=cap)
+            got = (got + args[1]).tolist()
             assert repr(got) == repr([np.nan if w is None else w for w in want]), case
-            assert batch.free_at == one.free_at, case
+            assert free_at == one.free_at, case
             seen["dropped"] += None in want
-        assert seen[(True, 1)] and seen[(True, LinkQueue.ROUNDS + 1)] >= 10, seen
+        assert seen[(True, 1)] and seen[(True, ROUNDS + 1)] >= 10, seen
         assert seen["dropped"] >= 10, seen
 
+    def test_a_packet_that_arrives_as_the_transmitter_frees_does_not_wait(self, monkeypatch):
+        """Arriving at free_at, or at the departure of the packet before,
+        is no wait: carry takes its one vector sum and never calls _run."""
+        calls = count_waiting_batches(monkeypatch)
+        for cap in (None, 1):
+            got, free = carry(np.array([2.0, 2.5, 3.0]), 0.5, 2.0, cap)
+            assert got.tolist() == [2.5, 3.0, 3.5] and free == 3.5
+        assert calls == [0]
+
     def test_empty_batch(self):
-        q = LinkQueue(1e6, 0.5, 2)
-        assert len(q.carry(np.empty(0), q.serialization_ms(32))) == 0
-        assert q.free_at == 0.0
+        """An empty batch leaves the transmitter's free_at as it was."""
+        for cap in (None, 0, 2):
+            for free_at in (0.0, 7.25):
+                got, free = carry(np.empty(0), serialization_ms(32, 1e6), free_at, cap)
+                assert len(got) == 0 and free == free_at
+
+    def test_all_dropped_batch(self):
+        """Under cap 0 every packet is tail-dropped, and the transmitter's
+        free_at stays as it was."""
+        for free_at in (0.0, 7.25):
+            sends = np.array([1.0, 1.0, 3.0, 9.0])
+            got, free = carry(sends, serialization_ms(np.array([32, 64, 32, 1250]), 1e6),
+                              free_at, 0)
+            assert np.isnan(got).all() and free == free_at
 
     def test_capped_batch_after_a_reset_matches_a_new_queue(self):
-        """With free_at set back to 0.0, a capped queue carries a batch as a
-        new queue does, however loaded its previous batch left it: a cap
-        counts only the packets of the batch it is carrying."""
+        """Two capped batches on one link, each carried from an idle
+        transmitter, give a new oracle queue's admit() arrivals and free_at,
+        however loaded the first batch left the link: a cap counts only the
+        packets of the batch it is carrying."""
         rng = Random(8)
         dropped = 0
         for case in range(200):
             args = (rng.choice((1e5, 1e6)), rng.choice((0.0, 0.5)), rng.randint(0, 4))
-            used, new = LinkQueue(*args), LinkQueue(*args)
             batches = []
             for _ in range(2):
                 sizes = np.array([rng.choice((32, 200, 1250)) for _ in range(rng.randint(1, 80))])
                 gap = sizes.mean() * 8.0 / args[0] * 1000.0 / rng.uniform(0.5, 3.0)
                 sends = np.add.accumulate([rng.uniform(0.0, 2 * gap) for _ in sizes])
-                batches.append((sends, used.serialization_ms(sizes)))
-            used.carry(*batches[0])
-            used.free_at = 0.0
-            got, want = used.carry(*batches[1]), new.carry(*batches[1])
-            assert repr(got.tolist()) == repr(want.tolist()), case
-            assert used.free_at == new.free_at, case
-            dropped += bool(np.isnan(want).any())
+                batches.append((sends, sizes))
+            for sends, sizes in batches:
+                got, free = carry(sends, serialization_ms(sizes, args[0]), cap=args[2])
+                new = PacketQueue(*args)
+                want = [new.admit(t, b) for t, b in zip(sends.tolist(), sizes.tolist())]
+                assert repr((got + args[1]).tolist()) == repr([np.nan if w is None else w
+                                                               for w in want]), case
+                assert free == new.free_at, case
+            dropped += None in want  # in the second batch
         assert dropped >= 100, dropped
 
 
