@@ -74,6 +74,14 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return path
 
 
+def _endpoint(local: tuple[str, int], *args, **kwargs) -> DatagramEndpoint:
+    """A DatagramEndpoint bound to local; an address it cannot bind is a config error."""
+    try:
+        return DatagramEndpoint(local, *args, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot bind {local[0]}:{local[1]}: {exc}") from None
+
+
 def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
@@ -164,8 +172,8 @@ def cmd_step(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if exp.channel.kind == "socket":
         desc = exp.channel.description
-        endpoint = DatagramEndpoint(desc["local"], desc["remote"],
-                                    packet_size_b=exp.loop.packet_size_b, seed=exp.loop.seed)
+        endpoint = _endpoint(desc["local"], desc["remote"],
+                             packet_size_b=exp.loop.packet_size_b, seed=exp.loop.seed)
         try:
             record = run_socket_experiment(exp.loop, endpoint, deadline_ms=args.deadline_ms)
         finally:
@@ -331,7 +339,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
         if args.plant_config:  # a config or output error exits 2 before binding
             exp = load_experiment(args.plant_config)
             out = _out_dir(args)
-        endpoint = DatagramEndpoint(local, packet_size_b=args.packet_size)
+        endpoint = _endpoint(local, packet_size_b=args.packet_size)
         try:
             if args.plant_config:
                 curve = serve_plant(endpoint, exp.loop, deadline_ms=args.deadline_ms)
@@ -354,7 +362,7 @@ def cmd_probe(args: argparse.Namespace) -> int:
     # measure
     remote = parse_addr(args.remote)
     out = _out_dir(args)
-    endpoint = DatagramEndpoint(local, remote, packet_size_b=args.packet_size)
+    endpoint = _endpoint(local, remote, packet_size_b=args.packet_size)
     rtts = []
     lost = 0
     try:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 from .core import GoodnessLimits, TcpsbenchError
 from .loopsim import LoopConfig
 from .qoc import SearchConfig, StepRunner
-from .transport import ChannelModel, Jitter, LinkParams, ideal_model
+from .transport import MIN_PACKET_BYTES, ChannelModel, Jitter, LinkParams, ideal_model
 
 if TYPE_CHECKING:  # netsim loads only for a topology config
     from .netsim import Topology
@@ -236,9 +236,13 @@ def build_experiment(cfg: dict) -> Experiment:
     loop = _build(LoopConfig, cfg.get("loop"), "loop")
     if not loop.p_ref > 0.0:  # the step-response bands assume a positive set point
         raise ConfigError(f"invalid loop: p_ref must be positive, got {loop.p_ref}")
+    channel = build_channel_spec(cfg["channel"])
+    if channel.kind == "socket" and loop.packet_size_b < MIN_PACKET_BYTES:  # the codec's floor
+        raise ConfigError(f"invalid loop: a socket channel needs packet_size_b of at least "
+                          f"{MIN_PACKET_BYTES}, got {loop.packet_size_b}")
     return Experiment(
         loop=loop,
-        channel=build_channel_spec(cfg["channel"]),
+        channel=channel,
         search=_build(SearchConfig, cfg.get("search"), "search",
                       deltas=lambda v: None if v is None else tuple(float(x) for x in v)),
         limits=_build(GoodnessLimits, cfg.get("limits"), "limits"),

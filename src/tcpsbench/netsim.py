@@ -7,7 +7,9 @@ the serialization time for its size, then the propagation delay. A round
 trip of tactile packets, with or without cross traffic, runs off the clock:
 each link carries all its packets in one batch, held in the order it
 serves them, through the FIFO (Lindley) recurrence of transport.carry,
-with the links in the order in which packets flow between them. Exposed as
+with the links in the order in which packets flow between them. Each
+tactile hop's times are kept in command columns, an answer in its
+command's column (NaN: never answered, or lost). Exposed as
 a bidirectional channel between the two tactile endpoints so control-loop
 experiments can run across any placement under any traffic load.
 """
@@ -69,7 +71,7 @@ class TrafficFlow:
 
     @property
     def period_ms(self) -> float:
-        return self.pkt_bytes * 8.0 / self.rate_bps * 1000.0
+        return serialization_ms(self.pkt_bytes, self.rate_bps)
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,8 @@ class Topology:
             if ln.a not in known or ln.b not in known:
                 raise TopologyError(f"link {ln.a}-{ln.b} references unknown switch")
         for host, sw in self.hosts.items():
+            if host in known:  # host_switch would take it for the host, hiding the switch
+                raise TopologyError(f"host id {host!r} is also a switch id")
             if sw not in known:
                 raise TopologyError(f"host {host} attached to unknown switch {sw}")
         for te in (self.te_master, self.te_slave):
@@ -163,22 +167,22 @@ def route(topology: Topology, a: str, b: str) -> list[tuple[str, str]]:
     return hops[::-1]
 
 
-# plans by (id(topology), flows, queue_cap). A plan is a pure function of
-# its key and is only read, so sharing it changes no result; each entry holds
-# its topology, so the id cannot be reused while the plan is kept
+# plans by (id(topology), flows). A plan is a pure function of its key and
+# is only read, so sharing it changes no result; each entry holds its
+# topology, so the id cannot be reused while the plan is kept
 _PLANS: dict[tuple, tuple] = {}
 
 _NO_TIMES = np.empty(0)
 _NO_STREAMS = np.empty(0, dtype=np.intp)
 
 
-def _plan(topology: Topology, flows: tuple[TrafficFlow, ...], queue_cap: int | None) -> tuple:
-    """What a channel needs of its topology, flows and queue cap, built once
-    for every trial on them: the tactile routes, the kept links, the
+def _plan(topology: Topology, flows: tuple[TrafficFlow, ...]) -> tuple:
+    """What a channel needs of its topology and flows, built once for every
+    trial on them at any queue cap: the tactile routes, the kept links, the
     simulated flows and their first links, the streams' tie ranks, what
     feeds each link, the tactile stream each link carries (and whether it
     carries nothing else), and the order the links run in."""
-    key = (id(topology), flows, queue_cap)
+    key = (id(topology), flows)
     kept_plan = _PLANS.get(key)
     if kept_plan is not None:
         return kept_plan[1]
@@ -323,7 +327,7 @@ class NetsimChannel(SimChannel):
             raise ValueError(f"queue_cap must be None or an int >= 0, got {queue_cap!r}")
         super().__init__()
         (self._routes, self._links, sims, self._first, self._rank, self._feeds, self._tactile,
-         self._order) = _plan(topology, flows, queue_cap)
+         self._order) = _plan(topology, flows)
         self._cap = queue_cap
         # each simulated flow's first emission, period and size; the phase,
         # uniform(0, period) of a generator seeded by (seed, flow index), is
@@ -331,31 +335,28 @@ class NetsimChannel(SimChannel):
         uniforms = _first_uniforms([seed * 1_000_003 + idx for idx, *_ in sims])
         self._emitters = [(0.0 + period * r, period, size_b)
                           for (_, period, size_b), r in zip(sims, uniforms)]
-        self._picked = np.empty(0, dtype=bool)  # the commands the far end last answered
 
     def round_trip(self, sends: np.ndarray, size_b: int, drain_at: float):
-        """SimChannel.round_trip, computed by _run."""
-        fwd, answers = (hops[-1] for hops in self._run(sends, size_b, drain_at))
-        picked = self._picked
-        bwd = np.full(len(fwd), np.nan)
-        bwd[picked] = answers
-        self._count(fwd, picked, bwd)
-        return fwd, picked, bwd
+        """SimChannel.round_trip, from _run: picked is the answered columns of backward hop 0."""
+        fwd, bwd = self._run(sends, size_b, drain_at)
+        trip = fwd[-1], bwd[0] == bwd[0], bwd[-1]
+        self._count(*trip)
+        return trip
 
     def _run(self, sends: np.ndarray, size_b: int,
              drain_at: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """The arrival times of the commands and of the answers at each hop
-        of their routes and past the last, NaN once lost. Each link serves
-        its packets by time, ties by stream rank, a stream's own packets in
-        order. Its output run, the departures in that order without the
-        tail-dropped packets, never decreases, as a FIFO link does not
-        reorder; so every input run of a link is in order: the emission
-        runs (_emit), the commands as sent, the answers in fresh order, and
-        each upstream link's run kept to the streams that go on to it. A
-        group of links settles by sweeps from empty inputs: every hop takes
-        more than 0 ms, so packets can only depend on earlier ones, and
-        each sweep fixes at least one more hop latency of the run; the
-        fixed point is unique."""
+        of their routes and past the last, the answer to command k in column
+        k, NaN once lost or never answered. Each link serves its packets by
+        time, ties by stream rank, a stream's own packets in order. Its
+        output run, the departures in that order without the tail-dropped
+        packets, never decreases, as a FIFO link does not reorder; so every
+        input run of a link is in order: the emission runs (_emit), the
+        commands as sent, the answers in fresh order, and each upstream
+        link's run kept to the streams that go on to it. A group of links
+        settles by sweeps from empty inputs: every hop takes more than 0 ms,
+        so packets can only depend on earlier ones, and each sweep fixes at
+        least one more hop latency of the run; the fixed point is unique."""
         sizes = np.array([size for *_, size in self._emitters] + [size_b, size_b], dtype=float)
         hops = {FORWARD: [sends] + [_NO_TIMES] * len(self._routes[FORWARD]),
                 BACKWARD: [_NO_TIMES] * (len(self._routes[BACKWARD]) + 1)}
@@ -384,8 +385,12 @@ class NetsimChannel(SimChannel):
         runs: dict = {}
         for (hop, period), rows in groups.items():
             rows.sort()
-            times = np.full((max(int((drain_at - rows[0][0]) / period) + 3, 1), len(rows)),
-                            period)
+            try:
+                times = np.full((max(int((drain_at - rows[0][0]) / period) + 3, 1), len(rows)),
+                                period)
+            except (OverflowError, ValueError):  # inf or NaN steps, or a shape past numpy's index
+                raise TcpsbenchError(f"cannot emit cross traffic up to the drain time "
+                                     f"{drain_at!r} ms at the period {period!r} ms") from None
             times[0] = [phase for phase, *_ in rows]
             np.add.accumulate(times, axis=0, out=times)
             t = times.ravel()
@@ -399,13 +404,15 @@ class NetsimChannel(SimChannel):
     def _admit(self, hop: tuple[str, str] | None, runs: dict, emitted: dict, hops: dict,
                sizes: np.ndarray, settle: bool) -> bool:
         """Run one link (None: the far end answers the fresh commands that
-        have landed, whose mask it keeps for round_trip) on its current
-        inputs, keep its output run and its tactile stream's times. When
-        settling a group, True if the output run changed."""
+        have landed, each from its command's column) on its current inputs,
+        keep its output run and its tactile stream's times, in the columns
+        of the hop before (NaN: lost). When settling a group, True if the
+        output run changed."""
         if hop is None:
             fwd = hops[FORWARD][-1]
-            self._picked = _fresh_mask(fwd)
-            t = hops[BACKWARD][0] = fwd[self._picked]
+            picked = _fresh_mask(fwd)
+            hops[BACKWARD][0] = np.where(picked, fwd, np.nan)
+            t = fwd[picked]
             sid, key = _one_stream(len(sizes) - 1, len(t)), BACKWARD
         else:
             key = hop

@@ -45,8 +45,10 @@ class HandTrajectory:
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=float)
-        if not 0.0 < self.fs_hz < math.inf:  # NaN fails too
-            raise ValueError(f"sampling frequency must be positive and finite, got {self.fs_hz}")
+        # the sampling period, 1000 / fs_hz ms, must be finite too; NaN fails
+        if not (0.0 < self.fs_hz < math.inf and 1000.0 / self.fs_hz < math.inf):
+            raise ValueError(f"sampling frequency must be positive and finite, with a finite "
+                             f"period 1000 / fs_hz ms, got {self.fs_hz}")
         if len(self.positions) < 2:
             raise TooShort("trajectory needs at least 2 samples")
         if not np.all(np.isfinite(self.positions)):

@@ -7,7 +7,9 @@ value-free round trip, in which the far end answers each fresh command
 the rows of a block, of one of two kinds: ChannelRows, channels of any
 kind, one at a time, or for impaired and ideal channels (latency, jitter,
 drop probability, serialization rate) an ImpairedBlock, a batch of trial
-seeds as arrays with no channel object per trial. An ImpairedChannel is a
+seeds as arrays with no channel object per trial. Every answer keeps its
+command's column, k for command k, from the far end on; an ImpairedBlock
+carries the answers back from those columns. An ImpairedChannel is a
 block of one; its per-packet send on the virtual clock serves the
 event-driven reference runners.
 Serialization queues FIFO through `carry`, on impaired and topology links
@@ -326,6 +328,15 @@ def _fresh_mask(arrivals: np.ndarray) -> np.ndarray:
     return arrivals <= later[..., ::-1]
 
 
+def _in_columns(values: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Row r's values in order, one to each column set in mask[r] (None: all), else 0."""
+    if mask is None:
+        return values
+    out = np.zeros_like(values)
+    out[mask] = values[np.arange(values.shape[1]) < mask.sum(axis=1)[:, None]]
+    return out
+
+
 class SimChannel:
     """Shell of a simulated bidirectional channel: per-direction stats,
     scheduler binding, and the bound check and delivery counting around
@@ -548,14 +559,13 @@ class ImpairedBlock:
     def carry(self, direction: str, t: np.ndarray, sent: np.ndarray | None,
               size_b: int) -> np.ndarray:
         """transit_time over the rows in one direction: row r sends at the
-        times t[r] where sent[r] is set (a prefix of the row; None: every
-        column), in time order. It returns the delivery times, NaN where a
+        times t[r] where sent[r] is set (any columns, None: all), in time
+        order, and gets its delivery times in those columns, NaN where a
         packet is dropped or not sent, with transit_time's arithmetic, draws
-        and state changes. Each row's transmitter carries its kept packets
-        (carry); the rest is array operations over the block. A kept packet
-        takes its row's jitter value at its rank among the kept ones, and
-        the FIFO clamp is a running maximum over the kept packets (fmax
-        skips the others' NaN) and the row's last delivery."""
+        and state changes. A row's transmitter carries its kept packets
+        (carry); its send indices (drop_seq) and drop uniforms go to its
+        sends in order, its jitter to its kept packets (_in_columns); the FIFO
+        clamp is a running maximum (fmax skips NaN) and the last delivery."""
         rows, n = t.shape
         if not n:
             return np.empty((rows, 0))
@@ -564,11 +574,11 @@ class ImpairedBlock:
         kept = sent  # None: every packet sent and kept
         if p.drop_seq:
             listed = np.isin(np.arange(n) + self.sent[d, :, None], list(p.drop_seq))
-            kept = ~listed if kept is None else kept & ~listed
+            kept = ~listed if kept is None else kept & ~_in_columns(listed, kept)
         if p.drop_prob > 0.0:  # a uniform never falls below drop_prob 0
             # one uniform per packet, listed in drop_seq or not, so drop
             # decisions nest across drop_prob settings under a shared seed
-            lost = self.read(d, None, self.sent[d], n) < p.drop_prob
+            lost = _in_columns(self.read(d, None, self.sent[d], n), sent) < p.drop_prob
             kept = ~lost if kept is None else kept & ~lost
         if p.bandwidth_bps > 0.0:  # bandwidth 0 has no transmitter to queue behind
             ser = serialization_ms(size_b, p.bandwidth_bps)
@@ -578,10 +588,7 @@ class ImpairedBlock:
                 t[r, at], self.free_at[d, r] = carry(t[r, at], ser, self.free_at.item(d, r))
         delay = p.latency_ms
         if p.jitter.kind != "none":  # jitter 'none' draws nothing
-            jitter = self.read(d, p.jitter, self.kept[d], n)
-            if kept is not sent:  # a drop moves the later packets' ranks
-                jitter = jitter[np.arange(rows)[:, None], kept.cumsum(axis=1) - 1]
-            delay = delay + jitter
+            delay = delay + _in_columns(self.read(d, p.jitter, self.kept[d], n), kept)
         out = t + delay
         if kept is not None:
             out[~kept] = np.nan
@@ -599,21 +606,12 @@ class ImpairedBlock:
         return out
 
     def round_trips(self, sends: np.ndarray, size_b: int, drain_at: float | np.ndarray):
-        """ChannelRows.round_trips over the rows, bit for bit that of their
-        channels. An impaired link has no periodic source, so drain_at goes
-        unread. The backward direction sends each row's answers
-        left-packed, in send order."""
+        """ChannelRows.round_trips over the rows, bit for bit their channels'; an
+        answer leaves from its command's column (no periodic source: drain_at unread)."""
         rows, n = len(self), np.shape(sends)[-1]
         fwd = self.carry(FORWARD, np.broadcast_to(sends, (rows, n)), None, size_b)
         picked = _fresh_mask(fwd)
-        counts = picked.sum(axis=1)
-        sent = np.arange(n) < counts[:, None]
-        packed = np.zeros((rows, n))
-        packed[sent] = fwd[picked]
-        back = self.carry(BACKWARD, packed, sent, size_b)
-        bwd = np.full((rows, n), np.nan)
-        bwd[picked] = back[sent]
-        return fwd, picked, bwd
+        return fwd, picked, self.carry(BACKWARD, fwd, picked, size_b)
 
 
 class ChannelRows:
@@ -726,7 +724,11 @@ class DatagramEndpoint:
         self._rng = Random(seed)
         self._rng_lock = threading.Lock()
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(local)
+        try:
+            self._sock.bind(local)
+        except OSError:
+            self._sock.close()
+            raise
 
     @property
     def local_address(self) -> tuple[str, int]:

@@ -223,6 +223,42 @@ class TestConfigErrors:
         assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert "seed must be >= 0" in capsys.readouterr().err
 
+    def test_host_id_that_is_a_switch_id_exits_2(self, tmp_path, capsys):
+        """Host S2 hid switch S2 from route, silently moving the tactile slave."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channel": {"type": "topology", "topology": {
+            "switches": ["S0", "S1", "S2"],
+            "links": [["S0", "S1", 0.1, 1e7], ["S1", "S2", 0.1, 1e7]],
+            "hosts": {"S2": "S0", "h": "S2"}, "te_master": "S0", "te_slave": "S2"}}}))
+        assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "host id 'S2' is also a switch id" in capsys.readouterr().err
+
+    # 192.0.2.1 (TEST-NET-1) is never a local address, so bind fails and no packet leaves
+    @pytest.mark.parametrize("argv, address", [
+        (["probe", "serve", "--bind", "192.0.2.1:9870", "--count", 1], "192.0.2.1:9870"),
+        (["probe", "measure", "--local", "192.0.2.1:0", "--remote", "127.0.0.1:9", "--count", 1],
+         "192.0.2.1:0"),
+        (["step", "--config", "SOCKET"], "192.0.2.1:0"),
+    ], ids=["probe-serve", "probe-measure", "step"])
+    def test_an_address_that_cannot_be_bound_exits_2(self, argv, address, tmp_path, capsys):
+        """It used to end in an OSError traceback (exit 1)."""
+        cfg = tmp_path / "sock.json"
+        cfg.write_text(json.dumps({"channel": {"type": "socket", "local": "192.0.2.1:0",
+                                               "remote": "127.0.0.1:9"}}))
+        argv = [cfg if a == "SOCKET" else a for a in argv]
+        assert run(argv + ["--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert f"config error: cannot bind {address}:" in capsys.readouterr().err
+
+    def test_socket_packets_below_the_codec_floor_exit_2(self, tmp_path, monkeypatch, capsys):
+        """packet_size_b 31 passed the config check; step then bound its
+        socket and exited 3 with PacketTooSmall."""
+        monkeypatch.setattr(cli, "DatagramEndpoint", None)  # nothing may bind
+        cfg = tmp_path / "sock.json"
+        cfg.write_text(json.dumps({"loop": {"packet_size_b": 31}, "channel": {
+            "type": "socket", "local": "127.0.0.1:0", "remote": "127.0.0.1:9"}}))
+        assert run(["step", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "packet_size_b of at least 32, got 31" in capsys.readouterr().err
+
 
 class TestSharedParser:
     """run_command parses with one parser per process, built on the first command."""
@@ -341,6 +377,15 @@ class TestExperimentErrors:
         with pytest.raises(ValueError, match="a defect"):
             run(["step", "--config", "ideal", "--out", tmp_path / "o"])
 
+    def test_a_drain_time_out_of_range_exits_3(self, tmp_path, capsys):
+        """Cross traffic up to about 1e32 ms ended in a ValueError traceback."""
+        cfg = tmp_path / "flow.json"
+        cfg.write_text(json.dumps({"channel": {"type": "topology", "topology": "usnet-nw",
+                                   "flows": [{"src": "m0", "dst": "n0", "rate_bps": 1e6}]}}))
+        assert run(["step", "--config", cfg, "--delta-ms", 1e30,
+                    "--out", tmp_path / "o"]) == EXIT_EXPERIMENT
+        assert "cannot emit cross traffic up to the drain time" in capsys.readouterr().err
+
 
 class TestSearchCommands:
     def test_delta_opt(self, tmp_path):
@@ -446,8 +491,9 @@ class TestSickness:
                         "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert "not derivable" in capsys.readouterr().err
 
-    # -5 used to take the file's rate in predict and measure, as --fs 0 does
-    @pytest.mark.parametrize("fs", ["nan", "inf", "-inf", "-5"])
+    # -5 used to take the file's rate in predict and measure, as --fs 0 does;
+    # at 1e-320 Hz the sampling period is inf, and measure used to run on it
+    @pytest.mark.parametrize("fs", ["nan", "inf", "-inf", "-5", "1e-320"])
     def test_non_finite_sampling_rate_exits_2(self, tmp_path, fs):
         traj = tmp_path / "t" / "trajectory.csv"
         assert run(["sickness", "synth", "--fs", 30, "--steps", 300, "--vmax", 0.02,

@@ -153,6 +153,34 @@ def test_the_first_of_parallel_links_carries():
                                             + size_b * 8.0 / 3e5 * 1000.0 + 1.7)
 
 
+def test_a_host_id_that_is_a_switch_id_is_refused():
+    """host_switch looks in hosts first, so a host named S2 hid switch S2:
+    route(t, "S1", "S2") went to S0, where the host hangs."""
+    with pytest.raises(TopologyError, match="host id 'S2' is also a switch id"):
+        Topology(switches=("S0", "S1", "S2"), links=line_topology(3).links,
+                 hosts={"S2": "S0", "h": "S2"}, te_master="S0", te_slave="S2")
+
+
+@pytest.mark.parametrize("drain_at", [1e30, math.inf, -math.inf, math.nan])
+def test_a_drain_time_out_of_range_raises(drain_at):
+    """Cross traffic up to a drain time whose emission block numpy cannot
+    index, or that is not finite, raises TcpsbenchError naming the drain
+    time and the period; it used to end in a ValueError or OverflowError."""
+    chan = channel_from_topology(line_topology(3), (TrafficFlow("h0", "h2", 1e6, 1250),), 0)
+    with pytest.raises(TcpsbenchError, match=re.escape(
+            f"drain time {drain_at!r} ms at the period 10.0 ms")):
+        chan.round_trip(np.array([0.0, 1.0]), 32, drain_at)
+
+
+def test_channels_at_any_queue_cap_share_one_plan():
+    """A plan does not depend on the queue cap, so channels on one topology
+    and flow set share it whatever their caps."""
+    topo, flows = line_topology(3), (TrafficFlow("h0", "h2", 1e6, 64),)
+    plans = {id(channel_from_topology(topo, flows, seed, cap)._feeds)
+             for seed, cap in ((0, None), (1, 2), (0, 5))}
+    assert len(plans) == 1
+
+
 class TestRoute:
     def test_adjacent_single_link(self):
         topo = line_topology(2)

@@ -56,8 +56,10 @@ def _rows(arrays):
 
 def _compare(topo, flows, seed, cap, sends, size_b, drain_at, emitters=None):
     """Both engines' round trip and per-hop tactile times on one case,
-    compared by repr; emitters replaces both channels' flow schedules.
-    Returns the new engine's round trip."""
+    compared by repr; emitters replaces both channels' flow schedules. The
+    oracle's backward hops hold the answers packed in fresh order; the
+    engine's hold each in its command's column, NaN in the columns never
+    answered. Returns the new engine's round trip."""
     got = NetsimChannel(topo, flows, seed, cap)
     want = per_stream_oracle.NetsimChannel(topo, flows, seed, cap)
     assert got._emitters == want._emitters
@@ -67,7 +69,11 @@ def _compare(topo, flows, seed, cap, sends, size_b, drain_at, emitters=None):
     assert _rows(trip) == _rows(want.round_trip(sends, size_b, drain_at))
     assert repr(got.stats) == repr(want.stats)
     hops = got._run(sends, size_b, drain_at)
-    assert [_rows(h) for h in hops] == [_rows(h) for h in want._run(sends, size_b, drain_at)[-2:]]
+    fwd, packed = want._run(sends, size_b, drain_at)[-2:]
+    bwd = [np.full(len(sends), np.nan) for _ in packed]
+    for full, answers in zip(bwd, packed):
+        full[want._picked] = answers
+    assert [_rows(h) for h in hops] == [_rows(fwd), _rows(bwd)]
     return trip
 
 

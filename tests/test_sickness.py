@@ -206,7 +206,8 @@ class TestTrajectoryCsv:
             read_trajectory_csv(str(path))
 
 
-@pytest.mark.parametrize("fs_hz", [0.0, -1.0, float("nan"), float("inf")])
+# at 1e-320 Hz the sampling period, 1000 / fs_hz ms, is inf
+@pytest.mark.parametrize("fs_hz", [0.0, -1.0, float("nan"), float("inf"), 1e-320])
 def test_non_positive_or_non_finite_rates_are_rejected(fs_hz):
     with pytest.raises(ValueError, match="sampling frequency"):
         HandTrajectory(fs_hz=fs_hz, positions=[0.0, 1.0])

@@ -121,6 +121,22 @@ def test_negative_seeds_are_refused(build):
         build(-1)
 
 
+def test_a_failed_bind_closes_its_socket(monkeypatch):
+    """192.0.2.1 (TEST-NET-1) is never a local address, so bind fails."""
+    import socket
+
+    made, make = [], socket.socket
+
+    def tracked(*args):
+        made.append(make(*args))
+        return made[-1]
+
+    monkeypatch.setattr(socket, "socket", tracked)
+    with pytest.raises(OSError):
+        DatagramEndpoint(("192.0.2.1", 0))
+    assert len(made) == 1 and made[0].fileno() == -1
+
+
 def test_receive_with_no_peer_times_out():
     endpoint = DatagramEndpoint(("127.0.0.1", 0))
     try:
