@@ -400,23 +400,21 @@ def run_step_batch(cfg: LoopConfig, block, delta_ms: Sequence[float] | None = No
     # the commands' arrival times, the fresh commands' mask and the
     # feedback's arrival times by command
     fwd, picked, bwd = block.round_trips(sends, cfg.packet_size_b, ticks[step_of, -1])
-    # each row's fresh commands in send order, as flat indices of a (rows x n)
-    # block, and as row r and command c; the feedback on command k sits in
-    # column k, NaN where none arrived
-    fresh_at = np.flatnonzero(picked)
-    r, c = np.divmod(fresh_at, n)
+    # each row's fresh commands in send order, first in the row and NaN after
+    # them: a row that lost no command is its own compaction, so only the
+    # rows that lost one (lost) move their fresh commands to the front
     n_fresh = np.count_nonzero(picked, axis=1)
-    # the fresh commands' places in the first columns of their rows, and
-    # their flat indices in an (n x rows) block
-    kept, fresh_at_k = np.flatnonzero(np.arange(n) < n_fresh[:, None]), c * rows + r
+    lost = np.flatnonzero(n_fresh < n)
+    lost_fresh, front = picked[lost], np.arange(n) < n_fresh[lost, None]
 
-    def fresh_only(values: np.ndarray) -> np.ndarray:
-        out = np.full(rows * n, np.nan)
-        out[kept] = values
-        return out.reshape(rows, n)
+    def fresh_first(by_command: np.ndarray) -> np.ndarray:
+        out = by_command.copy()
+        moved = np.full(front.shape, np.nan)
+        moved[front] = by_command[lost][lost_fresh]
+        out[lost] = moved
+        return out
 
-    t_fresh = fresh_only(fwd.ravel()[fresh_at])
-    del fresh_at, r  # the batch's transient peak is its largest memory cost
+    t_fresh = fresh_first(fwd)
     # sig[k, r]: the signal logged for command k of trial r; sig[n] holds
     # p_ref, the value the operator holds before any feedback
     sig = np.full((n + 1, rows), cfg.p_ref)
@@ -424,10 +422,12 @@ def run_step_batch(cfg: LoopConfig, block, delta_ms: Sequence[float] | None = No
     src = _feedback_sources(ticks, step_of, bwd)
     lags = takes = None
     if cfg.robot_tau_ms > 0.0:  # takes[k, r]: trial r's robot takes command k
-        lags = np.zeros(n * rows)
-        lags[fresh_at_k] = np.array(_lag_factors(np.diff(t_fresh, axis=-1, prepend=0.0),
-                                                 cfg.robot_tau_ms))[kept]
-        lags, takes = lags.reshape(n, rows), picked.T
+        lags = np.array(_lag_factors(np.diff(t_fresh, axis=-1, prepend=0.0),
+                                     cfg.robot_tau_ms)).reshape(rows, n)
+        back = np.zeros(front.shape)  # the lost rows' factors in their commands' columns
+        back[lost_fresh] = lags[lost][front]
+        lags[lost] = back
+        lags, takes = lags.T, picked.T
     if rows == 1:  # one trial runs on floats, indexed by lists
         as_row, pick = float, (lambda take, new, old: new if take else old)
         sig = flat = flat.tolist()
@@ -445,11 +445,12 @@ def run_step_batch(cfg: LoopConfig, block, delta_ms: Sequence[float] | None = No
         robot = y if lags is None else pick(takes[k], lag_step(robot, y, lags[k]), robot)
         sig[k] = plant(k + first, robot, consts)
         y = pi_update(y, flat[src[k]], consts)
-    flat = np.asarray(sig).reshape(-1)
+    sig = np.asarray(sig).reshape(n + 1, rows)
     x = np.arange(first, n + first, dtype=float)
     ys = np.array(ys).reshape(n, rows)
-    curves = CurveBatch(t=t_fresh, x=fresh_only(x[c]), y=fresh_only(ys.ravel()[fresh_at_k]),
-                        signal=fresh_only(flat[fresh_at_k]), lengths=n_fresh, config=cfg)
+    curves = CurveBatch(t=t_fresh, x=fresh_first(np.broadcast_to(x, (rows, n))),
+                        y=fresh_first(ys.T), signal=fresh_first(sig[:n].T), lengths=n_fresh,
+                        config=cfg)
     return StepBatch(curves=curves, sends=sends, x=x, ys=ys, fwd=fwd, bwd=bwd)
 
 

@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import TcpsbenchError, check_seed
 from .loopsim import check_packet_size
-from .transport import (BACKWARD, FORWARD, SimChannel, _fresh_mask, _shared, carry,
-                        serialization_ms)
+from .transport import BACKWARD, FORWARD, SimChannel, _shared, carry, serialization_ms
 
 
 class Unreachable(TcpsbenchError):
@@ -403,16 +402,17 @@ class NetsimChannel(SimChannel):
 
     def _admit(self, hop: tuple[str, str] | None, runs: dict, emitted: dict, hops: dict,
                sizes: np.ndarray, settle: bool) -> bool:
-        """Run one link (None: the far end answers the fresh commands that
-        have landed, each from its command's column) on its current inputs,
+        """Run one link (None: the far end answers the commands that have
+        landed, each from its command's column) on its current inputs,
         keep its output run and its tactile stream's times, in the columns
         of the hop before (NaN: lost). When settling a group, True if the
         output run changed."""
         if hop is None:
+            # every command crosses one FIFO route, so the landed ones arrive
+            # in send order and each is fresh: _fresh_mask is the landed mask
             fwd = hops[FORWARD][-1]
-            picked = _fresh_mask(fwd)
-            hops[BACKWARD][0] = np.where(picked, fwd, np.nan)
-            t = fwd[picked]
+            hops[BACKWARD][0] = fwd.copy()
+            t = fwd[fwd == fwd]
             sid, key = _one_stream(len(sizes) - 1, len(t)), BACKWARD
         else:
             key = hop

@@ -20,6 +20,7 @@ adapter and of anything else that needs bit-exact framing.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 import zlib
@@ -433,16 +434,20 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     """The standard normals rng.gauss makes of its uniforms u (per row,
     pairs in draw order), bit for bit: Box-Muller (Box & Muller 1958) in
     Random.gauss's operation order, the products and the square root in
-    numpy (both correctly rounded) and the libm calls through math (numpy's
-    vector log, cos and sin can differ in the last bit).
-    rng.gauss(mu, sigma) is mu + z * sigma."""
+    numpy (both correctly rounded) and the libm calls through math and cmath
+    (numpy's vector log, cos and sin can differ in the last bit). A pair's
+    cosine and sine are the two parts of one cmath.exp(complex(0.0, angle)),
+    which takes exp(0.0) * cos(angle) and exp(0.0) * sin(angle) from the
+    libm, and exp(0.0) is exactly 1. rng.gauss(mu, sigma) is mu + z * sigma."""
     half = u[..., 0::2].shape
-    x2pi = (u[..., 0::2] * _TWOPI).ravel().tolist()
-    logs = np.fromiter(map(math.log, (1.0 - u[..., 1::2]).ravel().tolist()), float, len(x2pi))
+    angles = np.zeros(half, complex)
+    angles.imag = u[..., 0::2] * _TWOPI
+    turns = np.fromiter(map(cmath.exp, angles.ravel().tolist()), complex, angles.size)
+    logs = np.fromiter(map(math.log, (1.0 - u[..., 1::2]).ravel().tolist()), float, angles.size)
     g2rad = np.sqrt(-2.0 * logs)
     z = np.empty(u.shape)
-    z[..., 0::2] = (np.fromiter(map(math.cos, x2pi), float, len(x2pi)) * g2rad).reshape(half)
-    z[..., 1::2] = (np.fromiter(map(math.sin, x2pi), float, len(x2pi)) * g2rad).reshape(half)
+    z[..., 0::2] = (turns.real * g2rad).reshape(half)
+    z[..., 1::2] = (turns.imag * g2rad).reshape(half)
     return z
 
 
@@ -565,10 +570,13 @@ class ImpairedBlock:
         and state changes. A row's transmitter carries its kept packets
         (carry); its send indices (drop_seq) and drop uniforms go to its
         sends in order, its jitter to its kept packets (_in_columns); the FIFO
-        clamp is a running maximum (fmax skips NaN) and the last delivery."""
+        clamp is a running maximum (fmax skips NaN) and the last delivery.
+        A mask that sends every column is None, whose path skips the scatters."""
         rows, n = t.shape
         if not n:
             return np.empty((rows, 0))
+        if sent is not None and sent.all():
+            sent = None
         d = 0 if direction == FORWARD else 1
         p = self.params[d]
         kept = sent  # None: every packet sent and kept

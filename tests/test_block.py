@@ -16,6 +16,7 @@ while the first is still delivering, so each row's FIFO clamp and queue
 carry over).
 """
 
+import math
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
@@ -33,6 +34,7 @@ from tcpsbench.transport import (
     BACKWARD,
     FORWARD,
     ChannelModel,
+    Jitter,
     LinkParams,
     ideal_model,
     shared_draws,
@@ -148,3 +150,81 @@ def test_streams_are_drawn_once_per_seed_and_kept_by_the_block(monkeypatch):
     block.round_trips(sends, 32, sends[:, -1])
     assert drawn == {4 * 5: 1, 4 * 9: 1} and set(block.streams[None]) == {4 * 5, 4 * 9}
     assert block.sent[0].tolist() == [40] * 5
+
+
+def _lossy_model(rng):
+    """A model whose forward link loses a command now and then, so that a
+    batch holds rows that lost some and rows that lost none: a rare drop
+    by chance, or jitter that now and then reorders (FIFO off), each
+    with drop_seq answers lost, bandwidth or neither on the way back."""
+    forward = rng.choice((
+        LinkParams(latency_ms=0.3, drop_prob=rng.uniform(0.005, 0.03)),
+        LinkParams(latency_ms=0.3, jitter=Jitter.uniform(rng.uniform(1.0, 1.3)), fifo=False),
+        LinkParams(jitter=Jitter.truncnorm(0.5, rng.uniform(0.15, 0.3)), fifo=False)))
+    backward = rng.choice((LinkParams(latency_ms=0.2),
+                           LinkParams(latency_ms=0.2, drop_seq=frozenset({3, 11})),
+                           LinkParams(latency_ms=0.2, bandwidth_bps=2e5)))
+    return ChannelModel(forward=forward, backward=backward)
+
+
+def test_only_the_rows_that_lost_a_command_are_compacted():
+    """run_step_batch compacts the fresh commands of only the rows that
+    lost a command; every other row is its own compaction. In batches
+    holding both kinds of row, with and without robot lag, each row's
+    record equals its batch of one (which runs on floats) and its own
+    trial on the clock."""
+    lost = whole = 0
+    mixed = [0, 0]  # batches holding both kinds of row, without and with lag
+    for i in range(16):
+        rng = Random(9700 + i)
+        model = _lossy_model(rng)
+        cfg = LoopConfig(setting=rng.choice(("haptic", "non-haptic")), sweep_len=40,
+                         robot_tau_ms=(0.0, rng.uniform(0.2, 2.0))[i % 2])
+        seeds = rng.sample(range(200), 12)
+        batch = run_step_batch(cfg, model.block(seeds))
+        lost_here = int(np.count_nonzero(batch.curves.lengths < cfg.sweep_len))
+        lost, whole = lost + lost_here, whole + len(seeds) - lost_here
+        mixed[i % 2] += 0 < lost_here < len(seeds)
+        for r, seed in enumerate(seeds):
+            want = _record(run_trial(cfg, model.build(seed)))
+            assert _record(batch.record(r)) == want, (i, r)
+            assert _record(run_step_batch(cfg, model.block([seed])).record(0)) == want, (i, r)
+    assert lost >= 40 and whole >= 40 and min(mixed) >= 6, (lost, whole, mixed)
+
+
+def _carried(model, seeds, masks, direction, t, size_b):
+    """A fresh block of the seeds after two carries of t, one per mask;
+    its outputs and state, as lists (whose repr shows every bit)."""
+    block = model.block(seeds)
+    out = [block.carry(direction, t, mask, size_b).tolist() for mask in masks]
+    return out, [a.tolist() for a in (block.sent, block.kept, block.last, block.free_at)]
+
+
+def test_a_mask_that_sends_every_column_carries_as_none():
+    """ImpairedBlock.carry reads a mask with every column set as None: the
+    same outputs and stream positions, last deliveries and transmitters,
+    bit for bit. A mask with one column unset is no such mask: its row
+    sends one packet fewer and gets NaN in that column."""
+    seen = Counter()
+    for i in range(60):
+        rng = Random(9800 + i)
+        size_b = rng.choice((32, 256))
+        model = ChannelModel(forward=_link(rng, 1.0, size_b), backward=_link(rng, 1.0, size_b))
+        seeds = [rng.randrange(50) for _ in range(rng.randint(1, 12))]
+        rows, n = len(seeds), rng.randint(2, 50)
+        t = np.add.accumulate(np.array([[rng.uniform(0.1, 2.0) for _ in range(n)]
+                                        for _ in range(rows)]), axis=1)
+        direction = rng.choice((FORWARD, BACKWARD))
+        every = np.ones((rows, n), dtype=bool)
+        assert repr(_carried(model, seeds, [every, every], direction, t, size_b)) \
+            == repr(_carried(model, seeds, [None, None], direction, t, size_b)), i
+        one_off = every.copy()
+        r, c = rng.randrange(rows), rng.randrange(n)
+        one_off[r, c] = False
+        (_, out), (sent, *_) = _carried(model, seeds, [None, one_off], direction, t, size_b)
+        assert math.isnan(out[r][c]) and sent[int(direction == BACKWARD)][r] == 2 * n - 1, i
+        p = model.forward if direction == FORWARD else model.backward
+        seen["bandwidth"] += p.bandwidth_bps > 0.0
+        seen["drop_seq"] += bool(p.drop_seq)
+        seen["drop_prob"] += p.drop_prob > 0.0
+    assert min(seen["bandwidth"], seen["drop_seq"], seen["drop_prob"]) >= 10, seen

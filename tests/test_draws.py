@@ -7,7 +7,9 @@ keeps the loops that call the generator once per value; both must give the
 same values bit for bit, whatever the sizes of the reads.
 """
 
+import cmath
 import contextlib
+import math
 import os
 import shutil
 import subprocess
@@ -314,7 +316,7 @@ def test_no_jitter_draws_nothing():
 
 
 _INTERPRETER_CHECK = """
-import math, random
+import cmath, math, random
 n = 400
 bits = random.Random(12345).getrandbits(64 * n).to_bytes(8 * n, "little")
 w = [int.from_bytes(bits[4 * i:4 * i + 4], "little") for i in range(2 * n)]
@@ -331,6 +333,9 @@ for i in range(n):
     g2rad = math.sqrt(-2.0 * math.log(1.0 - u[2 * i + 1]))
     z += [math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad]
 assert [0.1 + v * 0.3 for v in z] == [ref.gauss(0.1, 0.3) for _ in range(2 * n)], "gauss"
+for a in [u[2 * i] * (2.0 * math.pi) for i in range(n)] + [0.0, 5e-324, math.pi]:
+    z = cmath.exp(complex(0.0, a))
+    assert repr((z.real, z.imag)) == repr((math.cos(a), math.sin(a))), "cmath.exp"
 print("ok")
 """
 
@@ -338,8 +343,9 @@ print("ok")
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
 def test_other_interpreters_share_the_generator_formulas(version):
     """The bulk draws rely on getrandbits returning MT19937's words least
-    significant first, on random()'s formula of two words, and on gauss's
-    Box-Muller order. Each interpreter found on PATH must agree; an absent
+    significant first, on random()'s formula of two words, on gauss's
+    Box-Muller order, and on cmath.exp(complex(0.0, x)) giving libm's
+    cos(x) and sin(x). Each interpreter found on PATH must agree; an absent
     one (or a launcher that cannot start it) is skipped."""
     exe = shutil.which(f"python{version}")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -349,3 +355,37 @@ def test_other_interpreters_share_the_generator_formulas(version):
     proc = subprocess.run([exe, "-c", _INTERPRETER_CHECK], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr
+
+
+def _bits(values) -> np.ndarray:
+    """The float64 bit patterns of values (so -0.0 differs from 0.0)."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _libm(f, angles: list[float]) -> np.ndarray:
+    return np.fromiter(map(f, angles), float, len(angles))
+
+
+def test_one_complex_exp_gives_libms_cosine_and_sine():
+    """_box_muller takes a pair's cosine and sine as the two parts of one
+    cmath.exp(complex(0.0, angle)). That equals (math.cos(angle),
+    math.sin(angle)) bit for bit only if exp(0.0) is exactly 1 and the
+    interpreter's cmath reaches the same libm cos and sin as math (or a
+    sincos with their values), which this interpreter must do: over 10**6
+    seeded angles in [0, 2 pi) and the edges of that range. Box-Muller
+    itself must then give Random.gauss's product of each part and the
+    radius, over the same angles."""
+    u = np.random.default_rng(35).random((500, 4000))
+    angles = (u[:, 0::2] * transport._TWOPI).ravel().tolist()
+    edges = [0.0, 5e-324, 1e-300, 2.0 ** -26, 0.5 * math.pi, math.pi, 1.5 * math.pi,
+             transport._TWOPI - 1.0, math.nextafter(transport._TWOPI, 0.0)]
+    assert len(angles) >= 10 ** 6
+    for at in (edges, angles):  # cos and sin stay the seeded angles'
+        cos, sin = _libm(math.cos, at), _libm(math.sin, at)
+        turns = np.fromiter(map(cmath.exp, [complex(0.0, a) for a in at]), complex, len(at))
+        assert np.array_equal(_bits(turns.real), _bits(cos))
+        assert np.array_equal(_bits(turns.imag), _bits(sin))
+    g2rad = np.sqrt(-2.0 * _libm(math.log, (1.0 - u[:, 1::2]).ravel().tolist()))
+    z = transport._box_muller(u)
+    assert np.array_equal(_bits(z[:, 0::2].ravel()), _bits(cos * g2rad))
+    assert np.array_equal(_bits(z[:, 1::2].ravel()), _bits(sin * g2rad))

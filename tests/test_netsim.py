@@ -24,7 +24,7 @@ from tcpsbench.netsim import (
     route,
     simulate_delivery,
 )
-from tcpsbench.transport import BACKWARD, FORWARD
+from tcpsbench.transport import BACKWARD, FORWARD, _fresh_mask
 
 
 def line_topology(n=3, delay=0.1, bw=1e7):
@@ -310,6 +310,27 @@ class TestDelivery:
             assert repr(first) == repr(second), case
             dropped += bool(np.isnan(first[0]).any())
         assert dropped >= 20, dropped
+
+    def test_the_landed_commands_are_the_fresh_ones(self):
+        """Every command crosses one FIFO route, so the landed ones arrive
+        in send order and each is fresh: on random topologies with cross
+        traffic, uncapped and at caps 1 and 2, _fresh_mask of the
+        commands' arrivals is the landed mask, the commands the far end
+        answers."""
+        rng = Random(35)
+        dropped = 0
+        for case in range(60):
+            topo = random_topology(rng)
+            flows, seed = random_flows(rng, topo), rng.randrange(100)
+            sends = np.add.accumulate([rng.uniform(0.0, 1.0) for _ in range(rng.randint(1, 60))])
+            for cap in (None, 1, 2):
+                chan = channel_from_topology(topo, flows, seed, cap)
+                fwd, picked, _ = chan.round_trip(sends, 32, float(sends[-1]))
+                landed = fwd == fwd
+                assert np.array_equal(_fresh_mask(fwd), landed), (case, cap)
+                assert np.array_equal(picked, landed), (case, cap)
+                dropped += not landed.all()
+        assert dropped >= 40, dropped
 
     def test_conservation_each_packet_at_most_once(self):
         topo = line_topology(3)
