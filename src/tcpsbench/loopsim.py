@@ -54,6 +54,9 @@ class ExperimentTimeout(TcpsbenchError):
     """Real-socket run saw no feedback within its deadline."""
 
 
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+
+
 @dataclass(frozen=True)
 class LoopConfig:
     """Controller and plant constants for one experiment.
@@ -93,6 +96,9 @@ class LoopConfig:
             raise ValueError(f"k_p*k_1 = {gain} outside (0, k_2]")
         if self.robot_tau_ms < 0.0:
             raise NegativeTau("robot_tau_ms must be >= 0")
+        if self.sweep_len > _MAX_INDEX:
+            raise ValueError(f"sweep_len must be at most {_MAX_INDEX}, the largest numpy index, "
+                             f"got {self.sweep_len}")
         step = self.step_index
         if not 0 < step < self.sweep_len:
             raise ValueError("step_at must fall inside the sweep")

@@ -16,10 +16,10 @@ experiments can run across any placement under any traffic load.
 
 from __future__ import annotations
 
+import _random
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from random import Random
 from typing import Iterable
 
 import numpy as np
@@ -259,14 +259,20 @@ def _plan(topology: Topology, flows: tuple[TrafficFlow, ...]) -> tuple:
 
 
 def _first_uniforms(seeds: list[int]) -> list[float]:
-    """Random(seed).random() for each seed. In a shared_draws() block each
-    seed is seeded once and its value kept."""
+    """Random(seed).random() for each seed, from one generator reseeded per
+    seed: random.Random seeds an int through its C base class, _random.Random,
+    so reseeding that gives the same state without building a generator per
+    seed (built from a seed, as unseeded it would first seed from the OS).
+    In a shared_draws() block each seed is seeded once and its value kept."""
     kept = _shared("first uniform")
     if kept is None:
-        return [Random(seed).random() for seed in seeds]
-    for seed in seeds:
-        if seed not in kept:
-            kept[seed] = Random(seed).random()
+        kept = {}
+    missing = [seed for seed in seeds if seed not in kept]
+    if missing:
+        rng = _random.Random(missing[0])
+        for seed in missing:
+            rng.seed(seed)
+            kept[seed] = rng.random()
     return [kept[seed] for seed in seeds]
 
 
@@ -420,7 +426,8 @@ class NetsimChannel(SimChannel):
             link = self._links[hop]
             direction, j, s, alone = self._tactile.get(hop, (None, 0, 0, False))
             ser = serialization_ms(sizes, link.bandwidth_bps)
-            t = carry(t, ser[s] if alone else ser[sid], cap=self._cap)[0] + link.delay_ms
+            t = carry(t, ser[s] if alone else ser[sid], cap=self._cap)[0]
+            t += link.delay_ms  # carry's departures are a new array
             if direction is not None:
                 mine, before = t if alone else t[sid == s], hops[direction][j - 1]
                 if len(mine) < len(before):  # some were lost before this link

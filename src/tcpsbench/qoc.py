@@ -49,6 +49,7 @@ BLOCK_TRIALS = 64  # most trials a block of a scan spans
 WAVE_POINTS = 8  # most grid points one run_batch call of a curve search spans
 WAVE_TRIALS = 128  # most trials such a call runs; a batch peaks at under 16 KB a trial
 _SEED_STRIDE = 1_000_003  # between the seeds of consecutive trials
+MAX_GRID_POINTS = 10_000  # most points a delta_min_ms..delta_max_ms grid may hold
 
 
 class NoGoodDelta(TcpsbenchError):
@@ -136,6 +137,14 @@ class SearchConfig:
                 raise ValueError("grid must be positive")
             if self.delta_max_ms < self.delta_min_ms:
                 raise ValueError("delta_max_ms below delta_min_ms")
+            if self.delta_min_ms + self.delta_step_ms == self.delta_min_ms:
+                raise ValueError(f"delta_step_ms {self.delta_step_ms!r} does not advance "
+                                 f"delta_min_ms {self.delta_min_ms!r}")
+            # grid()'s size, from its bounds: a ratio too large for a float is inf
+            span = self.delta_max_ms + 1e-12 - self.delta_min_ms
+            if span / self.delta_step_ms >= MAX_GRID_POINTS:
+                raise ValueError(f"the grid from delta_min_ms to delta_max_ms by delta_step_ms "
+                                 f"has more than {MAX_GRID_POINTS} points")
         elif not self.deltas:  # all() of nothing is True
             raise ValueError("explicit grid deltas must not be empty")
         elif not all(0.0 < d < math.inf for d in self.deltas):  # NaN fails too

@@ -204,7 +204,10 @@ class DirectionStats:
     stale: int = 0
 
 
-ROUNDS = 16  # rounds of _lindley before each busy period still moving is walked whole
+# rounds of Lindley's recurrence, carry's wait test the first, before each
+# busy period still moving is walked whole
+ROUNDS = 16
+LOCKSTEP_ROWS = 32  # the fewest busy periods a capped lockstep step runs; fewer finish in the loop
 
 
 def serialization_ms(size_b: int | np.ndarray, bandwidth_bps: float) -> float | np.ndarray:
@@ -217,86 +220,95 @@ def carry(arrivals: np.ndarray, ser: float | np.ndarray, free_at: float = 0.0,
     """The departures of a time-sorted batch whose packets take ser ms on
     the wire (one time, or one per packet) from a FIFO transmitter busy
     until free_at, NaN where a packet is tail-dropped, and the transmitter's
-    new free_at. A cap counts only the batch's packets, so a capped batch
-    starts idle. When no packet waits, Lindley's recurrence
-    d_k = max(a_k, d_{k-1}) + s_k is d = a + s, one vector sum; otherwise
-    the batch goes through _run."""
-    done = arrivals + ser
-    if len(done) and (cap is None or cap > 0) and arrivals[0] >= free_at \
-            and bool(np.all(arrivals[1:] >= done[:-1])):
+    new free_at. A cap counts only the batch's packets. Lindley's
+    recurrence d_k = max(a_k, d_{k-1}) + s_k starts from d = a + s, one
+    vector sum; when no packet waits (a_k >= d_{k-1}, free_at before the
+    first), that is the answer, and otherwise the batch goes through _run
+    with the wait mask."""
+    n = len(arrivals)
+    d = np.empty(n + 1)  # d[k + 1]: departure of packet k
+    d[0] = free_at
+    done = np.add(arrivals, ser, out=d[1:])
+    waits = arrivals < d[:-1]
+    if n and (cap is None or cap > 0) and not waits.any():
         return done, float(done[-1])
-    return _run(arrivals, np.broadcast_to(ser, done.shape), done, free_at, cap)
+    return _run(arrivals, ser, d, waits, cap)
 
 
-def _run(a: np.ndarray, ser: np.ndarray, done: np.ndarray, free_at: float,
+def _run(a: np.ndarray, ser: float | np.ndarray, d: np.ndarray, waits: np.ndarray,
          cap: int | None) -> tuple[np.ndarray, float]:
-    """carry for a batch (done = a + ser) in which a packet waits. Uncapped,
-    _lindley solves it with no loop over its packets. A capped batch goes
-    through the sequential loop, which drops a packet that finds cap of the
-    batch's packets in flight: accepted departures never decrease, so that
-    is deps[-cap] > now."""
-    d = np.concatenate(([free_at], done))  # d[k + 1]: departure of packet k
+    """carry for a batch in which a packet waits, from d = [free_at, a + ser]
+    and waits = a < d[:-1]. Lindley's first round max(a, d[:-1]) + ser
+    changes only the packets that wait, so waits is the mask of the
+    packets it moves, and _lindley solves the rest of the uncapped batch
+    with no loop over its packets. Under a cap, _capped drops from that
+    solution."""
+    n = len(a)
+    if cap == 0 or not n:
+        d[1:] = math.nan
+        return d[1:], float(d[0])
+    if np.shape(ser) != a.shape:
+        ser = np.broadcast_to(ser, a.shape)
+    round1 = np.empty(n + 1)  # d becomes the sweeps' other buffer
+    round1[0] = d[0]
+    np.maximum(a, d[:-1], out=round1[1:])
+    round1[1:] += ser
+    d = _lindley(a, ser, round1, d, waits[:-1])  # the last packet moves no successor
     if cap is None:
-        if len(a):
-            _lindley(a, ser, d, ROUNDS)
         return d[1:], float(d[-1])
-    free, deps, out = free_at, [], []
-    for now, s in zip(a.tolist(), ser.tolist()):
-        if len(deps) >= cap and (cap == 0 or deps[-cap] > now):
-            out.append(math.nan)
-            continue
-        start = free if free > now else now
-        free = start + s
-        out.append(free)
-        deps.append(free)
-    d[1:] = out
-    return d[1:], free
+    return _capped(a, ser, d[1:], cap)
 
 
-def _lindley(a: np.ndarray, ser: np.ndarray, d: np.ndarray, rounds: int) -> None:
+def _lindley(a: np.ndarray, ser: np.ndarray, d: np.ndarray, spare: np.ndarray,
+             moved: np.ndarray) -> np.ndarray:
     """Lindley's recurrence d_k = max(a_k, d_{k-1}) + s_k over a time-sorted
-    batch, solved in place and bit for bit as the sequential loop computes
-    it: d[0] is the departure before the batch, and d[k + 1], packet k's,
-    starts at a_k + s_k. A round recomputes packets from their predecessors
-    with the loop's two float operations: whole-array sweeps while more
-    than a 16th of the batch changes, then only the packets whose
-    predecessor changed (todo). A round only raises a departure toward the
-    recurrence's unique solution, as float rounding is monotone, and a
-    packet outside todo agrees with its predecessor. So after `rounds`
-    rounds the departures before the first packet k of todo are final, and
-    k heads a busy period: its departures are the loop's own left-to-right
-    sum, np.add.accumulate([max(a_k, d_{k-1}) + s_k, s_{k+1}, ...]), read
-    in windows that double, up to the first packet j with a_j >= d_{j-1}.
+    batch, solved bit for bit as the sequential loop computes it, after its
+    first round: d[0] is the departure before the batch, and d[k + 1],
+    packet k's, is max(a_k, a_{k-1} + s_{k-1}) + s_k; moved[k] is set
+    where packet k moved. Returns d or spare, a buffer of d's shape that
+    starts with d[0], whichever holds the solution: a sweep writes the
+    other one. A round recomputes packets from their predecessors with the
+    loop's two float operations: whole-array sweeps while more than a 16th
+    of the batch changes, then only the packets whose predecessor changed
+    (todo). A round only raises a departure toward the recurrence's
+    unique solution, as float rounding is monotone, and a packet outside
+    todo agrees with its predecessor. So after ROUNDS rounds the
+    departures before the first packet k of todo are final, and k heads a
+    busy period: its departures are the loop's own left-to-right sum,
+    np.add.accumulate([max(a_k, d_{k-1}) + s_k, s_{k+1}, ...]), read in
+    windows that double, up to the first packet j with a_j >= d_{j-1}.
     Packet j's departure a_j + s_j is already final, and so is every
     departure from j up to the next head in todo, which is walked the same
     way."""
     n = len(a)
-    new, moved = np.empty(n), np.empty(n - 1, dtype=bool)  # the sweeps' buffers
     todo = None
-    for _ in range(rounds):
+    for _ in range(ROUNDS - 1):
+        if todo is None and np.count_nonzero(moved) * 16 < n:
+            todo = np.flatnonzero(moved) + 1
         if todo is None:
+            new = spare[1:]
             np.maximum(a, d[:-1], out=new)
             new += ser
-            np.not_equal(new[:-1], d[1:-1], out=moved)  # the last packet moves no successor
-            d[1:] = new
-            if np.count_nonzero(moved) * 16 < n:
-                todo = np.flatnonzero(moved) + 1
-        else:
-            nxt = todo + 1  # d[nxt]: the departures of the packets in todo
-            new = np.maximum(a[todo], d[todo])
-            new += ser[todo]
-            moved = (new != d[nxt]) & (nxt < n)  # changed, and a packet follows
-            d[nxt] = new
-            todo = nxt[moved]
-        if todo is not None and not len(todo):
-            return
+            np.not_equal(new[:-1], d[1:-1], out=moved)
+            d, spare = spare, d
+            continue
+        if not len(todo):
+            return d
+        nxt = todo + 1  # d[nxt]: the departures of the packets in todo
+        step = np.maximum(a[todo], d[todo])
+        step += ser[todo]
+        changed = step != d[nxt]
+        d[nxt] = step
+        todo = nxt[changed]
+        if len(todo) and todo[-1] == n:  # the last packet moves no successor
+            todo = todo[:-1]
     if todo is None:
         todo = np.flatnonzero(moved) + 1
     end = 0
     for k in todo.tolist():
         if k <= end:  # inside, or at the final end of, a period already walked
             continue
-        free, width = d[k], 2 * rounds
+        free, width = d[k], 2 * ROUNDS
         while k < n:
             hi = min(k + width, n)
             sums = ser[k:hi].copy()
@@ -311,6 +323,80 @@ def _lindley(a: np.ndarray, ser: np.ndarray, d: np.ndarray, rounds: int) -> None
             free, k, width = sums[-1], hi, 2 * width
         else:
             end = n
+    return d
+
+
+def _capped(a: np.ndarray, ser: np.ndarray, d: np.ndarray,
+            cap: int) -> tuple[np.ndarray, float]:
+    """The cap rule over the uncapped departures d, in place: a packet that
+    finds cap of the batch's accepted packets in flight is dropped, and
+    accepted departures never decrease, so that is deps[-cap] > now. A
+    dropped packet adds no work, so by induction no accepted departure is
+    later than its uncapped one. So a packet that finds the uncapped queue
+    idle (a_k >= d_{k-1}) finds every earlier packet gone, and the rule
+    starts afresh there: the uncapped busy periods are independent. Within
+    one, the packets before the first k with d_{k-cap} > a_k keep their
+    uncapped departures (an earlier period's are at most a_k). From k on,
+    each such period is a row, and the rows run the loop's arithmetic in
+    lockstep, one numpy step per position, while at least LOCKSTEP_ROWS
+    are open; each row keeps its last cap accepted departures, oldest
+    first. The rows still open after that finish in the loop (_drop_loop).
+    The transmitter's free_at is the last accepted departure, the largest."""
+    n = len(a)
+    late = np.flatnonzero(d[:-cap] > a[cap:]) + cap
+    if not len(late):
+        return d, float(d[-1])
+    heads = np.flatnonzero(a[1:] >= d[:-1]) + 1  # each packet that finds the queue idle
+    period = np.searchsorted(heads, late, side="right")
+    first = late[np.flatnonzero(np.diff(period, prepend=-1))]  # each period's first late packet
+    ends = np.append(heads, n)[np.searchsorted(heads, first, side="right")]
+    order = np.argsort(first - ends, kind="stable")  # the longest rows first
+    first, ends = first[order], ends[order]
+    lengths = ends - first
+    open_rows = np.searchsorted(-lengths, -np.arange(lengths[0]))  # at each step
+    steps = int(np.count_nonzero(open_rows >= LOCKSTEP_ROWS))
+    free = d[first - 1]
+    deps = d[first[:, None] - cap + np.arange(cap)]  # each row's last cap accepted, oldest first
+    if steps:
+        width = open_rows[:steps]
+        offsets = np.concatenate(([0], np.cumsum(width)))
+        at = np.arange(offsets[-1]) - np.repeat(offsets[:-1], width)
+        at = first[at] + np.repeat(np.arange(steps), width)  # step by step, the open rows' packets
+        now_all, ser_all = a[at], ser[at]
+        out = np.full(len(at), math.nan)
+        for p in range(steps):
+            lo, hi = offsets[p], offsets[p + 1]
+            c = hi - lo
+            now = now_all[lo:hi]
+            dep = np.maximum(free[:c], now)
+            dep += ser_all[lo:hi]
+            ok = deps[:c, 0] <= now
+            np.copyto(free[:c], dep, where=ok)
+            np.copyto(out[lo:hi], dep, where=ok)
+            np.copyto(deps[:c, :-1], deps[:c, 1:], where=ok[:, None])
+            np.copyto(deps[:c, -1], dep, where=ok)
+        d[at] = out
+    for r in range(int(open_rows[steps]) if steps < len(open_rows) else 0):
+        k, e = int(first[r]) + steps, int(ends[r])
+        d[k:e] = _drop_loop(a[k:e], ser[k:e], float(free[r]), deps[r].tolist(), cap)[0]
+    return d, float(np.fmax.reduce(d))
+
+
+def _drop_loop(a: np.ndarray, ser: np.ndarray, free: float, deps: list[float],
+               cap: int) -> tuple[list[float], float]:
+    """The cap rule one packet at a time, from the transmitter's free time
+    and the accepted departures before it, oldest first (at least cap):
+    the departures (NaN: dropped) and the new free time."""
+    out, keep = [], deps.append
+    put = out.append
+    for now, s in zip(a.tolist(), ser.tolist()):
+        if deps[-cap] > now:
+            put(math.nan)
+            continue
+        free = (free if free > now else now) + s
+        put(free)
+        keep(free)
+    return out, free
 
 
 def _fresh_mask(arrivals: np.ndarray) -> np.ndarray:

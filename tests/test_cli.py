@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
+import resource
 import socket
+import subprocess
 import sys
 import threading
 import time
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +18,9 @@ from curves import read_curve_csv
 from tcpsbench import cli
 from tcpsbench.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, run_command
 from tcpsbench.core import extract_metrics
+from tcpsbench.experiments import load_experiment
 from tcpsbench.loopsim import LoopConfig
+from tcpsbench.qoc import MAX_GRID_POINTS
 
 
 def run(args):
@@ -120,6 +127,47 @@ class TestConfigErrors:
         bad.write_text('{"channel": {"type": "ideal", "latency_each_way_ms": %s}}' % latency)
         assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
         assert "config error: invalid ideal channel: latency" in capsys.readouterr().err
+
+    def test_sweep_len_past_numpys_index_exits_2(self, tmp_path, capsys):
+        """An OverflowError traceback from run_step_batch (exit 1) before."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channel": {"type": "ideal"}, "loop": {"sweep_len": 10**30}}))
+        assert run(["step", "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "sweep_len" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("search", [
+        {"delta_max_ms": 1e30, "delta_step_ms": 1e-320},
+        {"delta_min_ms": 100.0, "delta_max_ms": 100.0, "delta_step_ms": 1e-15},
+        {"delta_min_ms": 0.001, "delta_max_ms": 11.0, "delta_step_ms": 0.001},
+    ], ids=["endless", "step below an ulp", "past the point bound"])
+    def test_a_grid_too_fine_or_too_long_exits_2(self, search, tmp_path):
+        """A grid of 1e30 / 1e-320 points filled memory (or ran for ever)
+        before. A step below half an ulp of delta_min_ms does not advance
+        it, and the 11 000 points from 0.001 ms to 11 ms are past
+        qoc.MAX_GRID_POINTS. The search runs in a child process under an
+        address-space limit and a timeout."""
+        def limit() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channel": {"type": "ideal"}, "search": search}))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+        done = subprocess.run([sys.executable, "-m", "tcpsbench.cli", "qoc", "--config", str(bad),
+                               "--gspec", "0.9", "--out", str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=limit)
+        assert done.returncode == EXIT_CONFIG, done.stderr[-2000:]
+        assert "delta_step_ms" in done.stderr or "grid" in done.stderr
+
+    def test_every_preset_grid_is_within_the_point_bound(self):
+        names = [f.name[:-5] for f in resources.files("tcpsbench.configs").iterdir()
+                 if f.name.endswith(".json")]
+        assert len(names) >= 4, names
+        for name in names:
+            grid = load_experiment(name).search.grid()
+            assert 0 < len(grid) < MAX_GRID_POINTS, name
 
     @pytest.mark.parametrize("use", ["config", "topology", "plant-config"])
     def test_config_that_is_not_utf8_exits_2(self, tmp_path, monkeypatch, capsys, use):

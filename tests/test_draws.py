@@ -9,12 +9,14 @@ same values bit for bit, whatever the sizes of the reads.
 
 import cmath
 import contextlib
+import glob
 import math
 import os
 import shutil
 import subprocess
 from collections import Counter
 from random import Random
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -316,8 +318,14 @@ def test_no_jitter_draws_nothing():
 
 
 _INTERPRETER_CHECK = """
-import cmath, math, random
+import _random, cmath, math, random
 n = 400
+seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**64 * 1_000_003 + 7, 3**90]
+reseeded = _random.Random(seeds[0])
+for seed in seeds:
+    reseeded.seed(seed)
+    want = random.Random(seed).random()
+    assert _random.Random(seed).random() == want and reseeded.random() == want, "_random seed"
 bits = random.Random(12345).getrandbits(64 * n).to_bytes(8 * n, "little")
 w = [int.from_bytes(bits[4 * i:4 * i + 4], "little") for i in range(2 * n)]
 u = [((w[2 * i] >> 5) * 67108864.0 + (w[2 * i + 1] >> 6)) / 9007199254740992.0 for i in range(n)]
@@ -340,17 +348,36 @@ print("ok")
 """
 
 
+def _interpreters(version: str, env: dict) -> Iterator[str]:
+    """python<version> on PATH, then each $(pyenv root)/versions/<version>.*/bin/python."""
+    exe = shutil.which(f"python{version}")
+    if exe is not None:
+        yield exe
+    pyenv = shutil.which("pyenv")
+    if pyenv is not None:
+        root = subprocess.run([pyenv, "root"], capture_output=True, text=True, env=env).stdout
+        root = root.strip()
+        if root:
+            yield from sorted(glob.glob(os.path.join(glob.escape(root), "versions", f"{version}.*",
+                                                     "bin", "python")))
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
 def test_other_interpreters_share_the_generator_formulas(version):
     """The bulk draws rely on getrandbits returning MT19937's words least
     significant first, on random()'s formula of two words, on gauss's
     Box-Muller order, and on cmath.exp(complex(0.0, x)) giving libm's
-    cos(x) and sin(x). Each interpreter found on PATH must agree; an absent
-    one (or a launcher that cannot start it) is skipped."""
-    exe = shutil.which(f"python{version}")
+    cos(x) and sin(x); netsim's flow phases rely on random.Random(seed)
+    seeding an int as its C base class _random.Random does, built from
+    the seed or reseeded, seeds past 2**64 included. Each interpreter
+    found on PATH must agree; an absent
+    one is skipped. A pyenv shim on PATH that cannot start its version is
+    passed over for the interpreters under pyenv's root."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    if exe is None or subprocess.run([exe, "-c", "pass"], capture_output=True,
-                                     env=env).returncode != 0:
+    exe = next((exe for exe in _interpreters(version, env)
+                if subprocess.run([exe, "-c", "pass"], capture_output=True,
+                                  env=env).returncode == 0), None)
+    if exe is None:
         pytest.skip(f"python{version} is not available")
     proc = subprocess.run([exe, "-c", _INTERPRETER_CHECK], capture_output=True, text=True,
                           env=env, timeout=60)

@@ -24,7 +24,7 @@ from tcpsbench.netsim import (
     route,
     simulate_delivery,
 )
-from tcpsbench.transport import BACKWARD, FORWARD, _fresh_mask
+from tcpsbench.transport import BACKWARD, FORWARD, _fresh_mask, shared_draws
 
 
 def line_topology(n=3, delay=0.1, bw=1e7):
@@ -179,6 +179,23 @@ def test_channels_at_any_queue_cap_share_one_plan():
     plans = {id(channel_from_topology(topo, flows, seed, cap)._feeds)
              for seed, cap in ((0, None), (1, 2), (0, 5))}
     assert len(plans) == 1
+
+
+def test_first_uniforms_are_each_seeds_first_random():
+    """_first_uniforms reseeds one generator in place of a random.Random
+    per seed, and must give Random(seed).random() for each, inside a
+    shared_draws() block and outside one, for seeds of one, two and three
+    32-bit words."""
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64]
+    seeds += [seed * 1_000_003 + idx for seed in (0, 7, 2**32, 2**62 + 5) for idx in range(3)]
+    assert max(seeds) > 2**64
+    want = [Random(seed).random() for seed in seeds]
+    assert netsim._first_uniforms(seeds) == want
+    with shared_draws():
+        assert netsim._first_uniforms(seeds[:5]) == want[:5]
+        assert netsim._first_uniforms(seeds) == want  # some kept, some new
+        assert netsim._first_uniforms(seeds[::-1]) == want[::-1]
+    assert netsim._first_uniforms([]) == []
 
 
 class TestRoute:
