@@ -44,6 +44,12 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
+def check_packet_size(size_b: int) -> None:
+    """Refuse a packet size that is not an int of at least 1 (bool is not)."""
+    if isinstance(size_b, bool) or not isinstance(size_b, int) or size_b < 1:
+        raise ValueError(f"packet_size_b must be an int >= 1, got {size_b!r}")
+
+
 @dataclass(frozen=True)
 class GoodnessLimits:
     overshoot_max_pct: float = 20.0

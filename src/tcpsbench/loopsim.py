@@ -30,6 +30,7 @@ from .core import (
     CurveBatch,
     StepResponseCurve,
     TcpsbenchError,
+    check_packet_size,
     check_seed,
 )
 from .transport import (
@@ -54,7 +55,11 @@ class ExperimentTimeout(TcpsbenchError):
     """Real-socket run saw no feedback within its deadline."""
 
 
-_MAX_INDEX = int(np.iinfo(np.intp).max)
+# most commands a sweep may hold: a search call of 128 trials (qoc.WAVE_TRIALS)
+# peaks at about 18 KB a command (impaired channel with robot lag, traced by
+# tracemalloc), so about 1.8 GB at this bound; no preset, demo or test
+# sweeps past 400
+MAX_SWEEP_LEN = 100_000
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,8 @@ class LoopConfig:
             raise ValueError(f"k_p*k_1 = {gain} outside (0, k_2]")
         if self.robot_tau_ms < 0.0:
             raise NegativeTau("robot_tau_ms must be >= 0")
-        if self.sweep_len > _MAX_INDEX:
-            raise ValueError(f"sweep_len must be at most {_MAX_INDEX}, the largest numpy index, "
-                             f"got {self.sweep_len}")
+        if self.sweep_len > MAX_SWEEP_LEN:
+            raise ValueError(f"sweep_len must be at most {MAX_SWEEP_LEN}, got {self.sweep_len}")
         step = self.step_index
         if not 0 < step < self.sweep_len:
             raise ValueError("step_at must fall inside the sweep")
@@ -109,9 +113,9 @@ class LoopConfig:
         return self.sweep_len // 2 if self.step_at is None else self.step_at
 
     @property
-    def gain(self) -> float | None:
-        """The step plant's gain on y: k_1, or None: the non-haptic plant passes y through."""
-        return self.k_1 if self.setting == SETTING_HAPTIC else None
+    def gain(self) -> float:
+        """The step plant's gain on y: k_1, or 1.0: the non-haptic plant passes y through."""
+        return self.k_1 if self.setting == SETTING_HAPTIC else 1.0
 
     @property
     def last_x(self) -> int:
@@ -166,15 +170,14 @@ class Operator:
 
 def pi_update(y, feedback, cfg):
     """The operator's PI update y + k_p * (p_ref - feedback)."""
-    d = cfg.p_ref - feedback
-    return y + d if cfg.k_p is None else y + cfg.k_p * d
+    return y + cfg.k_p * (cfg.p_ref - feedback)
 
 
 def plant(pos, y, cfg):
     """The step plant's signal for robot position y at sweep position pos
     (haptic: the coordinate; non-haptic: the epoch): gain * y, divided by
     k_2 once pos reaches the step index."""
-    s = y if cfg.gain is None else cfg.gain * y
+    s = cfg.gain * y
     return s if pos < cfg.step_index else s / cfg.k_2
 
 
@@ -195,12 +198,6 @@ def check_tau(tau_ms: float) -> None:
         raise ValueError(f"tau_ms must be finite, got {tau_ms}")
     if tau_ms < 0.0:
         raise NegativeTau(f"tau_ms = {tau_ms}")
-
-
-def check_packet_size(size_b: int) -> None:
-    """Refuse a packet size that is not an int of at least 1 (bool is not)."""
-    if isinstance(size_b, bool) or not isinstance(size_b, int) or size_b < 1:
-        raise ValueError(f"packet_size_b must be an int >= 1, got {size_b!r}")
 
 
 def robot_lag(y_cmd: float, y_state: float, dt_ms: float, tau_ms: float) -> float:
@@ -297,8 +294,7 @@ class StepExperimentRecord:
 
 
 # a batch's loop constants under LoopConfig's names: floats for a batch of
-# one, else rows (a scalar operand costs a conversion per numpy call); a unit
-# gain is None, its product skipped (1.0 * v is v, bit for bit)
+# one, else rows (a scalar operand costs a conversion per numpy call)
 _Constants = namedtuple("_Constants", "k_p gain k_2 p_ref step_index")
 
 
@@ -345,14 +341,10 @@ def _feedback_sources(ticks: np.ndarray, step_of: np.ndarray, bwd: np.ndarray) -
     so the command held at tick j is the largest c whose suffix minimum of
     first_tick is at most j, one less than the number of them."""
     rows, n = bwd.shape
-    cols = np.arange(n)
-    if len(ticks) == 1:
-        first_tick = np.searchsorted(ticks[0], bwd)
-    else:
-        first_tick = np.empty((rows, n), dtype=np.intp)
-        for step, at in enumerate(step_of[None] == np.arange(len(ticks))[:, None]):
-            first_tick[at] = np.searchsorted(ticks[step], bwd[at])
-    first_tick = np.maximum(cols + 1, first_tick + 1, out=first_tick)
+    first_tick = np.empty((rows, n), dtype=np.intp)
+    for step, at in enumerate(step_of[None] == np.arange(len(ticks))[:, None]):
+        first_tick[at] = np.searchsorted(ticks[step], bwd[at])
+    first_tick = np.maximum(np.arange(n) + 1, first_tick + 1, out=first_tick)
     reach = np.minimum.accumulate(first_tick[:, ::-1], axis=1)[:, ::-1]
     reach += np.arange(rows)[:, None] * (n + 2)
     held = np.bincount(reach.ravel(), minlength=rows * (n + 2)).reshape(rows, n + 2)
@@ -440,8 +432,8 @@ def run_step_batch(cfg: LoopConfig, block, delta_ms: Sequence[float] | None = No
         src, lags, takes = (a if a is None else a.ravel().tolist() for a in (src, lags, takes))
     else:
         as_row, pick = (lambda v: np.full(rows, v)), np.where
-    k_p, gain = (None if v is None or v == 1.0 else as_row(v) for v in (cfg.k_p, cfg.gain))
-    consts = _Constants(k_p, gain, as_row(cfg.k_2), as_row(cfg.p_ref), cfg.step_index)
+    consts = _Constants(as_row(cfg.k_p), as_row(cfg.gain), as_row(cfg.k_2), as_row(cfg.p_ref),
+                        cfg.step_index)
     haptic = cfg.setting == SETTING_HAPTIC
     first = 0 if haptic else 1  # command 0's sweep position: epochs count from 1
     y, robot = as_row(0.0 if haptic else cfg.p_ref), as_row(0.0)

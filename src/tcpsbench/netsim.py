@@ -24,8 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import TcpsbenchError, check_seed
-from .loopsim import check_packet_size
+from .core import TcpsbenchError, check_packet_size, check_seed
 from .transport import BACKWARD, FORWARD, SimChannel, _shared, carry, serialization_ms
 
 

@@ -238,10 +238,8 @@ def _block_end(delta_ms: float, search: SearchConfig, step: int, last: int,
         if end > done and check - done > BLOCK_TRIALS:
             break
         held = [memo.get((delta_ms, s)) for s in search.trial_seeds(end, check)]
-        new = held.count(None)
-        unknown += new
-        if new < len(held):  # most spans hold nothing yet
-            known += sum(o is not None and o[0] is not None for o in held)
+        unknown += held.count(None)
+        known += sum(o is not None and o[0] is not None for o in held)
         end = check
         if stop(good + known, check) or stop(good + known + unknown, check):
             break

@@ -22,8 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import TcpsbenchError, check_seed
-from .loopsim import _lag_factors, check_packet_size, check_tau, lag_step
+from .core import TcpsbenchError, check_packet_size, check_seed
+from .loopsim import _lag_factors, check_tau, lag_step
 from .transport import _fresh_mask
 
 ERROR_LIMIT_MM = 1.0

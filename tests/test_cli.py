@@ -19,12 +19,27 @@ from tcpsbench import cli
 from tcpsbench.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, run_command
 from tcpsbench.core import extract_metrics
 from tcpsbench.experiments import load_experiment
-from tcpsbench.loopsim import LoopConfig
+from tcpsbench.loopsim import MAX_SWEEP_LEN, LoopConfig
 from tcpsbench.qoc import MAX_GRID_POINTS
 
 
 def run(args):
     return run_command([str(a) for a in args])
+
+
+def run_limited(args, tmp_path) -> subprocess.CompletedProcess:
+    """Runs the CLI in a child process under a 2 GiB address-space limit
+    and a 60 s timeout, so a run that would fill memory fails alone."""
+    def limit() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
+    return subprocess.run([sys.executable, "-m", "tcpsbench.cli", *map(str, args),
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=limit)
 
 
 def free_port() -> int:
@@ -146,20 +161,26 @@ class TestConfigErrors:
         it, and the 11 000 points from 0.001 ms to 11 ms are past
         qoc.MAX_GRID_POINTS. The search runs in a child process under an
         address-space limit and a timeout."""
-        def limit() -> None:
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"channel": {"type": "ideal"}, "search": search}))
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))])}
-        done = subprocess.run([sys.executable, "-m", "tcpsbench.cli", "qoc", "--config", str(bad),
-                               "--gspec", "0.9", "--out", str(tmp_path / "o")],
-                              capture_output=True, text=True, env=env, timeout=60,
-                              preexec_fn=limit)
+        done = run_limited(["qoc", "--config", bad, "--gspec", "0.9"], tmp_path)
         assert done.returncode == EXIT_CONFIG, done.stderr[-2000:]
         assert "delta_step_ms" in done.stderr or "grid" in done.stderr
+
+    @pytest.mark.parametrize("sweep_len", [10**15, MAX_SWEEP_LEN + 1])
+    def test_a_sweep_too_long_to_allocate_exits_2(self, sweep_len, tmp_path):
+        """10**15 commands, below numpy's index bound, ended in an
+        _ArrayMemoryError traceback (exit 1) before. The step runs in a child
+        process under an address-space limit and a timeout."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channel": {"type": "ideal"},
+                                   "loop": {"sweep_len": sweep_len}}))
+        done = run_limited(["step", "--config", bad], tmp_path)
+        assert done.returncode == EXIT_CONFIG, done.stderr[-2000:]
+        assert "sweep_len" in done.stderr and "Traceback" not in done.stderr
+
+    def test_the_sweep_bound_is_a_valid_sweep(self):
+        assert LoopConfig(sweep_len=MAX_SWEEP_LEN).sweep_len == MAX_SWEEP_LEN
 
     def test_every_preset_grid_is_within_the_point_bound(self):
         names = [f.name[:-5] for f in resources.files("tcpsbench.configs").iterdir()

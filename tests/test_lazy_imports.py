@@ -136,6 +136,15 @@ def test_submodules_import_as_the_first_statement():
                                           "transport")]
 
 
+def test_netsim_loads_no_loop_simulation():
+    """netsim takes its input checks from core, not from loopsim."""
+    assert fresh("""
+        import json, sys
+        import tcpsbench.netsim
+        print(json.dumps("tcpsbench.loopsim" in sys.modules))
+    """) is False
+
+
 @pytest.mark.parametrize("presets, channel, unloaded", [
     (["ideal", "testbed-overhead-like"], "ImpairedChannel",
      ["tcpsbench.netsim", "tcpsbench.sickness", "tcpsbench.cli", "socket"]),

@@ -1,10 +1,10 @@
 """Differential test of the loop arithmetic at constants other than the presets'.
 
 Every preset, and every random case of `tests/test_skeleton.py`, runs the
-loop at k_p = k_1 = 1.0, k_2 = 1.25 and p_ref = 100, so a product with k_p
-or k_1 (which a batch skips when the gain is 1.0) or a negative p_ref never
-shows there. These cases take the channels, settings and robot lag of the
-skeleton cases and draw k_2 in (1, 3], k_1 and k_p with k_p * k_1 <= k_2,
+loop at k_p = k_1 = 1.0, k_2 = 1.25 and p_ref = 100, so a product with a
+k_p or k_1 other than 1.0, or a negative p_ref, never shows there. These
+cases take the channels, settings and robot lag of the skeleton cases and
+draw k_2 in (1, 3], k_1 and k_p with k_p * k_1 <= k_2,
 and p_ref in [-50, 300], often below 0. `run_step_experiment` and every
 record of a batch of 2 to 12 trials must equal both oracles, bit for bit:
 the scalar recurrence of `tests/trial_oracle.py` and the event-driven

@@ -1,5 +1,6 @@
 """Controller, plants, oracle, and the step-experiment runners."""
 
+import itertools
 import math
 import threading
 
@@ -12,9 +13,11 @@ from tcpsbench.loopsim import (
     LoopConfig,
     NegativeTau,
     Operator,
+    _Constants,
     _lag_factors,
     difference_trace,
     oracle_trace,
+    pi_update,
     plant,
     robot_lag,
     run_socket_experiment,
@@ -102,6 +105,47 @@ class TestPlants:
         assert plant(1, 100.0, cfg) == 100.0
         assert plant(49, 100.0, cfg) == 100.0
         assert plant(50, 100.0, cfg) == pytest.approx(80.0)
+
+
+def _unit_gain_values():
+    """Edge values (signed zeros, the least subnormal, near the largest
+    float) and seeded random values across the exponent range."""
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+    rng = np.random.default_rng(37)
+    scaled = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)
+    return edges, scaled.tolist()
+
+
+def _bits(v) -> int:
+    return int(np.float64(np.asarray(v).reshape(-1)[0]).view(np.uint64))
+
+
+class TestUnitGainIsExact:
+    """A unit gain multiplies like no product at all, bit for bit, on
+    floats and on the one-row arrays run_step_batch computes on, so the
+    loop needs no separate path for it."""
+
+    @staticmethod
+    def _constants(p_ref, as_row):
+        return _Constants(as_row(1.0), as_row(1.0), as_row(1.25), as_row(p_ref), 50)
+
+    @pytest.mark.parametrize("as_row", [float, lambda v: np.full(1, v)], ids=["float", "row"])
+    def test_pi_update_with_unit_k_p_adds_the_error(self, as_row):
+        edges, scaled = _unit_gain_values()
+        triples = [*itertools.product(edges, repeat=3), *zip(scaled, scaled[1:], scaled[2:])]
+        with np.errstate(over="ignore"):  # 1e308 - -1e308 is inf on both sides
+            for y, feedback, p_ref in triples:
+                got = pi_update(as_row(y), as_row(feedback), self._constants(p_ref, as_row))
+                assert _bits(got) == _bits(y + (p_ref - feedback)), (y, feedback, p_ref)
+
+    @pytest.mark.parametrize("as_row", [float, lambda v: np.full(1, v)], ids=["float", "row"])
+    def test_non_haptic_plant_passes_y_before_the_step(self, as_row):
+        cfg = LoopConfig(setting="non-haptic")
+        assert cfg.gain == 1.0
+        edges, scaled = _unit_gain_values()
+        for y in edges + scaled:
+            for consts in (cfg, self._constants(100.0, as_row)):
+                assert _bits(plant(1, as_row(y), consts)) == _bits(y), y
 
 
 class TestRobotLag:

@@ -25,9 +25,9 @@ from curves import batch_of
 from test_skeleton import _case, _record, _topology_case
 from trial_oracle import run_trial
 from tcpsbench import qoc
-from tcpsbench.core import MALFORMED
+from tcpsbench.core import MALFORMED, extract_metrics_batch
 from tcpsbench.experiments import PRESET_NAMES, load_experiment
-from tcpsbench.loopsim import LoopConfig, run_step_batch, run_step_experiment
+from tcpsbench.loopsim import MAX_SWEEP_LEN, LoopConfig, run_step_batch, run_step_experiment
 from tcpsbench.netsim import (
     Link,
     Topology,
@@ -521,3 +521,20 @@ def test_a_wave_sized_batch_peaks_under_16_kb_a_trial():
         finally:
             tracemalloc.stop()
     assert peak <= 16 * 1024 * WAVE_TRIALS, peak / WAVE_TRIALS
+
+
+def test_a_wave_sized_batch_at_the_sweep_bound_fits_in_2_gib():
+    """MAX_SWEEP_LEN is stated from the peak traced memory a command costs
+    a WAVE_TRIALS-trial search call (run and extraction) on an impaired
+    channel with robot lag: measured at 400 commands, that peak times the
+    bound stays under 2 GiB."""
+    exp = load_experiment("testbed-overhead-like")
+    runner = replace(exp.runner(), cfg=replace(exp.loop, sweep_len=400, robot_tau_ms=2.0))
+    trials = [(1.0 + 0.1 * (i % 8), exp.search.trial_seed(i)) for i in range(WAVE_TRIALS)]
+    tracemalloc.start()
+    try:
+        extract_metrics_batch(runner.run_batch(trials), runner.limits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 400 * MAX_SWEEP_LEN < 2 << 30, peak / 400
