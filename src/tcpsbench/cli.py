@@ -29,7 +29,7 @@ from . import __version__
 from .core import TcpsbenchError, extract_metrics, rtt_budget, write_curve_csv
 from .experiments import ConfigError, Experiment, load_experiment, parse_addr
 from .loopsim import run_step_experiment, serve_plant, run_socket_experiment
-from .netsim import TopologyError, channel_from_topology, check_flow_hosts, pair_flows
+from .netsim import TopologyError, channel_from_topology, pair_flows
 from .qoc import (
     NoGoodDelta,
     find_delta_opt,
@@ -256,21 +256,24 @@ def cmd_netsim(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     topo = exp.channel.topology
     placements = args.placements or [(topo.te_master, topo.te_slave)]
-    try:  # every placement and flow set is checked before the first search
+    try:  # every placement, rate and host is checked before the first search
         placed = [replace(topo, te_master=a, te_slave=b) for a, b in placements]
         if args.pairs < 1:
             raise TopologyError(f"need at least 1 host pair, got {args.pairs}")
-        flow_sets = {rate: pair_flows(args.pairs, rate, args.flow_pkt_bytes)
-                     for rate in args.rates}
-        check_flow_hosts(topo, [f for rate in args.rates if rate > 0 for f in flow_sets[rate]])
+        for rate in args.rates:  # pair_flows' rate and packet checks, on one pair
+            pair_flows(1, rate, args.flow_pkt_bytes)
+        if any(rate > 0 for rate in args.rates):  # up to the first unknown host
+            for i in range(args.pairs):
+                topo.host_switch(f"m{i}"), topo.host_switch(f"n{i}")
     except TopologyError as exc:
         raise ConfigError(f"bad --placements, --pairs, --rates or --flow-pkt-bytes: "
                           f"{exc}") from None
+    flow_sets = {rate: pair_flows(args.pairs, rate, args.flow_pkt_bytes) if rate > 0 else ()
+                 for rate in args.rates}
     rows = ["te_master,te_slave,rate_bps,delta_opt_ms,t_r_ms,qoc,v_max"]
     for (a, b), topo_ab in zip(placements, placed):
         for rate in args.rates:
-            flows = flow_sets[rate] if rate > 0 else ()
-            factory = lambda seed, t=topo_ab, f=flows: channel_from_topology(
+            factory = lambda seed, t=topo_ab, f=flow_sets[rate]: channel_from_topology(
                 t, f, seed, exp.channel.queue_cap)
             runner = replace(exp.runner(), channel_factory=factory)
             try:

@@ -66,6 +66,13 @@ class TrafficFlow:
             raise TopologyError("flow rate must be finite and >= 0")
         if self.pkt_bytes < 1:
             raise TopologyError("flow packets must be at least 1 byte")
+        try:
+            finite = self.rate_bps == 0.0 or math.isfinite(self.period_ms)
+        except OverflowError:  # a packet size past the largest float
+            finite = False
+        if not finite:
+            raise TopologyError(f"a flow of {self.pkt_bytes} B packets at {self.rate_bps!r} "
+                                f"bps has no finite period")
 
     @property
     def period_ms(self) -> float:
@@ -365,14 +372,18 @@ class NetsimChannel(SimChannel):
         hops = {FORWARD: [sends] + [_NO_TIMES] * len(self._routes[FORWARD]),
                 BACKWARD: [_NO_TIMES] * (len(self._routes[BACKWARD]) + 1)}
         runs = {FORWARD: (sends, _one_stream(len(sizes) - 2, len(sends)))}
-        emitted = self._emit(drain_at)
-        for group in self._order:
-            while True:
-                moved = False
-                for hop in group:
-                    moved |= self._admit(hop, runs, emitted, hops, sizes, len(group) > 1)
-                if not moved or len(group) == 1:
-                    break
+        try:  # no bound on the packets emitted up to drain_at would hold for every input
+            emitted = self._emit(drain_at)
+            for group in self._order:
+                while True:
+                    moved = False
+                    for hop in group:
+                        moved |= self._admit(hop, runs, emitted, hops, sizes, len(group) > 1)
+                    if not moved or len(group) == 1:
+                        break
+        except MemoryError:
+            raise TcpsbenchError(f"out of memory carrying the cross traffic up to the drain "
+                                 f"time {drain_at!r} ms") from None
         return hops[FORWARD], hops[BACKWARD]
 
     def _emit(self, drain_at: float) -> dict:

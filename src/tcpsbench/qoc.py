@@ -14,8 +14,8 @@ Trials run in batches of (loop time, seed) pairs; impaired and ideal ones
 as the rows of one block, whose cost is mostly per call, so the performance-
 curve search fills each call with the block the grid point it visits needs
 and the next blocks of the grid points after it (a wave), which it may or
-may not need later; its probes and estimates then read their trials from
-the search's memo, in the order and with the results of one point at a time.
+may not need later. A point's probe and estimate scan reads them from the
+memo as one point at a time would, and returns its verdict and estimate.
 """
 
 from __future__ import annotations
@@ -255,29 +255,23 @@ def _scan(delta_ms: float, search: SearchConfig, step: int, last: int,
     Takes trials search.trial_seed(0), (1), ... and evaluates stop(good,
     done) after every `step` trials and after trial `last`, until it
     holds. Returns the outcomes (as _run_trials gives them) of the trials
-    up to that check, or of all `last`, and whether stop held. The blocks
-    (_block_end) end at the first check where some outcome of their trials
-    not yet in the memo could meet stop, so the same trials run as check by
-    check. Wherever stop holds between two good counts, it must hold at one
-    of them: true where a concave function of the goodness lies at or below
-    a bound, as for both CI rules. Spans the memo holds whole are read from
-    it: a block's end is computed only where a span lacks a trial, from the
-    block's start, where it would have been the same (nothing ran since)."""
+    up to that check, or of all `last`, and whether stop held. Where its
+    outcomes run out, a block runs to the first check where some outcome of
+    its trials not in the memo could meet stop (_block_end), so the same
+    trials run as check by check. Wherever stop holds between two good
+    counts, it must hold at one of them: true where a concave function of
+    the goodness lies at or below a bound, as for both CI rules."""
     outcomes: list[tuple[float | None, bool]] = []
-    good = counted = start = good_before = end = 0  # the block from trial start, up to end
+    good = counted = 0
     while counted < last:
         check = min(counted + step, last)
         if check > len(outcomes):
-            if check > end:  # a block starts; it runs to the most checks it may span
-                start, good_before = counted, good
-                end = min(last, start + step * max(1, BLOCK_TRIALS // step))
-            held = [memo.get((delta_ms, s)) for s in search.trial_seeds(counted, check)]
-            if None in held:  # the block ends where _block_end says, from its start
-                end = _block_end(delta_ms, search, step, last, stop, memo, good_before, start)
-                trials = [(delta_ms, s) for s in search.trial_seeds(counted, end)]
-                yield [t for t in trials if t not in memo]
-                held = [memo[t] for t in trials]
-            outcomes += held
+            end = _block_end(delta_ms, search, step, last, stop, memo, good, counted)
+            trials = [(delta_ms, s) for s in search.trial_seeds(counted, end)]
+            todo = [t for t in trials if t not in memo]
+            if todo:
+                yield todo
+            outcomes += [memo[t] for t in trials]
         good += sum(t_r is not None for t_r, _ in outcomes[counted:check])
         counted = check
         if stop(good, check):
@@ -296,9 +290,16 @@ def _run_scan(runner: Runner, scan, memo: TrialMemo):
 
 
 def _estimate_scan(delta_ms: float, search: SearchConfig, memo: TrialMemo):
-    """The goodness estimate's scan (estimate_goodness)."""
-    return _scan(delta_ms, search, search.m_batch, search.m_max,
-                 lambda good, m: ci_halfwidth(good / m, m) <= search.ci_halfwidth, memo)
+    """The goodness estimate's scan (estimate_goodness); it returns the estimate."""
+    outcomes, stopped = yield from _scan(
+        delta_ms, search, search.m_batch, search.m_max,
+        lambda good, m: ci_halfwidth(good / m, m) <= search.ci_halfwidth, memo)
+    m = len(outcomes)
+    rise_times = [t_r for t_r, _ in outcomes if t_r is not None]
+    g = len(rise_times) / m
+    return GoodnessEstimate(delta_ms=delta_ms, g=g, m=m, ci=ci_halfwidth(g, m),
+                            m_cap_exceeded=not stopped, good_rise_times=rise_times,
+                            malformed=sum(bad_curve for _, bad_curve in outcomes))
 
 
 def _probe_scan(delta_ms: float, search: SearchConfig, g_spec: float, memo: TrialMemo):
@@ -328,13 +329,7 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig,
     if delta_ms <= 0.0:
         raise ValueError("delta_ms must be positive")
     memo = {} if memo is None else memo
-    outcomes, stopped = _run_scan(runner, _estimate_scan(delta_ms, search, memo), memo)
-    m = len(outcomes)
-    rise_times = [t_r for t_r, _ in outcomes if t_r is not None]
-    g = len(rise_times) / m
-    return GoodnessEstimate(delta_ms=delta_ms, g=g, m=m, ci=ci_halfwidth(g, m),
-                            m_cap_exceeded=not stopped, good_rise_times=rise_times,
-                            malformed=sum(bad_curve for _, bad_curve in outcomes))
+    return _run_scan(runner, _estimate_scan(delta_ms, search, memo), memo)
 
 
 def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: float,
@@ -452,9 +447,10 @@ class PerfCurve:
 def _point_scan(delta_ms: float, search: SearchConfig, g_spec: float, memo: TrialMemo):
     """The scans of a grid point that has no estimate yet, as the search
     for g_spec runs them: the probe, then the estimate unless the probe
-    rejects the point."""
-    if not (yield from _probe_scan(delta_ms, search, g_spec, memo)):
-        yield from _estimate_scan(delta_ms, search, memo)
+    rejects the point; it returns that estimate, or None on a rejection."""
+    if (yield from _probe_scan(delta_ms, search, g_spec, memo)):
+        return None
+    return (yield from _estimate_scan(delta_ms, search, memo))
 
 
 class _Waves:
@@ -463,30 +459,35 @@ class _Waves:
     and, when the runner speculates, the next block under the same target
     of each following grid point that has no estimate yet, nearest first,
     within WAVE_POINTS points and WAVE_TRIALS trials. Each scan resumes
-    where its last block left it; a point's scan restarts only under a new
-    target, from the memo."""
+    where its last block left it and keeps its result once it ends; a
+    point's scan restarts under a new target, from the memo."""
 
     def __init__(self, runner: Runner, grid: list[float], search: SearchConfig,
                  memo: TrialMemo, estimates: dict[float, GoodnessEstimate]) -> None:
         self.runner, self.grid, self.search = runner, grid, search
         self.memo, self.estimates = memo, estimates
-        # grid index -> [target, point scan, its next block; None: not asked yet]
-        self.scans: dict[int, list] = {}
+        # (grid index, target) -> [point scan, its next block; None: not asked yet]
+        self.scans: dict[tuple[int, float], list] = {}
+        # (grid index, target) -> the result of its point scan, once it has ended
+        self.results: dict[tuple[int, float], GoodnessEstimate | None] = {}
 
     def _next(self, idx: int, g_spec: float) -> list[tuple[float, int]] | None:
         """The block the scan at grid point idx needs next under g_spec;
-        None once it needs nothing more."""
-        entry = self.scans.get(idx)
-        if entry is None or entry[0] != g_spec:
-            scan = _point_scan(self.grid[idx], self.search, g_spec, self.memo)
-            entry = self.scans[idx] = [g_spec, scan, None]
-        if entry[2] is None:
-            entry[2] = next(entry[1], None)
-        return entry[2]
+        None once it has ended."""
+        key = idx, g_spec
+        if key not in self.scans:
+            self.scans[key] = [_point_scan(self.grid[idx], self.search, g_spec, self.memo), None]
+        entry = self.scans[key]
+        if entry[1] is None and key not in self.results:
+            try:
+                entry[1] = next(entry[0])
+            except StopIteration as done:
+                self.results[key] = done.value
+        return entry[1]
 
-    def finish(self, idx: int, g_spec: float) -> None:
-        """Run waves until the memo holds every trial the scans of grid
-        point idx under g_spec read."""
+    def finish(self, idx: int, g_spec: float) -> GoodnessEstimate | None:
+        """Run waves until the scan of grid point idx under g_spec ends, and
+        return its result: the point's estimate, or None on a rejection."""
         while (block := self._next(idx, g_spec)) is not None:
             wave, points = list(block), [idx]
             if self.runner.speculates():
@@ -502,7 +503,8 @@ class _Waves:
                     points.append(j)
             _run_trials(self.runner, wave, self.memo)
             for j in points:
-                self.scans[j][2] = None
+                self.scans[j, g_spec][1] = None
+        return self.results[idx, g_spec]
 
 
 @shared_draws()
@@ -514,9 +516,9 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
     the grid cannot satisfy are recorded as missing rather than failing
     the whole curve.
 
-    The points are visited one at a time, and each visit's probe and
-    estimate read only the memo: the trials run beforehand in waves
-    (_Waves), which also run the next blocks of the following points."""
+    The points are visited one at a time, and each visit reads its probe's
+    verdict and estimate from the scan the waves (_Waves) ran for it; a
+    wave also runs the next blocks of the following points."""
     specs = list(g_specs)
     if any(b <= a for a, b in zip(specs, specs[1:])):
         raise ValueError("g_spec list must be strictly increasing")
@@ -530,13 +532,10 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
     for g_spec in specs:
         for idx in range(start_idx, len(grid)):
             est = estimates.get(grid[idx])
-            if est is None:
-                waves.finish(idx, g_spec)
-                # the probe only skips points that have no estimate yet
-                if _rejectable(runner, grid[idx], search, g_spec, memo=memo):
+            if est is None:  # the probe only skips points that have no estimate yet
+                if (est := waves.finish(idx, g_spec)) is None:
                     continue
-                est = estimates[grid[idx]] = estimate_goodness(runner, grid[idx], search,
-                                                               memo=memo)
+                estimates[grid[idx]] = est
             if est.g >= g_spec and est.good_rise_times:
                 start_idx = idx  # a later target can never accept an earlier grid point
                 points.append(_result_from_estimate(g_spec, est))

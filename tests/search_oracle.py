@@ -7,16 +7,16 @@ estimate; it must return this loop's `GoodnessEstimate` and run this loop's
 trials in this order.
 
 `perf_curve` visits the grid points one at a time, and each probe and
-estimate runs its own blocks as it goes. `scan` is the sequential test
-before it read whole spans straight from the memo. `qoc.perf_curve` runs the trials
-in waves that also hold the next blocks of the following grid points; it
-must return this loop's `PerfCurve` and run every trial this loop runs.
+estimate runs its own blocks as it goes. `qoc.perf_curve` runs the trials
+in waves that also hold the next blocks of the following grid points, and
+reads each point's verdict and estimate from the scan the waves ran; it
+must return this loop's `PerfCurve`, with this loop's probe verdicts and
+estimates, and run every trial this loop runs.
 """
 
 from tcpsbench.qoc import (
     GoodnessEstimate,
     PerfCurve,
-    _block_end,
     _rejectable,
     _result_from_estimate,
     _run_trials,
@@ -79,24 +79,3 @@ def perf_curve(runner, g_specs, search):
             missing.append(g_spec)
     return PerfCurve(points=points, missing=missing)
 
-
-def scan(delta_ms, search, step, last, stop, memo):
-    """qoc._scan as it ran before it read the spans the memo holds whole
-    straight from it: every time its outcomes run out, it computes the next
-    block's end (qoc._block_end) from there, spans the memo holds included."""
-    outcomes = []
-    good = counted = 0
-    while counted < last:
-        check = min(counted + step, last)
-        if check > len(outcomes):
-            end = _block_end(delta_ms, search, step, last, stop, memo, good, counted)
-            trials = [(delta_ms, s) for s in search.trial_seeds(counted, end)]
-            todo = [t for t in trials if t not in memo]
-            if todo:
-                yield todo
-            outcomes += [memo[t] for t in trials]
-        good += sum(t_r is not None for t_r, _ in outcomes[counted:check])
-        counted = check
-        if stop(good, check):
-            return outcomes[:check], True
-    return outcomes, False

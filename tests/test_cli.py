@@ -681,6 +681,65 @@ class TestNetsim:
         err = capsys.readouterr().err
         assert "--pairs" in err and text in err
 
+    @pytest.mark.parametrize("rates, code", [("0,500000", EXIT_CONFIG), ("0", EXIT_OK)],
+                             ids=["loaded", "unloaded"])
+    def test_a_huge_pair_count_builds_no_flows_first(self, tmp_path, rates, code):
+        """10**8 pairs built 2 * 10**8 flows for each rate, rate 0 included,
+        before any host was checked: a MemoryError traceback (exit 1) under
+        the address-space limit. Now the hosts are checked first, up to the
+        first unknown one, and rate 0 builds no flows."""
+        done = run_limited(["netsim", "--config", "usnet-nw", "--pairs", 10**8,
+                            "--rates", rates], tmp_path)
+        assert done.returncode == code, done.stderr[-2000:]
+        assert "Traceback" not in done.stderr
+        assert code == EXIT_OK or "m16" in done.stderr
+
+    @pytest.mark.parametrize("use", ["rate flag", "flow entry", "packet flag"])
+    def test_a_flow_with_no_finite_period_exits_2_before_any_run(self, tmp_path, monkeypatch,
+                                                                 capsys, use):
+        """A 64 B packet at 1e-320 bps has a period of inf ms: the search or
+        step started, then exited 3 when the flows emitted. A packet size
+        past the largest float has no float period either."""
+        def no_run(*args, **kwargs):
+            raise AssertionError("a search or step ran")
+
+        monkeypatch.setattr(cli, "find_delta_opt_bar", no_run)
+        monkeypatch.setattr(cli, "run_step_experiment", no_run)
+        out = ["--out", tmp_path / "n"]
+        if use == "flow entry":
+            cfg = tmp_path / "slow.json"
+            cfg.write_text(json.dumps({"channel": {
+                "type": "topology", "topology": "usnet-nw",
+                "flows": [{"src": "S0", "dst": "S8", "rate_bps": 1e-320, "pkt_bytes": 64}]}}))
+            assert run(["step", "--config", cfg, *out]) == EXIT_CONFIG
+        else:
+            flags = (["--rates", "0,1e-320"] if use == "rate flag"
+                     else ["--rates", "500000", "--flow-pkt-bytes", 10**400])
+            argv = ["netsim", "--config", "usnet-nw", "--pairs", 2, *flags, *out]
+            assert run(argv) == EXIT_CONFIG
+        assert "no finite period" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("use", ["long drain", "fast flows"])
+    def test_cross_traffic_too_large_to_allocate_exits_3(self, tmp_path, use):
+        """A 1e6 ms loop time drains for 1e8 ms, and 1e12 bps flows emit
+        about 2e9 packets a second: either one ended in an _ArrayMemoryError
+        traceback (exit 1) under the address-space limit. No fixed bound on
+        the emitted packets would hold for every input, so the run fails as
+        an experiment error naming the drain time."""
+        if use == "long drain":
+            cfg = tmp_path / "long.json"
+            cfg.write_text(json.dumps({
+                "channel": {"type": "topology", "topology": "usnet-nw",
+                            "flows": [{"src": "S0", "dst": "S8", "rate_bps": 500000,
+                                       "pkt_bytes": 64}]},
+                "loop": {"delta_ms": 1e6}}))
+            args = ["step", "--config", cfg]
+        else:
+            args = ["netsim", "--config", "usnet-nw", "--pairs", 1, "--rates", "1e12"]
+        done = run_limited(args, tmp_path)
+        assert done.returncode == EXIT_EXPERIMENT, done.stderr[-2000:]
+        assert "drain time" in done.stderr and "Traceback" not in done.stderr
+
     def test_unknown_placement_switch_exits_2_before_any_search(self, tmp_path, monkeypatch,
                                                                  capsys):
         def no_search(*args, **kwargs):

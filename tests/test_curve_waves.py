@@ -6,10 +6,11 @@ block the current grid point's scan needs and, for a runner that
 speculates, the next blocks of the following grid points.
 `tests/search_oracle.py` keeps the search that ran each probe and estimate
 block by block as it visited the point. Over random goodness tables, the
-waves must return the oracle's `PerfCurve`, make the same probe and
-estimate calls with the same results (those calls only read the memo),
-run every trial the oracle runs and no (delta, seed) twice. A runner that
-does not speculate makes exactly the oracle's calls.
+waves must return the oracle's `PerfCurve`, and each point's scan result
+(`qoc._Waves.finish`: None for a rejection, else the estimate) must match
+the oracle's probe and estimate calls. The waves must run every trial the
+oracle runs and no (delta, seed) twice. A runner that does not speculate
+makes exactly the oracle's calls.
 """
 
 from collections import Counter
@@ -85,23 +86,42 @@ def _case(i):
     return search, outcomes, specs
 
 
-def _run(search_fn, module, names, runner, specs, search, monkeypatch):
-    """The search's result and its probe and estimate calls: (kind, delta,
-    result, whether the call ran any trials)."""
+def _run_oracle(runner, specs, search, monkeypatch):
+    """The oracle search's result and its probe and estimate calls, (delta,
+    whether the probe rejects) and (delta, estimate)."""
     calls = []
-    for name in names:
-        inner = getattr(module, name)
+    for name in ("_rejectable", "blocked_estimate"):
+        inner = getattr(search_oracle, name)
 
-        def recorded(r, delta, *args, inner=inner, name=name, **kwargs):
-            before = len(runner.calls)
+        def recorded(r, delta, *args, inner=inner, **kwargs):
             out = inner(r, delta, *args, **kwargs)
-            calls.append((name, delta, out, len(runner.calls) > before))
+            calls.append((delta, out))
             return out
 
-        monkeypatch.setattr(module, name, recorded)
+        monkeypatch.setattr(search_oracle, name, recorded)
     monkeypatch.setattr(qoc, "extract_metrics_batch", _extract)
     try:
-        return search_fn(runner, specs, search), calls
+        return search_oracle.perf_curve(runner, specs, search), calls
+    finally:
+        monkeypatch.undo()
+
+
+def _run_waves(runner, specs, search, monkeypatch):
+    """The search's result and the results its waves return, each as the
+    oracle's calls: a rejection is (delta, True), and an estimate is the
+    probe that does not reject, (delta, False), then (delta, estimate)."""
+    calls = []
+    finish = qoc._Waves.finish
+
+    def recorded(waves, idx, g_spec):
+        est, delta = finish(waves, idx, g_spec), waves.grid[idx]
+        calls.extend([(delta, True)] if est is None else [(delta, False), (delta, est)])
+        return est
+
+    monkeypatch.setattr(qoc._Waves, "finish", recorded)
+    monkeypatch.setattr(qoc, "extract_metrics_batch", _extract)
+    try:
+        return qoc.perf_curve(runner, specs, search), calls
     finally:
         monkeypatch.undo()
 
@@ -112,18 +132,13 @@ def test_waves_match_one_point_at_a_time(block, monkeypatch):
     for i in range(block * 75, (block + 1) * 75):
         search, outcomes, specs = _case(i)
         oracle = _TableRunner(outcomes, search, speculates=False)
-        want, want_calls = _run(search_oracle.perf_curve, search_oracle,
-                                ("_rejectable", "blocked_estimate"), oracle, specs, search,
-                                monkeypatch)
+        want, want_calls = _run_oracle(oracle, specs, search, monkeypatch)
         for speculates in (True, False):
             runner = _TableRunner(outcomes, search, speculates)
-            got, got_calls = _run(qoc.perf_curve, qoc, ("_rejectable", "estimate_goodness"),
-                                  runner, specs, search, monkeypatch)
+            got, got_calls = _run_waves(runner, specs, search, monkeypatch)
             assert repr(got) == repr(want), i
-            # the same probes and estimates with the same results, none of
-            # which ran a trial: the waves ran them beforehand
-            assert repr([c[1:3] for c in got_calls]) == repr([c[1:3] for c in want_calls]), i
-            assert not any(c[3] for c in got_calls), i
+            # the same probes and estimates with the same results
+            assert repr(got_calls) == repr(want_calls), i
             ran = [t for call in runner.calls for t in call]
             assert len(ran) == len(set(ran)), i
             if not speculates:
@@ -139,7 +154,7 @@ def test_waves_match_one_point_at_a_time(block, monkeypatch):
             seen["missing targets"] += bool(got.missing)
             seen["cap hits"] += any(p.m_cap_exceeded for p in got.points)
             seen["one target"] += len(specs) == 1
-            seen["malformed trials"] += any(getattr(c[2], "malformed", 0) for c in got_calls)
+            seen["malformed trials"] += any(getattr(c[1], "malformed", 0) for c in got_calls)
     assert seen["waves over 3+ loop times"] >= 50, seen
     assert seen["unused speculative trials"] >= 50, seen
     assert min(seen.values()) >= 10 and len(seen) == 6, seen

@@ -332,88 +332,24 @@ class TestSearchConfig:
         assert ci_halfwidth(1.0, 20) == 0.0
 
 
-def test_curve_replays_compute_no_block_end(monkeypatch):
-    """perf_curve's probe and estimate calls at each visited grid point read
-    trials that the waves ran before them: every span they read is whole in
-    the memo, so they compute no block end (_block_end), while the waves
-    do, and the curve is the same."""
+def test_curve_reads_each_point_from_its_scan(monkeypatch):
+    """perf_curve reads each visited grid point's probe verdict and
+    estimate from the scan its waves ran, with no single-point probe or
+    estimate call (those would replay the scans from the memo), and gives
+    the curve it gave when it made them."""
     from tcpsbench.experiments import load_experiment
 
+    def replay(*args, **kwargs):
+        raise AssertionError("perf_curve replayed a scan")
+
     exp = load_experiment("testbed-overhead-like")
-    specs = [0.5, 0.7, 0.9, 0.95]
-    want = perf_curve(exp.runner(), specs, exp.search)
-    calls, phase = Counter(), ["wave"]
-    block_end = qoc._block_end
-
-    def counted(*args):
-        calls[phase[0]] += 1
-        return block_end(*args)
-
-    def replayed(fn):
-        def replay(*args, **kwargs):
-            phase[0] = "replay"
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                phase[0] = "wave"
-        return replay
-
-    monkeypatch.setattr(qoc, "_block_end", counted)
     for name in ("_rejectable", "estimate_goodness"):
-        monkeypatch.setattr(qoc, name, replayed(getattr(qoc, name)))
-    got = perf_curve(exp.runner(), specs, exp.search)
-    assert repr(got) == repr(want)
-    assert calls["replay"] == 0 and calls["wave"] > 0, calls
-
-
-def test_scan_reads_the_memo_as_the_block_by_block_scan_did():
-    """_scan reads the spans the memo holds whole without computing a block
-    end; where a span lacks a trial it must yield the block the scan that
-    computed every block end (search_oracle.scan) yields, and return the
-    same outcomes. Memos hold a known prefix of random length (a block that
-    ended early, as after a probe or under an earlier target) and scattered
-    trials after it; stop rules are the estimate's and the probe's."""
-    import random
-
-    import search_oracle
-
-    def drive(scan, memo, table):
-        blocks = []
-        try:
-            block = next(scan)
-            while True:
-                blocks.append(block)
-                memo.update((t, table[t]) for t in block)
-                block = next(scan)
-        except StopIteration as done:
-            return blocks, done.value
-
-    rng = random.Random(22)
-    seen = Counter()
-    for case in range(400):
-        search = SearchConfig(seed=rng.randrange(100), ci_halfwidth=rng.choice((0.05, 0.1, 0.2)))
-        if rng.random() < 0.3:
-            step, last, g_spec = 1, qoc.PROBE_TRIALS, rng.choice((0.5, 0.9, 0.95))
-
-            def stop(good, done, g_spec=g_spec):
-                best = (good + qoc.PROBE_TRIALS - done) / qoc.PROBE_TRIALS
-                return best + ci_halfwidth(best, qoc.PROBE_TRIALS) < g_spec
-        else:
-            step, last = rng.choice((5, 20, 20, 60)), rng.choice((60, 200, 1000))
-
-            def stop(good, done, hw=search.ci_halfwidth):
-                return ci_halfwidth(good / done, done) <= hw
-        g = rng.choice((0.5, 0.7, 0.9, 1.0))
-        table = {(1.0, s): ((1.0 if rng.random() < g else None), False)
-                 for s in search.trial_seeds(0, last)}
-        known = list(table)[:rng.randrange(last)]
-        known += rng.sample(list(table), rng.randrange(min(last, 30)))
-        memo = {t: table[t] for t in known}
-        mine, theirs = dict(memo), dict(memo)
-        got = drive(qoc._scan(1.0, search, step, last, stop, mine), mine, table)
-        want = drive(search_oracle.scan(1.0, search, step, last, stop, theirs), theirs, table)
-        assert repr(got) == repr(want), case
-        first = (1.0, search.trial_seed(0))
-        seen["prefix then a block"] += bool(want[0]) and want[0][0][0] != first
-        seen["long block after a prefix"] += bool(known) and any(len(b) >= 20 for b in want[0][:1])
-    assert seen["prefix then a block"] >= 100 and seen["long block after a prefix"] >= 50, seen
+        monkeypatch.setattr(qoc, name, replay)
+    got = perf_curve(exp.runner(), [0.5, 0.7, 0.9, 0.95], exp.search)
+    assert got.missing == []
+    assert [(p.delta_opt_bar_ms, p.m, p.g_achieved, p.t_r_mean_ms) for p in got.points] == [
+        (1.5, 400, 0.5325, 2.908220224068719),
+        (1.7000000000000002, 260, 0.7923076923076923, 3.1068755192914588),
+        (1.9000000000000001, 120, 0.925, 3.205616195947115),
+        (2.0, 80, 0.95, 3.320822533728081),
+    ]
