@@ -55,6 +55,7 @@ from .transport import (
     DatagramEndpoint,
     Packet,
     SocketTimeout,
+    shared_draws,
 )
 
 EXIT_OK = 0
@@ -123,6 +124,12 @@ def _metrics_summary(m) -> str:
 # seconds, but time.sleep adds its wait to the monotonic clock, and that sum
 # must fit in the same range, so half of it
 _WAIT_MAX_MS = threading.TIMEOUT_MAX * 500.0
+
+# the most steps `sickness synth` makes: a synth run at this bound took
+# 23.5 s and 0.5 GB of resident memory (2.4 us and 47 B a step), and
+# measuring a trajectory on vrep-like takes about 1.1 us and 156 B a sample
+# (10**6 samples), so about 11 s and 1.6 GB for one this long
+MAX_SYNTH_STEPS = 10_000_000
 
 
 def _floats(text: str) -> list[float]:
@@ -271,17 +278,20 @@ def cmd_netsim(args: argparse.Namespace) -> int:
     flow_sets = {rate: pair_flows(args.pairs, rate, args.flow_pkt_bytes) if rate > 0 else ()
                  for rate in args.rates}
     rows = ["te_master,te_slave,rate_bps,delta_opt_ms,t_r_ms,qoc,v_max"]
-    for (a, b), topo_ab in zip(placements, placed):
-        for rate in args.rates:
-            factory = lambda seed, t=topo_ab, f=flow_sets[rate]: channel_from_topology(
-                t, f, seed, exp.channel.queue_cap)
-            runner = replace(exp.runner(), channel_factory=factory)
-            try:
-                res = find_delta_opt_bar(runner, args.gspec, exp.search)
-                rows.append(f"{a},{b},{rate!r},{res.delta_opt_bar_ms!r},"
-                            f"{res.t_r_mean_ms!r},{res.qoc!r},{res.v_max_mps!r}")
-            except NoGoodDelta:
-                rows.append(f"{a},{b},{rate!r},,,,")
+    # a flow's phase depends on the trial seed and the flow index alone, so
+    # the searches of every placement and rate share one draw of each
+    with shared_draws():
+        for (a, b), topo_ab in zip(placements, placed):
+            for rate in args.rates:
+                factory = lambda seed, t=topo_ab, f=flow_sets[rate]: channel_from_topology(
+                    t, f, seed, exp.channel.queue_cap)
+                runner = replace(exp.runner(), channel_factory=factory)
+                try:
+                    res = find_delta_opt_bar(runner, args.gspec, exp.search)
+                    rows.append(f"{a},{b},{rate!r},{res.delta_opt_bar_ms!r},"
+                                f"{res.t_r_mean_ms!r},{res.qoc!r},{res.v_max_mps!r}")
+                except NoGoodDelta:
+                    rows.append(f"{a},{b},{rate!r},,,,")
     _write(out / "netsim.csv", "\n".join(rows) + "\n")
     _manifest(out, "netsim", exp.raw, ["netsim.csv"],
               {"rates": args.rates, "placements": [list(p) for p in placements]})
@@ -471,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hand-speed ceiling, m/s (synth and predict need one above 0)")
     p.add_argument("--fs", type=_number(float, 0.0), default=0.0,
                    help="sampling rate, Hz (0: predict and measure take the file's)")
-    p.add_argument("--steps", type=int, default=3000)
+    p.add_argument("--steps", type=_number(int, 1, most=MAX_SYNTH_STEPS), default=3000,
+                   help=f"trajectory steps, at most {MAX_SYNTH_STEPS} (synth)")
     p.add_argument("--fraction", type=float, default=0.8,
                    help="share of steps below the ceiling (synth)")
     p.set_defaults(fn=cmd_sickness)

@@ -119,6 +119,24 @@ def _histogram(errors: np.ndarray) -> list[tuple[float, float]]:
     return [(float(edges[i]), float(pct[i])) for i in range(n_bins)]
 
 
+def _lagged(y0: float, cmds: np.ndarray, t: np.ndarray, tau_ms: float) -> np.ndarray:
+    """The robot's positions after it takes commands cmds at times t (ms),
+    through its first-order lag from y0 at time 0. A replay's time steps
+    take a few distinct values, so the lag factor is computed once per
+    value. The recurrence reads the commands and factors through
+    memoryviews and np.fromiter stores each position as it comes, so no
+    Python float per sample is kept."""
+    steps, at = np.unique(np.diff(t, prepend=0.0), return_inverse=True)
+    factors = np.array(_lag_factors(steps, tau_ms))[at]
+
+    def run(y: float) -> Iterator[float]:
+        for cmd, factor in zip(memoryview(cmds), memoryview(factors)):
+            y = lag_step(y, cmd, factor)
+            yield y
+
+    return np.fromiter(run(y0), float, count=len(factors))
+
+
 def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
               v_max_mps: float = 0.0, packet_size_b: int = 32) -> SicknessReport:
     """Replay the trajectory as position commands through a channel and
@@ -147,12 +165,7 @@ def measure_E(traj: HandTrajectory, channel, robot_tau_ms: float = 0.0,
 
     robot_y = pos[picked]
     if robot_tau_ms > 0.0:
-        y, lagged = float(pos[0]), []
-        for cmd, factor in zip(robot_y.tolist(),
-                               _lag_factors(np.diff(fwd[picked], prepend=0.0), robot_tau_ms)):
-            y = lag_step(y, cmd, factor)
-            lagged.append(y)
-        robot_y = np.array(lagged)
+        robot_y = _lagged(float(pos[0]), robot_y, fwd[picked], robot_tau_ms)
     # the answer to command k sits in column k, so its send index orders sequence too
     newest = _fresh_mask(bwd)
     hand = np.interp(bwd[newest] / 1000.0 * traj.fs_hz, np.arange(n), pos)

@@ -1,5 +1,6 @@
 """Command-line front-end: artifacts, manifests, exit codes."""
 
+import _random
 import argparse
 import json
 import os
@@ -11,11 +12,12 @@ import threading
 import time
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from curves import read_curve_csv
-from tcpsbench import cli
+from tcpsbench import cli, netsim
 from tcpsbench.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, run_command
 from tcpsbench.core import extract_metrics
 from tcpsbench.experiments import load_experiment
@@ -592,6 +594,19 @@ class TestSickness:
         assert run(["sickness", "synth", "--fs", 30, "--steps", 0,
                     "--out", tmp_path / "o"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("steps", [0, cli.MAX_SYNTH_STEPS + 1, 30_000_000, 10**9])
+    def test_synth_steps_out_of_range_exit_2(self, tmp_path, steps):
+        """10**9 steps ended in a MemoryError traceback from random.uniform
+        (exit 1) under an address-space limit, and 3 * 10**7 in an
+        _ArrayMemoryError; --steps is refused, naming its range, before any
+        step is drawn."""
+        done = run_limited(["sickness", "synth", "--fs", 20, "--vmax", 0.02,
+                            "--steps", steps], tmp_path)
+        assert done.returncode == EXIT_CONFIG, done.stderr[-2000:]
+        assert "--steps" in done.stderr and str(cli.MAX_SYNTH_STEPS) in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
     def test_synth_without_ceiling_exits_2(self, tmp_path, capsys):
         """--vmax defaults to 0, which used to write a trajectory that never
         moves, predicted at 100% under any ceiling."""
@@ -739,6 +754,39 @@ class TestNetsim:
         done = run_limited(args, tmp_path)
         assert done.returncode == EXIT_EXPERIMENT, done.stderr[-2000:]
         assert "drain time" in done.stderr and "Traceback" not in done.stderr
+
+    def test_a_sweep_shares_phase_draws_and_writes_its_single_searches(self, tmp_path,
+                                                                       monkeypatch):
+        """A 2 x 2 sweep writes the rows its four single searches write, and
+        seeds each flow phase's generator once per (trial seed, flow) key,
+        where each search used to seed its own."""
+        keys = []
+
+        class Recorded(_random.Random):
+            def seed(self, key):
+                keys.append(key)
+                super().seed(key)
+
+        monkeypatch.setattr(netsim, "_random", SimpleNamespace(Random=Recorded))
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({
+            "channel": {"type": "topology", "topology": "usnet-nw", "te": ["S0", "S8"]},
+            "search": {"deltas": [4.5, 6.0], "m_batch": 10, "m_max": 20}}))
+        flags = ["--config", cfg, "--pairs", 2]
+
+        def rows(placements, rates, out):
+            assert run(["netsim", *flags, "--placements", placements, "--rates", rates,
+                        "--out", tmp_path / out]) == EXIT_OK
+            return (tmp_path / out / "netsim.csv").read_text().splitlines()
+
+        # both tactile routes cross both pairs' flows, so each search draws them all
+        sweep = rows("S0:S8,S8:S0", "250000,500000", "sweep")
+        drawn = len(keys)
+        assert drawn and len(set(keys)) == drawn
+        singles = [rows(p, r, f"{p}-{r}")[1] for p in ("S0:S8", "S8:S0")
+                   for r in ("250000", "500000")]
+        assert sweep[1:] == singles
+        assert len(keys) == 5 * drawn  # each single search draws every key itself
 
     def test_unknown_placement_switch_exits_2_before_any_search(self, tmp_path, monkeypatch,
                                                                  capsys):

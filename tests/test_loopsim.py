@@ -364,10 +364,11 @@ class TestSocketMode:
 
 
 def test_lag_factors_match_one_exp_per_step():
-    """_lag_factors calls math.exp once per distinct exponent; it must give
-    the per-step list bit for bit, on steps that repeat (a replay's few
-    distinct sampling periods), rows, NaN, +0.0 and -0.0 (exp of either is
-    1.0, so they may share a call)."""
+    """_lag_factors calls math.exp once per step, and measure_E calls it on
+    a replay's distinct steps only, gathering the factors by np.unique's
+    inverse. Both must give the per-step list bit for bit, on steps that
+    repeat (a replay's few distinct sampling periods), rows, NaN, +0.0 and
+    -0.0 (np.unique merges them, and exp of either is 1.0)."""
     def per_step(dt, tau):
         return [1.0 - math.exp(v) for v in (-np.asarray(dt) / tau).ravel().tolist()]
 
@@ -381,4 +382,7 @@ def test_lag_factors_match_one_exp_per_step():
         for tau in (0.3, 1.0, 50.0):
             got, want = _lag_factors(dt, tau), per_step(dt, tau)
             assert repr(got) == repr(want) and type(got) is list, (dt, tau)
+            steps, at = np.unique(dt, return_inverse=True)
+            gathered = np.array(_lag_factors(steps, tau), dtype=float)[at]
+            assert repr(gathered.ravel().tolist()) == repr(want), (dt, tau)
     assert len(set(per_step(cases[0], 50.0))) < 40 < len(cases[0])

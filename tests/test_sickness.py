@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from tcpsbench import sickness
+from tcpsbench.experiments import load_experiment
 from tcpsbench.loopsim import NegativeTau
 from tcpsbench.sickness import (
     RANGE_MM,
@@ -140,6 +142,40 @@ class TestMeasure:
         fast = measure_E(traj, ideal_model(0.5).build(4), robot_tau_ms=0.0)
         lagged = measure_E(traj, ideal_model(0.5).build(4), robot_tau_ms=120.0)
         assert lagged.measured_e_pct <= fast.measured_e_pct
+
+    def test_lagged_positions_match_the_per_sample_loop(self, monkeypatch):
+        """measure_E computes one lag factor per distinct time step and runs
+        the recurrence over buffers; on a 12 001-sample vrep-like replay
+        (tau 50 ms, a few distinct steps) its lagged positions must equal,
+        bit for bit, those of the loop it replaced: one math.exp per
+        sample, on lists of Python floats. The factors are computed for the
+        distinct steps only."""
+        exp = load_experiment("vrep-like")
+        traj = compliant_trajectory(20.0, 12_000, v_max_mps=0.02, fraction=0.8, seed=0)
+        calls, factored = [], []
+        lagged, lag_factors = sickness._lagged, sickness._lag_factors
+
+        def recorded(y0, cmds, t, tau_ms):
+            calls.append((y0, cmds.copy(), t.copy(), tau_ms, lagged(y0, cmds, t, tau_ms)))
+            return calls[-1][-1]
+
+        def counted(dt, tau_ms):
+            factored.append(len(dt))
+            return lag_factors(dt, tau_ms)
+
+        monkeypatch.setattr(sickness, "_lagged", recorded)
+        monkeypatch.setattr(sickness, "_lag_factors", counted)
+        measure_E(traj, exp.channel.factory(exp.loop.seed), robot_tau_ms=exp.loop.robot_tau_ms,
+                  v_max_mps=0.02, packet_size_b=exp.loop.packet_size_b)
+        ((y0, cmds, t, tau_ms, got),) = calls
+        assert y0 == traj.positions[0] and tau_ms == 50.0
+        dt = np.diff(t, prepend=0.0)
+        y, want = y0, []
+        for cmd, step in zip(cmds.tolist(), dt.tolist()):
+            y = y + (cmd - y) * (1.0 - math.exp(-step / tau_ms))
+            want.append(y)
+        assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+        assert factored == [len(np.unique(dt))] and factored[0] < 20 and len(got) > 11_000
 
     def test_loop_numbers_that_a_loop_config_refuses(self):
         """A negative or non-finite lag time constant and a packet size that

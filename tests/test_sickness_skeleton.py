@@ -106,18 +106,33 @@ def test_replay_matches_the_event_loop(block, monkeypatch):
 def test_cases_cover_the_channel_features(monkeypatch):
     """The random cases are not vacuous: tactile-only topologies really
     queue (a packet waits for the transmitter, so the batch falls back to
-    Lindley's recurrence) and tail-drop, loaded topologies keep flows, and
-    the other features each occur."""
+    Lindley's recurrence) and tail-drop, loaded topologies keep flows, the
+    robot lag runs on time steps that repeat (fewer distinct steps than half
+    the steps, as a replay's sampling periods) and on steps that are all
+    distinct (jittery channels), and the other features each occur."""
     slow_batches = count_waiting_batches(monkeypatch)
+    lag_steps = []  # (distinct, all) time steps of each robot lag run
+    lagged = sickness._lagged
+
+    def recorded(y0, cmds, t, tau_ms):
+        dt = np.diff(t, prepend=0.0)
+        lag_steps.append((len(np.unique(dt)), len(dt)))
+        return lagged(y0, cmds, t, tau_ms)
+
+    monkeypatch.setattr(sickness, "_lagged", recorded)
     seen = Counter()
     for i in range(CASES):
         traj, factory, kw, kind = _case(i)
         chan = factory()
         before = slow_batches[0]
+        lag_steps.clear()
         report = _report(sickness.measure_E, traj, chan, kw)
         seen[kind] += 1
         seen["error"] += not report.startswith("(")
         seen["robot lag"] += kw["robot_tau_ms"] > 0.0
+        for distinct, steps in lag_steps:
+            seen["lag, repeated steps"] += 2 * distinct < steps
+            seen["lag, all steps distinct"] += distinct == steps >= 10
         seen["free rate"] += traj.fs_hz not in (20.0, 30.0)
         dropped = any(s.dropped for s in chan.stats.values())
         if kind == "impaired":
@@ -137,6 +152,7 @@ def test_cases_cover_the_channel_features(monkeypatch):
         elif kind == "loaded":
             seen["flows kept"] += bool(chan._emitters)
     for feature in ("queued", "tail drop", "queue cap", "zero hop", "flows kept", "robot lag",
+                    "lag, repeated steps", "lag, all steps distinct",
                     "free rate", "random drops", "drop_seq", "fifo off",
                     "impaired bandwidth", "none", "uniform", "truncnorm", "error"):
         assert seen[feature] >= 5, (feature, seen)
