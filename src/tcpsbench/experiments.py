@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import typing
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from .core import GoodnessLimits, TcpsbenchError
-from .loopsim import LoopConfig
+from .loopsim import LoopConfig, last_tick
 from .qoc import SearchConfig, StepRunner
 from .transport import MIN_PACKET_BYTES, ChannelModel, Jitter, LinkParams, ideal_model
 
@@ -240,14 +241,15 @@ def build_experiment(cfg: dict) -> Experiment:
     if channel.kind == "socket" and loop.packet_size_b < MIN_PACKET_BYTES:  # the codec's floor
         raise ConfigError(f"invalid loop: a socket channel needs packet_size_b of at least "
                           f"{MIN_PACKET_BYTES}, got {loop.packet_size_b}")
-    return Experiment(
-        loop=loop,
-        channel=channel,
-        search=_build(SearchConfig, cfg.get("search"), "search",
-                      deltas=lambda v: None if v is None else tuple(float(x) for x in v)),
-        limits=_build(GoodnessLimits, cfg.get("limits"), "limits"),
-        raw=cfg,
-    )
+    search = _build(SearchConfig, cfg.get("search"), "search",
+                    deltas=lambda v: None if v is None else tuple(float(x) for x in v))
+    longest = search.grid()[-1]
+    if not math.isfinite(last_tick(longest, loop.sweep_len)):
+        raise ConfigError(f"invalid search: the grid loop time {longest!r} (deltas or "
+                          f"delta_max_ms) puts the last of {loop.sweep_len} ticks past "
+                          f"the largest float")
+    return Experiment(loop=loop, channel=channel, search=search,
+                      limits=_build(GoodnessLimits, cfg.get("limits"), "limits"), raw=cfg)
 
 
 def load_experiment(source: str, overrides: dict | None = None) -> Experiment:

@@ -62,6 +62,14 @@ class ExperimentTimeout(TcpsbenchError):
 MAX_SWEEP_LEN = 100_000
 
 
+def last_tick(period_ms: float, count: int) -> float:
+    """The sum of count periods added one at a time, as a sweep's ticks and
+    a replay's send times are: the time of the last one, inf where the sum
+    overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.add.accumulate(np.full(count, period_ms))[-1])
+
+
 @dataclass(frozen=True)
 class LoopConfig:
     """Controller and plant constants for one experiment.
@@ -106,6 +114,9 @@ class LoopConfig:
         step = self.step_index
         if not 0 < step < self.sweep_len:
             raise ValueError("step_at must fall inside the sweep")
+        if not math.isfinite(last_tick(self.delta_ms, self.sweep_len)):
+            raise ValueError(f"delta_ms {self.delta_ms!r} puts the last of {self.sweep_len} "
+                             f"ticks past the largest float")
         check_seed(self.seed)
 
     @property

@@ -130,6 +130,13 @@ class Topology:
             hops.setdefault((ln.b, ln.a), ln)
         return hops
 
+    @cached_property
+    def plans(self) -> dict[tuple[TrafficFlow, ...], tuple]:
+        """_plan's plans on this topology by flow set. A plan is a pure
+        function of its topology and flows and is only read, so sharing it
+        changes no result; it lives as long as the topology."""
+        return {}
+
     def link_between(self, u: str, v: str) -> Link:
         try:
             return self.hop_links[(u, v)]
@@ -172,11 +179,6 @@ def route(topology: Topology, a: str, b: str) -> list[tuple[str, str]]:
     return hops[::-1]
 
 
-# plans by (id(topology), flows). A plan is a pure function of its key and
-# is only read, so sharing it changes no result; each entry holds its
-# topology, so the id cannot be reused while the plan is kept
-_PLANS: dict[tuple, tuple] = {}
-
 _NO_TIMES = np.empty(0)
 _NO_STREAMS = np.empty(0, dtype=np.intp)
 
@@ -187,10 +189,9 @@ def _plan(topology: Topology, flows: tuple[TrafficFlow, ...]) -> tuple:
     simulated flows and their first links, the streams' tie ranks, what
     feeds each link, the tactile stream each link carries (and whether it
     carries nothing else), and the order the links run in."""
-    key = (id(topology), flows)
-    kept_plan = _PLANS.get(key)
-    if kept_plan is not None:
-        return kept_plan[1]
+    plan = topology.plans.get(flows)
+    if plan is not None:
+        return plan
     routes = {
         FORWARD: route(topology, topology.te_master, topology.te_slave),
         BACKWARD: route(topology, topology.te_slave, topology.te_master),
@@ -258,9 +259,7 @@ def _plan(topology: Topology, flows: tuple[TrafficFlow, ...]) -> tuple:
             order.append(group)
     plan = (routes, links, [(idx, fl.period_ms, fl.pkt_bytes) for idx, fl, _ in sims],
             [hops[0] for *_, hops in sims], rank, feeds, tactile, order)
-    if len(_PLANS) >= 8:
-        _PLANS.clear()
-    _PLANS[key] = (topology, plan)
+    topology.plans[flows] = plan
     return plan
 
 

@@ -11,18 +11,22 @@ min(1, 10^QoC) m/s. A curve's IAE is only for comparison with integral-style
 metrics; it never drives loop-time selection.
 
 Trials run in batches of (loop time, seed) pairs; impaired and ideal ones
-as the rows of one block, whose cost is mostly per call, so the performance-
-curve search fills each call with the block the grid point it visits needs
-and the next blocks of the grid points after it (a wave), which it may or
-may not need later. A point's probe and estimate scan reads them from the
-memo as one point at a time would, and returns its verdict and estimate.
+as the rows of one block, whose cost is mostly per call. One driver
+(_Waves) runs every search's scans over its grid: it fills each call with
+the block the scan at the grid point it visits needs and, for such blocks,
+the next blocks of the scans at the points after it (a wave), which it may
+or may not need later. Each scan reads its trials from the memo as one point
+at a time would. The single-run search scans trial 0 of each point; a
+goodness estimate and a rejection probe are drivers over one point; the
+performance curve runs one driver per target, sharing one memo and the
+estimates found.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol, Sequence
+from typing import Any, Callable, Generator, Protocol, Sequence
 
 import numpy as np
 
@@ -154,6 +158,8 @@ class SearchConfig:
             raise ValueError("ci_halfwidth must lie in (0, 0.5)")
         if self.m_batch < 1 or self.m_max < self.m_batch:
             raise ValueError("need 1 <= m_batch <= m_max")
+        if self.m_batch > WAVE_TRIALS:  # a check's trials run in one call: MAX_SWEEP_LEN's sizing
+            raise ValueError(f"m_batch must be at most {WAVE_TRIALS}, got {self.m_batch}")
         check_seed(self.seed)  # one seed range with LoopConfig: --seed sets both
 
     def grid(self) -> list[float]:
@@ -209,13 +215,12 @@ TrialMemo = dict[tuple[float, int], tuple[float | None, bool]]
 
 
 def _run_trials(runner: Runner, trials: Sequence[tuple[float, int]],
-                memo: TrialMemo | None = None) -> list[tuple[float | None, bool]]:
+                memo: TrialMemo) -> list[tuple[float | None, bool]]:
     """(rise time of a good curve, else None; whether the curve was
     malformed) of each (delta, seed) trial, in order. A curve without a
-    step or a malformed curve is a "not good" trial. The trials run as one
-    batch (runner.run_batch) and are extracted as one batch; with a memo,
-    each (delta, seed) runs once."""
-    memo = {} if memo is None else memo
+    step or a malformed curve is a "not good" trial. The trials the memo
+    does not hold run as one batch (runner.run_batch), once each, and are
+    extracted as one batch into the memo."""
     todo = list(dict.fromkeys(t for t in trials if t not in memo))
     if todo:
         outcome, t_r = extract_metrics_batch(runner.run_batch(todo), runner.limits)
@@ -279,16 +284,6 @@ def _scan(delta_ms: float, search: SearchConfig, step: int, last: int,
     return outcomes, False
 
 
-def _run_scan(runner: Runner, scan, memo: TrialMemo):
-    """Run a scan to its end, each block it needs as one run_batch call,
-    and return its result."""
-    try:
-        while True:
-            _run_trials(runner, next(scan), memo)
-    except StopIteration as done:
-        return done.value
-
-
 def _estimate_scan(delta_ms: float, search: SearchConfig, memo: TrialMemo):
     """The goodness estimate's scan (estimate_goodness); it returns the estimate."""
     outcomes, stopped = yield from _scan(
@@ -328,8 +323,7 @@ def estimate_goodness(runner: Runner, delta_ms: float, search: SearchConfig,
     """
     if delta_ms <= 0.0:
         raise ValueError("delta_ms must be positive")
-    memo = {} if memo is None else memo
-    return _run_scan(runner, _estimate_scan(delta_ms, search, memo), memo)
+    return _Waves(runner, [delta_ms], lambda d, m: _estimate_scan(d, search, m), memo).finish(0)
 
 
 def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: float,
@@ -340,22 +334,20 @@ def _rejectable(runner: Runner, delta_ms: float, search: SearchConfig, g_spec: f
     It stops as soon as the bound falls below g_spec even if every trial
     left were good: a sequential test checked after every trial (_scan),
     so its blocks end at the earliest trial some outcome could stop it."""
-    memo = {} if memo is None else memo
-    return _run_scan(runner, _probe_scan(delta_ms, search, g_spec, memo), memo)
+    return _Waves(runner, [delta_ms], lambda d, m: _probe_scan(d, search, g_spec, m),
+                  memo).finish(0)
 
 
 def find_delta_opt(runner: Runner, search: SearchConfig) -> float:
     """Least grid loop time whose single-run curve is good (deterministic
-    channels); scans ascending. A runner that speculates runs trial 0 of
-    WAVE_POINTS grid points in one call, the others one point at a time."""
-    grid, seed = search.grid(), search.trial_seed(0)
-    idx = 0
-    while idx < len(grid):
-        wave = grid[idx:idx + (WAVE_POINTS if runner.speculates() else 1)]
-        for delta, (t_r, _) in zip(wave, _run_trials(runner, [(d, seed) for d in wave])):
-            if t_r is not None:
-                return delta
-        idx += len(wave)
+    channels); scans ascending. Each point's scan runs trial 0 and stops
+    when its curve is good, so a runner that speculates runs trial 0 of
+    WAVE_POINTS grid points in one call (_Waves)."""
+    grid = search.grid()
+    waves = _Waves(runner, grid, lambda d, m: _scan(d, search, 1, 1, lambda good, _: good > 0, m))
+    for idx, delta in enumerate(grid):
+        if waves.finish(idx)[1]:
+            return delta
     raise NoGoodDelta("no grid loop time produced a good curve")
 
 
@@ -444,58 +436,58 @@ class PerfCurve:
             raise NonMonotoneCurve(f"performance curve must be non-increasing, got QoC {qocs}")
 
 
-def _point_scan(delta_ms: float, search: SearchConfig, g_spec: float, memo: TrialMemo):
-    """The scans of a grid point that has no estimate yet, as the search
-    for g_spec runs them: the probe, then the estimate unless the probe
-    rejects the point; it returns that estimate, or None on a rejection."""
+def _point_scan(delta_ms: float, search: SearchConfig, g_spec: float,
+                estimates: dict[float, GoodnessEstimate], memo: TrialMemo):
+    """A grid point's scans as the search for g_spec runs them: none when
+    the point has an estimate, which it returns; else the probe, then the
+    estimate unless the probe rejects the point; it returns that estimate,
+    or None on a rejection."""
+    if delta_ms in estimates:
+        return estimates[delta_ms]
     if (yield from _probe_scan(delta_ms, search, g_spec, memo)):
         return None
     return (yield from _estimate_scan(delta_ms, search, memo))
 
 
 class _Waves:
-    """The point scans of one curve search, run in waves. A wave is one
+    """The scans of one search over a grid, one per point, run in waves;
+    scan(delta, memo) makes a point's scan (as _scan runs). A wave is one
     run_batch call: the block the scan at the current grid point needs,
-    and, when the runner speculates, the next block under the same target
-    of each following grid point that has no estimate yet, nearest first,
-    within WAVE_POINTS points and WAVE_TRIALS trials. Each scan resumes
-    where its last block left it and keeps its result once it ends; a
-    point's scan restarts under a new target, from the memo."""
+    and, when the runner speculates, the next block of each following
+    point's scan that has not ended, nearest first, within WAVE_POINTS
+    points and WAVE_TRIALS trials. Each scan resumes where its last block
+    left it and keeps its result once it ends. The memo holds the trials
+    run; searches that pass one share their trials."""
 
-    def __init__(self, runner: Runner, grid: list[float], search: SearchConfig,
-                 memo: TrialMemo, estimates: dict[float, GoodnessEstimate]) -> None:
-        self.runner, self.grid, self.search = runner, grid, search
-        self.memo, self.estimates = memo, estimates
-        # (grid index, target) -> [point scan, its next block; None: not asked yet]
-        self.scans: dict[tuple[int, float], list] = {}
-        # (grid index, target) -> the result of its point scan, once it has ended
-        self.results: dict[tuple[int, float], GoodnessEstimate | None] = {}
+    def __init__(self, runner: Runner, grid: list[float],
+                 scan: Callable[[float, TrialMemo], Generator],
+                 memo: TrialMemo | None = None) -> None:
+        self.runner, self.grid, self.scan = runner, grid, scan
+        self.memo = {} if memo is None else memo
+        self.scans: dict[int, list] = {}  # grid index -> [its scan, its next block or None]
+        self.results: dict[int, Any] = {}  # grid index -> its scan's result, once it has ended
 
-    def _next(self, idx: int, g_spec: float) -> list[tuple[float, int]] | None:
-        """The block the scan at grid point idx needs next under g_spec;
-        None once it has ended."""
-        key = idx, g_spec
-        if key not in self.scans:
-            self.scans[key] = [_point_scan(self.grid[idx], self.search, g_spec, self.memo), None]
-        entry = self.scans[key]
-        if entry[1] is None and key not in self.results:
+    def _next(self, idx: int) -> list[tuple[float, int]] | None:
+        """The block the scan at grid point idx needs next; None once it has ended."""
+        if idx not in self.scans:
+            self.scans[idx] = [self.scan(self.grid[idx], self.memo), None]
+        entry = self.scans[idx]
+        if entry[1] is None and idx not in self.results:
             try:
                 entry[1] = next(entry[0])
             except StopIteration as done:
-                self.results[key] = done.value
+                self.results[idx] = done.value
         return entry[1]
 
-    def finish(self, idx: int, g_spec: float) -> GoodnessEstimate | None:
-        """Run waves until the scan of grid point idx under g_spec ends, and
-        return its result: the point's estimate, or None on a rejection."""
-        while (block := self._next(idx, g_spec)) is not None:
+    def finish(self, idx: int) -> Any:
+        """Run waves until the scan of grid point idx ends, and return its result."""
+        while (block := self._next(idx)) is not None:
             wave, points = list(block), [idx]
-            if self.runner.speculates():
+            if idx + 1 < len(self.grid) and self.runner.speculates():
                 for j in range(idx + 1, len(self.grid)):
                     if len(points) == WAVE_POINTS:
                         break
-                    more = None if self.grid[j] in self.estimates else self._next(j, g_spec)
-                    if more is None:
+                    if (more := self._next(j)) is None:
                         continue
                     if len(wave) + len(more) > WAVE_TRIALS:
                         break
@@ -503,8 +495,8 @@ class _Waves:
                     points.append(j)
             _run_trials(self.runner, wave, self.memo)
             for j in points:
-                self.scans[j, g_spec][1] = None
-        return self.results[idx, g_spec]
+                self.scans[j][1] = None
+        return self.results[idx]
 
 
 @shared_draws()
@@ -516,26 +508,26 @@ def perf_curve(runner: Runner, g_specs: Sequence[float], search: SearchConfig) -
     the grid cannot satisfy are recorded as missing rather than failing
     the whole curve.
 
-    The points are visited one at a time, and each visit reads its probe's
-    verdict and estimate from the scan the waves (_Waves) ran for it; a
-    wave also runs the next blocks of the following points."""
+    The points are visited one at a time under each target, and each visit
+    reads its point's result from the scan the target's waves (_Waves) ran
+    for it; a wave also runs the next blocks of the following points. The
+    targets' waves share one memo and the estimates found."""
     specs = list(g_specs)
     if any(b <= a for a, b in zip(specs, specs[1:])):
         raise ValueError("g_spec list must be strictly increasing")
     grid = search.grid()
     estimates: dict[float, GoodnessEstimate] = {}  # one trial batch per grid point
     memo: TrialMemo = {}
-    waves = _Waves(runner, grid, search, memo, estimates)
     points: list[QoCResult] = []
     missing: list[float] = []
     start_idx = 0
     for g_spec in specs:
+        waves = _Waves(runner, grid, lambda d, m: _point_scan(d, search, g_spec, estimates, m),
+                       memo)
         for idx in range(start_idx, len(grid)):
-            est = estimates.get(grid[idx])
-            if est is None:  # the probe only skips points that have no estimate yet
-                if (est := waves.finish(idx, g_spec)) is None:
-                    continue
-                estimates[grid[idx]] = est
+            if (est := waves.finish(idx)) is None:  # the probe rejects the point
+                continue
+            estimates[grid[idx]] = est
             if est.g >= g_spec and est.good_rise_times:
                 start_idx = idx  # a later target can never accept an earlier grid point
                 points.append(_result_from_estimate(g_spec, est))

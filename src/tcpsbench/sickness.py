@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .core import TcpsbenchError, check_packet_size, check_seed
-from .loopsim import _lag_factors, check_tau, lag_step
+from .loopsim import _lag_factors, check_tau, lag_step, last_tick
 from .transport import _fresh_mask
 
 ERROR_LIMIT_MM = 1.0
@@ -51,6 +51,9 @@ class HandTrajectory:
                              f"period 1000 / fs_hz ms, got {self.fs_hz}")
         if len(self.positions) < 2:
             raise TooShort("trajectory needs at least 2 samples")
+        if not math.isfinite(last_tick(1000.0 / self.fs_hz, len(self.positions) - 1)):
+            raise ValueError(f"sampling frequency fs_hz {self.fs_hz!r} puts the last of "
+                             f"{len(self.positions)} samples past the largest float time")
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("positions must be finite")
 

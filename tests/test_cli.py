@@ -22,7 +22,7 @@ from tcpsbench.cli import EXIT_CONFIG, EXIT_EXPERIMENT, EXIT_OK, run_command
 from tcpsbench.core import extract_metrics
 from tcpsbench.experiments import load_experiment
 from tcpsbench.loopsim import MAX_SWEEP_LEN, LoopConfig
-from tcpsbench.qoc import MAX_GRID_POINTS
+from tcpsbench.qoc import MAX_GRID_POINTS, WAVE_TRIALS, SearchConfig
 
 
 def run(args):
@@ -180,6 +180,41 @@ class TestConfigErrors:
         done = run_limited(["step", "--config", bad], tmp_path)
         assert done.returncode == EXIT_CONFIG, done.stderr[-2000:]
         assert "sweep_len" in done.stderr and "Traceback" not in done.stderr
+
+    def test_a_check_past_one_wave_exits_2(self, tmp_path):
+        """An m_batch of 10**9 ran its first check as one run_batch call and
+        ended in a MemoryError traceback (exit 1) under an address-space
+        limit. MAX_SWEEP_LEN is sized for calls of at most qoc.WAVE_TRIALS
+        trials, so m_batch is refused past that, naming the field, before
+        any trial runs. The search runs in a child process under an
+        address-space limit and a timeout."""
+        assert SearchConfig(m_batch=WAVE_TRIALS).m_batch == WAVE_TRIALS
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channel": {"type": "ideal"},
+                                   "search": {"m_batch": 10**9, "m_max": 10**9}}))
+        done = run_limited(["qoc", "--config", bad, "--gspec", "0.9"], tmp_path)
+        assert done.returncode == EXIT_CONFIG, done.stderr[-2000:]
+        assert f"m_batch must be at most {WAVE_TRIALS}" in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_a_loop_time_whose_sweep_overflows_exits_2(self, tmp_path, capsys):
+        """At 1e308 ms the sweep's ticks sum past the largest float: step
+        exited 0 with inf in curve.csv, a MalformedCurve in metrics.txt and
+        numpy overflow warnings on stderr."""
+        assert run(["step", "--config", "ideal", "--delta-ms", 1e308,
+                    "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "invalid loop: delta_ms 1e+308" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "curve.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["qoc", "--gspec", "0.9"], ["delta-opt"]])
+    def test_a_grid_loop_time_whose_sweep_overflows_exits_2(self, argv, tmp_path, capsys):
+        """A grid point at 1e308 ms ran, overflowed and was counted "not
+        good", so both searches exited 3 with no good loop time."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"channel": {"type": "ideal"},
+                                   "search": {"deltas": [0.1, 1e308]}}))
+        assert run([*argv, "--config", bad, "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "invalid search: the grid loop time 1e+308 (deltas" in capsys.readouterr().err
 
     def test_the_sweep_bound_is_a_valid_sweep(self):
         assert LoopConfig(sweep_len=MAX_SWEEP_LEN).sweep_len == MAX_SWEEP_LEN
@@ -575,6 +610,17 @@ class TestSickness:
         for mode in ("predict", "measure"):
             assert run(["sickness", mode, "--traj", traj, f"--fs={fs}", "--vmax", 0.02,
                         "--config", "ideal", "--out", tmp_path / "o"]) == EXIT_CONFIG
+
+    def test_a_sampling_rate_whose_send_times_overflow_exits_2(self, tmp_path, capsys):
+        """At 1e-305 Hz the sampling period, 1e308 ms, is finite, but the
+        send times sum past the largest float: measure ended in a
+        ValueError traceback (exit 1) from the error histogram's NaN."""
+        traj = tmp_path / "t" / "trajectory.csv"
+        assert run(["sickness", "synth", "--fs", 30, "--steps", 300, "--vmax", 0.02,
+                    "--fraction", 0.5, "--out", traj.parent]) == EXIT_OK
+        assert run(["sickness", "measure", "--traj", traj, "--fs", "1e-305",
+                    "--config", "vrep-like", "--out", tmp_path / "o"]) == EXIT_CONFIG
+        assert "sampling frequency fs_hz 1e-305" in capsys.readouterr().err
 
     @pytest.mark.parametrize("vmax", ["nan", "inf", "-1"])
     def test_non_finite_or_negative_ceiling_exits_2(self, tmp_path, capsys, vmax):

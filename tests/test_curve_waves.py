@@ -109,13 +109,18 @@ def _run_oracle(runner, specs, search, monkeypatch):
 def _run_waves(runner, specs, search, monkeypatch):
     """The search's result and the results its waves return, each as the
     oracle's calls: a rejection is (delta, True), and an estimate is the
-    probe that does not reject, (delta, False), then (delta, estimate)."""
+    probe that does not reject, (delta, False), then (delta, estimate). A
+    point's estimate, once returned, is read again under later targets,
+    as the oracle reads it from its estimates; that is no call."""
     calls = []
     finish = qoc._Waves.finish
 
-    def recorded(waves, idx, g_spec):
-        est, delta = finish(waves, idx, g_spec), waves.grid[idx]
-        calls.extend([(delta, True)] if est is None else [(delta, False), (delta, est)])
+    def recorded(waves, idx):
+        est, delta = finish(waves, idx), waves.grid[idx]
+        if est is None:
+            calls.append((delta, True))
+        elif not any(est is call[1] for call in calls):
+            calls.extend([(delta, False), (delta, est)])
         return est
 
     monkeypatch.setattr(qoc._Waves, "finish", recorded)

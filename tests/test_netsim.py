@@ -2,6 +2,7 @@
 
 import math
 import re
+from dataclasses import replace
 from random import Random
 
 import numpy as np
@@ -179,6 +180,20 @@ def test_channels_at_any_queue_cap_share_one_plan():
     plans = {id(channel_from_topology(topo, flows, seed, cap)._feeds)
              for seed, cap in ((0, None), (1, 2), (0, 5))}
     assert len(plans) == 1
+
+
+def test_a_copy_of_a_topology_builds_its_own_plan():
+    """Plans live on their topology: a copy with another tactile master
+    routes the tactile packets its own way and builds its own plan, while
+    the original keeps the plan it built."""
+    topo, flows = line_topology(3), (TrafficFlow("h0", "h2", 1e6, 64),)
+    first = channel_from_topology(topo, flows, 0)
+    moved = replace(topo, te_master="S1")
+    other = channel_from_topology(moved, flows, 0)
+    assert other._feeds is not first._feeds and other._routes != first._routes
+    assert other._routes[FORWARD] == route(moved, "S1", "S2")
+    assert moved.plans[flows][0] is other._routes and topo.plans[flows][0] is first._routes
+    assert channel_from_topology(topo, flows, 1)._feeds is first._feeds
 
 
 def test_first_uniforms_are_each_seeds_first_random():
